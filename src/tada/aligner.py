@@ -20,6 +20,7 @@ from . import nn
 from . import numerics as nx
 from .errors import InfeasibleError, NumericalAbort, ValidationError
 from .numerics import Tensor
+from .numerics.checkpoint import read_exact
 
 NEG_INF = -np.inf
 
@@ -283,11 +284,14 @@ def viterbi_score_bruteforce(log_probs: np.ndarray, tokens) -> tuple[float, tupl
 # ---------------------------------------------------------------------------
 
 
+MAX_GAP = 150
+
+
 def filter_alignment(
     p,
     T: int,
     max_run_frames: int = 3,
-    max_gap: int = 150,
+    max_gap: int = MAX_GAP,
 ) -> str | None:
     """Return a drop reason or None to keep.
 
@@ -513,7 +517,9 @@ def load_alignment_cache(path) -> dict[int, tuple[int, np.ndarray]]:
             head = f.read(12)
             if not head:
                 break
+            if len(head) != 12:
+                raise ValidationError(f"{path}: truncated file: record header has {len(head)} of 12 bytes")
             utt_id, L, T = struct.unpack("<iii", head)
-            p = np.frombuffer(f.read(4 * L), dtype="<i4").astype(np.int64)
+            p = np.frombuffer(read_exact(f, 4 * L, path), dtype="<i4").astype(np.int64)
             out[utt_id] = (T, p)
     return out

@@ -15,6 +15,7 @@ not implemented.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -427,7 +428,7 @@ def train_codec(
     joint_keys = [k for k in model.params if k.startswith("dec_joint/")]
     stream_keys = [k for k in model.params if k.startswith("dec_stream/")]
 
-    def run_phase(n_steps: int, train_keys: list[str], mode: str, freeze_latents: bool, tag: str):
+    def run_phase(n_steps: int, train_keys: list[str], mode: str, freeze_encoder: bool, tag: str):
         opt = nx.Adam({k: model.params[k] for k in train_keys}, lr=lr)
         warmup = int(n_steps * config.noise_warmup_frac)
         for step in range(n_steps):
@@ -436,7 +437,10 @@ def train_codec(
             log = {}
             for j, i in enumerate(idx):
                 utt = corpus[i]
-                s_mu = model.encode(utt["frames"], utt["positions"])
+                # A frozen encoder records no tape: its KL term has no
+                # optimizer, and the decoder sees only the detached latents.
+                with nx.no_grad() if freeze_encoder else contextlib.nullcontext():
+                    s_mu = model.encode(utt["frames"], utt["positions"])
                 if step >= warmup:
                     # sampling noise and dropout enter after the warm-up so
                     # the latents carry signal before they must survive noise
@@ -446,8 +450,6 @@ def train_codec(
                     s = latent_dropout(s, config.latent_dropout, seed=int(rng.integers(1 << 31)))
                 else:
                     s = s_mu
-                if freeze_latents:
-                    s = nx.stop_gradient(s)
                 dec = model.decode(s, utt["positions"], utt["frames"].shape[0], mode=mode)
                 report = codec_loss(
                     dec, utt["signal"], utt["tokens"], utt["positions"], s_mu, config
@@ -461,6 +463,6 @@ def train_codec(
             if log_every and step % log_every == 0:
                 print(f"codec[{tag}] step {step}: {log}")
 
-    run_phase(steps, enc_keys + joint_keys, "joint", freeze_latents=False, tag="joint")
-    run_phase(stream_steps, stream_keys, "streaming", freeze_latents=True, tag="stream")
+    run_phase(steps, enc_keys + joint_keys, "joint", freeze_encoder=False, tag="joint")
+    run_phase(stream_steps, stream_keys, "streaming", freeze_encoder=True, tag="stream")
     return model

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import numerics as nx
-from ..aligner import AlignerConfig, AlignerModel, filter_alignment, train_aligner
+from ..aligner import MAX_GAP, AlignerConfig, AlignerModel, filter_alignment, train_aligner
 from ..backbone import BackboneConfig, BackboneModel, SequenceBatchItem, train_backbone, train_base_lm
 from ..codec import CodecConfig, CodecModel, reparameterize, train_codec
 from ..durbits import durations_from_positions
+from ..errors import ValidationError
 from ..pipeline import Prompt, SpeakerHead, prepare_prompt, train_speaker_head
 from .corpus import Manifest, TemplateBank, utterance_arrays
 
@@ -112,22 +113,27 @@ def train_full_stack(
         total = sum(rec.tokens.size for rec in manifest.records)
         align_accuracy = hits / max(total, 1)
 
+        # A gap wider than the backbone's duration bits hold cannot be encoded.
+        max_gap = min(MAX_GAP, (1 << backbone_config.bits) - 1)
         codec_corpus = []
         dropped = 0
         for rec in manifest.records:
             p = positions[rec.utt_id]
             frames, signal = utterance_arrays(arrays, rec.utt_id)
-            if filter_alignment(p, rec.T) is not None:
+            if filter_alignment(p, rec.T, max_gap=max_gap) is not None:
                 dropped += 1
                 continue
             codec_corpus.append(
                 {
+                    "utt_id": rec.utt_id,
                     "frames": frames.astype(np.float32),
                     "signal": signal.astype(np.float32),
                     "tokens": rec.tokens,
                     "positions": p,
                 }
             )
+        if not codec_corpus:
+            raise ValidationError(f"train_full_stack: all {dropped} alignments were dropped by the filters")
         codec_model = train_codec(
             codec_corpus,
             codec_config,
@@ -167,11 +173,10 @@ def train_full_stack(
         by_id = {rec.utt_id: rec.speaker for rec in manifest.records}
         spk_rows = []
         spk_tgts = []
-        kept_ids = [rec.utt_id for rec in manifest.records if filter_alignment(positions[rec.utt_id], rec.T) is None]
-        for utt_id, lat in zip(kept_ids, spk_latents):
+        for utt, lat in zip(codec_corpus, spk_latents):
             for row in lat:
                 spk_rows.append(row)
-                spk_tgts.append(bank.speaker_param[by_id[utt_id]])
+                spk_tgts.append(bank.speaker_param[by_id[utt["utt_id"]]])
         speaker_head = train_speaker_head(
             np.asarray(spk_rows),
             np.asarray(spk_tgts),

@@ -102,21 +102,21 @@ def attention(
     mask: np.ndarray,
     cfg: TransformerConfig,
     positions: np.ndarray,
+    cache: LayerCache | None = None,
 ) -> Tensor:
-    q = linear(params, f"{prefix}/wq", x)
-    k = linear(params, f"{prefix}/wk", x)
-    v = linear(params, f"{prefix}/wv", x)
-    hd = cfg.d_model // cfg.n_heads
-    outs = []
-    for h in range(cfg.n_heads):
-        lo, hi = h * hd, (h + 1) * hd
-        qh = nx.rope(nx.slice_cols(q, lo, hi), positions, cfg.rope_base)
-        kh = nx.rope(nx.slice_cols(k, lo, hi), positions, cfg.rope_base)
-        vh = nx.slice_cols(v, lo, hi)
-        scores = nx.scale(nx.matmul(qh, nx.transpose2d(kh)), 1.0 / np.sqrt(hd))
-        w = nx.softmax_masked(scores, mask)
-        outs.append(nx.matmul(w, vh))
-    return linear(params, f"{prefix}/wo", nx.concat(outs, axis=1))
+    """Multi-head attention of the rows of ``x`` at ``positions``.
+
+    Without ``cache`` the rows attend to each other and ``mask`` is (T, T).
+    With ``cache`` they attend to the cached rows followed by themselves,
+    ``mask`` has one column per such row, and their rotated keys and their
+    values are appended to the cache.
+    """
+    q = nx.split_heads(linear(params, f"{prefix}/wq", x), cfg.n_heads, positions, cfg.rope_base)
+    k = nx.split_heads(linear(params, f"{prefix}/wk", x), cfg.n_heads, positions, cfg.rope_base)
+    v = nx.split_heads(linear(params, f"{prefix}/wv", x), cfg.n_heads)
+    if cache is not None:
+        k, v = cache.extend(k, v)
+    return linear(params, f"{prefix}/wo", nx.attention_heads(q, k, v, mask))
 
 
 def block(
@@ -126,8 +126,9 @@ def block(
     mask: np.ndarray,
     cfg: TransformerConfig,
     positions: np.ndarray,
+    cache: LayerCache | None = None,
 ) -> Tensor:
-    x = x + attention(params, prefix, ln(params, f"{prefix}/ln1", x), mask, cfg, positions)
+    x = x + attention(params, prefix, ln(params, f"{prefix}/ln1", x), mask, cfg, positions, cache)
     h = linear(params, f"{prefix}/ff1", ln(params, f"{prefix}/ln2", x))
     return x + linear(params, f"{prefix}/ff2", nx.gelu(h))
 
@@ -164,24 +165,46 @@ def full_mask(T: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class StackCache:
-    """Per-layer key/value cache for incremental decoding.
+class LayerCache:
+    """One layer's cached keys and values, (H, n, hd) each.
 
-    Keys and values are stored as plain arrays together with their absolute
-    positions, so rotary phases and windowed eviction stay exact.
+    Keys are stored after the rotary rotation, so a step rotates only its
+    own new rows.
+    """
+
+    def __init__(self, cfg: TransformerConfig):
+        shape = (cfg.n_heads, 0, cfg.d_model // cfg.n_heads)
+        self.keys = np.zeros(shape)
+        self.values = np.zeros(shape)
+
+    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append new rows; return all cached keys and values."""
+        self.keys = np.concatenate([self.keys, k.data], axis=1)
+        self.values = np.concatenate([self.values, v.data], axis=1)
+        return Tensor(self.keys), Tensor(self.values)
+
+    def keep(self, rows: np.ndarray) -> None:
+        self.keys = self.keys[:, rows]
+        self.values = self.values[:, rows]
+
+
+class StackCache:
+    """Per-layer key/value caches for incremental decoding.
+
+    Entries carry their absolute positions, so windowed eviction stays
+    exact.
     """
 
     def __init__(self, cfg: TransformerConfig):
         self.cfg = cfg
-        self.keys = [np.zeros((0, cfg.d_model)) for _ in range(cfg.n_layers)]
-        self.values = [np.zeros((0, cfg.d_model)) for _ in range(cfg.n_layers)]
+        self.layers = [LayerCache(cfg) for _ in range(cfg.n_layers)]
         self.positions = np.zeros((0,), dtype=np.int64)
 
     def evict_upto(self, position: int) -> None:
         """Drop all cached entries with absolute position <= ``position``."""
         keep = self.positions > position
-        self.keys = [k[keep] for k in self.keys]
-        self.values = [v[keep] for v in self.values]
+        for layer in self.layers:
+            layer.keep(keep)
         self.positions = self.positions[keep]
 
     def __len__(self) -> int:
@@ -199,41 +222,17 @@ def stack_step(
 ) -> Tensor:
     """Append ``x_new`` rows to the cache and return their outputs.
 
-    Each new row attends to every cached entry plus all new rows whose
-    position satisfies ``attend_from < position <= own position`` is not
-    enforced here; new rows attend to cache + all new rows (non-causal
-    within the chunk), with columns restricted to positions > ``attend_from``.
+    Each new row attends to every cached entry and to every new row, with no
+    causal order inside the chunk; only entries at positions greater than
+    ``attend_from`` are attended to.
     """
     with nx.no_grad():
-        n_new = x_new.shape[0]
-        hd = cfg.d_model // cfg.n_heads
+        positions = np.concatenate([cache.positions, new_positions])
+        mask = np.broadcast_to(positions > attend_from, (x_new.shape[0], positions.size))
         x = x_new
-        for i in range(cfg.n_layers):
-            pfx = f"{prefix}/layer{i}"
-            xin = ln(params, f"{pfx}/ln1", x)
-            q = linear(params, f"{pfx}/wq", xin)
-            k = linear(params, f"{pfx}/wk", xin)
-            v = linear(params, f"{pfx}/wv", xin)
-            all_k = np.concatenate([cache.keys[i], k.data], axis=0)
-            all_v = np.concatenate([cache.values[i], v.data], axis=0)
-            all_pos = np.concatenate([cache.positions, new_positions])
-            cache.keys[i] = all_k
-            cache.values[i] = all_v
-            col_ok = all_pos > attend_from
-            heads = []
-            for h in range(cfg.n_heads):
-                lo, hi = h * hd, (h + 1) * hd
-                qh = nx.rope(nx.slice_cols(q, lo, hi), new_positions, cfg.rope_base)
-                kh = nx.rope(Tensor(all_k[:, lo:hi]), all_pos, cfg.rope_base)
-                scores = nx.scale(nx.matmul(qh, nx.transpose2d(kh)), 1.0 / np.sqrt(hd))
-                mask = np.broadcast_to(col_ok, (n_new, all_pos.size)).copy()
-                w = nx.softmax_masked(scores, mask)
-                heads.append(nx.matmul(w, Tensor(all_v[:, lo:hi])))
-            attn = linear(params, f"{pfx}/wo", nx.concat(heads, axis=1))
-            x = x + attn
-            h2 = linear(params, f"{pfx}/ff1", ln(params, f"{pfx}/ln2", x))
-            x = x + linear(params, f"{pfx}/ff2", nx.gelu(h2))
-        cache.positions = np.concatenate([cache.positions, new_positions])
+        for i, layer in enumerate(cache.layers):
+            x = block(params, f"{prefix}/layer{i}", x, mask, cfg, new_positions, layer)
+        cache.positions = positions
         return ln(params, f"{prefix}/ln_out", x)
 
 

@@ -12,6 +12,7 @@ Layout (all integers little-endian unsigned 64-bit):
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -39,22 +40,33 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
             f.write(arr.astype("<f4").tobytes(order="C"))
 
 
+def read_exact(f, n: int, path) -> bytes:
+    """Read exactly ``n`` bytes or raise :class:`ValidationError` naming ``path``."""
+    data = f.read(n)
+    if len(data) != n:
+        raise ValidationError(f"{path}: truncated file: wanted {n} bytes, got {len(data)}")
+    return data
+
+
 def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
     path = Path(path)
     with open(path, "rb") as f:
         magic = f.read(5)
         if magic != MAGIC:
             raise ValidationError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        version, count = struct.unpack("<QQ", f.read(16))
+        version, count = struct.unpack("<QQ", read_exact(f, 16, path))
         if version != VERSION:
             raise ValidationError(f"{path}: unsupported format version {version}")
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<Q", f.read(8))
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<Q", f.read(8))
-            shape = struct.unpack(f"<{rank}Q", f.read(8 * rank)) if rank else ()
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(4 * n), dtype="<f4").reshape(shape)
+            (name_len,) = struct.unpack("<Q", read_exact(f, 8, path))
+            try:
+                name = read_exact(f, name_len, path).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path}: array name is not utf-8: {exc}") from None
+            (rank,) = struct.unpack("<Q", read_exact(f, 8, path))
+            shape = struct.unpack(f"<{rank}Q", read_exact(f, 8 * rank, path)) if rank else ()
+            n = math.prod(shape)
+            data = np.frombuffer(read_exact(f, 4 * n, path), dtype="<f4").reshape(shape)
             out[name] = np.array(data)  # own the memory
         return out

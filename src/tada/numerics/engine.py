@@ -656,6 +656,84 @@ def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
     return _make("rope", out, (x,), backward)
 
 
+def split_heads(x: Tensor, n_heads: int, positions: np.ndarray | None = None, base: float = 10000.0) -> Tensor:
+    """Split (T, H * hd) columns into (H, T, hd) heads.
+
+    With ``positions``, every head is also rotated exactly as :func:`rope`
+    rotates its (T, hd) column block.
+    """
+    if x.ndim != 2 or n_heads < 1 or x.shape[1] % n_heads != 0:
+        raise ShapeError("split_heads", f"cannot split {x.shape} into {n_heads} heads")
+    T, d = x.shape
+    hd = d // n_heads
+    heads = x.data.reshape(T, n_heads, hd).transpose(1, 0, 2)
+    if positions is None:
+        out = np.ascontiguousarray(heads)
+    else:
+        positions = np.asarray(positions)
+        if hd % 2 != 0 or positions.shape != (T,):
+            raise ShapeError(
+                "split_heads", f"rotary needs an even head width and ({T},) positions, "
+                f"got width {hd} and positions {positions.shape}"
+            )
+        cos, sin = _rope_angles(hd, positions, base, x.dtype)
+        xe, xo = heads[..., 0::2], heads[..., 1::2]
+        out = np.empty((n_heads, T, hd), dtype=x.dtype)
+        out[..., 0::2] = xe * cos - xo * sin
+        out[..., 1::2] = xe * sin + xo * cos
+
+    def backward(g):
+        if positions is not None:
+            ge, go = g[..., 0::2], g[..., 1::2]
+            g = np.empty_like(g)
+            g[..., 0::2] = ge * cos + go * sin
+            g[..., 1::2] = -ge * sin + go * cos
+        # Round to the input's dtype: float64 scores under float32 weights
+        # must not turn the parameter gradients into float64.
+        _accum(x, g.transpose(1, 0, 2).reshape(T, d).astype(x.dtype, copy=False))
+
+    return _make("split_heads", out, (x,), backward)
+
+
+def attention_heads(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
+    """Scaled dot-product attention of all heads at once, heads merged.
+
+    ``q`` is (H, Tq, hd), ``k`` and ``v`` are (H, Tk, hd), and the (Tq, Tk)
+    ``mask`` applies to every head. Weights are :func:`softmax_masked` of the
+    scaled scores, so excluded keys and values never reach the output. The
+    result is (Tq, H * hd), head-major along the columns.
+    """
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or k.shape != v.shape or q.shape[::2] != k.shape[::2]:
+        raise ShapeError(
+            "attention_heads", f"q {q.shape}, k {k.shape}, v {v.shape} are not (H, T, hd) alike"
+        )
+    H, Tq, hd = q.shape
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (Tq, k.shape[1]):
+        raise ShapeError("attention_heads", f"mask shape {mask.shape} != ({Tq}, {k.shape[1]})")
+    if not np.all(mask.any(axis=-1)):
+        raise ShapeError("attention_heads", "a normalization slice has no included positions")
+    c = 1.0 / np.sqrt(hd)
+    # Operand layouts follow the per-head matmul/transpose2d chain, so every
+    # product is bit-identical to it.
+    kt = np.ascontiguousarray(k.data.transpose(0, 2, 1))
+    scores = (q.data @ kt) * c
+    m = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
+    e = np.exp(np.where(mask, scores - m, 0.0)) * mask
+    w = e / e.sum(axis=-1, keepdims=True)
+    out = (w @ v.data).transpose(1, 0, 2).reshape(Tq, H * hd)
+
+    def backward(g):
+        g = g.reshape(Tq, H, hd).transpose(1, 0, 2)
+        _accum(v, w.transpose(0, 2, 1) @ g)
+        gw = g @ v.data.transpose(0, 2, 1)
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * c
+        _accum(q, gs @ kt.transpose(0, 2, 1))
+        _accum(k, (q.data.transpose(0, 2, 1) @ gs).transpose(0, 2, 1))
+
+    return _make("attention_heads", out, (q, k, v), backward)
+
+
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ class StepStat:
     chosen_cos: float
     below_threshold: bool
     rounds: int
-    llm_time: float = 0.0
+    llm_time: float = 0.0  # backbone steps of the positive, tfg and sfg branches
     flow_time: float = 0.0
 
 
@@ -364,7 +364,6 @@ def generate(
         step = FusedStep(token_id=tid, acoustic=slot, mode="text-speech")
         t0 = time.perf_counter()
         out = model.step(step, pos_cache)
-        llm_time = time.perf_counter() - t0
         c_pos = out.cond
         if neg_cache is not None:
             neg_step = FusedStep(token_id=cfg.pad_id, acoustic=slot, mode="text-speech")
@@ -376,6 +375,7 @@ def generate(
             sfg_step = FusedStep(token_id=tid, acoustic=None, mode="text-only")
             z_text_only = model.step(sfg_step, sfg_cache).text_logits
             logits = sfg_logits(z_text_only, out.text_logits, params.sfg_scale)
+        llm_time = time.perf_counter() - t0
 
         # Flow-sample the acoustic slot this step predicts.
         m = j - K + 1

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tada import numerics as nx
 from tada.aligner import (
@@ -252,6 +254,27 @@ def test_alignment_cache_roundtrip(tmp_path):
     for k in records:
         assert loaded[k][0] == records[k][0]
         np.testing.assert_array_equal(loaded[k][1], records[k][1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_truncated_alignment_cache(tmp_path_factory, data):
+    """The format has no record count, so a cut between records leaves a
+    valid shorter cache; any other cut is a ValidationError naming the file."""
+    records = {0: (12, np.array([2, 5, 9])), 3: (7, np.array([1, 6])), 4: (9, np.array([4]))}
+    full = tmp_path_factory.mktemp("full") / "align.cache"
+    save_alignment_cache(full, records)
+    raw = full.read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    path = tmp_path_factory.mktemp("cut") / "cut.cache"
+    path.write_bytes(raw[:cut])
+    boundaries = np.cumsum([0] + [12 + 4 * p.size for _, p in records.values()])
+    if cut in boundaries:
+        loaded = load_alignment_cache(path)
+        assert list(loaded) == list(records)[: int(np.searchsorted(boundaries, cut))]
+    else:
+        with pytest.raises(ValidationError, match="cut.cache"):
+            load_alignment_cache(path)
 
 
 def test_model_checkpoint_roundtrip(tmp_path):

@@ -13,6 +13,7 @@ from tada.codec import (
     multiscale_spectral_l1,
     reparameterize,
     scatter_latents,
+    train_codec,
 )
 from tada.errors import ValidationError
 from tada.numerics import finite_difference_check
@@ -254,6 +255,23 @@ class TestSpectral:
     def test_all_windows_too_large(self):
         with pytest.raises(ValidationError):
             multiscale_spectral_l1(nx.tensor(np.zeros(3)), nx.tensor(np.zeros(3)), (8,))
+
+
+def test_streaming_phase_leaves_frozen_encoder_without_gradients():
+    rng = np.random.default_rng(30)
+    corpus = []
+    for T, p in ((7, [2, 5]), (9, [3, 4, 8])):
+        p = np.array(p)
+        corpus.append({
+            "frames": rng.standard_normal((T, TINY.d_frame)),
+            "signal": rng.standard_normal((T, TINY.samples_per_frame)),
+            "tokens": rng.integers(0, TINY.vocab_size, size=p.size),
+            "positions": p,
+        })
+    model = train_codec(corpus, TINY, steps=0, stream_steps=2, batch_size=2)
+    enc = [k for k in model.params if k.startswith("enc/")]
+    assert enc and all(model.params[k].grad is None for k in enc)
+    assert any(model.params[k].grad is not None for k in model.params if k.startswith("dec_stream/"))
 
 
 def test_checkpoint_roundtrip(tmp_path, model):

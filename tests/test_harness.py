@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tada.aligner import filter_alignment
+from tada.backbone import BackboneConfig
 from tada.harness import (
     Manifest,
     OracleDecoder,
@@ -11,9 +12,11 @@ from tada.harness import (
     TemplateBank,
     edit_distance,
     gen_corpus,
+    train_full_stack,
     utterance_arrays,
 )
 from tada.harness.corpus import UttRecord, _render_utterance
+from tada.harness.recipes import TrainBudget
 from tada.errors import ValidationError
 
 
@@ -195,3 +198,26 @@ class TestManifestIO:
         assert rec.to_line() == "id=3 speaker=1 T=9 tokens=4,5 p=2,7"
         back = UttRecord.from_line(rec.to_line())
         assert back.to_line() == rec.to_line()
+
+
+TINY_BUDGET = dict(
+    aligner_steps=2, codec_steps=2, codec_stream_steps=2, base_lm_steps=2,
+    backbone_steps=2, speaker_steps=2, threads=1,
+)
+
+
+def test_train_full_stack_four_bit_backbone_completes():
+    """A tiny aligner budget leaves gaps wider than four duration bits hold;
+    those alignments are dropped instead of failing in gray_encode."""
+    manifest, arrays = gen_corpus(SynthConfig(), 24)
+    config = BackboneConfig(vocab_size=manifest.config.vocab_size, bits=4)
+    stack = train_full_stack(manifest, arrays, TrainBudget(**TINY_BUDGET), backbone_config=config)
+    assert 0 < stack.dropped_alignments < len(manifest.records)
+    assert stack.backbone.config.bits == 4
+
+
+def test_train_full_stack_rejects_when_every_alignment_is_dropped():
+    manifest, arrays = gen_corpus(SynthConfig(), 6)
+    config = BackboneConfig(vocab_size=manifest.config.vocab_size, bits=1)
+    with pytest.raises(ValidationError, match="all 6 alignments were dropped"):
+        train_full_stack(manifest, arrays, TrainBudget(**TINY_BUDGET), backbone_config=config)

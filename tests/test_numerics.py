@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tada import numerics as nx
 from tada.errors import ShapeError, ValidationError
@@ -193,6 +195,43 @@ def _case_rope(rng):
     return lambda x: nx.sum_(nx.square(nx.rope(x, pos))), (3, 6)
 
 
+def _case_split_heads(rng):
+    return lambda x: nx.sum_(nx.square(nx.split_heads(x, 2))), (3, 8)
+
+
+def _case_split_heads_rotary(rng):
+    pos = np.array([0, 3, 4])
+    c = nx.tensor(rng.standard_normal((2, 3, 4)))
+    return lambda x: nx.sum_(nx.mul(nx.split_heads(x, 2, pos), c)), (3, 8)
+
+
+def _attention_case(rng, slot):
+    """Attention core with operand ``slot`` (0 = q, 1 = k, 2 = v) as input."""
+    mask = rng.random((3, 4)) < 0.6
+    mask[:, 1] = True
+    ops = [nx.tensor(rng.standard_normal((2, n, 4))) for n in (3, 4, 4)]
+    c = nx.tensor(rng.standard_normal((3, 8)))
+
+    def f(x):
+        args = list(ops)
+        args[slot] = x
+        return nx.sum_(nx.mul(nx.attention_heads(*args, mask), c))
+
+    return f, ops[slot].shape
+
+
+def _case_attention_heads_q(rng):
+    return _attention_case(rng, 0)
+
+
+def _case_attention_heads_k(rng):
+    return _attention_case(rng, 1)
+
+
+def _case_attention_heads_v(rng):
+    return _attention_case(rng, 2)
+
+
 def _case_gather_rows(rng):
     idx = np.array([2, 0, 2])
     return lambda x: nx.sum_(nx.square(nx.gather_rows(x, idx))), (4, 3)
@@ -291,6 +330,44 @@ def test_rope_preserves_pairwise_norms():
         )
 
 
+def test_attention_heads_bit_identical_under_excluded_perturbation():
+    rng = np.random.default_rng(6)
+    H, Tq, Tk, hd = 3, 5, 7, 4
+    q = rng.standard_normal((H, Tq, hd))
+    k = rng.standard_normal((H, Tk, hd))
+    v = rng.standard_normal((H, Tk, hd))
+    mask = rng.random((Tq, Tk)) < 0.5
+    mask[:, 0] = True
+    mask[:, [2, 5]] = False  # keys 2 and 5 are excluded for every query
+    base = nx.attention_heads(nx.tensor(q), nx.tensor(k), nx.tensor(v), mask).data
+    k2, v2 = k.copy(), v.copy()
+    k2[:, [2, 5]] = rng.standard_normal((H, 2, hd)) * 1e6
+    v2[:, [2, 5]] = rng.standard_normal((H, 2, hd)) * 1e6
+    pert = nx.attention_heads(nx.tensor(q), nx.tensor(k2), nx.tensor(v2), mask).data
+    np.testing.assert_array_equal(base, pert)
+    # · and per query row: keys excluded for that row only are equally invisible
+    row = 1
+    k3 = k.copy()
+    k3[:, ~mask[row]] += 1e6
+    pert_row = nx.attention_heads(nx.tensor(q), nx.tensor(k3), nx.tensor(v), mask).data
+    np.testing.assert_array_equal(base[row], pert_row[row])
+
+
+def test_attention_heads_checks():
+    q = nx.tensor(np.zeros((2, 3, 4)))
+    kv = nx.tensor(np.zeros((2, 5, 4)))
+    with pytest.raises(ShapeError, match="no included positions"):
+        nx.attention_heads(q, kv, kv, np.array([[True] * 5, [False] * 5, [True] * 5]))
+    with pytest.raises(ShapeError, match="mask shape"):
+        nx.attention_heads(q, kv, kv, np.ones((3, 4), bool))
+    with pytest.raises(ShapeError):
+        nx.attention_heads(q, nx.tensor(np.zeros((2, 5, 6))), kv, np.ones((3, 5), bool))
+    with pytest.raises(ShapeError):
+        nx.split_heads(nx.tensor(np.zeros((3, 8))), 3)
+    with pytest.raises(ShapeError):
+        nx.split_heads(nx.tensor(np.zeros((3, 6))), 2, np.arange(3))  # odd head width
+
+
 def test_shape_error_names_primitive_and_extents():
     with pytest.raises(ShapeError) as exc:
         nx.matmul(nx.tensor(np.zeros((2, 3))), nx.tensor(np.zeros((4, 2))))
@@ -360,3 +437,24 @@ class TestCheckpointFormat:
         path.write_bytes(b"NOPE!" + b"\0" * 16)
         with pytest.raises(ValidationError):
             nx.load_arrays(path)
+
+
+def _valid_checkpoint(tmp_path):
+    path = tmp_path / "ck.tada"
+    nx.save_arrays(path, {
+        "enc/w": np.arange(12, dtype=np.float32).reshape(3, 4),
+        "scalar": np.array([2.5], dtype=np.float32),
+        "rank0": np.float32(1.0),
+    })
+    return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_truncated_checkpoint_raises_validation_error(tmp_path_factory, data):
+    raw = _valid_checkpoint(tmp_path_factory.mktemp("ck"))
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    path = tmp_path_factory.mktemp("cut") / "cut.tada"
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ValidationError, match="cut.tada"):
+        nx.load_arrays(path)

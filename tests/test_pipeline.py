@@ -1,8 +1,12 @@
 """Pipeline: rejection selection, prompt preparation, text-free branches,
 generation determinism, and streaming synthesis equivalence."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+from tada import pipeline
 
 from tada.backbone import BackboneConfig, BackboneModel, FusedStep
 from tada.codec import CodecConfig, CodecModel
@@ -248,6 +252,28 @@ class TestGenerate:
             GenParams(n_fm=2, neg_mode="tfg", cfg_scale=1.5, seed=5),
         )
         assert out.latents.shape == (2, BACKBONE.d_latent)
+
+
+    def test_llm_time_counts_every_guidance_branch(self, models, monkeypatch):
+        """Each backbone step advances a fake clock by one second; a token's
+        llm_time must count the positive, tfg and sfg steps of its loop
+        iteration."""
+        lm, codec, head = models
+        prompt = make_prompt(codec, head, np.random.default_rng(22))
+        clock = [0.0]
+        real_step = lm.step
+
+        def step(fused, cache):
+            clock[0] += 1.0
+            return real_step(fused, cache)
+
+        monkeypatch.setattr(lm, "step", step)
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        params = GenParams(mode="slm", n_fm=2, max_tokens=3, neg_mode="tfg", sfg_scale=0.5, seed=6)
+        out = generate(lm, codec, head, prompt, None, params)
+        assert out.step_stats
+        assert [s.llm_time for s in out.step_stats] == [3.0] * len(out.step_stats)
+        assert all(s.flow_time == 0.0 for s in out.step_stats)
 
 
 class TestStreamSynthesize:

@@ -36,22 +36,24 @@ for step in range(600):
     opt.step()
 print(f"final flow loss: {loss.item():.4f}")
 
+plain_cfg = FlowConfig(**{**cfg.__dict__, "cfg_scale": 1.0})
 for c in (0, 1):
-    cond = np.zeros((8, 4))
+    cond = np.zeros((1, 4))
     cond[:, c] = 1.0
-    field_pos = lambda y, t: model.field_np(y, t, cond)
-    y = euler_sample(field_pos, None, cfg, seed=42, n_samples=8)
+    rows = model.cond_rows(cond)  # projected once, reused by every Euler step
+    y = euler_sample(lambda y, t: model.field_np(y, t, rows), plain_cfg, seed=42, n_samples=8)
     decoded = [unpack(row, cfg.d_latent, cfg.bits)[1:] for row in y]
     s_mean = np.round(y[:, : cfg.d_latent].mean(axis=0), 2)
     print(f"class {c}: mean sampled latent {s_mean.tolist()}, decoded (f_before, f_after) {decoded[:3]}")
 
-# Guidance only touches the first d_latent dims
-zero_neg = lambda y, t: model.field_np(y, t, np.zeros((y.shape[0], 4)))
-cond = np.zeros((4, 4)); cond[:, 0] = 1.0
-field_pos = lambda y, t: model.field_np(y, t, cond)
+# Guidance only touches the first d_latent dims. One field call per Euler
+# step evaluates both branches: rows [0, 4) carry the condition, rows [4, 8)
+# the zero (negative) condition.
+cond = np.zeros((1, 4)); cond[:, 0] = 1.0
+both = np.repeat(model.cond_rows(np.concatenate([cond, np.zeros((1, 4))])), 4, axis=0)
 guided_cfg = FlowConfig(**{**cfg.__dict__, "cfg_scale": 1.8})
-y_guided = euler_sample(field_pos, zero_neg, guided_cfg, seed=7, n_samples=4)
-y_plain = euler_sample(field_pos, None, cfg, seed=7, n_samples=4)
+y_guided = euler_sample(lambda y, t: model.field_np(y, t, both), guided_cfg, seed=7, n_samples=4)
+y_plain = euler_sample(lambda y, t: model.field_np(y, t, both[:4]), plain_cfg, seed=7, n_samples=4)
 print(f"\nguided vs unguided: latent dims moved by "
       f"{np.abs(y_guided[:, :4] - y_plain[:, :4]).mean():.3f}, "
       f"bit dims by {np.abs(y_guided[:, 4:] - y_plain[:, 4:]).mean():.3f} on average")

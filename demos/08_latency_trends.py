@@ -13,17 +13,17 @@ import numpy as np
 from tada.flowhead import FlowConfig, VectorFieldModel, euler_integrate, euler_sample, gaussian_target_field
 
 rng = np.random.default_rng(0)
-cfg = FlowConfig()
+cfg = FlowConfig(cfg_scale=1.0)  # unguided: one 8-row field call per Euler step
 model = VectorFieldModel(cfg, rng=rng)
-cond = rng.standard_normal((8, cfg.d_cond))
-field = lambda y, t: model.field_np(y, t, cond)
+rows = model.cond_rows(rng.standard_normal((8, cfg.d_cond)))
+field = lambda y, t: model.field_np(y, t, rows)
 
 print("Euler sampling wall time per step count (8 samples each):")
 for n in (2, 4, 10, 20):
     run_cfg = FlowConfig(**{**cfg.__dict__, "n_steps": n})
     t0 = time.perf_counter()
     for rep in range(20):
-        euler_sample(field, None, run_cfg, seed=rep, n_samples=8)
+        euler_sample(field, run_cfg, seed=rep, n_samples=8)
     dt = (time.perf_counter() - t0) / 20
     print(f"  N_FM={n:>2}: {dt * 1e3:7.2f} ms")
 

@@ -33,7 +33,7 @@ from .harness import (
     sample_eval_texts,
     utterance_arrays,
 )
-from .harness.recipes import aligner_pairs, extract_alignments
+from .harness.recipes import aligner_pairs, extract_alignments, filter_alignments
 from .pipeline import (
     GenParams,
     SpeakerHead,
@@ -155,14 +155,24 @@ def cmd_lm_train(args, cfg) -> int:
     rng = np.random.default_rng(seed)
     bank = TemplateBank(manifest.config)
 
+    alignments, dropped = filter_alignments(
+        {
+            rec.utt_id: (rec.T, _positions_for(manifest, cache, rec))
+            for rec in manifest.records
+            if cache is None or rec.utt_id in cache
+        },
+        bcfg.bits,
+    )
+    print(f"kept {len(alignments)} alignments, dropped {dropped} (gaps must fit in {bcfg.bits} duration bits)")
+
     with nx.precision("float32"):
         items = []
         spk_rows, spk_tgts = [], []
         with nx.no_grad():
             for rec in manifest.records:
-                p = _positions_for(manifest, cache, rec)
-                if cache is not None and rec.utt_id not in cache:
+                if rec.utt_id not in alignments:
                     continue
+                p = alignments[rec.utt_id][1]
                 frames, _ = utterance_arrays(arrays, rec.utt_id)
                 s_mu = codec_model.encode(frames.astype(np.float32), p)
                 s = reparameterize(

@@ -51,6 +51,7 @@ def _convert(current, raw: str):
 
 
 def apply_overrides(defaults: Defaults, lines: list[str]) -> Defaults:
+    touched: dict[str, int] = {}  # section -> last line that set one of its fields
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -66,7 +67,21 @@ def apply_overrides(defaults: Defaults, lines: list[str]) -> Defaults:
         target = getattr(defaults, section)
         if not hasattr(target, fname):
             raise ValidationError(f"config line {lineno}: unknown field {key!r}")
-        setattr(target, fname, _convert(getattr(target, fname), raw))
+        try:
+            value = _convert(getattr(target, fname), raw)
+        except ValueError:
+            raise ValidationError(f"config line {lineno}: cannot parse {key}={raw!r}") from None
+        setattr(target, fname, value)
+        touched[section] = lineno
+    # setattr skips __post_init__, so validate each changed section once all
+    # of its lines are in (two lines may have to change together).
+    for section, lineno in touched.items():
+        check = getattr(getattr(defaults, section), "__post_init__", None)
+        if check is not None:
+            try:
+                check()
+            except ValidationError as exc:
+                raise ValidationError(f"config section {section!r} (last set on line {lineno}): {exc}") from None
     return defaults
 
 

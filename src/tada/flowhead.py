@@ -47,17 +47,26 @@ class FlowConfig:
         return self.d_latent + 2 * self.bits
 
 
+_TIME_FREQS: dict[int, np.ndarray] = {}  # d_time -> (1, d_time // 2) frequencies
+
+
 def time_embedding(t: np.ndarray, d_time: int, dtype=np.float64) -> np.ndarray:
     """Sinusoidal features of t in [0, 1]; constant w.r.t. the graph."""
     t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
-    half = d_time // 2
-    freqs = np.exp(np.linspace(0.0, np.log(1000.0), half))[None, :]
+    freqs = _TIME_FREQS.get(d_time)
+    if freqs is None:
+        freqs = _TIME_FREQS[d_time] = np.exp(np.linspace(0.0, np.log(1000.0), d_time // 2))[None, :]
     ang = t * freqs
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(dtype)
 
 
 class VectorFieldModel:
-    """MLP v(y_t, t | c) over the concatenated [y_t, time features, c]."""
+    """MLP v(y_t, t | c) over the concatenated [y_t, time features, c].
+
+    :meth:`field` is the taped reference. :meth:`field_np` is the sampler's
+    path: the first layer is split by input block, so the condition's share
+    (:meth:`cond_rows`) is computed once per token, not once per Euler step.
+    """
 
     def __init__(
         self,
@@ -98,11 +107,44 @@ class VectorFieldModel:
         if cond.shape[0] == 1 and n > 1:
             cond = nx.concat([cond] * n, axis=0)
         x = nx.concat([y_t, temb, cond], axis=1)
-        return nn.mlp(self.params, self.prefix, x, self.n_layers)
+        return self._hidden(nn.linear(self.params, f"{self.prefix}/fc0", x))
 
-    def field_np(self, y: np.ndarray, t: float, cond: np.ndarray) -> np.ndarray:
+    def _hidden(self, h: Tensor) -> Tensor:
+        """The layers after the first, from the first layer's pre-activation."""
+        for i in range(1, self.n_layers):
+            h = nn.linear(self.params, f"{self.prefix}/fc{i}", nx.gelu(h))
+        return h
+
+    def _first_layer_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row blocks of ``fc0/w`` that multiply y_t, the time features and c."""
+        w = self.params[f"{self.prefix}/fc0/w"].data
+        d_y, d_t = self.config.d_target, self.config.d_time
+        return w[:d_y], w[d_y : d_y + d_t], w[d_y + d_t :]
+
+    def cond_rows(self, cond: np.ndarray) -> np.ndarray:
+        """The condition's share of the first pre-activation, ``c @ W_c + b``.
+
+        It does not depend on (y_t, t), so a sampler computes it once per
+        token and branch and passes it to every :meth:`field_np` step.
+        """
+        cond = np.asarray(cond, dtype=nx.default_dtype())
+        if cond.ndim != 2 or cond.shape[1] != self.config.d_cond:
+            raise ValidationError(f"cond_rows: cond must be (n, {self.config.d_cond}), got {cond.shape}")
+        return cond @ self._first_layer_blocks()[2] + self.params[f"{self.prefix}/fc0/b"].data
+
+    def field_np(self, y: np.ndarray, t: float, cond_rows: np.ndarray) -> np.ndarray:
+        """Untaped field at scalar time t, given :meth:`cond_rows` of the condition.
+
+        ``cond_rows`` holds one row per row of ``y`` (or a single row for all).
+        Equals :meth:`field` up to the summation order of the first layer.
+        """
+        y = np.asarray(y, dtype=nx.default_dtype())
+        if cond_rows.shape[0] not in (1, y.shape[0]):
+            raise ValidationError(f"field_np: {cond_rows.shape[0]} condition rows for {y.shape[0]} points")
+        w_y, w_t, _ = self._first_layer_blocks()
+        temb = time_embedding(t, self.config.d_time, y.dtype.type)
         with nx.no_grad():
-            return np.asarray(self.field(y, t, cond).data)
+            return self._hidden(Tensor(y @ w_y + temb @ w_t + cond_rows)).data
 
 
 def interpolate(y1, y0, t, sigma_min: float) -> np.ndarray:
@@ -175,8 +217,7 @@ def cfg_combine(v_pos: np.ndarray, v_neg: np.ndarray, scale: float, d_guided: in
 
 
 def euler_sample(
-    field_pos,
-    field_neg,
+    field,
     config: FlowConfig,
     seed: int,
     n_samples: int = 1,
@@ -184,19 +225,25 @@ def euler_sample(
 ) -> np.ndarray:
     """Integrate the guided field from Gaussian noise over n_steps.
 
-    ``field_pos``/``field_neg`` are callables (y, t) -> velocity rows;
-    ``field_neg`` may be None (or cfg_scale == 1) to skip guidance work.
-    Deterministic given (seed, fields, config).
+    ``field`` is a callable (y, t) -> velocity rows, row-aligned with y.
+    With guidance on (``cfg_scale != 1``) each step makes one call on the
+    stacked rows ``[y; y]``: the first half is the positive branch, the
+    second half the negative one. At ``cfg_scale == 1`` it gets ``y`` alone.
+    Deterministic given (seed, field, config).
     """
     d = config.d_target
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((n_samples, d)) if y_start is None else np.array(y_start, dtype=np.float64)
     n = config.n_steps
-    guided = field_neg is not None and config.cfg_scale != 1.0
+    half = y.shape[0]
+    guided = config.cfg_scale != 1.0
     for k in range(n):
         t = k / n
-        v_pos = field_pos(y, t)
-        v = cfg_combine(v_pos, field_neg(y, t), config.cfg_scale, config.d_latent) if guided else v_pos
+        if guided:
+            v_both = field(np.concatenate([y, y]), t)
+            v = cfg_combine(v_both[:half], v_both[half:], config.cfg_scale, config.d_latent)
+        else:
+            v = field(y, t)
         y = y + v / n
         if not np.all(np.isfinite(y)):
             raise NumericalAbort(f"euler_sample: non-finite state at step {k}")

@@ -77,6 +77,31 @@ def extract_alignments(
     return dict(one(rec) for rec in manifest.records)
 
 
+def filter_alignments(
+    alignments: dict[int, tuple[int, np.ndarray]], bits: int
+) -> tuple[dict[int, tuple[int, np.ndarray]], int]:
+    """Keep the alignments (utt_id -> (T, positions)) a backbone with
+    ``bits`` duration bits can train on; return them and the number dropped.
+
+    A gap wider than ``2**bits - 1`` frames cannot be Gray-encoded, so the
+    gap limit is ``min(MAX_GAP, 2**bits - 1)``; ``filter_alignment`` applies
+    it with the consecutive-run rule. Raises ``ValidationError`` when no
+    alignment is left.
+    """
+    max_gap = min(MAX_GAP, (1 << bits) - 1)
+    kept = {
+        utt_id: (T, p)
+        for utt_id, (T, p) in alignments.items()
+        if filter_alignment(p, T, max_gap=max_gap) is None
+    }
+    dropped = len(alignments) - len(kept)
+    if not kept:
+        raise ValidationError(
+            f"all {dropped} alignments were dropped by the filters (gaps must fit in {bits} duration bits)"
+        )
+    return kept, dropped
+
+
 def train_full_stack(
     manifest: Manifest,
     arrays: dict,
@@ -113,27 +138,24 @@ def train_full_stack(
         total = sum(rec.tokens.size for rec in manifest.records)
         align_accuracy = hits / max(total, 1)
 
-        # A gap wider than the backbone's duration bits hold cannot be encoded.
-        max_gap = min(MAX_GAP, (1 << backbone_config.bits) - 1)
+        kept, dropped = filter_alignments(
+            {rec.utt_id: (rec.T, positions[rec.utt_id]) for rec in manifest.records},
+            backbone_config.bits,
+        )
         codec_corpus = []
-        dropped = 0
         for rec in manifest.records:
-            p = positions[rec.utt_id]
-            frames, signal = utterance_arrays(arrays, rec.utt_id)
-            if filter_alignment(p, rec.T, max_gap=max_gap) is not None:
-                dropped += 1
+            if rec.utt_id not in kept:
                 continue
+            frames, signal = utterance_arrays(arrays, rec.utt_id)
             codec_corpus.append(
                 {
                     "utt_id": rec.utt_id,
                     "frames": frames.astype(np.float32),
                     "signal": signal.astype(np.float32),
                     "tokens": rec.tokens,
-                    "positions": p,
+                    "positions": kept[rec.utt_id][1],
                 }
             )
-        if not codec_corpus:
-            raise ValidationError(f"train_full_stack: all {dropped} alignments were dropped by the filters")
         codec_model = train_codec(
             codec_corpus,
             codec_config,

@@ -458,21 +458,21 @@ def _sample_slot(
     R = params.candidates
     d = flow_cfg.d_latent
 
-    def field_for(cond):
-        tiled = np.broadcast_to(cond, (R, cond.size)).copy()
-        return lambda y, t: model.flow.field_np(y, t, tiled)
+    # One condition projection per token and branch, shared by every Euler
+    # step and retry round; with guidance, rows [0, R) are the positive
+    # branch and [R, 2R) the negative one, as euler_sample stacks them.
+    conds = np.stack([c_pos, c_neg]) if flow_cfg.cfg_scale != 1.0 else c_pos[None, :]
+    rows = np.repeat(model.flow.cond_rows(conds), R, axis=0)
 
-    field_pos = field_for(c_pos)
-    field_neg = field_for(c_neg) if flow_cfg.cfg_scale != 1.0 else None
+    def field(y, t):
+        return model.flow.field_np(y, t, rows)
 
     best_y, best_cos, best_flag = None, -np.inf, True
     rounds = 0
     max_rounds = 1 + (params.retries if R > 1 else 0)
     pool = 0
     while rounds < max_rounds:
-        y = flowhead.euler_sample(
-            field_pos, field_neg, flow_cfg, seed=int(rng.integers(1 << 31)), n_samples=R
-        )
+        y = flowhead.euler_sample(field, flow_cfg, seed=int(rng.integers(1 << 31)), n_samples=R)
         emb = speaker_head.embed(y[:, :d])
         idx, cos_val, below = rejection_select(emb, reference, params.theta)
         pool += R

@@ -68,3 +68,36 @@ def test_bad_config_key_exit_code_2(tmp_path, capsys):
     cfg_file.write_text("synth.bogus_field=1\n")
     code = main(["--config", str(cfg_file), "graycheck", "--b", "4"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "line", ["codec.lambda_mel=abc", "gen.candidates=0", "backbone.k_shift=0", "synth.tokens_max=2,3"]
+)
+def test_bad_config_value_exit_code_2(tmp_path, capsys, line):
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text(line + "\n")
+    code = main(["--config", str(cfg_file), "graycheck", "--b", "4"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_lm_train_four_bit_backbone_drops_wide_gaps(tmp_path, capsys):
+    """A 2-step aligner leaves gaps wider than four duration bits hold;
+    lm-train drops those alignments instead of failing in gray_encode."""
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text(
+        "backbone.bits=4\nbudget.aligner_steps=2\nbudget.base_lm_steps=2\nbudget.speaker_steps=2\n"
+    )
+    corpus = ["--manifest", str(tmp_path / "m.txt"), "--arrays", str(tmp_path / "a.tada")]
+    cache, codec, lm = (str(tmp_path / name) for name in ("al.cache", "codec.tada", "lm.tada"))
+    conf = ["--threads", "1", "--config", str(cfg_file)]
+    assert main(["--seed", "0", "gen-data", *corpus, "--utterances", "24"]) == 0
+    assert main([*conf, "align", *corpus, "--out", cache]) == 0
+    assert main([*conf, "codec-train", *corpus, "--align-cache", cache, "--out", codec,
+                 "--steps", "2", "--stream-steps", "2"]) == 0
+    capsys.readouterr()
+    assert main([*conf, "lm-train", *corpus, "--codec", codec, "--align-cache", cache,
+                 "--out", lm, "--steps", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "dropped" in out and "dropped 0 " not in out

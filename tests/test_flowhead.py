@@ -150,12 +150,14 @@ class TestEulerSampling:
         model = VectorFieldModel(SMALL, rng=rng)
         cond = rng.standard_normal((1, SMALL.d_cond))
 
-        def fp(y, t):
-            return model.field_np(y, t, np.broadcast_to(cond, (y.shape[0], SMALL.d_cond)))
+        rows = model.cond_rows(cond)
 
-        a = euler_sample(fp, None, SMALL, seed=14, n_samples=2)
-        b = euler_sample(fp, None, SMALL, seed=14, n_samples=2)
-        c = euler_sample(fp, None, SMALL, seed=15, n_samples=2)
+        def fp(y, t):
+            return model.field_np(y, t, rows)
+
+        a = euler_sample(fp, SMALL, seed=14, n_samples=2)
+        b = euler_sample(fp, SMALL, seed=14, n_samples=2)
+        c = euler_sample(fp, SMALL, seed=15, n_samples=2)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -163,17 +165,43 @@ class TestEulerSampling:
         rng = np.random.default_rng(16)
         model = VectorFieldModel(SMALL, rng=rng)
         cond = rng.standard_normal((1, SMALL.d_cond))
+        rows = model.cond_rows(cond)
+        n = 3
 
         def fp(y, t):
-            return model.field_np(y, t, np.broadcast_to(cond, (y.shape[0], SMALL.d_cond)))
+            return model.field_np(y, t, rows)
 
         def poisoned(y, t):
-            return np.full_like(y, 1e9)
+            v = fp(y, t)
+            v[n:] = 1e9  # the negative half, were it stacked in
+            return v
 
         cfg1 = FlowConfig(**{**SMALL.__dict__, "cfg_scale": 1.0})
-        a = euler_sample(fp, poisoned, cfg1, seed=17)
-        b = euler_sample(fp, None, cfg1, seed=17)
+        a = euler_sample(poisoned, cfg1, seed=17, n_samples=n)
+        b = euler_sample(fp, cfg1, seed=17, n_samples=n)
         np.testing.assert_array_equal(a, b)
+
+    def test_stacked_guided_field_matches_separate_branch_calls(self):
+        rng = np.random.default_rng(21)
+        model = VectorFieldModel(SMALL, rng=rng)
+        c_pos, c_neg = rng.standard_normal((2, SMALL.d_cond))
+        R = 4
+        assert SMALL.cfg_scale != 1.0
+        rows = np.repeat(model.cond_rows(np.stack([c_pos, c_neg])), R, axis=0)
+
+        def stacked(y, t):
+            return model.field_np(y, t, rows)
+
+        # Reference: the taped field, one call per branch per step.
+        ref = np.random.default_rng(22).standard_normal((R, SMALL.d_target))
+        for k in range(SMALL.n_steps):
+            t = k / SMALL.n_steps
+            v_pos = model.field(ref, t, np.tile(c_pos, (R, 1))).data
+            v_neg = model.field(ref, t, np.tile(c_neg, (R, 1))).data
+            ref = ref + cfg_combine(v_pos, v_neg, SMALL.cfg_scale, SMALL.d_latent) / SMALL.n_steps
+
+        out = euler_sample(stacked, SMALL, seed=22, n_samples=R)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
     def test_point_mass_field_is_exact_for_euler(self):
         # Straight-line characteristics at constant speed: every Euler step
@@ -213,7 +241,30 @@ class TestEulerSampling:
             return np.full_like(y, np.inf)
 
         with pytest.raises(NumericalAbort):
-            euler_sample(bad, None, SMALL, seed=20)
+            euler_sample(bad, SMALL, seed=20)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.97])
+def test_split_field_matches_taped_field(t):
+    rng = np.random.default_rng(23)
+    model = VectorFieldModel(SMALL, rng=rng)
+    y = rng.standard_normal((5, SMALL.d_target))
+    cond = rng.standard_normal((5, SMALL.d_cond))
+    ref = model.field(y, t, cond).data
+    np.testing.assert_allclose(model.field_np(y, t, model.cond_rows(cond)), ref, rtol=0, atol=1e-12)
+    # One condition row serves every point, as in the taped field.
+    one = model.field(y, t, cond[:1]).data
+    np.testing.assert_allclose(model.field_np(y, t, model.cond_rows(cond[:1])), one, rtol=0, atol=1e-12)
+
+
+def test_split_field_rejects_misaligned_condition_rows():
+    rng = np.random.default_rng(24)
+    model = VectorFieldModel(SMALL, rng=rng)
+    rows = model.cond_rows(rng.standard_normal((4, SMALL.d_cond)))
+    with pytest.raises(ValidationError):
+        model.field_np(rng.standard_normal((2, SMALL.d_target)), 0.5, rows)
+    with pytest.raises(ValidationError):
+        model.cond_rows(np.zeros((2, SMALL.d_cond + 1)))
 
 
 def test_time_embedding_shape_and_determinism():

@@ -318,6 +318,51 @@ def test_tape_visits_each_node_once():
     np.testing.assert_allclose(x.grad, [16.0])  # d/dx (2x)^2 = 8x
 
 
+def test_gelu_matches_pow_formula():
+    x = np.random.default_rng(4).uniform(-6.0, 6.0, (64, 32))
+    c = np.sqrt(2.0 / np.pi)
+    ref = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+    np.testing.assert_allclose(nx.gelu(nx.tensor(x)).data, ref, rtol=1e-14, atol=0)
+
+
+def _layer_norm_mean_reference(x, gain, bias, g, eps=1e-5):
+    """layer_norm forward and gradients written with ndarray.mean."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gain + bias
+    gx = g * gain
+    gxhat_sum = gx.sum(axis=-1, keepdims=True)
+    gxhat_dot = (gx * xhat).sum(axis=-1, keepdims=True)
+    dx = inv * (gx - gxhat_sum / d - xhat * gxhat_dot / d)
+    return out, dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7, 48), (3, 5, 64)])
+def test_layer_norm_bit_identical_to_mean_formula(dtype, shape):
+    rng = np.random.default_rng(5)
+    d = shape[-1]
+    x = (rng.standard_normal(shape) * 3.0 + 1.5).astype(dtype)
+    gain = rng.uniform(0.5, 1.5, d).astype(dtype)
+    bias = rng.uniform(-0.2, 0.2, d).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    xt = Tensor(x.copy(), requires_grad=True)
+    gt = Tensor(gain.copy(), requires_grad=True)
+    bt = Tensor(bias.copy(), requires_grad=True)
+    out = nx.layer_norm(xt, gt, bt)
+    nx.sum_(nx.mul(out, Tensor(g))).backward()
+    ref_out, ref_dx, ref_dgain, ref_dbias = _layer_norm_mean_reference(x, gain, bias, g)
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out.data, ref_out)
+    np.testing.assert_array_equal(xt.grad, ref_dx)
+    np.testing.assert_array_equal(gt.grad, ref_dgain)
+    np.testing.assert_array_equal(bt.grad, ref_dbias)
+
+
 def test_rope_preserves_pairwise_norms():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 8))

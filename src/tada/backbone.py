@@ -15,6 +15,7 @@ paired with the step carrying w_i is exactly token i-K+1's packed vector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -206,23 +207,29 @@ class BackboneModel:
         ph_term = nx.matmul(nx.tensor(placeholder), self.params["bos_ac"])
         return text + ac_term + ph_term + mode
 
+    def _step_rows(self, steps: Sequence[FusedStep]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Validated ``(ids, acoustic, has_ac, speech)`` of :meth:`_fuse_matrix`
+        for a sequence of steps."""
+        n = len(steps)
+        ids = np.empty(n, dtype=np.int64)
+        acoustic = np.zeros((n, self.config.d_acoustic))
+        has_ac = np.zeros(n, dtype=bool)
+        speech = np.zeros(n, dtype=bool)
+        for j, s in enumerate(steps):
+            if not 0 <= s.token_id < self.config.n_text_ids:
+                raise ValidationError(f"fuse: token id {s.token_id} out of range")
+            if s.mode not in ("text-only", "text-speech"):
+                raise ValidationError(f"fuse: unknown mode {s.mode!r}")
+            ids[j] = s.token_id
+            speech[j] = s.mode == "text-speech"
+            if s.acoustic is not None:
+                acoustic[j] = s.acoustic
+                has_ac[j] = True
+        return ids, acoustic, has_ac, speech
+
     def fuse(self, step: FusedStep) -> Tensor:
-        """Input vector for a single step (see _fuse_matrix for the batch path)."""
-        if not 0 <= step.token_id < self.config.n_text_ids:
-            raise ValidationError(f"fuse: token id {step.token_id} out of range")
-        if step.mode not in ("text-only", "text-speech"):
-            raise ValidationError(f"fuse: unknown mode {step.mode!r}")
-        has_ac = step.acoustic is not None
-        ac = np.zeros((1, self.config.d_acoustic))
-        if has_ac:
-            ac[0] = np.asarray(step.acoustic, dtype=np.float64)
-        fused = self._fuse_matrix(
-            np.array([step.token_id]),
-            ac,
-            np.array([has_ac]),
-            np.array([step.mode == "text-speech"]),
-        )
-        return nx.reshape(fused, (self.config.d_model,))
+        """Input vector for a single step."""
+        return nx.reshape(self._fuse_matrix(*self._step_rows([step])), (self.config.d_model,))
 
     # -- forward -------------------------------------------------------------
 
@@ -238,38 +245,43 @@ class BackboneModel:
 
     def forward(self, context: list[FusedStep]) -> list[BackboneOutput]:
         """Per-step text logits and condition vectors for a fused context."""
-        ids = np.array([s.token_id for s in context], dtype=np.int64)
-        ac = np.zeros((ids.size, self.config.d_acoustic))
-        has_ac = np.zeros(ids.size, dtype=bool)
-        speech = np.zeros(ids.size, dtype=bool)
-        for j, s in enumerate(context):
-            speech[j] = s.mode == "text-speech"
-            if s.acoustic is not None:
-                ac[j] = np.asarray(s.acoustic, dtype=np.float64)
-                has_ac[j] = True
         with nx.no_grad():
-            logits, cond = self.forward_tensors(ids, ac, has_ac, speech)
-        return [
-            BackboneOutput(text_logits=np.asarray(logits.data[j]), cond=np.asarray(cond.data[j]))
-            for j in range(ids.size)
-        ]
+            logits, cond = self.forward_tensors(*self._step_rows(context))
+        return _outputs(logits, cond)
 
     # -- incremental decoding --------------------------------------------------
 
     def new_cache(self) -> nn.StackCache:
         return nn.StackCache(self.tf)
 
-    def step(self, step: FusedStep, cache: nn.StackCache) -> BackboneOutput:
-        """Append one fused step to the cache; return its outputs."""
-        pos = len(cache)
-        if pos >= self.config.max_context:
-            raise ValidationError(f"step: context length {pos} exceeds maximum")
+    def step(
+        self, steps: Sequence[FusedStep], cache: nn.StackCache, streams: Sequence[int] | None = None
+    ) -> list[BackboneOutput]:
+        """Append fused steps to the cache in one call; return their outputs.
+
+        ``streams`` gives each step's stream (default: all stream 0). The
+        steps of one stream take that stream's next positions in call order
+        and attend causally to each other and to that stream's cached steps
+        only, so each stream sees exactly the context it would see alone.
+        """
+        n = len(steps)
+        if n < 1:
+            raise ValidationError("step: need at least one step")
+        streams = np.zeros(n, dtype=np.int64) if streams is None else np.asarray(streams, dtype=np.int64)
+        if streams.shape != (n,):
+            raise ValidationError(f"step: {streams.size} stream labels for {n} steps")
+        positions = np.empty(n, dtype=np.int64)
+        for s in np.unique(streams):
+            rows = np.flatnonzero(streams == s)
+            positions[rows] = np.count_nonzero(cache.streams == s) + np.arange(rows.size)
+            if positions[rows[-1]] >= self.config.max_context:
+                raise ValidationError(
+                    f"step: stream {s} context length {positions[rows[-1]]} exceeds maximum"
+                )
         with nx.no_grad():
-            x = nx.reshape(self.fuse(step), (1, self.config.d_model))
-            h = nn.stack_step(self.params, "tf", x, np.array([pos]), cache, self.tf)
-            logits = nn.linear(self.params, "lm_head", h)
-            cond = nn.linear(self.params, "cond_head", h)
-        return BackboneOutput(text_logits=np.asarray(logits.data[0]), cond=np.asarray(cond.data[0]))
+            x = self._fuse_matrix(*self._step_rows(steps))
+            h = nn.stack_step(self.params, "tf", x, positions, cache, self.tf, streams=streams, causal=True)
+            return _outputs(nn.linear(self.params, "lm_head", h), nn.linear(self.params, "cond_head", h))
 
     def save(self, path) -> None:
         nn.save_params(path, self.params, extra=self.config.scalar_arrays())
@@ -284,6 +296,10 @@ class BackboneModel:
             dtype=dtype,
         )
         return cls(config, params=params)
+
+
+def _outputs(logits: Tensor, cond: Tensor) -> list[BackboneOutput]:
+    return [BackboneOutput(text_logits=lg, cond=c) for lg, c in zip(logits.data, cond.data)]
 
 
 def sfg_logits(z_text_only: np.ndarray, z_text_speech: np.ndarray, sfg_scale: float) -> np.ndarray:

@@ -3,7 +3,7 @@
 Subcommands: gen-data, align, codec-train, lm-train, synth, eval, bench,
 graycheck, mask, fm-bench, codec-roundtrip. Global flags --seed, --threads,
 and --config (key=value structured text overriding defaults). Exit codes:
-0 success, 2 validation error, 3 numerical abort.
+0 success, 2 validation error or unreadable path, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -324,6 +324,8 @@ def cmd_bench(args, cfg) -> int:
 
 def cmd_graycheck(args, cfg) -> int:
     b = args.b
+    if not 1 <= b <= 16:
+        raise ValidationError(f"graycheck: --b must be in [1, 16], got {b}")
     for n in range(1 << b):
         bits = durbits.gray_encode(n, b)
         if durbits.gray_decode(bits) != n:
@@ -524,6 +526,11 @@ def main(argv=None) -> int:
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

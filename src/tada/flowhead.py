@@ -239,14 +239,14 @@ def euler_sample(
     guided = config.cfg_scale != 1.0
     for k in range(n):
         t = k / n
+        v = field(np.concatenate([y, y]) if guided else y, t)
+        if not np.all(np.isfinite(v)):
+            raise NumericalAbort(f"euler_sample: non-finite field at Euler step {k}")
         if guided:
-            v_both = field(np.concatenate([y, y]), t)
-            v = cfg_combine(v_both[:half], v_both[half:], config.cfg_scale, config.d_latent)
-        else:
-            v = field(y, t)
+            v = cfg_combine(v[:half], v[half:], config.cfg_scale, config.d_latent)
         y = y + v / n
         if not np.all(np.isfinite(y)):
-            raise NumericalAbort(f"euler_sample: non-finite state at step {k}")
+            raise NumericalAbort(f"euler_sample: non-finite state at Euler step {k}")
     return y
 
 

@@ -42,7 +42,7 @@ def init_linear(params: dict, name: str, rng: np.random.Generator, d_in: int, d_
 
 
 def linear(params: dict, name: str, x: Tensor) -> Tensor:
-    return nx.matmul(x, params[f"{name}/w"]) + params[f"{name}/b"]
+    return nx.linear(x, params[f"{name}/w"], params[f"{name}/b"])
 
 
 def init_ln(params: dict, name: str, d: int) -> None:
@@ -192,13 +192,15 @@ class StackCache:
     """Per-layer key/value caches for incremental decoding.
 
     Entries carry their absolute positions, so windowed eviction stays
-    exact.
+    exact, and a stream label: one cache can hold several independent
+    sequences, and an entry is attended to only from its own stream.
     """
 
     def __init__(self, cfg: TransformerConfig):
         self.cfg = cfg
         self.layers = [LayerCache(cfg) for _ in range(cfg.n_layers)]
         self.positions = np.zeros((0,), dtype=np.int64)
+        self.streams = np.zeros((0,), dtype=np.int64)
 
     def evict_upto(self, position: int) -> None:
         """Drop all cached entries with absolute position <= ``position``."""
@@ -206,6 +208,7 @@ class StackCache:
         for layer in self.layers:
             layer.keep(keep)
         self.positions = self.positions[keep]
+        self.streams = self.streams[keep]
 
     def __len__(self) -> int:
         return int(self.positions.size)
@@ -219,20 +222,30 @@ def stack_step(
     cache: StackCache,
     cfg: TransformerConfig,
     attend_from: int = -1,
+    streams: np.ndarray | None = None,
+    causal: bool = False,
 ) -> Tensor:
     """Append ``x_new`` rows to the cache and return their outputs.
 
-    Each new row attends to every cached entry and to every new row, with no
-    causal order inside the chunk; only entries at positions greater than
-    ``attend_from`` are attended to.
+    ``streams`` labels each new row (default: all stream 0). A new row
+    attends to a cached entry or a new row when it has the row's stream and
+    a position greater than ``attend_from``, and, with ``causal``, a
+    position no greater than the row's own. Without ``causal`` the chunk
+    has no order inside it. Excluded entries never enter the softmax, so
+    one stream's values never reach another stream's outputs.
     """
+    new_streams = np.zeros(new_positions.size, dtype=np.int64) if streams is None else np.asarray(streams)
     with nx.no_grad():
         positions = np.concatenate([cache.positions, new_positions])
-        mask = np.broadcast_to(positions > attend_from, (x_new.shape[0], positions.size))
+        all_streams = np.concatenate([cache.streams, new_streams])
+        mask = (all_streams == new_streams[:, None]) & (positions > attend_from)
+        if causal:
+            mask &= positions <= new_positions[:, None]
         x = x_new
         for i, layer in enumerate(cache.layers):
             x = block(params, f"{prefix}/layer{i}", x, mask, cfg, new_positions, layer)
         cache.positions = positions
+        cache.streams = all_streams
         return ln(params, f"{prefix}/ln_out", x)
 
 

@@ -226,7 +226,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _make(op: str, data: np.ndarray, parents: tuple, backward: Callable[[np.ndarray], None]) -> Tensor:
-    requires = grad_enabled() and any(p.requires_grad for p in parents)
+    requires = _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
     if requires:
         return Tensor(data, requires_grad=True, op=op, parents=parents, backward=backward)
     return Tensor(data, requires_grad=False, op=op)
@@ -310,6 +310,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make("matmul", out, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` as one node.
+
+    Forward and gradients are bit-identical to :func:`matmul` followed by
+    :func:`add`.
+    """
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError("linear", f"x {x.shape}, w {w.shape}, b {b.shape} do not form x @ w + b")
+    out = x.data @ w.data
+    if out.dtype == b.dtype:
+        out += b.data
+    else:
+        out = out + b.data
+
+    def backward(g):
+        _accum(b, g.sum(axis=0))
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+
+    return _make("linear", out, (x, w, b), backward)
+
+
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
 
@@ -379,9 +401,17 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh form)."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))  # x**3 would go through libm pow
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    # tanh(c * (x + 0.044715 * x**3)), formed in place; x**3 would go through
+    # libm pow. Every step keeps the operand order of the plain formula.
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= 0.5
+    out *= x
 
     def backward(g):
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
@@ -617,7 +647,7 @@ _ROPE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 def _rope_angles(d: int, positions: np.ndarray, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
     positions = np.asarray(positions)
-    key = (d, base, np.dtype(dtype).name, positions.tobytes())
+    key = (d, base, dtype, positions.tobytes())
     hit = _ROPE_CACHE.get(key)
     if hit is None:
         half = d // 2

@@ -2,12 +2,13 @@
 flow sampling and guidance, speaker-consistency rejection sampling, and
 segment-streaming synthesis.
 
-Generation walks the fused single-stream context step by step with a KV
-cache per guidance branch. At the step carrying text token i the flow head
-samples the packed (latent, duration-bit) vector of token i-K+1; candidates
-are ranked by speaker-embedding cosine against the prompt reference, and
-the sampled durations chain back into positions for the streaming decoder
-(on a chain mismatch the later sample f_before wins).
+Generation prefills the prompt in one backbone call, then walks the fused
+single-stream context step by step; every guidance branch is a stream of
+one KV cache, so each step is one backbone call. At the step carrying text
+token i the flow head samples the packed (latent, duration-bit) vector of
+token i-K+1; candidates are ranked by speaker-embedding cosine against the
+prompt reference, and the sampled durations chain back into positions for
+the streaming decoder (on a chain mismatch the later sample f_before wins).
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ class StepStat:
     chosen_cos: float
     below_threshold: bool
     rounds: int
-    llm_time: float = 0.0  # backbone steps of the positive, tfg and sfg branches
+    llm_time: float = 0.0  # the one backbone call that steps every guidance branch
     flow_time: float = 0.0
 
 
@@ -323,9 +324,21 @@ def generate(
         neg_mode="zero" if params.neg_mode == "zero" else "text-free",
     )
 
-    pos_cache = model.new_cache()
-    neg_cache = model.new_cache() if params.neg_mode == "tfg" else None
-    sfg_cache = model.new_cache() if params.sfg_scale is not None else None
+    # One cache holds every guidance branch as its own stream: the positive
+    # branch is stream 0, then the text-free negative, then the text-only
+    # SFG branch, each present only when its guidance is on.
+    cache = model.new_cache()
+    tfg = params.neg_mode == "tfg"
+    sfg = params.sfg_scale is not None
+    streams = np.arange(1 + tfg + sfg)
+
+    def branch_rows(tid: int, slot: np.ndarray | None) -> list[FusedStep]:
+        rows = [FusedStep(token_id=tid, acoustic=slot, mode="text-speech")]
+        if tfg:
+            rows.append(FusedStep(token_id=cfg.pad_id, acoustic=slot, mode="text-speech"))
+        if sfg:
+            rows.append(FusedStep(token_id=tid, acoustic=None, mode="text-only"))
+        return rows
 
     all_tokens: list[int] = list(prompt.tokens.tolist())
     if params.mode == "tts":
@@ -355,27 +368,27 @@ def generate(
 
     sampled_text: list[int] = []
     n_targets = text.size if params.mode == "tts" else None
-    j = 0
     done_text = False
-    while True:
+
+    # Prefill: steps 0 .. Lp-1 predict no acoustic slot and are followed by
+    # a prompt token, so one causal call takes them all and nothing reads
+    # their outputs.
+    n_prefill = min(Lp, cfg.max_context)
+    prefill = [
+        row for j in range(n_prefill) for row in branch_rows(text_id_for(j, sampled_text), slot_for(j - K))
+    ]
+    model.step(prefill, cache, np.tile(streams, n_prefill))
+    j = Lp
+    while j < cfg.max_context:
         tid = text_id_for(j, sampled_text)
-        a = j - K
-        slot = slot_for(a)
-        step = FusedStep(token_id=tid, acoustic=slot, mode="text-speech")
         t0 = time.perf_counter()
-        out = model.step(step, pos_cache)
-        c_pos = out.cond
-        if neg_cache is not None:
-            neg_step = FusedStep(token_id=cfg.pad_id, acoustic=slot, mode="text-speech")
-            c_neg = model.step(neg_step, neg_cache).cond
-        else:
-            c_neg = np.zeros(cfg.d_cond)
-        logits = out.text_logits
-        if sfg_cache is not None:
-            sfg_step = FusedStep(token_id=tid, acoustic=None, mode="text-only")
-            z_text_only = model.step(sfg_step, sfg_cache).text_logits
-            logits = sfg_logits(z_text_only, out.text_logits, params.sfg_scale)
+        outs = model.step(branch_rows(tid, slot_for(j - K)), cache, streams)
         llm_time = time.perf_counter() - t0
+        c_pos = outs[0].cond
+        c_neg = outs[1].cond if tfg else np.zeros(cfg.d_cond)
+        logits = outs[0].text_logits
+        if sfg:
+            logits = sfg_logits(outs[-1].text_logits, logits, params.sfg_scale)
 
         # Flow-sample the acoustic slot this step predicts.
         m = j - K + 1
@@ -414,9 +427,8 @@ def generate(
         elif j >= last_flow_step:
             break
         j += 1
-        if j > cfg.max_context - 1:
-            warnings.append("context limit reached")
-            break
+    else:
+        warnings.append("context limit reached")
 
     n_gen = len(gen_order)
     d = cfg.d_latent

@@ -259,8 +259,8 @@ def test_alignment_cache_roundtrip(tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_truncated_alignment_cache(tmp_path_factory, data):
-    """The format has no record count, so a cut between records leaves a
-    valid shorter cache; any other cut is a ValidationError naming the file."""
+    """The cache carries a record count, so every cut, including one that
+    falls between records, is a ValidationError naming the file."""
     records = {0: (12, np.array([2, 5, 9])), 3: (7, np.array([1, 6])), 4: (9, np.array([4]))}
     full = tmp_path_factory.mktemp("full") / "align.cache"
     save_alignment_cache(full, records)
@@ -268,13 +268,18 @@ def test_truncated_alignment_cache(tmp_path_factory, data):
     cut = data.draw(st.integers(0, len(raw) - 1))
     path = tmp_path_factory.mktemp("cut") / "cut.cache"
     path.write_bytes(raw[:cut])
-    boundaries = np.cumsum([0] + [12 + 4 * p.size for _, p in records.values()])
-    if cut in boundaries:
-        loaded = load_alignment_cache(path)
-        assert list(loaded) == list(records)[: int(np.searchsorted(boundaries, cut))]
-    else:
-        with pytest.raises(ValidationError, match="cut.cache"):
-            load_alignment_cache(path)
+    with pytest.raises(ValidationError, match="cut.cache"):
+        load_alignment_cache(path)
+
+
+@pytest.mark.parametrize("damage", ["magic", "trailing"])
+def test_damaged_alignment_cache(tmp_path, damage):
+    path = tmp_path / "align.cache"
+    save_alignment_cache(path, {0: (12, np.array([2, 5, 9]))})
+    raw = path.read_bytes()
+    path.write_bytes(b"X" + raw[1:] if damage == "magic" else raw + b"\0")
+    with pytest.raises(ValidationError, match="align.cache"):
+        load_alignment_cache(path)
 
 
 def test_model_checkpoint_roundtrip(tmp_path):

@@ -123,7 +123,7 @@ class TestForward:
         full = model.forward(steps)
         cache = model.new_cache()
         for j, s in enumerate(steps):
-            out = model.step(s, cache)
+            out = model.step([s], cache)[0]
             np.testing.assert_allclose(out.text_logits, full[j].text_logits, atol=1e-9)
             np.testing.assert_allclose(out.cond, full[j].cond, atol=1e-9)
 
@@ -132,6 +132,94 @@ class TestForward:
         steps = [FusedStep(0, None, "text-only")] * (TINY.max_context + 1)
         with pytest.raises(ValidationError):
             model.forward(steps)
+
+
+def random_steps(rng, n, mode="text-speech"):
+    return [
+        FusedStep(int(rng.integers(TINY.vocab_size)),
+                  rng.standard_normal(TINY.d_latent + 2 * TINY.bits) if rng.random() < 0.7 else None, mode)
+        for _ in range(n)
+    ]
+
+
+def assert_outputs_close(got, want, atol=1e-9):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a.text_logits, b.text_logits, rtol=0, atol=atol)
+        np.testing.assert_allclose(a.cond, b.cond, rtol=0, atol=atol)
+
+
+class TestStep:
+    def test_chunk_matches_single_rows_and_forward(self):
+        model = tiny_model()
+        steps = random_steps(np.random.default_rng(30), 7)
+        full = model.forward(steps)
+        single_cache = model.new_cache()
+        single = [model.step([s], single_cache)[0] for s in steps]
+        chunk_cache = model.new_cache()
+        chunk = model.step(steps[:5], chunk_cache) + model.step(steps[5:], chunk_cache)
+        assert_outputs_close(single, full)
+        assert_outputs_close(chunk, full)
+
+    def test_streams_together_match_each_stream_alone(self):
+        model = tiny_model()
+        rng = np.random.default_rng(31)
+        a = random_steps(rng, 6)
+        b = random_steps(rng, 6, mode="text-only")
+        alone = []
+        for seq in (a, b):
+            cache = model.new_cache()
+            alone.append(model.step(seq[:4], cache) + [model.step([s], cache)[0] for s in seq[4:]])
+        cache = model.new_cache()
+        # Prefill interleaved, then one two-row call per step.
+        pre = model.step([s for pair in zip(a[:4], b[:4]) for s in pair], cache, [0, 1] * 4)
+        together = [pre[0::2], pre[1::2]]
+        for sa, sb in zip(a[4:], b[4:]):
+            out_a, out_b = model.step([sa, sb], cache, [0, 1])
+            together[0].append(out_a)
+            together[1].append(out_b)
+        assert_outputs_close(together[0], alone[0])
+        assert_outputs_close(together[1], alone[1])
+
+    def test_other_stream_cannot_reach_outputs(self):
+        model = tiny_model()
+        rng = np.random.default_rng(32)
+        a = random_steps(rng, 5)
+        b = random_steps(rng, 5)
+        b_perturbed = [
+            FusedStep((s.token_id + 1) % TINY.vocab_size,
+                      None if s.acoustic is None else s.acoustic * 1e3 + 7.0, s.mode)
+            for s in b
+        ]
+        runs = []
+        for other in (b, b_perturbed):
+            cache = model.new_cache()
+            out = model.step([*a[:3], *other[:3]], cache, [0, 0, 0, 1, 1, 1])[:3]
+            out += [model.step([sa, sb], cache, [0, 1])[0] for sa, sb in zip(a[3:], other[3:])]
+            runs.append(out)
+        for x, y in zip(*runs):
+            np.testing.assert_array_equal(x.text_logits, y.text_logits)
+            np.testing.assert_array_equal(x.cond, y.cond)
+
+    def test_context_limit_is_per_stream(self):
+        model = tiny_model()
+        n = TINY.max_context
+        cache = model.new_cache()
+        model.step([FusedStep(1, None, "text-only")] * n, cache)
+        model.step([FusedStep(1, None, "text-only")], cache, [1])  # stream 1 is still empty
+        with pytest.raises(ValidationError, match="exceeds maximum"):
+            model.step([FusedStep(1, None, "text-only")], cache, [0])
+
+    def test_bad_rows(self):
+        model = tiny_model()
+        ok = FusedStep(1, None, "text-only")
+        for bad in (FusedStep(99, None, "text-only"), FusedStep(1, None, "both")):
+            with pytest.raises(ValidationError):
+                model.step([ok, bad], model.new_cache())
+            with pytest.raises(ValidationError):
+                model.forward([ok, bad])
+        with pytest.raises(ValidationError):
+            model.step([ok, ok], model.new_cache(), [0])
 
 
 class TestKShift:

@@ -101,3 +101,42 @@ def test_lm_train_four_bit_backbone_drops_wide_gaps(tmp_path, capsys):
                  "--out", lm, "--steps", "2"]) == 0
     out = capsys.readouterr().out
     assert "dropped" in out and "dropped 0 " not in out
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    d = tmp_path_factory.mktemp("corpus")
+    manifest, arrays = str(d / "m.txt"), str(d / "a.tada")
+    assert main(["--seed", "0", "gen-data", "--manifest", manifest, "--arrays", arrays, "--utterances", "2"]) == 0
+    return manifest, arrays
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["codec-roundtrip", "--manifest", "MISSING", "--arrays", "A", "--ckpt", "NEVER", "--utt", "0"],
+        ["codec-roundtrip", "--manifest", "M", "--arrays", "MISSING", "--ckpt", "NEVER", "--utt", "0"],
+        ["codec-roundtrip", "--manifest", "M", "--arrays", "A", "--ckpt", "MISSING", "--utt", "0"],
+        ["synth", "--manifest", "M", "--arrays", "A", "--lm", "MISSING", "--codec", "NEVER",
+         "--prompt", "0", "--text", "1"],
+        ["lm-train", "--manifest", "M", "--arrays", "A", "--codec", "MISSING", "--out", "NEVER"],
+    ],
+    ids=["manifest", "arrays", "ckpt", "lm", "codec"],
+)
+def test_missing_path_exit_code_2(small_corpus, tmp_path, capsys, argv):
+    manifest, arrays = small_corpus
+    missing = str(tmp_path / "missing.tada")
+    paths = {"M": manifest, "A": arrays, "MISSING": missing, "NEVER": str(tmp_path / "never.tada")}
+    capsys.readouterr()
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and missing in err[0], err
+
+
+@pytest.mark.parametrize("b", ["0", "-1", "17"])
+def test_graycheck_out_of_range_exit_code_2(capsys, b):
+    assert main(["graycheck", "--b", b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected before the exhaustive loop
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--b" in err[0], err

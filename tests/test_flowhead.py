@@ -236,11 +236,12 @@ class TestEulerSampling:
         v = field(np.zeros((1, 4)), 0.0)
         assert np.all(np.isfinite(v))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_aborts(self):
         def bad(y, t):
             return np.full_like(y, np.inf)
 
-        with pytest.raises(NumericalAbort):
+        with pytest.raises(NumericalAbort, match="Euler step 0"):
             euler_sample(bad, SMALL, seed=20)
 
 

@@ -99,3 +99,32 @@ def test_cache_holds_rotated_keys():
     for h in range(CFG.n_heads):
         want = nx.rope(nx.slice_cols(k, h * hd, (h + 1) * hd), np.arange(10, 14), CFG.rope_base).data
         np.testing.assert_array_equal(cache.layers[0].keys[h], want)
+
+
+def test_causal_streams_in_one_cache_match_stack_per_stream():
+    """Two streams share one cache: a causal prefill chunk of both, then one
+    row of each per call. Each stream's outputs equal the causal stack over
+    that stream alone, and eviction keeps the stream labels aligned."""
+    rng = np.random.default_rng(9)
+    params = make_params(gain=10.0)
+    xs = [rng.standard_normal((6, CFG.d_model)) for _ in range(2)]
+    cache = nn.StackCache(CFG)
+    pre = nn.stack_step(
+        params, "tf", nx.tensor(np.concatenate([xs[0][:4], xs[1][:4]])), np.tile(np.arange(4), 2),
+        cache, CFG, streams=np.repeat([0, 1], 4), causal=True,
+    ).data
+    outs = [[pre[:4]], [pre[4:]]]
+    for j in (4, 5):
+        o = nn.stack_step(
+            params, "tf", nx.tensor(np.stack([xs[0][j], xs[1][j]])), np.array([j, j]),
+            cache, CFG, streams=np.array([0, 1]), causal=True,
+        ).data
+        outs[0].append(o[:1])
+        outs[1].append(o[1:])
+    for x, out in zip(xs, outs):
+        full = nn.stack(params, "tf", nx.tensor(x), nn.causal_mask(6), CFG).data
+        np.testing.assert_allclose(np.concatenate(out), full, rtol=0, atol=1e-12)
+    cache.evict_upto(3)
+    np.testing.assert_array_equal(cache.positions, [4, 4, 5, 5])
+    np.testing.assert_array_equal(cache.streams, [0, 1, 0, 1])
+    assert cache.layers[0].keys.shape[1] == 4

@@ -122,6 +122,21 @@ def _case_matmul_right(rng):
     return lambda x: nx.sum_(nx.matmul(c, x)), (3, 4)
 
 
+def _case_linear_x(rng):
+    w, b = _const(rng, (4, 2)), _const(rng, (2,))
+    return lambda x: nx.sum_(nx.square(nx.linear(x, w, b))), (3, 4)
+
+
+def _case_linear_w(rng):
+    x, b = _const(rng, (3, 4)), _const(rng, (2,))
+    return lambda w: nx.sum_(nx.square(nx.linear(x, w, b))), (4, 2)
+
+
+def _case_linear_b(rng):
+    x, w = _const(rng, (3, 4)), _const(rng, (4, 2))
+    return lambda b: nx.sum_(nx.square(nx.linear(x, w, b))), (2,)
+
+
 def _case_exp(rng):
     return lambda x: nx.sum_(nx.exp(x)), (3, 3)
 
@@ -323,6 +338,43 @@ def test_gelu_matches_pow_formula():
     c = np.sqrt(2.0 / np.pi)
     ref = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
     np.testing.assert_allclose(nx.gelu(nx.tensor(x)).data, ref, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_bit_identical_to_plain_formula(dtype):
+    x = np.random.default_rng(5).uniform(-8.0, 8.0, (64, 32)).astype(dtype)
+    x[0, :4] = [0.0, -0.0, 1e4, -1e4]
+    c = dtype(np.sqrt(2.0 / np.pi))
+    ref = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
+    out = nx.gelu(nx.tensor(x, dtype=dtype)).data
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_bit_identical_to_matmul_add(dtype):
+    rng = np.random.default_rng(6)
+    arrays = [rng.standard_normal(shape).astype(dtype) for shape in ((7, 5), (5, 3), (3,))]
+    g = rng.standard_normal((7, 3)).astype(dtype)
+    results = []
+    for fused in (True, False):
+        with nx.precision(dtype):
+            x, w, b = (nx.tensor(a, requires_grad=True) for a in arrays)
+            y = nx.linear(x, w, b) if fused else nx.add(nx.matmul(x, w), b)
+            nx.sum_(nx.mul(y, nx.tensor(g))).backward()
+        assert y.op == ("linear" if fused else "add")
+        results.append([y.data, x.grad, w.grad, b.grad])
+    for a, b_ in zip(*results):
+        assert a.dtype == b_.dtype == dtype
+        np.testing.assert_array_equal(a, b_)
+
+
+def test_linear_checks_shapes():
+    x, w = nx.zeros((3, 4)), nx.zeros((4, 2))
+    with pytest.raises(ShapeError, match="linear"):
+        nx.linear(x, w, nx.zeros((3,)))
+    with pytest.raises(ShapeError, match="linear"):
+        nx.linear(x, nx.zeros((3, 2)), nx.zeros((2,)))
 
 
 def _layer_norm_mean_reference(x, gain, bias, g, eps=1e-5):

@@ -255,17 +255,17 @@ class TestGenerate:
 
 
     def test_llm_time_counts_every_guidance_branch(self, models, monkeypatch):
-        """Each backbone step advances a fake clock by one second; a token's
-        llm_time must count the positive, tfg and sfg steps of its loop
-        iteration."""
+        """Each row passed to a backbone step advances a fake clock by one
+        second; a token's llm_time must count the positive, tfg and sfg rows
+        of its loop iteration."""
         lm, codec, head = models
         prompt = make_prompt(codec, head, np.random.default_rng(22))
         clock = [0.0]
         real_step = lm.step
 
-        def step(fused, cache):
-            clock[0] += 1.0
-            return real_step(fused, cache)
+        def step(fused, cache, streams=None):
+            clock[0] += float(len(fused))
+            return real_step(fused, cache, streams)
 
         monkeypatch.setattr(lm, "step", step)
         monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
@@ -274,6 +274,59 @@ class TestGenerate:
         assert out.step_stats
         assert [s.llm_time for s in out.step_stats] == [3.0] * len(out.step_stats)
         assert all(s.flow_time == 0.0 for s in out.step_stats)
+
+
+    def test_one_prefill_call_then_one_call_per_step(self, models, monkeypatch):
+        lm, codec, head = models
+        prompt = make_prompt(codec, head, np.random.default_rng(24))
+        calls = []
+        real_step = lm.step
+
+        def step(fused, cache, streams=None):
+            calls.append((len(fused), list(streams)))
+            return real_step(fused, cache, streams)
+
+        monkeypatch.setattr(lm, "step", step)
+        params = GenParams(mode="slm", n_fm=2, max_tokens=4, neg_mode="tfg", sfg_scale=0.5, seed=11)
+        out = generate(lm, codec, head, prompt, None, params)
+        assert out.text_tokens.size == 4
+        Lp = prompt.tokens.size
+        assert calls[0] == (3 * Lp, [0, 1, 2] * Lp)
+        assert calls[1:] == [(3, [0, 1, 2])] * (out.text_tokens.size + lm.config.k_shift)
+
+    def test_batched_branches_match_single_row_steps_per_branch(self, models, monkeypatch):
+        """Generation with every branch in one call equals generation where
+        each branch row is stepped alone in a cache of its own."""
+        lm, codec, head = models
+        prompt = make_prompt(codec, head, np.random.default_rng(24))
+        params = GenParams(mode="slm", n_fm=3, max_tokens=4, neg_mode="tfg", sfg_scale=0.5, seed=11)
+        batched = generate(lm, codec, head, prompt, None, params)
+        assert batched.text_tokens.size == 4
+        caches = {}
+        real_step = lm.step
+
+        def step(fused, cache, streams=None):
+            streams = [0] * len(fused) if streams is None else streams
+            return [
+                real_step([row], caches.setdefault((id(cache), int(s)), lm.new_cache()))[0]
+                for row, s in zip(fused, streams)
+            ]
+
+        monkeypatch.setattr(lm, "step", step)
+        alone = generate(lm, codec, head, prompt, None, params)
+        assert len(caches) == 3
+        np.testing.assert_array_equal(batched.text_tokens, alone.text_tokens)
+        np.testing.assert_array_equal(batched.f_before, alone.f_before)
+        np.testing.assert_array_equal(batched.f_after, alone.f_after)
+        np.testing.assert_allclose(batched.latents, alone.latents, rtol=0, atol=1e-9)
+
+    def test_prompt_beyond_context_limit_warns(self, models):
+        lm, codec, head = models
+        lm.config.max_context = 3
+        prompt = make_prompt(codec, head, np.random.default_rng(25), L=4)
+        out = generate(lm, codec, head, prompt, np.array([1, 2]), GenParams(n_fm=2, neg_mode="tfg", seed=9))
+        assert out.warnings == ["context limit reached"]
+        assert out.latents.shape == (0, BACKBONE.d_latent)
 
 
 class TestStreamSynthesize:

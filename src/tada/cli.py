@@ -1,9 +1,11 @@
 """Umbrella command-line interface.
 
 Subcommands: gen-data, align, codec-train, lm-train, synth, eval, bench,
-graycheck, mask, fm-bench, codec-roundtrip. Global flags --seed, --threads,
-and --config (key=value structured text overriding defaults). Exit codes:
-0 success, 2 validation error or unreadable path, 3 numerical abort.
+graycheck, mask, fm-bench, codec-roundtrip. Global flags --seed and
+--config (key=value structured text overriding defaults). The training
+subcommands align, codec-train and lm-train run the stages of
+``harness.recipes.train_full_stack`` with its seeds. Exit codes: 0 success,
+2 validation error or unreadable path, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ import numpy as np
 
 from . import durbits, flowhead, masks
 from . import numerics as nx
-from .aligner import AlignerModel, filter_alignment, load_alignment_cache, save_alignment_cache, train_aligner
-from .backbone import BackboneModel, train_backbone, train_base_lm
-from .codec import CodecModel, train_codec
+from .aligner import AlignerModel, load_alignment_cache, save_alignment_cache
+from .codec import CodecModel
 from .config import load_config
 from .errors import NumericalAbort, ValidationError
 from .harness import (
@@ -26,14 +27,13 @@ from .harness import (
     OracleDecoder,
     TemplateBank,
     benchmark,
-    build_prompts,
     evaluate,
     gen_corpus,
+    recipes,
     run_tts_cases,
     sample_eval_texts,
     utterance_arrays,
 )
-from .harness.recipes import aligner_pairs, extract_alignments, filter_alignments
 from .pipeline import (
     GenParams,
     SpeakerHead,
@@ -42,7 +42,6 @@ from .pipeline import (
     prepare_prompt,
     save_lm_checkpoint,
     stream_synthesize,
-    train_speaker_head,
 )
 
 
@@ -52,10 +51,11 @@ def _load_corpus(args):
     return manifest, arrays
 
 
-def _positions_for(manifest, cache, rec):
-    if cache is not None and rec.utt_id in cache:
-        return cache[rec.utt_id][1]
-    return rec.positions
+def _alignments(args, manifest) -> dict:
+    """The alignment cache, or the manifest's ground-truth positions."""
+    if args.align_cache:
+        return load_alignment_cache(args.align_cache)
+    return {rec.utt_id: (rec.T, rec.positions) for rec in manifest.records}
 
 
 def cmd_gen_data(args, cfg) -> int:
@@ -71,77 +71,41 @@ def cmd_gen_data(args, cfg) -> int:
 
 def cmd_align(args, cfg) -> int:
     manifest, arrays = _load_corpus(args)
-    if args.model:
-        model = AlignerModel.load(args.model)
-    else:
-        acfg = cfg.aligner
-        acfg.d_in = manifest.config.d_frame
-        acfg.vocab_size = manifest.config.vocab_size
-        with nx.precision("float32"):
-            model = train_aligner(
-                aligner_pairs(manifest, arrays),
-                acfg,
-                steps=cfg.budget.aligner_steps,
-                batch_size=cfg.budget.aligner_batch,
-                seed=args.seed or 0,
-            )
-        if args.save_model:
-            model.save(args.save_model)
-    positions = extract_alignments(model, manifest, arrays, threads=args.threads)
-    records = {}
-    dropped = 0
-    for rec in manifest.records:
-        p = positions[rec.utt_id]
-        if filter_alignment(p, rec.T) is not None:
-            dropped += 1
-            continue
-        records[rec.utt_id] = (rec.T, p)
-    save_alignment_cache(args.out, records)
-    print(f"aligned {len(records)} utterances ({dropped} filtered) -> {args.out}")
+    cfg.aligner.d_in = manifest.config.d_frame
+    cfg.aligner.vocab_size = manifest.config.vocab_size
+    bits = cfg.backbone.bits
+    model = AlignerModel.load(args.model, dtype=np.float32) if args.model else None
+    model, kept, dropped, accuracy = recipes.align_stage(manifest, arrays, cfg.aligner, bits, cfg.budget, model)
+    if args.save_model:
+        model.save(args.save_model)
+    save_alignment_cache(args.out, kept)
+    print(
+        f"aligned {len(kept)} utterances, dropped {dropped} (gaps must fit in {bits} duration bits), "
+        f"align_accuracy={accuracy:.6g} -> {args.out}"
+    )
     return 0
 
 
 def cmd_codec_train(args, cfg) -> int:
     manifest, arrays = _load_corpus(args)
-    cache = load_alignment_cache(args.align_cache) if args.align_cache else None
+    alignments = _alignments(args, manifest)
     ccfg = cfg.codec
     ccfg.d_frame = manifest.config.d_frame
     ccfg.vocab_size = manifest.config.vocab_size
     ccfg.samples_per_frame = manifest.config.samples_per_frame
-    corpus = []
-    for rec in manifest.records:
-        p = _positions_for(manifest, cache, rec)
-        if cache is not None and rec.utt_id not in cache:
-            continue
-        frames, signal = utterance_arrays(arrays, rec.utt_id)
-        corpus.append(
-            {
-                "frames": frames.astype(np.float32),
-                "signal": signal.astype(np.float32),
-                "tokens": rec.tokens,
-                "positions": p,
-            }
-        )
-    with nx.precision("float32"):
-        model = train_codec(
-            corpus,
-            ccfg,
-            steps=args.steps or cfg.budget.codec_steps,
-            stream_steps=args.stream_steps or cfg.budget.codec_stream_steps,
-            batch_size=cfg.budget.codec_batch,
-            seed=args.seed or 0,
-        )
+    if args.steps is not None:
+        cfg.budget.codec_steps = args.steps
+    if args.stream_steps is not None:
+        cfg.budget.codec_stream_steps = args.stream_steps
+    model = recipes.codec_stage(recipes.codec_corpus(manifest, arrays, alignments), ccfg, cfg.budget)
     model.save(args.out)
     print(f"codec checkpoint -> {args.out}")
     return 0
 
 
 def cmd_lm_train(args, cfg) -> int:
-    from .backbone import SequenceBatchItem
-    from .codec import reparameterize
-
     manifest, arrays = _load_corpus(args)
-    cache = load_alignment_cache(args.align_cache) if args.align_cache else None
+    alignments = _alignments(args, manifest)
     codec_model = CodecModel.load(args.codec, dtype=np.float32)
     bcfg = cfg.backbone
     bcfg.vocab_size = manifest.config.vocab_size
@@ -151,64 +115,19 @@ def cmd_lm_train(args, cfg) -> int:
     if args.dropout is not None:
         bcfg.dropout_rate = args.dropout
     bcfg.__post_init__()
-    seed = args.seed or 0
-    rng = np.random.default_rng(seed)
-    bank = TemplateBank(manifest.config)
+    if args.steps is not None:
+        cfg.budget.backbone_steps = args.steps
 
-    alignments, dropped = filter_alignments(
-        {
-            rec.utt_id: (rec.T, _positions_for(manifest, cache, rec))
-            for rec in manifest.records
-            if cache is None or rec.utt_id in cache
-        },
-        bcfg.bits,
-    )
+    # A no-op on a cache that `align` wrote with the same bits.
+    alignments, dropped = recipes.filter_alignments(alignments, bcfg.bits)
     print(f"kept {len(alignments)} alignments, dropped {dropped} (gaps must fit in {bcfg.bits} duration bits)")
-
-    with nx.precision("float32"):
-        items = []
-        spk_rows, spk_tgts = [], []
-        with nx.no_grad():
-            for rec in manifest.records:
-                if rec.utt_id not in alignments:
-                    continue
-                p = alignments[rec.utt_id][1]
-                frames, _ = utterance_arrays(arrays, rec.utt_id)
-                s_mu = codec_model.encode(frames.astype(np.float32), p)
-                s = reparameterize(
-                    s_mu, codec_model.config.k_sigma, seed=int(rng.integers(1 << 31)),
-                    sigma0=codec_model.config.sigma0,
-                ).data
-                fb, fa = durbits.durations_from_positions(p, rec.T)
-                items.append(
-                    SequenceBatchItem(
-                        tokens=rec.tokens, latents=np.asarray(s, dtype=np.float64),
-                        f_before=fb, f_after=fa,
-                    )
-                )
-                for row in np.asarray(s_mu.data):
-                    spk_rows.append(row)
-                    spk_tgts.append(bank.speaker_param[rec.speaker])
-        if args.base_lm:
-            base_lm, _head = load_lm_checkpoint(args.base_lm, dtype=np.float32)
-        else:
-            base_lm = train_base_lm(
-                [rec.tokens for rec in manifest.records], bcfg,
-                steps=cfg.budget.base_lm_steps, seed=seed + 1,
-            )
-            if args.base_out:
-                dummy = SpeakerHead(d_latent=bcfg.d_latent, rng=np.random.default_rng(0))
-                save_lm_checkpoint(args.base_out, base_lm, dummy)
-        model = train_backbone(
-            items, bcfg, base_lm=base_lm,
-            steps=args.steps or cfg.budget.backbone_steps,
-            batch_size=cfg.budget.backbone_batch, seed=seed + 2,
-        )
-        head = train_speaker_head(
-            np.asarray(spk_rows), np.asarray(spk_tgts),
-            d_latent=codec_model.config.d_latent,
-            steps=cfg.budget.speaker_steps, seed=seed + 3,
-        )
+    corpus = recipes.codec_corpus(manifest, arrays, alignments)
+    latents = recipes.latent_stage(codec_model, corpus, TemplateBank(manifest.config), cfg.budget)
+    base_lm = load_lm_checkpoint(args.base_lm, dtype=np.float32)[0] if args.base_lm else None
+    head, base_lm, model = recipes.lm_stage(manifest, latents, bcfg, cfg.budget, base_lm)
+    if args.base_out:
+        dummy = SpeakerHead(d_latent=bcfg.d_latent, rng=np.random.default_rng(0))
+        save_lm_checkpoint(args.base_out, base_lm, dummy)
     save_lm_checkpoint(args.out, model, head)
     print(f"lm checkpoint -> {args.out}")
     return 0
@@ -363,10 +282,11 @@ def cmd_mask(args, cfg) -> int:
 def cmd_fm_bench(args, cfg) -> int:
     steps = [int(x) for x in args.steps.split(",")]
     rng = np.random.default_rng(args.seed or 0)
-    d = cfg.flow.d_target
+    flow = cfg.backbone.flow
+    d = flow.d_target
     mu_a = rng.standard_normal(d)
     mu_b = rng.standard_normal(d)
-    field = flowhead.two_point_field(mu_a, mu_b, 0.5, cfg.flow.sigma_min)
+    field = flowhead.two_point_field(mu_a, mu_b, 0.5, flow.sigma_min)
     y0 = rng.standard_normal((16, d))
     ref = flowhead.euler_integrate(field, y0, 20480)
     for n in steps:
@@ -407,7 +327,6 @@ def cmd_codec_roundtrip(args, cfg) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tada", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="global RNG seed override")
-    parser.add_argument("--threads", type=int, default=4, help="worker threads for per-utterance work")
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -44,9 +44,6 @@ class CodecConfig:
     lambda_sem: float = 0.5
     lambda_kl: float = 0.02
     noise_warmup_frac: float = 0.25  # fraction of steps trained on plain means
-    lambda_gen: float = 0.0  # adversarial slots kept for structural parity
-    lambda_disc: float = 0.0
-    lambda_fm: float = 0.0
     spectral_windows: tuple[int, ...] = (32, 64, 128)
 
     def scalar_arrays(self) -> dict[str, np.ndarray]:
@@ -373,7 +370,7 @@ def codec_loss(
     s_mu: Tensor,
     config: CodecConfig,
 ) -> CodecLossReport:
-    """Composite reconstruction objective (adversarial slots fixed at 0)."""
+    """Composite reconstruction objective: spectral L1, semantic CE and clamped KL."""
     tokens = np.asarray(tokens, dtype=np.int64)
     p = np.asarray(p, dtype=np.int64)
     T = pred.features.shape[0]
@@ -395,9 +392,6 @@ def codec_loss(
         "lambda_mel": config.lambda_mel,
         "lambda_sem": config.lambda_sem,
         "lambda_kl": config.lambda_kl,
-        "lambda_gen": config.lambda_gen,
-        "lambda_disc": config.lambda_disc,
-        "lambda_fm": config.lambda_fm,
     }
     return CodecLossReport(mel=mel, sem=sem, kl=kl, total=total, weights=weights)
 

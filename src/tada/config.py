@@ -15,7 +15,6 @@ from .aligner import AlignerConfig
 from .backbone import BackboneConfig
 from .codec import CodecConfig
 from .errors import ValidationError
-from .flowhead import FlowConfig
 from .harness.corpus import SynthConfig
 from .harness.recipes import TrainBudget
 from .pipeline import GenParams
@@ -27,7 +26,6 @@ class Defaults:
     aligner: AlignerConfig = dataclasses.field(default_factory=AlignerConfig)
     codec: CodecConfig = dataclasses.field(default_factory=CodecConfig)
     backbone: BackboneConfig = dataclasses.field(default_factory=BackboneConfig)
-    flow: FlowConfig = dataclasses.field(default_factory=FlowConfig)
     gen: GenParams = dataclasses.field(default_factory=GenParams)
     budget: TrainBudget = dataclasses.field(default_factory=TrainBudget)
 

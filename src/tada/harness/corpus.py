@@ -369,10 +369,3 @@ class OracleDecoder:
             [self.bank.speaker_signal_profile(s) for s in range(self._n_spk)]
         )
         return int(np.argmax(profiles @ est))
-
-
-def oracle_decode(signal_rows: np.ndarray, bank: TemplateBank) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience wrapper: tokens and speaker-profile estimate."""
-    dec = OracleDecoder(bank)
-    tokens, _ = dec.decode(signal_rows)
-    return tokens, dec.speaker_estimate(signal_rows)

@@ -39,7 +39,7 @@ class MetricsReport:
     speaker_cosine: float = 0.0
     chain_rate: float = 0.0
     n_utterances: int = 0
-    align_time: float = 0.0
+    prefill_time: float = 0.0
     llm_step_time: float = 0.0
     flow_sample_time: float = 0.0
     decode_time: float = 0.0
@@ -52,7 +52,7 @@ class MetricsReport:
             "speaker_cosine": self.speaker_cosine,
             "chain_rate": self.chain_rate,
             "n_utterances": self.n_utterances,
-            "align_time": self.align_time,
+            "prefill_time": self.prefill_time,
             "llm_step_time": self.llm_step_time,
             "flow_sample_time": self.flow_sample_time,
             "decode_time": self.decode_time,
@@ -105,6 +105,7 @@ def evaluate(cases: list[EvalCase], bank: TemplateBank) -> MetricsReport:
         speaker_cosine=float(np.mean(cosines)) if cosines else 0.0,
         chain_rate=float(np.mean(chains)) if chains else 0.0,
         n_utterances=len(cases),
+        prefill_time=float(np.mean([c.result.prefill_time for c in cases])) if cases else 0.0,
         llm_step_time=float(np.mean(llm_times)) if llm_times else 0.0,
         flow_sample_time=float(np.mean(flow_times)) if flow_times else 0.0,
         decode_time=float(np.mean(decode_times)) if decode_times else 0.0,

@@ -1,15 +1,24 @@
 """End-to-end training orchestration for the toy stack.
 
-Order: aligner on (frames, tokens); alignment extraction + filtering; codec
-on extracted positions; latent/duration pre-extraction; base text LM; then
-the multimodal backbone with its flow head, plus the speaker head. Training
-runs at 32-bit precision; evaluation and tests use the 64-bit default.
+``train_full_stack`` runs four stages in order, and the ``align``,
+``codec-train`` and ``lm-train`` subcommands run the same stage functions:
+
+1. ``align_stage``: the aligner, alignment extraction and scoring, and the
+   duration-bit filter (seed ``seed``).
+2. ``codec_stage``: the codec on the kept alignments (``seed + 1``).
+3. ``latent_stage``: sampled latents, durations and speaker rows for the
+   heads (``seed + 2``).
+4. ``lm_stage``: the speaker head (``seed + 3``), the base text LM
+   (``seed + 4``) and the multimodal backbone with its flow head
+   (``seed + 5``).
+
+Each stage trains under ``nx.precision("float32")``; evaluation and tests
+use the 64-bit default.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +30,8 @@ from ..durbits import durations_from_positions
 from ..errors import ValidationError
 from ..pipeline import Prompt, SpeakerHead, prepare_prompt, train_speaker_head
 from .corpus import Manifest, TemplateBank, utterance_arrays
+
+Alignments = dict[int, tuple[int, np.ndarray]]  # utt_id -> (T, positions)
 
 
 @dataclass
@@ -35,7 +46,7 @@ class TrainBudget:
     backbone_batch: int = 8
     speaker_steps: int = 800
     seed: int = 0
-    threads: int = 4
+    threads: int = 1  # unread: extraction runs on one thread; the benchmark still passes it
     log_every: int = 0
 
 
@@ -51,6 +62,16 @@ class TrainedStack:
     align_accuracy: float = 0.0
 
 
+@dataclass
+class LatentCorpus:
+    """What the heads train on: one backbone item per utterance, and one
+    speaker row (the latent mean) per token with its speaker target."""
+
+    items: list[SequenceBatchItem]
+    speaker_rows: np.ndarray
+    speaker_targets: np.ndarray
+
+
 def aligner_pairs(manifest: Manifest, arrays: dict) -> list[tuple[np.ndarray, np.ndarray]]:
     out = []
     for rec in manifest.records:
@@ -59,29 +80,18 @@ def aligner_pairs(manifest: Manifest, arrays: dict) -> list[tuple[np.ndarray, np
     return out
 
 
-def extract_alignments(
-    model: AlignerModel,
-    manifest: Manifest,
-    arrays: dict,
-    threads: int = 4,
-) -> dict[int, np.ndarray]:
-    """Viterbi positions for every utterance, parallel across utterances."""
-
-    def one(rec):
+def extract_alignments(model: AlignerModel, manifest: Manifest, arrays: dict) -> dict[int, np.ndarray]:
+    """Viterbi positions for every utterance."""
+    out = {}
+    for rec in manifest.records:
         frames, _ = utterance_arrays(arrays, rec.utt_id)
-        return rec.utt_id, model.align(frames, rec.tokens).positions
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return dict(pool.map(one, manifest.records))
-    return dict(one(rec) for rec in manifest.records)
+        out[rec.utt_id] = model.align(frames, rec.tokens).positions
+    return out
 
 
-def filter_alignments(
-    alignments: dict[int, tuple[int, np.ndarray]], bits: int
-) -> tuple[dict[int, tuple[int, np.ndarray]], int]:
-    """Keep the alignments (utt_id -> (T, positions)) a backbone with
-    ``bits`` duration bits can train on; return them and the number dropped.
+def filter_alignments(alignments: Alignments, bits: int) -> tuple[Alignments, int]:
+    """Keep the alignments a backbone with ``bits`` duration bits can train
+    on; return them and the number dropped.
 
     A gap wider than ``2**bits - 1`` frames cannot be Gray-encoded, so the
     gap limit is ``min(MAX_GAP, 2**bits - 1)``; ``filter_alignment`` applies
@@ -102,6 +112,145 @@ def filter_alignments(
     return kept, dropped
 
 
+def align_stage(
+    manifest: Manifest,
+    arrays: dict,
+    aligner_config: AlignerConfig,
+    bits: int,
+    budget: TrainBudget,
+    aligner: AlignerModel | None = None,
+) -> tuple[AlignerModel, Alignments, int, float]:
+    """Train the aligner (unless one is given), extract every utterance's
+    positions, and keep those that ``bits`` duration bits can hold.
+
+    Returns the aligner, the kept alignments, the number dropped, and the
+    share of tokens placed within one frame of the manifest's ground truth.
+    """
+    with nx.precision("float32"):
+        if aligner is None:
+            aligner = train_aligner(
+                aligner_pairs(manifest, arrays),
+                aligner_config,
+                steps=budget.aligner_steps,
+                batch_size=budget.aligner_batch,
+                seed=budget.seed,
+                log_every=budget.log_every,
+            )
+        positions = extract_alignments(aligner, manifest, arrays)
+    hits = sum(
+        int(np.sum(np.abs(positions[rec.utt_id] - rec.positions) <= 1)) for rec in manifest.records
+    )
+    total = sum(rec.tokens.size for rec in manifest.records)
+    kept, dropped = filter_alignments(
+        {rec.utt_id: (rec.T, positions[rec.utt_id]) for rec in manifest.records}, bits
+    )
+    return aligner, kept, dropped, hits / max(total, 1)
+
+
+def codec_corpus(manifest: Manifest, arrays: dict, alignments: Alignments) -> list[dict]:
+    """One float32 training utterance per aligned record, in manifest order."""
+    corpus = []
+    for rec in manifest.records:
+        if rec.utt_id not in alignments:
+            continue
+        frames, signal = utterance_arrays(arrays, rec.utt_id)
+        corpus.append(
+            {
+                "speaker": rec.speaker,
+                "frames": frames.astype(np.float32),
+                "signal": signal.astype(np.float32),
+                "tokens": rec.tokens,
+                "positions": alignments[rec.utt_id][1],
+            }
+        )
+    return corpus
+
+
+def codec_stage(corpus: list[dict], codec_config: CodecConfig, budget: TrainBudget) -> CodecModel:
+    with nx.precision("float32"):
+        return train_codec(
+            corpus,
+            codec_config,
+            steps=budget.codec_steps,
+            stream_steps=budget.codec_stream_steps,
+            batch_size=budget.codec_batch,
+            seed=budget.seed + 1,
+            log_every=budget.log_every,
+        )
+
+
+def latent_stage(
+    codec_model: CodecModel, corpus: list[dict], bank: TemplateBank, budget: TrainBudget
+) -> LatentCorpus:
+    """Encode every utterance once and sample its latents.
+
+    Training leaves float64 values in most codec parameters, and a
+    checkpoint stores float32. So the encoder runs on float32 copies, and
+    the noise scales come from ``codec_model.config``: a codec held in
+    memory and the same codec loaded from its checkpoint give the same rows.
+    """
+    cfg = codec_model.config
+    params32 = {k: nx.tensor(p.data, dtype=np.float32) for k, p in codec_model.params.items()}
+    codec_model = CodecModel(cfg, params=params32)
+    rng = np.random.default_rng(budget.seed + 2)
+    items, rows, targets = [], [], []
+    with nx.precision("float32"), nx.no_grad():
+        for utt in corpus:
+            p = utt["positions"]
+            s_mu = codec_model.encode(utt["frames"], p)
+            s = reparameterize(s_mu, cfg.k_sigma, seed=int(rng.integers(1 << 31)), sigma0=cfg.sigma0).data
+            f_before, f_after = durations_from_positions(p, utt["frames"].shape[0])
+            items.append(
+                SequenceBatchItem(
+                    tokens=utt["tokens"],
+                    latents=np.asarray(s, dtype=np.float64),
+                    f_before=f_before,
+                    f_after=f_after,
+                )
+            )
+            mu = np.asarray(s_mu.data, dtype=np.float64)
+            rows.append(mu)
+            targets.append(np.repeat(bank.speaker_param[utt["speaker"]][None], len(mu), axis=0))
+    return LatentCorpus(items, np.concatenate(rows), np.concatenate(targets))
+
+
+def lm_stage(
+    manifest: Manifest,
+    latents: LatentCorpus,
+    backbone_config: BackboneConfig,
+    budget: TrainBudget,
+    base_lm: BackboneModel | None = None,
+) -> tuple[SpeakerHead, BackboneModel, BackboneModel]:
+    """Train the speaker head, the base text LM (unless one is given) and the
+    backbone on top of it; return the three."""
+    with nx.precision("float32"):
+        speaker_head = train_speaker_head(
+            latents.speaker_rows,
+            latents.speaker_targets,
+            d_latent=latents.speaker_rows.shape[1],
+            steps=budget.speaker_steps,
+            seed=budget.seed + 3,
+        )
+        if base_lm is None:
+            base_lm = train_base_lm(
+                [rec.tokens for rec in manifest.records],
+                backbone_config,
+                steps=budget.base_lm_steps,
+                seed=budget.seed + 4,
+                log_every=budget.log_every,
+            )
+        backbone = train_backbone(
+            latents.items,
+            backbone_config,
+            base_lm=base_lm,
+            steps=budget.backbone_steps,
+            batch_size=budget.backbone_batch,
+            seed=budget.seed + 5,
+            log_every=budget.log_every,
+        )
+    return speaker_head, base_lm, backbone
+
+
 def train_full_stack(
     manifest: Manifest,
     arrays: dict,
@@ -119,111 +268,11 @@ def train_full_stack(
     )
     backbone_config = backbone_config or BackboneConfig(vocab_size=cfg.vocab_size)
 
-    with nx.precision("float32"):
-        pairs = aligner_pairs(manifest, arrays)
-        aligner = train_aligner(
-            pairs,
-            aligner_config,
-            steps=budget.aligner_steps,
-            batch_size=budget.aligner_batch,
-            seed=budget.seed,
-            log_every=budget.log_every,
-        )
-
-        positions = extract_alignments(aligner, manifest, arrays, threads=budget.threads)
-        hits = sum(
-            int(np.sum(np.abs(positions[rec.utt_id] - rec.positions) <= 1))
-            for rec in manifest.records
-        )
-        total = sum(rec.tokens.size for rec in manifest.records)
-        align_accuracy = hits / max(total, 1)
-
-        kept, dropped = filter_alignments(
-            {rec.utt_id: (rec.T, positions[rec.utt_id]) for rec in manifest.records},
-            backbone_config.bits,
-        )
-        codec_corpus = []
-        for rec in manifest.records:
-            if rec.utt_id not in kept:
-                continue
-            frames, signal = utterance_arrays(arrays, rec.utt_id)
-            codec_corpus.append(
-                {
-                    "utt_id": rec.utt_id,
-                    "frames": frames.astype(np.float32),
-                    "signal": signal.astype(np.float32),
-                    "tokens": rec.tokens,
-                    "positions": kept[rec.utt_id][1],
-                }
-            )
-        codec_model = train_codec(
-            codec_corpus,
-            codec_config,
-            steps=budget.codec_steps,
-            stream_steps=budget.codec_stream_steps,
-            batch_size=budget.codec_batch,
-            seed=budget.seed + 1,
-            log_every=budget.log_every,
-        )
-
-        # Pre-extract sampled latents and durations for backbone training.
-        items: list[SequenceBatchItem] = []
-        spk_latents = []
-        rng = np.random.default_rng(budget.seed + 2)
-        with nx.no_grad():
-            for utt in codec_corpus:
-                rec_tokens = utt["tokens"]
-                p = utt["positions"]
-                T = utt["frames"].shape[0]
-                s_mu = codec_model.encode(utt["frames"], p)
-                s = reparameterize(
-                    s_mu, codec_config.k_sigma, seed=int(rng.integers(1 << 31)),
-                    sigma0=codec_config.sigma0,
-                ).data
-                f_before, f_after = durations_from_positions(p, T)
-                items.append(
-                    SequenceBatchItem(
-                        tokens=rec_tokens,
-                        latents=np.asarray(s, dtype=np.float64),
-                        f_before=f_before,
-                        f_after=f_after,
-                    )
-                )
-                spk_latents.append(np.asarray(s_mu.data, dtype=np.float64))
-
-        # Map utterances back to speakers for the speaker head dataset.
-        by_id = {rec.utt_id: rec.speaker for rec in manifest.records}
-        spk_rows = []
-        spk_tgts = []
-        for utt, lat in zip(codec_corpus, spk_latents):
-            for row in lat:
-                spk_rows.append(row)
-                spk_tgts.append(bank.speaker_param[by_id[utt["utt_id"]]])
-        speaker_head = train_speaker_head(
-            np.asarray(spk_rows),
-            np.asarray(spk_tgts),
-            d_latent=codec_config.d_latent,
-            steps=budget.speaker_steps,
-            seed=budget.seed + 3,
-        )
-
-        base_lm = train_base_lm(
-            [rec.tokens for rec in manifest.records],
-            backbone_config,
-            steps=budget.base_lm_steps,
-            seed=budget.seed + 4,
-            log_every=budget.log_every,
-        )
-        backbone = train_backbone(
-            items,
-            backbone_config,
-            base_lm=base_lm,
-            steps=budget.backbone_steps,
-            batch_size=budget.backbone_batch,
-            seed=budget.seed + 5,
-            log_every=budget.log_every,
-        )
-
+    aligner, kept, dropped, accuracy = align_stage(manifest, arrays, aligner_config, backbone_config.bits, budget)
+    corpus = codec_corpus(manifest, arrays, kept)
+    codec_model = codec_stage(corpus, codec_config, budget)
+    latents = latent_stage(codec_model, corpus, bank, budget)
+    speaker_head, base_lm, backbone = lm_stage(manifest, latents, backbone_config, budget)
     return TrainedStack(
         aligner=aligner,
         codec=codec_model,
@@ -232,7 +281,7 @@ def train_full_stack(
         speaker_head=speaker_head,
         bank=bank,
         dropped_alignments=dropped,
-        align_accuracy=align_accuracy,
+        align_accuracy=accuracy,
     )
 
 

@@ -12,8 +12,6 @@ segments handled through the sentinels ``p_0 = p_-1 = 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
@@ -30,16 +28,6 @@ def _check_positions(p: np.ndarray, T: int) -> np.ndarray:
     if np.any(np.diff(p) <= 0):
         raise ValidationError(f"positions must be strictly increasing, got {p.tolist()}")
     return p
-
-
-@dataclass
-class MaskPair:
-    """Encoder and streaming-decoder masks for one aligned utterance."""
-
-    encoder: np.ndarray
-    decoder: np.ndarray
-    positions: np.ndarray
-    T: int
 
 
 def encoder_mask(p, T: int) -> np.ndarray:
@@ -113,11 +101,6 @@ def indicator(p, T: int) -> np.ndarray:
     vec = np.zeros(T, dtype=np.int64)
     vec[p - 1] = 1
     return vec
-
-
-def mask_pair(p, T: int) -> MaskPair:
-    p = _check_positions(p, T)
-    return MaskPair(encoder=encoder_mask(p, T), decoder=decoder_stream_mask(p, T), positions=p, T=T)
 
 
 def segment_bounds(p, T: int) -> list[tuple[int, int]]:

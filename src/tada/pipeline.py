@@ -262,6 +262,7 @@ class GenerationResult:
     f_before: np.ndarray
     f_after: np.ndarray
     chain_rate: float
+    prefill_time: float = 0.0  # the one backbone call that takes the prompt
     step_stats: list[StepStat] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -377,7 +378,9 @@ def generate(
     prefill = [
         row for j in range(n_prefill) for row in branch_rows(text_id_for(j, sampled_text), slot_for(j - K))
     ]
+    t0 = time.perf_counter()
     model.step(prefill, cache, np.tile(streams, n_prefill))
+    prefill_time = time.perf_counter() - t0
     j = Lp
     while j < cfg.max_context:
         tid = text_id_for(j, sampled_text)
@@ -450,6 +453,7 @@ def generate(
         f_before=f_before,
         f_after=f_after,
         chain_rate=chain,
+        prefill_time=prefill_time,
         step_stats=stats,
         warnings=warnings,
     )

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from tada import numerics as nx
+from tada.aligner import AlignerModel, load_alignment_cache
+from tada.backbone import BackboneConfig
 from tada.cli import main
-from tada.harness import Manifest
+from tada.codec import CodecModel
+from tada.harness import Manifest, TrainBudget, recipes, train_full_stack
+from tada.pipeline import load_lm_checkpoint
 
 
 def test_graycheck_exit_zero(capsys):
@@ -71,7 +75,8 @@ def test_bad_config_key_exit_code_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["codec.lambda_mel=abc", "gen.candidates=0", "backbone.k_shift=0", "synth.tokens_max=2,3"]
+    "line",
+    ["codec.lambda_mel=abc", "gen.candidates=0", "backbone.k_shift=0", "synth.tokens_max=2,3", "flow.width=128"],
 )
 def test_bad_config_value_exit_code_2(tmp_path, capsys, line):
     cfg_file = tmp_path / "conf.txt"
@@ -84,23 +89,81 @@ def test_bad_config_value_exit_code_2(tmp_path, capsys, line):
 
 def test_lm_train_four_bit_backbone_drops_wide_gaps(tmp_path, capsys):
     """A 2-step aligner leaves gaps wider than four duration bits hold;
-    lm-train drops those alignments instead of failing in gray_encode."""
+    align drops those alignments, so lm-train does not fail in gray_encode."""
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text(
         "backbone.bits=4\nbudget.aligner_steps=2\nbudget.base_lm_steps=2\nbudget.speaker_steps=2\n"
     )
     corpus = ["--manifest", str(tmp_path / "m.txt"), "--arrays", str(tmp_path / "a.tada")]
     cache, codec, lm = (str(tmp_path / name) for name in ("al.cache", "codec.tada", "lm.tada"))
-    conf = ["--threads", "1", "--config", str(cfg_file)]
+    conf = ["--config", str(cfg_file)]
     assert main(["--seed", "0", "gen-data", *corpus, "--utterances", "24"]) == 0
-    assert main([*conf, "align", *corpus, "--out", cache]) == 0
-    assert main([*conf, "codec-train", *corpus, "--align-cache", cache, "--out", codec,
-                 "--steps", "2", "--stream-steps", "2"]) == 0
     capsys.readouterr()
-    assert main([*conf, "lm-train", *corpus, "--codec", codec, "--align-cache", cache,
-                 "--out", lm, "--steps", "2"]) == 0
+    assert main([*conf, "align", *corpus, "--out", cache]) == 0
     out = capsys.readouterr().out
     assert "dropped" in out and "dropped 0 " not in out
+    assert main([*conf, "codec-train", *corpus, "--align-cache", cache, "--out", codec,
+                 "--steps", "2", "--stream-steps", "2"]) == 0
+    assert main([*conf, "lm-train", *corpus, "--codec", codec, "--align-cache", cache,
+                 "--out", lm, "--steps", "2"]) == 0
+
+
+def test_cli_stages_match_train_full_stack(tmp_path, capsys):
+    """align, codec-train and lm-train write the models train_full_stack
+    trains at the same seed and budget, the alignment cache holds exactly
+    the alignments it keeps, and synth and eval run on the checkpoints."""
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text(
+        "backbone.bits=4\nbudget.aligner_steps=2\nbudget.base_lm_steps=2\nbudget.speaker_steps=2\n"
+    )
+    m, a = str(tmp_path / "m.txt"), str(tmp_path / "a.tada")
+    corpus = ["--manifest", m, "--arrays", a]
+    cache, aligner, codec, base, lm = (
+        str(tmp_path / name) for name in ("al.cache", "aligner.tada", "codec.tada", "base.tada", "lm.tada")
+    )
+    conf = ["--seed", "5", "--config", str(cfg_file)]
+    assert main(["--seed", "0", "gen-data", *corpus, "--utterances", "24"]) == 0
+    assert main([*conf, "align", *corpus, "--save-model", aligner, "--out", cache]) == 0
+    assert main([*conf, "codec-train", *corpus, "--align-cache", cache, "--out", codec,
+                 "--steps", "2", "--stream-steps", "2"]) == 0
+    assert main([*conf, "lm-train", *corpus, "--codec", codec, "--align-cache", cache,
+                 "--base-out", base, "--out", lm, "--steps", "2"]) == 0
+
+    manifest, arrays = Manifest.load(m), nx.load_arrays(a)
+    budget = TrainBudget(
+        aligner_steps=2, codec_steps=2, codec_stream_steps=2, base_lm_steps=2,
+        backbone_steps=2, speaker_steps=2, seed=5,
+    )
+    bits = 4
+    stack = train_full_stack(
+        manifest, arrays, budget, backbone_config=BackboneConfig(vocab_size=manifest.config.vocab_size, bits=bits)
+    )
+    backbone, speaker_head = load_lm_checkpoint(lm)
+    loaded = {
+        "aligner": AlignerModel.load(aligner),
+        "codec": CodecModel.load(codec),
+        "base_lm": load_lm_checkpoint(base)[0],
+        "backbone": backbone,
+        "speaker_head": speaker_head,
+    }
+    for name, model in loaded.items():  # checkpoints hold float32, so compare at that rounding
+        ref = getattr(stack, name).params
+        assert model.params.keys() == ref.keys(), name
+        for key in ref:
+            assert np.array_equal(model.params[key].data, ref[key].data.astype(np.float32)), (name, key)
+
+    _, kept, dropped, _ = recipes.align_stage(manifest, arrays, stack.aligner.config, bits, budget, stack.aligner)
+    assert 0 < dropped == stack.dropped_alignments
+    written = load_alignment_cache(cache)
+    assert written.keys() == kept.keys()
+    assert all(np.array_equal(written[k][1], kept[k][1]) for k in kept)
+
+    prompt = str(manifest.records[0].utt_id)
+    assert main(["synth", "--lm", lm, "--codec", codec, *corpus, "--prompt", prompt, "--text", "3,7,9"]) == 0
+    capsys.readouterr()
+    assert main(["eval", *corpus, "--lm", lm, "--codec", codec, "--prompts", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "n_utterances=2" in out and "prefill_time=" in out
 
 
 @pytest.fixture(scope="module")

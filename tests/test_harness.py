@@ -1,16 +1,20 @@
 """Synthetic corpus generation, oracle decoding, and metric arithmetic."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from tada.aligner import filter_alignment
 from tada.backbone import BackboneConfig
 from tada.harness import (
+    EvalCase,
     Manifest,
     OracleDecoder,
     SynthConfig,
     TemplateBank,
     edit_distance,
+    evaluate,
     gen_corpus,
     train_full_stack,
     utterance_arrays,
@@ -221,3 +225,19 @@ def test_train_full_stack_rejects_when_every_alignment_is_dropped():
     config = BackboneConfig(vocab_size=manifest.config.vocab_size, bits=1)
     with pytest.raises(ValidationError, match="all 6 alignments were dropped"):
         train_full_stack(manifest, arrays, TrainBudget(**TINY_BUDGET), backbone_config=config)
+
+
+def test_evaluate_reports_mean_prefill_time():
+    manifest, arrays = gen_corpus(CFG, 2)
+    cases = [
+        EvalCase(
+            prompt=SimpleNamespace(speaker=rec.speaker),
+            target_text=rec.tokens,
+            result=SimpleNamespace(chain_rate=1.0, step_stats=[], prefill_time=t),
+            audio_signal=utterance_arrays(arrays, rec.utt_id)[1],
+        )
+        for rec, t in zip(manifest.records, (1.0, 3.0))
+    ]
+    report = evaluate(cases, TemplateBank(CFG))
+    assert report.prefill_time == 2.0
+    assert "prefill_time=2" in report.to_lines()

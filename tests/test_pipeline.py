@@ -276,6 +276,25 @@ class TestGenerate:
         assert all(s.flow_time == 0.0 for s in out.step_stats)
 
 
+    def test_prefill_time_counts_the_prefill_call(self, models, monkeypatch):
+        """Each row passed to a backbone step advances a fake clock by one
+        second; prefill_time must count the one prefill call, which steps
+        the positive, tfg and sfg rows of every prompt token."""
+        lm, codec, head = models
+        prompt = make_prompt(codec, head, np.random.default_rng(22))
+        clock = [0.0]
+        real_step = lm.step
+
+        def step(fused, cache, streams=None):
+            clock[0] += float(len(fused))
+            return real_step(fused, cache, streams)
+
+        monkeypatch.setattr(lm, "step", step)
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        params = GenParams(mode="slm", n_fm=2, max_tokens=3, neg_mode="tfg", sfg_scale=0.5, seed=6)
+        out = generate(lm, codec, head, prompt, None, params)
+        assert out.prefill_time == 3.0 * prompt.tokens.size
+
     def test_one_prefill_call_then_one_call_per_step(self, models, monkeypatch):
         lm, codec, head = models
         prompt = make_prompt(codec, head, np.random.default_rng(24))

@@ -12,7 +12,7 @@ alpha-beta occupancy, exposed to the autodiff engine as a custom primitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -329,7 +329,6 @@ class AlignerConfig:
     vocab_size: int = 32
     n_graphemes: int = 8
     lambda_inter: float = 0.3
-    curriculum: dict[int, int | None] = field(default_factory=lambda: dict(DEFAULT_SCHEDULE))
     use_curriculum: bool = True
 
 
@@ -385,25 +384,11 @@ class AlignerModel:
         return viterbi_align(self.log_probs(frames), tokens)
 
     def save(self, path) -> None:
-        names = "d_in d_model n_heads d_ff vocab_size n_graphemes lambda_inter".split()
-        extra = {f"config/{k}": np.array([float(getattr(self.config, k))]) for k in names}
-        nn.save_params(path, self.params, extra=extra)
+        nn.save_params(path, self.params, self.config)
 
     @classmethod
     def load(cls, path, dtype=None) -> "AlignerModel":
-        arrays = nx.load_arrays(path)
-        ints = {"d_in", "d_model", "n_heads", "d_ff", "vocab_size", "n_graphemes"}
-        kwargs = {}
-        for key, val in arrays.items():
-            if key.startswith("config/"):
-                name = key.split("/", 1)[1]
-                kwargs[name] = int(val[0]) if name in ints else float(val[0])
-        config = AlignerConfig(**kwargs)
-        params = nn.load_params(
-            {k: v for k, v in arrays.items() if not k.startswith("config/")},
-            requires_grad=True,
-            dtype=dtype,
-        )
+        config, params = nn.load_params(path, AlignerConfig, dtype)
         return cls(config, rng=np.random.default_rng(0), params=params)
 
 
@@ -461,9 +446,7 @@ def train_aligner(
         column_mask = None
         if config.use_curriculum:
             batch_targets = np.concatenate([tokens for _, tokens in batch])
-            vocab = curriculum_subset(
-                step, observed, batch_targets, config.vocab_size, config.curriculum
-            )
+            vocab = curriculum_subset(step, observed, batch_targets, config.vocab_size)
             column_mask = vocab.column_mask()
             np.add.at(observed, batch_targets, 1)
         opt.zero_grad()

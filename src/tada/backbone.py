@@ -67,41 +67,6 @@ class BackboneConfig:
     def d_acoustic(self) -> int:
         return self.d_latent + 2 * self.bits
 
-    def scalar_arrays(self) -> dict[str, np.ndarray]:
-        names = (
-            "vocab_size d_model n_heads n_layers d_ff d_cond d_latent bits k_shift "
-            "max_context lambda_flow lambda_ce lambda_kd dropout_rate dropout_mean_len"
-        ).split()
-        out = {f"config/{k}": np.array([float(getattr(self, k))]) for k in names}
-        out["config/flow_sigma_min"] = np.array([self.flow.sigma_min])
-        out["config/flow_width"] = np.array([float(self.flow.width)])
-        out["config/flow_n_hidden"] = np.array([float(self.flow.n_hidden)])
-        out["config/flow_d_time"] = np.array([float(self.flow.d_time)])
-        return out
-
-    @classmethod
-    def from_scalar_arrays(cls, arrays: dict[str, np.ndarray]) -> "BackboneConfig":
-        ints = {
-            "vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "d_cond",
-            "d_latent", "bits", "k_shift", "max_context", "dropout_mean_len",
-        }
-        kwargs = {}
-        flow_kwargs = {}
-        for key, val in arrays.items():
-            if not key.startswith("config/"):
-                continue
-            name = key.split("/", 1)[1]
-            if name.startswith("flow_"):
-                sub = name[len("flow_"):]
-                flow_kwargs[sub] = float(val[0]) if sub == "sigma_min" else int(val[0])
-            else:
-                kwargs[name] = int(val[0]) if name in ints else float(val[0])
-        cfg = cls(**kwargs)
-        for k, v in flow_kwargs.items():
-            setattr(cfg.flow, k, v)
-        cfg.__post_init__()
-        return cfg
-
 
 @dataclass
 class FusedStep:
@@ -284,17 +249,11 @@ class BackboneModel:
             return _outputs(nn.linear(self.params, "lm_head", h), nn.linear(self.params, "cond_head", h))
 
     def save(self, path) -> None:
-        nn.save_params(path, self.params, extra=self.config.scalar_arrays())
+        nn.save_params(path, self.params, self.config)
 
     @classmethod
     def load(cls, path, dtype=None) -> "BackboneModel":
-        arrays = nx.load_arrays(path)
-        config = BackboneConfig.from_scalar_arrays(arrays)
-        params = nn.load_params(
-            {k: v for k, v in arrays.items() if not k.startswith("config/")},
-            requires_grad=True,
-            dtype=dtype,
-        )
+        config, params = nn.load_params(path, BackboneConfig, dtype)
         return cls(config, params=params)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import durbits, flowhead, masks
 from . import numerics as nx
 from .aligner import AlignerModel, load_alignment_cache, save_alignment_cache
+from .backbone import BackboneModel
 from .codec import CodecModel
 from .config import load_config
 from .errors import NumericalAbort, ValidationError
@@ -36,7 +37,6 @@ from .harness import (
 )
 from .pipeline import (
     GenParams,
-    SpeakerHead,
     generate,
     load_lm_checkpoint,
     prepare_prompt,
@@ -123,11 +123,10 @@ def cmd_lm_train(args, cfg) -> int:
     print(f"kept {len(alignments)} alignments, dropped {dropped} (gaps must fit in {bcfg.bits} duration bits)")
     corpus = recipes.codec_corpus(manifest, arrays, alignments)
     latents = recipes.latent_stage(codec_model, corpus, TemplateBank(manifest.config), cfg.budget)
-    base_lm = load_lm_checkpoint(args.base_lm, dtype=np.float32)[0] if args.base_lm else None
+    base_lm = BackboneModel.load(args.base_lm, dtype=np.float32) if args.base_lm else None
     head, base_lm, model = recipes.lm_stage(manifest, latents, bcfg, cfg.budget, base_lm)
     if args.base_out:
-        dummy = SpeakerHead(d_latent=bcfg.d_latent, rng=np.random.default_rng(0))
-        save_lm_checkpoint(args.base_out, base_lm, dummy)
+        base_lm.save(args.base_out)
     save_lm_checkpoint(args.out, model, head)
     print(f"lm checkpoint -> {args.out}")
     return 0
@@ -359,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codec", required=True)
     p.add_argument("--align-cache", default=None)
     p.add_argument("--base-lm", default=None, help="frozen base LM checkpoint (pretrains one if omitted)")
-    p.add_argument("--base-out", default=None)
+    p.add_argument("--base-out", default=None, help="write the base LM as a backbone checkpoint")
     p.add_argument("--out", required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--dropout", type=float, default=None)

@@ -46,27 +46,6 @@ class CodecConfig:
     noise_warmup_frac: float = 0.25  # fraction of steps trained on plain means
     spectral_windows: tuple[int, ...] = (32, 64, 128)
 
-    def scalar_arrays(self) -> dict[str, np.ndarray]:
-        names = (
-            "d_frame d_latent d_model n_heads d_ff n_layers samples_per_frame "
-            "vocab_size sigma0 k_sigma kl_floor latent_dropout lambda_mel "
-            "lambda_sem lambda_kl"
-        ).split()
-        return {f"config/{k}": np.array([float(getattr(self, k))]) for k in names}
-
-    @classmethod
-    def from_scalar_arrays(cls, arrays: dict[str, np.ndarray]) -> "CodecConfig":
-        ints = {
-            "d_frame", "d_latent", "d_model", "n_heads", "d_ff", "n_layers",
-            "samples_per_frame", "vocab_size",
-        }
-        kwargs = {}
-        for key, val in arrays.items():
-            if key.startswith("config/"):
-                name = key.split("/", 1)[1]
-                kwargs[name] = int(val[0]) if name in ints else float(val[0])
-        return cls(**kwargs)
-
 
 @dataclass
 class DecodedFrames:
@@ -343,17 +322,11 @@ class CodecModel:
         return feats, sig
 
     def save(self, path) -> None:
-        nn.save_params(path, self.params, extra=self.config.scalar_arrays())
+        nn.save_params(path, self.params, self.config)
 
     @classmethod
     def load(cls, path, dtype=None) -> "CodecModel":
-        arrays = nx.load_arrays(path)
-        config = CodecConfig.from_scalar_arrays(arrays)
-        params = nn.load_params(
-            {k: v for k, v in arrays.items() if not k.startswith("config/")},
-            requires_grad=True,
-            dtype=dtype,
-        )
+        config, params = nn.load_params(path, CodecConfig, dtype)
         return cls(config, params=params)
 
 

@@ -14,10 +14,10 @@ from pathlib import Path
 from .aligner import AlignerConfig
 from .backbone import BackboneConfig
 from .codec import CodecConfig
+from .configline import convert
 from .errors import ValidationError
 from .harness.corpus import SynthConfig
 from .harness.recipes import TrainBudget
-from .pipeline import GenParams
 
 
 @dataclasses.dataclass
@@ -26,26 +26,7 @@ class Defaults:
     aligner: AlignerConfig = dataclasses.field(default_factory=AlignerConfig)
     codec: CodecConfig = dataclasses.field(default_factory=CodecConfig)
     backbone: BackboneConfig = dataclasses.field(default_factory=BackboneConfig)
-    gen: GenParams = dataclasses.field(default_factory=GenParams)
     budget: TrainBudget = dataclasses.field(default_factory=TrainBudget)
-
-
-def _convert(current, raw: str):
-    if isinstance(current, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValidationError(f"config: cannot parse boolean from {raw!r}")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if isinstance(current, str):
-        return raw
-    if isinstance(current, tuple):
-        return tuple(int(x) for x in raw.split(","))
-    raise ValidationError(f"config: unsupported field type {type(current).__name__}")
 
 
 def apply_overrides(defaults: Defaults, lines: list[str]) -> Defaults:
@@ -60,13 +41,13 @@ def apply_overrides(defaults: Defaults, lines: list[str]) -> Defaults:
         if "." not in key:
             raise ValidationError(f"config line {lineno}: key must be section.field, got {key!r}")
         section, fname = key.split(".", 1)
-        if not hasattr(defaults, section):
+        if section not in {f.name for f in dataclasses.fields(defaults)}:
             raise ValidationError(f"config line {lineno}: unknown section {section!r}")
         target = getattr(defaults, section)
-        if not hasattr(target, fname):
+        if fname not in {f.name for f in dataclasses.fields(target)}:
             raise ValidationError(f"config line {lineno}: unknown field {key!r}")
         try:
-            value = _convert(getattr(target, fname), raw)
+            value = convert(getattr(target, fname), raw)
         except ValueError:
             raise ValidationError(f"config line {lineno}: cannot parse {key}={raw!r}") from None
         setattr(target, fname, value)

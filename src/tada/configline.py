@@ -1,0 +1,115 @@
+"""One ``key=value`` line for any config dataclass, and its checkpoint array.
+
+``to_line`` writes every field of a config as ``name=value``, separated by
+single spaces; a nested config dataclass contributes its fields under
+``name.field``. ``from_line`` reads such a line back, parsing each value by
+the type of the field's default (``convert``, which the ``--config`` loader
+uses too), and rejects a missing, unknown or repeated key and a value that
+fails to parse or fails the dataclass's ``__post_init__``. Floats are written
+with ``repr``, so a line round-trips every value exactly.
+
+In a model checkpoint the line is the ``config`` array: its UTF-8 byte values
+as float32, which holds each of them exactly.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+
+from .errors import ValidationError
+
+ARRAY_NAME = "config"
+
+
+def convert(current, raw: str):
+    """Parse ``raw`` as the type of ``current``; ValueError if it does not parse."""
+    if isinstance(current, bool):
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ValidationError(f"config: cannot parse boolean from {raw!r}")
+    if isinstance(current, int):
+        return int(raw)
+    if isinstance(current, float):
+        return float(raw)
+    if isinstance(current, str):
+        return raw
+    if isinstance(current, tuple):
+        return tuple(int(x) for x in raw.split(","))
+    raise ValidationError(f"config: unsupported field type {type(current).__name__}")
+
+
+def _items(config, prefix: str = ""):
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _items(value, f"{prefix}{f.name}.")
+        elif isinstance(value, tuple):
+            yield f"{prefix}{f.name}", ",".join(map(str, value))
+        elif isinstance(value, float):
+            yield f"{prefix}{f.name}", repr(float(value))
+        else:
+            yield f"{prefix}{f.name}", str(value)
+
+
+def to_line(config) -> str:
+    return " ".join(f"{key}={value}" for key, value in _items(config))
+
+
+def _build(cls, values: dict[str, str], prefix: str = ""):
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key = prefix + f.name
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        if dataclasses.is_dataclass(default):
+            kwargs[f.name] = _build(type(default), values, key + ".")
+            continue
+        if key not in values:
+            raise ValidationError(f"missing key {key!r}")
+        raw = values.pop(key)
+        try:
+            kwargs[f.name] = convert(default, raw)
+        except ValueError:
+            raise ValidationError(f"cannot parse {key}={raw!r}") from None
+    return cls(**kwargs)
+
+
+def from_line(cls, line: str, where):
+    """The ``cls`` instance a ``to_line`` line holds; errors name ``where``."""
+    values: dict[str, str] = {}
+    try:
+        for item in line.split():
+            key, sep, raw = item.partition("=")
+            if not sep or key in values:
+                raise ValidationError(f"expected one key=value per key, got {item!r}")
+            values[key] = raw
+        config = _build(cls, values)
+        if values:
+            raise ValidationError(f"unknown key {next(iter(values))!r}")
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {cls.__name__}: {exc}") from None
+    return config
+
+
+def to_array(config) -> np.ndarray:
+    return np.frombuffer(to_line(config).encode("utf-8"), dtype=np.uint8).astype(np.float32)
+
+
+def from_array(cls, array: np.ndarray | None, where):
+    """Read the config line of a checkpoint's ``config`` array."""
+    if array is None:
+        raise ValidationError(
+            f"{where}: no {ARRAY_NAME!r} array; not a {cls.__name__} checkpoint, "
+            "or one written before checkpoints held their config line"
+        )
+    codes = np.asarray(array)
+    if codes.ndim != 1 or not np.all((codes >= 0) & (codes <= 255) & (codes % 1 == 0)):
+        raise ValidationError(f"{where}: {ARRAY_NAME!r} array does not hold byte values")
+    try:
+        line = codes.astype(np.uint8).tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValidationError(f"{where}: {ARRAY_NAME!r} array is not UTF-8") from None
+    return from_line(cls, line, where)

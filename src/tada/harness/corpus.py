@@ -26,12 +26,12 @@ per-frame DFT-bin magnitudes and never looks at phase.
 
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .. import configline
 from ..aligner import filter_alignment
 from ..errors import ValidationError
 from ..numerics import load_arrays, save_arrays
@@ -39,6 +39,7 @@ from ..numerics import load_arrays, save_arrays
 TOKEN_DIMS = 9
 MARK_DIMS = 3
 SPK_DIMS = 4
+HEADER = "#synthconfig "
 
 
 @dataclass
@@ -63,21 +64,6 @@ class SynthConfig:
             raise ValidationError(f"SynthConfig: d_frame must be {TOKEN_DIMS + MARK_DIMS + SPK_DIMS}")
         if self.dur_min < 1 or self.dur_max < self.dur_min or self.gap_min < 0 or self.gap_max < self.gap_min:
             raise ValidationError("SynthConfig: invalid duration law")
-
-    def to_line(self) -> str:
-        fields = (
-            "vocab_size n_speakers d_frame samples_per_frame dur_min dur_max "
-            "gap_min gap_max tokens_min tokens_max noise seed"
-        ).split()
-        return " ".join(f"{k}={getattr(self, k)}" for k in fields)
-
-    @classmethod
-    def from_line(cls, line: str) -> "SynthConfig":
-        kwargs = {}
-        for item in shlex.split(line):
-            k, v = item.split("=", 1)
-            kwargs[k] = float(v) if k == "noise" else int(v)
-        return cls(**kwargs)
 
 
 class TemplateBank:
@@ -196,15 +182,23 @@ class UttRecord:
         return f"id={self.utt_id} speaker={self.speaker} T={self.T} tokens={toks} p={pos}"
 
     @classmethod
-    def from_line(cls, line: str) -> "UttRecord":
-        kv = dict(item.split("=", 1) for item in line.split())
-        return cls(
-            utt_id=int(kv["id"]),
-            speaker=int(kv["speaker"]),
-            tokens=np.array([int(x) for x in kv["tokens"].split(",")], dtype=np.int64),
-            positions=np.array([int(x) for x in kv["p"].split(",")], dtype=np.int64),
-            T=int(kv["T"]),
-        )
+    def from_line(cls, line: str, where: str = "manifest record") -> "UttRecord":
+        try:
+            kv = dict(item.split("=", 1) for item in line.split())
+            rec = cls(
+                utt_id=int(kv["id"]),
+                speaker=int(kv["speaker"]),
+                tokens=np.array([int(x) for x in kv["tokens"].split(",")], dtype=np.int64),
+                positions=np.array([int(x) for x in kv["p"].split(",")], dtype=np.int64),
+                T=int(kv["T"]),
+            )
+        except KeyError as exc:
+            raise ValidationError(f"{where}: missing key {exc} in {line!r}") from None
+        except ValueError:
+            raise ValidationError(f"{where}: cannot parse record {line!r}") from None
+        if rec.tokens.size != rec.positions.size:
+            raise ValidationError(f"{where}: {rec.tokens.size} tokens but {rec.positions.size} positions")
+        return rec
 
 
 @dataclass
@@ -213,17 +207,19 @@ class Manifest:
     records: list[UttRecord] = field(default_factory=list)
 
     def save(self, path) -> None:
-        lines = [f"#synthconfig {self.config.to_line()}"]
+        lines = [f"{HEADER}{configline.to_line(self.config)}"]
         lines += [r.to_line() for r in self.records]
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path) -> "Manifest":
-        lines = Path(path).read_text().strip().splitlines()
-        if not lines or not lines[0].startswith("#synthconfig "):
+        lines = Path(path).read_text().splitlines()
+        if not lines or not lines[0].startswith(HEADER):
             raise ValidationError(f"{path}: missing #synthconfig header")
-        config = SynthConfig.from_line(lines[0][len("#synthconfig ") :])
-        records = [UttRecord.from_line(ln) for ln in lines[1:] if ln.strip()]
+        config = configline.from_line(SynthConfig, lines[0][len(HEADER) :], f"{path} line 1")
+        records = [
+            UttRecord.from_line(ln, f"{path} line {i}") for i, ln in enumerate(lines[1:], start=2) if ln.strip()
+        ]
         return cls(config=config, records=records)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import configline
 from . import numerics as nx
 from .numerics import Tensor
 
@@ -253,14 +254,15 @@ def num_params(params: dict) -> int:
     return sum(p.size for p in params.values())
 
 
-def save_params(path, params: dict, extra: dict[str, np.ndarray] | None = None) -> None:
+def save_params(path, params: dict, config) -> None:
+    """Write a model checkpoint: its parameters and its config line."""
     arrays = {k: p.data for k, p in params.items()}
-    if extra:
-        arrays.update(extra)
+    arrays[configline.ARRAY_NAME] = configline.to_array(config)
     nx.save_arrays(path, arrays)
 
 
-def load_params(arrays: dict[str, np.ndarray], requires_grad: bool = False, dtype=None) -> dict:
-    return {
-        k: nx.tensor(v, requires_grad=requires_grad, dtype=dtype) for k, v in arrays.items()
-    }
+def load_params(path, config_cls, dtype=None) -> tuple:
+    """The config and the trainable parameters of a ``save_params`` checkpoint."""
+    arrays = nx.load_arrays(path)
+    config = configline.from_array(config_cls, arrays.pop(configline.ARRAY_NAME, None), path)
+    return config, {k: nx.tensor(v, requires_grad=True, dtype=dtype) for k, v in arrays.items()}

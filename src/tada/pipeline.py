@@ -14,14 +14,14 @@ the streaming decoder (on a chain mismatch the later sample f_before wins).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import durbits, flowhead, nn
 from . import numerics as nx
 from .aligner import AlignerModel, filter_alignment
-from .backbone import BackboneModel, FusedStep, sfg_logits
+from .backbone import BackboneConfig, BackboneModel, FusedStep, sfg_logits
 from .codec import CodecModel
 from .errors import ValidationError
 from .numerics import Tensor
@@ -33,7 +33,11 @@ from .numerics import Tensor
 
 
 class SpeakerHead:
-    """3-layer MLP from token latents to a speaker embedding space."""
+    """3-layer MLP from token latents to a speaker embedding space.
+
+    Given ``params`` (its ``{prefix}/fc{i}`` arrays alone), the layer count
+    is the number of weight arrays, and the widths are their shapes.
+    """
 
     def __init__(
         self,
@@ -43,17 +47,14 @@ class SpeakerHead:
         params: dict | None = None,
         prefix: str = "spk",
     ):
-        self.d_latent = d_latent
-        self.dims = tuple(dims)
         self.prefix = prefix
-        self.n_layers = len(dims)
-        if params is not None:
-            self.params = params
-            return
-        if rng is None:
-            raise ValidationError("SpeakerHead: need rng or params")
-        self.params = {}
-        nn.init_mlp(self.params, prefix, rng, [d_latent, *dims])
+        if params is None:
+            if rng is None:
+                raise ValidationError("SpeakerHead: need rng or params")
+            params = {}
+            nn.init_mlp(params, prefix, rng, [d_latent, *dims])
+        self.params = params
+        self.n_layers = sum(k.endswith("/w") for k in params)
 
     def embed_t(self, s: Tensor) -> Tensor:
         return nn.mlp(self.params, self.prefix, s, self.n_layers)
@@ -61,23 +62,6 @@ class SpeakerHead:
     def embed(self, s: np.ndarray) -> np.ndarray:
         with nx.no_grad():
             return np.asarray(self.embed_t(nx.tensor(np.atleast_2d(s))).data)
-
-    def save_arrays(self) -> dict[str, np.ndarray]:
-        out = {k: p.data for k, p in self.params.items()}
-        out[f"{self.prefix}_config/d_latent"] = np.array([float(self.d_latent)])
-        out[f"{self.prefix}_config/dims"] = np.array([float(d) for d in self.dims])
-        return out
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "spk") -> "SpeakerHead":
-        d_latent = int(arrays[f"{prefix}_config/d_latent"][0])
-        dims = tuple(int(x) for x in arrays[f"{prefix}_config/dims"])
-        params = {
-            k: nx.tensor(v, requires_grad=True)
-            for k, v in arrays.items()
-            if k.startswith(f"{prefix}/")
-        }
-        return cls(d_latent=d_latent, dims=dims, params=params, prefix=prefix)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -312,14 +296,8 @@ def generate(
         for i in range(Lp)
     ]
 
-    flow_cfg = flowhead.FlowConfig(
-        d_latent=cfg.d_latent,
-        bits=cfg.bits,
-        d_cond=cfg.d_cond,
-        d_time=cfg.flow.d_time,
-        width=cfg.flow.width,
-        n_hidden=cfg.flow.n_hidden,
-        sigma_min=cfg.flow.sigma_min,
+    flow_cfg = replace(
+        cfg.flow,
         n_steps=params.n_fm,
         cfg_scale=params.cfg_scale,
         neg_mode="zero" if params.neg_mode == "zero" else "text-free",
@@ -523,24 +501,17 @@ def tfg_negative(
 
 
 def save_lm_checkpoint(path, model: BackboneModel, speaker_head: SpeakerHead) -> None:
-    arrays = {k: p.data for k, p in model.params.items()}
-    arrays.update(model.config.scalar_arrays())
-    arrays.update(speaker_head.save_arrays())
-    nx.save_arrays(path, arrays)
+    """A backbone checkpoint (``BackboneModel.save``) with the head's ``spk/*`` arrays added."""
+    nn.save_params(path, {**model.params, **speaker_head.params}, model.config)
 
 
 def load_lm_checkpoint(path, dtype=None) -> tuple[BackboneModel, SpeakerHead]:
-    arrays = nx.load_arrays(path)
-    head = SpeakerHead.from_arrays(arrays)
-    from .backbone import BackboneConfig  # local import avoids a cycle at module load
-
-    config = BackboneConfig.from_scalar_arrays(arrays)
-    params = {
-        k: nx.tensor(v, requires_grad=True, dtype=dtype)
-        for k, v in arrays.items()
-        if not (k.startswith("config/") or k.startswith("spk/") or k.startswith("spk_config/"))
-    }
-    return BackboneModel(config, params=params), head
+    config, params = nn.load_params(path, BackboneConfig, dtype)
+    head = {k: v for k, v in params.items() if k.startswith("spk/")}
+    if not head:
+        raise ValidationError(f"{path}: no speaker head (spk/* arrays); a base LM checkpoint cannot synthesize")
+    backbone = {k: v for k, v in params.items() if k not in head}
+    return BackboneModel(config, params=backbone), SpeakerHead(params=head)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """CLI surface: subcommands, file outputs, and exit codes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tada import numerics as nx
-from tada.aligner import AlignerModel, load_alignment_cache
-from tada.backbone import BackboneConfig
+from tada.aligner import AlignerConfig, AlignerModel, load_alignment_cache
+from tada.backbone import BackboneConfig, BackboneModel
 from tada.cli import main
-from tada.codec import CodecModel
+from tada.codec import CodecConfig, CodecModel
 from tada.harness import Manifest, TrainBudget, recipes, train_full_stack
-from tada.pipeline import load_lm_checkpoint
+from tada.pipeline import SpeakerHead, load_lm_checkpoint, save_lm_checkpoint
 
 
 def test_graycheck_exit_zero(capsys):
@@ -76,7 +78,10 @@ def test_bad_config_key_exit_code_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line",
-    ["codec.lambda_mel=abc", "gen.candidates=0", "backbone.k_shift=0", "synth.tokens_max=2,3", "flow.width=128"],
+    [
+        "codec.lambda_mel=abc", "gen.candidates=0", "backbone.k_shift=0", "synth.tokens_max=2,3", "flow.width=128",
+        "backbone.bos_id=3",
+    ],
 )
 def test_bad_config_value_exit_code_2(tmp_path, capsys, line):
     cfg_file = tmp_path / "conf.txt"
@@ -142,7 +147,7 @@ def test_cli_stages_match_train_full_stack(tmp_path, capsys):
     loaded = {
         "aligner": AlignerModel.load(aligner),
         "codec": CodecModel.load(codec),
-        "base_lm": load_lm_checkpoint(base)[0],
+        "base_lm": BackboneModel.load(base),
         "backbone": backbone,
         "speaker_head": speaker_head,
     }
@@ -194,6 +199,48 @@ def test_missing_path_exit_code_2(small_corpus, tmp_path, capsys, argv):
     assert main([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and missing in err[0], err
+
+
+@pytest.fixture(scope="module")
+def wrong_kind_files(small_corpus, tmp_path_factory):
+    """One checkpoint of each kind, and a manifest whose header has an unknown key."""
+    d = tmp_path_factory.mktemp("kinds")
+    rng = np.random.default_rng(0)
+    files = {name: str(d / name) for name in ("aligner.tada", "codec.tada", "base.tada", "lm.tada", "bad.txt")}
+    AlignerModel(AlignerConfig(d_model=16, n_heads=2, d_ff=16), rng).save(files["aligner.tada"])
+    CodecModel(CodecConfig(d_model=16, n_heads=2, d_ff=16, n_layers=1), rng).save(files["codec.tada"])
+    base = BackboneModel(BackboneConfig(d_model=16, n_heads=2, n_layers=1, d_ff=16, d_cond=16), rng)
+    base.save(files["base.tada"])
+    save_lm_checkpoint(files["lm.tada"], base, SpeakerHead(rng=rng))
+    lines = Path(small_corpus[0]).read_text().splitlines()
+    Path(files["bad.txt"]).write_text("\n".join([lines[0] + " bogus=1", *lines[1:]]) + "\n")
+    return files
+
+
+@pytest.mark.parametrize(
+    "argv, named, says",
+    [
+        (["codec-roundtrip", "--ckpt", "aligner.tada", "--utt", "0"], "aligner.tada", "CodecConfig"),
+        (["synth", "--lm", "codec.tada", "--codec", "codec.tada", "--prompt", "0", "--text", "1"],
+         "codec.tada", "BackboneConfig"),
+        (["synth", "--lm", "base.tada", "--codec", "codec.tada", "--prompt", "0", "--text", "1"],
+         "base.tada", "no speaker head"),
+        (["synth", "--lm", "lm.tada", "--codec", "A", "--prompt", "0", "--text", "1"], "A", "no 'config' array"),
+        (["codec-roundtrip", "--ckpt", "codec.tada", "--utt", "0", "--manifest", "bad.txt"],
+         "bad.txt", "unknown key 'bogus'"),
+    ],
+    ids=["aligner_as_codec", "codec_as_lm", "base_lm_as_lm", "corpus_as_codec", "manifest_header_key"],
+)
+def test_wrong_kind_of_file_exit_code_2(small_corpus, wrong_kind_files, capsys, argv, named, says):
+    manifest, arrays = small_corpus
+    paths = {"A": arrays, **wrong_kind_files}
+    argv = [paths.get(a, a) for a in argv]
+    if "--manifest" not in argv:
+        argv += ["--manifest", manifest]
+    capsys.readouterr()
+    assert main([*argv, "--arrays", arrays]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and paths[named] in err[0] and says in err[0], err
 
 
 @pytest.mark.parametrize("b", ["0", "-1", "17"])

@@ -1,5 +1,6 @@
 """Synthetic corpus generation, oracle decoding, and metric arithmetic."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -195,6 +196,23 @@ class TestManifestIO:
         path = tmp_path / "bad.txt"
         path.write_text("id=0 speaker=1 T=4 tokens=1 p=2\n")
         with pytest.raises(ValidationError):
+            Manifest.load(path)
+
+    @pytest.mark.parametrize(
+        "edit, lineno, match",
+        [
+            (lambda lines: [lines[0] + " bogus=1", *lines[1:]], 1, "unknown key 'bogus'"),
+            (lambda lines: [*lines, "id=1 speaker=1 tokens=1 p=2"], 3, "missing key 'T'"),
+            (lambda lines: [*lines, "id=1 speaker=1 T=x tokens=1 p=2"], 3, "cannot parse"),
+            (lambda lines: [*lines, "id=1 speaker=1 T=4 tokens=1,2 p=2"], 3, "2 tokens but 1 positions"),
+        ],
+        ids=["header_key", "record_key", "record_value", "record_lengths"],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, edit, lineno, match):
+        path = tmp_path / "manifest.txt"
+        Manifest(config=CFG, records=[UttRecord(0, 1, np.array([1]), np.array([2]), 4)]).save(path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path} line {lineno}: ") + f".*{match}"):
             Manifest.load(path)
 
     def test_record_line_format(self):

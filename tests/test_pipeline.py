@@ -125,6 +125,7 @@ class TestSpeakerHead:
         path = tmp_path / "lm.tada"
         save_lm_checkpoint(path, lm, head)
         lm2, head2 = load_lm_checkpoint(path)
+        assert lm2.config == lm.config and lm2.config.flow.sigma_min == 1e-5
         rng = np.random.default_rng(6)
         s = rng.standard_normal((3, 4))
         np.testing.assert_allclose(head.embed(s), head2.embed(s), atol=1e-5)

@@ -160,7 +160,9 @@ def ctc_log_likelihood(log_probs, targets, blank: int | None = None) -> Tensor:
 
     ``log_probs`` is (T, V+1) with the last column the blank by default;
     differentiable with the alpha-beta occupancy as gradient. Infeasible
-    target lengths raise instead of silently returning -inf.
+    target lengths raise instead of silently returning -inf. The
+    recursions run in float64; the likelihood and its gradient take the
+    dtype of ``log_probs``.
     """
     y_t = log_probs if isinstance(log_probs, Tensor) else nx.tensor(log_probs)
     y = y_t.data
@@ -187,7 +189,7 @@ def ctc_log_likelihood(log_probs, targets, blank: int | None = None) -> Tensor:
             if y_t.requires_grad:
                 y_t.grad = grad if y_t.grad is None else y_t.grad + grad
 
-        return nx.custom_op("ctc_log_likelihood", np.asarray(loglik), (y_t,), backward_empty)
+        return nx.custom_op("ctc_log_likelihood", np.asarray(loglik, dtype=y.dtype), (y_t,), backward_empty)
 
     lab = _extend_with_blanks(targets, blank)
     alpha = _ctc_alpha(y, lab, blank)
@@ -206,7 +208,7 @@ def ctc_log_likelihood(log_probs, targets, blank: int | None = None) -> Tensor:
         if y_t.requires_grad:
             y_t.grad = g * grad if y_t.grad is None else y_t.grad + g * grad
 
-    return nx.custom_op("ctc_log_likelihood", np.asarray(loglik), (y_t,), backward)
+    return nx.custom_op("ctc_log_likelihood", np.asarray(loglik, dtype=y.dtype), (y_t,), backward)
 
 
 def ctc_loss(log_probs, targets, blank: int | None = None) -> Tensor:
@@ -361,7 +363,7 @@ class AlignerModel:
 
     def forward(self, frames) -> tuple[Tensor, Tensor]:
         """Raw main logits (T, V+1) and intermediate logits (T, G+1)."""
-        x = frames if isinstance(frames, Tensor) else nx.tensor(frames)
+        x = nn.input_tensor(self.params, frames)
         T = x.shape[0]
         x = nn.linear(self.params, "in_proj", x)
         x = x + self._mix("mix0", x)
@@ -389,6 +391,7 @@ class AlignerModel:
     @classmethod
     def load(cls, path, dtype=None) -> "AlignerModel":
         config, params = nn.load_params(path, AlignerConfig, dtype)
+        nn.check_params(path, params, lambda: cls(config, np.random.default_rng(0)).params)
         return cls(config, rng=np.random.default_rng(0), params=params)
 
 

@@ -166,10 +166,10 @@ class BackboneModel:
         real = (has_ac & speech).astype(float)[:, None]
         placeholder = (~has_ac & speech).astype(float)[:, None]
         ac_term = nx.mul(
-            nn.linear(self.params, "ac_proj", nx.tensor(acoustic)),
-            nx.tensor(np.broadcast_to(real, (n, d)).copy()),
+            nn.linear(self.params, "ac_proj", nn.input_tensor(self.params, acoustic)),
+            nn.input_tensor(self.params, np.broadcast_to(real, (n, d))),
         )
-        ph_term = nx.matmul(nx.tensor(placeholder), self.params["bos_ac"])
+        ph_term = nx.matmul(nn.input_tensor(self.params, placeholder), self.params["bos_ac"])
         return text + ac_term + ph_term + mode
 
     def _step_rows(self, steps: Sequence[FusedStep]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -254,6 +254,7 @@ class BackboneModel:
     @classmethod
     def load(cls, path, dtype=None) -> "BackboneModel":
         config, params = nn.load_params(path, BackboneConfig, dtype)
+        nn.check_params(path, params, lambda: cls(config, np.random.default_rng(0)).params)
         return cls(config, params=params)
 
 
@@ -366,14 +367,14 @@ def train_step(
                     )
                 kd_terms.append(
                     nx.kl_categorical(
-                        nx.tensor(base_logits.data[text_only]),
+                        nn.input_tensor(model.params, base_logits.data[text_only]),
                         nx.gather_rows(logits, text_only),
                     )
                 )
 
     def _mean(terms: list[Tensor]) -> Tensor:
         if not terms:
-            return nx.zeros(())
+            return nx.zeros((), dtype=nn.param_dtype(model.params))
         return nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
 
     flow = _mean(flow_terms)

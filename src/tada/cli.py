@@ -74,7 +74,7 @@ def cmd_align(args, cfg) -> int:
     cfg.aligner.d_in = manifest.config.d_frame
     cfg.aligner.vocab_size = manifest.config.vocab_size
     bits = cfg.backbone.bits
-    model = AlignerModel.load(args.model, dtype=np.float32) if args.model else None
+    model = AlignerModel.load(args.model) if args.model else None
     model, kept, dropped, accuracy = recipes.align_stage(manifest, arrays, cfg.aligner, bits, cfg.budget, model)
     if args.save_model:
         model.save(args.save_model)
@@ -106,7 +106,8 @@ def cmd_codec_train(args, cfg) -> int:
 def cmd_lm_train(args, cfg) -> int:
     manifest, arrays = _load_corpus(args)
     alignments = _alignments(args, manifest)
-    codec_model = CodecModel.load(args.codec, dtype=np.float32)
+    codec_model = CodecModel.load(args.codec)
+    base_lm = BackboneModel.load(args.base_lm) if args.base_lm else None
     bcfg = cfg.backbone
     bcfg.vocab_size = manifest.config.vocab_size
     bcfg.d_latent = codec_model.config.d_latent
@@ -123,7 +124,6 @@ def cmd_lm_train(args, cfg) -> int:
     print(f"kept {len(alignments)} alignments, dropped {dropped} (gaps must fit in {bcfg.bits} duration bits)")
     corpus = recipes.codec_corpus(manifest, arrays, alignments)
     latents = recipes.latent_stage(codec_model, corpus, TemplateBank(manifest.config), cfg.budget)
-    base_lm = BackboneModel.load(args.base_lm, dtype=np.float32) if args.base_lm else None
     head, base_lm, model = recipes.lm_stage(manifest, latents, bcfg, cfg.budget, base_lm)
     if args.base_out:
         base_lm.save(args.base_out)

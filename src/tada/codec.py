@@ -225,7 +225,7 @@ class CodecModel:
 
     def frontend(self, frames) -> Tensor:
         """Per-frame projection plus a kernel-3 local mixer (pre-transformer)."""
-        x = frames if isinstance(frames, Tensor) else nx.tensor(frames)
+        x = nn.input_tensor(self.params, frames)
         T = x.shape[0]
         x = nn.linear(self.params, "enc/in_proj", x)
         zero = nx.zeros((1, x.shape[1]), dtype=x.dtype)
@@ -262,7 +262,7 @@ class CodecModel:
         """
         if mode not in ("joint", "streaming"):
             raise ValidationError(f"decode: unknown mode {mode!r}")
-        s = s if isinstance(s, Tensor) else nx.tensor(s)
+        s = nn.input_tensor(self.params, s)
         dec = "dec_joint" if mode == "joint" else "dec_stream"
         mask = nn.full_mask(T) if mode == "joint" else masks.decoder_stream_mask(p, T)
         h = self._decode_stack(dec, s, p, T, mask)
@@ -283,10 +283,10 @@ class CodecModel:
         s_arr = s.data if isinstance(s, Tensor) else np.asarray(s)
         p = np.asarray(p, dtype=np.int64)
         with nx.no_grad():
-            z = np.zeros((T, self.config.d_latent), dtype=s_arr.dtype)
+            z = np.zeros((T, self.config.d_latent), dtype=nn.param_dtype(self.params))
             z[p - 1] = s_arr
             ind = masks.indicator(p, T)
-            x_all = nn.linear(self.params, "dec_stream/z_proj", nx.tensor(z)) + nx.embed(
+            x_all = nn.linear(self.params, "dec_stream/z_proj", Tensor(z)) + nx.embed(
                 self.params["dec_stream/indicator"], ind
             )
             bounds = masks.segment_bounds(p, T)
@@ -298,7 +298,7 @@ class CodecModel:
                 else:
                     window_lo = int(ext[p.size]) + 1  # trailing: p_{L-1} + 1
                 cache.evict_upto(window_lo - 2)  # 0-based positions <= window_lo - 2
-                rows = nx.tensor(x_all.data[lo:hi])
+                rows = Tensor(x_all.data[lo:hi])
                 h = nn.stack_step(
                     self.params,
                     "dec_stream/tf",
@@ -314,8 +314,9 @@ class CodecModel:
 
     def decode_streaming_full(self, s, p: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
         """Streaming decode collected into full (T, d_frame) and (T, r) arrays."""
-        feats = np.zeros((T, self.config.d_frame))
-        sig = np.zeros((T, self.config.samples_per_frame))
+        dtype = nn.param_dtype(self.params)
+        feats = np.zeros((T, self.config.d_frame), dtype=dtype)
+        sig = np.zeros((T, self.config.samples_per_frame), dtype=dtype)
         for lo, hi, f, g in self.decode_streaming_segments(s, p, T):
             feats[lo:hi] = f
             sig[lo:hi] = g
@@ -327,6 +328,7 @@ class CodecModel:
     @classmethod
     def load(cls, path, dtype=None) -> "CodecModel":
         config, params = nn.load_params(path, CodecConfig, dtype)
+        nn.check_params(path, params, lambda: cls(config, np.random.default_rng(0)).params)
         return cls(config, params=params)
 
 
@@ -347,7 +349,9 @@ def codec_loss(
     tokens = np.asarray(tokens, dtype=np.int64)
     p = np.asarray(p, dtype=np.int64)
     T = pred.features.shape[0]
-    tgt = target_signal if isinstance(target_signal, Tensor) else nx.tensor(target_signal)
+    tgt = target_signal
+    if not isinstance(tgt, Tensor):
+        tgt = nx.tensor(tgt, dtype=pred.signal.dtype.type)
     mel = multiscale_spectral_l1(
         nx.reshape(pred.signal, (-1,)), nx.reshape(tgt, (-1,)), config.spectral_windows
     )

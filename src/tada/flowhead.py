@@ -99,8 +99,8 @@ class VectorFieldModel:
 
     def field(self, y_t, t, cond) -> Tensor:
         """Vector field at a batch of points; all inputs row-aligned."""
-        y_t = y_t if isinstance(y_t, Tensor) else nx.tensor(y_t)
-        cond = cond if isinstance(cond, Tensor) else nx.tensor(cond)
+        y_t = nn.input_tensor(self.params, y_t)
+        cond = nn.input_tensor(self.params, cond)
         n = y_t.shape[0]
         t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), (n,))
         temb = nx.tensor(time_embedding(t, self.config.d_time, y_t.dtype.type))
@@ -127,7 +127,7 @@ class VectorFieldModel:
         It does not depend on (y_t, t), so a sampler computes it once per
         token and branch and passes it to every :meth:`field_np` step.
         """
-        cond = np.asarray(cond, dtype=nx.default_dtype())
+        cond = np.asarray(cond, dtype=nn.param_dtype(self.params))
         if cond.ndim != 2 or cond.shape[1] != self.config.d_cond:
             raise ValidationError(f"cond_rows: cond must be (n, {self.config.d_cond}), got {cond.shape}")
         return cond @ self._first_layer_blocks()[2] + self.params[f"{self.prefix}/fc0/b"].data
@@ -138,7 +138,7 @@ class VectorFieldModel:
         ``cond_rows`` holds one row per row of ``y`` (or a single row for all).
         Equals :meth:`field` up to the summation order of the first layer.
         """
-        y = np.asarray(y, dtype=nx.default_dtype())
+        y = np.asarray(y, dtype=nn.param_dtype(self.params))
         if cond_rows.shape[0] not in (1, y.shape[0]):
             raise ValidationError(f"field_np: {cond_rows.shape[0]} condition rows for {y.shape[0]} points")
         w_y, w_t, _ = self._first_layer_blocks()

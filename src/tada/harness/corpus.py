@@ -200,6 +200,18 @@ class UttRecord:
             raise ValidationError(f"{where}: {rec.tokens.size} tokens but {rec.positions.size} positions")
         return rec
 
+    def check(self, config: SynthConfig, where: str = "manifest record") -> None:
+        """Raise :class:`ValidationError` unless the speaker, the token ids
+        and the positions lie in the ranges ``config`` and ``T`` allow."""
+        if not 0 <= self.speaker < config.n_speakers:
+            raise ValidationError(f"{where}: speaker {self.speaker} outside [0, {config.n_speakers})")
+        bad = self.tokens[(self.tokens < 0) | (self.tokens >= config.vocab_size)]
+        if bad.size:
+            raise ValidationError(f"{where}: token id {bad[0]} outside [0, {config.vocab_size})")
+        p = self.positions
+        if p[0] < 1 or p[-1] > self.T or np.any(np.diff(p) <= 0):
+            raise ValidationError(f"{where}: positions must increase strictly within 1..{self.T}")
+
 
 @dataclass
 class Manifest:
@@ -217,9 +229,12 @@ class Manifest:
         if not lines or not lines[0].startswith(HEADER):
             raise ValidationError(f"{path}: missing #synthconfig header")
         config = configline.from_line(SynthConfig, lines[0][len(HEADER) :], f"{path} line 1")
-        records = [
-            UttRecord.from_line(ln, f"{path} line {i}") for i, ln in enumerate(lines[1:], start=2) if ln.strip()
-        ]
+        records = []
+        for i, ln in enumerate(lines[1:], start=2):
+            if ln.strip():
+                rec = UttRecord.from_line(ln, f"{path} line {i}")
+                rec.check(config, f"{path} line {i}")
+                records.append(rec)
         return cls(config=config, records=records)
 
 

@@ -40,6 +40,7 @@ class MetricsReport:
     chain_rate: float = 0.0
     n_utterances: int = 0
     prefill_time: float = 0.0
+    idle_step_time: float = 0.0
     llm_step_time: float = 0.0
     flow_sample_time: float = 0.0
     decode_time: float = 0.0
@@ -53,6 +54,7 @@ class MetricsReport:
             "chain_rate": self.chain_rate,
             "n_utterances": self.n_utterances,
             "prefill_time": self.prefill_time,
+            "idle_step_time": self.idle_step_time,
             "llm_step_time": self.llm_step_time,
             "flow_sample_time": self.flow_sample_time,
             "decode_time": self.decode_time,
@@ -106,6 +108,7 @@ def evaluate(cases: list[EvalCase], bank: TemplateBank) -> MetricsReport:
         chain_rate=float(np.mean(chains)) if chains else 0.0,
         n_utterances=len(cases),
         prefill_time=float(np.mean([c.result.prefill_time for c in cases])) if cases else 0.0,
+        idle_step_time=float(np.mean([c.result.idle_step_time for c in cases])) if cases else 0.0,
         llm_step_time=float(np.mean(llm_times)) if llm_times else 0.0,
         flow_sample_time=float(np.mean(flow_times)) if flow_times else 0.0,
         decode_time=float(np.mean(decode_times)) if decode_times else 0.0,

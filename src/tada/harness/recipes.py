@@ -12,8 +12,11 @@
    (``seed + 4``) and the multimodal backbone with its flow head
    (``seed + 5``).
 
-Each stage trains under ``nx.precision("float32")``; evaluation and tests
-use the 64-bit default.
+Each stage trains under ``nx.precision("float32")``, which makes the fresh
+parameters float32; a model then computes in the dtype of its parameters,
+so training stays float32 throughout and every trained model is pure
+float32, as its checkpoint stores it. A model held in memory and the same
+model loaded from its checkpoint compute the same values.
 """
 
 from __future__ import annotations
@@ -182,19 +185,11 @@ def codec_stage(corpus: list[dict], codec_config: CodecConfig, budget: TrainBudg
 def latent_stage(
     codec_model: CodecModel, corpus: list[dict], bank: TemplateBank, budget: TrainBudget
 ) -> LatentCorpus:
-    """Encode every utterance once and sample its latents.
-
-    Training leaves float64 values in most codec parameters, and a
-    checkpoint stores float32. So the encoder runs on float32 copies, and
-    the noise scales come from ``codec_model.config``: a codec held in
-    memory and the same codec loaded from its checkpoint give the same rows.
-    """
+    """Encode every utterance once and sample its latents."""
     cfg = codec_model.config
-    params32 = {k: nx.tensor(p.data, dtype=np.float32) for k, p in codec_model.params.items()}
-    codec_model = CodecModel(cfg, params=params32)
     rng = np.random.default_rng(budget.seed + 2)
     items, rows, targets = [], [], []
-    with nx.precision("float32"), nx.no_grad():
+    with nx.no_grad():
         for utt in corpus:
             p = utt["positions"]
             s_mu = codec_model.encode(utt["frames"], p)

@@ -3,7 +3,9 @@ transformer blocks with rotary positions, built on the numerics engine.
 
 Parameters live in a flat ``dict[str, Tensor]`` keyed by slash-separated
 names so a whole model round-trips through the checkpoint container
-unchanged.
+unchanged. A model computes in the dtype of its parameters: the tensors it
+builds from numpy inputs take that dtype (:func:`input_tensor`), whatever
+the ambient ``nx.precision``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from . import configline
 from . import numerics as nx
+from .errors import ValidationError
 from .numerics import Tensor
 
 
@@ -44,6 +47,16 @@ def init_linear(params: dict, name: str, rng: np.random.Generator, d_in: int, d_
 
 def linear(params: dict, name: str, x: Tensor) -> Tensor:
     return nx.linear(x, params[f"{name}/w"], params[f"{name}/b"])
+
+
+def param_dtype(params: dict) -> type:
+    """The dtype a model computes in: that of its parameters."""
+    return next(iter(params.values())).dtype.type
+
+
+def input_tensor(params: dict, x) -> Tensor:
+    """``x`` as a constant tensor of the parameters' dtype; a tensor passes through."""
+    return x if isinstance(x, Tensor) else nx.tensor(x, dtype=param_dtype(params))
 
 
 def init_ln(params: dict, name: str, d: int) -> None:
@@ -170,7 +183,7 @@ class LayerCache:
     """One layer's cached keys and values, (H, n, hd) each.
 
     Keys are stored after the rotary rotation, so a step rotates only its
-    own new rows.
+    own new rows. The cache holds the dtype of the rows it is given.
     """
 
     def __init__(self, cfg: TransformerConfig):
@@ -180,8 +193,8 @@ class LayerCache:
 
     def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Append new rows; return all cached keys and values."""
-        self.keys = np.concatenate([self.keys, k.data], axis=1)
-        self.values = np.concatenate([self.values, v.data], axis=1)
+        self.keys = np.concatenate([self.keys, k.data], axis=1, dtype=k.dtype)
+        self.values = np.concatenate([self.values, v.data], axis=1, dtype=v.dtype)
         return Tensor(self.keys), Tensor(self.values)
 
     def keep(self, rows: np.ndarray) -> None:
@@ -262,7 +275,38 @@ def save_params(path, params: dict, config) -> None:
 
 
 def load_params(path, config_cls, dtype=None) -> tuple:
-    """The config and the trainable parameters of a ``save_params`` checkpoint."""
+    """The config and the trainable parameters of a ``save_params`` checkpoint.
+
+    The parameters keep the checkpoint's float32 unless ``dtype`` is given
+    (``np.float64`` for a float64 check).
+    """
     arrays = nx.load_arrays(path)
     config = configline.from_array(config_cls, arrays.pop(configline.ARRAY_NAME, None), path)
-    return config, {k: nx.tensor(v, requires_grad=True, dtype=dtype) for k, v in arrays.items()}
+    return config, {
+        k: nx.tensor(v, requires_grad=True, dtype=v.dtype.type if dtype is None else dtype)
+        for k, v in arrays.items()
+    }
+
+
+def check_params(path, params: dict, init) -> None:
+    """Raise :class:`ValidationError` naming ``path`` unless ``params`` holds
+    exactly the arrays, by name and shape, that ``init()`` creates.
+
+    ``init`` builds a fresh model's parameter dict; it runs under
+    ``nx.shapes_only``, so no weight is drawn.
+    """
+    with nx.shapes_only():
+        expected = {k: p.shape for k, p in init().items()}
+    problems = [
+        ("missing", sorted(expected.keys() - params.keys())),
+        ("unexpected", sorted(params.keys() - expected.keys())),
+        ("misshaped", sorted(k for k in expected.keys() & params.keys() if params[k].shape != expected[k])),
+    ]
+    found = [f"{what} {_names(keys)}" for what, keys in problems if keys]
+    if found:
+        raise ValidationError(f"{path}: arrays do not match the checkpoint's config: {'; '.join(found)}")
+
+
+def _names(keys: list[str], limit: int = 4) -> str:
+    more = f" and {len(keys) - limit} more" if len(keys) > limit else ""
+    return ", ".join(keys[:limit]) + more

@@ -6,7 +6,13 @@ scalar loss traces the graph into a :class:`ComputationTape` and walks it
 once in reverse topological order.
 
 Precision is controlled by a context-local default dtype: float64 for tests
-and oracle checks, float32 for training runs. Broadcasting is restricted to
+and oracle checks, float32 for training runs. The default picks only the
+dtype of freshly built tensors. Every primitive computes in the dtype of
+its operands, so a float32 graph stays float32 in its outputs and its
+gradients. Constants enter as Python floats or in the operand's dtype:
+under NumPy 2 promotion (NEP 50) a float64 NumPy scalar or 0-d array turns
+float32 data into float64, and NumPy 1.x does so to 0-d data even for a
+Python float. Broadcasting is restricted to
 leading-batch expansion (a smaller operand whose shape matches the trailing
 extents of the larger one); anything else is a :class:`ShapeError`.
 
@@ -32,6 +38,7 @@ _DEFAULT_DTYPE: contextvars.ContextVar[type] = contextvars.ContextVar(
 _GRAD_ENABLED: contextvars.ContextVar[bool] = contextvars.ContextVar(
     "tada_grad_enabled", default=True
 )
+_SHAPES_ONLY: contextvars.ContextVar[bool] = contextvars.ContextVar("tada_shapes_only", default=False)
 
 # Output value written to excluded positions of masked log-softmax. Large and
 # negative, but finite so downstream arithmetic stays NaN-free.
@@ -68,6 +75,18 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED.reset(token)
+
+
+@contextlib.contextmanager
+def shapes_only():
+    """Inside the block, :func:`randn` draws nothing: it returns a read-only
+    zero view of its shape. Running a model's initialiser in it gives the
+    model's parameter names and shapes without sampling a weight."""
+    token = _SHAPES_ONLY.set(True)
+    try:
+        yield
+    finally:
+        _SHAPES_ONLY.reset(token)
 
 
 class Tensor:
@@ -206,6 +225,8 @@ def ones(shape, requires_grad: bool = False, dtype=None) -> Tensor:
 
 
 def randn(shape, rng: np.random.Generator, std: float = 1.0, requires_grad: bool = False, dtype=None) -> Tensor:
+    if _SHAPES_ONLY.get():
+        return Tensor(np.broadcast_to(np.zeros((), dtype=dtype or default_dtype()), shape), requires_grad)
     arr = rng.standard_normal(shape) * std
     return Tensor(arr.astype(dtype or default_dtype()), requires_grad)
 
@@ -288,6 +309,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
+    # In the data's own dtype: a float64 constant would promote float32
+    # data, and NumPy 1.x promotes a 0-d operand even by a Python float.
+    c = a.dtype.type(c)
     out = a.data * c
 
     def backward(g):
@@ -423,6 +447,7 @@ def gelu(a: Tensor) -> Tensor:
 
 def maximum_const(a: Tensor, floor: float) -> Tensor:
     """Elementwise max(a, floor); no gradient flows where the floor wins."""
+    floor = a.dtype.type(floor)
     out = np.maximum(a.data, floor)
 
     def backward(g):
@@ -450,10 +475,10 @@ def mean_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out = np.asarray(out)
 
     def backward(g):
-        gg = np.asarray(g) / n
+        gg = np.asarray(g)
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.shape).copy())
+        _accum(a, np.broadcast_to(gg, a.shape) / n)
 
     return _make("mean", out, (a,), backward)
 
@@ -719,9 +744,7 @@ def split_heads(x: Tensor, n_heads: int, positions: np.ndarray | None = None, ba
             g = np.empty_like(g)
             g[..., 0::2] = ge * cos + go * sin
             g[..., 1::2] = -ge * sin + go * cos
-        # Round to the input's dtype: float64 scores under float32 weights
-        # must not turn the parameter gradients into float64.
-        _accum(x, g.transpose(1, 0, 2).reshape(T, d).astype(x.dtype, copy=False))
+        _accum(x, g.transpose(1, 0, 2).reshape(T, d))
 
     return _make("split_heads", out, (x,), backward)
 
@@ -744,7 +767,7 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor
         raise ShapeError("attention_heads", f"mask shape {mask.shape} != ({Tq}, {k.shape[1]})")
     if not np.all(mask.any(axis=-1)):
         raise ShapeError("attention_heads", "a normalization slice has no included positions")
-    c = 1.0 / np.sqrt(hd)
+    c = 1.0 / math.sqrt(hd)
     # Operand layouts follow the per-head matmul/transpose2d chain, so every
     # product is bit-identical to it.
     kt = np.ascontiguousarray(k.data.transpose(0, 2, 1))

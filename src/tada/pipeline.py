@@ -61,7 +61,7 @@ class SpeakerHead:
 
     def embed(self, s: np.ndarray) -> np.ndarray:
         with nx.no_grad():
-            return np.asarray(self.embed_t(nx.tensor(np.atleast_2d(s))).data)
+            return np.asarray(self.embed_t(nn.input_tensor(self.params, np.atleast_2d(s))).data)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -92,8 +92,8 @@ def train_speaker_head(
     for _ in range(steps):
         idx = rng.integers(0, len(latents), size=min(batch_size, len(latents)))
         opt.zero_grad()
-        e = head.embed_t(nx.tensor(latents[idx]))
-        dots = nx.sum_(nx.mul(e, nx.tensor(tnorm[idx])), axis=1)
+        e = head.embed_t(nn.input_tensor(head.params, latents[idx]))
+        dots = nx.sum_(nx.mul(e, nn.input_tensor(head.params, tnorm[idx])), axis=1)
         norms = nx.sqrt(nx.sum_(nx.square(e), axis=1) + 1e-12)
         cos = nx.mul(dots, nx.reciprocal(norms))
         loss = nx.mean_(nx.scale(cos, -1.0)) + 1.0
@@ -247,6 +247,7 @@ class GenerationResult:
     f_after: np.ndarray
     chain_rate: float
     prefill_time: float = 0.0  # the one backbone call that takes the prompt
+    idle_step_time: float = 0.0  # backbone calls of loop steps that sample no acoustic slot
     step_stats: list[StepStat] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -359,6 +360,7 @@ def generate(
     t0 = time.perf_counter()
     model.step(prefill, cache, np.tile(streams, n_prefill))
     prefill_time = time.perf_counter() - t0
+    idle_step_time = 0.0
     j = Lp
     while j < cfg.max_context:
         tid = text_id_for(j, sampled_text)
@@ -387,6 +389,8 @@ def generate(
             gen_order.append(m)
             if stat.below_threshold:
                 warnings.append(f"token {m}: best cosine {stat.chosen_cos:.3f} below threshold")
+        else:
+            idle_step_time += llm_time
 
         # Advance text.
         nxt = j + 1
@@ -432,6 +436,7 @@ def generate(
         f_after=f_after,
         chain_rate=chain,
         prefill_time=prefill_time,
+        idle_step_time=idle_step_time,
         step_stats=stats,
         warnings=warnings,
     )
@@ -511,6 +516,14 @@ def load_lm_checkpoint(path, dtype=None) -> tuple[BackboneModel, SpeakerHead]:
     if not head:
         raise ValidationError(f"{path}: no speaker head (spk/* arrays); a base LM checkpoint cannot synthesize")
     backbone = {k: v for k, v in params.items() if k not in head}
+    rng = np.random.default_rng(0)
+    nn.check_params(path, backbone, lambda: BackboneModel(config, rng).params)
+    # The head has no config: its widths are those of its weights, and its
+    # input is the backbone's latent.
+    widths = []
+    while (w := head.get(f"spk/fc{len(widths)}/w")) is not None and w.ndim == 2:
+        widths.append(w.shape[1])
+    nn.check_params(path, head, lambda: SpeakerHead(config.d_latent, widths, rng).params)
     return BackboneModel(config, params=backbone), SpeakerHead(params=head)
 
 
@@ -538,8 +551,9 @@ def stream_synthesize(result: GenerationResult, codec_model: CodecModel) -> Stre
     positions, T = result.positions
     if positions.size == 0:
         raise ValidationError("stream_synthesize: empty generation")
-    frames = np.zeros((T, codec_model.config.d_frame))
-    signal = np.zeros((T, codec_model.config.samples_per_frame))
+    dtype = nn.param_dtype(codec_model.params)
+    frames = np.zeros((T, codec_model.config.d_frame), dtype=dtype)
+    signal = np.zeros((T, codec_model.config.samples_per_frame), dtype=dtype)
     segments = []
     peak = 0
     gen = codec_model.decode_streaming_segments(result.latents, positions, T)

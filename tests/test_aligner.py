@@ -113,6 +113,14 @@ class TestCtcLogLikelihood:
 
         assert finite_difference_check(fn, rng.standard_normal((3, 3))) < 1e-3
 
+    @pytest.mark.parametrize("targets", [[0, 2, 0], []], ids=["targets", "empty"])
+    def test_keeps_float32(self, targets):
+        """Float32 scores give a float32 likelihood and gradient."""
+        x = nx.tensor(np.random.default_rng(7).standard_normal((6, 4)), requires_grad=True, dtype=np.float32)
+        loss = ctc_loss(nx.log_softmax(x), targets)
+        loss.backward()
+        assert loss.dtype == x.grad.dtype == np.float32
+
 
 class TestViterbi:
     def test_spec_example(self):
@@ -292,4 +300,5 @@ def test_model_checkpoint_roundtrip(tmp_path):
     model.save(path)
     restored = AlignerModel.load(path)
     after = restored.log_probs(frames)
+    assert after.dtype == np.float32
     np.testing.assert_allclose(before, after, atol=1e-5)

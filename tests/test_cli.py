@@ -1,5 +1,6 @@
 """CLI surface: subcommands, file outputs, and exit codes."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -151,11 +152,12 @@ def test_cli_stages_match_train_full_stack(tmp_path, capsys):
         "backbone": backbone,
         "speaker_head": speaker_head,
     }
-    for name, model in loaded.items():  # checkpoints hold float32, so compare at that rounding
+    for name, model in loaded.items():  # training is float32 throughout, as checkpoints store it
         ref = getattr(stack, name).params
         assert model.params.keys() == ref.keys(), name
         for key in ref:
-            assert np.array_equal(model.params[key].data, ref[key].data.astype(np.float32)), (name, key)
+            assert ref[key].data.dtype == model.params[key].data.dtype == np.float32, (name, key)
+            assert np.array_equal(model.params[key].data, ref[key].data), (name, key)
 
     _, kept, dropped, _ = recipes.align_stage(manifest, arrays, stack.aligner.config, bits, budget, stack.aligner)
     assert 0 < dropped == stack.dropped_alignments
@@ -214,6 +216,12 @@ def wrong_kind_files(small_corpus, tmp_path_factory):
     save_lm_checkpoint(files["lm.tada"], base, SpeakerHead(rng=rng))
     lines = Path(small_corpus[0]).read_text().splitlines()
     Path(files["bad.txt"]).write_text("\n".join([lines[0] + " bogus=1", *lines[1:]]) + "\n")
+    files["speaker9.txt"] = str(d / "speaker9.txt")
+    Path(files["speaker9.txt"]).write_text("\n".join([lines[0], re.sub(r"speaker=\d+", "speaker=9", lines[1])]) + "\n")
+    arrays = nx.load_arrays(files["codec.tada"])
+    del arrays["enc/in_proj/b"]
+    files["nobias.tada"] = str(d / "nobias.tada")
+    nx.save_arrays(files["nobias.tada"], arrays)
     return files
 
 
@@ -228,8 +236,14 @@ def wrong_kind_files(small_corpus, tmp_path_factory):
         (["synth", "--lm", "lm.tada", "--codec", "A", "--prompt", "0", "--text", "1"], "A", "no 'config' array"),
         (["codec-roundtrip", "--ckpt", "codec.tada", "--utt", "0", "--manifest", "bad.txt"],
          "bad.txt", "unknown key 'bogus'"),
+        (["codec-roundtrip", "--ckpt", "nobias.tada", "--utt", "0"], "nobias.tada", "missing enc/in_proj/b"),
+        (["lm-train", "--codec", "codec.tada", "--base-lm", "lm.tada", "--out", "never.tada"],
+         "lm.tada", "unexpected spk/fc0/b"),
+        (["eval", "--lm", "lm.tada", "--codec", "codec.tada", "--manifest", "speaker9.txt"],
+         "speaker9.txt", "line 2: speaker 9"),
     ],
-    ids=["aligner_as_codec", "codec_as_lm", "base_lm_as_lm", "corpus_as_codec", "manifest_header_key"],
+    ids=["aligner_as_codec", "codec_as_lm", "base_lm_as_lm", "corpus_as_codec", "manifest_header_key",
+         "codec_missing_array", "lm_as_base_lm", "manifest_speaker_range"],
 )
 def test_wrong_kind_of_file_exit_code_2(small_corpus, wrong_kind_files, capsys, argv, named, says):
     manifest, arrays = small_corpus

@@ -215,6 +215,29 @@ class TestManifestIO:
         with pytest.raises(ValidationError, match=re.escape(f"{path} line {lineno}: ") + f".*{match}"):
             Manifest.load(path)
 
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ("id=1 speaker=3 T=4 tokens=1 p=2", "speaker 3 outside [0, 3)"),
+            ("id=1 speaker=-1 T=4 tokens=1 p=2", "speaker -1 outside [0, 3)"),
+            ("id=1 speaker=1 T=4 tokens=1,8 p=2,3", "token id 8 outside [0, 8)"),
+            ("id=1 speaker=1 T=4 tokens=-1 p=2", "token id -1 outside [0, 8)"),
+            ("id=1 speaker=1 T=4 tokens=1 p=0", "positions must increase strictly within 1..4"),
+            ("id=1 speaker=1 T=4 tokens=1,2 p=3,5", "positions must increase strictly within 1..4"),
+            ("id=1 speaker=1 T=4 tokens=1,2 p=3,3", "positions must increase strictly within 1..4"),
+            ("id=1 speaker=1 T=4 tokens=1,2 p=3,2", "positions must increase strictly within 1..4"),
+        ],
+        ids=["speaker", "negative_speaker", "token", "negative_token", "position_zero", "position_past_T",
+             "position_repeated", "position_decreasing"],
+    )
+    def test_record_outside_header_ranges_names_path_and_line(self, tmp_path, record, match):
+        path = tmp_path / "manifest.txt"
+        Manifest(config=CFG, records=[UttRecord(0, 2, np.array([7]), np.array([4]), 4)]).save(path)
+        Manifest.load(path)  # the edge values are in range
+        path.write_text(path.read_text() + record + "\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path} line 3: {match}")):
+            Manifest.load(path)
+
     def test_record_line_format(self):
         rec = UttRecord(utt_id=3, speaker=1, tokens=np.array([4, 5]), positions=np.array([2, 7]), T=9)
         assert rec.to_line() == "id=3 speaker=1 T=9 tokens=4,5 p=2,7"
@@ -238,6 +261,15 @@ def test_train_full_stack_four_bit_backbone_completes():
     assert stack.backbone.config.bits == 4
 
 
+def test_train_full_stack_models_are_float32():
+    """Training under float32 leaves no float64 parameter in any model."""
+    manifest, arrays = gen_corpus(SynthConfig(), 12)
+    stack = train_full_stack(manifest, arrays, TrainBudget(**TINY_BUDGET))
+    for name in ("aligner", "codec", "base_lm", "backbone", "speaker_head"):
+        params = getattr(stack, name).params
+        assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}, name
+
+
 def test_train_full_stack_rejects_when_every_alignment_is_dropped():
     manifest, arrays = gen_corpus(SynthConfig(), 6)
     config = BackboneConfig(vocab_size=manifest.config.vocab_size, bits=1)
@@ -246,16 +278,18 @@ def test_train_full_stack_rejects_when_every_alignment_is_dropped():
 
 
 def test_evaluate_reports_mean_prefill_time():
+    """prefill_time and idle_step_time are means over the cases, printed side by side."""
     manifest, arrays = gen_corpus(CFG, 2)
     cases = [
         EvalCase(
             prompt=SimpleNamespace(speaker=rec.speaker),
             target_text=rec.tokens,
-            result=SimpleNamespace(chain_rate=1.0, step_stats=[], prefill_time=t),
+            result=SimpleNamespace(chain_rate=1.0, step_stats=[], prefill_time=t, idle_step_time=t / 4),
             audio_signal=utterance_arrays(arrays, rec.utt_id)[1],
         )
         for rec, t in zip(manifest.records, (1.0, 3.0))
     ]
     report = evaluate(cases, TemplateBank(CFG))
-    assert report.prefill_time == 2.0
-    assert "prefill_time=2" in report.to_lines()
+    assert (report.prefill_time, report.idle_step_time) == (2.0, 0.5)
+    lines = report.to_lines()
+    assert lines[lines.index("prefill_time=2") + 1] == "idle_step_time=0.5"

@@ -1,11 +1,14 @@
 """Transformer blocks: the head-batched attention against the per-head
 reference, and the KV-cached step against the full stack."""
 
+import math
+
 import numpy as np
 import pytest
 
 from tada import nn
 from tada import numerics as nx
+from tada.errors import ValidationError
 
 CFG = nn.TransformerConfig(n_layers=2, d_model=24, n_heads=3, d_ff=32)
 
@@ -29,7 +32,7 @@ def per_head_attention(params, prefix, x, mask, cfg, positions):
         lo, hi = h * hd, (h + 1) * hd
         qh = nx.rope(nx.slice_cols(q, lo, hi), positions, cfg.rope_base)
         kh = nx.rope(nx.slice_cols(k, lo, hi), positions, cfg.rope_base)
-        scores = nx.scale(nx.matmul(qh, nx.transpose2d(kh)), 1.0 / np.sqrt(hd))
+        scores = nx.scale(nx.matmul(qh, nx.transpose2d(kh)), 1.0 / math.sqrt(hd))
         outs.append(nx.matmul(nx.softmax_masked(scores, mask), nx.slice_cols(v, lo, hi)))
     return nn.linear(params, f"{prefix}/wo", nx.concat(outs, axis=1))
 
@@ -55,6 +58,7 @@ def test_attention_matches_per_head_reference(T, dtype):
             grads = {k: p.grad for k, p in params.items() if p.grad is not None}
             runs.append((out.data, x.grad, grads))
     (out, gx, grads), (ref, ref_gx, ref_grads) = runs
+    assert out.dtype == ref.dtype == gx.dtype == ref_gx.dtype == np.dtype(dtype)
     np.testing.assert_array_equal(out, ref)
     np.testing.assert_array_equal(gx, ref_gx)
     assert grads.keys() == ref_grads.keys()
@@ -128,3 +132,48 @@ def test_causal_streams_in_one_cache_match_stack_per_stream():
     np.testing.assert_array_equal(cache.positions, [4, 4, 5, 5])
     np.testing.assert_array_equal(cache.streams, [0, 1, 0, 1])
     assert cache.layers[0].keys.shape[1] == 4
+
+
+def test_float32_model_computes_in_float32_outside_precision_context():
+    """A cache takes the dtype of the rows it is given, so float32 weights
+    give float32 keys, values and outputs at the float64 default."""
+    with nx.precision("float32"):
+        params = make_params()
+    x = nn.input_tensor(params, np.random.default_rng(10).standard_normal((3, CFG.d_model)))
+    cache = nn.StackCache(CFG)
+    out = nn.stack_step(params, "tf", x, np.arange(3), cache, CFG, causal=True)
+    out = nn.stack_step(params, "tf", nn.input_tensor(params, out.data[-1:]), np.array([3]), cache, CFG)
+    assert x.dtype == out.dtype == np.float32
+    assert {layer.keys.dtype for layer in cache.layers} == {layer.values.dtype for layer in cache.layers} == {
+        np.dtype(np.float32)
+    }
+
+
+@pytest.mark.parametrize(
+    "edit, says",
+    [
+        (lambda p: p.pop("tf/layer1/wq/b"), "missing tf/layer1/wq/b"),
+        (lambda p: p.update(extra=nx.zeros((2,))), "unexpected extra"),
+        (lambda p: p.update({"tf/ln_out/g": nx.ones((3,))}), "misshaped tf/ln_out/g"),
+    ],
+    ids=["missing", "unexpected", "misshaped"],
+)
+def test_check_params_names_the_mismatch(edit, says):
+    params = make_params()
+    nn.check_params("model.tada", dict(params), lambda: make_params())
+    edit(params)
+    with pytest.raises(ValidationError, match=f"^model.tada: .*{says}"):
+        nn.check_params("model.tada", params, lambda: make_params())
+
+
+def test_check_params_draws_no_weights():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+
+    def init():
+        params = {}
+        nn.init_stack(params, "tf", rng, CFG)
+        return params
+
+    nn.check_params("model.tada", make_params(), init)
+    assert rng.bit_generator.state == state

@@ -79,11 +79,6 @@ def test_two_layer_net_matches_finite_differences():
     assert err < 1e-3
 
 
-def _ln(x):
-    d = x.shape[-1]
-    return nx.layer_norm(x, nx.tensor(np.linspace(0.5, 1.5, d)), nx.tensor(np.linspace(-0.1, 0.1, d)))
-
-
 def _const(rng, shape, offset=0.0):
     return nx.tensor(rng.standard_normal(shape) + offset)
 
@@ -181,7 +176,8 @@ def _case_sum_axis(rng):
 
 
 def _case_layer_norm(rng):
-    return lambda x: nx.sum_(nx.square(_ln(x))), (4, 6)
+    gain, bias = nx.tensor(np.linspace(0.5, 1.5, 6)), nx.tensor(np.linspace(-0.1, 0.1, 6))
+    return lambda x: nx.sum_(nx.square(nx.layer_norm(x, gain, bias))), (4, 6)
 
 
 def _case_softmax_masked(rng):
@@ -321,6 +317,29 @@ def test_primitive_gradients_match_finite_differences(name):
         point = rng.uniform(-1.0, 1.0, shape)
         worst = max(worst, finite_difference_check(fn, point))
     assert worst < 1e-3, f"{name}: max rel err {worst}"
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
+def test_primitive_keeps_float32(name):
+    """Given float32 inputs, every node of the graph and every gradient the
+    backward pass writes is float32, whatever the ambient precision."""
+    rng = np.random.default_rng(7)
+    with nx.precision("float32"):
+        fn, shape = PRIMITIVE_CASES[name](rng)
+    x = nx.tensor(rng.uniform(-1.0, 1.0, shape), requires_grad=True, dtype=np.float32)
+    tape = fn(x).backward()
+    assert {n.data.dtype for n in tape.nodes} == {np.dtype(np.float32)}
+    assert {n.grad.dtype for n in tape.nodes if n.grad is not None} == {np.dtype(np.float32)}
+    assert x.grad is not None
+
+
+def test_numpy_scalar_constants_keep_float32():
+    """NumPy float64 scalars and 0-d arrays as constants do not promote."""
+    x = nx.tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True, dtype=np.float32)
+    y = nx.maximum_const(nx.scale(x, np.float64(0.5)), np.float64(-0.2))
+    loss = nx.sum_(y * np.float64(2.0) + np.float64(1.0) - np.asarray(0.5) + x * np.asarray(3.0))
+    loss.backward()
+    assert loss.dtype == x.grad.dtype == np.float32
 
 
 def test_tape_visits_each_node_once():

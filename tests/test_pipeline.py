@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tada import numerics as nx
 from tada import pipeline
 
 from tada.backbone import BackboneConfig, BackboneModel, FusedStep
@@ -296,6 +297,29 @@ class TestGenerate:
         out = generate(lm, codec, head, prompt, None, params)
         assert out.prefill_time == 3.0 * prompt.tokens.size
 
+    def test_every_backbone_call_is_timed_once(self, models, monkeypatch):
+        """With one second per stepped row, the prefill (3 rows for each of 3
+        prompt tokens), the StepStats (3 rows for each of 3 sampled slots)
+        and the two loop steps that sample no slot (3 rows each) add up to
+        the clock."""
+        lm, codec, head = models
+        prompt = make_prompt(codec, head, np.random.default_rng(22))
+        clock = [0.0]
+        real_step = lm.step
+
+        def step(fused, cache, streams=None):
+            clock[0] += float(len(fused))
+            return real_step(fused, cache, streams)
+
+        monkeypatch.setattr(lm, "step", step)
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        params = GenParams(mode="slm", n_fm=2, max_tokens=3, neg_mode="tfg", sfg_scale=0.5, seed=6)
+        out = generate(lm, codec, head, prompt, None, params)
+        assert prompt.tokens.size == out.text_tokens.size == len(out.step_stats) == 3
+        stat_time = sum(s.llm_time for s in out.step_stats)
+        assert (out.prefill_time, stat_time, out.idle_step_time) == (9.0, 9.0, 6.0)
+        assert out.prefill_time + stat_time + out.idle_step_time == clock[0] == 24.0
+
     def test_one_prefill_call_then_one_call_per_step(self, models, monkeypatch):
         lm, codec, head = models
         prompt = make_prompt(codec, head, np.random.default_rng(24))
@@ -402,3 +426,30 @@ class TestStreamSynthesize:
         audio = stream_synthesize(result, codec)
         np.testing.assert_array_equal(audio.positions, [3, 8])
         assert audio.T == 9
+
+
+def test_checkpoint_models_compute_in_float32(tmp_path, models, monkeypatch):
+    """Models loaded from their float32 checkpoints run every engine op of
+    a request in float32 at the float64 default, and a full streaming
+    decode equals the frames stream_synthesize emitted."""
+    lm, codec, head = models
+    codec.save(tmp_path / "codec.tada")
+    save_lm_checkpoint(tmp_path / "lm.tada", lm, head)
+    codec = CodecModel.load(tmp_path / "codec.tada")
+    lm, head = load_lm_checkpoint(tmp_path / "lm.tada")
+    dtypes = set()
+    real_make = nx.engine._make
+
+    def make(op, data, parents, backward):
+        dtypes.add(data.dtype)
+        return real_make(op, data, parents, backward)
+
+    monkeypatch.setattr(nx.engine, "_make", make)
+    prompt = make_prompt(codec, head, np.random.default_rng(30))
+    params = GenParams(n_fm=2, neg_mode="tfg", candidates=2, sfg_scale=0.5, seed=3)
+    result = generate(lm, codec, head, prompt, np.array([1, 2, 3]), params)
+    audio = stream_synthesize(result, codec)
+    assert dtypes == {np.dtype(np.float32)}
+    assert prompt.latents.dtype == audio.frames.dtype == np.float32
+    full, _ = codec.decode_streaming_full(result.latents, audio.positions, audio.T)
+    np.testing.assert_array_equal(full, audio.frames)

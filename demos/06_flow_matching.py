@@ -14,7 +14,8 @@ from tada.durbits import pack, unpack
 from tada.flowhead import FlowConfig, VectorFieldModel, euler_sample, flow_loss
 
 rng = np.random.default_rng(0)
-cfg = FlowConfig(d_latent=4, bits=3, d_cond=4, d_time=16, width=64, n_hidden=2, n_steps=10)
+cfg = FlowConfig(d_latent=4, bits=3, d_cond=4, d_time=16, width=64, n_hidden=2)
+N_FM = 10  # Euler steps
 
 # Two "token classes": distinct latents and durations, one-hot-ish conditions
 def make_batch(n):
@@ -36,12 +37,11 @@ for step in range(600):
     opt.step()
 print(f"final flow loss: {loss.item():.4f}")
 
-plain_cfg = FlowConfig(**{**cfg.__dict__, "cfg_scale": 1.0})
 for c in (0, 1):
     cond = np.zeros((1, 4))
     cond[:, c] = 1.0
     rows = model.cond_rows(cond)  # projected once, reused by every Euler step
-    y = euler_sample(lambda y, t: model.field_np(y, t, rows), plain_cfg, seed=42, n_samples=8)
+    y = euler_sample(lambda y, t: model.field_np(y, t, rows), cfg, N_FM, 1.0, seed=42, n_samples=8)
     decoded = [unpack(row, cfg.d_latent, cfg.bits)[1:] for row in y]
     s_mean = np.round(y[:, : cfg.d_latent].mean(axis=0), 2)
     print(f"class {c}: mean sampled latent {s_mean.tolist()}, decoded (f_before, f_after) {decoded[:3]}")
@@ -51,9 +51,8 @@ for c in (0, 1):
 # the zero (negative) condition.
 cond = np.zeros((1, 4)); cond[:, 0] = 1.0
 both = np.repeat(model.cond_rows(np.concatenate([cond, np.zeros((1, 4))])), 4, axis=0)
-guided_cfg = FlowConfig(**{**cfg.__dict__, "cfg_scale": 1.8})
-y_guided = euler_sample(lambda y, t: model.field_np(y, t, both), guided_cfg, seed=7, n_samples=4)
-y_plain = euler_sample(lambda y, t: model.field_np(y, t, both[:4]), plain_cfg, seed=7, n_samples=4)
+y_guided = euler_sample(lambda y, t: model.field_np(y, t, both), cfg, N_FM, 1.8, seed=7, n_samples=4)
+y_plain = euler_sample(lambda y, t: model.field_np(y, t, both[:4]), cfg, N_FM, 1.0, seed=7, n_samples=4)
 print(f"\nguided vs unguided: latent dims moved by "
       f"{np.abs(y_guided[:, :4] - y_plain[:, :4]).mean():.3f}, "
       f"bit dims by {np.abs(y_guided[:, 4:] - y_plain[:, 4:]).mean():.3f} on average")

@@ -26,7 +26,7 @@ stack = train_full_stack(manifest, arrays, budget)
 print(f"aligner accuracy within +-1 frame: {stack.align_accuracy:.1%}")
 
 hold = [r.utt_id for r in manifest.records[-10:]]
-prompts = build_prompts(stack, manifest, arrays, hold)
+prompts = build_prompts(manifest, arrays, hold, stack.codec, stack.speaker_head, aligner=stack.aligner)
 texts = sample_eval_texts(stack.bank, 10, seed=123)
 
 cases = run_tts_cases(

@@ -89,7 +89,6 @@ class TrainLossReport:
     ce: Tensor
     kd: Tensor
     total: Tensor
-    weights: dict[str, float] = field(default_factory=dict)
 
     def floats(self) -> dict[str, float]:
         return {
@@ -385,10 +384,7 @@ def train_step(
         raise NumericalAbort("train_step: non-finite loss")
     if apply_grads:
         total.backward()
-    return TrainLossReport(
-        flow=flow, ce=ce, kd=kd, total=total,
-        weights={"lambda_flow": cfg.lambda_flow, "lambda_ce": cfg.lambda_ce, "lambda_kd": cfg.lambda_kd},
-    )
+    return TrainLossReport(flow=flow, ce=ce, kd=kd, total=total)
 
 
 def train_backbone(

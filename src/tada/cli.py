@@ -24,31 +24,18 @@ from .codec import CodecModel
 from .config import load_config
 from .errors import NumericalAbort, ValidationError
 from .harness import (
-    Manifest,
     OracleDecoder,
     TemplateBank,
     benchmark,
     evaluate,
     gen_corpus,
+    load_corpus,
     recipes,
     run_tts_cases,
     sample_eval_texts,
     utterance_arrays,
 )
-from .pipeline import (
-    GenParams,
-    generate,
-    load_lm_checkpoint,
-    prepare_prompt,
-    save_lm_checkpoint,
-    stream_synthesize,
-)
-
-
-def _load_corpus(args):
-    manifest = Manifest.load(args.manifest)
-    arrays = nx.load_arrays(args.arrays)
-    return manifest, arrays
+from .pipeline import GenParams, generate, load_lm_checkpoint, save_lm_checkpoint, stream_synthesize
 
 
 def _alignments(args, manifest) -> dict:
@@ -70,7 +57,7 @@ def cmd_gen_data(args, cfg) -> int:
 
 
 def cmd_align(args, cfg) -> int:
-    manifest, arrays = _load_corpus(args)
+    manifest, arrays = load_corpus(args.manifest, args.arrays)
     cfg.aligner.d_in = manifest.config.d_frame
     cfg.aligner.vocab_size = manifest.config.vocab_size
     bits = cfg.backbone.bits
@@ -87,7 +74,7 @@ def cmd_align(args, cfg) -> int:
 
 
 def cmd_codec_train(args, cfg) -> int:
-    manifest, arrays = _load_corpus(args)
+    manifest, arrays = load_corpus(args.manifest, args.arrays)
     alignments = _alignments(args, manifest)
     ccfg = cfg.codec
     ccfg.d_frame = manifest.config.d_frame
@@ -104,7 +91,7 @@ def cmd_codec_train(args, cfg) -> int:
 
 
 def cmd_lm_train(args, cfg) -> int:
-    manifest, arrays = _load_corpus(args)
+    manifest, arrays = load_corpus(args.manifest, args.arrays)
     alignments = _alignments(args, manifest)
     codec_model = CodecModel.load(args.codec)
     base_lm = BackboneModel.load(args.base_lm) if args.base_lm else None
@@ -132,33 +119,18 @@ def cmd_lm_train(args, cfg) -> int:
     return 0
 
 
-def _prompt_from_args(args, manifest, arrays, codec_model, head):
-    by_id = {rec.utt_id: rec for rec in manifest.records}
-    if args.prompt not in by_id:
-        raise ValidationError(f"unknown prompt utterance id {args.prompt}")
-    rec = by_id[args.prompt]
-    frames, _ = utterance_arrays(arrays, rec.utt_id)
-    aligner_model = AlignerModel.load(args.aligner) if getattr(args, "aligner", None) else None
-    cache = load_alignment_cache(args.align_cache) if getattr(args, "align_cache", None) else None
-    positions = None
-    if aligner_model is None:
-        positions = cache[rec.utt_id][1] if cache and rec.utt_id in cache else rec.positions
-    prompt = prepare_prompt(frames, rec.tokens, aligner_model, codec_model, head, positions=positions)
-    prompt.speaker = rec.speaker
-    prompt.utt_id = rec.utt_id
-    return prompt
-
-
 def cmd_synth(args, cfg) -> int:
-    manifest, arrays = _load_corpus(args)
-    model, head = load_lm_checkpoint(args.lm)
-    codec_model = CodecModel.load(args.codec)
-    prompt = _prompt_from_args(args, manifest, arrays, codec_model, head)
-    text = np.array([int(x) for x in args.text.replace(",", " ").split()], dtype=np.int64)
     params = GenParams(
         n_fm=args.nfm, cfg_scale=args.cfg, neg_mode=args.neg,
         candidates=args.reject, sfg_scale=args.sfg, seed=args.seed or 0,
     )
+    manifest, arrays = load_corpus(args.manifest, args.arrays)
+    model, head = load_lm_checkpoint(args.lm)
+    codec_model = CodecModel.load(args.codec)
+    aligner = AlignerModel.load(args.aligner) if args.aligner else None
+    alignments = load_alignment_cache(args.align_cache) if args.align_cache else None
+    (prompt,) = recipes.build_prompts(manifest, arrays, [args.prompt], codec_model, head, aligner, alignments)
+    text = np.array([int(x) for x in args.text.replace(",", " ").split()], dtype=np.int64)
     result = generate(model, codec_model, head, prompt, text, params)
     audio = stream_synthesize(result, codec_model)
     toks = ",".join(map(str, result.text_tokens.tolist()))
@@ -185,34 +157,24 @@ def cmd_synth(args, cfg) -> int:
     return 0
 
 
-def _eval_prompts(args, cfg, manifest, arrays, codec_model, head):
-    n = args.prompts
-    ids = [rec.utt_id for rec in manifest.records[-n:]]
-    aligner_model = AlignerModel.load(args.aligner) if getattr(args, "aligner", None) else None
-    prompts = []
-    by_id = {rec.utt_id: rec for rec in manifest.records}
-    for utt_id in ids:
-        rec = by_id[utt_id]
-        frames, _ = utterance_arrays(arrays, utt_id)
-        positions = None if aligner_model is not None else rec.positions
-        p = prepare_prompt(frames, rec.tokens, aligner_model, codec_model, head, positions=positions)
-        p.speaker = rec.speaker
-        p.utt_id = utt_id
-        prompts.append(p)
-    return prompts
+def _held_out_prompts(args, manifest, arrays, codec_model, head):
+    """Prompts from the last ``--prompts`` utterances of the manifest."""
+    ids = [rec.utt_id for rec in manifest.records[-args.prompts:]]
+    aligner = AlignerModel.load(args.aligner) if args.aligner else None
+    return recipes.build_prompts(manifest, arrays, ids, codec_model, head, aligner)
 
 
 def cmd_eval(args, cfg) -> int:
-    manifest, arrays = _load_corpus(args)
-    model, head = load_lm_checkpoint(args.lm)
-    codec_model = CodecModel.load(args.codec)
-    bank = TemplateBank(manifest.config)
-    prompts = _eval_prompts(args, cfg, manifest, arrays, codec_model, head)
-    texts = sample_eval_texts(bank, len(prompts), seed=(args.seed or 0) + 17)
     params = GenParams(
         n_fm=args.nfm, cfg_scale=args.cfg, neg_mode=args.neg,
         candidates=args.reject, seed=args.seed or 0,
     )
+    manifest, arrays = load_corpus(args.manifest, args.arrays)
+    model, head = load_lm_checkpoint(args.lm)
+    codec_model = CodecModel.load(args.codec)
+    bank = TemplateBank(manifest.config)
+    prompts = _held_out_prompts(args, manifest, arrays, codec_model, head)
+    texts = sample_eval_texts(bank, len(prompts), seed=(args.seed or 0) + 17)
     cases = run_tts_cases(model, codec_model, head, prompts, texts, params)
     report = evaluate(cases, bank)
     print("\n".join(report.to_lines()))
@@ -220,12 +182,11 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_bench(args, cfg) -> int:
-    manifest, arrays = _load_corpus(args)
+    manifest, arrays = load_corpus(args.manifest, args.arrays)
     model, head = load_lm_checkpoint(args.lm)
     codec_model = CodecModel.load(args.codec)
     bank = TemplateBank(manifest.config)
-    args.prompts = min(args.prompts, len(manifest.records))
-    prompts = _eval_prompts(args, cfg, manifest, arrays, codec_model, head)
+    prompts = _held_out_prompts(args, manifest, arrays, codec_model, head)
     texts = sample_eval_texts(bank, len(prompts), seed=(args.seed or 0) + 17)
     n_fm_list = tuple(int(x) for x in args.nfm_list.split(","))
     report, per_n = benchmark(
@@ -298,7 +259,7 @@ def cmd_fm_bench(args, cfg) -> int:
 
 
 def cmd_codec_roundtrip(args, cfg) -> int:
-    manifest, arrays = _load_corpus(args)
+    manifest, arrays = load_corpus(args.manifest, args.arrays)
     codec_model = CodecModel.load(args.ckpt)
     by_id = {rec.utt_id: rec for rec in manifest.records}
     if args.utt not in by_id:

@@ -16,7 +16,7 @@ not implemented.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class CodecLossReport:
     sem: Tensor
     kl: Tensor
     total: Tensor
-    weights: dict[str, float] = field(default_factory=dict)
 
     def floats(self) -> dict[str, float]:
         return {
@@ -365,12 +364,7 @@ def codec_loss(
         + nx.scale(sem, config.lambda_sem)
         + nx.scale(kl, config.lambda_kl)
     )
-    weights = {
-        "lambda_mel": config.lambda_mel,
-        "lambda_sem": config.lambda_sem,
-        "lambda_kl": config.lambda_kl,
-    }
-    return CodecLossReport(mel=mel, sem=sem, kl=kl, total=total, weights=weights)
+    return CodecLossReport(mel=mel, sem=sem, kl=kl, total=total)
 
 
 # ---------------------------------------------------------------------------

@@ -30,17 +30,6 @@ class FlowConfig:
     width: int = 256
     n_hidden: int = 3
     sigma_min: float = 1e-5
-    n_steps: int = 10  # Euler steps N_FM
-    cfg_scale: float = 1.8
-    neg_mode: str = "zero"  # "zero" | "text-free"
-
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValidationError("FlowConfig: n_steps must be >= 1")
-        if self.cfg_scale < 0:
-            raise ValidationError("FlowConfig: cfg_scale must be >= 0")
-        if self.neg_mode not in ("zero", "text-free"):
-            raise ValidationError(f"FlowConfig: unknown neg_mode {self.neg_mode!r}")
 
     @property
     def d_target(self) -> int:
@@ -219,32 +208,33 @@ def cfg_combine(v_pos: np.ndarray, v_neg: np.ndarray, scale: float, d_guided: in
 def euler_sample(
     field,
     config: FlowConfig,
+    n_steps: int,
+    cfg_scale: float,
     seed: int,
     n_samples: int = 1,
     y_start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Integrate the guided field from Gaussian noise over n_steps.
+    """Integrate the guided field from Gaussian noise over ``n_steps``.
 
     ``field`` is a callable (y, t) -> velocity rows, row-aligned with y.
     With guidance on (``cfg_scale != 1``) each step makes one call on the
     stacked rows ``[y; y]``: the first half is the positive branch, the
     second half the negative one. At ``cfg_scale == 1`` it gets ``y`` alone.
-    Deterministic given (seed, field, config).
+    Deterministic given (seed, field, config, n_steps, cfg_scale).
     """
     d = config.d_target
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((n_samples, d)) if y_start is None else np.array(y_start, dtype=np.float64)
-    n = config.n_steps
     half = y.shape[0]
-    guided = config.cfg_scale != 1.0
-    for k in range(n):
-        t = k / n
+    guided = cfg_scale != 1.0
+    for k in range(n_steps):
+        t = k / n_steps
         v = field(np.concatenate([y, y]) if guided else y, t)
         if not np.all(np.isfinite(v)):
             raise NumericalAbort(f"euler_sample: non-finite field at Euler step {k}")
         if guided:
-            v = cfg_combine(v[:half], v[half:], config.cfg_scale, config.d_latent)
-        y = y + v / n
+            v = cfg_combine(v[:half], v[half:], cfg_scale, config.d_latent)
+        y = y + v / n_steps
         if not np.all(np.isfinite(y)):
             raise NumericalAbort(f"euler_sample: non-finite state at Euler step {k}")
     return y

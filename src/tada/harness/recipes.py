@@ -281,20 +281,33 @@ def train_full_stack(
 
 
 def build_prompts(
-    stack: TrainedStack,
     manifest: Manifest,
     arrays: dict,
     utt_ids: list[int],
+    codec: CodecModel,
+    head: SpeakerHead,
+    aligner: AlignerModel | None = None,
+    alignments: Alignments | None = None,
 ) -> list[Prompt]:
+    """One prompt per utterance id, with its speaker.
+
+    Positions come from ``aligner`` if one is given, otherwise from the
+    utterance's ``alignments`` entry (an alignment cache), otherwise from
+    the manifest. An id the manifest does not hold raises ``ValidationError``.
+    """
     by_id = {rec.utt_id: rec for rec in manifest.records}
     prompts = []
     for utt_id in utt_ids:
-        rec = by_id[utt_id]
+        rec = by_id.get(utt_id)
+        if rec is None:
+            raise ValidationError(f"unknown prompt utterance id {utt_id}")
+        positions = None
+        if aligner is None:
+            positions = alignments[utt_id][1] if alignments and utt_id in alignments else rec.positions
         frames, _ = utterance_arrays(arrays, utt_id)
-        p = prepare_prompt(frames, rec.tokens, stack.aligner, stack.codec, stack.speaker_head)
-        p.speaker = rec.speaker
-        p.utt_id = utt_id
-        prompts.append(p)
+        prompt = prepare_prompt(frames, rec.tokens, aligner, codec, head, positions=positions)
+        prompt.speaker = rec.speaker
+        prompts.append(prompt)
     return prompts
 
 

@@ -62,16 +62,13 @@ def encoder_mask(p, T: int) -> np.ndarray:
     return mask
 
 
-def decoder_stream_mask(p, T: int, strict: bool = False) -> np.ndarray:
+def decoder_stream_mask(p, T: int) -> np.ndarray:
     """Boolean (T, T) streaming-decoder mask.
 
     Row q is governed by the first aligned position p_i >= q (self-inclusive
     for assigned rows) and may attend columns [p_{i-2}+1, p_i]; computation
     inside a segment is non-autoregressive. Rows after the last aligned
     position form a trailing segment attending [p_{L-1}+1, T].
-
-    With ``strict=True`` an assigned row p_i attends [p_{i-2}+1, p_{i-1}]
-    plus itself instead of the full self-inclusive window.
     """
     p = _check_positions(p, T)
     L = p.size
@@ -82,9 +79,6 @@ def decoder_stream_mask(p, T: int, strict: bool = False) -> np.ndarray:
         if i <= L:
             lo = ext[i - 1] + 1  # p_{i-2} + 1
             hi = ext[i + 1]  # p_i
-            if strict and q == hi:
-                mask[q - 1, q - 1] = True
-                hi = ext[i]  # p_{i-1}
         else:
             lo = ext[L] + 1  # p_{L-1} + 1
             hi = T

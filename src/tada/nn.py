@@ -263,10 +263,6 @@ def stack_step(
         return ln(params, f"{prefix}/ln_out", x)
 
 
-def num_params(params: dict) -> int:
-    return sum(p.size for p in params.values())
-
-
 def save_params(path, params: dict, config) -> None:
     """Write a model checkpoint: its parameters and its config line."""
     arrays = {k: p.data for k, p in params.items()}

@@ -49,10 +49,6 @@ def default_dtype() -> type:
     return _DEFAULT_DTYPE.get()
 
 
-def set_default_dtype(dtype) -> None:
-    _DEFAULT_DTYPE.set(np.dtype(dtype).type)
-
-
 @contextlib.contextmanager
 def precision(dtype):
     """Temporarily switch the default dtype (e.g. ``precision("float32")``)."""
@@ -61,10 +57,6 @@ def precision(dtype):
         yield
     finally:
         _DEFAULT_DTYPE.reset(token)
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED.get()
 
 
 @contextlib.contextmanager
@@ -127,9 +119,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -528,10 +517,6 @@ def transpose2d(a: Tensor) -> Tensor:
         _accum(a, g.T)
 
     return _make("transpose2d", out, (a,), backward)
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    return Tensor(a.data, requires_grad=False, op="stop_gradient")
 
 
 # ---------------------------------------------------------------------------

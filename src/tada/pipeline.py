@@ -14,7 +14,7 @@ the streaming decoder (on a chain mismatch the later sample f_before wins).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,9 +116,7 @@ class Prompt:
     f_before: np.ndarray
     f_after: np.ndarray
     ref_embedding: np.ndarray  # unit-norm speaker reference
-    frames: np.ndarray | None = None
     speaker: int | None = None
-    utt_id: int | None = None
 
 
 def prepare_prompt(
@@ -164,22 +162,12 @@ def prepare_prompt(
         f_before=f_before,
         f_after=f_after,
         ref_embedding=ref,
-        frames=frames,
     )
 
 
 # ---------------------------------------------------------------------------
 # Rejection sampling
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RejectionOutcome:
-    index: int
-    cos: float
-    below_threshold: bool
-    rounds: int
-    pool_size: int
 
 
 def rejection_select(
@@ -206,7 +194,7 @@ def rejection_select(
 
 @dataclass
 class GenParams:
-    n_fm: int = 10
+    n_fm: int = 10  # Euler steps per flow sample
     cfg_scale: float = 1.8
     neg_mode: str = "zero"  # "zero" | "tfg"
     candidates: int = 1  # R
@@ -220,6 +208,10 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_fm < 1:
+            raise ValidationError("GenParams: n_fm must be >= 1")
+        if self.cfg_scale < 0:
+            raise ValidationError("GenParams: cfg_scale must be >= 0")
         if self.neg_mode not in ("zero", "tfg"):
             raise ValidationError(f"GenParams: unknown neg_mode {self.neg_mode!r}")
         if self.mode not in ("tts", "slm"):
@@ -282,37 +274,45 @@ def generate(
 
     TTS mode teacher-forces ``text``; SLM mode samples text tokens from the
     (optionally SFG-blended) logits. Deterministic for a fixed seed.
+
+    ``tokens`` holds the prompt tokens, then the target text (TTS) or the
+    text sampled so far (SLM); ``slots`` holds the prompt's packed slots,
+    then each chosen slot in turn. Step j fuses ``tokens[j-1]`` (BOS at step
+    0, PAD past the end) with ``slots[j-K-1]``, and samples slot m = j-K+1
+    when ``Lp < m <= len(tokens)``.
     """
     cfg = model.config
     K = cfg.k_shift
     rng = np.random.default_rng(params.seed)
+    Lp = prompt.tokens.size
+    tokens = prompt.tokens.tolist()
     if params.mode == "tts":
         if text is None or np.asarray(text).size == 0:
             raise ValidationError("generate: TTS mode needs non-empty text")
         text = np.asarray(text, dtype=np.int64)
-
-    Lp = prompt.tokens.size
-    prompt_packed = [
+        tokens += text.tolist()
+    slots = [
         durbits.pack(prompt.latents[i], int(prompt.f_before[i]), int(prompt.f_after[i]), cfg.bits)
         for i in range(Lp)
     ]
 
-    flow_cfg = replace(
-        cfg.flow,
-        n_steps=params.n_fm,
-        cfg_scale=params.cfg_scale,
-        neg_mode="zero" if params.neg_mode == "zero" else "text-free",
-    )
-
     # One cache holds every guidance branch as its own stream: the positive
-    # branch is stream 0, then the text-free negative, then the text-only
-    # SFG branch, each present only when its guidance is on.
+    # branch is stream 0, then the text-free negative (text padded, slot
+    # kept), then the text-only SFG branch (text kept, no slot), each
+    # present only when its guidance is on.
     cache = model.new_cache()
     tfg = params.neg_mode == "tfg"
     sfg = params.sfg_scale is not None
     streams = np.arange(1 + tfg + sfg)
 
-    def branch_rows(tid: int, slot: np.ndarray | None) -> list[FusedStep]:
+    def branch_rows(j: int) -> list[FusedStep]:
+        if j == 0:
+            tid = cfg.bos_id
+        elif j <= len(tokens):
+            tid = tokens[j - 1]
+        else:
+            tid = cfg.pad_id
+        slot = slots[j - K - 1] if 0 <= j - K - 1 < len(slots) else None
         rows = [FusedStep(token_id=tid, acoustic=slot, mode="text-speech")]
         if tfg:
             rows.append(FusedStep(token_id=cfg.pad_id, acoustic=slot, mode="text-speech"))
@@ -320,121 +320,66 @@ def generate(
             rows.append(FusedStep(token_id=tid, acoustic=None, mode="text-only"))
         return rows
 
-    all_tokens: list[int] = list(prompt.tokens.tolist())
-    if params.mode == "tts":
-        all_tokens.extend(text.tolist())
-    gen_packed: dict[int, np.ndarray] = {}  # 1-based combined token index -> packed
-    gen_order: list[int] = []
-    stats: list[StepStat] = []
-    warnings: list[str] = []
-
-    def slot_for(a: int) -> np.ndarray | None:
-        if a < 1:
-            return None
-        if a <= Lp:
-            return prompt_packed[a - 1]
-        return gen_packed.get(a)
-
-    def text_id_for(j: int, sampled: list[int]) -> int:
-        if j == 0:
-            return cfg.bos_id
-        idx = j - 1  # 0-based combined token index
-        if idx < Lp:
-            return int(prompt.tokens[idx])
-        tgt = idx - Lp
-        if params.mode == "tts":
-            return int(text[tgt]) if tgt < text.size else cfg.pad_id
-        return sampled[tgt] if tgt < len(sampled) else cfg.pad_id
-
-    sampled_text: list[int] = []
-    n_targets = text.size if params.mode == "tts" else None
-    done_text = False
-
     # Prefill: steps 0 .. Lp-1 predict no acoustic slot and are followed by
     # a prompt token, so one causal call takes them all and nothing reads
     # their outputs.
     n_prefill = min(Lp, cfg.max_context)
-    prefill = [
-        row for j in range(n_prefill) for row in branch_rows(text_id_for(j, sampled_text), slot_for(j - K))
-    ]
+    prefill = [row for j in range(n_prefill) for row in branch_rows(j)]
     t0 = time.perf_counter()
     model.step(prefill, cache, np.tile(streams, n_prefill))
     prefill_time = time.perf_counter() - t0
     idle_step_time = 0.0
-    j = Lp
-    while j < cfg.max_context:
-        tid = text_id_for(j, sampled_text)
+    stats: list[StepStat] = []
+    warnings: list[str] = []
+    text_open = params.mode == "slm"
+    for j in range(Lp, cfg.max_context):
         t0 = time.perf_counter()
-        outs = model.step(branch_rows(tid, slot_for(j - K)), cache, streams)
+        outs = model.step(branch_rows(j), cache, streams)
         llm_time = time.perf_counter() - t0
-        c_pos = outs[0].cond
-        c_neg = outs[1].cond if tfg else np.zeros(cfg.d_cond)
-        logits = outs[0].text_logits
-        if sfg:
-            logits = sfg_logits(outs[-1].text_logits, logits, params.sfg_scale)
 
-        # Flow-sample the acoustic slot this step predicts.
-        m = j - K + 1
-        flow_time = 0.0
-        if m > Lp and (n_targets is None or m <= Lp + (n_targets or 0)) and m <= len(all_tokens):
+        m = j - K + 1  # the slot this step predicts, 1-based
+        if Lp < m <= len(tokens):
+            c_neg = outs[1].cond if tfg else np.zeros(cfg.d_cond)
             t0 = time.perf_counter()
             chosen, stat = _sample_slot(
-                model, speaker_head, flow_cfg, c_pos, c_neg, prompt.ref_embedding, params, rng, m
+                model, speaker_head, outs[0].cond, c_neg, prompt.ref_embedding, params, rng, m
             )
-            flow_time = time.perf_counter() - t0
+            stat.flow_time = time.perf_counter() - t0
             stat.llm_time = llm_time
-            stat.flow_time = flow_time
             stats.append(stat)
-            gen_packed[m] = chosen
-            gen_order.append(m)
+            slots.append(chosen)
             if stat.below_threshold:
                 warnings.append(f"token {m}: best cosine {stat.chosen_cos:.3f} below threshold")
         else:
             idle_step_time += llm_time
 
-        # Advance text.
-        nxt = j + 1
-        next_token_idx = nxt - 1
-        if params.mode == "slm" and not done_text and next_token_idx >= Lp:
-            k = next_token_idx - Lp
-            if k == len(sampled_text):
-                token = _sample_token(logits, rng, params.temperature, params.top_k)
-                if token == cfg.pad_id or len(sampled_text) >= params.max_tokens:
-                    done_text = True
-                else:
-                    sampled_text.append(token)
-                    all_tokens.append(token)
-
-        total_tokens = len(all_tokens)
-        last_flow_step = total_tokens + K - 1  # step predicting token index total_tokens
-        if params.mode == "slm" and not done_text:
-            pass  # keep stepping; more text may arrive
-        elif j >= last_flow_step:
+        if text_open:
+            logits = outs[0].text_logits
+            if sfg:
+                logits = sfg_logits(outs[-1].text_logits, logits, params.sfg_scale)
+            token = _sample_token(logits, rng, params.temperature, params.top_k)
+            if token == cfg.pad_id or len(tokens) - Lp >= params.max_tokens:
+                text_open = False
+            else:
+                tokens.append(token)
+        # Once the text is closed, the step predicting the last slot ends the
+        # loop. The step that closes the text checks this too: with K=1 it
+        # has predicted the last slot already.
+        if not text_open and j >= len(tokens) + K - 1:
             break
-        j += 1
     else:
         warnings.append("context limit reached")
 
-    n_gen = len(gen_order)
-    d = cfg.d_latent
-    latents = np.zeros((n_gen, d))
-    f_before = np.zeros(n_gen, dtype=np.int64)
-    f_after = np.zeros(n_gen, dtype=np.int64)
-    for i, m in enumerate(sorted(gen_order)):
-        s, fb, fa = durbits.unpack(gen_packed[m], d, cfg.bits)
-        latents[i] = s
-        f_before[i] = fb
-        f_after[i] = fa
-    chain = durbits.chain_consistency(f_before, f_after)
-    gen_text = (
-        text if params.mode == "tts" else np.asarray(sampled_text, dtype=np.int64)
-    )
+    gen = [durbits.unpack(slot, cfg.d_latent, cfg.bits) for slot in slots[Lp:]]
+    latents = np.array([s for s, _, _ in gen], dtype=np.float64).reshape(-1, cfg.d_latent)
+    f_before = np.array([fb for _, fb, _ in gen], dtype=np.int64)
+    f_after = np.array([fa for _, _, fa in gen], dtype=np.int64)
     return GenerationResult(
-        text_tokens=np.asarray(gen_text, dtype=np.int64),
+        text_tokens=np.asarray(tokens[Lp:], dtype=np.int64),
         latents=latents,
         f_before=f_before,
         f_after=f_after,
-        chain_rate=chain,
+        chain_rate=durbits.chain_consistency(f_before, f_after),
         prefill_time=prefill_time,
         idle_step_time=idle_step_time,
         step_stats=stats,
@@ -445,7 +390,6 @@ def generate(
 def _sample_slot(
     model: BackboneModel,
     speaker_head: SpeakerHead,
-    flow_cfg: flowhead.FlowConfig,
     c_pos: np.ndarray,
     c_neg: np.ndarray,
     reference: np.ndarray,
@@ -455,12 +399,12 @@ def _sample_slot(
 ) -> tuple[np.ndarray, StepStat]:
     """Draw R flow candidates (plus retry rounds) and pick by speaker cosine."""
     R = params.candidates
-    d = flow_cfg.d_latent
+    d = model.config.d_latent
 
     # One condition projection per token and branch, shared by every Euler
     # step and retry round; with guidance, rows [0, R) are the positive
     # branch and [R, 2R) the negative one, as euler_sample stacks them.
-    conds = np.stack([c_pos, c_neg]) if flow_cfg.cfg_scale != 1.0 else c_pos[None, :]
+    conds = np.stack([c_pos, c_neg]) if params.cfg_scale != 1.0 else c_pos[None, :]
     rows = np.repeat(model.flow.cond_rows(conds), R, axis=0)
 
     def field(y, t):
@@ -471,7 +415,8 @@ def _sample_slot(
     max_rounds = 1 + (params.retries if R > 1 else 0)
     pool = 0
     while rounds < max_rounds:
-        y = flowhead.euler_sample(field, flow_cfg, seed=int(rng.integers(1 << 31)), n_samples=R)
+        seed = int(rng.integers(1 << 31))
+        y = flowhead.euler_sample(field, model.flow.config, params.n_fm, params.cfg_scale, seed, n_samples=R)
         emb = speaker_head.embed(y[:, :d])
         idx, cos_val, below = rejection_select(emb, reference, params.theta)
         pool += R
@@ -488,16 +433,6 @@ def _sample_slot(
         rounds=rounds,
     )
     return best_y, stat
-
-
-def tfg_negative(
-    model: BackboneModel,
-    context: list[FusedStep],
-) -> list[FusedStep]:
-    """Text-free twin of a context: every text id becomes the padding token,
-    acoustics and modes are kept; same length as the input."""
-    pad = model.config.pad_id
-    return [FusedStep(token_id=pad, acoustic=s.acoustic, mode=s.mode) for s in context]
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +472,6 @@ class StreamedAudio:
     frames: np.ndarray
     signal: np.ndarray
     segments: list[tuple[int, int]]
-    peak_cache: int
     positions: np.ndarray
     T: int
 
@@ -555,20 +489,8 @@ def stream_synthesize(result: GenerationResult, codec_model: CodecModel) -> Stre
     frames = np.zeros((T, codec_model.config.d_frame), dtype=dtype)
     signal = np.zeros((T, codec_model.config.samples_per_frame), dtype=dtype)
     segments = []
-    peak = 0
-    gen = codec_model.decode_streaming_segments(result.latents, positions, T)
-    # Track cache occupancy through the generator's internal cache by
-    # re-deriving the bound: at segment i the cache holds at most
-    # p_i - p_{i-2} entries after the step.
-    ext = np.concatenate([[0, 0], positions])
-    for i, (lo, hi, f, g) in enumerate(gen, start=1):
+    for lo, hi, f, g in codec_model.decode_streaming_segments(result.latents, positions, T):
         frames[lo:hi] = f
         signal[lo:hi] = g
         segments.append((lo, hi))
-        upper = hi
-        lower = int(ext[i - 1]) if i - 1 < ext.size else 0
-        peak = max(peak, upper - lower)
-    return StreamedAudio(
-        frames=frames, signal=signal, segments=segments, peak_cache=peak,
-        positions=positions, T=T,
-    )
+    return StreamedAudio(frames=frames, signal=signal, segments=segments, positions=positions, T=T)

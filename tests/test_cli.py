@@ -257,6 +257,24 @@ def test_wrong_kind_of_file_exit_code_2(small_corpus, wrong_kind_files, capsys, 
     assert len(err) == 1 and err[0].startswith("error:") and paths[named] in err[0] and says in err[0], err
 
 
+@pytest.mark.parametrize(
+    "flag, value, says",
+    [("--nfm", "0", "n_fm must be >= 1"), ("--cfg", "-1", "cfg_scale must be >= 0"),
+     ("--prompt", "999", "unknown prompt utterance id 999")],
+    ids=["nfm", "cfg", "prompt"],
+)
+def test_synth_bad_setting_exit_code_2(small_corpus, wrong_kind_files, capsys, flag, value, says):
+    manifest, arrays = small_corpus
+    options = {
+        "--lm": wrong_kind_files["lm.tada"], "--codec": wrong_kind_files["codec.tada"],
+        "--manifest": manifest, "--arrays": arrays, "--prompt": "0", "--text": "1", flag: value,
+    }
+    capsys.readouterr()
+    assert main(["synth", *(x for item in options.items() for x in item)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and says in err[0], err
+
+
 @pytest.mark.parametrize("b", ["0", "-1", "17"])
 def test_graycheck_out_of_range_exit_code_2(capsys, b):
     assert main(["graycheck", "--b", b]) == 2

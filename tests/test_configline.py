@@ -26,7 +26,7 @@ CODEC = CodecConfig(
 BACKBONE = BackboneConfig(
     vocab_size=7, d_model=16, n_heads=2, n_layers=1, d_ff=24, d_cond=12, d_latent=3, bits=4, k_shift=3,
     max_context=64, lambda_flow=0.5, lambda_ce=0.1, lambda_kd=0.2, dropout_rate=0.1, dropout_mean_len=4,
-    flow=FlowConfig(d_time=8, width=24, n_hidden=2, sigma_min=3e-5, cfg_scale=1.3),
+    flow=FlowConfig(d_time=8, width=24, n_hidden=2, sigma_min=3e-5),
 )
 SYNTH = SynthConfig(vocab_size=12, n_speakers=3, dur_max=5, gap_max=2, tokens_max=6, noise=0.07, seed=11)
 
@@ -67,9 +67,18 @@ def test_bad_line_names_where(edit, match):
 
 
 def test_nested_flow_keys_are_checked():
-    line = configline.to_line(BACKBONE).replace("flow.n_steps=10", "flow.n_steps=0")
-    with pytest.raises(ValidationError, match="n_steps must be >= 1"):
-        configline.from_line(BackboneConfig, line, "here")
+    line = configline.to_line(BACKBONE)
+    with pytest.raises(ValidationError, match="cannot parse flow.width='x'"):
+        configline.from_line(BackboneConfig, line.replace("flow.width=24", "flow.width=x"), "here")
+    with pytest.raises(ValidationError, match="k_shift must be >= 1"):
+        configline.from_line(BackboneConfig, line.replace("k_shift=3", "k_shift=0"), "here")
+
+
+def test_flow_sampling_settings_rejected():
+    """Backbone lines written while FlowConfig held the sampling settings do not load."""
+    line = configline.to_line(BACKBONE) + " flow.n_steps=10 flow.cfg_scale=1.8 flow.neg_mode=zero"
+    with pytest.raises(ValidationError, match="unknown key 'flow.n_steps'"):
+        configline.from_line(BackboneConfig, line, "old")
 
 
 def test_checkpoint_without_config_line_rejected(tmp_path):

@@ -22,6 +22,7 @@ from tada.flowhead import (
 from tada.numerics import finite_difference_check_params
 
 SMALL = FlowConfig(d_latent=4, bits=2, d_cond=6, d_time=8, width=16, n_hidden=2)
+N_STEPS, CFG_SCALE = 10, 1.8  # the sampling settings GenParams defaults to
 
 
 class TestInterpolate:
@@ -155,9 +156,9 @@ class TestEulerSampling:
         def fp(y, t):
             return model.field_np(y, t, rows)
 
-        a = euler_sample(fp, SMALL, seed=14, n_samples=2)
-        b = euler_sample(fp, SMALL, seed=14, n_samples=2)
-        c = euler_sample(fp, SMALL, seed=15, n_samples=2)
+        a = euler_sample(fp, SMALL, N_STEPS, CFG_SCALE, seed=14, n_samples=2)
+        b = euler_sample(fp, SMALL, N_STEPS, CFG_SCALE, seed=14, n_samples=2)
+        c = euler_sample(fp, SMALL, N_STEPS, CFG_SCALE, seed=15, n_samples=2)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -176,9 +177,8 @@ class TestEulerSampling:
             v[n:] = 1e9  # the negative half, were it stacked in
             return v
 
-        cfg1 = FlowConfig(**{**SMALL.__dict__, "cfg_scale": 1.0})
-        a = euler_sample(poisoned, cfg1, seed=17, n_samples=n)
-        b = euler_sample(fp, cfg1, seed=17, n_samples=n)
+        a = euler_sample(poisoned, SMALL, N_STEPS, 1.0, seed=17, n_samples=n)
+        b = euler_sample(fp, SMALL, N_STEPS, 1.0, seed=17, n_samples=n)
         np.testing.assert_array_equal(a, b)
 
     def test_stacked_guided_field_matches_separate_branch_calls(self):
@@ -186,7 +186,6 @@ class TestEulerSampling:
         model = VectorFieldModel(SMALL, rng=rng)
         c_pos, c_neg = rng.standard_normal((2, SMALL.d_cond))
         R = 4
-        assert SMALL.cfg_scale != 1.0
         rows = np.repeat(model.cond_rows(np.stack([c_pos, c_neg])), R, axis=0)
 
         def stacked(y, t):
@@ -194,13 +193,13 @@ class TestEulerSampling:
 
         # Reference: the taped field, one call per branch per step.
         ref = np.random.default_rng(22).standard_normal((R, SMALL.d_target))
-        for k in range(SMALL.n_steps):
-            t = k / SMALL.n_steps
+        for k in range(N_STEPS):
+            t = k / N_STEPS
             v_pos = model.field(ref, t, np.tile(c_pos, (R, 1))).data
             v_neg = model.field(ref, t, np.tile(c_neg, (R, 1))).data
-            ref = ref + cfg_combine(v_pos, v_neg, SMALL.cfg_scale, SMALL.d_latent) / SMALL.n_steps
+            ref = ref + cfg_combine(v_pos, v_neg, CFG_SCALE, SMALL.d_latent) / N_STEPS
 
-        out = euler_sample(stacked, SMALL, seed=22, n_samples=R)
+        out = euler_sample(stacked, SMALL, N_STEPS, CFG_SCALE, seed=22, n_samples=R)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
     def test_point_mass_field_is_exact_for_euler(self):
@@ -242,7 +241,7 @@ class TestEulerSampling:
             return np.full_like(y, np.inf)
 
         with pytest.raises(NumericalAbort, match="Euler step 0"):
-            euler_sample(bad, SMALL, seed=20)
+            euler_sample(bad, SMALL, N_STEPS, CFG_SCALE, seed=20)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 0.97])
@@ -273,10 +272,3 @@ def test_time_embedding_shape_and_determinism():
     b = time_embedding(np.array([0.0, 0.5]), 8)
     assert a.shape == (2, 8)
     np.testing.assert_array_equal(a, b)
-
-
-def test_flow_config_validation():
-    with pytest.raises(ValidationError):
-        FlowConfig(n_steps=0)
-    with pytest.raises(ValidationError):
-        FlowConfig(neg_mode="bogus")

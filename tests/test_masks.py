@@ -56,11 +56,6 @@ class TestDecoderStreamMask:
         m = masks.decoder_stream_mask([3], 3)
         assert m.all()
 
-    def test_strict_variant_restricts_assigned_rows(self):
-        m = masks.decoder_stream_mask([2, 5], 6, strict=True)
-        assert cols(m, 5) == {1, 2, 5}  # [p_0+1, p_1] plus itself
-        assert cols(m, 3) == {1, 2, 3, 4, 5}  # unassigned rows unchanged
-
 
 class TestIndicator:
     def test_examples(self):

@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tada import nn, pipeline
 from tada import numerics as nx
-from tada import pipeline
 
 from tada.backbone import BackboneConfig, BackboneModel, FusedStep
 from tada.codec import CodecConfig, CodecModel
@@ -25,7 +25,6 @@ from tada.pipeline import (
     rejection_select,
     save_lm_checkpoint,
     stream_synthesize,
-    tfg_negative,
     train_speaker_head,
 )
 
@@ -175,25 +174,23 @@ class TestPreparePrompt:
 
 
 class TestTfgNegative:
-    def test_structure(self, models):
-        lm, _, _ = models
-        rng = np.random.default_rng(10)
-        ctx = [
-            FusedStep(2, rng.standard_normal(4 + 2 * 4), "text-speech"),
-            FusedStep(4, None, "text-speech"),
-        ]
-        neg = tfg_negative(lm, ctx)
-        assert len(neg) == len(ctx)
-        assert all(s.token_id == lm.config.pad_id for s in neg)
-        np.testing.assert_array_equal(neg[0].acoustic, ctx[0].acoustic)
-        assert neg[1].acoustic is None
-
     def test_differs_from_zero_mode_conditions(self, models):
+        """The text-free twin of a context (text padded, acoustics kept)
+        conditions the flow head differently from the zero negative."""
         lm, _, _ = models
         rng = np.random.default_rng(11)
-        ctx = [FusedStep(1, rng.standard_normal(12), "text-speech")]
-        c_tfg = lm.forward(tfg_negative(lm, ctx))[0].cond
+        twin = [FusedStep(lm.config.pad_id, rng.standard_normal(12), "text-speech")]
+        c_tfg = lm.forward(twin)[0].cond
         assert not np.allclose(c_tfg, np.zeros_like(c_tfg))
+
+
+def test_gen_params_validation():
+    with pytest.raises(ValidationError, match="n_fm must be >= 1"):
+        GenParams(n_fm=0)
+    with pytest.raises(ValidationError, match="cfg_scale must be >= 0"):
+        GenParams(cfg_scale=-1.0)
+    with pytest.raises(ValidationError, match="unknown neg_mode 'bogus'"):
+        GenParams(neg_mode="bogus")
 
 
 class TestGenerate:
@@ -320,23 +317,37 @@ class TestGenerate:
         assert (out.prefill_time, stat_time, out.idle_step_time) == (9.0, 9.0, 6.0)
         assert out.prefill_time + stat_time + out.idle_step_time == clock[0] == 24.0
 
-    def test_one_prefill_call_then_one_call_per_step(self, models, monkeypatch):
+    @pytest.mark.parametrize("k_shift", [1, 2, 3])
+    def test_one_prefill_call_then_one_call_per_step(self, models, monkeypatch, k_shift):
+        """One prefill call, then one call per step: a step per sampled
+        token plus K, whether PAD (K=1 here) or max_tokens closes the text.
+        In every row group, stream 1 (text-free negative) is PAD with stream
+        0's slot, and stream 2 (SFG) is stream 0's text with no slot."""
         lm, codec, head = models
+        lm.config.k_shift = k_shift
         prompt = make_prompt(codec, head, np.random.default_rng(24))
         calls = []
         real_step = lm.step
 
         def step(fused, cache, streams=None):
-            calls.append((len(fused), list(streams)))
+            calls.append((list(fused), list(streams)))
             return real_step(fused, cache, streams)
 
         monkeypatch.setattr(lm, "step", step)
         params = GenParams(mode="slm", n_fm=2, max_tokens=4, neg_mode="tfg", sfg_scale=0.5, seed=11)
         out = generate(lm, codec, head, prompt, None, params)
-        assert out.text_tokens.size == 4
+        assert 0 < out.text_tokens.size
         Lp = prompt.tokens.size
-        assert calls[0] == (3 * Lp, [0, 1, 2] * Lp)
-        assert calls[1:] == [(3, [0, 1, 2])] * (out.text_tokens.size + lm.config.k_shift)
+        assert (len(calls[0][0]), calls[0][1]) == (3 * Lp, [0, 1, 2] * Lp)
+        assert [(len(rows), streams) for rows, streams in calls[1:]] == [(3, [0, 1, 2])] * (
+            out.text_tokens.size + k_shift
+        )
+        pad = lm.config.pad_id
+        for rows, _ in calls:
+            for pos, neg, text_only in zip(rows[0::3], rows[1::3], rows[2::3]):
+                assert (neg.token_id, neg.mode) == (pad, "text-speech")
+                assert neg.acoustic is pos.acoustic
+                assert (text_only.token_id, text_only.acoustic, text_only.mode) == (pos.token_id, None, "text-only")
 
     def test_batched_branches_match_single_row_steps_per_branch(self, models, monkeypatch):
         """Generation with every branch in one call equals generation where
@@ -402,17 +413,30 @@ class TestStreamSynthesize:
         full = codec.decode(result.latents, p, T, mode="streaming")
         np.testing.assert_allclose(audio.frames, full.features.data, atol=1e-9)
 
-    def test_peak_cache_bound(self, models):
+    def test_peak_cache_bound(self, models, monkeypatch):
+        """After segment i's decoder step the cache holds at most
+        p_i - p_{i-2} entries (p_0 = p_{-1} = 0), and after the trailing
+        segment at most T - p_{L-1}."""
         _, codec, _ = models
         rng = np.random.default_rng(21)
         result = self._result(rng, 6)
+        sizes = []
+        real_stack_step = nn.stack_step
+
+        def stack_step(params, prefix, x_new, new_positions, cache, *args, **kwargs):
+            out = real_stack_step(params, prefix, x_new, new_positions, cache, *args, **kwargs)
+            sizes.append(len(cache))
+            return out
+
+        monkeypatch.setattr(nn, "stack_step", stack_step)
         audio = stream_synthesize(result, codec)
         p, T = result.positions
-        ext = np.concatenate([[0, 0], p])
-        spans = [int(ext[i + 2] - ext[i]) for i in range(p.size)]
+        ext = np.concatenate([[0, 0], p])  # ext[i + 1] = p_i
+        bounds = [int(ext[i + 1] - ext[i - 1]) for i in range(1, p.size + 1)]
         if T > p[-1]:
-            spans.append(int(T - ext[p.size]))
-        assert audio.peak_cache <= max(spans)
+            bounds.append(int(T - ext[p.size]))
+        assert len(sizes) == len(audio.segments) == len(bounds)
+        assert all(size <= bound for size, bound in zip(sizes, bounds)), (sizes, bounds)
 
     def test_chain_mismatch_uses_later_sample(self, models):
         _, codec, _ = models

@@ -10,7 +10,7 @@ the full pass.
 import numpy as np
 
 from tada import numerics as nx
-from tada.codec import CodecConfig, CodecModel, train_codec
+from tada.codec import CodecConfig, train_codec
 from tada.harness import OracleDecoder, SynthConfig, TemplateBank, gen_corpus, utterance_arrays
 
 cfg = SynthConfig(seed=5)

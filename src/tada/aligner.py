@@ -354,20 +354,13 @@ class AlignerModel:
         nn.init_linear(self.params, "head_main", rng, d, config.vocab_size + 1)
         nn.init_linear(self.params, "head_inter", rng, d, config.n_graphemes + 1)
 
-    def _mix(self, name: str, x: Tensor) -> Tensor:
-        T = x.shape[0]
-        zero = nx.zeros((1, x.shape[1]), dtype=x.dtype)
-        left = nx.concat([zero, nx.gather_rows(x, np.arange(0, T - 1))], axis=0)
-        right = nx.concat([nx.gather_rows(x, np.arange(1, T)), zero], axis=0)
-        return nx.gelu(nn.linear(self.params, name, nx.concat([left, x, right], axis=1)))
-
     def forward(self, frames) -> tuple[Tensor, Tensor]:
         """Raw main logits (T, V+1) and intermediate logits (T, G+1)."""
         x = nn.input_tensor(self.params, frames)
         T = x.shape[0]
         x = nn.linear(self.params, "in_proj", x)
-        x = x + self._mix("mix0", x)
-        x = x + self._mix("mix1", x)
+        x = x + nn.local_mix(self.params, "mix0", x)
+        x = x + nn.local_mix(self.params, "mix1", x)
         mask = nn.full_mask(T)
         positions = np.arange(T)
         x = nn.block(self.params, "enc/layer0", x, mask, self.tf, positions)

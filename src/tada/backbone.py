@@ -242,9 +242,12 @@ class BackboneModel:
                 raise ValidationError(
                     f"step: stream {s} context length {positions[rows[-1]]} exceeds maximum"
                 )
+        mask = (np.concatenate([cache.streams, streams]) == streams[:, None]) & (
+            np.concatenate([cache.positions, positions]) <= positions[:, None]
+        )
         with nx.no_grad():
             x = self._fuse_matrix(*self._step_rows(steps))
-            h = nn.stack_step(self.params, "tf", x, positions, cache, self.tf, streams=streams, causal=True)
+            h = nn.stack_step(self.params, "tf", x, positions, cache, self.tf, mask, streams)
             return _outputs(nn.linear(self.params, "lm_head", h), nn.linear(self.params, "cond_head", h))
 
     def save(self, path) -> None:

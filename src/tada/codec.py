@@ -224,13 +224,8 @@ class CodecModel:
 
     def frontend(self, frames) -> Tensor:
         """Per-frame projection plus a kernel-3 local mixer (pre-transformer)."""
-        x = nn.input_tensor(self.params, frames)
-        T = x.shape[0]
-        x = nn.linear(self.params, "enc/in_proj", x)
-        zero = nx.zeros((1, x.shape[1]), dtype=x.dtype)
-        left = nx.concat([zero, nx.gather_rows(x, np.arange(0, T - 1))], axis=0)
-        right = nx.concat([nx.gather_rows(x, np.arange(1, T)), zero], axis=0)
-        return x + nx.gelu(nn.linear(self.params, "enc/mix", nx.concat([left, x, right], axis=1)))
+        x = nn.linear(self.params, "enc/in_proj", nn.input_tensor(self.params, frames))
+        return x + nn.local_mix(self.params, "enc/mix", x)
 
     def encode_from_hidden(self, hidden: Tensor, p: np.ndarray) -> Tensor:
         """Masked transformer over prepared frame features; gather latent means."""
@@ -247,11 +242,12 @@ class CodecModel:
 
     # -- decoders ----------------------------------------------------------
 
-    def _decode_stack(self, dec: str, s: Tensor, p: np.ndarray, T: int, mask: np.ndarray) -> Tensor:
+    def _decoder_input(self, dec: str, s: Tensor, p: np.ndarray, T: int) -> Tensor:
+        """Decoder input rows: projected latents at the aligned frames plus
+        the indicator embedding."""
         z = scatter_latents(s, p, T)
         ind = masks.indicator(p, T)
-        x = nn.linear(self.params, f"{dec}/z_proj", z) + nx.embed(self.params[f"{dec}/indicator"], ind)
-        return nn.stack(self.params, f"{dec}/tf", x, mask, self.tf)
+        return nn.linear(self.params, f"{dec}/z_proj", z) + nx.embed(self.params[f"{dec}/indicator"], ind)
 
     def decode(self, s, p: np.ndarray, T: int, mode: str = "joint") -> DecodedFrames:
         """Reconstruct (T, d_frame) features and (T, r) signal from latents.
@@ -264,7 +260,7 @@ class CodecModel:
         s = nn.input_tensor(self.params, s)
         dec = "dec_joint" if mode == "joint" else "dec_stream"
         mask = nn.full_mask(T) if mode == "joint" else masks.decoder_stream_mask(p, T)
-        h = self._decode_stack(dec, s, p, T, mask)
+        h = nn.stack(self.params, f"{dec}/tf", self._decoder_input(dec, s, p, T), mask, self.tf)
         return DecodedFrames(
             features=nn.linear(self.params, f"{dec}/feat", h),
             signal=nn.linear(self.params, f"{dec}/sig", h),
@@ -276,37 +272,22 @@ class CodecModel:
 
         Yields (start, end, features, signal) with 1-based half-open frame
         ranges (start, end]; concatenated outputs equal the full streaming
-        pass up to floating-point round-off. Cache entries older than the
-        previous segment are evicted before each step.
+        pass up to floating-point round-off. Each step runs under the rows
+        of the full pass's mask, ``masks.decoder_stream_mask``, and first
+        drops the cached entries outside its first row's window, which no
+        later row sees either.
         """
-        s_arr = s.data if isinstance(s, Tensor) else np.asarray(s)
         p = np.asarray(p, dtype=np.int64)
+        window = masks.decoder_stream_mask(p, T)
         with nx.no_grad():
-            z = np.zeros((T, self.config.d_latent), dtype=nn.param_dtype(self.params))
-            z[p - 1] = s_arr
-            ind = masks.indicator(p, T)
-            x_all = nn.linear(self.params, "dec_stream/z_proj", Tensor(z)) + nx.embed(
-                self.params["dec_stream/indicator"], ind
-            )
-            bounds = masks.segment_bounds(p, T)
+            s = nn.input_tensor(self.params, s.data if isinstance(s, Tensor) else s)
+            x_all = self._decoder_input("dec_stream", s, p, T).data
             cache = nn.StackCache(self.tf)
-            ext = np.concatenate([[0, 0], p])  # ext[i+1] = p_i
-            for seg_idx, (lo, hi) in enumerate(bounds, start=1):
-                if seg_idx <= p.size:
-                    window_lo = int(ext[seg_idx - 1]) + 1  # p_{i-2} + 1, 1-based
-                else:
-                    window_lo = int(ext[p.size]) + 1  # trailing: p_{L-1} + 1
-                cache.evict_upto(window_lo - 2)  # 0-based positions <= window_lo - 2
-                rows = Tensor(x_all.data[lo:hi])
-                h = nn.stack_step(
-                    self.params,
-                    "dec_stream/tf",
-                    rows,
-                    np.arange(lo, hi),
-                    cache,
-                    self.tf,
-                    attend_from=window_lo - 2,
-                )
+            for lo, hi in masks.segment_bounds(p, T):
+                cache.keep(window[lo, cache.positions])
+                rows = np.arange(lo, hi)
+                mask = window[lo:hi][:, np.concatenate([cache.positions, rows])]
+                h = nn.stack_step(self.params, "dec_stream/tf", Tensor(x_all[lo:hi]), rows, cache, self.tf, mask)
                 feats = nn.linear(self.params, "dec_stream/feat", h)
                 sig = nn.linear(self.params, "dec_stream/sig", h)
                 yield lo, hi, np.asarray(feats.data), np.asarray(sig.data)

@@ -212,7 +212,6 @@ def euler_sample(
     cfg_scale: float,
     seed: int,
     n_samples: int = 1,
-    y_start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Integrate the guided field from Gaussian noise over ``n_steps``.
 
@@ -224,8 +223,7 @@ def euler_sample(
     """
     d = config.d_target
     rng = np.random.default_rng(seed)
-    y = rng.standard_normal((n_samples, d)) if y_start is None else np.array(y_start, dtype=np.float64)
-    half = y.shape[0]
+    y = rng.standard_normal((n_samples, d))
     guided = cfg_scale != 1.0
     for k in range(n_steps):
         t = k / n_steps
@@ -233,7 +231,7 @@ def euler_sample(
         if not np.all(np.isfinite(v)):
             raise NumericalAbort(f"euler_sample: non-finite field at Euler step {k}")
         if guided:
-            v = cfg_combine(v[:half], v[half:], cfg_scale, config.d_latent)
+            v = cfg_combine(v[:n_samples], v[n_samples:], cfg_scale, config.d_latent)
         y = y + v / n_steps
         if not np.all(np.isfinite(y)):
             raise NumericalAbort(f"euler_sample: non-finite state at Euler step {k}")

@@ -71,22 +71,11 @@ def decoder_stream_mask(p, T: int) -> np.ndarray:
     position form a trailing segment attending [p_{L-1}+1, T].
     """
     p = _check_positions(p, T)
-    L = p.size
-    ext = np.concatenate([[0, 0], p])  # ext[i+1] = p_i, so p_{i-2} = ext[i-1]
-    mask = np.zeros((T, T), dtype=bool)
-    for q in range(1, T + 1):
-        i = int(np.searchsorted(p, q, side="left")) + 1  # 1-based; L+1 if trailing
-        if i <= L:
-            lo = ext[i - 1] + 1  # p_{i-2} + 1
-            hi = ext[i + 1]  # p_i
-        else:
-            lo = ext[L] + 1  # p_{L-1} + 1
-            hi = T
-        lo = max(lo, 1)
-        if lo <= hi:
-            mask[q - 1, lo - 1 : hi] = True
-        mask[q - 1, q - 1] = True
-    return mask
+    q = np.arange(1, T + 1)
+    i = np.searchsorted(p, q, side="left")  # index of the governing p_i in p; L if trailing
+    lo = np.concatenate([[0, 0], p])[i] + 1  # p_{i-2} + 1, or p_{L-1} + 1
+    hi = np.append(p, T)[i]  # p_i, or T
+    return (q >= lo[:, None]) & (q <= hi[:, None])
 
 
 def indicator(p, T: int) -> np.ndarray:

@@ -86,6 +86,16 @@ def mlp(params: dict, prefix: str, x: Tensor, n_layers: int) -> Tensor:
     return x
 
 
+def local_mix(params: dict, name: str, x: Tensor) -> Tensor:
+    """Kernel-3 neighbour mixer: GELU of a linear map of each row beside its
+    left and right neighbours (zero rows past either end)."""
+    T = x.shape[0]
+    zero = nx.zeros((1, x.shape[1]), dtype=x.dtype)
+    left = nx.concat([zero, nx.gather_rows(x, np.arange(0, T - 1))], axis=0)
+    right = nx.concat([nx.gather_rows(x, np.arange(1, T)), zero], axis=0)
+    return nx.gelu(linear(params, name, nx.concat([left, x, right], axis=1)))
+
+
 def init_block(params: dict, prefix: str, rng: np.random.Generator, cfg: TransformerConfig) -> None:
     d = cfg.d_model
     init_ln(params, f"{prefix}/ln1", d)
@@ -205,9 +215,9 @@ class LayerCache:
 class StackCache:
     """Per-layer key/value caches for incremental decoding.
 
-    Entries carry their absolute positions, so windowed eviction stays
-    exact, and a stream label: one cache can hold several independent
-    sequences, and an entry is attended to only from its own stream.
+    Entries carry their absolute positions and a stream label, so a caller
+    can build each step's mask from them: one cache can hold several
+    independent sequences, or a window that drops its oldest entries.
     """
 
     def __init__(self, cfg: TransformerConfig):
@@ -216,13 +226,12 @@ class StackCache:
         self.positions = np.zeros((0,), dtype=np.int64)
         self.streams = np.zeros((0,), dtype=np.int64)
 
-    def evict_upto(self, position: int) -> None:
-        """Drop all cached entries with absolute position <= ``position``."""
-        keep = self.positions > position
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the entries that ``rows`` (a boolean mask or indices) selects."""
         for layer in self.layers:
-            layer.keep(keep)
-        self.positions = self.positions[keep]
-        self.streams = self.streams[keep]
+            layer.keep(rows)
+        self.positions = self.positions[rows]
+        self.streams = self.streams[rows]
 
     def __len__(self) -> int:
         return int(self.positions.size)
@@ -235,31 +244,27 @@ def stack_step(
     new_positions: np.ndarray,
     cache: StackCache,
     cfg: TransformerConfig,
-    attend_from: int = -1,
+    mask: np.ndarray,
     streams: np.ndarray | None = None,
-    causal: bool = False,
 ) -> Tensor:
-    """Append ``x_new`` rows to the cache and return their outputs.
+    """The cached twin of :func:`stack`: append ``x_new`` rows to the cache
+    and return their outputs.
 
-    ``streams`` labels each new row (default: all stream 0). A new row
-    attends to a cached entry or a new row when it has the row's stream and
-    a position greater than ``attend_from``, and, with ``causal``, a
-    position no greater than the row's own. Without ``causal`` the chunk
-    has no order inside it. Excluded entries never enter the softmax, so
-    one stream's values never reach another stream's outputs.
+    ``mask`` is (n_new, len(cache) + n_new): row r of it says which cached
+    entries, then which new rows, new row r attends to. Excluded entries
+    never enter the softmax. The new rows' positions and ``streams`` labels
+    (default: all stream 0) are appended to the cache.
     """
-    new_streams = np.zeros(new_positions.size, dtype=np.int64) if streams is None else np.asarray(streams)
+    n_new = new_positions.size
+    if mask.shape != (n_new, len(cache) + n_new):
+        raise ValueError(f"mask shape {mask.shape} does not match {n_new} new rows after {len(cache)} cached")
+    new_streams = np.zeros(n_new, dtype=np.int64) if streams is None else np.asarray(streams)
     with nx.no_grad():
-        positions = np.concatenate([cache.positions, new_positions])
-        all_streams = np.concatenate([cache.streams, new_streams])
-        mask = (all_streams == new_streams[:, None]) & (positions > attend_from)
-        if causal:
-            mask &= positions <= new_positions[:, None]
         x = x_new
         for i, layer in enumerate(cache.layers):
             x = block(params, f"{prefix}/layer{i}", x, mask, cfg, new_positions, layer)
-        cache.positions = positions
-        cache.streams = all_streams
+        cache.positions = np.concatenate([cache.positions, new_positions])
+        cache.streams = np.concatenate([cache.streams, new_streams])
         return ln(params, f"{prefix}/ln_out", x)
 
 

@@ -23,7 +23,7 @@ from . import numerics as nx
 from .aligner import AlignerModel, filter_alignment
 from .backbone import BackboneConfig, BackboneModel, FusedStep, sfg_logits
 from .codec import CodecModel
-from .errors import ValidationError
+from .errors import NumericalAbort, ValidationError
 from .numerics import Tensor
 
 
@@ -89,7 +89,7 @@ def train_speaker_head(
     opt = nx.Adam(head.params, lr=lr)
     targets = np.asarray(targets, dtype=np.float64)
     tnorm = targets / (np.linalg.norm(targets, axis=1, keepdims=True) + 1e-12)
-    for _ in range(steps):
+    for step in range(steps):
         idx = rng.integers(0, len(latents), size=min(batch_size, len(latents)))
         opt.zero_grad()
         e = head.embed_t(nn.input_tensor(head.params, latents[idx]))
@@ -97,6 +97,8 @@ def train_speaker_head(
         norms = nx.sqrt(nx.sum_(nx.square(e), axis=1) + 1e-12)
         cos = nx.mul(dots, nx.reciprocal(norms))
         loss = nx.mean_(nx.scale(cos, -1.0)) + 1.0
+        if not np.isfinite(loss.data):
+            raise NumericalAbort(f"train_speaker_head: diverged at step {step}")
         loss.backward()
         opt.step()
     return head

@@ -13,7 +13,6 @@ from tada.aligner import (
     AlignerConfig,
     AlignerModel,
     aligner_batch_loss,
-    alignment_accuracy,
     ctc_log_likelihood,
     ctc_loss,
     curriculum_subset,

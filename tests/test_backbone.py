@@ -4,7 +4,6 @@ composition, segment dropout, and speech-free guidance identities."""
 import numpy as np
 import pytest
 
-from tada import numerics as nx
 from tada.backbone import (
     BackboneConfig,
     BackboneModel,

@@ -88,12 +88,16 @@ class TestExhaustiveProperties:
                     lo, hi = ext[i - 1] + 1, ext[i + 1] - 1
                     expect = set(range(max(lo, 1), min(hi, T) + 1))
                     assert cols(enc, int(p[i - 1])) == expect, (p, T, i)
-                # decoder rows never attend beyond their governing position
+                # decoder row q, governed by the first p_i >= q, sees exactly
+                # [p_{i-2}+1, p_i]; a trailing row sees [p_{L-1}+1, T]
+                pad = [0, 0] + p.tolist()  # pad[i + 1] = p_i, p_0 = p_-1 = 0
                 for q in range(1, T + 1):
-                    j = int(np.searchsorted(p, q, side="left"))
-                    governing = int(p[j]) if j < p.size else T
-                    allowed = cols(dec, q)
-                    assert max(allowed) <= governing, (p, T, q)
+                    i = next((k for k in range(1, p.size + 1) if p[k - 1] >= q), None)
+                    if i is None:
+                        expect = set(range(pad[p.size] + 1, T + 1))
+                    else:
+                        expect = set(range(pad[i - 1] + 1, pad[i + 1] + 1))
+                    assert cols(dec, q) == expect, (p, T, q)
                 # masks are pure functions of (p, T)
                 np.testing.assert_array_equal(enc, masks.encoder_mask(p, T))
                 np.testing.assert_array_equal(dec, masks.decoder_stream_mask(p, T))

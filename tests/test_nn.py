@@ -69,8 +69,8 @@ def test_attention_matches_per_head_reference(T, dtype):
 def test_cached_steps_with_eviction_match_stack_over_window():
     """Chunks through one cache, evicting as the codec's streaming decode does.
 
-    Chunk A (positions 0..4) attends only to positions > 1; after evicting
-    positions <= 1, chunk B (5..7) attends to the cached rows 2..4 plus
+    Chunk A (positions 0..4) attends only to positions > 1; after keeping
+    only positions > 1, chunk B (5..7) attends to the cached rows 2..4 plus
     itself. The stack over rows 2..7 under the same block mask must give
     both chunks' outputs.
     """
@@ -78,10 +78,11 @@ def test_cached_steps_with_eviction_match_stack_over_window():
     params = make_params(gain=10.0)
     x = rng.standard_normal((8, CFG.d_model))
     cache = nn.StackCache(CFG)
-    out_a = nn.stack_step(params, "tf", nx.tensor(x[:5]), np.arange(0, 5), cache, CFG, attend_from=1)
-    cache.evict_upto(1)
+    mask_a = np.tile(np.arange(0, 5) > 1, (5, 1))
+    out_a = nn.stack_step(params, "tf", nx.tensor(x[:5]), np.arange(0, 5), cache, CFG, mask_a)
+    cache.keep(cache.positions > 1)
     assert len(cache) == 3
-    out_b = nn.stack_step(params, "tf", nx.tensor(x[5:]), np.arange(5, 8), cache, CFG, attend_from=1)
+    out_b = nn.stack_step(params, "tf", nx.tensor(x[5:]), np.arange(5, 8), cache, CFG, np.ones((3, 6), dtype=bool))
     assert len(cache) == 6
 
     mask = np.ones((6, 6), dtype=bool)
@@ -96,7 +97,7 @@ def test_cache_holds_rotated_keys():
     params = make_params()
     x = nx.tensor(rng.standard_normal((4, CFG.d_model)))
     cache = nn.StackCache(CFG)
-    nn.stack_step(params, "tf", x, np.arange(10, 14), cache, CFG)
+    nn.stack_step(params, "tf", x, np.arange(10, 14), cache, CFG, np.ones((4, 4), dtype=bool))
     xin = nn.ln(params, "tf/layer0/ln1", x)
     k = nn.linear(params, "tf/layer0/wk", xin)
     hd = CFG.d_model // CFG.n_heads
@@ -108,30 +109,43 @@ def test_cache_holds_rotated_keys():
 def test_causal_streams_in_one_cache_match_stack_per_stream():
     """Two streams share one cache: a causal prefill chunk of both, then one
     row of each per call. Each stream's outputs equal the causal stack over
-    that stream alone, and eviction keeps the stream labels aligned."""
+    that stream alone, and ``keep`` keeps the stream labels aligned."""
     rng = np.random.default_rng(9)
     params = make_params(gain=10.0)
     xs = [rng.standard_normal((6, CFG.d_model)) for _ in range(2)]
     cache = nn.StackCache(CFG)
-    pre = nn.stack_step(
-        params, "tf", nx.tensor(np.concatenate([xs[0][:4], xs[1][:4]])), np.tile(np.arange(4), 2),
-        cache, CFG, streams=np.repeat([0, 1], 4), causal=True,
-    ).data
+
+    def step(x, positions, streams):
+        # same stream and position <= own, over the cached entries then the new rows
+        mask = (np.concatenate([cache.streams, streams]) == streams[:, None]) & (
+            np.concatenate([cache.positions, positions]) <= positions[:, None]
+        )
+        return nn.stack_step(params, "tf", nx.tensor(x), positions, cache, CFG, mask, streams).data
+
+    pre = step(np.concatenate([xs[0][:4], xs[1][:4]]), np.tile(np.arange(4), 2), np.repeat([0, 1], 4))
     outs = [[pre[:4]], [pre[4:]]]
     for j in (4, 5):
-        o = nn.stack_step(
-            params, "tf", nx.tensor(np.stack([xs[0][j], xs[1][j]])), np.array([j, j]),
-            cache, CFG, streams=np.array([0, 1]), causal=True,
-        ).data
+        o = step(np.stack([xs[0][j], xs[1][j]]), np.array([j, j]), np.array([0, 1]))
         outs[0].append(o[:1])
         outs[1].append(o[1:])
     for x, out in zip(xs, outs):
         full = nn.stack(params, "tf", nx.tensor(x), nn.causal_mask(6), CFG).data
         np.testing.assert_allclose(np.concatenate(out), full, rtol=0, atol=1e-12)
-    cache.evict_upto(3)
+    cache.keep(cache.positions > 3)
     np.testing.assert_array_equal(cache.positions, [4, 4, 5, 5])
     np.testing.assert_array_equal(cache.streams, [0, 1, 0, 1])
     assert cache.layers[0].keys.shape[1] == 4
+
+
+def test_stack_step_rejects_mask_of_wrong_shape():
+    """The mask needs one row per new row and one column per cached entry
+    and new row; a wrong one fails before the cache changes."""
+    params = make_params()
+    cache = nn.StackCache(CFG)
+    nn.stack_step(params, "tf", nx.tensor(np.ones((2, CFG.d_model))), np.arange(2), cache, CFG, nn.causal_mask(2))
+    with pytest.raises(ValueError, match="mask shape"):
+        nn.stack_step(params, "tf", nx.tensor(np.ones((1, CFG.d_model))), np.array([2]), cache, CFG, np.ones((1, 1), bool))
+    assert len(cache) == 2 and cache.layers[0].keys.shape[1] == 2
 
 
 def test_float32_model_computes_in_float32_outside_precision_context():
@@ -141,8 +155,10 @@ def test_float32_model_computes_in_float32_outside_precision_context():
         params = make_params()
     x = nn.input_tensor(params, np.random.default_rng(10).standard_normal((3, CFG.d_model)))
     cache = nn.StackCache(CFG)
-    out = nn.stack_step(params, "tf", x, np.arange(3), cache, CFG, causal=True)
-    out = nn.stack_step(params, "tf", nn.input_tensor(params, out.data[-1:]), np.array([3]), cache, CFG)
+    out = nn.stack_step(params, "tf", x, np.arange(3), cache, CFG, nn.causal_mask(3))
+    out = nn.stack_step(
+        params, "tf", nn.input_tensor(params, out.data[-1:]), np.array([3]), cache, CFG, np.ones((1, 4), dtype=bool)
+    )
     assert x.dtype == out.dtype == np.float32
     assert {layer.keys.dtype for layer in cache.layers} == {layer.values.dtype for layer in cache.layers} == {
         np.dtype(np.float32)

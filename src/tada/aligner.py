@@ -118,39 +118,43 @@ def _extend_with_blanks(targets: np.ndarray, blank: int) -> np.ndarray:
     return ext
 
 
+def _skip_ok(lab: np.ndarray, blank: int) -> np.ndarray:
+    """Indices s >= 2 of the extended labels whose path may skip from s - 2."""
+    return np.flatnonzero((lab[2:] != blank) & (lab[2:] != lab[:-2])) + 2
+
+
 def _ctc_alpha(y: np.ndarray, lab: np.ndarray, blank: int) -> np.ndarray:
     T = y.shape[0]
     S = lab.size
+    emit = y[:, lab]
+    skip = _skip_ok(lab, blank)
     alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = y[0, lab[0]]
+    alpha[0, 0] = emit[0, 0]
     if S > 1:
-        alpha[0, 1] = y[0, lab[1]]
+        alpha[0, 1] = emit[0, 1]
     for t in range(1, T):
         prev = alpha[t - 1]
         cur = prev.copy()
         cur[1:] = np.logaddexp(cur[1:], prev[:-1])
-        skip_ok = np.zeros(S, dtype=bool)
-        skip_ok[2:] = (lab[2:] != blank) & (lab[2:] != lab[:-2])
-        cur[skip_ok] = np.logaddexp(cur[skip_ok], prev[np.flatnonzero(skip_ok) - 2])
-        alpha[t] = cur + y[t, lab]
+        cur[skip] = np.logaddexp(cur[skip], prev[skip - 2])
+        alpha[t] = cur + emit[t]
     return alpha
 
 
 def _ctc_beta(y: np.ndarray, lab: np.ndarray, blank: int) -> np.ndarray:
     T = y.shape[0]
     S = lab.size
+    emit = y[:, lab]
+    skip = _skip_ok(lab, blank) - 2
     beta = np.full((T, S), NEG_INF)
     beta[T - 1, S - 1] = 0.0
     if S > 1:
         beta[T - 1, S - 2] = 0.0
     for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1] + y[t + 1, lab]
+        nxt = beta[t + 1] + emit[t + 1]
         cur = nxt.copy()
         cur[:-1] = np.logaddexp(cur[:-1], nxt[1:])
-        skip_ok = np.zeros(S, dtype=bool)
-        skip_ok[: S - 2] = (lab[2:] != blank) & (lab[2:] != lab[:-2])
-        idx = np.flatnonzero(skip_ok)
-        cur[idx] = np.logaddexp(cur[idx], nxt[idx + 2])
+        cur[skip] = np.logaddexp(cur[skip], nxt[skip + 2])
         beta[t] = cur
     return beta
 

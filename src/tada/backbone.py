@@ -197,14 +197,30 @@ class BackboneModel:
 
     # -- forward -------------------------------------------------------------
 
-    def forward_tensors(self, ids, acoustic, has_ac, speech) -> tuple[Tensor, Tensor]:
-        n = np.asarray(ids).size
-        if n < 1:
+    def forward_tensors(self, ids, acoustic, has_ac, speech, lengths=None) -> tuple[Tensor, Tensor]:
+        """Text logits and condition vectors, as tensors, for fused rows.
+
+        The rows are consecutive sequences of the given ``lengths`` (default:
+        one sequence). Each sequence's positions start at 0, and a row
+        attends to the rows of its own sequence up to its own position, so
+        no value of one sequence reaches another's rows. Each length must
+        fit in ``max_context``.
+        """
+        ids = np.asarray(ids)
+        lengths = np.array([ids.size]) if lengths is None else np.asarray(lengths, dtype=np.int64)
+        if not lengths.size or lengths.min() < 1:
             raise ValidationError("forward: context must have length >= 1")
-        if n > self.config.max_context:
-            raise ValidationError(f"forward: context length {n} exceeds maximum {self.config.max_context}")
-        x = self._fuse_matrix(np.asarray(ids), acoustic, has_ac, speech)
-        h = nn.stack(self.params, "tf", x, nn.causal_mask(n), self.tf, np.arange(n))
+        if lengths.sum() != ids.size:
+            raise ValidationError(f"forward: lengths sum to {lengths.sum()}, not the {ids.size} rows")
+        if lengths.max() > self.config.max_context:
+            raise ValidationError(
+                f"forward: context length {lengths.max()} exceeds maximum {self.config.max_context}"
+            )
+        seq = np.repeat(np.arange(lengths.size), lengths)
+        positions = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        mask = (seq[:, None] == seq) & (positions <= positions[:, None])
+        x = self._fuse_matrix(ids, acoustic, has_ac, speech)
+        h = nn.stack(self.params, "tf", x, mask, self.tf, positions)
         return nn.linear(self.params, "lm_head", h), nn.linear(self.params, "cond_head", h)
 
     def forward(self, context: list[FusedStep]) -> list[BackboneOutput]:
@@ -318,6 +334,28 @@ def build_sequence(item: SequenceBatchItem, config: BackboneConfig):
     return ids, acoustic, has_ac, np.asarray(ce_targets), np.asarray(flow_step_idx), np.stack(flow_targets)
 
 
+def _text_only_logits(model: BackboneModel, ids: np.ndarray, lengths: list[int]) -> Tensor:
+    """Text logits of packed sequences with every step text-only."""
+    n = ids.size
+    no = np.zeros(n, dtype=bool)
+    return model.forward_tensors(ids, np.zeros((n, model.config.d_acoustic)), no, no, lengths)[0]
+
+
+def _runs(lengths: list[int], limit: int) -> list[list[tuple[int, int]]]:
+    """Consecutive sequences, in order, packed into runs of at most ``limit``
+    rows: each run lists its sequences as (index, first row in the run).
+    A sequence longer than ``limit`` is a run of its own."""
+    runs: list[list[tuple[int, int]]] = []
+    rows = 0
+    for i, n in enumerate(lengths):
+        if not runs or rows + n > limit:
+            runs.append([])
+            rows = 0
+        runs[-1].append((i, rows))
+        rows += n
+    return runs
+
+
 def train_step(
     model: BackboneModel,
     batch: list[SequenceBatchItem],
@@ -330,43 +368,55 @@ def train_step(
 
     flow: velocity regression on (flow target, condition) pairs at speech
     steps; ce: next-token cross-entropy over the text stream; kd: KL from
-    the frozen base LM's logits to the model's at text-only steps.
+    the frozen base LM's logits to the model's at text-only steps. Each is
+    a mean over the items of the item's own mean.
+
+    The batch is packed, in order, into runs of at most ``max_context``
+    rows, one forward per run (and one base-LM forward per run with a
+    text-only step); each item's terms are gathered from its run's rows.
+    Random draws go per item in batch order: the modes, then the flow seed
+    when a flow step is kept.
     """
     cfg = model.config
     rate = cfg.dropout_rate if dropout_rate is None else dropout_rate
     rng = np.random.default_rng(seed)
+    seqs, speeches, flow_seeds = [], [], []
+    for item in batch:
+        ids, _, _, _, flow_idx, _ = seq = build_sequence(item, cfg)
+        speech = sample_segment_modes(ids.size, rate, cfg.dropout_mean_len, rng)
+        seqs.append(seq)
+        speeches.append(speech)
+        flow_seeds.append(int(rng.integers(1 << 31)) if speech[flow_idx].any() else None)
     flow_terms: list[Tensor] = []
     ce_terms: list[Tensor] = []
     kd_terms: list[Tensor] = []
-    B = len(batch)
-    for item in batch:
-        ids, acoustic, has_ac, ce_targets, flow_idx, flow_targets = build_sequence(item, cfg)
-        n = ids.size
-        speech = sample_segment_modes(n, rate, cfg.dropout_mean_len, rng)
-        logits, cond = model.forward_tensors(ids, acoustic, has_ac, speech)
-        ce_terms.append(nx.cross_entropy(nx.gather_rows(logits, np.arange(n - 1)), ce_targets))
-        keep = speech[flow_idx]
-        if keep.any():
-            sel = flow_idx[keep]
-            flow_terms.append(
-                flowhead.flow_loss(
-                    model.flow,
-                    flow_targets[keep],
-                    nx.gather_rows(cond, sel),
-                    cfg.flow.sigma_min,
-                    seed=int(rng.integers(1 << 31)),
-                )
+    for run in _runs([seq[0].size for seq in seqs], cfg.max_context):
+        ids, acoustic, has_ac = (np.concatenate([seqs[i][k] for i, _ in run]) for k in range(3))
+        speech = np.concatenate([speeches[i] for i, _ in run])
+        lengths = [seqs[i][0].size for i, _ in run]
+        logits, cond = model.forward_tensors(ids, acoustic, has_ac, speech, lengths)
+        base_logits = None
+        if base_lm is not None and not speech.all():
+            with nx.no_grad():
+                base_logits = _text_only_logits(base_lm, ids, lengths)
+        for i, start in run:
+            _, _, _, ce_targets, flow_idx, flow_targets = seqs[i]
+            ce_terms.append(
+                nx.cross_entropy(nx.gather_rows(logits, start + np.arange(ce_targets.size)), ce_targets)
             )
-        if base_lm is not None:
-            text_only = np.flatnonzero(~speech)
-            if text_only.size:
-                with nx.no_grad():
-                    base_logits, _ = base_lm.forward_tensors(
-                        ids,
-                        np.zeros_like(acoustic),
-                        np.zeros(n, dtype=bool),
-                        np.zeros(n, dtype=bool),
+            keep = speeches[i][flow_idx]
+            if keep.any():
+                flow_terms.append(
+                    flowhead.flow_loss(
+                        model.flow,
+                        flow_targets[keep],
+                        nx.gather_rows(cond, start + flow_idx[keep]),
+                        cfg.flow.sigma_min,
+                        seed=flow_seeds[i],
                     )
+                )
+            text_only = start + np.flatnonzero(~speeches[i])
+            if base_logits is not None and text_only.size:
                 kd_terms.append(
                     nx.kl_categorical(
                         nn.input_tensor(model.params, base_logits.data[text_only]),
@@ -417,6 +467,27 @@ def train_backbone(
     return model
 
 
+def base_lm_loss(model: BackboneModel, token_seqs: list[np.ndarray]) -> Tensor:
+    """Mean over the sequences of each one's mean next-token cross-entropy,
+    text-only, on ``[BOS, tokens, PAD]``.
+
+    The sequences are packed, in order, into runs of at most ``max_context``
+    rows, one forward per run.
+    """
+    if not token_seqs:
+        raise ValidationError("base_lm_loss: need at least one sequence")
+    cfg = model.config
+    seqs = [np.concatenate([[cfg.bos_id], np.asarray(w, dtype=np.int64), [cfg.pad_id]]) for w in token_seqs]
+    terms = []
+    for run in _runs([ids.size for ids in seqs], cfg.max_context):
+        ids = np.concatenate([seqs[i] for i, _ in run])
+        logits = _text_only_logits(model, ids, [seqs[i].size for i, _ in run])
+        for i, start in run:
+            rows = start + np.arange(seqs[i].size - 1)
+            terms.append(nx.cross_entropy(nx.gather_rows(logits, rows), seqs[i][1:]))
+    return nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
+
+
 def train_base_lm(
     token_seqs: list[np.ndarray],
     config: BackboneConfig,
@@ -426,26 +497,14 @@ def train_base_lm(
     seed: int = 0,
     log_every: int = 0,
 ) -> BackboneModel:
-    """Text-only twin: same architecture trained with cross-entropy alone."""
+    """Text-only twin: same architecture trained with :func:`base_lm_loss` alone."""
     rng = np.random.default_rng(seed)
     model = BackboneModel(config, rng)
     opt = nx.Adam(model.params, lr=lr)
     for step in range(steps):
         idx = rng.integers(0, len(token_seqs), size=min(batch_size, len(token_seqs)))
         opt.zero_grad()
-        terms = []
-        for i in idx:
-            w = np.asarray(token_seqs[i], dtype=np.int64)
-            ids = np.concatenate([[config.bos_id], w, [config.pad_id]])
-            n = ids.size
-            logits, _ = model.forward_tensors(
-                ids,
-                np.zeros((n, config.d_acoustic)),
-                np.zeros(n, dtype=bool),
-                np.zeros(n, dtype=bool),
-            )
-            terms.append(nx.cross_entropy(nx.gather_rows(logits, np.arange(n - 1)), ids[1:]))
-        loss = nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
+        loss = base_lm_loss(model, [token_seqs[i] for i in idx])
         if not np.isfinite(loss.data):
             raise NumericalAbort(f"train_base_lm: diverged at step {step}")
         loss.backward()

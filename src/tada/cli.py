@@ -11,6 +11,7 @@ subcommands align, codec-train and lm-train run the stages of
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -45,6 +46,12 @@ def _alignments(args, manifest) -> dict:
     return {rec.utt_id: (rec.T, rec.positions) for rec in manifest.records}
 
 
+def _override_budget(cfg, **steps) -> None:
+    """Set the budget fields a command-line flag gives, checked as a config file's are."""
+    given = {name: value for name, value in steps.items() if value is not None}
+    cfg.budget = dataclasses.replace(cfg.budget, **given)
+
+
 def cmd_gen_data(args, cfg) -> int:
     synth = cfg.synth
     if args.seed is not None:
@@ -74,16 +81,13 @@ def cmd_align(args, cfg) -> int:
 
 
 def cmd_codec_train(args, cfg) -> int:
+    _override_budget(cfg, codec_steps=args.steps, codec_stream_steps=args.stream_steps)
     manifest, arrays = load_corpus(args.manifest, args.arrays)
     alignments = _alignments(args, manifest)
     ccfg = cfg.codec
     ccfg.d_frame = manifest.config.d_frame
     ccfg.vocab_size = manifest.config.vocab_size
     ccfg.samples_per_frame = manifest.config.samples_per_frame
-    if args.steps is not None:
-        cfg.budget.codec_steps = args.steps
-    if args.stream_steps is not None:
-        cfg.budget.codec_stream_steps = args.stream_steps
     model = recipes.codec_stage(recipes.codec_corpus(manifest, arrays, alignments), ccfg, cfg.budget)
     model.save(args.out)
     print(f"codec checkpoint -> {args.out}")
@@ -91,6 +95,7 @@ def cmd_codec_train(args, cfg) -> int:
 
 
 def cmd_lm_train(args, cfg) -> int:
+    _override_budget(cfg, backbone_steps=args.steps)
     manifest, arrays = load_corpus(args.manifest, args.arrays)
     alignments = _alignments(args, manifest)
     codec_model = CodecModel.load(args.codec)
@@ -103,8 +108,6 @@ def cmd_lm_train(args, cfg) -> int:
     if args.dropout is not None:
         bcfg.dropout_rate = args.dropout
     bcfg.__post_init__()
-    if args.steps is not None:
-        cfg.budget.backbone_steps = args.steps
 
     # A no-op on a cache that `align` wrote with the same bits.
     alignments, dropped = recipes.filter_alignments(alignments, bcfg.bits)

@@ -21,7 +21,7 @@ model loaded from its checkpoint compute the same values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,6 +51,14 @@ class TrainBudget:
     seed: int = 0
     threads: int = 1  # unread: extraction runs on one thread; the benchmark still passes it
     log_every: int = 0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_steps") and value < 0:
+                raise ValidationError(f"TrainBudget: {f.name} must be >= 0, got {value}")
+            if f.name.endswith("_batch") and value < 1:
+                raise ValidationError(f"TrainBudget: {f.name} must be >= 1, got {value}")
 
 
 @dataclass

@@ -652,22 +652,46 @@ def log_softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Te
     return _make("log_softmax", out, (x,), backward)
 
 
-_ROPE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+class _RopeTable:
+    """Rotary cos and sin rows for one ``(d, base, dtype)``.
+
+    Row p is computed for position p, bit-equal to computing it for p
+    alone; the table grows by doubling to cover the largest position asked
+    for. The rows last asked for are kept, because the q and k of every
+    layer of a forward ask for the same positions in turn.
+    """
+
+    def __init__(self, d: int, base: float, dtype):
+        self.freqs = base ** (-np.arange(d // 2, dtype=np.float64) * 2.0 / d)
+        self.dtype = dtype
+        self.cos = self.sin = np.zeros((0, d // 2), dtype=dtype)
+        self.last: tuple = (None, None)
+
+    def rows(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raw = positions.tobytes()
+        if self.last[0] == raw:
+            return self.last[1]
+        if positions.size and positions.min() < 0:
+            raise ShapeError("rope", "positions must be >= 0")
+        need = int(positions.max()) + 1 if positions.size else 0
+        if self.cos.shape[0] < need:
+            ang = np.arange(max(need, 2 * self.cos.shape[0], 64), dtype=np.float64)[:, None] * self.freqs
+            self.cos, self.sin = np.cos(ang).astype(self.dtype), np.sin(ang).astype(self.dtype)
+        hit = (self.cos[positions], self.sin[positions])
+        self.last = (raw, hit)
+        return hit
+
+
+_ROPE_TABLES: dict[tuple, _RopeTable] = {}
 
 
 def _rope_angles(d: int, positions: np.ndarray, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    positions = np.asarray(positions)
-    key = (d, base, dtype, positions.tobytes())
-    hit = _ROPE_CACHE.get(key)
-    if hit is None:
-        half = d // 2
-        freqs = base ** (-np.arange(half, dtype=np.float64) * 2.0 / d)
-        ang = positions.astype(np.float64)[:, None] * freqs[None, :]
-        hit = (np.cos(ang).astype(dtype), np.sin(ang).astype(dtype))
-        if len(_ROPE_CACHE) > 512:
-            _ROPE_CACHE.clear()
-        _ROPE_CACHE[key] = hit
-    return hit
+    """Rows ``positions`` of the cos and sin tables for width ``d``."""
+    key = (d, base, dtype)
+    table = _ROPE_TABLES.get(key)
+    if table is None:
+        table = _ROPE_TABLES[key] = _RopeTable(d, base, dtype)
+    return table.rows(np.asarray(positions, dtype=np.int64))
 
 
 def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:

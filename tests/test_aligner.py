@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from tada import numerics as nx
 from tada.aligner import (
+    _ctc_alpha,
+    _ctc_beta,
+    _extend_with_blanks,
     AlignerConfig,
     AlignerModel,
     aligner_batch_loss,
@@ -52,7 +55,57 @@ def ctc_bruteforce(log_probs, targets, blank):
     return total
 
 
+def loop_alpha(y, lab, blank):
+    """The CTC forward recursion with the skip mask rebuilt on every frame."""
+    T, S = y.shape[0], lab.size
+    alpha = np.full((T, S), -np.inf)
+    alpha[0, 0] = y[0, lab[0]]
+    if S > 1:
+        alpha[0, 1] = y[0, lab[1]]
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        cur = prev.copy()
+        cur[1:] = np.logaddexp(cur[1:], prev[:-1])
+        skip_ok = np.zeros(S, dtype=bool)
+        skip_ok[2:] = (lab[2:] != blank) & (lab[2:] != lab[:-2])
+        cur[skip_ok] = np.logaddexp(cur[skip_ok], prev[np.flatnonzero(skip_ok) - 2])
+        alpha[t] = cur + y[t, lab]
+    return alpha
+
+
+def loop_beta(y, lab, blank):
+    """The CTC backward recursion with the skip mask rebuilt on every frame."""
+    T, S = y.shape[0], lab.size
+    beta = np.full((T, S), -np.inf)
+    beta[T - 1, S - 1] = 0.0
+    if S > 1:
+        beta[T - 1, S - 2] = 0.0
+    for t in range(T - 2, -1, -1):
+        nxt = beta[t + 1] + y[t + 1, lab]
+        cur = nxt.copy()
+        cur[:-1] = np.logaddexp(cur[:-1], nxt[1:])
+        skip_ok = np.zeros(S, dtype=bool)
+        skip_ok[: S - 2] = (lab[2:] != blank) & (lab[2:] != lab[:-2])
+        idx = np.flatnonzero(skip_ok)
+        cur[idx] = np.logaddexp(cur[idx], nxt[idx + 2])
+        beta[t] = cur
+    return beta
+
+
 class TestCtcLogLikelihood:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_recursions_match_per_frame_loop_bitwise(self, dtype):
+        rng = np.random.default_rng(8)
+        for case in range(40):
+            V = int(rng.integers(2, 5))
+            L = 1 if case % 4 == 0 else int(rng.integers(1, 8))
+            targets = rng.integers(0, 2 if case % 3 == 0 else V, size=L)  # few labels: many repeats
+            T = L + int(np.sum(targets[1:] == targets[:-1])) + int(rng.integers(0, 6))
+            y = random_log_probs(rng, T, V).astype(dtype)
+            lab = _extend_with_blanks(targets, V)
+            assert np.array_equal(_ctc_alpha(y, lab, V), loop_alpha(y, lab, V))
+            assert np.array_equal(_ctc_beta(y, lab, V), loop_beta(y, lab, V))
+
     def test_single_frame_single_target(self):
         rng = np.random.default_rng(0)
         y = random_log_probs(rng, 1, 3)

@@ -4,11 +4,14 @@ composition, segment dropout, and speech-free guidance identities."""
 import numpy as np
 import pytest
 
+from tada import flowhead, nn
+from tada import numerics as nx
 from tada.backbone import (
     BackboneConfig,
     BackboneModel,
     FusedStep,
     SequenceBatchItem,
+    base_lm_loss,
     build_sequence,
     sample_segment_modes,
     sfg_logits,
@@ -317,6 +320,198 @@ class TestTrainStep:
         # 1e-5 central differences sit in round-off territory
         err = finite_difference_check_params(fn, params, sample=3, seed=1, eps=1e-4)
         assert err < 1e-3
+
+
+def reference_train_step(model, batch, base_lm, seed, dropout_rate):
+    """Per-sequence train_step: one forward per item, draws in item order."""
+    cfg = model.config
+    rng = np.random.default_rng(seed)
+    flow_terms, ce_terms, kd_terms = [], [], []
+    for item in batch:
+        ids, acoustic, has_ac, ce_targets, flow_idx, flow_targets = build_sequence(item, cfg)
+        n = ids.size
+        speech = sample_segment_modes(n, dropout_rate, cfg.dropout_mean_len, rng)
+        logits, cond = model.forward_tensors(ids, acoustic, has_ac, speech)
+        ce_terms.append(nx.cross_entropy(nx.gather_rows(logits, np.arange(n - 1)), ce_targets))
+        keep = speech[flow_idx]
+        if keep.any():
+            flow_terms.append(flowhead.flow_loss(
+                model.flow, flow_targets[keep], nx.gather_rows(cond, flow_idx[keep]),
+                cfg.flow.sigma_min, seed=int(rng.integers(1 << 31)),
+            ))
+        text_only = np.flatnonzero(~speech)
+        if base_lm is not None and text_only.size:
+            with nx.no_grad():
+                base, _ = base_lm.forward_tensors(ids, np.zeros_like(acoustic), np.zeros(n, bool), np.zeros(n, bool))
+            kd_terms.append(nx.kl_categorical(nx.tensor(base.data[text_only]), nx.gather_rows(logits, text_only)))
+    mean = lambda terms: nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
+    total = (nx.scale(mean(flow_terms), cfg.lambda_flow) + nx.scale(mean(ce_terms), cfg.lambda_ce)
+             + nx.scale(mean(kd_terms), cfg.lambda_kd))
+    return total
+
+
+def reference_base_lm_loss(model, token_seqs):
+    cfg = model.config
+    terms = []
+    for w in token_seqs:
+        ids = np.concatenate([[cfg.bos_id], w, [cfg.pad_id]])
+        n = ids.size
+        logits, _ = model.forward_tensors(ids, np.zeros((n, cfg.d_acoustic)), np.zeros(n, bool), np.zeros(n, bool))
+        terms.append(nx.cross_entropy(nx.gather_rows(logits, np.arange(n - 1)), ids[1:]))
+    return nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
+
+
+def loss_and_grads(model, fn):
+    for p in model.params.values():
+        p.grad = None
+    loss = fn()
+    loss.backward()
+    return float(loss.data), {k: p.grad for k, p in model.params.items()}
+
+
+def assert_matches_reference(model, packed, reference):
+    loss, grads = loss_and_grads(model, packed)
+    ref_loss, ref_grads = loss_and_grads(model, reference)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    for k, ref in ref_grads.items():
+        if ref is None:
+            assert grads[k] is None, k
+            continue
+        assert np.max(np.abs(grads[k] - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+
+def packed_inputs(model, items, seed):
+    """Packed (ids, acoustic, has_ac, speech) and lengths of build_sequence layouts."""
+    rng = np.random.default_rng(seed)
+    seqs = [build_sequence(item, model.config)[:3] for item in items]
+    speech = [rng.random(seq[0].size) < 0.6 for seq in seqs]
+    ids, acoustic, has_ac = (np.concatenate([seq[k] for seq in seqs]) for k in range(3))
+    return (ids, acoustic, has_ac, np.concatenate(speech)), [seq[0].size for seq in seqs]
+
+
+class TestPacking:
+    def test_one_sequence_is_the_causal_stack(self):
+        model = tiny_model(seed=40)
+        inputs, lengths = packed_inputs(model, [random_item(np.random.default_rng(41), L=6)], seed=42)
+        n = lengths[0]
+        x = model._fuse_matrix(*inputs)
+        h = nn.stack(model.params, "tf", x, nn.causal_mask(n), model.tf, np.arange(n))
+        want = (nn.linear(model.params, "lm_head", h).data, nn.linear(model.params, "cond_head", h).data)
+        for got in (model.forward_tensors(*inputs), model.forward_tensors(*inputs, lengths=[n])):
+            np.testing.assert_array_equal(got[0].data, want[0])
+            np.testing.assert_array_equal(got[1].data, want[1])
+
+    def test_sequences_match_their_own_forward(self, monkeypatch):
+        model = tiny_model(seed=43)
+        rng = np.random.default_rng(44)
+        inputs, lengths = packed_inputs(model, [random_item(rng, L=L) for L in (3, 7, 1, 5)], seed=45)
+        seen = []
+        stack = nn.stack
+
+        def spy(*args):
+            seen.append(args[-1])  # the positions
+            return stack(*args)
+
+        monkeypatch.setattr(nn, "stack", spy)
+        logits, cond = model.forward_tensors(*inputs, lengths=lengths)
+        np.testing.assert_array_equal(seen[0], np.concatenate([np.arange(n) for n in lengths]))
+        start = 0
+        for n in lengths:
+            alone = model.forward_tensors(*(a[start : start + n] for a in inputs))
+            np.testing.assert_allclose(logits.data[start : start + n], alone[0].data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cond.data[start : start + n], alone[1].data, rtol=0, atol=1e-12)
+            start += n
+
+    def test_other_sequences_cannot_reach_a_sequence(self):
+        model = tiny_model(seed=46)
+        rng = np.random.default_rng(47)
+        items = [random_item(rng, L=L) for L in (4, 6, 3)]
+        (ids, acoustic, has_ac, speech), lengths = packed_inputs(model, items, seed=48)
+        own = np.zeros(ids.size, dtype=bool)
+        own[lengths[0] : lengths[0] + lengths[1]] = True
+        other_ids = np.where(own, ids, (ids + 1) % TINY.vocab_size)
+        other_ac = np.where(own[:, None], acoustic, acoustic * 1e3 + 7.0)
+        a = model.forward_tensors(ids, acoustic, has_ac, speech, lengths)
+        b = model.forward_tensors(other_ids, other_ac, has_ac, np.where(own, speech, ~speech), lengths)
+        np.testing.assert_array_equal(a[0].data[own], b[0].data[own])
+        np.testing.assert_array_equal(a[1].data[own], b[1].data[own])
+        assert not np.array_equal(a[0].data[~own], b[0].data[~own])
+
+    def test_bad_lengths(self):
+        model = tiny_model()
+        inputs, lengths = packed_inputs(model, [random_item(np.random.default_rng(49), L=3)] * 2, seed=50)
+        with pytest.raises(ValidationError, match="lengths sum"):
+            model.forward_tensors(*inputs, lengths=[lengths[0]])
+        with pytest.raises(ValidationError, match=">= 1"):
+            model.forward_tensors(*inputs, lengths=[0, *lengths])
+        with pytest.raises(ValidationError, match=">= 1"):
+            model.forward_tensors(*inputs, lengths=[])
+        long = TINY.max_context + 1
+        ids = np.zeros(long + 2, dtype=np.int64)
+        zeros = np.zeros((ids.size, TINY.d_latent + 2 * TINY.bits))
+        flags = np.zeros(ids.size, dtype=bool)
+        with pytest.raises(ValidationError, match="exceeds maximum"):
+            model.forward_tensors(ids, zeros, flags, flags, [2, long])
+
+    def test_train_step_matches_per_sequence_reference(self):
+        model = tiny_model(seed=51)
+        base = tiny_model(seed=52)
+        rng = np.random.default_rng(53)
+        batch = [random_item(rng, L=L) for L in (2, 6, 4, 1, 5)]
+        report = train_step(model, batch, base, seed=54, dropout_rate=0.5, apply_grads=False)
+        assert float(report.kd.data) > 0 and float(report.flow.data) > 0  # text-only and speech steps
+        assert_matches_reference(
+            model,
+            lambda: train_step(model, batch, base, seed=54, dropout_rate=0.5, apply_grads=False).total,
+            lambda: reference_train_step(model, batch, base, seed=54, dropout_rate=0.5),
+        )
+
+    def test_wide_batch_splits_into_runs(self, monkeypatch):
+        model = tiny_model(seed=55)
+        base = tiny_model(seed=56)
+        rng = np.random.default_rng(57)
+        batch = [random_item(rng, L=int(L)) for L in rng.integers(1, 9, size=14)]
+        rows = sum(build_sequence(it, TINY)[0].size for it in batch)
+        assert rows > TINY.max_context
+        runs = []
+        forward = BackboneModel.forward_tensors
+
+        def spy(self, ids, *rest):
+            if self is model:
+                runs.append(np.asarray(ids).size)
+            return forward(self, ids, *rest)
+
+        monkeypatch.setattr(BackboneModel, "forward_tensors", spy)
+        packed = lambda: train_step(model, batch, base, seed=58, dropout_rate=0.3, apply_grads=False).total
+        packed()
+        assert len(runs) > 1 and sum(runs) == rows and max(runs) <= TINY.max_context
+        assert_matches_reference(
+            model, packed, lambda: reference_train_step(model, batch, base, seed=58, dropout_rate=0.3)
+        )
+
+    def test_packed_steps_keep_one_rotary_table(self, monkeypatch):
+        from tada.numerics import engine
+
+        monkeypatch.setattr(engine, "_ROPE_TABLES", {})
+        model = tiny_model(seed=61)
+        rng = np.random.default_rng(62)
+        for seed in range(3):
+            batch = [random_item(rng, L=int(L)) for L in rng.integers(1, 9, size=6)]
+            train_step(model, batch, None, seed=seed, dropout_rate=0.3)
+        hd = TINY.d_model // TINY.n_heads
+        assert list(engine._ROPE_TABLES) == [(hd, model.tf.rope_base, np.dtype(np.float64))]
+
+    def test_base_lm_loss_matches_per_sequence_reference(self):
+        model = tiny_model(seed=59)
+        rng = np.random.default_rng(60)
+        seqs = [rng.integers(0, TINY.vocab_size, size=int(L)) for L in rng.integers(1, 11, size=16)]
+        assert sum(s.size + 2 for s in seqs) > TINY.max_context
+        assert_matches_reference(
+            model, lambda: base_lm_loss(model, seqs), lambda: reference_base_lm_loss(model, seqs)
+        )
+        with pytest.raises(ValidationError, match="at least one"):
+            base_lm_loss(model, [])
 
 
 class TestSegmentModes:

@@ -81,7 +81,7 @@ def test_bad_config_key_exit_code_2(tmp_path, capsys):
     "line",
     [
         "codec.lambda_mel=abc", "gen.candidates=0", "backbone.k_shift=0", "synth.tokens_max=2,3", "flow.width=128",
-        "backbone.bos_id=3",
+        "backbone.bos_id=3", "budget.aligner_batch=0", "budget.backbone_batch=0", "budget.codec_steps=-1",
     ],
 )
 def test_bad_config_value_exit_code_2(tmp_path, capsys, line):
@@ -201,6 +201,27 @@ def test_missing_path_exit_code_2(small_corpus, tmp_path, capsys, argv):
     assert main([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and missing in err[0], err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["codec-train", "--steps", "-3"], "codec_steps"),
+        (["codec-train", "--stream-steps", "-1"], "codec_stream_steps"),
+        (["lm-train", "--codec", "NEVER", "--steps", "-1"], "backbone_steps"),
+    ],
+    ids=["codec", "codec-stream", "lm"],
+)
+def test_negative_steps_exit_code_2(small_corpus, tmp_path, capsys, argv, field):
+    manifest, arrays = small_corpus
+    never = str(tmp_path / "never.tada")
+    capsys.readouterr()
+    code = main([argv[0], "--manifest", manifest, "--arrays", arrays, "--out", never,
+                 *(never if a == "NEVER" else a for a in argv[1:])])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0], err
+    assert not Path(never).exists()
 
 
 @pytest.fixture(scope="module")

@@ -446,6 +446,29 @@ def test_rope_preserves_pairwise_norms():
         )
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_rope_table_rows_equal_direct_angles(dtype):
+    """Rows gathered from the grown per-width table equal cos/sin computed
+    for the positions alone."""
+    from tada.numerics.engine import _rope_angles
+
+    rng = np.random.default_rng(4)
+    for d, base in ((8, 10000.0), (16, 500.0)):
+        freqs = base ** (-np.arange(d // 2, dtype=np.float64) * 2.0 / d)
+        cases = (
+            np.arange(5), np.array([3, 0, 1, 2, 0, 1]), rng.integers(0, 300, size=40), np.array([1000]),
+            np.array([3, 0], dtype=np.int32), np.array([3]),  # the same bytes as different positions
+        )
+        for positions in cases:
+            ang = positions.astype(np.float64)[:, None] * freqs[None, :]
+            cos, sin = _rope_angles(d, positions, base, np.dtype(dtype))
+            assert cos.dtype == sin.dtype == dtype
+            np.testing.assert_array_equal(cos, np.cos(ang).astype(dtype))
+            np.testing.assert_array_equal(sin, np.sin(ang).astype(dtype))
+    with pytest.raises(ShapeError):
+        _rope_angles(8, np.array([2, -1]), 10000.0, np.dtype(dtype))
+
+
 def test_attention_heads_bit_identical_under_excluded_perturbation():
     rng = np.random.default_rng(6)
     H, Tq, Tk, hd = 3, 5, 7, 4

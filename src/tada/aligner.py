@@ -159,60 +159,70 @@ def _ctc_beta(y: np.ndarray, lab: np.ndarray, blank: int) -> np.ndarray:
     return beta
 
 
-def ctc_log_likelihood(log_probs, targets, blank: int | None = None) -> Tensor:
+def ctc_log_likelihood(log_probs, targets, blank: int | None = None, lengths=None) -> Tensor:
     """Log of the summed probability over all valid CTC paths.
 
     ``log_probs`` is (T, V+1) with the last column the blank by default;
     differentiable with the alpha-beta occupancy as gradient. Infeasible
-    target lengths raise instead of silently returning -inf. The
-    recursions run in float64; the likelihood and its gradient take the
-    dtype of ``log_probs``.
+    target lengths raise instead of silently returning -inf. With
+    ``lengths``, the rows are consecutive sequences of those lengths,
+    ``targets`` holds one target sequence for each, and the result is the
+    vector of their log-likelihoods. The recursions run in float64; the
+    likelihoods and their gradient take the dtype of ``log_probs``.
     """
     y_t = log_probs if isinstance(log_probs, Tensor) else nx.tensor(log_probs)
     y = y_t.data
     if y.ndim != 2 or y.shape[0] < 1:
         raise ValidationError(f"ctc_log_likelihood: logits must be (T, V+1), got {y.shape}")
-    targets = np.asarray(targets, dtype=np.int64)
-    T, width = y.shape
+    width = y.shape[1]
     blank = width - 1 if blank is None else blank
-    if targets.size and (targets.min() < 0 or targets.max() >= width):
-        raise ValidationError("ctc_log_likelihood: target id out of range")
-    required = ctc_required_frames(targets)
-    if T < required:
-        raise InfeasibleError(
-            f"ctc_log_likelihood: {T} frames cannot emit {targets.size} targets "
-            f"({required} required emission steps)"
+    packed = lengths is not None
+    if not packed:
+        lengths, targets = [y.shape[0]], [targets]
+    if len(targets) != len(lengths) or sum(lengths) != y.shape[0]:
+        raise ValidationError(
+            f"ctc_log_likelihood: {len(targets)} target sequences and lengths {list(lengths)} "
+            f"do not match {y.shape[0]} rows"
         )
-
-    if targets.size == 0:
-        loglik = float(y[:, blank].sum())
-
-        def backward_empty(g):
-            grad = np.zeros_like(y)
-            grad[:, blank] = g
-            if y_t.requires_grad:
-                y_t.grad = grad if y_t.grad is None else y_t.grad + grad
-
-        return nx.custom_op("ctc_log_likelihood", np.asarray(loglik, dtype=y.dtype), (y_t,), backward_empty)
-
-    lab = _extend_with_blanks(targets, blank)
-    alpha = _ctc_alpha(y, lab, blank)
-    tail = [alpha[T - 1, -1]]
-    if lab.size > 1:
-        tail.append(alpha[T - 1, -2])
-    loglik = float(np.logaddexp.reduce(tail))
+    seqs = []  # (rows, extended labels or None, alpha, log-likelihood)
+    for T, end, tg in zip(lengths, np.cumsum(lengths), targets):
+        tg = np.asarray(tg, dtype=np.int64)
+        if tg.size and (tg.min() < 0 or tg.max() >= width):
+            raise ValidationError("ctc_log_likelihood: target id out of range")
+        required = ctc_required_frames(tg)
+        if T < required:
+            raise InfeasibleError(
+                f"ctc_log_likelihood: {T} frames cannot emit {tg.size} targets "
+                f"({required} required emission steps)"
+            )
+        rows = slice(end - T, end)
+        if tg.size == 0:
+            seqs.append((rows, None, None, float(y[rows, blank].sum())))
+            continue
+        lab = _extend_with_blanks(tg, blank)
+        alpha = _ctc_alpha(y[rows], lab, blank)
+        tail = [alpha[T - 1, -1]]
+        if lab.size > 1:
+            tail.append(alpha[T - 1, -2])
+        seqs.append((rows, lab, alpha, float(np.logaddexp.reduce(tail))))
+    out = np.asarray([ll for *_, ll in seqs], dtype=y.dtype)
 
     def backward(g):
-        beta = _ctc_beta(y, lab, blank)
-        occupancy = np.exp(alpha + beta - loglik)
         grad = np.zeros_like(y)
-        rows = np.broadcast_to(np.arange(T)[:, None], occupancy.shape)
-        cols = np.broadcast_to(lab[None, :], occupancy.shape)
-        np.add.at(grad, (rows, cols), occupancy)
+        for (rows, lab, alpha, loglik), gi in zip(seqs, np.broadcast_to(g, out.shape)):
+            if lab is None:
+                grad[rows, blank] = gi
+                continue
+            beta = _ctc_beta(y[rows], lab, blank)
+            occupancy = np.exp(alpha + beta - loglik)
+            block = grad[rows]
+            idx = np.broadcast_to(np.arange(occupancy.shape[0])[:, None], occupancy.shape)
+            np.add.at(block, (idx, np.broadcast_to(lab[None, :], occupancy.shape)), occupancy)
+            block *= gi
         if y_t.requires_grad:
-            y_t.grad = g * grad if y_t.grad is None else y_t.grad + g * grad
+            y_t.grad = grad if y_t.grad is None else y_t.grad + grad
 
-    return nx.custom_op("ctc_log_likelihood", np.asarray(loglik, dtype=y.dtype), (y_t,), backward)
+    return nx.custom_op("ctc_log_likelihood", out if packed else out.reshape(()), (y_t,), backward)
 
 
 def ctc_loss(log_probs, targets, blank: int | None = None) -> Tensor:
@@ -358,29 +368,43 @@ class AlignerModel:
         nn.init_linear(self.params, "head_main", rng, d, config.vocab_size + 1)
         nn.init_linear(self.params, "head_inter", rng, d, config.n_graphemes + 1)
 
-    def forward(self, frames) -> tuple[Tensor, Tensor]:
-        """Raw main logits (T, V+1) and intermediate logits (T, G+1)."""
+    def forward(self, frames, lengths=None) -> tuple[Tensor, Tensor]:
+        """Raw main logits (T, V+1) and intermediate logits (T, G+1).
+
+        The rows are consecutive utterances of the given ``lengths``
+        (default: one), and each is computed as if alone: its local mixers
+        see zero rows past its ends and its attention stays inside it.
+        """
         x = nn.input_tensor(self.params, frames)
-        T = x.shape[0]
+        lengths = [x.shape[0]] if lengths is None else list(lengths)
         x = nn.linear(self.params, "in_proj", x)
-        x = x + nn.local_mix(self.params, "mix0", x)
-        x = x + nn.local_mix(self.params, "mix1", x)
-        mask = nn.full_mask(T)
-        positions = np.arange(T)
+        x = x + nn.local_mix(self.params, "mix0", x, lengths)
+        x = x + nn.local_mix(self.params, "mix1", x, lengths)
+        mask = [nn.full_mask(n) for n in lengths]
+        positions = nn.sequence_positions(lengths)
         x = nn.block(self.params, "enc/layer0", x, mask, self.tf, positions)
         inter = nn.linear(self.params, "head_inter", x)
         x = nn.block(self.params, "enc/layer1", x, mask, self.tf, positions)
         x = nn.ln(self.params, "enc/ln_out", x)
         return nn.linear(self.params, "head_main", x), inter
 
-    def log_probs(self, frames) -> np.ndarray:
-        """Log-softmax-normalized CTC scores for alignment extraction."""
+    def log_probs(self, frames, lengths=None) -> np.ndarray:
+        """Log-softmax-normalized CTC scores for alignment extraction;
+        ``lengths`` as in :meth:`forward`."""
         with nx.no_grad():
-            logits, _ = self.forward(frames)
+            logits, _ = self.forward(frames, lengths)
             return nx.log_softmax(logits).data
 
     def align(self, frames, tokens) -> Alignment:
-        return viterbi_align(self.log_probs(frames), tokens)
+        return self.align_batch([(frames, tokens)])[0]
+
+    def align_batch(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> list[Alignment]:
+        """The Viterbi alignment of every (frames, tokens) pair: one packed
+        forward, then Viterbi per utterance."""
+        lengths = [np.shape(frames)[0] for frames, _ in pairs]
+        logp = self.log_probs(np.concatenate([frames for frames, _ in pairs]), lengths)
+        ends = np.cumsum(lengths)
+        return [viterbi_align(logp[end - n : end], tokens) for (_, tokens), n, end in zip(pairs, lengths, ends)]
 
     def save(self, path) -> None:
         nn.save_params(path, self.params, self.config)
@@ -397,26 +421,24 @@ def aligner_batch_loss(
     batch: list[tuple[np.ndarray, np.ndarray]],
     column_mask: np.ndarray | None = None,
 ) -> tuple[Tensor, dict]:
-    """Mean CTC loss over the batch: main + lambda_inter * intermediate."""
+    """Mean CTC loss over the batch: main + lambda_inter * intermediate.
+
+    The batch runs as one packed forward; each utterance's CTC terms come
+    from its own rows, and each term is the mean over the utterances.
+    """
     cfg = model.config
-    main_terms, inter_terms = [], []
-    for frames, tokens in batch:
-        logits, inter_logits = model.forward(frames)
-        if column_mask is not None:
-            mask = np.broadcast_to(column_mask, logits.shape)
-            logp = nx.log_softmax(logits, mask=mask)
-        else:
-            logp = nx.log_softmax(logits)
-        main_terms.append(ctc_loss(logp, tokens))
-        if cfg.lambda_inter > 0.0:
-            graphemes = np.asarray(tokens) % cfg.n_graphemes
-            inter_logp = nx.log_softmax(inter_logits)
-            inter_terms.append(ctc_loss(inter_logp, graphemes))
-    main = nx.scale(sum(main_terms[1:], main_terms[0]), 1.0 / len(main_terms))
-    total = main
+    lengths = [np.shape(frames)[0] for frames, _ in batch]
+    logits, inter_logits = model.forward(np.concatenate([frames for frames, _ in batch]), lengths)
+
+    def mean_ctc(logp: Tensor, targets: list) -> Tensor:
+        return nx.scale(nx.sum_(ctc_log_likelihood(logp, targets, lengths=lengths)), -1.0 / len(batch))
+
+    mask = None if column_mask is None else np.broadcast_to(column_mask, logits.shape)
+    main = total = mean_ctc(nx.log_softmax(logits, mask=mask), [tokens for _, tokens in batch])
     report = {"ctc": float(main.data)}
-    if inter_terms:
-        inter = nx.scale(sum(inter_terms[1:], inter_terms[0]), 1.0 / len(inter_terms))
+    if cfg.lambda_inter > 0.0:
+        graphemes = [np.asarray(tokens) % cfg.n_graphemes for _, tokens in batch]
+        inter = mean_ctc(nx.log_softmax(inter_logits), graphemes)
         total = main + nx.scale(inter, cfg.lambda_inter)
         report["ctc_inter"] = float(inter.data)
     report["total"] = float(total.data)
@@ -469,9 +491,8 @@ def alignment_accuracy(
     """Fraction of tokens aligned within ``tolerance`` frames of ground truth."""
     hit = 0
     total = 0
-    for (frames, tokens), p_true in zip(corpus, truth):
-        p_hat = model.align(frames, tokens).positions
-        hit += int(np.sum(np.abs(p_hat - np.asarray(p_true)) <= tolerance))
+    for alignment, p_true in zip(model.align_batch(corpus), truth):
+        hit += int(np.sum(np.abs(alignment.positions - np.asarray(p_true)) <= tolerance))
         total += len(p_true)
     return hit / max(total, 1)
 

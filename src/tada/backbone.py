@@ -201,10 +201,11 @@ class BackboneModel:
         """Text logits and condition vectors, as tensors, for fused rows.
 
         The rows are consecutive sequences of the given ``lengths`` (default:
-        one sequence). Each sequence's positions start at 0, and a row
-        attends to the rows of its own sequence up to its own position, so
-        no value of one sequence reaches another's rows. Each length must
-        fit in ``max_context``.
+        one sequence), run as one packed stack. Each sequence's positions
+        start at 0, and attention is computed per sequence under its own
+        causal mask, so no value of one sequence reaches another's rows and
+        no (rows x rows) array is formed. Each length must fit in
+        ``max_context``; their sum need not.
         """
         ids = np.asarray(ids)
         lengths = np.array([ids.size]) if lengths is None else np.asarray(lengths, dtype=np.int64)
@@ -216,11 +217,9 @@ class BackboneModel:
             raise ValidationError(
                 f"forward: context length {lengths.max()} exceeds maximum {self.config.max_context}"
             )
-        seq = np.repeat(np.arange(lengths.size), lengths)
-        positions = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        mask = (seq[:, None] == seq) & (positions <= positions[:, None])
+        mask = [nn.causal_mask(n) for n in lengths.tolist()]
         x = self._fuse_matrix(ids, acoustic, has_ac, speech)
-        h = nn.stack(self.params, "tf", x, mask, self.tf, positions)
+        h = nn.stack(self.params, "tf", x, mask, self.tf, nn.sequence_positions(lengths))
         return nn.linear(self.params, "lm_head", h), nn.linear(self.params, "cond_head", h)
 
     def forward(self, context: list[FusedStep]) -> list[BackboneOutput]:
@@ -341,21 +340,6 @@ def _text_only_logits(model: BackboneModel, ids: np.ndarray, lengths: list[int])
     return model.forward_tensors(ids, np.zeros((n, model.config.d_acoustic)), no, no, lengths)[0]
 
 
-def _runs(lengths: list[int], limit: int) -> list[list[tuple[int, int]]]:
-    """Consecutive sequences, in order, packed into runs of at most ``limit``
-    rows: each run lists its sequences as (index, first row in the run).
-    A sequence longer than ``limit`` is a run of its own."""
-    runs: list[list[tuple[int, int]]] = []
-    rows = 0
-    for i, n in enumerate(lengths):
-        if not runs or rows + n > limit:
-            runs.append([])
-            rows = 0
-        runs[-1].append((i, rows))
-        rows += n
-    return runs
-
-
 def train_step(
     model: BackboneModel,
     batch: list[SequenceBatchItem],
@@ -371,11 +355,10 @@ def train_step(
     the frozen base LM's logits to the model's at text-only steps. Each is
     a mean over the items of the item's own mean.
 
-    The batch is packed, in order, into runs of at most ``max_context``
-    rows, one forward per run (and one base-LM forward per run with a
-    text-only step); each item's terms are gathered from its run's rows.
-    Random draws go per item in batch order: the modes, then the flow seed
-    when a flow step is kept.
+    The batch is packed, in order, into one forward (and one base-LM
+    forward when a step is text-only); each item's terms are gathered from
+    its own rows. Random draws go per item in batch order: the modes, then
+    the flow seed when a flow step is kept.
     """
     cfg = model.config
     rate = cfg.dropout_rate if dropout_rate is None else dropout_rate
@@ -390,39 +373,37 @@ def train_step(
     flow_terms: list[Tensor] = []
     ce_terms: list[Tensor] = []
     kd_terms: list[Tensor] = []
-    for run in _runs([seq[0].size for seq in seqs], cfg.max_context):
-        ids, acoustic, has_ac = (np.concatenate([seqs[i][k] for i, _ in run]) for k in range(3))
-        speech = np.concatenate([speeches[i] for i, _ in run])
-        lengths = [seqs[i][0].size for i, _ in run]
-        logits, cond = model.forward_tensors(ids, acoustic, has_ac, speech, lengths)
-        base_logits = None
-        if base_lm is not None and not speech.all():
-            with nx.no_grad():
-                base_logits = _text_only_logits(base_lm, ids, lengths)
-        for i, start in run:
-            _, _, _, ce_targets, flow_idx, flow_targets = seqs[i]
-            ce_terms.append(
-                nx.cross_entropy(nx.gather_rows(logits, start + np.arange(ce_targets.size)), ce_targets)
+    ids, acoustic, has_ac = (np.concatenate([seq[k] for seq in seqs]) for k in range(3))
+    speech = np.concatenate(speeches)
+    lengths = [seq[0].size for seq in seqs]
+    logits, cond = model.forward_tensors(ids, acoustic, has_ac, speech, lengths)
+    base_logits = None
+    if base_lm is not None and not speech.all():
+        with nx.no_grad():
+            base_logits = _text_only_logits(base_lm, ids, lengths)
+    for (_, _, _, ce_targets, flow_idx, flow_targets), modes, flow_seed, start in zip(
+        seqs, speeches, flow_seeds, np.cumsum(lengths) - lengths
+    ):
+        ce_terms.append(nx.cross_entropy(nx.gather_rows(logits, start + np.arange(ce_targets.size)), ce_targets))
+        keep = modes[flow_idx]
+        if keep.any():
+            flow_terms.append(
+                flowhead.flow_loss(
+                    model.flow,
+                    flow_targets[keep],
+                    nx.gather_rows(cond, start + flow_idx[keep]),
+                    cfg.flow.sigma_min,
+                    seed=flow_seed,
+                )
             )
-            keep = speeches[i][flow_idx]
-            if keep.any():
-                flow_terms.append(
-                    flowhead.flow_loss(
-                        model.flow,
-                        flow_targets[keep],
-                        nx.gather_rows(cond, start + flow_idx[keep]),
-                        cfg.flow.sigma_min,
-                        seed=flow_seeds[i],
-                    )
+        text_only = start + np.flatnonzero(~modes)
+        if base_logits is not None and text_only.size:
+            kd_terms.append(
+                nx.kl_categorical(
+                    nn.input_tensor(model.params, base_logits.data[text_only]),
+                    nx.gather_rows(logits, text_only),
                 )
-            text_only = start + np.flatnonzero(~speeches[i])
-            if base_logits is not None and text_only.size:
-                kd_terms.append(
-                    nx.kl_categorical(
-                        nn.input_tensor(model.params, base_logits.data[text_only]),
-                        nx.gather_rows(logits, text_only),
-                    )
-                )
+            )
 
     def _mean(terms: list[Tensor]) -> Tensor:
         if not terms:
@@ -471,20 +452,18 @@ def base_lm_loss(model: BackboneModel, token_seqs: list[np.ndarray]) -> Tensor:
     """Mean over the sequences of each one's mean next-token cross-entropy,
     text-only, on ``[BOS, tokens, PAD]``.
 
-    The sequences are packed, in order, into runs of at most ``max_context``
-    rows, one forward per run.
+    The sequences are packed, in order, into one forward.
     """
     if not token_seqs:
         raise ValidationError("base_lm_loss: need at least one sequence")
     cfg = model.config
     seqs = [np.concatenate([[cfg.bos_id], np.asarray(w, dtype=np.int64), [cfg.pad_id]]) for w in token_seqs]
-    terms = []
-    for run in _runs([ids.size for ids in seqs], cfg.max_context):
-        ids = np.concatenate([seqs[i] for i, _ in run])
-        logits = _text_only_logits(model, ids, [seqs[i].size for i, _ in run])
-        for i, start in run:
-            rows = start + np.arange(seqs[i].size - 1)
-            terms.append(nx.cross_entropy(nx.gather_rows(logits, rows), seqs[i][1:]))
+    lengths = [ids.size for ids in seqs]
+    logits = _text_only_logits(model, np.concatenate(seqs), lengths)
+    terms = [
+        nx.cross_entropy(nx.gather_rows(logits, start + np.arange(ids.size - 1)), ids[1:])
+        for ids, start in zip(seqs, np.cumsum(lengths) - lengths)
+    ]
     return nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
 
 

@@ -52,7 +52,20 @@ def _override_budget(cfg, **steps) -> None:
     cfg.budget = dataclasses.replace(cfg.budget, **given)
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    """A comma-separated list of integers >= 1, as a flag gives it."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+    if min(values) < 1:
+        raise ValidationError(f"{flag}: every value must be >= 1, got {text!r}")
+    return values
+
+
 def cmd_gen_data(args, cfg) -> int:
+    if args.utterances < 1:
+        raise ValidationError(f"gen-data: --utterances must be >= 1, got {args.utterances}")
     synth = cfg.synth
     if args.seed is not None:
         synth.seed = args.seed
@@ -185,13 +198,13 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_bench(args, cfg) -> int:
+    n_fm_list = tuple(_int_list(args.nfm_list, "--nfm-list"))
     manifest, arrays = load_corpus(args.manifest, args.arrays)
     model, head = load_lm_checkpoint(args.lm)
     codec_model = CodecModel.load(args.codec)
     bank = TemplateBank(manifest.config)
     prompts = _held_out_prompts(args, manifest, arrays, codec_model, head)
     texts = sample_eval_texts(bank, len(prompts), seed=(args.seed or 0) + 17)
-    n_fm_list = tuple(int(x) for x in args.nfm_list.split(","))
     report, per_n = benchmark(
         model, codec_model, head, prompts, texts,
         n_fm_list=n_fm_list, runs=args.runs, seed=args.seed or 0,
@@ -233,7 +246,7 @@ def cmd_graycheck(args, cfg) -> int:
 
 
 def cmd_mask(args, cfg) -> int:
-    p = np.array([int(x) for x in args.p.split(",")], dtype=np.int64)
+    p = np.array(_int_list(args.p, "--p"), dtype=np.int64)
     if args.which == "enc":
         m = masks.encoder_mask(p, args.t)
     else:
@@ -243,7 +256,7 @@ def cmd_mask(args, cfg) -> int:
 
 
 def cmd_fm_bench(args, cfg) -> int:
-    steps = [int(x) for x in args.steps.split(",")]
+    steps = _int_list(args.steps, "--steps")
     rng = np.random.default_rng(args.seed or 0)
     flow = cfg.backbone.flow
     d = flow.d_target

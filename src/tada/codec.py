@@ -75,30 +75,44 @@ class CodecLossReport:
         }
 
 
-def reparameterize(s_mu: Tensor | np.ndarray, k_sigma: float, seed: int, sigma0: float = 0.5) -> Tensor:
+def _per_sequence(draw, shape: tuple, seed, lengths) -> np.ndarray:
+    """``draw(rng, shape)`` from ``default_rng(seed)``; with ``lengths``,
+    one draw per run of consecutive rows from its own seed, stacked."""
+    if lengths is None:
+        return draw(np.random.default_rng(seed), shape)
+    return np.concatenate([draw(np.random.default_rng(sd), (n, *shape[1:])) for sd, n in zip(seed, lengths)])
+
+
+def reparameterize(
+    s_mu: Tensor | np.ndarray, k_sigma: float, seed, sigma0: float = 0.5, lengths=None
+) -> Tensor:
     """Sample s = s_mu + sigma * eps with sigma ~ |N(0, k_sigma * sigma0)|.
 
     The per-element scale draw is folded with eps into an additive constant,
-    so gradients pass straight through to the means.
+    so gradients pass straight through to the means. With ``lengths``, the
+    rows are consecutive utterances' latents and ``seed`` holds one seed
+    per utterance: each draws exactly what it would draw alone.
     """
     if k_sigma < 1.0:
         raise ValidationError(f"reparameterize: k_sigma must be >= 1, got {k_sigma}")
     mu = s_mu if isinstance(s_mu, Tensor) else nx.tensor(s_mu)
-    rng = np.random.default_rng(seed)
-    sigma = np.abs(rng.normal(0.0, k_sigma * sigma0, size=mu.shape))
-    eps = rng.standard_normal(mu.shape)
-    return mu + nx.tensor(sigma * eps, dtype=mu.dtype.type)
+
+    def draw(rng, shape):
+        sigma = np.abs(rng.normal(0.0, k_sigma * sigma0, size=shape))
+        return sigma * rng.standard_normal(shape)
+
+    return mu + nx.tensor(_per_sequence(draw, mu.shape, seed, lengths), dtype=mu.dtype.type)
 
 
-def latent_dropout(s: Tensor, rate: float, seed: int) -> Tensor:
+def latent_dropout(s: Tensor, rate: float, seed, lengths=None) -> Tensor:
     """Zero each latent coordinate with probability ``rate``; survivors are
-    scaled by 1/(1-rate) so the expectation is preserved. Training only."""
+    scaled by 1/(1-rate) so the expectation is preserved. Training only.
+    ``seed`` and ``lengths`` as in :func:`reparameterize`."""
     if not 0.0 <= rate < 1.0:
         raise ValidationError(f"latent_dropout: rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return s
-    rng = np.random.default_rng(seed)
-    keep = (rng.random(s.shape) >= rate) / (1.0 - rate)
+    keep = _per_sequence(lambda rng, shape: (rng.random(shape) >= rate) / (1.0 - rate), s.shape, seed, lengths)
     return nx.mul(s, nx.tensor(keep, dtype=s.dtype.type))
 
 
@@ -148,19 +162,23 @@ def _frame_indices(n: int, window: int, hop: int) -> np.ndarray:
     return idx
 
 
-def log_magnitude_spectrogram(signal: Tensor, window: int) -> Tensor | None:
+def log_magnitude_spectrogram(signal: Tensor, window: int, lengths=None) -> Tensor | None:
     """Hann-windowed log-magnitude DFT frames (hop = window / 4).
 
-    Returns None when the signal is shorter than one window.
+    With ``lengths``, the flat signal is consecutive sequences of those
+    sample counts: each is framed on its own, and the frames of those at
+    least one window long are stacked in order. Returns None when no
+    sequence is as long as one window.
     """
-    n = signal.size
-    if n < window:
-        return None
     hop = window // 4
-    n_frames = 1 + (n - window) // hop
-    idx = _frame_indices(n, window, hop)
-    flat = nx.reshape(signal, (n, 1))
-    framed = nx.reshape(nx.gather_rows(flat, idx), (n_frames, window))
+    lengths = [signal.size] if lengths is None else lengths
+    starts = np.cumsum(lengths) - lengths
+    parts = [_frame_indices(n, window, hop) + start for n, start in zip(lengths, starts) if n >= window]
+    if not parts:
+        return None
+    idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    flat = nx.reshape(signal, (signal.size, 1))
+    framed = nx.reshape(nx.gather_rows(flat, idx), (idx.size // window, window))
     cos_b, sin_b, hann = _dft_basis(window, signal.dtype)
     windowed = nx.mul(framed, nx.tensor(hann, dtype=signal.dtype.type))
     re = nx.matmul(windowed, nx.tensor(cos_b, dtype=signal.dtype.type))
@@ -169,21 +187,62 @@ def log_magnitude_spectrogram(signal: Tensor, window: int) -> Tensor | None:
     return nx.log(nx.sqrt(power + 1e-10) + 1e-5)
 
 
-def multiscale_spectral_l1(pred: Tensor, target: Tensor, windows=(32, 64, 128)) -> Tensor:
-    """Sum over scales of the L1 distance between log-magnitude spectra."""
+def _sequence_weights(counts) -> np.ndarray | None:
+    """Row weights that make a weighted sum the mean over sequences of each
+    one's mean over its ``counts`` rows; None (the plain mean) for one."""
+    counts = np.asarray(counts)
+    if counts.size == 1:
+        return None
+    return np.repeat(1.0 / (counts.size * counts), counts)
+
+
+def multiscale_spectral_l1(pred: Tensor, target: Tensor, windows=(32, 64, 128), lengths=None) -> Tensor:
+    """Sum over scales of the L1 distance between log-magnitude spectra.
+
+    With ``lengths`` (sample counts of consecutive sequences), the mean
+    over the sequences of each one's own sum; a scale counts for the
+    sequences at least one window long.
+    """
     if pred.shape != target.shape:
         raise ValidationError(f"spectral loss: shapes {pred.shape} vs {target.shape}")
+    lengths = np.array([pred.size] if lengths is None else lengths)
+    fits = np.zeros(lengths.size, dtype=bool)
     total = None
     for window in windows:
-        a = log_magnitude_spectrogram(pred, window)
-        b = log_magnitude_spectrogram(target, window)
-        if a is None or b is None:
+        counts = np.where(lengths >= window, 1 + (lengths - window) // (window // 4), 0)
+        if not counts.any():
             continue
-        term = nx.l1_loss(a, b)
+        fits |= counts > 0
+        a = log_magnitude_spectrogram(pred, window, lengths)
+        b = log_magnitude_spectrogram(target, window, lengths)
+        weights = None
+        if lengths.size > 1:
+            fit = counts[counts > 0]
+            weights = np.repeat(1.0 / (lengths.size * fit * (window // 2 + 1)), fit)
+        term = nx.l1_loss(a, b, weights)
         total = term if total is None else total + term
-    if total is None:
+    if not fits.all():
         raise ValidationError("spectral loss: signal shorter than every window")
     return total
+
+
+def pack_utterances(batch: list[dict]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Stacked frames, positions and frame counts of utterances packed in
+    order: each utterance's 1-based positions shift by the frames before it."""
+    lengths = [utt["frames"].shape[0] for utt in batch]
+    starts = np.cumsum(lengths) - lengths
+    frames = np.concatenate([utt["frames"] for utt in batch])
+    p = np.concatenate([np.asarray(utt["positions"], dtype=np.int64) + start for utt, start in zip(batch, starts)])
+    return frames, p, lengths
+
+
+def _local_positions(p: np.ndarray, T: int, lengths) -> list[np.ndarray]:
+    """Packed positions split into each sequence's own 1-based positions."""
+    if sum(lengths) != T:
+        raise ValidationError(f"sequence lengths {list(lengths)} do not sum to the {T} frames")
+    ends = np.cumsum(lengths)
+    bounds = np.searchsorted(p, ends, side="right")
+    return [p[lo:hi] - (end - n) for lo, hi, end, n in zip(np.r_[0, bounds[:-1]], bounds, ends, lengths)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +281,30 @@ class CodecModel:
 
     # -- encoder -----------------------------------------------------------
 
-    def frontend(self, frames) -> Tensor:
+    # Every pass below takes optional ``lengths``: the frames are then
+    # consecutive utterances of those lengths, and ``p`` holds the 1-based
+    # positions of all their tokens in the packed frames (see
+    # ``pack_utterances``). Each utterance is computed as if alone.
+
+    def frontend(self, frames, lengths=None) -> Tensor:
         """Per-frame projection plus a kernel-3 local mixer (pre-transformer)."""
         x = nn.linear(self.params, "enc/in_proj", nn.input_tensor(self.params, frames))
-        return x + nn.local_mix(self.params, "enc/mix", x)
+        return x + nn.local_mix(self.params, "enc/mix", x, lengths)
 
-    def encode_from_hidden(self, hidden: Tensor, p: np.ndarray) -> Tensor:
+    def encode_from_hidden(self, hidden: Tensor, p: np.ndarray, lengths=None) -> Tensor:
         """Masked transformer over prepared frame features; gather latent means."""
         p = np.asarray(p, dtype=np.int64)
         T = hidden.shape[0]
         ind = masks.indicator(p, T)
+        lengths = [T] if lengths is None else lengths
+        mask = [masks.encoder_mask(q, n) for q, n in zip(_local_positions(p, T, lengths), lengths)]
         x = hidden + nx.embed(self.params["enc/indicator"], ind)
-        h = nn.stack(self.params, "enc/tf", x, masks.encoder_mask(p, T), self.tf)
+        h = nn.stack(self.params, "enc/tf", x, mask, self.tf)
         return nn.linear(self.params, "enc/lat", nx.gather_rows(h, p - 1))
 
-    def encode(self, frames, p: np.ndarray) -> Tensor:
+    def encode(self, frames, p: np.ndarray, lengths=None) -> Tensor:
         """Latent means s_mu (L, d_latent) at the aligned positions."""
-        return self.encode_from_hidden(self.frontend(frames), p)
+        return self.encode_from_hidden(self.frontend(frames, lengths), p, lengths)
 
     # -- decoders ----------------------------------------------------------
 
@@ -249,7 +315,7 @@ class CodecModel:
         ind = masks.indicator(p, T)
         return nn.linear(self.params, f"{dec}/z_proj", z) + nx.embed(self.params[f"{dec}/indicator"], ind)
 
-    def decode(self, s, p: np.ndarray, T: int, mode: str = "joint") -> DecodedFrames:
+    def decode(self, s, p: np.ndarray, T: int, mode: str = "joint", lengths=None) -> DecodedFrames:
         """Reconstruct (T, d_frame) features and (T, r) signal from latents.
 
         mode "joint" uses global attention, "streaming" the two-segment
@@ -258,9 +324,15 @@ class CodecModel:
         if mode not in ("joint", "streaming"):
             raise ValidationError(f"decode: unknown mode {mode!r}")
         s = nn.input_tensor(self.params, s)
+        p = np.asarray(p, dtype=np.int64)
         dec = "dec_joint" if mode == "joint" else "dec_stream"
-        mask = nn.full_mask(T) if mode == "joint" else masks.decoder_stream_mask(p, T)
-        h = nn.stack(self.params, f"{dec}/tf", self._decoder_input(dec, s, p, T), mask, self.tf)
+        x = self._decoder_input(dec, s, p, T)
+        lengths = [T] if lengths is None else lengths
+        mask = [
+            nn.full_mask(n) if mode == "joint" else masks.decoder_stream_mask(q, n)
+            for q, n in zip(_local_positions(p, T, lengths), lengths)
+        ]
+        h = nn.stack(self.params, f"{dec}/tf", x, mask, self.tf)
         return DecodedFrames(
             features=nn.linear(self.params, f"{dec}/feat", h),
             signal=nn.linear(self.params, f"{dec}/sig", h),
@@ -324,28 +396,68 @@ def codec_loss(
     p: np.ndarray,
     s_mu: Tensor,
     config: CodecConfig,
+    lengths=None,
 ) -> CodecLossReport:
-    """Composite reconstruction objective: spectral L1, semantic CE and clamped KL."""
+    """Composite reconstruction objective: spectral L1, semantic CE and clamped KL.
+
+    With ``lengths`` (packed utterances, as for :meth:`CodecModel.decode`),
+    each term is the mean over the utterances of the utterance's own term.
+    """
     tokens = np.asarray(tokens, dtype=np.int64)
     p = np.asarray(p, dtype=np.int64)
-    T = pred.features.shape[0]
+    T, r = pred.signal.shape
     tgt = target_signal
     if not isinstance(tgt, Tensor):
         tgt = nx.tensor(tgt, dtype=pred.signal.dtype.type)
+    frames = np.array([T] if lengths is None else lengths)
     mel = multiscale_spectral_l1(
-        nx.reshape(pred.signal, (-1,)), nx.reshape(tgt, (-1,)), config.spectral_windows
+        nx.reshape(pred.signal, (-1,)), nx.reshape(tgt, (-1,)), config.spectral_windows,
+        None if lengths is None else frames * r,
     )
     frame_targets = np.full(T, config.vocab_size, dtype=np.int64)  # blank
     frame_targets[p - 1] = tokens
-    sem = nx.cross_entropy(pred.sem_logits, frame_targets)
+    sem = nx.cross_entropy(pred.sem_logits, frame_targets, _sequence_weights(frames))
     per_token = nx.scale(nx.sum_(nx.square(s_mu), axis=1), 1.0 / config.d_latent)
-    kl = nx.mean_(nx.maximum_const(per_token, config.kl_floor))
+    clamped = nx.maximum_const(per_token, config.kl_floor)
+    weights = _sequence_weights(np.diff(np.searchsorted(p, np.cumsum(frames), side="right"), prepend=0))
+    if weights is None:
+        kl = nx.mean_(clamped)
+    else:
+        kl = nx.sum_(nx.mul(clamped, nx.tensor(weights, dtype=clamped.dtype.type)))
     total = (
         nx.scale(mel, config.lambda_mel)
         + nx.scale(sem, config.lambda_sem)
         + nx.scale(kl, config.lambda_kl)
     )
     return CodecLossReport(mel=mel, sem=sem, kl=kl, total=total)
+
+
+def codec_batch_loss(
+    model: CodecModel, batch: list[dict], mode: str = "joint", seeds: list[tuple[int, int]] | None = None
+) -> CodecLossReport:
+    """Mean over ``batch`` of each utterance's :func:`codec_loss`, from one
+    packed encode and one packed decode in ``mode``.
+
+    ``seeds``, one (noise, dropout) pair per utterance, sample the latents
+    with :func:`reparameterize` and :func:`latent_dropout`; without them
+    the decoder sees the means. In streaming mode the encoder is frozen and
+    records no tape: its KL term has no optimizer, and the decoder sees only
+    the detached latents. Entries need keys: frames, signal, tokens,
+    positions.
+    """
+    cfg = model.config
+    frames, p, lengths = pack_utterances(batch)
+    with nx.no_grad() if mode == "streaming" else contextlib.nullcontext():
+        s_mu = model.encode(frames, p, lengths)
+    s = s_mu
+    if seeds is not None:
+        counts = [np.size(utt["positions"]) for utt in batch]
+        s = reparameterize(s_mu, cfg.k_sigma, [a for a, _ in seeds], cfg.sigma0, counts)
+        s = latent_dropout(s, cfg.latent_dropout, [b for _, b in seeds], counts)
+    dec = model.decode(s, p, frames.shape[0], mode, lengths)
+    signal = np.concatenate([utt["signal"] for utt in batch])
+    tokens = np.concatenate([utt["tokens"] for utt in batch])
+    return codec_loss(dec, signal, tokens, p, s_mu, cfg, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +478,9 @@ def train_codec(
     """Two-phase training: encoder + joint decoder, then the streamable
     decoder with the encoder frozen.
 
-    ``corpus`` entries need keys: frames, signal, tokens, positions.
+    Each step is one :func:`codec_batch_loss` over a sampled batch, one
+    packed pass with one backward. ``corpus`` entries need keys: frames,
+    signal, tokens, positions.
     """
     rng = np.random.default_rng(seed)
     model = CodecModel(config, rng)
@@ -374,41 +488,25 @@ def train_codec(
     joint_keys = [k for k in model.params if k.startswith("dec_joint/")]
     stream_keys = [k for k in model.params if k.startswith("dec_stream/")]
 
-    def run_phase(n_steps: int, train_keys: list[str], mode: str, freeze_encoder: bool, tag: str):
+    def run_phase(n_steps: int, train_keys: list[str], mode: str, tag: str):
         opt = nx.Adam({k: model.params[k] for k in train_keys}, lr=lr)
         warmup = int(n_steps * config.noise_warmup_frac)
         for step in range(n_steps):
             idx = rng.integers(0, len(corpus), size=min(batch_size, len(corpus)))
+            seeds = None
+            if step >= warmup:
+                # sampling noise and dropout enter after the warm-up so
+                # the latents carry signal before they must survive noise
+                seeds = [(int(rng.integers(1 << 31)), int(rng.integers(1 << 31))) for _ in idx]
             opt.zero_grad()
-            log = {}
-            for j, i in enumerate(idx):
-                utt = corpus[i]
-                # A frozen encoder records no tape: its KL term has no
-                # optimizer, and the decoder sees only the detached latents.
-                with nx.no_grad() if freeze_encoder else contextlib.nullcontext():
-                    s_mu = model.encode(utt["frames"], utt["positions"])
-                if step >= warmup:
-                    # sampling noise and dropout enter after the warm-up so
-                    # the latents carry signal before they must survive noise
-                    s = reparameterize(
-                        s_mu, config.k_sigma, seed=int(rng.integers(1 << 31)), sigma0=config.sigma0
-                    )
-                    s = latent_dropout(s, config.latent_dropout, seed=int(rng.integers(1 << 31)))
-                else:
-                    s = s_mu
-                dec = model.decode(s, utt["positions"], utt["frames"].shape[0], mode=mode)
-                report = codec_loss(
-                    dec, utt["signal"], utt["tokens"], utt["positions"], s_mu, config
-                )
-                loss = nx.scale(report.total, 1.0 / len(idx))
-                if not np.isfinite(loss.data):
-                    raise NumericalAbort(f"train_codec[{tag}]: diverged at step {step}")
-                loss.backward()
-                log = report.floats()
+            report = codec_batch_loss(model, [corpus[i] for i in idx], mode, seeds)
+            if not np.isfinite(report.total.data):
+                raise NumericalAbort(f"train_codec[{tag}]: diverged at step {step}")
+            report.total.backward()
             opt.step()
             if log_every and step % log_every == 0:
-                print(f"codec[{tag}] step {step}: {log}")
+                print(f"codec[{tag}] step {step}: {report.floats()}")
 
-    run_phase(steps, enc_keys + joint_keys, "joint", freeze_encoder=False, tag="joint")
-    run_phase(stream_steps, stream_keys, "streaming", freeze_encoder=True, tag="stream")
+    run_phase(steps, enc_keys + joint_keys, "joint", tag="joint")
+    run_phase(stream_steps, stream_keys, "streaming", tag="stream")
     return model

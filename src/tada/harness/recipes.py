@@ -28,7 +28,7 @@ import numpy as np
 from .. import numerics as nx
 from ..aligner import MAX_GAP, AlignerConfig, AlignerModel, filter_alignment, train_aligner
 from ..backbone import BackboneConfig, BackboneModel, SequenceBatchItem, train_backbone, train_base_lm
-from ..codec import CodecConfig, CodecModel, reparameterize, train_codec
+from ..codec import CodecConfig, CodecModel, pack_utterances, reparameterize, train_codec
 from ..durbits import durations_from_positions
 from ..errors import ValidationError
 from ..pipeline import Prompt, SpeakerHead, prepare_prompt, train_speaker_head
@@ -92,12 +92,10 @@ def aligner_pairs(manifest: Manifest, arrays: dict) -> list[tuple[np.ndarray, np
 
 
 def extract_alignments(model: AlignerModel, manifest: Manifest, arrays: dict) -> dict[int, np.ndarray]:
-    """Viterbi positions for every utterance."""
-    out = {}
-    for rec in manifest.records:
-        frames, _ = utterance_arrays(arrays, rec.utt_id)
-        out[rec.utt_id] = model.align(frames, rec.tokens).positions
-    return out
+    """Viterbi positions for every utterance: one packed aligner forward
+    over the whole manifest, then Viterbi per utterance."""
+    alignments = model.align_batch(aligner_pairs(manifest, arrays))
+    return {rec.utt_id: a.positions for rec, a in zip(manifest.records, alignments)}
 
 
 def filter_alignments(alignments: Alignments, bits: int) -> tuple[Alignments, int]:
@@ -193,28 +191,29 @@ def codec_stage(corpus: list[dict], codec_config: CodecConfig, budget: TrainBudg
 def latent_stage(
     codec_model: CodecModel, corpus: list[dict], bank: TemplateBank, budget: TrainBudget
 ) -> LatentCorpus:
-    """Encode every utterance once and sample its latents."""
+    """Encode every utterance in one packed pass and sample its latents,
+    each utterance from its own seed."""
     cfg = codec_model.config
     rng = np.random.default_rng(budget.seed + 2)
-    items, rows, targets = [], [], []
+    frames, p, lengths = pack_utterances(corpus)
+    counts = [np.size(utt["positions"]) for utt in corpus]
+    seeds = [int(rng.integers(1 << 31)) for _ in corpus]
     with nx.no_grad():
-        for utt in corpus:
-            p = utt["positions"]
-            s_mu = codec_model.encode(utt["frames"], p)
-            s = reparameterize(s_mu, cfg.k_sigma, seed=int(rng.integers(1 << 31)), sigma0=cfg.sigma0).data
-            f_before, f_after = durations_from_positions(p, utt["frames"].shape[0])
-            items.append(
-                SequenceBatchItem(
-                    tokens=utt["tokens"],
-                    latents=np.asarray(s, dtype=np.float64),
-                    f_before=f_before,
-                    f_after=f_after,
-                )
+        s_mu = codec_model.encode(frames, p, lengths)
+        s = reparameterize(s_mu, cfg.k_sigma, seeds, cfg.sigma0, counts).data
+    items, targets = [], []
+    for utt, latents in zip(corpus, np.split(s, np.cumsum(counts)[:-1])):
+        f_before, f_after = durations_from_positions(utt["positions"], utt["frames"].shape[0])
+        items.append(
+            SequenceBatchItem(
+                tokens=utt["tokens"],
+                latents=np.asarray(latents, dtype=np.float64),
+                f_before=f_before,
+                f_after=f_after,
             )
-            mu = np.asarray(s_mu.data, dtype=np.float64)
-            rows.append(mu)
-            targets.append(np.repeat(bank.speaker_param[utt["speaker"]][None], len(mu), axis=0))
-    return LatentCorpus(items, np.concatenate(rows), np.concatenate(targets))
+        )
+        targets.append(np.repeat(bank.speaker_param[utt["speaker"]][None], len(latents), axis=0))
+    return LatentCorpus(items, np.asarray(s_mu.data, dtype=np.float64), np.concatenate(targets))
 
 
 def lm_stage(

@@ -86,14 +86,23 @@ def mlp(params: dict, prefix: str, x: Tensor, n_layers: int) -> Tensor:
     return x
 
 
-def local_mix(params: dict, name: str, x: Tensor) -> Tensor:
+def local_mix(params: dict, name: str, x: Tensor, lengths=None) -> Tensor:
     """Kernel-3 neighbour mixer: GELU of a linear map of each row beside its
-    left and right neighbours (zero rows past either end)."""
-    T = x.shape[0]
-    zero = nx.zeros((1, x.shape[1]), dtype=x.dtype)
-    left = nx.concat([zero, nx.gather_rows(x, np.arange(0, T - 1))], axis=0)
-    right = nx.concat([nx.gather_rows(x, np.arange(1, T)), zero], axis=0)
-    return nx.gelu(linear(params, name, nx.concat([left, x, right], axis=1)))
+    left and right neighbours.
+
+    The rows are consecutive sequences of the given ``lengths`` (default:
+    one sequence), and each sequence sees zero rows past either of its ends,
+    so no row mixes with another sequence's.
+    """
+    T, d = x.shape
+    lengths = np.array([T] if lengths is None else lengths)
+    ends = np.cumsum(lengths)
+    left, right = np.arange(T) - 1, np.arange(T) + 1
+    left[ends - lengths] = T  # row T of ``padded`` is the zero row
+    right[ends - 1] = T
+    padded = nx.concat([x, nx.zeros((1, d), dtype=x.dtype)], axis=0)
+    rows = nx.gather_rows(padded, np.stack([left, np.arange(T), right], axis=1).reshape(-1))
+    return nx.gelu(linear(params, name, nx.reshape(rows, (T, 3 * d))))
 
 
 def init_block(params: dict, prefix: str, rng: np.random.Generator, cfg: TransformerConfig) -> None:
@@ -123,17 +132,18 @@ def attention(
     params: dict,
     prefix: str,
     x: Tensor,
-    mask: np.ndarray,
+    mask,
     cfg: TransformerConfig,
     positions: np.ndarray,
     cache: LayerCache | None = None,
 ) -> Tensor:
     """Multi-head attention of the rows of ``x`` at ``positions``.
 
-    Without ``cache`` the rows attend to each other and ``mask`` is (T, T).
-    With ``cache`` they attend to the cached rows followed by themselves,
-    ``mask`` has one column per such row, and their rotated keys and their
-    values are appended to the cache.
+    Without ``cache`` the rows attend to each other: ``mask`` is (T, T), or
+    a list of per-sequence (L_i, L_i) masks when the rows are a packed run
+    of sequences (see :func:`stack`). With ``cache`` they attend to the
+    cached rows followed by themselves, ``mask`` has one column per such
+    row, and their rotated keys and their values are appended to the cache.
     """
     q = nx.split_heads(linear(params, f"{prefix}/wq", x), cfg.n_heads, positions, cfg.rope_base)
     k = nx.split_heads(linear(params, f"{prefix}/wk", x), cfg.n_heads, positions, cfg.rope_base)
@@ -147,30 +157,46 @@ def block(
     params: dict,
     prefix: str,
     x: Tensor,
-    mask: np.ndarray,
+    mask,
     cfg: TransformerConfig,
     positions: np.ndarray,
     cache: LayerCache | None = None,
 ) -> Tensor:
+    """One pre-norm transformer layer; ``mask`` as in :func:`attention`."""
     x = x + attention(params, prefix, ln(params, f"{prefix}/ln1", x), mask, cfg, positions, cache)
     h = linear(params, f"{prefix}/ff1", ln(params, f"{prefix}/ln2", x))
     return x + linear(params, f"{prefix}/ff2", nx.gelu(h))
+
+
+def sequence_positions(lengths) -> np.ndarray:
+    """Positions 0, 1, ... restarting at each of consecutive sequences."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def stack(
     params: dict,
     prefix: str,
     x: Tensor,
-    mask: np.ndarray,
+    mask,
     cfg: TransformerConfig,
     positions: np.ndarray | None = None,
 ) -> Tensor:
-    """Run the full transformer stack under one shared attention mask."""
+    """Run the full transformer stack.
+
+    ``mask`` is one (T, T) mask over the rows, or, for a packed run, a list
+    of per-sequence masks: the rows are then consecutive sequences, mask i
+    is sequence i's own (L_i, L_i) block, and a row attends only within its
+    own sequence. Positions default to 0, 1, ... restarting per sequence.
+    """
     T = x.shape[0]
-    if mask.shape != (T, T):
-        raise ValueError(f"mask shape {mask.shape} does not match sequence length {T}")
+    masks = mask if isinstance(mask, list) else [mask]
+    lengths = [m.shape[0] for m in masks]
+    if any(m.shape != (n, n) for m, n in zip(masks, lengths)) or sum(lengths) != T:
+        shapes = [m.shape for m in masks] if isinstance(mask, list) else mask.shape
+        raise ValueError(f"mask shape {shapes} does not match sequence length {T}")
     if positions is None:
-        positions = np.arange(T)
+        positions = sequence_positions(lengths)
     for i in range(cfg.n_layers):
         x = block(params, f"{prefix}/layer{i}", x, mask, cfg, positions)
     return ln(params, f"{prefix}/ln_out", x)

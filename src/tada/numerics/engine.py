@@ -227,12 +227,16 @@ def _coerce(x, dtype) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to ``t.grad``.
+
+    The first gradient is kept as it is, not copied, so a ``.grad`` may be
+    the very array another node received, or a view of it. That is safe
+    because no code writes into a ``.grad`` or into a gradient it was
+    handed: every later sum makes a new array.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
-    else:
-        t.grad = t.grad + g
+    t.grad = np.asarray(g) if t.grad is None else t.grad + g
 
 
 def _make(op: str, data: np.ndarray, parents: tuple, backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -281,7 +285,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         _accum(a, _reduce_to(a.shape, g))
-        _accum(b, -_reduce_to(b.shape, g))
+        if b.requires_grad:
+            _accum(b, -_reduce_to(b.shape, g))
 
     return _make("sub", out, (a, b), backward)
 
@@ -291,8 +296,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
-        _accum(a, _reduce_to(a.shape, g * b.data))
-        _accum(b, _reduce_to(b.shape, g * a.data))
+        if a.requires_grad:
+            _accum(a, _reduce_to(a.shape, g * b.data))
+        if b.requires_grad:
+            _accum(b, _reduce_to(b.shape, g * a.data))
 
     return _make("mul", out, (a, b), backward)
 
@@ -317,8 +324,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _make("matmul", out, (a, b), backward)
 
@@ -338,9 +347,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         out = out + b.data
 
     def backward(g):
-        _accum(b, g.sum(axis=0))
-        _accum(x, g @ w.data.T)
-        _accum(w, x.data.T @ g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
 
     return _make("linear", out, (x, w, b), backward)
 
@@ -493,30 +505,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         _accum(a, g.reshape(a.shape))
 
     return _make("reshape", out, (a,), backward)
-
-
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    if a.ndim != 2 or not (0 <= lo < hi <= a.shape[1]):
-        raise ShapeError("slice_cols", f"range [{lo},{hi}) invalid for shape {a.shape}")
-    out = a.data[:, lo:hi].copy()
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[:, lo:hi] = g
-        _accum(a, ga)
-
-    return _make("slice_cols", out, (a,), backward)
-
-
-def transpose2d(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError("transpose2d", f"expects rank-2, got {a.shape}")
-    out = a.data.T.copy()
-
-    def backward(g):
-        _accum(a, g.T)
-
-    return _make("transpose2d", out, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -694,38 +682,12 @@ def _rope_angles(d: int, positions: np.ndarray, base: float, dtype) -> tuple[np.
     return table.rows(np.asarray(positions, dtype=np.int64))
 
 
-def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
-    """Rotary rotation of consecutive (even, odd) coordinate pairs.
-
-    Norm-preserving per 2-plane; the backward pass is the inverse rotation.
-    """
-    if x.ndim != 2 or x.shape[1] % 2 != 0:
-        raise ShapeError("rope", f"expects (T, even d), got {x.shape}")
-    T, d = x.shape
-    positions = np.asarray(positions)
-    if positions.shape != (T,):
-        raise ShapeError("rope", f"positions must be ({T},), got {positions.shape}")
-    cos, sin = _rope_angles(d, positions, base, x.dtype)
-    xe, xo = x.data[:, 0::2], x.data[:, 1::2]
-    out = np.empty_like(x.data)
-    out[:, 0::2] = xe * cos - xo * sin
-    out[:, 1::2] = xe * sin + xo * cos
-
-    def backward(g):
-        ge, go = g[:, 0::2], g[:, 1::2]
-        gx = np.empty_like(g)
-        gx[:, 0::2] = ge * cos + go * sin
-        gx[:, 1::2] = -ge * sin + go * cos
-        _accum(x, gx)
-
-    return _make("rope", out, (x,), backward)
-
-
 def split_heads(x: Tensor, n_heads: int, positions: np.ndarray | None = None, base: float = 10000.0) -> Tensor:
     """Split (T, H * hd) columns into (H, T, hd) heads.
 
-    With ``positions``, every head is also rotated exactly as :func:`rope`
-    rotates its (T, hd) column block.
+    With ``positions``, every head is also rotated by rotary positions:
+    each consecutive (even, odd) coordinate pair of row t turns by the
+    angles of ``positions[t]``. The backward pass is the inverse rotation.
     """
     if x.ndim != 2 or n_heads < 1 or x.shape[1] % n_heads != 0:
         raise ShapeError("split_heads", f"cannot split {x.shape} into {n_heads} heads")
@@ -758,41 +720,70 @@ def split_heads(x: Tensor, n_heads: int, positions: np.ndarray | None = None, ba
     return _make("split_heads", out, (x,), backward)
 
 
-def attention_heads(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor:
+def attention_heads(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
     """Scaled dot-product attention of all heads at once, heads merged.
 
-    ``q`` is (H, Tq, hd), ``k`` and ``v`` are (H, Tk, hd), and the (Tq, Tk)
-    ``mask`` applies to every head. Weights are :func:`softmax_masked` of the
-    scaled scores, so excluded keys and values never reach the output. The
-    result is (Tq, H * hd), head-major along the columns.
+    ``q`` is (H, Tq, hd) and ``k`` and ``v`` are (H, Tk, hd). ``mask`` is
+    one (Tq, Tk) mask that applies to every head, or, for a packed run, a
+    list of per-sequence masks: the rows of ``q`` and of ``k`` are then
+    consecutive sequences, and mask i, of shape (Lq_i, Lk_i), is sequence
+    i's own block. Only those blocks are scored, so no (Tq, Tk) array is
+    formed and no row can attend outside its own sequence. One mask is a
+    run of one sequence. Weights are the masked softmax of the scaled
+    scores, so excluded keys and values never reach the output. The result
+    is (Tq, H * hd), head-major along the columns.
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or k.shape != v.shape or q.shape[::2] != k.shape[::2]:
         raise ShapeError(
             "attention_heads", f"q {q.shape}, k {k.shape}, v {v.shape} are not (H, T, hd) alike"
         )
     H, Tq, hd = q.shape
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (Tq, k.shape[1]):
-        raise ShapeError("attention_heads", f"mask shape {mask.shape} != ({Tq}, {k.shape[1]})")
-    if not np.all(mask.any(axis=-1)):
+    packed = isinstance(mask, list)
+    masks = [np.asarray(m, dtype=bool) for m in mask] if packed else [np.asarray(mask, dtype=bool)]
+    blocks, r0, c0 = [], 0, 0  # (mask, its rows, its keys)
+    for m in masks:
+        r1, c1 = r0 + m.shape[0], c0 + m.shape[-1]
+        blocks.append((m, slice(r0, r1), slice(c0, c1)))
+        r0, c0 = r1, c1
+    if any(m.ndim != 2 for m in masks) or (r0, c0) != (Tq, k.shape[1]):
+        shapes = [m.shape for m in masks] if packed else masks[0].shape
+        raise ShapeError("attention_heads", f"mask shape {shapes} != ({Tq}, {k.shape[1]})")
+    if not all(m.any(axis=-1).all() for m in masks):
         raise ShapeError("attention_heads", "a normalization slice has no included positions")
     c = 1.0 / math.sqrt(hd)
-    # Operand layouts follow the per-head matmul/transpose2d chain, so every
-    # product is bit-identical to it.
-    kt = np.ascontiguousarray(k.data.transpose(0, 2, 1))
-    scores = (q.data @ kt) * c
-    m = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
-    e = np.exp(np.where(mask, scores - m, 0.0)) * mask
-    w = e / e.sum(axis=-1, keepdims=True)
-    out = (w @ v.data).transpose(1, 0, 2).reshape(Tq, H * hd)
+    weights, kts, outs = [], [], []
+    for m, r, s in blocks:
+        # Operand layouts follow the per-head matmul/transpose2d chain, so
+        # every product is bit-identical to it.
+        kt = np.ascontiguousarray(k.data[:, s].transpose(0, 2, 1))
+        scores = (q.data[:, r] @ kt) * c
+        mx = np.where(m, scores, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(m, scores - mx, 0.0)) * m
+        w = e / e.sum(axis=-1, keepdims=True)
+        outs.append(w @ v.data[:, s])
+        weights.append(w)
+        kts.append(kt)
+    out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+    out = out.transpose(1, 0, 2).reshape(Tq, H * hd)
 
     def backward(g):
         g = g.reshape(Tq, H, hd).transpose(1, 0, 2)
-        _accum(v, w.transpose(0, 2, 1) @ g)
-        gw = g @ v.data.transpose(0, 2, 1)
-        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * c
-        _accum(q, gs @ kt.transpose(0, 2, 1))
-        _accum(k, (q.data.transpose(0, 2, 1) @ gs).transpose(0, 2, 1))
+        gq = np.empty_like(q.data) if q.requires_grad else None
+        gk = np.empty_like(k.data) if k.requires_grad else None
+        gv = np.empty_like(v.data) if v.requires_grad else None
+        for (_, r, s), w, kt in zip(blocks, weights, kts):
+            gb = g[:, r]
+            if gv is not None:
+                gv[:, s] = w.transpose(0, 2, 1) @ gb
+            gw = gb @ v.data[:, s].transpose(0, 2, 1)
+            gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * c
+            if gq is not None:
+                gq[:, r] = gs @ kt.transpose(0, 2, 1)
+            if gk is not None:
+                gk[:, s] = (q.data[:, r].transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
+        for t, grad in ((v, gv), (q, gq), (k, gk)):
+            if grad is not None:
+                _accum(t, grad)
 
     return _make("attention_heads", out, (q, k, v), backward)
 
@@ -802,24 +793,35 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray) -> Tensor
 # ---------------------------------------------------------------------------
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer targets under row softmax."""
+def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray | None = None) -> Tensor:
+    """Mean negative log-likelihood of integer targets under row softmax.
+
+    With ``weights`` (one per row), the weighted sum of the rows'
+    negative log-likelihoods instead of their mean.
+    """
     targets = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ShapeError(
             "cross_entropy", f"logits {logits.shape} vs targets {targets.shape}"
         )
     n, v = logits.shape
+    if weights is not None and np.shape(weights) != (n,):
+        raise ShapeError("cross_entropy", f"weights {np.shape(weights)} vs {n} rows")
     m = logits.data.max(axis=1, keepdims=True)
     e = np.exp(logits.data - m)
     z = e.sum(axis=1, keepdims=True)
     logp = logits.data - m - np.log(z)
-    out = np.asarray(-logp[np.arange(n), targets].mean())
+    nll = -logp[np.arange(n), targets]
+    if weights is None:
+        out = np.asarray(nll.mean())
+    else:
+        weights = np.asarray(weights, dtype=logits.dtype)
+        out = np.asarray((nll * weights).sum())
 
     def backward(g):
         p = e / z
         p[np.arange(n), targets] -= 1.0
-        _accum(logits, g * p / n)
+        _accum(logits, g * p / n if weights is None else p * (g * weights)[:, None])
 
     return _make("cross_entropy", out, (logits,), backward)
 
@@ -844,25 +846,38 @@ def kl_categorical(p_logits: Tensor, q_logits: Tensor) -> Tensor:
     out = np.asarray(rows.mean())
 
     def backward(g):
-        q = np.exp(logq)
-        _accum(q_logits, g * (q - p) / n)
-        _accum(p_logits, g * p * ((logp - logq) - rows[:, None]) / n)
+        if q_logits.requires_grad:
+            _accum(q_logits, g * (np.exp(logq) - p) / n)
+        if p_logits.requires_grad:
+            _accum(p_logits, g * p * ((logp - logq) - rows[:, None]) / n)
 
     return _make("kl_categorical", out, (p_logits, q_logits), backward)
 
 
-def l1_loss(a: Tensor, b: Tensor) -> Tensor:
-    """Mean absolute difference."""
+def l1_loss(a: Tensor, b: Tensor, weights: np.ndarray | None = None) -> Tensor:
+    """Mean absolute difference.
+
+    With ``weights`` (one per row), the sum over rows of the row's weight
+    times its summed absolute difference instead.
+    """
     if a.shape != b.shape:
         raise ShapeError("l1_loss", f"shapes {a.shape} and {b.shape} differ")
+    if weights is not None and (a.ndim != 2 or np.shape(weights) != a.shape[:1]):
+        raise ShapeError("l1_loss", f"weights {np.shape(weights)} vs rows of {a.shape}")
     diff = a.data - b.data
-    out = np.asarray(np.abs(diff).mean())
     n = a.size
+    if weights is None:
+        out = np.asarray(np.abs(diff).mean())
+    else:
+        weights = np.asarray(weights, dtype=a.dtype)[:, None]
+        out = np.asarray((np.abs(diff) * weights).sum())
 
     def backward(g):
-        s = g * np.sign(diff) / n
-        _accum(a, s)
-        _accum(b, -s)
+        s = g * np.sign(diff) / n if weights is None else np.sign(diff) * (g * weights)
+        if a.requires_grad:
+            _accum(a, s)
+        if b.requires_grad:
+            _accum(b, -s)
 
     return _make("l1_loss", out, (a, b), backward)
 
@@ -877,8 +892,10 @@ def l2_loss(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         s = g * 2.0 * diff / n
-        _accum(a, s)
-        _accum(b, -s)
+        if a.requires_grad:
+            _accum(a, s)
+        if b.requires_grad:
+            _accum(b, -s)
 
     return _make("l2_loss", out, (a, b), backward)
 

@@ -28,14 +28,21 @@ class Adam:
             p.grad = None
 
     def step(self) -> None:
+        """One update of every parameter that has a gradient.
+
+        The moments are updated in place; the weights are replaced, never
+        written into, so an array a caller handed in is left as it was.
+        """
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * (g * g)
-            mhat = self.m[k] / (1 - b1**self.t)
-            vhat = self.v[k] / (1 - b2**self.t)
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            m, v = self.m[k], self.v[k]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * (g * g)
+            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)

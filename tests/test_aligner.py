@@ -305,6 +305,110 @@ class TestTraining:
         assert np.all(logp.data[:, inactive] == nx.LOG_EXCLUDED)
 
 
+def reference_batch_loss(model, batch, column_mask=None):
+    """aligner_batch_loss written as one forward and one CTC term per utterance."""
+    cfg = model.config
+    main_terms, inter_terms = [], []
+    for frames, tokens in batch:
+        logits, inter_logits = model.forward(frames)
+        mask = None if column_mask is None else np.broadcast_to(column_mask, logits.shape)
+        main_terms.append(ctc_loss(nx.log_softmax(logits, mask=mask), tokens))
+        inter_terms.append(ctc_loss(nx.log_softmax(inter_logits), np.asarray(tokens) % cfg.n_graphemes))
+    mean = lambda terms: nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
+    return mean(main_terms) + nx.scale(mean(inter_terms), cfg.lambda_inter)
+
+
+def loss_and_grads(model, fn):
+    for p in model.params.values():
+        p.grad = None
+    loss = fn()
+    loss.backward()
+    return float(loss.data), {k: p.grad for k, p in model.params.items()}
+
+
+def packed_batch(rng, d_in, lengths, vocab):
+    return [(rng.standard_normal((T, d_in)), rng.integers(0, vocab, size=max(1, T // 4))) for T in lengths]
+
+
+PACK_CFG = AlignerConfig(d_in=4, d_model=16, n_heads=2, d_ff=16, vocab_size=7, n_graphemes=3)
+
+
+class TestPackedBatch:
+    @pytest.mark.parametrize("curriculum", [False, True], ids=["all-columns", "column-mask"])
+    def test_batch_loss_matches_per_utterance_reference(self, curriculum):
+        rng = np.random.default_rng(40)
+        model = AlignerModel(PACK_CFG, rng)
+        batch = packed_batch(rng, 4, (9, 1, 14, 5), PACK_CFG.vocab_size)
+        mask = None
+        if curriculum:
+            targets = np.concatenate([t for _, t in batch])
+            vocab = curriculum_subset(0, np.zeros(PACK_CFG.vocab_size), targets, PACK_CFG.vocab_size, {0: 1})
+            mask = vocab.column_mask()
+            assert not mask.all()
+        loss, grads = loss_and_grads(model, lambda: aligner_batch_loss(model, batch, mask)[0])
+        ref_loss, ref_grads = loss_and_grads(model, lambda: reference_batch_loss(model, batch, mask))
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for k, ref in ref_grads.items():
+            assert np.max(np.abs(grads[k] - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+    def test_other_utterances_cannot_reach_an_utterance(self):
+        rng = np.random.default_rng(41)
+        model = AlignerModel(PACK_CFG, rng)
+        lengths = [6, 1, 9, 4]
+        frames = rng.standard_normal((sum(lengths), 4))
+        own = np.zeros(frames.shape[0], dtype=bool)
+        own[7:16] = True
+        other = np.where(own[:, None], frames, frames * 1e3 + 5.0)
+        a, b = model.log_probs(frames, lengths), model.log_probs(other, lengths)
+        np.testing.assert_array_equal(a[own], b[own])
+        assert not np.array_equal(a[~own], b[~own])
+
+    def test_align_batch_equals_align(self):
+        rng = np.random.default_rng(42)
+        model = AlignerModel(PACK_CFG, rng)
+        batch = packed_batch(rng, 4, (9, 3, 14, 5, 11), PACK_CFG.vocab_size)
+        for packed, (frames, tokens) in zip(model.align_batch(batch), batch):
+            np.testing.assert_array_equal(packed.positions, model.align(frames, tokens).positions)
+
+    def test_attention_scores_only_each_utterance(self, monkeypatch):
+        """Every mask the packed forward hands the attention is one
+        utterance's own square block."""
+        from tada import nn
+
+        seen = []
+        attention = nn.nx.attention_heads
+
+        def spy(q, k, v, mask):
+            seen.append([m.shape for m in mask])
+            return attention(q, k, v, mask)
+
+        monkeypatch.setattr(nn.nx, "attention_heads", spy)
+        rng = np.random.default_rng(43)
+        model = AlignerModel(PACK_CFG, rng)
+        batch = packed_batch(rng, 4, (9, 1, 14), PACK_CFG.vocab_size)
+        aligner_batch_loss(model, batch)
+        assert seen and all(shapes == [(9, 9), (1, 1), (14, 14)] for shapes in seen)
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(44)
+        with nx.precision("float32"):
+            model = AlignerModel(PACK_CFG, rng)
+        batch = packed_batch(rng, 4, (9, 1, 14), PACK_CFG.vocab_size)
+        loss, _ = aligner_batch_loss(model, batch)
+        loss.backward()
+        assert loss.dtype == np.float32
+        assert {p.grad.dtype for p in model.params.values()} == {p.data.dtype for p in model.params.values()} == {
+            np.dtype(np.float32)
+        }
+
+    def test_ctc_lengths_reject_mismatch(self):
+        y = random_log_probs(np.random.default_rng(45), 6, 3)
+        with pytest.raises(ValidationError, match="do not match"):
+            ctc_log_likelihood(y, [[1], [2]], lengths=[2, 3])
+        with pytest.raises(InfeasibleError):
+            ctc_log_likelihood(y, [[1, 1], [2]], lengths=[2, 4])
+
+
 def test_alignment_cache_roundtrip(tmp_path):
     records = {0: (12, np.array([2, 5, 9])), 3: (7, np.array([1, 6]))}
     path = tmp_path / "align.cache"

@@ -303,3 +303,33 @@ def test_graycheck_out_of_range_exit_code_2(capsys, b):
     assert captured.out == ""  # rejected before the exhaustive loop
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "--b" in err[0], err
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["mask", "--p", "a,b", "--t", "5"], "--p"),
+        (["mask", "--p", "0,2", "--t", "5"], "--p"),
+        (["fm-bench", "--steps", "2,x"], "--steps"),
+        (["fm-bench", "--steps", "0"], "--steps"),
+        (["fm-bench", "--steps", "-2"], "--steps"),
+        (["bench", "--manifest", "M", "--arrays", "A", "--lm", "L", "--codec", "C", "--nfm-list", "2,0"],
+         "--nfm-list"),
+        (["bench", "--manifest", "M", "--arrays", "A", "--lm", "L", "--codec", "C", "--nfm-list", "4,"],
+         "--nfm-list"),
+        (["gen-data", "--manifest", "M", "--arrays", "A", "--utterances", "-3"], "--utterances"),
+        (["gen-data", "--manifest", "M", "--arrays", "A", "--utterances", "0"], "--utterances"),
+    ],
+    ids=["mask-word", "mask-zero", "steps-word", "steps-zero", "steps-negative", "nfm-zero", "nfm-empty",
+         "utterances-negative", "utterances-zero"],
+)
+def test_bad_integer_flag_exit_code_2(tmp_path, capsys, argv, says):
+    """Integer flags take values >= 1; a bad one exits 2 with one error
+    line before any file is read or written and before any output."""
+    paths = {name: str(tmp_path / name) for name in ("M", "A", "L", "C")}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and says in err[0], err
+    assert not any(Path(p).exists() for p in paths.values())

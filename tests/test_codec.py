@@ -8,9 +8,11 @@ from tada import numerics as nx
 from tada.codec import (
     CodecConfig,
     CodecModel,
+    codec_batch_loss,
     codec_loss,
     latent_dropout,
     multiscale_spectral_l1,
+    pack_utterances,
     reparameterize,
     scatter_latents,
     train_codec,
@@ -255,6 +257,118 @@ class TestSpectral:
     def test_all_windows_too_large(self):
         with pytest.raises(ValidationError):
             multiscale_spectral_l1(nx.tensor(np.zeros(3)), nx.tensor(np.zeros(3)), (8,))
+
+
+def random_corpus(rng, shapes):
+    """Utterances of the given (T, positions) with random frames, signal and tokens."""
+    corpus = []
+    for T, p in shapes:
+        p = np.array(p)
+        corpus.append({
+            "frames": rng.standard_normal((T, TINY.d_frame)),
+            "signal": rng.standard_normal((T, TINY.samples_per_frame)),
+            "tokens": rng.integers(0, TINY.vocab_size, size=p.size),
+            "positions": p,
+        })
+    return corpus
+
+
+PACK_SHAPES = ((7, [2, 5]), (1, [1]), (9, [3, 4, 8]), (4, [4]))
+
+
+def reference_batch_loss(model, batch, mode, seeds):
+    """codec_batch_loss written as one encode, decode and codec_loss per utterance."""
+    cfg = model.config
+    totals = []
+    for j, utt in enumerate(batch):
+        p = utt["positions"]
+        if mode == "streaming":
+            with nx.no_grad():
+                s_mu = model.encode(utt["frames"], p)
+        else:
+            s_mu = model.encode(utt["frames"], p)
+        s = s_mu
+        if seeds is not None:
+            s = reparameterize(s_mu, cfg.k_sigma, seed=seeds[j][0], sigma0=cfg.sigma0)
+            s = latent_dropout(s, cfg.latent_dropout, seed=seeds[j][1])
+        dec = model.decode(s, p, utt["frames"].shape[0], mode=mode)
+        totals.append(codec_loss(dec, utt["signal"], utt["tokens"], p, s_mu, cfg).total)
+    return nx.scale(sum(totals[1:], totals[0]), 1.0 / len(totals))
+
+
+class TestPacked:
+    @pytest.mark.parametrize("noisy", [False, True], ids=["means", "sampled"])
+    @pytest.mark.parametrize("mode", ["joint", "streaming"])
+    def test_step_loss_matches_per_utterance_reference(self, model, mode, noisy):
+        rng = np.random.default_rng(31)
+        batch = random_corpus(rng, PACK_SHAPES)
+        seeds = [(int(a), int(b)) for a, b in rng.integers(0, 1 << 31, size=(len(batch), 2))] if noisy else None
+        runs = []
+        for fn in (lambda: codec_batch_loss(model, batch, mode, seeds).total,
+                   lambda: reference_batch_loss(model, batch, mode, seeds)):
+            for p in model.params.values():
+                p.grad = None
+            loss = fn()
+            loss.backward()
+            runs.append((float(loss.data), {k: p.grad for k, p in model.params.items()}))
+        (loss, grads), (ref_loss, ref_grads) = runs
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert {k for k, g in grads.items() if g is not None} == {k for k, g in ref_grads.items() if g is not None}
+        for k, ref in ref_grads.items():
+            if ref is not None:
+                assert np.max(np.abs(grads[k] - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+        if mode == "streaming":
+            assert all(g is None for k, g in grads.items() if k.startswith("enc/"))
+
+    def test_encode_matches_per_utterance(self, model):
+        rng = np.random.default_rng(32)
+        batch = random_corpus(rng, PACK_SHAPES)
+        frames, p, lengths = pack_utterances(batch)
+        packed = model.encode(frames, p, lengths).data
+        alone = np.concatenate([model.encode(u["frames"], u["positions"]).data for u in batch])
+        assert np.max(np.abs(packed - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+    def test_other_utterances_cannot_reach_an_utterance(self, model):
+        rng = np.random.default_rng(33)
+        batch = random_corpus(rng, PACK_SHAPES)
+        frames, p, lengths = pack_utterances(batch)
+        own_rows = np.zeros(frames.shape[0], dtype=bool)
+        own_rows[8:17] = True  # the third utterance
+        own_tokens = np.isin(p, np.arange(9, 18))
+        other = np.where(own_rows[:, None], frames, frames * 1e3 + 5.0)
+        runs = []
+        for f in (frames, other):
+            s_mu = model.encode(f, p, lengths)
+            runs.append((s_mu.data, model.decode(s_mu, p, f.shape[0], "streaming", lengths).signal.data))
+        (s_a, sig_a), (s_b, sig_b) = runs
+        np.testing.assert_array_equal(s_a[own_tokens], s_b[own_tokens])
+        np.testing.assert_array_equal(sig_a[own_rows], sig_b[own_rows])
+        assert not np.array_equal(s_a[~own_tokens], s_b[~own_tokens])
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(34)
+        with nx.precision("float32"):
+            m32 = CodecModel(TINY, np.random.default_rng(0))
+        batch = random_corpus(rng, PACK_SHAPES)
+        report = codec_batch_loss(m32, batch, "joint", [(1, 2)] * len(batch))
+        report.total.backward()
+        assert report.total.dtype == np.float32
+        assert {p.grad.dtype for p in m32.params.values() if p.grad is not None} == {np.dtype(np.float32)}
+
+    def test_spectral_loss_is_the_mean_of_each_sequence(self):
+        """A sequence shorter than a window is scored on the windows it holds."""
+        rng = np.random.default_rng(35)
+        lengths = [20, 6, 33]
+        pred, target = rng.standard_normal(sum(lengths)), rng.standard_normal(sum(lengths))
+        packed = float(multiscale_spectral_l1(nx.tensor(pred), nx.tensor(target), (4, 8), lengths).data)
+        ends = np.cumsum(lengths)
+        alone = [
+            float(multiscale_spectral_l1(nx.tensor(pred[e - n : e]), nx.tensor(target[e - n : e]), (4, 8)).data)
+            for n, e in zip(lengths, ends)
+        ]
+        assert packed == pytest.approx(np.mean(alone), rel=1e-12)
+        with pytest.raises(ValidationError):
+            multiscale_spectral_l1(nx.tensor(pred), nx.tensor(target), (8,), [20, 3, 36])
 
 
 def test_streaming_phase_leaves_frozen_encoder_without_gradients():

@@ -293,3 +293,44 @@ def test_evaluate_reports_mean_prefill_time():
     assert (report.prefill_time, report.idle_step_time) == (2.0, 0.5)
     lines = report.to_lines()
     assert lines[lines.index("prefill_time=2") + 1] == "idle_step_time=0.5"
+
+
+def test_extract_alignments_equal_per_utterance_align():
+    """One packed forward over the manifest gives each utterance the
+    positions its own forward gives."""
+    from tada.aligner import AlignerConfig, AlignerModel
+    from tada.harness import recipes
+
+    manifest, arrays = gen_corpus(CFG, 10)
+    model = AlignerModel(AlignerConfig(d_in=CFG.d_frame, vocab_size=CFG.vocab_size), np.random.default_rng(3))
+    got = recipes.extract_alignments(model, manifest, arrays)
+    assert list(got) == [rec.utt_id for rec in manifest.records]
+    for rec in manifest.records:
+        frames, _ = utterance_arrays(arrays, rec.utt_id)
+        np.testing.assert_array_equal(got[rec.utt_id], model.align(frames, rec.tokens).positions)
+
+
+def test_latent_stage_matches_per_utterance_encode():
+    """The packed encode gives each utterance its own latent means, and
+    each utterance's sampled latents come from its own seed, in order."""
+    from tada.codec import CodecConfig, CodecModel, reparameterize
+    from tada.harness import recipes
+
+    manifest, arrays = gen_corpus(CFG, 6)
+    codec = CodecModel(
+        CodecConfig(d_frame=CFG.d_frame, vocab_size=CFG.vocab_size, samples_per_frame=CFG.samples_per_frame),
+        np.random.default_rng(4),
+    )
+    corpus = recipes.codec_corpus(manifest, arrays, {r.utt_id: (r.T, r.positions) for r in manifest.records})
+    for utt in corpus:
+        utt["frames"] = utt["frames"].astype(np.float64)
+    budget = TrainBudget(seed=5)
+    latents = recipes.latent_stage(codec, corpus, TemplateBank(CFG), budget)
+    rng = np.random.default_rng(budget.seed + 2)
+    means = []
+    for utt, item in zip(corpus, latents.items):
+        s_mu = codec.encode(utt["frames"], utt["positions"])
+        s = reparameterize(s_mu, codec.config.k_sigma, seed=int(rng.integers(1 << 31)), sigma0=codec.config.sigma0)
+        np.testing.assert_allclose(item.latents, s.data, rtol=0, atol=1e-12 * np.abs(s.data).max())
+        means.append(s_mu.data)
+    np.testing.assert_allclose(latents.speaker_rows, np.concatenate(means), rtol=0, atol=1e-12)

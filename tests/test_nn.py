@@ -9,6 +9,7 @@ import pytest
 from tada import nn
 from tada import numerics as nx
 from tada.errors import ValidationError
+from reference_ops import rope, slice_cols, transpose2d
 
 CFG = nn.TransformerConfig(n_layers=2, d_model=24, n_heads=3, d_ff=32)
 
@@ -30,10 +31,10 @@ def per_head_attention(params, prefix, x, mask, cfg, positions):
     outs = []
     for h in range(cfg.n_heads):
         lo, hi = h * hd, (h + 1) * hd
-        qh = nx.rope(nx.slice_cols(q, lo, hi), positions, cfg.rope_base)
-        kh = nx.rope(nx.slice_cols(k, lo, hi), positions, cfg.rope_base)
-        scores = nx.scale(nx.matmul(qh, nx.transpose2d(kh)), 1.0 / math.sqrt(hd))
-        outs.append(nx.matmul(nx.softmax_masked(scores, mask), nx.slice_cols(v, lo, hi)))
+        qh = rope(slice_cols(q, lo, hi), positions, cfg.rope_base)
+        kh = rope(slice_cols(k, lo, hi), positions, cfg.rope_base)
+        scores = nx.scale(nx.matmul(qh, transpose2d(kh)), 1.0 / math.sqrt(hd))
+        outs.append(nx.matmul(nx.softmax_masked(scores, mask), slice_cols(v, lo, hi)))
     return nn.linear(params, f"{prefix}/wo", nx.concat(outs, axis=1))
 
 
@@ -64,6 +65,88 @@ def test_attention_matches_per_head_reference(T, dtype):
     assert grads.keys() == ref_grads.keys()
     for k in grads:
         np.testing.assert_array_equal(grads[k], ref_grads[k], err_msg=k)
+
+
+def _ragged_masks(rng, lengths):
+    masks = []
+    for n in lengths:
+        m = rng.random((n, n)) < 0.5
+        m[np.arange(n), np.arange(n)] = True
+        masks.append(m)
+    return masks
+
+
+def test_packed_attention_matches_per_head_reference_per_sequence():
+    """A packed run through ``nn.attention`` against the per-head chain run
+    on each sequence alone, positions restarting at 0: outputs and every
+    gradient agree to 1e-12 relative in float64."""
+    rng = np.random.default_rng(21)
+    lengths = [5, 1, 7, 3]
+    params = make_params(gain=10.0)
+    x0 = rng.standard_normal((sum(lengths), CFG.d_model))
+    masks = _ragged_masks(rng, lengths)
+    c = rng.standard_normal((sum(lengths), CFG.d_model))
+
+    def run(attend_all):
+        for p in params.values():
+            p.zero_grad()
+        x = nx.tensor(x0, requires_grad=True)
+        out = attend_all(x)
+        nx.sum_(nx.mul(out, nx.tensor(c))).backward()
+        return out.data, x.grad, {k: p.grad for k, p in params.items() if p.grad is not None}
+
+    def per_sequence(x):
+        outs, start = [], 0
+        for n, m in zip(lengths, masks):
+            rows = nx.gather_rows(x, np.arange(start, start + n))
+            outs.append(per_head_attention(params, "tf/layer0", rows, m, CFG, np.arange(n)))
+            start += n
+        return nx.concat(outs, axis=0)
+
+    positions = nn.sequence_positions(lengths)
+    got = run(lambda x: nn.attention(params, "tf/layer0", x, masks, CFG, positions))
+    want = run(per_sequence)
+    for a, b in zip(got[:2], want[:2]):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    assert got[2].keys() == want[2].keys()
+    for k in want[2]:
+        assert np.max(np.abs(got[2][k] - want[2][k])) <= 1e-12 * np.max(np.abs(want[2][k])), k
+
+
+def test_packed_stack_equals_each_sequence_alone():
+    rng = np.random.default_rng(22)
+    lengths = [4, 1, 6]
+    params = make_params(gain=10.0)
+    x = rng.standard_normal((sum(lengths), CFG.d_model))
+    masks = _ragged_masks(rng, lengths)
+    packed = nn.stack(params, "tf", nx.tensor(x), masks, CFG).data
+    start = 0
+    for n, m in zip(lengths, masks):
+        alone = nn.stack(params, "tf", nx.tensor(x[start : start + n]), m, CFG).data
+        np.testing.assert_allclose(packed[start : start + n], alone, rtol=0, atol=1e-12)
+        start += n
+    with pytest.raises(ValueError, match="mask shape"):
+        nn.stack(params, "tf", nx.tensor(x), masks[:2], CFG)
+
+
+def test_local_mix_sees_zero_rows_at_each_sequence_end():
+    """Packed, each sequence mixes only its own rows; alone, a row's
+    neighbours past either end are zero rows."""
+    rng = np.random.default_rng(23)
+    params = {}
+    nn.init_linear(params, "mix", rng, 3 * CFG.d_model, CFG.d_model, std=0.5)
+    lengths = [3, 1, 4]
+    x = rng.standard_normal((sum(lengths), CFG.d_model))
+    packed = nn.local_mix(params, "mix", nx.tensor(x), lengths).data
+    start = 0
+    for n in lengths:
+        rows = x[start : start + n]
+        padded = np.concatenate([np.zeros((1, CFG.d_model)), rows, np.zeros((1, CFG.d_model))])
+        wide = np.concatenate([padded[:-2], rows, padded[2:]], axis=1)
+        want = nx.gelu(nn.linear(params, "mix", nx.tensor(wide))).data
+        np.testing.assert_array_equal(nn.local_mix(params, "mix", nx.tensor(rows)).data, want)
+        np.testing.assert_allclose(packed[start : start + n], want, rtol=0, atol=1e-12)
+        start += n
 
 
 def test_cached_steps_with_eviction_match_stack_over_window():
@@ -102,7 +185,7 @@ def test_cache_holds_rotated_keys():
     k = nn.linear(params, "tf/layer0/wk", xin)
     hd = CFG.d_model // CFG.n_heads
     for h in range(CFG.n_heads):
-        want = nx.rope(nx.slice_cols(k, h * hd, (h + 1) * hd), np.arange(10, 14), CFG.rope_base).data
+        want = rope(slice_cols(k, h * hd, (h + 1) * hd), np.arange(10, 14), CFG.rope_base).data
         np.testing.assert_array_equal(cache.layers[0].keys[h], want)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tada import numerics as nx
 from tada.errors import ShapeError, ValidationError
 from tada.numerics import Tensor, finite_difference_check
+from reference_ops import rope, slice_cols, transpose2d
 
 
 def test_matmul_identity():
@@ -203,7 +204,7 @@ def _case_embed(rng):
 
 def _case_rope(rng):
     pos = np.arange(3)
-    return lambda x: nx.sum_(nx.square(nx.rope(x, pos))), (3, 6)
+    return lambda x: nx.sum_(nx.square(rope(x, pos))), (3, 6)
 
 
 def _case_split_heads(rng):
@@ -243,6 +244,50 @@ def _case_attention_heads_v(rng):
     return _attention_case(rng, 2)
 
 
+def _packed_attention_case(rng, slot):
+    """Attention over a packed run of sequences of ragged lengths (one of
+    them a single row) with operand ``slot`` as input."""
+    lengths = (3, 1, 2)
+    masks = []
+    for n in lengths:
+        m = rng.random((n, n)) < 0.6
+        m[:, 0] = True
+        masks.append(m)
+    ops = [nx.tensor(rng.standard_normal((2, sum(lengths), 4))) for _ in range(3)]
+    c = nx.tensor(rng.standard_normal((sum(lengths), 8)))
+
+    def f(x):
+        args = list(ops)
+        args[slot] = x
+        return nx.sum_(nx.mul(nx.attention_heads(*args, masks), c))
+
+    return f, ops[slot].shape
+
+
+def _case_attention_heads_packed_q(rng):
+    return _packed_attention_case(rng, 0)
+
+
+def _case_attention_heads_packed_k(rng):
+    return _packed_attention_case(rng, 1)
+
+
+def _case_attention_heads_packed_v(rng):
+    return _packed_attention_case(rng, 2)
+
+
+def _case_cross_entropy_weighted(rng):
+    tgt = np.array([1, 0, 3])
+    weights = np.array([0.5, 0.25, 0.125])
+    return lambda x: nx.cross_entropy(x, tgt, weights), (3, 4)
+
+
+def _case_l1_loss_weighted(rng):
+    c = _const(rng, (3, 4), offset=3.0)
+    weights = np.array([0.5, 0.25, 0.125])
+    return lambda x: nx.l1_loss(x, c, weights), (3, 4)
+
+
 def _case_gather_rows(rng):
     idx = np.array([2, 0, 2])
     return lambda x: nx.sum_(nx.square(nx.gather_rows(x, idx))), (4, 3)
@@ -263,12 +308,12 @@ def _case_reshape(rng):
 
 
 def _case_slice_cols(rng):
-    return lambda x: nx.sum_(nx.square(nx.slice_cols(x, 1, 3))), (3, 4)
+    return lambda x: nx.sum_(nx.square(slice_cols(x, 1, 3))), (3, 4)
 
 
 def _case_transpose2d(rng):
     c = _const(rng, (3, 2))
-    return lambda x: nx.sum_(nx.matmul(nx.transpose2d(x), c)), (3, 4)
+    return lambda x: nx.sum_(nx.matmul(transpose2d(x), c)), (3, 4)
 
 
 def _case_cross_entropy(rng):
@@ -437,7 +482,7 @@ def test_layer_norm_bit_identical_to_mean_formula(dtype, shape):
 def test_rope_preserves_pairwise_norms():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 8))
-    out = nx.rope(nx.tensor(x), np.arange(5) + 7).data
+    out = rope(nx.tensor(x), np.arange(5) + 7).data
     for i in range(4):
         np.testing.assert_allclose(
             np.hypot(out[:, 2 * i], out[:, 2 * i + 1]),
@@ -505,6 +550,79 @@ def test_attention_heads_checks():
         nx.split_heads(nx.tensor(np.zeros((3, 8))), 3)
     with pytest.raises(ShapeError):
         nx.split_heads(nx.tensor(np.zeros((3, 6))), 2, np.arange(3))  # odd head width
+
+
+def _packed_qkv(rng, lengths, H=2, hd=4):
+    T = sum(lengths)
+    return [rng.standard_normal((H, T, hd)) for _ in range(3)]
+
+
+def _ragged_masks(rng, lengths):
+    masks = []
+    for n in lengths:
+        m = rng.random((n, n)) < 0.5
+        m[np.arange(n), np.arange(n)] = True
+        masks.append(m)
+    return masks
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_packed_attention_equals_each_sequence_alone(dtype):
+    """Each sequence of a packed run gets exactly its own attention, and
+    the gradients of every operand are its own sequences' gradients."""
+    rng = np.random.default_rng(11)
+    lengths = [4, 1, 6, 2]
+    arrays = [a.astype(dtype) for a in _packed_qkv(rng, lengths)]
+    masks = _ragged_masks(rng, lengths)
+    g = rng.standard_normal((sum(lengths), 8)).astype(dtype)
+    packed = [nx.tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+    out = nx.attention_heads(*packed, masks)
+    nx.sum_(nx.mul(out, nx.tensor(g, dtype=dtype))).backward()
+    assert out.dtype == dtype and all(t.grad.dtype == dtype for t in packed)
+    start = 0
+    for n, m in zip(lengths, masks):
+        rows = slice(start, start + n)
+        alone = [nx.tensor(a[:, rows], requires_grad=True, dtype=dtype) for a in arrays]
+        ref = nx.attention_heads(*alone, m)
+        nx.sum_(nx.mul(ref, nx.tensor(g[rows], dtype=dtype))).backward()
+        np.testing.assert_array_equal(out.data[rows], ref.data)
+        for t, a in zip(packed, alone):
+            np.testing.assert_array_equal(t.grad[:, rows], a.grad)
+        start += n
+
+
+def test_packed_attention_of_one_sequence_is_the_single_mask():
+    rng = np.random.default_rng(12)
+    q, k, v = (nx.tensor(a) for a in _packed_qkv(rng, [5]))
+    (mask,) = _ragged_masks(rng, [5])
+    np.testing.assert_array_equal(nx.attention_heads(q, k, v, [mask]).data, nx.attention_heads(q, k, v, mask).data)
+
+
+def test_packed_attention_isolates_sequences():
+    """Another sequence's queries, keys and values, however large, leave a
+    sequence's rows bit-identical."""
+    rng = np.random.default_rng(13)
+    lengths = [3, 5, 2]
+    q, k, v = _packed_qkv(rng, lengths)
+    masks = _ragged_masks(rng, lengths)
+    base = nx.attention_heads(nx.tensor(q), nx.tensor(k), nx.tensor(v), masks).data
+    own = slice(3, 8)
+    others = np.ones(sum(lengths), dtype=bool)
+    others[own] = False
+    q2, k2, v2 = (a.copy() for a in (q, k, v))
+    for a in (q2, k2, v2):
+        a[:, others] = rng.standard_normal(a[:, others].shape) * 1e6
+    pert = nx.attention_heads(nx.tensor(q2), nx.tensor(k2), nx.tensor(v2), masks).data
+    np.testing.assert_array_equal(base[own], pert[own])
+    assert not np.array_equal(base[others], pert[others])
+
+
+def test_packed_attention_checks():
+    q = nx.tensor(np.zeros((2, 5, 4)))
+    with pytest.raises(ShapeError, match="mask shape"):
+        nx.attention_heads(q, q, q, [np.ones((2, 2), bool), np.ones((2, 2), bool)])
+    with pytest.raises(ShapeError, match="no included positions"):
+        nx.attention_heads(q, q, q, [np.ones((2, 2), bool), np.eye(3, dtype=bool) & False])
 
 
 def test_shape_error_names_primitive_and_extents():
@@ -597,3 +715,47 @@ def test_truncated_checkpoint_raises_validation_error(tmp_path_factory, data):
     path.write_bytes(raw[:cut])
     with pytest.raises(ValidationError, match="cut.tada"):
         nx.load_arrays(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adam_matches_textbook_formula(dtype):
+    """Five steps equal the textbook update bit for bit; a parameter
+    without a gradient keeps its weights and moments, and the arrays a
+    caller handed in are never written through."""
+    rng = np.random.default_rng(8)
+    w0 = rng.standard_normal((3, 4)).astype(dtype)
+    frozen0 = rng.standard_normal(5).astype(dtype)
+    params = {"w": Tensor(w0.copy(), requires_grad=True), "frozen": Tensor(frozen0, requires_grad=True)}
+    handed_in = params["w"].data
+    opt = nx.Adam(params, lr=1e-2)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 1e-2
+    w, m, v = w0.copy(), np.zeros_like(w0), np.zeros_like(w0)
+    for t in range(1, 6):
+        g = rng.standard_normal(w0.shape).astype(dtype)
+        params["w"].grad = g
+        params["frozen"].grad = None
+        opt.step()
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        w = w - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+        assert params["w"].data.dtype == dtype
+        np.testing.assert_array_equal(params["w"].data, w)
+        np.testing.assert_array_equal(opt.m["w"], m)
+        np.testing.assert_array_equal(opt.v["w"], v)
+    np.testing.assert_array_equal(handed_in, w0)
+    assert params["frozen"].data is frozen0
+    assert not opt.m["frozen"].any() and not opt.v["frozen"].any()
+
+
+def test_first_gradient_is_kept_not_copied():
+    """A leaf's first gradient is the array its node handed down; a second
+    contribution makes a new sum and leaves that array as it was."""
+    x = nx.tensor(np.ones((2, 3)), requires_grad=True)
+    y = nx.add(x, nx.tensor(np.zeros((2, 3))))
+    loss = nx.sum_(nx.mul(y, nx.tensor(np.full((2, 3), 2.0))))
+    tape = loss.backward()
+    first = next(n for n in tape.nodes if n.op == "add").grad
+    assert x.grad is first
+    z = nx.tensor(np.ones(3), requires_grad=True)
+    nx.sum_(nx.add(nx.mul(z, nx.tensor(np.full(3, 2.0))), z)).backward()
+    np.testing.assert_array_equal(z.grad, np.full(3, 3.0))

@@ -8,20 +8,21 @@ model should condition on acoustics (text-speech) or text alone, enabling
 stochastic audio-segment dropout during training and speech-free guidance
 at inference.
 
-Sequences are laid out as [BOS, w_1 .. w_L, PAD*(K-1)] so the flow target
-paired with the step carrying w_i is exactly token i-K+1's packed vector.
+Step j of a context carries text token j-1 (BOS at step 0, PAD past the
+end) and the acoustic slot of token j-K, as :func:`context_rows` lays out
+for training and generation alike, so the flow target paired with the step
+carrying w_i is exactly token i-K+1's packed vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import durbits, flowhead, nn
 from . import numerics as nx
-from .errors import NumericalAbort, ValidationError
+from .errors import NumericalAbort, ShapeError, ValidationError
 from .numerics import Tensor
 
 
@@ -66,15 +67,6 @@ class BackboneConfig:
     @property
     def d_acoustic(self) -> int:
         return self.d_latent + 2 * self.bits
-
-
-@dataclass
-class FusedStep:
-    """One step of the single-stream context."""
-
-    token_id: int
-    acoustic: np.ndarray | None  # packed [s | analog bits] or None (placeholder)
-    mode: str = "text-speech"  # "text-only" | "text-speech"
 
 
 @dataclass
@@ -156,11 +148,16 @@ class BackboneModel:
         ``acoustic`` is (n, d_acoustic) with zero rows where absent,
         ``has_ac`` marks rows with a real acoustic slot, ``speech`` marks
         text-speech mode. Text-only rows get a zero acoustic term; speech
-        rows without a slot get the learned placeholder.
+        rows without a slot get the learned placeholder. A token id outside
+        ``[0, n_text_ids)`` raises :class:`ValidationError`.
         """
         n = ids.size
         d = self.config.d_model
-        text = nx.embed(self.params["text_emb"], ids)
+        try:
+            text = nx.embed(self.params["text_emb"], ids)
+        except ShapeError:  # the lookup checks the id range
+            bad = ids[(ids < 0) | (ids >= self.config.n_text_ids)]
+            raise ValidationError(f"fuse: token ids {bad.tolist()} outside [0, {self.config.n_text_ids})") from None
         mode = nx.embed(self.params["mode_emb"], speech.astype(np.int64))
         real = (has_ac & speech).astype(float)[:, None]
         placeholder = (~has_ac & speech).astype(float)[:, None]
@@ -170,30 +167,6 @@ class BackboneModel:
         )
         ph_term = nx.matmul(nn.input_tensor(self.params, placeholder), self.params["bos_ac"])
         return text + ac_term + ph_term + mode
-
-    def _step_rows(self, steps: Sequence[FusedStep]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Validated ``(ids, acoustic, has_ac, speech)`` of :meth:`_fuse_matrix`
-        for a sequence of steps."""
-        n = len(steps)
-        ids = np.empty(n, dtype=np.int64)
-        acoustic = np.zeros((n, self.config.d_acoustic))
-        has_ac = np.zeros(n, dtype=bool)
-        speech = np.zeros(n, dtype=bool)
-        for j, s in enumerate(steps):
-            if not 0 <= s.token_id < self.config.n_text_ids:
-                raise ValidationError(f"fuse: token id {s.token_id} out of range")
-            if s.mode not in ("text-only", "text-speech"):
-                raise ValidationError(f"fuse: unknown mode {s.mode!r}")
-            ids[j] = s.token_id
-            speech[j] = s.mode == "text-speech"
-            if s.acoustic is not None:
-                acoustic[j] = s.acoustic
-                has_ac[j] = True
-        return ids, acoustic, has_ac, speech
-
-    def fuse(self, step: FusedStep) -> Tensor:
-        """Input vector for a single step."""
-        return nx.reshape(self._fuse_matrix(*self._step_rows([step])), (self.config.d_model,))
 
     # -- forward -------------------------------------------------------------
 
@@ -222,28 +195,21 @@ class BackboneModel:
         h = nn.stack(self.params, "tf", x, mask, self.tf, nn.sequence_positions(lengths))
         return nn.linear(self.params, "lm_head", h), nn.linear(self.params, "cond_head", h)
 
-    def forward(self, context: list[FusedStep]) -> list[BackboneOutput]:
-        """Per-step text logits and condition vectors for a fused context."""
-        with nx.no_grad():
-            logits, cond = self.forward_tensors(*self._step_rows(context))
-        return _outputs(logits, cond)
-
     # -- incremental decoding --------------------------------------------------
 
     def new_cache(self) -> nn.StackCache:
         return nn.StackCache(self.tf)
 
-    def step(
-        self, steps: Sequence[FusedStep], cache: nn.StackCache, streams: Sequence[int] | None = None
-    ) -> list[BackboneOutput]:
-        """Append fused steps to the cache in one call; return their outputs.
+    def step(self, ids, acoustic, has_ac, speech, cache: nn.StackCache, streams=None) -> list[BackboneOutput]:
+        """Append fused rows to the cache in one call; return their outputs.
 
+        The rows are those of :meth:`forward_tensors`, one per step.
         ``streams`` gives each step's stream (default: all stream 0). The
         steps of one stream take that stream's next positions in call order
         and attend causally to each other and to that stream's cached steps
         only, so each stream sees exactly the context it would see alone.
         """
-        n = len(steps)
+        n = len(ids)
         if n < 1:
             raise ValidationError("step: need at least one step")
         streams = np.zeros(n, dtype=np.int64) if streams is None else np.asarray(streams, dtype=np.int64)
@@ -261,9 +227,10 @@ class BackboneModel:
             np.concatenate([cache.positions, positions]) <= positions[:, None]
         )
         with nx.no_grad():
-            x = self._fuse_matrix(*self._step_rows(steps))
+            x = self._fuse_matrix(ids, acoustic, has_ac, speech)
             h = nn.stack_step(self.params, "tf", x, positions, cache, self.tf, mask, streams)
-            return _outputs(nn.linear(self.params, "lm_head", h), nn.linear(self.params, "cond_head", h))
+            logits, cond = nn.linear(self.params, "lm_head", h).data, nn.linear(self.params, "cond_head", h).data
+        return [BackboneOutput(text_logits=lg, cond=c) for lg, c in zip(logits, cond)]
 
     def save(self, path) -> None:
         nn.save_params(path, self.params, self.config)
@@ -273,10 +240,6 @@ class BackboneModel:
         config, params = nn.load_params(path, BackboneConfig, dtype)
         nn.check_params(path, params, lambda: cls(config, np.random.default_rng(0)).params)
         return cls(config, params=params)
-
-
-def _outputs(logits: Tensor, cond: Tensor) -> list[BackboneOutput]:
-    return [BackboneOutput(text_logits=lg, cond=c) for lg, c in zip(logits.data, cond.data)]
 
 
 def sfg_logits(z_text_only: np.ndarray, z_text_speech: np.ndarray, sfg_scale: float) -> np.ndarray:
@@ -291,12 +254,33 @@ def sfg_logits(z_text_only: np.ndarray, z_text_speech: np.ndarray, sfg_scale: fl
 
 
 # ---------------------------------------------------------------------------
-# Training sequences
+# Context layout and training sequences
 # ---------------------------------------------------------------------------
 
 
+def context_rows(config: BackboneConfig, tokens, slots, steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ids, acoustic, has_ac)`` of the given steps of one fused context.
+
+    Step j carries ``tokens[j-1]``, with BOS at step 0 and PAD past the
+    end, and the packed acoustic slot ``slots[j-K-1]`` when that slot
+    exists (a zero row and ``has_ac`` false when it does not). Training
+    sequences and generation lay out their steps by this one rule.
+    """
+    steps = np.asarray(steps)
+    text = np.array([config.bos_id, *tokens, config.pad_id])
+    ids = text[np.minimum(steps, text.size - 1)]
+    slot = steps - config.k_shift - 1
+    has_ac = (slot >= 0) & (slot < len(slots))
+    acoustic = np.zeros((steps.size, config.d_acoustic))
+    for row in range(steps.size):
+        if has_ac[row]:
+            acoustic[row] = slots[slot[row]]
+    return ids, acoustic, has_ac
+
+
 def build_sequence(item: SequenceBatchItem, config: BackboneConfig):
-    """Step layout for one utterance.
+    """Step layout for one utterance: :func:`context_rows` over its tokens
+    and packed slots, with at least one PAD step after the last token.
 
     Returns (ids, acoustic, has_ac, ce_targets, flow_step_idx, flow_targets):
     step j's acoustic slot is token j-K (placeholder when j-K < 1) and its
@@ -304,33 +288,14 @@ def build_sequence(item: SequenceBatchItem, config: BackboneConfig):
     """
     K = config.k_shift
     L = item.tokens.size
-    n_tail = max(K - 1, 1)
-    ids = np.concatenate(
-        [[config.bos_id], np.asarray(item.tokens, dtype=np.int64), [config.pad_id] * n_tail]
-    )
-    n = ids.size
-    acoustic = np.zeros((n, config.d_acoustic))
-    has_ac = np.zeros(n, dtype=bool)
     packed = np.stack(
         [
             durbits.pack(item.latents[i], int(item.f_before[i]), int(item.f_after[i]), config.bits)
             for i in range(L)
         ]
     )
-    for j in range(n):
-        a = j - K  # token index whose acoustics are fed at step j
-        if 1 <= a <= L:
-            acoustic[j] = packed[a - 1]
-            has_ac[j] = True
-    flow_step_idx = []
-    flow_targets = []
-    for j in range(n):
-        m = j - K + 1  # token index whose acoustics step j predicts
-        if 1 <= m <= L:
-            flow_step_idx.append(j)
-            flow_targets.append(packed[m - 1])
-    ce_targets = ids[1:]
-    return ids, acoustic, has_ac, np.asarray(ce_targets), np.asarray(flow_step_idx), np.stack(flow_targets)
+    ids, acoustic, has_ac = context_rows(config, item.tokens, packed, np.arange(L + 1 + max(K - 1, 1)))
+    return ids, acoustic, has_ac, ids[1:], np.arange(K, K + L), packed
 
 
 def _text_only_logits(model: BackboneModel, ids: np.ndarray, lengths: list[int]) -> Tensor:

@@ -136,6 +136,10 @@ def cmd_lm_train(args, cfg) -> int:
 
 
 def cmd_synth(args, cfg) -> int:
+    try:
+        text = np.array([int(x) for x in args.text.replace(",", " ").split()], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"--text: expected token ids, got {args.text!r}") from None
     params = GenParams(
         n_fm=args.nfm, cfg_scale=args.cfg, neg_mode=args.neg,
         candidates=args.reject, sfg_scale=args.sfg, seed=args.seed or 0,
@@ -146,7 +150,6 @@ def cmd_synth(args, cfg) -> int:
     aligner = AlignerModel.load(args.aligner) if args.aligner else None
     alignments = load_alignment_cache(args.align_cache) if args.align_cache else None
     (prompt,) = recipes.build_prompts(manifest, arrays, [args.prompt], codec_model, head, aligner, alignments)
-    text = np.array([int(x) for x in args.text.replace(",", " ").split()], dtype=np.int64)
     result = generate(model, codec_model, head, prompt, text, params)
     audio = stream_synthesize(result, codec_model)
     toks = ",".join(map(str, result.text_tokens.tolist()))

@@ -29,10 +29,17 @@ class TransformerConfig:
     rope_base: float = 10000.0
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValidationError(f"TransformerConfig: n_heads must be >= 1, got {self.n_heads}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must divide evenly into heads")
-        if (self.d_model // self.n_heads) % 2 != 0:
-            raise ValueError("head dimension must be even for rotary pairs")
+            raise ValidationError(
+                f"TransformerConfig: d_model {self.d_model} must divide evenly into {self.n_heads} heads"
+            )
+        head_dim = self.d_model // self.n_heads
+        if head_dim < 2 or head_dim % 2 != 0:
+            raise ValidationError(
+                f"TransformerConfig: head dimension {head_dim} must be even and positive for rotary pairs"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from . import durbits, flowhead, nn
 from . import numerics as nx
 from .aligner import AlignerModel, filter_alignment
-from .backbone import BackboneConfig, BackboneModel, FusedStep, sfg_logits
+from .backbone import BackboneConfig, BackboneModel, context_rows, sfg_logits
 from .codec import CodecModel
 from .errors import NumericalAbort, ValidationError
 from .numerics import Tensor
@@ -279,9 +279,9 @@ def generate(
 
     ``tokens`` holds the prompt tokens, then the target text (TTS) or the
     text sampled so far (SLM); ``slots`` holds the prompt's packed slots,
-    then each chosen slot in turn. Step j fuses ``tokens[j-1]`` (BOS at step
-    0, PAD past the end) with ``slots[j-K-1]``, and samples slot m = j-K+1
-    when ``Lp < m <= len(tokens)``.
+    then each chosen slot in turn. Step j is laid out by
+    :func:`~tada.backbone.context_rows` over them, and samples slot
+    m = j-K+1 when ``Lp < m <= len(tokens)``.
     """
     cfg = model.config
     K = cfg.k_shift
@@ -292,6 +292,9 @@ def generate(
         if text is None or np.asarray(text).size == 0:
             raise ValidationError("generate: TTS mode needs non-empty text")
         text = np.asarray(text, dtype=np.int64)
+        bad = text[(text < 0) | (text >= cfg.vocab_size)]
+        if bad.size:
+            raise ValidationError(f"generate: text token ids {bad.tolist()} outside [0, {cfg.vocab_size})")
         tokens += text.tolist()
     slots = [
         durbits.pack(prompt.latents[i], int(prompt.f_before[i]), int(prompt.f_after[i]), cfg.bits)
@@ -306,29 +309,25 @@ def generate(
     tfg = params.neg_mode == "tfg"
     sfg = params.sfg_scale is not None
     streams = np.arange(1 + tfg + sfg)
+    text_free = tfg & (streams == 1)
+    text_only = sfg & (streams == streams[-1])
 
-    def branch_rows(j: int) -> list[FusedStep]:
-        if j == 0:
-            tid = cfg.bos_id
-        elif j <= len(tokens):
-            tid = tokens[j - 1]
-        else:
-            tid = cfg.pad_id
-        slot = slots[j - K - 1] if 0 <= j - K - 1 < len(slots) else None
-        rows = [FusedStep(token_id=tid, acoustic=slot, mode="text-speech")]
-        if tfg:
-            rows.append(FusedStep(token_id=cfg.pad_id, acoustic=slot, mode="text-speech"))
-        if sfg:
-            rows.append(FusedStep(token_id=tid, acoustic=None, mode="text-only"))
-        return rows
+    def branch_rows(steps, labels):
+        """Fused rows of ``steps``, each in the branch its stream label names."""
+        ids, acoustic, has_ac = context_rows(cfg, tokens, slots, steps)
+        ids[text_free[labels]] = cfg.pad_id
+        no_speech = text_only[labels]
+        acoustic[no_speech] = 0.0
+        return ids, acoustic, has_ac & ~no_speech, ~no_speech
 
     # Prefill: steps 0 .. Lp-1 predict no acoustic slot and are followed by
     # a prompt token, so one causal call takes them all and nothing reads
     # their outputs.
     n_prefill = min(Lp, cfg.max_context)
-    prefill = [row for j in range(n_prefill) for row in branch_rows(j)]
+    labels = np.tile(streams, n_prefill)
+    prefill = branch_rows(np.repeat(np.arange(n_prefill), streams.size), labels)
     t0 = time.perf_counter()
-    model.step(prefill, cache, np.tile(streams, n_prefill))
+    model.step(*prefill, cache, labels)
     prefill_time = time.perf_counter() - t0
     idle_step_time = 0.0
     stats: list[StepStat] = []
@@ -336,7 +335,7 @@ def generate(
     text_open = params.mode == "slm"
     for j in range(Lp, cfg.max_context):
         t0 = time.perf_counter()
-        outs = model.step(branch_rows(j), cache, streams)
+        outs = model.step(*branch_rows([j] * streams.size, streams), cache, streams)
         llm_time = time.perf_counter() - t0
 
         m = j - K + 1  # the slot this step predicts, 1-based

@@ -9,7 +9,6 @@ from tada import numerics as nx
 from tada.backbone import (
     BackboneConfig,
     BackboneModel,
-    FusedStep,
     SequenceBatchItem,
     base_lm_loss,
     build_sequence,
@@ -44,52 +43,82 @@ def random_item(rng, L=4):
     )
 
 
+D_AC = TINY.d_acoustic
+
+
+def rows(steps):
+    """``(ids, acoustic, has_ac, speech)`` of steps given as
+    ``(token id, packed slot or None, speech)``."""
+    ids = np.array([t for t, _, _ in steps], dtype=np.int64)
+    acoustic = np.zeros((len(steps), D_AC))
+    for j, (_, slot, _) in enumerate(steps):
+        if slot is not None:
+            acoustic[j] = slot
+    has_ac = np.array([slot is not None for _, slot, _ in steps], dtype=bool)
+    speech = np.array([sp for _, _, sp in steps], dtype=bool)
+    return ids, acoustic, has_ac, speech
+
+
+def fused(model, step):
+    return model._fuse_matrix(*rows([step])).data[0]
+
+
+def forward(model, steps):
+    """Per-step (text logits, condition) arrays of a full forward."""
+    with nx.no_grad():
+        logits, cond = model.forward_tensors(*rows(steps))
+    return logits.data, cond.data
+
+
+def stacked(outputs):
+    """(text logits, condition) arrays of a list of step outputs."""
+    return np.array([o.text_logits for o in outputs]), np.array([o.cond for o in outputs])
+
+
 class TestFuse:
     def test_text_only_has_zero_acoustic_term(self):
         model = tiny_model()
-        step_no_ac = FusedStep(token_id=3, acoustic=None, mode="text-only")
-        fused = model.fuse(step_no_ac).data
+        fused_vec = fused(model, (3, None, False))
         manual = (
             model.params["text_emb"].data[3] + model.params["mode_emb"].data[0]
         )
-        np.testing.assert_allclose(fused, manual, atol=1e-12)
+        np.testing.assert_allclose(fused_vec, manual, atol=1e-12)
 
     def test_identical_steps_identical_vectors(self):
         model = tiny_model()
         rng = np.random.default_rng(1)
-        ac = rng.standard_normal(TINY.d_latent + 2 * TINY.bits)
-        s = FusedStep(token_id=2, acoustic=ac, mode="text-speech")
-        np.testing.assert_array_equal(model.fuse(s).data, model.fuse(s).data)
+        ac = rng.standard_normal(D_AC)
+        s = (2, ac, True)
+        np.testing.assert_array_equal(fused(model, s), fused(model, s))
 
     def test_duration_bits_matter_only_in_speech_mode(self):
         model = tiny_model()
         rng = np.random.default_rng(2)
-        ac1 = rng.standard_normal(TINY.d_latent + 2 * TINY.bits)
+        ac1 = rng.standard_normal(D_AC)
         ac2 = ac1.copy()
         ac2[TINY.d_latent] *= -1.0  # flip one f_before analog bit
-        speech1 = model.fuse(FusedStep(1, ac1, "text-speech")).data
-        speech2 = model.fuse(FusedStep(1, ac2, "text-speech")).data
+        speech1 = fused(model, (1, ac1, True))
+        speech2 = fused(model, (1, ac2, True))
         assert not np.array_equal(speech1, speech2)
-        text1 = model.fuse(FusedStep(1, ac1, "text-only")).data
-        text2 = model.fuse(FusedStep(1, ac2, "text-only")).data
+        text1 = fused(model, (1, ac1, False))
+        text2 = fused(model, (1, ac2, False))
         np.testing.assert_array_equal(text1, text2)
 
     def test_placeholder_used_when_slot_missing_in_speech_mode(self):
         model = tiny_model()
-        fused = model.fuse(FusedStep(1, None, "text-speech")).data
+        fused_vec = fused(model, (1, None, True))
         manual = (
             model.params["text_emb"].data[1]
             + model.params["bos_ac"].data[0]
             + model.params["mode_emb"].data[1]
         )
-        np.testing.assert_allclose(fused, manual, atol=1e-12)
+        np.testing.assert_allclose(fused_vec, manual, atol=1e-12)
 
     def test_bad_inputs(self):
         model = tiny_model()
-        with pytest.raises(ValidationError):
-            model.fuse(FusedStep(99, None, "text-only"))
-        with pytest.raises(ValidationError):
-            model.fuse(FusedStep(1, None, "both"))
+        for bad in (99, -1):
+            with pytest.raises(ValidationError, match=rf"token ids \[{bad}\] outside \[0, {TINY.n_text_ids}\)"):
+                fused(model, (bad, None, False))
 
 
 class TestForward:
@@ -97,91 +126,88 @@ class TestForward:
         model = tiny_model()
         rng = np.random.default_rng(3)
         steps = [
-            FusedStep(int(rng.integers(TINY.vocab_size)),
-                      rng.standard_normal(TINY.d_latent + 2 * TINY.bits), "text-speech")
+            (int(rng.integers(TINY.vocab_size)), rng.standard_normal(D_AC), True)
             for _ in range(6)
         ]
-        full = model.forward(steps)
-        short = model.forward(steps[:4])
+        full = forward(model, steps)
+        short = forward(model, steps[:4])
         for j in range(4):
-            np.testing.assert_allclose(short[j].text_logits, full[j].text_logits, atol=1e-6)
-            np.testing.assert_allclose(short[j].cond, full[j].cond, atol=1e-6)
+            np.testing.assert_allclose(short[0][j], full[0][j], atol=1e-6)
+            np.testing.assert_allclose(short[1][j], full[1][j], atol=1e-6)
 
     def test_identical_contexts_identical_outputs(self):
         model = tiny_model()
-        steps = [FusedStep(1, None, "text-speech"), FusedStep(2, None, "text-speech")]
-        a = model.forward(steps)
-        b = model.forward(steps)
-        np.testing.assert_array_equal(a[-1].text_logits, b[-1].text_logits)
+        steps = [(1, None, True), (2, None, True)]
+        a = forward(model, steps)
+        b = forward(model, steps)
+        np.testing.assert_array_equal(a[0][-1], b[0][-1])
 
     def test_incremental_matches_full(self):
         model = tiny_model()
         rng = np.random.default_rng(4)
         steps = [
-            FusedStep(int(rng.integers(TINY.vocab_size)),
-                      rng.standard_normal(TINY.d_latent + 2 * TINY.bits), "text-speech")
+            (int(rng.integers(TINY.vocab_size)), rng.standard_normal(D_AC), True)
             for _ in range(5)
         ]
-        full = model.forward(steps)
+        full = forward(model, steps)
         cache = model.new_cache()
         for j, s in enumerate(steps):
-            out = model.step([s], cache)[0]
-            np.testing.assert_allclose(out.text_logits, full[j].text_logits, atol=1e-9)
-            np.testing.assert_allclose(out.cond, full[j].cond, atol=1e-9)
+            out = model.step(*rows([s]), cache)[0]
+            np.testing.assert_allclose(out.text_logits, full[0][j], atol=1e-9)
+            np.testing.assert_allclose(out.cond, full[1][j], atol=1e-9)
 
     def test_context_overflow(self):
         model = tiny_model()
-        steps = [FusedStep(0, None, "text-only")] * (TINY.max_context + 1)
+        steps = [(0, None, False)] * (TINY.max_context + 1)
         with pytest.raises(ValidationError):
-            model.forward(steps)
+            forward(model, steps)
 
 
-def random_steps(rng, n, mode="text-speech"):
+def random_steps(rng, n, speech=True):
     return [
-        FusedStep(int(rng.integers(TINY.vocab_size)),
-                  rng.standard_normal(TINY.d_latent + 2 * TINY.bits) if rng.random() < 0.7 else None, mode)
+        (int(rng.integers(TINY.vocab_size)), rng.standard_normal(D_AC) if rng.random() < 0.7 else None, speech)
         for _ in range(n)
     ]
 
 
 def assert_outputs_close(got, want, atol=1e-9):
-    assert len(got) == len(want)
+    """``got`` and ``want`` are (text logits, condition) arrays."""
     for a, b in zip(got, want):
-        np.testing.assert_allclose(a.text_logits, b.text_logits, rtol=0, atol=atol)
-        np.testing.assert_allclose(a.cond, b.cond, rtol=0, atol=atol)
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=0, atol=atol)
 
 
 class TestStep:
     def test_chunk_matches_single_rows_and_forward(self):
         model = tiny_model()
         steps = random_steps(np.random.default_rng(30), 7)
-        full = model.forward(steps)
+        full = forward(model, steps)
         single_cache = model.new_cache()
-        single = [model.step([s], single_cache)[0] for s in steps]
+        single = [model.step(*rows([s]), single_cache)[0] for s in steps]
         chunk_cache = model.new_cache()
-        chunk = model.step(steps[:5], chunk_cache) + model.step(steps[5:], chunk_cache)
-        assert_outputs_close(single, full)
-        assert_outputs_close(chunk, full)
+        chunk = model.step(*rows(steps[:5]), chunk_cache) + model.step(*rows(steps[5:]), chunk_cache)
+        assert_outputs_close(stacked(single), full)
+        assert_outputs_close(stacked(chunk), full)
 
     def test_streams_together_match_each_stream_alone(self):
         model = tiny_model()
         rng = np.random.default_rng(31)
         a = random_steps(rng, 6)
-        b = random_steps(rng, 6, mode="text-only")
+        b = random_steps(rng, 6, speech=False)
         alone = []
         for seq in (a, b):
             cache = model.new_cache()
-            alone.append(model.step(seq[:4], cache) + [model.step([s], cache)[0] for s in seq[4:]])
+            alone.append(model.step(*rows(seq[:4]), cache) + [model.step(*rows([s]), cache)[0] for s in seq[4:]])
         cache = model.new_cache()
         # Prefill interleaved, then one two-row call per step.
-        pre = model.step([s for pair in zip(a[:4], b[:4]) for s in pair], cache, [0, 1] * 4)
+        pre = model.step(*rows([s for pair in zip(a[:4], b[:4]) for s in pair]), cache, [0, 1] * 4)
         together = [pre[0::2], pre[1::2]]
         for sa, sb in zip(a[4:], b[4:]):
-            out_a, out_b = model.step([sa, sb], cache, [0, 1])
+            out_a, out_b = model.step(*rows([sa, sb]), cache, [0, 1])
             together[0].append(out_a)
             together[1].append(out_b)
-        assert_outputs_close(together[0], alone[0])
-        assert_outputs_close(together[1], alone[1])
+        assert_outputs_close(stacked(together[0]), stacked(alone[0]))
+        assert_outputs_close(stacked(together[1]), stacked(alone[1]))
 
     def test_other_stream_cannot_reach_outputs(self):
         model = tiny_model()
@@ -189,15 +215,14 @@ class TestStep:
         a = random_steps(rng, 5)
         b = random_steps(rng, 5)
         b_perturbed = [
-            FusedStep((s.token_id + 1) % TINY.vocab_size,
-                      None if s.acoustic is None else s.acoustic * 1e3 + 7.0, s.mode)
-            for s in b
+            ((t + 1) % TINY.vocab_size, None if slot is None else slot * 1e3 + 7.0, sp)
+            for t, slot, sp in b
         ]
         runs = []
         for other in (b, b_perturbed):
             cache = model.new_cache()
-            out = model.step([*a[:3], *other[:3]], cache, [0, 0, 0, 1, 1, 1])[:3]
-            out += [model.step([sa, sb], cache, [0, 1])[0] for sa, sb in zip(a[3:], other[3:])]
+            out = model.step(*rows([*a[:3], *other[:3]]), cache, [0, 0, 0, 1, 1, 1])[:3]
+            out += [model.step(*rows([sa, sb]), cache, [0, 1])[0] for sa, sb in zip(a[3:], other[3:])]
             runs.append(out)
         for x, y in zip(*runs):
             np.testing.assert_array_equal(x.text_logits, y.text_logits)
@@ -207,21 +232,21 @@ class TestStep:
         model = tiny_model()
         n = TINY.max_context
         cache = model.new_cache()
-        model.step([FusedStep(1, None, "text-only")] * n, cache)
-        model.step([FusedStep(1, None, "text-only")], cache, [1])  # stream 1 is still empty
+        model.step(*rows([(1, None, False)] * n), cache)
+        model.step(*rows([(1, None, False)]), cache, [1])  # stream 1 is still empty
         with pytest.raises(ValidationError, match="exceeds maximum"):
-            model.step([FusedStep(1, None, "text-only")], cache, [0])
+            model.step(*rows([(1, None, False)]), cache, [0])
 
     def test_bad_rows(self):
         model = tiny_model()
-        ok = FusedStep(1, None, "text-only")
-        for bad in (FusedStep(99, None, "text-only"), FusedStep(1, None, "both")):
-            with pytest.raises(ValidationError):
-                model.step([ok, bad], model.new_cache())
-            with pytest.raises(ValidationError):
-                model.forward([ok, bad])
+        ok = (1, None, False)
+        bad = rows([ok, (99, None, False)])
+        with pytest.raises(ValidationError, match="outside"):
+            model.step(*bad, model.new_cache())
+        with pytest.raises(ValidationError, match="outside"):
+            model.forward_tensors(*bad)
         with pytest.raises(ValidationError):
-            model.step([ok, ok], model.new_cache(), [0])
+            model.step(*rows([ok, ok]), model.new_cache(), [0])
 
 
 class TestKShift:
@@ -558,10 +583,10 @@ class TestSfg:
         rng = np.random.default_rng(6)
         ids = rng.integers(0, TINY.vocab_size, size=5)
         ac = rng.standard_normal((5, TINY.d_latent + 2 * TINY.bits))
-        speech_ctx = [FusedStep(int(i), a, "text-speech") for i, a in zip(ids, ac)]
-        text_ctx = [FusedStep(int(i), None, "text-only") for i in ids]
-        z_speech = model.forward(speech_ctx)[-1].text_logits
-        z_text = model.forward(text_ctx)[-1].text_logits
+        speech_ctx = [(int(i), a, True) for i, a in zip(ids, ac)]
+        text_ctx = [(int(i), None, False) for i in ids]
+        z_speech = forward(model, speech_ctx)[0][-1]
+        z_text = forward(model, text_ctx)[0][-1]
         np.testing.assert_allclose(sfg_logits(z_text, z_speech, 0.0), z_text, atol=1e-6)
         np.testing.assert_allclose(sfg_logits(z_text, z_speech, 1.0), z_speech, atol=1e-12)
 
@@ -569,11 +594,11 @@ class TestSfg:
 def test_checkpoint_roundtrip(tmp_path):
     model = tiny_model(seed=20)
     rng = np.random.default_rng(21)
-    steps = [FusedStep(1, rng.standard_normal(TINY.d_latent + 2 * TINY.bits), "text-speech")]
-    before = model.forward(steps)[0].text_logits
+    steps = [(1, rng.standard_normal(D_AC), True)]
+    before = forward(model, steps)[0][0]
     path = tmp_path / "bb.tada"
     model.save(path)
     restored = BackboneModel.load(path)
     assert restored.config.k_shift == TINY.k_shift
-    after = restored.forward(steps)[0].text_logits
+    after = forward(restored, steps)[0][0]
     np.testing.assert_allclose(before, after, atol=1e-5)

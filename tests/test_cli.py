@@ -281,8 +281,10 @@ def test_wrong_kind_of_file_exit_code_2(small_corpus, wrong_kind_files, capsys, 
 @pytest.mark.parametrize(
     "flag, value, says",
     [("--nfm", "0", "n_fm must be >= 1"), ("--cfg", "-1", "cfg_scale must be >= 0"),
-     ("--prompt", "999", "unknown prompt utterance id 999")],
-    ids=["nfm", "cfg", "prompt"],
+     ("--prompt", "999", "unknown prompt utterance id 999"), ("--text", "abc", "--text: expected token ids"),
+     ("--text", "1,2" + "0" * 20, "--text: expected token ids"),
+     ("--text", "32", "text token ids [32] outside [0, 32)"), ("--text", "99", "text token ids [99] outside [0, 32)")],
+    ids=["nfm", "cfg", "prompt", "text-word", "text-huge", "text-bos", "text-99"],
 )
 def test_synth_bad_setting_exit_code_2(small_corpus, wrong_kind_files, capsys, flag, value, says):
     manifest, arrays = small_corpus
@@ -294,6 +296,25 @@ def test_synth_bad_setting_exit_code_2(small_corpus, wrong_kind_files, capsys, f
     assert main(["synth", *(x for item in options.items() for x in item)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and says in err[0], err
+
+
+@pytest.mark.parametrize(
+    "line, says",
+    [("codec.d_model=60", "head dimension 15 must be even"), ("codec.n_heads=0", "n_heads must be >= 1"),
+     ("codec.d_model=0", "head dimension 0 must be even and positive")],
+    ids=["odd-head", "no-heads", "no-width"],
+)
+def test_codec_train_bad_transformer_shape_exit_code_2(small_corpus, tmp_path, capsys, line, says):
+    manifest, arrays = small_corpus
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text(line + "\n")
+    out = tmp_path / "codec.tada"
+    capsys.readouterr()
+    assert main(["--config", str(cfg_file), "codec-train", "--manifest", manifest, "--arrays", arrays,
+                 "--out", str(out), "--steps", "1", "--stream-steps", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and says in err[0], err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("b", ["0", "-1", "17"])

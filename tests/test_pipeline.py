@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tada import nn, pipeline
+from tada import durbits, nn, pipeline
 from tada import numerics as nx
 
-from tada.backbone import BackboneConfig, BackboneModel, FusedStep
+from tada.backbone import BackboneConfig, BackboneModel, SequenceBatchItem, build_sequence
 from tada.codec import CodecConfig, CodecModel
 from tada.durbits import durations_from_positions
 from tada.errors import NumericalAbort, ValidationError
@@ -48,6 +48,14 @@ def models():
     codec = CodecModel(CODEC, np.random.default_rng(1))
     head = SpeakerHead(d_latent=4, dims=(8, 8, 4), rng=np.random.default_rng(2))
     return lm, codec, head
+
+
+def row(token_id, slot, speech):
+    """One fused row ``(ids, acoustic, has_ac, speech)``; ``slot`` is None for no slot."""
+    acoustic = np.zeros((1, BACKBONE.d_acoustic))
+    if slot is not None:
+        acoustic[0] = slot
+    return np.array([token_id]), acoustic, np.array([slot is not None]), np.array([speech])
 
 
 def make_prompt(codec, head, rng, L=3):
@@ -135,10 +143,11 @@ class TestSpeakerHead:
         rng = np.random.default_rng(6)
         s = rng.standard_normal((3, 4))
         np.testing.assert_allclose(head.embed(s), head2.embed(s), atol=1e-5)
-        ctx = [FusedStep(1, None, "text-only")]
-        np.testing.assert_allclose(
-            lm.forward(ctx)[0].text_logits, lm2.forward(ctx)[0].text_logits, atol=1e-5
-        )
+        ctx = row(1, None, False)
+        with nx.no_grad():
+            np.testing.assert_allclose(
+                lm.forward_tensors(*ctx)[0].data[0], lm2.forward_tensors(*ctx)[0].data[0], atol=1e-5
+            )
 
 
 class TestPreparePrompt:
@@ -185,8 +194,9 @@ class TestTfgNegative:
         conditions the flow head differently from the zero negative."""
         lm, _, _ = models
         rng = np.random.default_rng(11)
-        twin = [FusedStep(lm.config.pad_id, rng.standard_normal(12), "text-speech")]
-        c_tfg = lm.forward(twin)[0].cond
+        twin = row(lm.config.pad_id, rng.standard_normal(12), True)
+        with nx.no_grad():
+            c_tfg = lm.forward_tensors(*twin)[1].data[0]
         assert not np.allclose(c_tfg, np.zeros_like(c_tfg))
 
 
@@ -205,6 +215,14 @@ class TestGenerate:
         prompt = make_prompt(codec, head, np.random.default_rng(12))
         with pytest.raises(ValidationError):
             generate(lm, codec, head, prompt, None, GenParams(mode="tts"))
+
+    @pytest.mark.parametrize("bad", [-1, BACKBONE.vocab_size, 99])
+    def test_tts_text_ids_in_vocabulary(self, models, bad):
+        """A text id outside the vocabulary, BOS included, is refused."""
+        lm, codec, head = models
+        prompt = make_prompt(codec, head, np.random.default_rng(12))
+        with pytest.raises(ValidationError, match=rf"text token ids \[{bad}\] outside \[0, 5\)"):
+            generate(lm, codec, head, prompt, np.array([1, bad]), GenParams(n_fm=2))
 
     def test_deterministic_per_seed(self, models):
         lm, codec, head = models
@@ -268,9 +286,9 @@ class TestGenerate:
         clock = [0.0]
         real_step = lm.step
 
-        def step(fused, cache, streams=None):
-            clock[0] += float(len(fused))
-            return real_step(fused, cache, streams)
+        def step(ids, *rest):
+            clock[0] += float(len(ids))
+            return real_step(ids, *rest)
 
         monkeypatch.setattr(lm, "step", step)
         monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
@@ -290,9 +308,9 @@ class TestGenerate:
         clock = [0.0]
         real_step = lm.step
 
-        def step(fused, cache, streams=None):
-            clock[0] += float(len(fused))
-            return real_step(fused, cache, streams)
+        def step(ids, *rest):
+            clock[0] += float(len(ids))
+            return real_step(ids, *rest)
 
         monkeypatch.setattr(lm, "step", step)
         monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
@@ -310,9 +328,9 @@ class TestGenerate:
         clock = [0.0]
         real_step = lm.step
 
-        def step(fused, cache, streams=None):
-            clock[0] += float(len(fused))
-            return real_step(fused, cache, streams)
+        def step(ids, *rest):
+            clock[0] += float(len(ids))
+            return real_step(ids, *rest)
 
         monkeypatch.setattr(lm, "step", step)
         monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
@@ -335,25 +353,69 @@ class TestGenerate:
         calls = []
         real_step = lm.step
 
-        def step(fused, cache, streams=None):
-            calls.append((list(fused), list(streams)))
-            return real_step(fused, cache, streams)
+        def step(ids, acoustic, has_ac, speech, cache, streams=None):
+            calls.append(((ids, acoustic, has_ac, speech), list(streams)))
+            return real_step(ids, acoustic, has_ac, speech, cache, streams)
 
         monkeypatch.setattr(lm, "step", step)
         params = GenParams(mode="slm", n_fm=2, max_tokens=4, neg_mode="tfg", sfg_scale=0.5, seed=11)
         out = generate(lm, codec, head, prompt, None, params)
         assert 0 < out.text_tokens.size
         Lp = prompt.tokens.size
-        assert (len(calls[0][0]), calls[0][1]) == (3 * Lp, [0, 1, 2] * Lp)
-        assert [(len(rows), streams) for rows, streams in calls[1:]] == [(3, [0, 1, 2])] * (
+        assert (len(calls[0][0][0]), calls[0][1]) == (3 * Lp, [0, 1, 2] * Lp)
+        assert [(len(rows[0]), streams) for rows, streams in calls[1:]] == [(3, [0, 1, 2])] * (
             out.text_tokens.size + k_shift
         )
         pad = lm.config.pad_id
-        for rows, _ in calls:
-            for pos, neg, text_only in zip(rows[0::3], rows[1::3], rows[2::3]):
-                assert (neg.token_id, neg.mode) == (pad, "text-speech")
-                assert neg.acoustic is pos.acoustic
-                assert (text_only.token_id, text_only.acoustic, text_only.mode) == (pos.token_id, None, "text-only")
+        pos, neg, text_only = (slice(b, None, 3) for b in range(3))
+        for (ids, acoustic, has_ac, speech), _ in calls:
+            assert (ids[neg] == pad).all() and speech[neg].all()
+            np.testing.assert_array_equal(acoustic[neg], acoustic[pos])
+            np.testing.assert_array_equal(has_ac[neg], has_ac[pos])
+            np.testing.assert_array_equal(ids[text_only], ids[pos])
+            assert not has_ac[text_only].any() and not acoustic[text_only].any() and not speech[text_only].any()
+            assert speech[pos].all()
+
+    @pytest.mark.parametrize("k_shift", [1, 2, 3])
+    def test_stream_zero_steps_the_training_layout(self, models, monkeypatch, k_shift):
+        """The rows generation steps for stream 0 are build_sequence's rows
+        for the prompt plus text tokens and the prompt plus chosen slots,
+        up to the step that predicts the last slot."""
+        lm, codec, head = models
+        cfg = lm.config
+        cfg.k_shift = k_shift
+        prompt = make_prompt(codec, head, np.random.default_rng(26))
+        text = np.array([4, 0, 2, 3])
+        rng = np.random.default_rng(27)
+        latents = rng.standard_normal((text.size, cfg.d_latent))
+        f_before, f_after = rng.integers(0, 1 << cfg.bits, size=(2, text.size))
+        chosen = iter([durbits.pack(s, int(fb), int(fa), cfg.bits) for s, fb, fa in zip(latents, f_before, f_after)])
+        monkeypatch.setattr(
+            pipeline, "_sample_slot", lambda *args: (next(chosen), pipeline.StepStat(args[-1], 1, 1.0, False, 1))
+        )
+        calls = []
+        real_step = lm.step
+
+        def step(ids, acoustic, has_ac, speech, cache, streams=None):
+            zero = np.asarray(streams) == 0
+            calls.append((ids[zero], acoustic[zero], has_ac[zero]))
+            return real_step(ids, acoustic, has_ac, speech, cache, streams)
+
+        monkeypatch.setattr(lm, "step", step)
+        out = generate(lm, codec, head, prompt, text, GenParams(n_fm=2, neg_mode="tfg", sfg_scale=0.5, seed=12))
+        np.testing.assert_array_equal(out.latents, latents)
+        np.testing.assert_array_equal(out.f_before, f_before)
+        item = SequenceBatchItem(
+            tokens=np.concatenate([prompt.tokens, text]),
+            latents=np.concatenate([prompt.latents, latents]),
+            f_before=np.concatenate([prompt.f_before, f_before]),
+            f_after=np.concatenate([prompt.f_after, f_after]),
+        )
+        n = item.tokens.size + k_shift
+        for got, want in zip(zip(*calls), build_sequence(item, cfg)[:3]):
+            got = np.concatenate(got)
+            assert got.shape[0] == n
+            np.testing.assert_array_equal(got, want[:n])
 
     def test_batched_branches_match_single_row_steps_per_branch(self, models, monkeypatch):
         """Generation with every branch in one call equals generation where
@@ -366,11 +428,14 @@ class TestGenerate:
         caches = {}
         real_step = lm.step
 
-        def step(fused, cache, streams=None):
-            streams = [0] * len(fused) if streams is None else streams
+        def step(ids, acoustic, has_ac, speech, cache, streams=None):
+            streams = [0] * len(ids) if streams is None else streams
             return [
-                real_step([row], caches.setdefault((id(cache), int(s)), lm.new_cache()))[0]
-                for row, s in zip(fused, streams)
+                real_step(
+                    *(a[r : r + 1] for a in (ids, acoustic, has_ac, speech)),
+                    caches.setdefault((id(cache), int(s)), lm.new_cache()),
+                )[0]
+                for r, s in enumerate(streams)
             ]
 
         monkeypatch.setattr(lm, "step", step)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from . import numerics as nx
-from .errors import InfeasibleError, NumericalAbort, ValidationError
+from .errors import InfeasibleError, ValidationError
 from .numerics import Tensor
 from .numerics.checkpoint import read_exact
 
@@ -347,6 +347,10 @@ class AlignerConfig:
     lambda_inter: float = 0.3
     use_curriculum: bool = True
 
+    def __post_init__(self):
+        if self.n_graphemes < 1:
+            raise ValidationError(f"AlignerConfig: n_graphemes must be >= 1, got {self.n_graphemes}")
+
 
 class AlignerModel:
     """Two local-mixing layers + two transformer layers + CTC heads."""
@@ -457,13 +461,12 @@ def train_aligner(
     """Train the toy CTC model; aborts on divergence."""
     rng = np.random.default_rng(seed)
     model = AlignerModel(config, rng)
-    opt = nx.Adam(model.params, lr=lr)
     observed = np.zeros(config.vocab_size, dtype=np.int64)
     for frames, tokens in corpus:
         if frames.shape[0] < ctc_required_frames(np.asarray(tokens)):
             raise InfeasibleError("train_aligner: corpus contains an infeasible utterance")
-    for step in range(steps):
-        idx = rng.integers(0, len(corpus), size=min(batch_size, len(corpus)))
+
+    def loss(step: int, idx: np.ndarray) -> tuple[Tensor, dict]:
         batch = [corpus[i] for i in idx]
         column_mask = None
         if config.use_curriculum:
@@ -471,14 +474,9 @@ def train_aligner(
             vocab = curriculum_subset(step, observed, batch_targets, config.vocab_size)
             column_mask = vocab.column_mask()
             np.add.at(observed, batch_targets, 1)
-        opt.zero_grad()
-        loss, report = aligner_batch_loss(model, batch, column_mask)
-        if not np.isfinite(loss.data):
-            raise NumericalAbort(f"train_aligner: loss diverged at step {step}: {report}")
-        loss.backward()
-        opt.step()
-        if log_every and step % log_every == 0:
-            print(f"aligner step {step}: {report}")
+        return aligner_batch_loss(model, batch, column_mask)
+
+    nx.fit("train_aligner", model.params, loss, len(corpus), steps, batch_size, lr, rng, log_every)
     return model
 
 

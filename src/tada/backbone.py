@@ -22,7 +22,7 @@ import numpy as np
 
 from . import durbits, flowhead, nn
 from . import numerics as nx
-from .errors import NumericalAbort, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .numerics import Tensor
 
 
@@ -379,15 +379,13 @@ def train_step(
     ce = _mean(ce_terms)
     kd = _mean(kd_terms)
     total = nx.scale(flow, cfg.lambda_flow) + nx.scale(ce, cfg.lambda_ce) + nx.scale(kd, cfg.lambda_kd)
-    if not np.isfinite(total.data):
-        raise NumericalAbort("train_step: non-finite loss")
     if apply_grads:
         total.backward()
     return TrainLossReport(flow=flow, ce=ce, kd=kd, total=total)
 
 
 def train_backbone(
-    corpus: list[SequenceBatchItem] | list[dict],
+    corpus: list[SequenceBatchItem],
     config: BackboneConfig,
     base_lm: BackboneModel | None = None,
     steps: int = 3000,
@@ -396,20 +394,17 @@ def train_backbone(
     seed: int = 0,
     log_every: int = 0,
 ) -> BackboneModel:
-    """Train the multimodal backbone (and its flow head) with Adam."""
+    """Train the multimodal backbone (and its flow head) with Adam, one
+    :func:`train_step` per batch."""
     rng = np.random.default_rng(seed)
     model = BackboneModel(config, rng)
-    items = [
-        it if isinstance(it, SequenceBatchItem) else SequenceBatchItem(**it) for it in corpus
-    ]
-    opt = nx.Adam(model.params, lr=lr)
-    for step in range(steps):
-        idx = rng.integers(0, len(items), size=min(batch_size, len(items)))
-        opt.zero_grad()
-        report = train_step(model, [items[i] for i in idx], base_lm, seed=int(rng.integers(1 << 31)))
-        opt.step()
-        if log_every and step % log_every == 0:
-            print(f"backbone step {step}: {report.floats()}")
+
+    def loss(step: int, idx: np.ndarray) -> tuple[Tensor, dict]:
+        batch = [corpus[i] for i in idx]
+        report = train_step(model, batch, base_lm, seed=int(rng.integers(1 << 31)), apply_grads=False)
+        return report.total, report.floats()
+
+    nx.fit("train_backbone", model.params, loss, len(corpus), steps, batch_size, lr, rng, log_every)
     return model
 
 
@@ -444,15 +439,10 @@ def train_base_lm(
     """Text-only twin: same architecture trained with :func:`base_lm_loss` alone."""
     rng = np.random.default_rng(seed)
     model = BackboneModel(config, rng)
-    opt = nx.Adam(model.params, lr=lr)
-    for step in range(steps):
-        idx = rng.integers(0, len(token_seqs), size=min(batch_size, len(token_seqs)))
-        opt.zero_grad()
-        loss = base_lm_loss(model, [token_seqs[i] for i in idx])
-        if not np.isfinite(loss.data):
-            raise NumericalAbort(f"train_base_lm: diverged at step {step}")
-        loss.backward()
-        opt.step()
-        if log_every and step % log_every == 0:
-            print(f"base-lm step {step}: ce={float(loss.data):.4f}")
+
+    def loss(step: int, idx: np.ndarray) -> tuple[Tensor, dict]:
+        ce = base_lm_loss(model, [token_seqs[i] for i in idx])
+        return ce, {"ce": float(ce.data)}
+
+    nx.fit("train_base_lm", model.params, loss, len(token_seqs), steps, batch_size, lr, rng, log_every)
     return model

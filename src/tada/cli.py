@@ -114,8 +114,6 @@ def cmd_lm_train(args, cfg) -> int:
     codec_model = CodecModel.load(args.codec)
     base_lm = BackboneModel.load(args.base_lm) if args.base_lm else None
     bcfg = cfg.backbone
-    bcfg.vocab_size = manifest.config.vocab_size
-    bcfg.d_latent = codec_model.config.d_latent
     if args.k is not None:
         bcfg.k_shift = args.k
     if args.dropout is not None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import masks, nn
 from . import numerics as nx
-from .errors import NumericalAbort, ValidationError
+from .errors import ValidationError
 from .numerics import Tensor
 
 
@@ -45,6 +45,10 @@ class CodecConfig:
     lambda_kl: float = 0.02
     noise_warmup_frac: float = 0.25  # fraction of steps trained on plain means
     spectral_windows: tuple[int, ...] = (32, 64, 128)
+
+    def __post_init__(self):
+        if self.d_latent < 1:
+            raise ValidationError(f"CodecConfig: d_latent must be >= 1, got {self.d_latent}")
 
 
 @dataclass
@@ -484,29 +488,22 @@ def train_codec(
     """
     rng = np.random.default_rng(seed)
     model = CodecModel(config, rng)
-    enc_keys = [k for k in model.params if k.startswith("enc/")]
-    joint_keys = [k for k in model.params if k.startswith("dec_joint/")]
-    stream_keys = [k for k in model.params if k.startswith("dec_stream/")]
 
-    def run_phase(n_steps: int, train_keys: list[str], mode: str, tag: str):
-        opt = nx.Adam({k: model.params[k] for k in train_keys}, lr=lr)
+    def run_phase(n_steps: int, prefixes: tuple[str, ...], mode: str) -> None:
         warmup = int(n_steps * config.noise_warmup_frac)
-        for step in range(n_steps):
-            idx = rng.integers(0, len(corpus), size=min(batch_size, len(corpus)))
+
+        def loss(step: int, idx: np.ndarray) -> tuple[Tensor, dict]:
             seeds = None
             if step >= warmup:
                 # sampling noise and dropout enter after the warm-up so
                 # the latents carry signal before they must survive noise
                 seeds = [(int(rng.integers(1 << 31)), int(rng.integers(1 << 31))) for _ in idx]
-            opt.zero_grad()
             report = codec_batch_loss(model, [corpus[i] for i in idx], mode, seeds)
-            if not np.isfinite(report.total.data):
-                raise NumericalAbort(f"train_codec[{tag}]: diverged at step {step}")
-            report.total.backward()
-            opt.step()
-            if log_every and step % log_every == 0:
-                print(f"codec[{tag}] step {step}: {report.floats()}")
+            return report.total, report.floats()
 
-    run_phase(steps, enc_keys + joint_keys, "joint", tag="joint")
-    run_phase(stream_steps, stream_keys, "streaming", tag="stream")
+        params = {k: p for k, p in model.params.items() if k.startswith(prefixes)}
+        nx.fit(f"train_codec[{mode}]", params, loss, len(corpus), n_steps, batch_size, lr, rng, log_every)
+
+    run_phase(steps, ("enc/", "dec_joint/"), "joint")
+    run_phase(stream_steps, ("dec_stream/",), "streaming")
     return model

@@ -21,7 +21,7 @@ model loaded from its checkpoint compute the same values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class TrainBudget:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name.endswith("_steps") and value < 0:
+            if (f.name.endswith("_steps") or f.name == "log_every") and value < 0:
                 raise ValidationError(f"TrainBudget: {f.name} must be >= 0, got {value}")
             if f.name.endswith("_batch") and value < 1:
                 raise ValidationError(f"TrainBudget: {f.name} must be >= 1, got {value}")
@@ -224,14 +224,26 @@ def lm_stage(
     base_lm: BackboneModel | None = None,
 ) -> tuple[SpeakerHead, BackboneModel, BackboneModel]:
     """Train the speaker head, the base text LM (unless one is given) and the
-    backbone on top of it; return the three."""
+    backbone on top of it; return the three.
+
+    The backbone's vocabulary is the manifest's and its latent width that of
+    ``latents``, whatever ``backbone_config`` says.
+    """
+    d_latent = latents.speaker_rows.shape[1]
+    backbone_config = replace(
+        backbone_config,
+        vocab_size=manifest.config.vocab_size,
+        d_latent=d_latent,
+        flow=replace(backbone_config.flow),  # __post_init__ writes the widths into it
+    )
     with nx.precision("float32"):
         speaker_head = train_speaker_head(
             latents.speaker_rows,
             latents.speaker_targets,
-            d_latent=latents.speaker_rows.shape[1],
+            d_latent=d_latent,
             steps=budget.speaker_steps,
             seed=budget.seed + 3,
+            log_every=budget.log_every,
         )
         if base_lm is None:
             base_lm = train_base_lm(
@@ -268,7 +280,7 @@ def train_full_stack(
     codec_config = codec_config or CodecConfig(
         d_frame=cfg.d_frame, vocab_size=cfg.vocab_size, samples_per_frame=cfg.samples_per_frame
     )
-    backbone_config = backbone_config or BackboneConfig(vocab_size=cfg.vocab_size)
+    backbone_config = backbone_config or BackboneConfig()
 
     aligner, kept, dropped, accuracy = align_stage(manifest, arrays, aligner_config, backbone_config.bits, budget)
     corpus = codec_corpus(manifest, arrays, kept)

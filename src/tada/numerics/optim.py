@@ -1,9 +1,13 @@
-"""Adam optimizer over a flat name-to-tensor parameter mapping."""
+"""Adam optimizer over a flat name-to-tensor parameter mapping, and the
+minibatch loop every trainer runs on it."""
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
+from ..errors import NumericalAbort
 from .engine import Tensor
 
 
@@ -46,3 +50,36 @@ class Adam:
             v *= b2
             v += (1 - b2) * (g * g)
             p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+def fit(
+    name: str,
+    params: dict[str, Tensor],
+    loss_fn: Callable[[int, np.ndarray], tuple[Tensor, dict[str, float]]],
+    n_items: int,
+    steps: int,
+    batch_size: int,
+    lr: float,
+    rng: np.random.Generator,
+    log_every: int = 0,
+) -> None:
+    """Train ``params`` with Adam for ``steps`` minibatch steps.
+
+    Each step draws ``min(batch_size, n_items)`` item indices from ``rng``
+    and calls ``loss_fn(step, idx)``, which returns the loss and its report
+    as a dict of floats. A non-finite loss raises :class:`NumericalAbort`
+    naming ``name`` and the step, before any weight changes; otherwise the
+    loss is backpropagated and Adam steps. With ``log_every`` > 0 the report
+    is printed every ``log_every`` steps.
+    """
+    opt = Adam(params, lr=lr)
+    for step in range(steps):
+        idx = rng.integers(0, n_items, size=min(batch_size, n_items))
+        opt.zero_grad()
+        loss, report = loss_fn(step, idx)
+        if not np.isfinite(loss.data):
+            raise NumericalAbort(f"{name}: diverged at step {step}: {report}")
+        loss.backward()
+        opt.step()
+        if log_every and step % log_every == 0:
+            print(f"{name} step {step}: {report}")

@@ -23,7 +23,7 @@ from . import numerics as nx
 from .aligner import AlignerModel, filter_alignment
 from .backbone import BackboneConfig, BackboneModel, context_rows, sfg_logits
 from .codec import CodecModel
-from .errors import NumericalAbort, ValidationError
+from .errors import ValidationError
 from .numerics import Tensor
 
 
@@ -82,25 +82,23 @@ def train_speaker_head(
     batch_size: int = 64,
     lr: float = 2e-3,
     seed: int = 0,
+    log_every: int = 0,
 ) -> SpeakerHead:
     """Cosine-similarity regression of head(latent) onto speaker parameters."""
     rng = np.random.default_rng(seed)
     head = SpeakerHead(d_latent=d_latent, dims=dims, rng=rng)
-    opt = nx.Adam(head.params, lr=lr)
     targets = np.asarray(targets, dtype=np.float64)
     tnorm = targets / (np.linalg.norm(targets, axis=1, keepdims=True) + 1e-12)
-    for step in range(steps):
-        idx = rng.integers(0, len(latents), size=min(batch_size, len(latents)))
-        opt.zero_grad()
+
+    def loss(step: int, idx: np.ndarray) -> tuple[Tensor, dict]:
         e = head.embed_t(nn.input_tensor(head.params, latents[idx]))
         dots = nx.sum_(nx.mul(e, nn.input_tensor(head.params, tnorm[idx])), axis=1)
         norms = nx.sqrt(nx.sum_(nx.square(e), axis=1) + 1e-12)
         cos = nx.mul(dots, nx.reciprocal(norms))
-        loss = nx.mean_(nx.scale(cos, -1.0)) + 1.0
-        if not np.isfinite(loss.data):
-            raise NumericalAbort(f"train_speaker_head: diverged at step {step}")
-        loss.backward()
-        opt.step()
+        value = nx.mean_(nx.scale(cos, -1.0)) + 1.0
+        return value, {"loss": float(value.data)}
+
+    nx.fit("train_speaker_head", head.params, loss, len(latents), steps, batch_size, lr, rng, log_every)
     return head
 
 

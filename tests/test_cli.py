@@ -82,6 +82,7 @@ def test_bad_config_key_exit_code_2(tmp_path, capsys):
     [
         "codec.lambda_mel=abc", "gen.candidates=0", "backbone.k_shift=0", "synth.tokens_max=2,3", "flow.width=128",
         "backbone.bos_id=3", "budget.aligner_batch=0", "budget.backbone_batch=0", "budget.codec_steps=-1",
+        "codec.d_latent=0", "aligner.n_graphemes=0", "budget.log_every=-1",
     ],
 )
 def test_bad_config_value_exit_code_2(tmp_path, capsys, line):

@@ -6,8 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tada.aligner import filter_alignment
-from tada.backbone import BackboneConfig
+from tada import numerics as nx
+from tada.aligner import AlignerConfig, filter_alignment, train_aligner
+from tada.backbone import BackboneConfig, SequenceBatchItem, train_backbone
+from tada.codec import CodecConfig, train_codec
+from tada.durbits import durations_from_positions
 from tada.harness import (
     EvalCase,
     Manifest,
@@ -20,9 +23,11 @@ from tada.harness import (
     train_full_stack,
     utterance_arrays,
 )
+from tada.harness import recipes
 from tada.harness.corpus import UttRecord, _render_utterance
 from tada.harness.recipes import TrainBudget
-from tada.errors import ValidationError
+from tada.errors import NumericalAbort, ValidationError
+from tada.pipeline import train_speaker_head
 
 
 CFG = SynthConfig(vocab_size=8, n_speakers=3, tokens_min=2, tokens_max=5, seed=11)
@@ -270,6 +275,91 @@ def test_train_full_stack_models_are_float32():
         assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}, name
 
 
+ONE_STEP_BUDGET = {**TINY_BUDGET, **{k: 1 for k in TINY_BUDGET if k.endswith("_steps")}}
+
+
+def test_train_full_stack_backbone_takes_the_codec_latent_width():
+    """The backbone and base LM take the latent width of the codec they
+    train on, and the caller's backbone config is left as it was."""
+    manifest, arrays = gen_corpus(SynthConfig(), 12)
+    cfg = manifest.config
+    codec_config = CodecConfig(
+        d_frame=cfg.d_frame, vocab_size=cfg.vocab_size, samples_per_frame=cfg.samples_per_frame, d_latent=4
+    )
+    backbone_config = BackboneConfig()
+    stack = train_full_stack(
+        manifest, arrays, TrainBudget(**ONE_STEP_BUDGET), codec_config=codec_config, backbone_config=backbone_config
+    )
+    for model in (stack.backbone, stack.base_lm):
+        assert (model.config.d_latent, model.config.flow.d_latent, model.config.vocab_size) == (4, 4, cfg.vocab_size)
+    assert backbone_config == BackboneConfig()
+
+
+def test_train_full_stack_logs_one_line_per_trainer_step(capsys):
+    manifest, arrays = gen_corpus(SynthConfig(), 12)
+    train_full_stack(manifest, arrays, TrainBudget(**ONE_STEP_BUDGET, log_every=1))
+    lines = capsys.readouterr().out.splitlines()
+    names = [
+        "train_aligner", "train_codec[joint]", "train_codec[streaming]",
+        "train_speaker_head", "train_base_lm", "train_backbone",
+    ]
+    assert [line.split(" step 0: ")[0] for line in lines] == names
+    assert all(re.fullmatch(r"\S+ step 0: \{'\w+': .*\}", line) for line in lines), lines
+
+
+def _abort_corpus() -> list[dict]:
+    manifest, arrays = gen_corpus(CFG, 3)
+    return recipes.codec_corpus(manifest, arrays, {r.utt_id: (r.T, r.positions) for r in manifest.records})
+
+
+def _inf_frames(corpus: list[dict]) -> list[dict]:
+    return [{**utt, "frames": np.full_like(utt["frames"], np.inf)} for utt in corpus]
+
+
+def _inf_latent_items(corpus: list[dict]) -> list[SequenceBatchItem]:
+    items = []
+    for utt in corpus:
+        f_before, f_after = durations_from_positions(utt["positions"], utt["frames"].shape[0])
+        items.append(SequenceBatchItem(utt["tokens"], np.full((utt["tokens"].size, 8), np.inf), f_before, f_after))
+    return items
+
+
+CODEC_CFG = CodecConfig(d_frame=CFG.d_frame, vocab_size=CFG.vocab_size, samples_per_frame=CFG.samples_per_frame)
+ABORT_CASES = {
+    "train_aligner": lambda corpus: train_aligner(
+        [(utt["frames"], utt["tokens"]) for utt in _inf_frames(corpus)],
+        AlignerConfig(d_in=CFG.d_frame, vocab_size=CFG.vocab_size),
+        steps=2,
+    ),
+    "train_codec[joint]": lambda corpus: train_codec(_inf_frames(corpus), CODEC_CFG, steps=2, stream_steps=2),
+    "train_codec[streaming]": lambda corpus: train_codec(_inf_frames(corpus), CODEC_CFG, steps=0, stream_steps=2),
+    "train_backbone": lambda corpus: train_backbone(
+        _inf_latent_items(corpus),
+        BackboneConfig(vocab_size=CFG.vocab_size, d_model=16, n_heads=2, n_layers=1, d_ff=32, d_cond=16),
+        steps=2,
+    ),
+    "train_speaker_head": lambda corpus: train_speaker_head(
+        np.full((10, 4), np.inf), np.ones((10, 6)), d_latent=4, dims=(8, 8, 6), steps=3
+    ),
+    # no input makes the base LM diverge (it reads only token ids), so the
+    # loop it runs is fed a NaN loss directly
+    "fit": lambda corpus: nx.fit(
+        "fit", {"w": nx.tensor(np.ones(2), requires_grad=True)},
+        lambda step, idx: (nx.tensor(np.nan), {"loss": np.nan}),
+        n_items=1, steps=2, batch_size=1, lr=1e-3, rng=np.random.default_rng(0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ABORT_CASES))
+def test_trainer_aborts_on_non_finite_loss(name):
+    """A non-finite loss raises, naming the trainer and the step, instead
+    of returning weights that are no longer finite."""
+    corpus = _abort_corpus()
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort, match=re.escape(f"{name}: diverged at step 0: {{")):
+        ABORT_CASES[name](corpus)
+
+
 def test_train_full_stack_rejects_when_every_alignment_is_dropped():
     manifest, arrays = gen_corpus(SynthConfig(), 6)
     config = BackboneConfig(vocab_size=manifest.config.vocab_size, bits=1)
@@ -298,8 +388,7 @@ def test_evaluate_reports_mean_prefill_time():
 def test_extract_alignments_equal_per_utterance_align():
     """One packed forward over the manifest gives each utterance the
     positions its own forward gives."""
-    from tada.aligner import AlignerConfig, AlignerModel
-    from tada.harness import recipes
+    from tada.aligner import AlignerModel
 
     manifest, arrays = gen_corpus(CFG, 10)
     model = AlignerModel(AlignerConfig(d_in=CFG.d_frame, vocab_size=CFG.vocab_size), np.random.default_rng(3))
@@ -313,8 +402,7 @@ def test_extract_alignments_equal_per_utterance_align():
 def test_latent_stage_matches_per_utterance_encode():
     """The packed encode gives each utterance its own latent means, and
     each utterance's sampled latents come from its own seed, in order."""
-    from tada.codec import CodecConfig, CodecModel, reparameterize
-    from tada.harness import recipes
+    from tada.codec import CodecModel, reparameterize
 
     manifest, arrays = gen_corpus(CFG, 6)
     codec = CodecModel(

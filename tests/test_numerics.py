@@ -759,3 +759,38 @@ def test_first_gradient_is_kept_not_copied():
     z = nx.tensor(np.ones(3), requires_grad=True)
     nx.sum_(nx.add(nx.mul(z, nx.tensor(np.full(3, 2.0))), z)).backward()
     np.testing.assert_array_equal(z.grad, np.full(3, 3.0))
+
+
+def test_fit_is_the_textbook_minibatch_adam_loop(capsys):
+    """Each step draws min(batch_size, n_items) indices from the caller's
+    rng and hands them to loss_fn; the weights equal a hand-written Adam
+    loop over the same draws, and the report prints every log_every steps."""
+    target = nx.tensor(np.arange(5.0))
+
+    def loss_of(w, idx):
+        counts = nx.tensor(np.bincount(idx, minlength=5).astype(np.float64))
+        return nx.sum_(nx.mul(nx.square(nx.sub(w, target)), counts))
+
+    seen = []
+    w = nx.tensor(np.zeros(5), requires_grad=True)
+
+    def loss_fn(step, idx):
+        seen.append((step, idx))
+        loss = loss_of(w, idx)
+        return loss, {"loss": float(loss.data)}
+
+    rng = np.random.default_rng(3)
+    nx.fit("toy", {"w": w}, loss_fn, n_items=5, steps=5, batch_size=8, lr=0.1, rng=rng, log_every=2)
+    ref = nx.tensor(np.zeros(5), requires_grad=True)
+    opt = nx.Adam({"w": ref}, lr=0.1)
+    rng = np.random.default_rng(3)
+    for step in range(5):
+        idx = rng.integers(0, 5, size=5)
+        assert seen[step][0] == step
+        np.testing.assert_array_equal(seen[step][1], idx)
+        opt.zero_grad()
+        loss_of(ref, idx).backward()
+        opt.step()
+    np.testing.assert_array_equal(w.data, ref.data)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["toy step 0", "toy step 2", "toy step 4"]

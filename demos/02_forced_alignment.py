@@ -25,7 +25,8 @@ with nx.precision("float32"):
         steps=400, batch_size=12, seed=0,
     )
 
-acc = alignment_accuracy(model, pairs[120:], truth[120:], tolerance=1)
+predicted = [a.positions for a in model.align_batch(pairs[120:])]
+acc = alignment_accuracy(predicted, truth[120:], tolerance=1)
 print(f"held-out alignment accuracy within +-1 frame: {acc:.1%}")
 
 rec = manifest.records[125]

@@ -16,7 +16,7 @@ carrying w_i is exactly token i-K+1's packed vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,9 +48,7 @@ class BackboneConfig:
     def __post_init__(self):
         if self.k_shift < 1:
             raise ValidationError("BackboneConfig: k_shift must be >= 1")
-        self.flow.d_latent = self.d_latent
-        self.flow.bits = self.bits
-        self.flow.d_cond = self.d_cond
+        self.flow = replace(self.flow, d_latent=self.d_latent, bits=self.bits, d_cond=self.d_cond)
 
     @property
     def bos_id(self) -> int:
@@ -157,7 +155,9 @@ class BackboneModel:
             text = nx.embed(self.params["text_emb"], ids)
         except ShapeError:  # the lookup checks the id range
             bad = ids[(ids < 0) | (ids >= self.config.n_text_ids)]
-            raise ValidationError(f"fuse: token ids {bad.tolist()} outside [0, {self.config.n_text_ids})") from None
+            raise ValidationError(
+                f"BackboneModel: token ids {bad.tolist()} outside [0, {self.config.n_text_ids})"
+            ) from None
         mode = nx.embed(self.params["mode_emb"], speech.astype(np.int64))
         real = (has_ac & speech).astype(float)[:, None]
         placeholder = (~has_ac & speech).astype(float)[:, None]

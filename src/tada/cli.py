@@ -3,15 +3,16 @@
 Subcommands: gen-data, align, codec-train, lm-train, synth, eval, bench,
 graycheck, mask, fm-bench, codec-roundtrip. Global flags --seed and
 --config (key=value structured text overriding defaults). The training
-subcommands align, codec-train and lm-train run the stages of
-``harness.recipes.train_full_stack`` with its seeds. Exit codes: 0 success,
-2 validation error or unreadable path, 3 numerical abort.
+flags and --seed override config keys after the file's lines
+(``CONFIG_FLAGS``). The training subcommands align, codec-train and
+lm-train run the stages of ``harness.recipes.train_full_stack`` with its
+seeds. Exit codes: 0 success, 2 validation error or unreadable path,
+3 numerical abort.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 
@@ -39,17 +40,19 @@ from .harness import (
 from .pipeline import GenParams, generate, load_lm_checkpoint, save_lm_checkpoint, stream_synthesize
 
 
+# The config key each subcommand's training flag sets; the global --seed
+# sets budget.seed and synth.seed.
+CONFIG_FLAGS = {
+    "codec-train": {"--steps": "budget.codec_steps", "--stream-steps": "budget.codec_stream_steps"},
+    "lm-train": {"--k": "backbone.k_shift", "--dropout": "backbone.dropout_rate", "--steps": "budget.backbone_steps"},
+}
+
+
 def _alignments(args, manifest) -> dict:
     """The alignment cache, or the manifest's ground-truth positions."""
     if args.align_cache:
         return load_alignment_cache(args.align_cache)
     return {rec.utt_id: (rec.T, rec.positions) for rec in manifest.records}
-
-
-def _override_budget(cfg, **steps) -> None:
-    """Set the budget fields a command-line flag gives, checked as a config file's are."""
-    given = {name: value for name, value in steps.items() if value is not None}
-    cfg.budget = dataclasses.replace(cfg.budget, **given)
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -66,10 +69,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 def cmd_gen_data(args, cfg) -> int:
     if args.utterances < 1:
         raise ValidationError(f"gen-data: --utterances must be >= 1, got {args.utterances}")
-    synth = cfg.synth
-    if args.seed is not None:
-        synth.seed = args.seed
-    manifest, arrays = gen_corpus(synth, args.utterances)
+    manifest, arrays = gen_corpus(cfg.synth, args.utterances)
     manifest.save(args.manifest)
     nx.save_arrays(args.arrays, arrays)
     print(f"wrote {len(manifest.records)} utterances to {args.manifest} / {args.arrays}")
@@ -78,8 +78,6 @@ def cmd_gen_data(args, cfg) -> int:
 
 def cmd_align(args, cfg) -> int:
     manifest, arrays = load_corpus(args.manifest, args.arrays)
-    cfg.aligner.d_in = manifest.config.d_frame
-    cfg.aligner.vocab_size = manifest.config.vocab_size
     bits = cfg.backbone.bits
     model = AlignerModel.load(args.model) if args.model else None
     model, kept, dropped, accuracy = recipes.align_stage(manifest, arrays, cfg.aligner, bits, cfg.budget, model)
@@ -94,38 +92,27 @@ def cmd_align(args, cfg) -> int:
 
 
 def cmd_codec_train(args, cfg) -> int:
-    _override_budget(cfg, codec_steps=args.steps, codec_stream_steps=args.stream_steps)
     manifest, arrays = load_corpus(args.manifest, args.arrays)
-    alignments = _alignments(args, manifest)
-    ccfg = cfg.codec
-    ccfg.d_frame = manifest.config.d_frame
-    ccfg.vocab_size = manifest.config.vocab_size
-    ccfg.samples_per_frame = manifest.config.samples_per_frame
-    model = recipes.codec_stage(recipes.codec_corpus(manifest, arrays, alignments), ccfg, cfg.budget)
+    corpus = recipes.codec_corpus(manifest, arrays, _alignments(args, manifest))
+    model = recipes.codec_stage(manifest, corpus, cfg.codec, cfg.budget)
     model.save(args.out)
     print(f"codec checkpoint -> {args.out}")
     return 0
 
 
 def cmd_lm_train(args, cfg) -> int:
-    _override_budget(cfg, backbone_steps=args.steps)
     manifest, arrays = load_corpus(args.manifest, args.arrays)
     alignments = _alignments(args, manifest)
     codec_model = CodecModel.load(args.codec)
     base_lm = BackboneModel.load(args.base_lm) if args.base_lm else None
-    bcfg = cfg.backbone
-    if args.k is not None:
-        bcfg.k_shift = args.k
-    if args.dropout is not None:
-        bcfg.dropout_rate = args.dropout
-    bcfg.__post_init__()
+    bits = cfg.backbone.bits
 
     # A no-op on a cache that `align` wrote with the same bits.
-    alignments, dropped = recipes.filter_alignments(alignments, bcfg.bits)
-    print(f"kept {len(alignments)} alignments, dropped {dropped} (gaps must fit in {bcfg.bits} duration bits)")
+    alignments, dropped = recipes.filter_alignments(alignments, bits)
+    print(f"kept {len(alignments)} alignments, dropped {dropped} (gaps must fit in {bits} duration bits)")
     corpus = recipes.codec_corpus(manifest, arrays, alignments)
     latents = recipes.latent_stage(codec_model, corpus, TemplateBank(manifest.config), cfg.budget)
-    head, base_lm, model = recipes.lm_stage(manifest, latents, bcfg, cfg.budget, base_lm)
+    head, base_lm, model = recipes.lm_stage(manifest, latents, cfg.backbone, cfg.budget, base_lm)
     if args.base_out:
         base_lm.save(args.base_out)
     save_lm_checkpoint(args.out, model, head)
@@ -326,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arrays", required=True)
     p.add_argument("--align-cache", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--stream-steps", type=int, default=None)
     p.set_defaults(func=cmd_codec_train)
 
     p = sub.add_parser("lm-train", help="train the multimodal backbone + speaker head")
@@ -338,9 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-lm", default=None, help="frozen base LM checkpoint (pretrains one if omitted)")
     p.add_argument("--base-out", default=None, help="write the base LM as a backbone checkpoint")
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
     p.set_defaults(func=cmd_lm_train)
 
     p = sub.add_parser("synth", help="generate speech for a text given a prompt")
@@ -405,16 +387,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utt", type=int, required=True)
     p.set_defaults(func=cmd_codec_roundtrip)
 
+    for command, flags in CONFIG_FLAGS.items():
+        for flag, key in flags.items():
+            sub.choices[command].add_argument(
+                flag, dest=key, metavar=flag.lstrip("-").replace("-", "_").upper(), help=f"sets {key}"
+            )
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    flags = [(flag, key, getattr(args, key)) for flag, key in CONFIG_FLAGS.get(args.command, {}).items()]
+    flags += [("--seed", key, args.seed) for key in ("budget.seed", "synth.seed")]
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.budget.seed = args.seed
+        cfg = load_config(args.config, [(flag, key, value) for flag, key, value in flags if value is not None])
         return args.func(args, cfg) or 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

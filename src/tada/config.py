@@ -1,20 +1,22 @@
 """Default hyperparameters and the key=value config-file loader.
 
 A config file is structured text: one ``key=value`` pair per line, ``#``
-comments allowed. Keys use dotted sections matching the dataclass fields,
-e.g. ``codec.lambda_mel=0.5`` or ``synth.vocab_size=48``; unknown keys are
-an error so typos fail fast.
+comments allowed. The keys are those of the checkpoint's config line under
+each section (``configline.flat(Defaults())``), e.g. ``codec.lambda_mel=0.5``,
+``synth.vocab_size=48`` or ``backbone.flow.width=128``; unknown keys are an
+error so typos fail fast.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from pathlib import Path
 
+from . import configline
 from .aligner import AlignerConfig
 from .backbone import BackboneConfig
 from .codec import CodecConfig
-from .configline import convert
 from .errors import ValidationError
 from .harness.corpus import SynthConfig
 from .harness.recipes import TrainBudget
@@ -29,44 +31,53 @@ class Defaults:
     budget: TrainBudget = dataclasses.field(default_factory=TrainBudget)
 
 
-def apply_overrides(defaults: Defaults, lines: list[str]) -> Defaults:
-    touched: dict[str, int] = {}  # section -> last line that set one of its fields
-    for lineno, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+def load_config(path: str | None = None, flags: Sequence[tuple[str, str, str]] = ()) -> Defaults:
+    """``Defaults()`` with the lines of the file at ``path``, then the
+    ``(flag, key, value)`` overrides in ``flags``, applied.
+
+    Each section is built once by ``configline.build``, so every
+    ``__post_init__`` runs on the final values. A setting that does not
+    parse, fails its section's check, or that the built config does not hold
+    (a key that follows from others, such as ``backbone.flow.d_latent``)
+    raises ``ValidationError`` naming its line or flag.
+    """
+    settings = []
+    if path is not None:
+        lines = Path(path).read_text().splitlines()
+        settings = [(f"config line {n}", line.split("#", 1)[0].strip()) for n, line in enumerate(lines, start=1)]
+    settings += [(flag, f"{key}={value}") for flag, key, value in flags]
+
+    base = Defaults()
+    defaults = dict(configline.flat(base))
+    values = {key: configline.text(value) for key, value in defaults.items()}
+    given: dict[str, str] = {}  # key -> the line or flag that set it last
+    for where, setting in settings:
+        if not setting:
             continue
-        if "=" not in line:
-            raise ValidationError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        if "." not in key:
-            raise ValidationError(f"config line {lineno}: key must be section.field, got {key!r}")
-        section, fname = key.split(".", 1)
-        if section not in {f.name for f in dataclasses.fields(defaults)}:
-            raise ValidationError(f"config line {lineno}: unknown section {section!r}")
-        target = getattr(defaults, section)
-        if fname not in {f.name for f in dataclasses.fields(target)}:
-            raise ValidationError(f"config line {lineno}: unknown field {key!r}")
+        key, sep, raw = (part.strip() for part in setting.partition("="))
+        if not sep:
+            raise ValidationError(f"{where}: expected key=value, got {setting!r}")
+        if key not in defaults:
+            raise ValidationError(f"{where}: unknown key {key!r}")
         try:
-            value = convert(getattr(target, fname), raw)
+            values[key] = configline.text(configline.convert(defaults[key], raw))
         except ValueError:
-            raise ValidationError(f"config line {lineno}: cannot parse {key}={raw!r}") from None
-        setattr(target, fname, value)
-        touched[section] = lineno
-    # setattr skips __post_init__, so validate each changed section once all
-    # of its lines are in (two lines may have to change together).
-    for section, lineno in touched.items():
-        check = getattr(getattr(defaults, section), "__post_init__", None)
-        if check is not None:
-            try:
-                check()
-            except ValidationError as exc:
-                raise ValidationError(f"config section {section!r} (last set on line {lineno}): {exc}") from None
-    return defaults
+            raise ValidationError(f"{where}: cannot parse {key}={raw!r}") from None
+        given[key] = where
 
-
-def load_config(path: str | None) -> Defaults:
-    defaults = Defaults()
-    if path is None:
-        return defaults
-    text = Path(path).read_text()
-    return apply_overrides(defaults, text.splitlines())
+    sections = {}
+    for f in dataclasses.fields(Defaults):
+        prefix = f.name + "."
+        try:
+            sections[f.name] = configline.build(type(getattr(base, f.name)), dict(values), prefix)
+        except ValidationError as exc:
+            set_by = ", ".join(where for key, where in given.items() if key.startswith(prefix))
+            raise ValidationError(f"{set_by}: {exc}") from None
+    config = Defaults(**sections)
+    for key, value in configline.flat(config):
+        if key in given and configline.text(value) != values[key]:
+            raise ValidationError(
+                f"{given[key]}: {key} follows from other keys; the built config holds "
+                f"{key}={configline.text(value)}, not {values[key]}"
+            )
+    return config

@@ -2,11 +2,13 @@
 
 ``to_line`` writes every field of a config as ``name=value``, separated by
 single spaces; a nested config dataclass contributes its fields under
-``name.field``. ``from_line`` reads such a line back, parsing each value by
-the type of the field's default (``convert``, which the ``--config`` loader
-uses too), and rejects a missing, unknown or repeated key and a value that
-fails to parse or fails the dataclass's ``__post_init__``. Floats are written
-with ``repr``, so a line round-trips every value exactly.
+``name.field`` (``flat`` lists these keys). ``from_line`` reads such a line
+back, parsing each value by the type of the field's default (``convert``)
+and building the config with ``build``, and rejects a missing, unknown or
+repeated key and a value that fails to parse or fails the dataclass's
+``__post_init__``. Floats are written with ``repr``, so a line round-trips
+every value exactly. The ``--config`` loader (``config.load_config``) uses
+the same keys, parser and builder.
 
 In a model checkpoint the line is the ``config`` array: its UTF-8 byte values
 as float32, which holds each of them exactly.
@@ -30,7 +32,7 @@ def convert(current, raw: str):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValidationError(f"config: cannot parse boolean from {raw!r}")
+        raise ValueError(f"not a boolean: {raw!r}")
     if isinstance(current, int):
         return int(raw)
     if isinstance(current, float):
@@ -42,30 +44,38 @@ def convert(current, raw: str):
     raise ValidationError(f"config: unsupported field type {type(current).__name__}")
 
 
-def _items(config, prefix: str = ""):
+def text(value) -> str:
+    """A field value as a line writes it; ``convert`` reads it back exactly."""
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def flat(config, prefix: str = ""):
+    """Every ``(key, value)`` of a config; a nested config's under ``name.field``."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if dataclasses.is_dataclass(value):
-            yield from _items(value, f"{prefix}{f.name}.")
-        elif isinstance(value, tuple):
-            yield f"{prefix}{f.name}", ",".join(map(str, value))
-        elif isinstance(value, float):
-            yield f"{prefix}{f.name}", repr(float(value))
+            yield from flat(value, f"{prefix}{f.name}.")
         else:
-            yield f"{prefix}{f.name}", str(value)
+            yield f"{prefix}{f.name}", value
 
 
 def to_line(config) -> str:
-    return " ".join(f"{key}={value}" for key, value in _items(config))
+    return " ".join(f"{key}={text(value)}" for key, value in flat(config))
 
 
-def _build(cls, values: dict[str, str], prefix: str = ""):
+def build(cls, values: dict[str, str], prefix: str = ""):
+    """A ``cls`` from the keys under ``prefix``, which it pops from ``values``;
+    every nested config is built first and every ``__post_init__`` runs."""
     kwargs = {}
     for f in dataclasses.fields(cls):
         key = prefix + f.name
         default = f.default_factory() if f.default is dataclasses.MISSING else f.default
         if dataclasses.is_dataclass(default):
-            kwargs[f.name] = _build(type(default), values, key + ".")
+            kwargs[f.name] = build(type(default), values, key + ".")
             continue
         if key not in values:
             raise ValidationError(f"missing key {key!r}")
@@ -86,7 +96,7 @@ def from_line(cls, line: str, where):
             if not sep or key in values:
                 raise ValidationError(f"expected one key=value per key, got {item!r}")
             values[key] = raw
-        config = _build(cls, values)
+        config = build(cls, values)
         if values:
             raise ValidationError(f"unknown key {next(iter(values))!r}")
     except ValidationError as exc:

@@ -10,7 +10,7 @@ machine-parseable ``key=value`` pairs, one metric per line.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -127,7 +127,7 @@ def run_tts_cases(
     """Generate and stream-synthesize one case per (prompt, target text)."""
     cases = []
     for i, (prompt, text) in enumerate(zip(prompts, targets)):
-        run_params = GenParams(**{**params.__dict__, "seed": params.seed + i})
+        run_params = replace(params, seed=params.seed + i)
         result = generate(lm, codec_model, speaker_head, prompt, text, run_params)
         t0 = time.perf_counter()
         audio = stream_synthesize(result, codec_model)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .. import numerics as nx
-from ..aligner import MAX_GAP, AlignerConfig, AlignerModel, filter_alignment, train_aligner
+from ..aligner import MAX_GAP, AlignerConfig, AlignerModel, alignment_accuracy, filter_alignment, train_aligner
 from ..backbone import BackboneConfig, BackboneModel, SequenceBatchItem, train_backbone, train_base_lm
 from ..codec import CodecConfig, CodecModel, pack_utterances, reparameterize, train_codec
 from ..durbits import durations_from_positions
@@ -132,28 +132,30 @@ def align_stage(
     """Train the aligner (unless one is given), extract every utterance's
     positions, and keep those that ``bits`` duration bits can hold.
 
-    Returns the aligner, the kept alignments, the number dropped, and the
-    share of tokens placed within one frame of the manifest's ground truth.
+    The aligner's input width and vocabulary are the manifest's, whatever
+    ``aligner_config`` says. Returns the aligner, the kept alignments, the
+    number dropped, and the share of tokens placed within one frame of the
+    manifest's ground truth.
     """
+    cfg = manifest.config
     with nx.precision("float32"):
         if aligner is None:
             aligner = train_aligner(
                 aligner_pairs(manifest, arrays),
-                aligner_config,
+                replace(aligner_config, d_in=cfg.d_frame, vocab_size=cfg.vocab_size),
                 steps=budget.aligner_steps,
                 batch_size=budget.aligner_batch,
                 seed=budget.seed,
                 log_every=budget.log_every,
             )
         positions = extract_alignments(aligner, manifest, arrays)
-    hits = sum(
-        int(np.sum(np.abs(positions[rec.utt_id] - rec.positions) <= 1)) for rec in manifest.records
+    accuracy = alignment_accuracy(
+        [positions[rec.utt_id] for rec in manifest.records], [rec.positions for rec in manifest.records]
     )
-    total = sum(rec.tokens.size for rec in manifest.records)
     kept, dropped = filter_alignments(
         {rec.utt_id: (rec.T, positions[rec.utt_id]) for rec in manifest.records}, bits
     )
-    return aligner, kept, dropped, hits / max(total, 1)
+    return aligner, kept, dropped, accuracy
 
 
 def codec_corpus(manifest: Manifest, arrays: dict, alignments: Alignments) -> list[dict]:
@@ -175,7 +177,15 @@ def codec_corpus(manifest: Manifest, arrays: dict, alignments: Alignments) -> li
     return corpus
 
 
-def codec_stage(corpus: list[dict], codec_config: CodecConfig, budget: TrainBudget) -> CodecModel:
+def codec_stage(
+    manifest: Manifest, corpus: list[dict], codec_config: CodecConfig, budget: TrainBudget
+) -> CodecModel:
+    """Train the codec on ``corpus``; its frame width, samples per frame and
+    vocabulary are the manifest's, whatever ``codec_config`` says."""
+    cfg = manifest.config
+    codec_config = replace(
+        codec_config, d_frame=cfg.d_frame, vocab_size=cfg.vocab_size, samples_per_frame=cfg.samples_per_frame
+    )
     with nx.precision("float32"):
         return train_codec(
             corpus,
@@ -227,15 +237,16 @@ def lm_stage(
     backbone on top of it; return the three.
 
     The backbone's vocabulary is the manifest's and its latent width that of
-    ``latents``, whatever ``backbone_config`` says.
+    ``latents``, whatever ``backbone_config`` says. A given base LM must have
+    the manifest's vocabulary.
     """
+    vocab_size = manifest.config.vocab_size
+    if base_lm is not None and base_lm.config.vocab_size != vocab_size:
+        raise ValidationError(
+            f"base LM vocab_size={base_lm.config.vocab_size} differs from the manifest's vocab_size={vocab_size}"
+        )
     d_latent = latents.speaker_rows.shape[1]
-    backbone_config = replace(
-        backbone_config,
-        vocab_size=manifest.config.vocab_size,
-        d_latent=d_latent,
-        flow=replace(backbone_config.flow),  # __post_init__ writes the widths into it
-    )
+    backbone_config = replace(backbone_config, vocab_size=vocab_size, d_latent=d_latent)
     with nx.precision("float32"):
         speaker_head = train_speaker_head(
             latents.speaker_rows,
@@ -274,17 +285,14 @@ def train_full_stack(
     backbone_config: BackboneConfig | None = None,
 ) -> TrainedStack:
     budget = budget or TrainBudget()
-    cfg = manifest.config
-    bank = TemplateBank(cfg)
-    aligner_config = aligner_config or AlignerConfig(d_in=cfg.d_frame, vocab_size=cfg.vocab_size)
-    codec_config = codec_config or CodecConfig(
-        d_frame=cfg.d_frame, vocab_size=cfg.vocab_size, samples_per_frame=cfg.samples_per_frame
-    )
+    bank = TemplateBank(manifest.config)
     backbone_config = backbone_config or BackboneConfig()
 
-    aligner, kept, dropped, accuracy = align_stage(manifest, arrays, aligner_config, backbone_config.bits, budget)
+    aligner, kept, dropped, accuracy = align_stage(
+        manifest, arrays, aligner_config or AlignerConfig(), backbone_config.bits, budget
+    )
     corpus = codec_corpus(manifest, arrays, kept)
-    codec_model = codec_stage(corpus, codec_config, budget)
+    codec_model = codec_stage(manifest, corpus, codec_config or CodecConfig(), budget)
     latents = latent_stage(codec_model, corpus, bank, budget)
     speaker_head, base_lm, backbone = lm_stage(manifest, latents, backbone_config, budget)
     return TrainedStack(

@@ -35,31 +35,17 @@ def encoder_mask(p, T: int) -> np.ndarray:
 
     Assigned row p_i sees [p_{i-1}+1, p_{i+1}-1]; an unassigned row between
     p_i and p_{i+1} sees [p_i+1, p_{i+1}-1], using sentinels p_0 = 0 and
-    p_{L+1} = T+1 for the boundary segments. Every row additionally includes
-    itself (relevant only for degenerate boundary rows).
+    p_{L+1} = T+1 for the boundary segments. Every row's window holds the
+    row itself.
     """
     p = _check_positions(p, T)
+    q = np.arange(1, T + 1)
     ext = np.concatenate([[0], p, [T + 1]])  # ext[i] = p_i with sentinels
-    L = p.size
-    mask = np.zeros((T, T), dtype=bool)
-    assigned = np.zeros(T + 1, dtype=bool)
-    assigned[p] = True
-
-    # Map each frame to its segment index i such that p_i < q <= p_{i+1}.
-    seg = np.searchsorted(p, np.arange(1, T + 1), side="left")  # 0..L
-    for q in range(1, T + 1):
-        if assigned[q]:
-            i = int(np.searchsorted(p, q)) + 1  # 1-based token index
-            lo, hi = ext[i - 1] + 1, ext[i + 1] - 1
-        else:
-            i = int(seg[q - 1])  # tokens before q
-            lo, hi = ext[i] + 1, ext[i + 1] - 1
-        lo = max(lo, 1)
-        hi = min(hi, T)
-        if lo <= hi:
-            mask[q - 1, lo - 1 : hi] = True
-        mask[q - 1, q - 1] = True
-    return mask
+    i = np.searchsorted(p, q, side="left")  # tokens before q, so p_i < q <= p_{i+1}
+    assigned = ext[i + 1] == q
+    lo = ext[i] + 1
+    hi = ext[i + 1 + assigned] - 1  # p_{i+2} - 1 for an assigned row, else p_{i+1} - 1
+    return (q >= lo[:, None]) & (q <= hi[:, None])
 
 
 def decoder_stream_mask(p, T: int) -> np.ndarray:

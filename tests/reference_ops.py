@@ -3,7 +3,8 @@
 ``rope``, ``slice_cols`` and ``transpose2d`` build attention head by head
 from rank-2 pieces: the chain that the engine's head-batched
 ``split_heads`` and ``attention_heads`` are checked against. They record
-tape nodes the way engine primitives do.
+tape nodes the way engine primitives do. ``encoder_mask`` builds the
+encoder mask row by row, the loop ``masks.encoder_mask`` is checked against.
 """
 
 from __future__ import annotations
@@ -63,3 +64,28 @@ def transpose2d(a: Tensor) -> Tensor:
         _accum(a, g.T)
 
     return _make("transpose2d", out, (a,), backward)
+
+
+def encoder_mask(p, T: int) -> np.ndarray:
+    """``masks.encoder_mask`` for valid positions, one frame at a time."""
+    p = np.asarray(p, dtype=np.int64)
+    ext = np.concatenate([[0], p, [T + 1]])  # ext[i] = p_i with sentinels
+    mask = np.zeros((T, T), dtype=bool)
+    assigned = np.zeros(T + 1, dtype=bool)
+    assigned[p] = True
+
+    # Map each frame to its segment index i such that p_i < q <= p_{i+1}.
+    seg = np.searchsorted(p, np.arange(1, T + 1), side="left")  # 0..L
+    for q in range(1, T + 1):
+        if assigned[q]:
+            i = int(np.searchsorted(p, q)) + 1  # 1-based token index
+            lo, hi = ext[i - 1] + 1, ext[i + 1] - 1
+        else:
+            i = int(seg[q - 1])  # tokens before q
+            lo, hi = ext[i] + 1, ext[i + 1] - 1
+        lo = max(lo, 1)
+        hi = min(hi, T)
+        if lo <= hi:
+            mask[q - 1, lo - 1 : hi] = True
+        mask[q - 1, q - 1] = True
+    return mask

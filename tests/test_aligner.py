@@ -16,6 +16,7 @@ from tada.aligner import (
     AlignerConfig,
     AlignerModel,
     aligner_batch_loss,
+    alignment_accuracy,
     ctc_log_likelihood,
     ctc_loss,
     curriculum_subset,
@@ -458,3 +459,11 @@ def test_model_checkpoint_roundtrip(tmp_path):
     after = restored.log_probs(frames)
     assert after.dtype == np.float32
     np.testing.assert_allclose(before, after, atol=1e-5)
+
+
+def test_alignment_accuracy_counts_tokens_within_tolerance():
+    predicted = [np.array([1, 4, 9]), np.array([2])]
+    truth = [np.array([1, 5, 7]), np.array([4])]
+    assert alignment_accuracy(predicted, truth) == 2 / 4
+    assert alignment_accuracy(predicted, truth, tolerance=2) == 1.0
+    assert alignment_accuracy([], []) == 0.0

@@ -117,7 +117,7 @@ class TestFuse:
     def test_bad_inputs(self):
         model = tiny_model()
         for bad in (99, -1):
-            with pytest.raises(ValidationError, match=rf"token ids \[{bad}\] outside \[0, {TINY.n_text_ids}\)"):
+            with pytest.raises(ValidationError, match=rf"^BackboneModel: token ids \[{bad}\] outside \[0, {TINY.n_text_ids}\)"):
                 fused(model, (bad, None, False))
 
 

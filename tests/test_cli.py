@@ -6,11 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tada import configline
 from tada import numerics as nx
 from tada.aligner import AlignerConfig, AlignerModel, load_alignment_cache
 from tada.backbone import BackboneConfig, BackboneModel
 from tada.cli import main
 from tada.codec import CodecConfig, CodecModel
+from tada.config import Defaults, load_config
+from tada.errors import ValidationError
 from tada.harness import Manifest, TrainBudget, recipes, train_full_stack
 from tada.pipeline import SpeakerHead, load_lm_checkpoint, save_lm_checkpoint
 
@@ -92,6 +95,52 @@ def test_bad_config_value_exit_code_2(tmp_path, capsys, line):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_config_file_of_every_default_key_loads_the_defaults(tmp_path):
+    """The --config keys are the checkpoint line's keys under each section."""
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text(configline.to_line(Defaults()).replace(" ", "\n") + "\n")
+    assert "backbone.flow.width=256" in cfg_file.read_text().splitlines()
+    assert load_config(str(cfg_file)) == Defaults()
+
+
+def test_config_file_sets_flow_head_keys(tmp_path):
+    """A flow key loads; one that follows from a backbone key loads when it agrees."""
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text("backbone.flow.width=128\nbackbone.d_latent=4\nbackbone.flow.d_latent=4\n")
+    config = load_config(str(cfg_file))
+    assert config.backbone.flow.width == 128
+    assert config.backbone.d_latent == config.backbone.flow.d_latent == 4
+
+
+@pytest.mark.parametrize(
+    "lines, bad_line",
+    [("backbone.flow.d_latent=4", 1), ("backbone.d_latent=4\nbackbone.flow.d_latent=8", 2),
+     ("backbone.flow.bits=4", 1), ("backbone.d_cond=64\nbackbone.flow.d_cond=128", 2)],
+    ids=["d_latent", "d_latent_stale", "bits", "d_cond"],
+)
+def test_derived_config_key_that_disagrees_exit_code_2(tmp_path, capsys, lines, bad_line):
+    """A flow key that follows from a backbone key is refused unless it agrees, not dropped."""
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text(lines + "\n")
+    assert main(["--config", str(cfg_file), "graycheck", "--b", "4"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config line {bad_line}: backbone.flow."), err
+
+
+def test_training_flags_override_config_keys(tmp_path):
+    """A flag is an override of its key, after the file's lines; 0 means zero steps."""
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text("budget.codec_steps=5\nbackbone.k_shift=3\nbudget.seed=4\n")
+    flags = [("--steps", "budget.codec_steps", "0"), ("--k", "backbone.k_shift", "1"),
+             ("--seed", "budget.seed", "7"), ("--seed", "synth.seed", "7")]
+    config = load_config(str(cfg_file), flags)
+    assert (config.budget.codec_steps, config.backbone.k_shift) == (0, 1)
+    assert config.budget.seed == config.synth.seed == 7
+    assert load_config(str(cfg_file)).budget.codec_steps == 5
+    with pytest.raises(ValidationError, match=r"^--k: BackboneConfig: k_shift must be >= 1"):
+        load_config(None, [("--k", "backbone.k_shift", "0")])
 
 
 def test_lm_train_four_bit_backbone_drops_wide_gaps(tmp_path, capsys):
@@ -277,6 +326,26 @@ def test_wrong_kind_of_file_exit_code_2(small_corpus, wrong_kind_files, capsys, 
     assert main([*argv, "--arrays", arrays]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and paths[named] in err[0] and says in err[0], err
+
+
+@pytest.mark.parametrize("vocab_size", [9, 35])
+def test_lm_train_base_lm_of_another_vocabulary_exit_code_2(small_corpus, wrong_kind_files, tmp_path, capsys,
+                                                             vocab_size):
+    """A base LM trained on another vocabulary than the manifest's 32 tokens
+    is refused with both sizes named, before any training."""
+    manifest, arrays = small_corpus
+    base, out = str(tmp_path / "base.tada"), tmp_path / "lm.tada"
+    config = BackboneConfig(vocab_size=vocab_size, d_model=16, n_heads=2, n_layers=1, d_ff=16, d_cond=16)
+    BackboneModel(config, np.random.default_rng(0)).save(base)
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text("budget.speaker_steps=1\n")
+    capsys.readouterr()
+    assert main(["--config", str(cfg_file), "lm-train", "--manifest", manifest, "--arrays", arrays,
+                 "--codec", wrong_kind_files["codec.tada"], "--base-lm", base, "--out", str(out), "--steps", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert f"vocab_size={vocab_size}" in err[0] and "vocab_size=32" in err[0], err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from tada import masks, nn
 from tada import numerics as nx
 from tada.errors import ValidationError
+import reference_ops
 
 
 def cols(mask, row):  # 1-based helpers
@@ -81,6 +82,8 @@ class TestExhaustiveProperties:
             for p in all_position_sets(T):
                 enc = masks.encoder_mask(p, T)
                 dec = masks.decoder_stream_mask(p, T)
+                # every row, assigned or not, equals the frame-by-frame loop
+                np.testing.assert_array_equal(enc, reference_ops.encoder_mask(p, T), err_msg=f"{p} {T}")
                 assert enc.any(axis=1).all(), (p, T)
                 assert dec.any(axis=1).all(), (p, T)
                 ext = np.concatenate([[0], p, [T + 1]])

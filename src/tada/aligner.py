@@ -20,7 +20,6 @@ from . import nn
 from . import numerics as nx
 from .errors import InfeasibleError, ValidationError
 from .numerics import Tensor
-from .numerics.checkpoint import read_exact
 
 NEG_INF = -np.inf
 
@@ -486,42 +485,3 @@ def alignment_accuracy(positions: list[np.ndarray], truth: list[np.ndarray], tol
     hit = sum(int(np.sum(np.abs(np.asarray(p) - np.asarray(t)) <= tolerance)) for p, t in zip(positions, truth))
     return hit / max(sum(len(t) for t in truth), 1)
 
-
-# ---------------------------------------------------------------------------
-# Alignment cache file: magic, record count, then (id, L, T, p) records,
-# all little-endian int32
-# ---------------------------------------------------------------------------
-
-ALIGN_CACHE_MAGIC = b"TADAAC1"
-
-
-def save_alignment_cache(path, records: dict[int, tuple[int, np.ndarray]]) -> None:
-    import struct
-
-    with open(path, "wb") as f:
-        f.write(ALIGN_CACHE_MAGIC)
-        f.write(struct.pack("<I", len(records)))
-        for utt_id, (T, p) in records.items():
-            p = np.asarray(p, dtype="<i4")
-            f.write(struct.pack("<iii", int(utt_id), int(p.size), int(T)))
-            f.write(p.tobytes())
-
-
-def load_alignment_cache(path) -> dict[int, tuple[int, np.ndarray]]:
-    """Read a cache written by :func:`save_alignment_cache`; a wrong magic,
-    a truncated record or trailing bytes raise :class:`ValidationError`."""
-    import struct
-
-    out: dict[int, tuple[int, np.ndarray]] = {}
-    with open(path, "rb") as f:
-        magic = f.read(len(ALIGN_CACHE_MAGIC))
-        if magic != ALIGN_CACHE_MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}, expected {ALIGN_CACHE_MAGIC!r}")
-        (count,) = struct.unpack("<I", read_exact(f, 4, path))
-        for _ in range(count):
-            utt_id, L, T = struct.unpack("<iii", read_exact(f, 12, path))
-            p = np.frombuffer(read_exact(f, 4 * L, path), dtype="<i4").astype(np.int64)
-            out[utt_id] = (T, p)
-        if f.read(1):
-            raise ValidationError(f"{path}: trailing bytes after {count} records")
-    return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import durbits, flowhead, masks
 from . import numerics as nx
-from .aligner import AlignerModel, load_alignment_cache, save_alignment_cache
+from .aligner import AlignerModel
 from .backbone import BackboneModel
 from .codec import CodecModel
 from .config import load_config
@@ -48,11 +48,20 @@ CONFIG_FLAGS = {
 }
 
 
-def _alignments(args, manifest) -> dict:
-    """The alignment cache, or the manifest's ground-truth positions."""
-    if args.align_cache:
-        return load_alignment_cache(args.align_cache)
-    return {rec.utt_id: (rec.T, rec.positions) for rec in manifest.records}
+def _at_least_one(args, *flags: str) -> None:
+    """Refuse an integer flag below 1, before any file is read."""
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value < 1:
+            raise ValidationError(f"{args.command}: {flag} must be >= 1, got {value}")
+
+
+def _kept(manifest, cfg):
+    """The records whose gaps fit in ``backbone.bits`` duration bits."""
+    bits = cfg.backbone.bits
+    kept, dropped = recipes.filter_by_bits(manifest, bits)
+    print(f"kept {len(kept.records)} alignments, dropped {dropped} (gaps must fit in {bits} duration bits)")
+    return kept
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -67,8 +76,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_gen_data(args, cfg) -> int:
-    if args.utterances < 1:
-        raise ValidationError(f"gen-data: --utterances must be >= 1, got {args.utterances}")
+    _at_least_one(args, "--utterances")
     manifest, arrays = gen_corpus(cfg.synth, args.utterances)
     manifest.save(args.manifest)
     nx.save_arrays(args.arrays, arrays)
@@ -78,23 +86,19 @@ def cmd_gen_data(args, cfg) -> int:
 
 def cmd_align(args, cfg) -> int:
     manifest, arrays = load_corpus(args.manifest, args.arrays)
-    bits = cfg.backbone.bits
     model = AlignerModel.load(args.model) if args.model else None
-    model, kept, dropped, accuracy = recipes.align_stage(manifest, arrays, cfg.aligner, bits, cfg.budget, model)
+    model, aligned, accuracy = recipes.align_stage(manifest, arrays, cfg.aligner, cfg.budget, model)
     if args.save_model:
         model.save(args.save_model)
-    save_alignment_cache(args.out, kept)
-    print(
-        f"aligned {len(kept)} utterances, dropped {dropped} (gaps must fit in {bits} duration bits), "
-        f"align_accuracy={accuracy:.6g} -> {args.out}"
-    )
+    aligned.save(args.out)
+    print(f"aligned {len(aligned.records)} utterances, align_accuracy={accuracy:.6g} -> {args.out}")
     return 0
 
 
 def cmd_codec_train(args, cfg) -> int:
     manifest, arrays = load_corpus(args.manifest, args.arrays)
-    corpus = recipes.codec_corpus(manifest, arrays, _alignments(args, manifest))
-    model = recipes.codec_stage(manifest, corpus, cfg.codec, cfg.budget)
+    kept = _kept(manifest, cfg)
+    model = recipes.codec_stage(kept, recipes.codec_corpus(kept, arrays), cfg.codec, cfg.budget)
     model.save(args.out)
     print(f"codec checkpoint -> {args.out}")
     return 0
@@ -102,15 +106,9 @@ def cmd_codec_train(args, cfg) -> int:
 
 def cmd_lm_train(args, cfg) -> int:
     manifest, arrays = load_corpus(args.manifest, args.arrays)
-    alignments = _alignments(args, manifest)
     codec_model = CodecModel.load(args.codec)
     base_lm = BackboneModel.load(args.base_lm) if args.base_lm else None
-    bits = cfg.backbone.bits
-
-    # A no-op on a cache that `align` wrote with the same bits.
-    alignments, dropped = recipes.filter_alignments(alignments, bits)
-    print(f"kept {len(alignments)} alignments, dropped {dropped} (gaps must fit in {bits} duration bits)")
-    corpus = recipes.codec_corpus(manifest, arrays, alignments)
+    corpus = recipes.codec_corpus(_kept(manifest, cfg), arrays)
     latents = recipes.latent_stage(codec_model, corpus, TemplateBank(manifest.config), cfg.budget)
     head, base_lm, model = recipes.lm_stage(manifest, latents, cfg.backbone, cfg.budget, base_lm)
     if args.base_out:
@@ -127,14 +125,13 @@ def cmd_synth(args, cfg) -> int:
         raise ValidationError(f"--text: expected token ids, got {args.text!r}") from None
     params = GenParams(
         n_fm=args.nfm, cfg_scale=args.cfg, neg_mode=args.neg,
-        candidates=args.reject, sfg_scale=args.sfg, seed=args.seed or 0,
+        candidates=args.reject, seed=args.seed or 0,
     )
     manifest, arrays = load_corpus(args.manifest, args.arrays)
     model, head = load_lm_checkpoint(args.lm)
     codec_model = CodecModel.load(args.codec)
     aligner = AlignerModel.load(args.aligner) if args.aligner else None
-    alignments = load_alignment_cache(args.align_cache) if args.align_cache else None
-    (prompt,) = recipes.build_prompts(manifest, arrays, [args.prompt], codec_model, head, aligner, alignments)
+    (prompt,) = recipes.build_prompts(manifest, arrays, [args.prompt], codec_model, head, aligner)
     result = generate(model, codec_model, head, prompt, text, params)
     audio = stream_synthesize(result, codec_model)
     toks = ",".join(map(str, result.text_tokens.tolist()))
@@ -169,6 +166,7 @@ def _held_out_prompts(args, manifest, arrays, codec_model, head):
 
 
 def cmd_eval(args, cfg) -> int:
+    _at_least_one(args, "--prompts")
     params = GenParams(
         n_fm=args.nfm, cfg_scale=args.cfg, neg_mode=args.neg,
         candidates=args.reject, seed=args.seed or 0,
@@ -186,6 +184,7 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_bench(args, cfg) -> int:
+    _at_least_one(args, "--prompts", "--runs")
     n_fm_list = tuple(_int_list(args.nfm_list, "--nfm-list"))
     manifest, arrays = load_corpus(args.manifest, args.arrays)
     model, head = load_lm_checkpoint(args.lm)
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utterances", type=int, default=2000)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("align", help="train/load the aligner and write an alignment cache")
+    p = sub.add_parser("align", help="train/load the aligner and write the manifest at its positions")
     p.add_argument("--manifest", required=True)
     p.add_argument("--arrays", required=True)
     p.add_argument("--model", default=None, help="aligner checkpoint (trains one if omitted)")
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("codec-train", help="train the variational codec")
     p.add_argument("--manifest", required=True)
     p.add_argument("--arrays", required=True)
-    p.add_argument("--align-cache", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_codec_train)
 
@@ -319,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--arrays", required=True)
     p.add_argument("--codec", required=True)
-    p.add_argument("--align-cache", default=None)
     p.add_argument("--base-lm", default=None, help="frozen base LM checkpoint (pretrains one if omitted)")
     p.add_argument("--base-out", default=None, help="write the base LM as a backbone checkpoint")
     p.add_argument("--out", required=True)
@@ -331,14 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--arrays", required=True)
     p.add_argument("--aligner", default=None)
-    p.add_argument("--align-cache", default=None)
     p.add_argument("--prompt", type=int, required=True, help="prompt utterance id")
     p.add_argument("--text", required=True, help="token ids, e.g. '3,7,9'")
     p.add_argument("--nfm", type=int, default=10)
     p.add_argument("--cfg", type=float, default=1.8)
     p.add_argument("--neg", choices=["zero", "tfg"], default="zero")
     p.add_argument("--reject", type=int, default=1)
-    p.add_argument("--sfg", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synth)
 

@@ -3,9 +3,10 @@
 ``train_full_stack`` runs four stages in order, and the ``align``,
 ``codec-train`` and ``lm-train`` subcommands run the same stage functions:
 
-1. ``align_stage``: the aligner, alignment extraction and scoring, and the
-   duration-bit filter (seed ``seed``).
-2. ``codec_stage``: the codec on the kept alignments (``seed + 1``).
+1. ``align_stage``: the aligner, then the manifest with its positions
+   (seed ``seed``). ``filter_by_bits`` then keeps the records whose gaps
+   the backbone's duration bits hold.
+2. ``codec_stage``: the codec on the kept records (``seed + 1``).
 3. ``latent_stage``: sampled latents, durations and speaker rows for the
    heads (``seed + 2``).
 4. ``lm_stage``: the speaker head (``seed + 3``), the base text LM
@@ -33,8 +34,6 @@ from ..durbits import durations_from_positions
 from ..errors import ValidationError
 from ..pipeline import Prompt, SpeakerHead, prepare_prompt, train_speaker_head
 from .corpus import Manifest, TemplateBank, utterance_arrays
-
-Alignments = dict[int, tuple[int, np.ndarray]]  # utt_id -> (T, positions)
 
 
 @dataclass
@@ -98,44 +97,39 @@ def extract_alignments(model: AlignerModel, manifest: Manifest, arrays: dict) ->
     return {rec.utt_id: a.positions for rec, a in zip(manifest.records, alignments)}
 
 
-def filter_alignments(alignments: Alignments, bits: int) -> tuple[Alignments, int]:
-    """Keep the alignments a backbone with ``bits`` duration bits can train
-    on; return them and the number dropped.
+def filter_by_bits(manifest: Manifest, bits: int) -> tuple[Manifest, int]:
+    """The manifest with only the records a backbone with ``bits`` duration
+    bits can train on, and the number dropped.
 
     A gap wider than ``2**bits - 1`` frames cannot be Gray-encoded, so the
     gap limit is ``min(MAX_GAP, 2**bits - 1)``; ``filter_alignment`` applies
     it with the consecutive-run rule. Raises ``ValidationError`` when no
-    alignment is left.
+    record is left.
     """
     max_gap = min(MAX_GAP, (1 << bits) - 1)
-    kept = {
-        utt_id: (T, p)
-        for utt_id, (T, p) in alignments.items()
-        if filter_alignment(p, T, max_gap=max_gap) is None
-    }
-    dropped = len(alignments) - len(kept)
+    kept = [rec for rec in manifest.records if filter_alignment(rec.positions, rec.T, max_gap=max_gap) is None]
+    dropped = len(manifest.records) - len(kept)
     if not kept:
         raise ValidationError(
             f"all {dropped} alignments were dropped by the filters (gaps must fit in {bits} duration bits)"
         )
-    return kept, dropped
+    return replace(manifest, records=kept), dropped
 
 
 def align_stage(
     manifest: Manifest,
     arrays: dict,
     aligner_config: AlignerConfig,
-    bits: int,
     budget: TrainBudget,
     aligner: AlignerModel | None = None,
-) -> tuple[AlignerModel, Alignments, int, float]:
-    """Train the aligner (unless one is given), extract every utterance's
-    positions, and keep those that ``bits`` duration bits can hold.
+) -> tuple[AlignerModel, Manifest, float]:
+    """Train the aligner (unless one is given) and extract every utterance's
+    positions.
 
     The aligner's input width and vocabulary are the manifest's, whatever
-    ``aligner_config`` says. Returns the aligner, the kept alignments, the
-    number dropped, and the share of tokens placed within one frame of the
-    manifest's ground truth.
+    ``aligner_config`` says. Returns the aligner, the manifest with every
+    record at its extracted positions, and the share of tokens placed within
+    one frame of the manifest's ground truth.
     """
     cfg = manifest.config
     with nx.precision("float32"):
@@ -149,21 +143,15 @@ def align_stage(
                 log_every=budget.log_every,
             )
         positions = extract_alignments(aligner, manifest, arrays)
-    accuracy = alignment_accuracy(
-        [positions[rec.utt_id] for rec in manifest.records], [rec.positions for rec in manifest.records]
-    )
-    kept, dropped = filter_alignments(
-        {rec.utt_id: (rec.T, positions[rec.utt_id]) for rec in manifest.records}, bits
-    )
-    return aligner, kept, dropped, accuracy
+    records = [replace(rec, positions=positions[rec.utt_id]) for rec in manifest.records]
+    accuracy = alignment_accuracy([rec.positions for rec in records], [rec.positions for rec in manifest.records])
+    return aligner, replace(manifest, records=records), accuracy
 
 
-def codec_corpus(manifest: Manifest, arrays: dict, alignments: Alignments) -> list[dict]:
-    """One float32 training utterance per aligned record, in manifest order."""
+def codec_corpus(manifest: Manifest, arrays: dict) -> list[dict]:
+    """One float32 training utterance per record, in manifest order."""
     corpus = []
     for rec in manifest.records:
-        if rec.utt_id not in alignments:
-            continue
         frames, signal = utterance_arrays(arrays, rec.utt_id)
         corpus.append(
             {
@@ -171,7 +159,7 @@ def codec_corpus(manifest: Manifest, arrays: dict, alignments: Alignments) -> li
                 "frames": frames.astype(np.float32),
                 "signal": signal.astype(np.float32),
                 "tokens": rec.tokens,
-                "positions": alignments[rec.utt_id][1],
+                "positions": rec.positions,
             }
         )
     return corpus
@@ -288,13 +276,12 @@ def train_full_stack(
     bank = TemplateBank(manifest.config)
     backbone_config = backbone_config or BackboneConfig()
 
-    aligner, kept, dropped, accuracy = align_stage(
-        manifest, arrays, aligner_config or AlignerConfig(), backbone_config.bits, budget
-    )
-    corpus = codec_corpus(manifest, arrays, kept)
-    codec_model = codec_stage(manifest, corpus, codec_config or CodecConfig(), budget)
+    aligner, aligned, accuracy = align_stage(manifest, arrays, aligner_config or AlignerConfig(), budget)
+    kept, dropped = filter_by_bits(aligned, backbone_config.bits)
+    corpus = codec_corpus(kept, arrays)
+    codec_model = codec_stage(kept, corpus, codec_config or CodecConfig(), budget)
     latents = latent_stage(codec_model, corpus, bank, budget)
-    speaker_head, base_lm, backbone = lm_stage(manifest, latents, backbone_config, budget)
+    speaker_head, base_lm, backbone = lm_stage(aligned, latents, backbone_config, budget)
     return TrainedStack(
         aligner=aligner,
         codec=codec_model,
@@ -314,13 +301,12 @@ def build_prompts(
     codec: CodecModel,
     head: SpeakerHead,
     aligner: AlignerModel | None = None,
-    alignments: Alignments | None = None,
 ) -> list[Prompt]:
     """One prompt per utterance id, with its speaker.
 
     Positions come from ``aligner`` if one is given, otherwise from the
-    utterance's ``alignments`` entry (an alignment cache), otherwise from
-    the manifest. An id the manifest does not hold raises ``ValidationError``.
+    manifest, which may be one that ``align`` wrote. An id the manifest does
+    not hold raises ``ValidationError``.
     """
     by_id = {rec.utt_id: rec for rec in manifest.records}
     prompts = []
@@ -328,9 +314,7 @@ def build_prompts(
         rec = by_id.get(utt_id)
         if rec is None:
             raise ValidationError(f"unknown prompt utterance id {utt_id}")
-        positions = None
-        if aligner is None:
-            positions = alignments[utt_id][1] if alignments and utt_id in alignments else rec.positions
+        positions = rec.positions if aligner is None else None
         frames, _ = utterance_arrays(arrays, utt_id)
         prompt = prepare_prompt(frames, rec.tokens, aligner, codec, head, positions=positions)
         prompt.speaker = rec.speaker

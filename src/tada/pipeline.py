@@ -130,7 +130,7 @@ def prepare_prompt(
     """Align, encode, and embed a prompt; raises with a reason when the
     alignment is infeasible or fails the run/gap filters.
 
-    Pre-extracted ``positions`` (e.g. from an alignment cache) skip the
+    Pre-extracted ``positions`` (e.g. a manifest record's) skip the
     aligner forward pass.
     """
     transcript = np.asarray(transcript, dtype=np.int64)
@@ -198,7 +198,7 @@ class GenParams:
     cfg_scale: float = 1.8
     neg_mode: str = "zero"  # "zero" | "tfg"
     candidates: int = 1  # R
-    sfg_scale: float | None = None  # blend text-only logits in SLM mode
+    sfg_scale: float | None = None  # blend text-only logits; SLM mode only
     mode: str = "tts"  # "tts" | "slm"
     temperature: float = 1.0
     top_k: int = 0
@@ -218,6 +218,8 @@ class GenParams:
             raise ValidationError(f"GenParams: unknown mode {self.mode!r}")
         if self.candidates < 1:
             raise ValidationError("GenParams: candidates must be >= 1")
+        if self.sfg_scale is not None and self.mode != "slm":
+            raise ValidationError("GenParams: sfg_scale blends sampled text logits, so it needs mode 'slm'")
 
 
 @dataclass

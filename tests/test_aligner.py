@@ -5,8 +5,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tada import numerics as nx
 from tada.aligner import (
@@ -21,8 +19,6 @@ from tada.aligner import (
     ctc_loss,
     curriculum_subset,
     filter_alignment,
-    load_alignment_cache,
-    save_alignment_cache,
     train_aligner,
     viterbi_align,
     viterbi_score_bruteforce,
@@ -408,43 +404,6 @@ class TestPackedBatch:
             ctc_log_likelihood(y, [[1], [2]], lengths=[2, 3])
         with pytest.raises(InfeasibleError):
             ctc_log_likelihood(y, [[1, 1], [2]], lengths=[2, 4])
-
-
-def test_alignment_cache_roundtrip(tmp_path):
-    records = {0: (12, np.array([2, 5, 9])), 3: (7, np.array([1, 6]))}
-    path = tmp_path / "align.cache"
-    save_alignment_cache(path, records)
-    loaded = load_alignment_cache(path)
-    assert set(loaded) == {0, 3}
-    for k in records:
-        assert loaded[k][0] == records[k][0]
-        np.testing.assert_array_equal(loaded[k][1], records[k][1])
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_truncated_alignment_cache(tmp_path_factory, data):
-    """The cache carries a record count, so every cut, including one that
-    falls between records, is a ValidationError naming the file."""
-    records = {0: (12, np.array([2, 5, 9])), 3: (7, np.array([1, 6])), 4: (9, np.array([4]))}
-    full = tmp_path_factory.mktemp("full") / "align.cache"
-    save_alignment_cache(full, records)
-    raw = full.read_bytes()
-    cut = data.draw(st.integers(0, len(raw) - 1))
-    path = tmp_path_factory.mktemp("cut") / "cut.cache"
-    path.write_bytes(raw[:cut])
-    with pytest.raises(ValidationError, match="cut.cache"):
-        load_alignment_cache(path)
-
-
-@pytest.mark.parametrize("damage", ["magic", "trailing"])
-def test_damaged_alignment_cache(tmp_path, damage):
-    path = tmp_path / "align.cache"
-    save_alignment_cache(path, {0: (12, np.array([2, 5, 9]))})
-    raw = path.read_bytes()
-    path.write_bytes(b"X" + raw[1:] if damage == "magic" else raw + b"\0")
-    with pytest.raises(ValidationError, match="align.cache"):
-        load_alignment_cache(path)
 
 
 def test_model_checkpoint_roundtrip(tmp_path):

@@ -1,6 +1,8 @@
 """CLI surface: subcommands, file outputs, and exit codes."""
 
+import argparse
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +10,9 @@ import pytest
 
 from tada import configline
 from tada import numerics as nx
-from tada.aligner import AlignerConfig, AlignerModel, load_alignment_cache
+from tada.aligner import AlignerConfig, AlignerModel
 from tada.backbone import BackboneConfig, BackboneModel
-from tada.cli import main
+from tada.cli import build_parser, main
 from tada.codec import CodecConfig, CodecModel
 from tada.config import Defaults, load_config
 from tada.errors import ValidationError
@@ -145,45 +147,47 @@ def test_training_flags_override_config_keys(tmp_path):
 
 def test_lm_train_four_bit_backbone_drops_wide_gaps(tmp_path, capsys):
     """A 2-step aligner leaves gaps wider than four duration bits hold;
-    align drops those alignments, so lm-train does not fail in gray_encode."""
+    align writes every record, and codec-train and lm-train drop those
+    alignments, so lm-train does not fail in gray_encode."""
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text(
         "backbone.bits=4\nbudget.aligner_steps=2\nbudget.base_lm_steps=2\nbudget.speaker_steps=2\n"
     )
-    corpus = ["--manifest", str(tmp_path / "m.txt"), "--arrays", str(tmp_path / "a.tada")]
-    cache, codec, lm = (str(tmp_path / name) for name in ("al.cache", "codec.tada", "lm.tada"))
+    arrays = ["--arrays", str(tmp_path / "a.tada")]
+    aligned, codec, lm = (str(tmp_path / name) for name in ("aligned.txt", "codec.tada", "lm.tada"))
     conf = ["--config", str(cfg_file)]
-    assert main(["--seed", "0", "gen-data", *corpus, "--utterances", "24"]) == 0
+    assert main(["--seed", "0", "gen-data", "--manifest", str(tmp_path / "m.txt"), *arrays, "--utterances", "24"]) == 0
+    assert main([*conf, "align", "--manifest", str(tmp_path / "m.txt"), *arrays, "--out", aligned]) == 0
+    assert len(Manifest.load(aligned).records) == 24
     capsys.readouterr()
-    assert main([*conf, "align", *corpus, "--out", cache]) == 0
+    assert main([*conf, "codec-train", "--manifest", aligned, *arrays, "--out", codec,
+                 "--steps", "2", "--stream-steps", "2"]) == 0
     out = capsys.readouterr().out
     assert "dropped" in out and "dropped 0 " not in out
-    assert main([*conf, "codec-train", *corpus, "--align-cache", cache, "--out", codec,
-                 "--steps", "2", "--stream-steps", "2"]) == 0
-    assert main([*conf, "lm-train", *corpus, "--codec", codec, "--align-cache", cache,
+    assert main([*conf, "lm-train", "--manifest", aligned, *arrays, "--codec", codec,
                  "--out", lm, "--steps", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == out.splitlines()[0]
 
 
 def test_cli_stages_match_train_full_stack(tmp_path, capsys):
     """align, codec-train and lm-train write the models train_full_stack
-    trains at the same seed and budget, the alignment cache holds exactly
-    the alignments it keeps, and synth and eval run on the checkpoints."""
+    trains at the same seed and budget, the aligned manifest holds exactly
+    the positions its align stage extracts, and synth and eval run on the
+    checkpoints."""
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text(
         "backbone.bits=4\nbudget.aligner_steps=2\nbudget.base_lm_steps=2\nbudget.speaker_steps=2\n"
     )
     m, a = str(tmp_path / "m.txt"), str(tmp_path / "a.tada")
-    corpus = ["--manifest", m, "--arrays", a]
-    cache, aligner, codec, base, lm = (
-        str(tmp_path / name) for name in ("al.cache", "aligner.tada", "codec.tada", "base.tada", "lm.tada")
+    aligned, aligner, codec, base, lm = (
+        str(tmp_path / name) for name in ("aligned.txt", "aligner.tada", "codec.tada", "base.tada", "lm.tada")
     )
+    corpus = ["--manifest", aligned, "--arrays", a]
     conf = ["--seed", "5", "--config", str(cfg_file)]
-    assert main(["--seed", "0", "gen-data", *corpus, "--utterances", "24"]) == 0
-    assert main([*conf, "align", *corpus, "--save-model", aligner, "--out", cache]) == 0
-    assert main([*conf, "codec-train", *corpus, "--align-cache", cache, "--out", codec,
-                 "--steps", "2", "--stream-steps", "2"]) == 0
-    assert main([*conf, "lm-train", *corpus, "--codec", codec, "--align-cache", cache,
-                 "--base-out", base, "--out", lm, "--steps", "2"]) == 0
+    assert main(["--seed", "0", "gen-data", "--manifest", m, "--arrays", a, "--utterances", "24"]) == 0
+    assert main([*conf, "align", "--manifest", m, "--arrays", a, "--save-model", aligner, "--out", aligned]) == 0
+    assert main([*conf, "codec-train", *corpus, "--out", codec, "--steps", "2", "--stream-steps", "2"]) == 0
+    assert main([*conf, "lm-train", *corpus, "--codec", codec, "--base-out", base, "--out", lm, "--steps", "2"]) == 0
 
     manifest, arrays = Manifest.load(m), nx.load_arrays(a)
     budget = TrainBudget(
@@ -209,16 +213,19 @@ def test_cli_stages_match_train_full_stack(tmp_path, capsys):
             assert ref[key].data.dtype == model.params[key].data.dtype == np.float32, (name, key)
             assert np.array_equal(model.params[key].data, ref[key].data), (name, key)
 
-    _, kept, dropped, _ = recipes.align_stage(manifest, arrays, stack.aligner.config, bits, budget, stack.aligner)
-    assert 0 < dropped == stack.dropped_alignments
-    written = load_alignment_cache(cache)
-    assert written.keys() == kept.keys()
-    assert all(np.array_equal(written[k][1], kept[k][1]) for k in kept)
+    _, extracted, _ = recipes.align_stage(manifest, arrays, stack.aligner.config, budget, stack.aligner)
+    written = Manifest.load(aligned)
+    assert written.config == manifest.config
+    assert [r.to_line() for r in written.records] == [r.to_line() for r in extracted.records]
+    assert 0 < recipes.filter_by_bits(written, bits)[1] == stack.dropped_alignments
 
+    # A 2-step aligner's positions fail prepare_prompt's run filter, so the
+    # prompts take the ground-truth manifest's.
+    truth = ["--manifest", m, "--arrays", a]
     prompt = str(manifest.records[0].utt_id)
-    assert main(["synth", "--lm", lm, "--codec", codec, *corpus, "--prompt", prompt, "--text", "3,7,9"]) == 0
+    assert main(["synth", "--lm", lm, "--codec", codec, *truth, "--prompt", prompt, "--text", "3,7,9"]) == 0
     capsys.readouterr()
-    assert main(["eval", *corpus, "--lm", lm, "--codec", codec, "--prompts", "2"]) == 0
+    assert main(["eval", *truth, "--lm", lm, "--codec", codec, "--prompts", "2"]) == 0
     out = capsys.readouterr().out
     assert "n_utterances=2" in out and "prefill_time=" in out
 
@@ -410,9 +417,14 @@ def test_graycheck_out_of_range_exit_code_2(capsys, b):
          "--nfm-list"),
         (["gen-data", "--manifest", "M", "--arrays", "A", "--utterances", "-3"], "--utterances"),
         (["gen-data", "--manifest", "M", "--arrays", "A", "--utterances", "0"], "--utterances"),
+        (["eval", "--manifest", "M", "--arrays", "A", "--lm", "L", "--codec", "C", "--prompts", "0"], "--prompts"),
+        (["eval", "--manifest", "M", "--arrays", "A", "--lm", "L", "--codec", "C", "--prompts", "-2"], "--prompts"),
+        (["bench", "--manifest", "M", "--arrays", "A", "--lm", "L", "--codec", "C", "--prompts", "0"], "--prompts"),
+        (["bench", "--manifest", "M", "--arrays", "A", "--lm", "L", "--codec", "C", "--runs", "0"], "--runs"),
     ],
     ids=["mask-word", "mask-zero", "steps-word", "steps-zero", "steps-negative", "nfm-zero", "nfm-empty",
-         "utterances-negative", "utterances-zero"],
+         "utterances-negative", "utterances-zero", "eval-prompts-zero", "eval-prompts-negative",
+         "bench-prompts-zero", "bench-runs-zero"],
 )
 def test_bad_integer_flag_exit_code_2(tmp_path, capsys, argv, says):
     """Integer flags take values >= 1; a bad one exits 2 with one error
@@ -424,3 +436,74 @@ def test_bad_integer_flag_exit_code_2(tmp_path, capsys, argv, says):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and says in err[0], err
     assert not any(Path(p).exists() for p in paths.values())
+
+
+@pytest.fixture(scope="module")
+def faulty_aligned_manifests(small_corpus, tmp_path_factory):
+    """The manifest ``align`` writes for the small corpus, and two copies
+    whose first record is short of a position or has one past its T."""
+    manifest, arrays = small_corpus
+    d = tmp_path_factory.mktemp("aligned")
+    cfg_file = d / "conf.txt"
+    cfg_file.write_text("budget.aligner_steps=0\n")
+    aligned = d / "aligned.txt"
+    assert main(["--config", str(cfg_file), "align", "--manifest", manifest, "--arrays", arrays,
+                 "--out", str(aligned)]) == 0
+    header, first, *rest = aligned.read_text().splitlines()
+    record = Manifest.load(aligned).records[0]
+    late = np.append(record.positions[:-1], record.T + 1)
+    faults = {
+        "short.txt": re.sub(r"p=\S+", "p=" + ",".join(map(str, record.positions[:-1])), first),
+        "late.txt": re.sub(r"p=\S+", "p=" + ",".join(map(str, late)), first),
+    }
+    files = {}
+    for name, line in faults.items():
+        files[name] = d / name
+        files[name].write_text("\n".join([header, line, *rest]) + "\n")
+    n = record.tokens.size
+    says = {"short.txt": f"line 2: {n} tokens but {n - 1} positions",
+            "late.txt": f"line 2: positions must increase strictly within 1..{record.T}"}
+    return files, says
+
+
+@pytest.mark.parametrize("fault", ["short.txt", "late.txt"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["codec-train", "--out", "never.tada", "--steps", "1", "--stream-steps", "1"],
+        ["lm-train", "--codec", "codec.tada", "--out", "never.tada", "--steps", "1"],
+        ["synth", "--lm", "lm.tada", "--codec", "codec.tada", "--prompt", "0", "--text", "1"],
+    ],
+    ids=["codec-train", "lm-train", "synth"],
+)
+def test_faulty_aligned_manifest_exit_code_2(small_corpus, wrong_kind_files, faulty_aligned_manifests, tmp_path,
+                                              capsys, argv, fault):
+    """An aligned manifest is checked like any manifest: a record short of
+    a position or with one past its T exits 2 naming the file and line."""
+    files, says = faulty_aligned_manifests
+    paths = {**wrong_kind_files, "never.tada": str(tmp_path / "never.tada")}
+    capsys.readouterr()
+    argv = [paths.get(a, a) for a in argv]
+    assert main([*argv, "--manifest", str(files[fault]), "--arrays", small_corpus[1]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == f"error: {files[fault]} {says[fault]}", err
+    assert not (tmp_path / "never.tada").exists()
+
+
+def test_readme_cli_lines_parse():
+    """Every ``tada ...`` line of README's sh blocks, its ``\\``
+    continuations joined and its ``[ ... ]`` options included, parses, and
+    the lines show every subcommand."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = [ln for block in blocks for ln in block.replace("\\\n", " ").splitlines() if ln.startswith("tada ")]
+    parser = build_parser()
+    shown = set()
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line.replace("[", " ").replace("]", " "))[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+        shown.add(args.command)
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert shown == set(sub.choices)

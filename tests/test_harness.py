@@ -309,7 +309,7 @@ def test_train_full_stack_logs_one_line_per_trainer_step(capsys):
 
 def _abort_corpus() -> list[dict]:
     manifest, arrays = gen_corpus(CFG, 3)
-    return recipes.codec_corpus(manifest, arrays, {r.utt_id: (r.T, r.positions) for r in manifest.records})
+    return recipes.codec_corpus(manifest, arrays)
 
 
 def _inf_frames(corpus: list[dict]) -> list[dict]:
@@ -409,7 +409,7 @@ def test_latent_stage_matches_per_utterance_encode():
         CodecConfig(d_frame=CFG.d_frame, vocab_size=CFG.vocab_size, samples_per_frame=CFG.samples_per_frame),
         np.random.default_rng(4),
     )
-    corpus = recipes.codec_corpus(manifest, arrays, {r.utt_id: (r.T, r.positions) for r in manifest.records})
+    corpus = recipes.codec_corpus(manifest, arrays)
     for utt in corpus:
         utt["frames"] = utt["frames"].astype(np.float64)
     budget = TrainBudget(seed=5)

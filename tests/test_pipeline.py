@@ -202,6 +202,15 @@ def test_gen_params_validation():
         GenParams(neg_mode="bogus")
 
 
+def test_gen_params_refuse_sfg_outside_slm_mode():
+    """TTS mode teacher-forces its text, so nothing reads the text-only
+    branch's logits: a speech-free guidance scale there would only add a
+    backbone row."""
+    with pytest.raises(ValidationError, match="sfg_scale .* needs mode 'slm'"):
+        GenParams(sfg_scale=0.5)
+    assert GenParams(mode="slm", sfg_scale=0.5).sfg_scale == 0.5
+
+
 class TestGenerate:
     def test_tts_requires_text(self, models):
         lm, codec, head = models
@@ -395,7 +404,7 @@ class TestGenerate:
             return real_step(ids, acoustic, has_ac, speech, cache, streams)
 
         monkeypatch.setattr(lm, "step", step)
-        out = generate(lm, codec, head, prompt, text, GenParams(n_fm=2, neg_mode="tfg", sfg_scale=0.5, seed=12))
+        out = generate(lm, codec, head, prompt, text, GenParams(n_fm=2, neg_mode="tfg", seed=12))
         np.testing.assert_array_equal(out.latents, latents)
         np.testing.assert_array_equal(out.f_before, f_before)
         item = SequenceBatchItem(
@@ -534,7 +543,7 @@ def test_checkpoint_models_compute_in_float32(tmp_path, models, monkeypatch):
 
     monkeypatch.setattr(nx.engine, "_make", make)
     prompt = make_prompt(codec, head, np.random.default_rng(30))
-    params = GenParams(n_fm=2, neg_mode="tfg", candidates=2, sfg_scale=0.5, seed=3)
+    params = GenParams(n_fm=2, neg_mode="tfg", candidates=2, seed=3)
     result = generate(lm, codec, head, prompt, np.array([1, 2, 3]), params)
     audio = stream_synthesize(result, codec)
     assert dtypes == {np.dtype(np.float32)}

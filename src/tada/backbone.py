@@ -22,7 +22,7 @@ import numpy as np
 
 from . import durbits, flowhead, nn
 from . import numerics as nx
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 from .numerics import Tensor
 
 
@@ -140,33 +140,45 @@ class BackboneModel:
 
     # -- fusion --------------------------------------------------------------
 
+    def _fusion_weights(self, ids: np.ndarray, has_ac: np.ndarray, speech: np.ndarray):
+        """Per-row (n, 1) weights of the acoustic projection and of the
+        placeholder, in the parameters' dtype. A token id outside
+        ``[0, n_text_ids)`` raises :class:`ValidationError`."""
+        bad = ids[(ids < 0) | (ids >= self.config.n_text_ids)]
+        if bad.size:
+            raise ValidationError(
+                f"BackboneModel: token ids {bad.tolist()} outside [0, {self.config.n_text_ids})"
+            )
+        dtype = nn.param_dtype(self.params)
+        real = (has_ac & speech).astype(dtype)[:, None]
+        placeholder = (~has_ac & speech).astype(dtype)[:, None]
+        return real, placeholder
+
     def _fuse_matrix(self, ids: np.ndarray, acoustic: np.ndarray, has_ac: np.ndarray, speech: np.ndarray) -> Tensor:
-        """Vectorized additive fusion over a whole context.
+        """Vectorized additive fusion over a whole context, taped.
 
         ``acoustic`` is (n, d_acoustic) with zero rows where absent,
         ``has_ac`` marks rows with a real acoustic slot, ``speech`` marks
         text-speech mode. Text-only rows get a zero acoustic term; speech
-        rows without a slot get the learned placeholder. A token id outside
-        ``[0, n_text_ids)`` raises :class:`ValidationError`.
+        rows without a slot get the learned placeholder.
         """
-        n = ids.size
-        d = self.config.d_model
-        try:
-            text = nx.embed(self.params["text_emb"], ids)
-        except ShapeError:  # the lookup checks the id range
-            bad = ids[(ids < 0) | (ids >= self.config.n_text_ids)]
-            raise ValidationError(
-                f"BackboneModel: token ids {bad.tolist()} outside [0, {self.config.n_text_ids})"
-            ) from None
+        ids = np.asarray(ids, dtype=np.int64)
+        real, placeholder = self._fusion_weights(ids, has_ac, speech)
+        text = nx.embed(self.params["text_emb"], ids)
         mode = nx.embed(self.params["mode_emb"], speech.astype(np.int64))
-        real = (has_ac & speech).astype(float)[:, None]
-        placeholder = (~has_ac & speech).astype(float)[:, None]
-        ac_term = nx.mul(
-            nn.linear(self.params, "ac_proj", nn.input_tensor(self.params, acoustic)),
-            nn.input_tensor(self.params, np.broadcast_to(real, (n, d))),
-        )
+        ac_proj = nn.linear(self.params, "ac_proj", nn.input_tensor(self.params, acoustic))
+        ac_term = nx.mul(ac_proj, nn.input_tensor(self.params, np.broadcast_to(real, ac_proj.shape)))
         ph_term = nx.matmul(nn.input_tensor(self.params, placeholder), self.params["bos_ac"])
         return text + ac_term + ph_term + mode
+
+    def _fuse_rows(self, ids: np.ndarray, acoustic: np.ndarray, has_ac: np.ndarray, speech: np.ndarray) -> np.ndarray:
+        """:meth:`_fuse_matrix` on the parameters' arrays, untaped."""
+        ids = np.asarray(ids, dtype=np.int64)
+        real, placeholder = self._fusion_weights(ids, has_ac, speech)
+        p = self.params
+        ac_term = nn.linear(p, "ac_proj", np.ascontiguousarray(acoustic, dtype=real.dtype)) * real
+        mode = p["mode_emb"].data[speech.astype(np.int64)]
+        return p["text_emb"].data[ids] + ac_term + placeholder @ p["bos_ac"].data + mode
 
     # -- forward -------------------------------------------------------------
 
@@ -226,10 +238,9 @@ class BackboneModel:
         mask = (np.concatenate([cache.streams, streams]) == streams[:, None]) & (
             np.concatenate([cache.positions, positions]) <= positions[:, None]
         )
-        with nx.no_grad():
-            x = self._fuse_matrix(ids, acoustic, has_ac, speech)
-            h = nn.stack_step(self.params, "tf", x, positions, cache, self.tf, mask, streams)
-            logits, cond = nn.linear(self.params, "lm_head", h).data, nn.linear(self.params, "cond_head", h).data
+        x = self._fuse_rows(ids, acoustic, has_ac, speech)
+        h = nn.stack_step(self.params, "tf", x, positions, cache, self.tf, mask, streams)
+        logits, cond = nn.linear(self.params, "lm_head", h), nn.linear(self.params, "cond_head", h)
         return [BackboneOutput(text_logits=lg, cond=c) for lg, c in zip(logits, cond)]
 
     def save(self, path) -> None:

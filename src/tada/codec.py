@@ -120,12 +120,15 @@ def latent_dropout(s: Tensor, rate: float, seed, lengths=None) -> Tensor:
     return nx.mul(s, nx.tensor(keep, dtype=s.dtype.type))
 
 
-def scatter_latents(s: Tensor, p: np.ndarray, T: int) -> Tensor:
-    """Sparse sequence with s_i at row p_i (1-based) and zeros elsewhere."""
+def scatter_latents(s, p: np.ndarray, T: int):
+    """Sparse sequence with s_i at row p_i (1-based) and zeros elsewhere:
+    taped for a Tensor ``s``, an ndarray for an ndarray."""
     p = np.asarray(p, dtype=np.int64)
     if p.size and (p.min() < 1 or p.max() > T):
         raise ValidationError(f"scatter_latents: positions outside [1, {T}]")
-    return nx.scatter_rows(s, p - 1, T)
+    if isinstance(s, Tensor):
+        return nx.scatter_rows(s, p - 1, T)
+    return nx.kernels.scatter_rows(s, p - 1, T)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +315,15 @@ class CodecModel:
 
     # -- decoders ----------------------------------------------------------
 
-    def _decoder_input(self, dec: str, s: Tensor, p: np.ndarray, T: int) -> Tensor:
+    def _decoder_input(self, dec: str, s, p: np.ndarray, T: int):
         """Decoder input rows: projected latents at the aligned frames plus
-        the indicator embedding."""
+        the indicator embedding; taped for a Tensor ``s``, an ndarray for an
+        ndarray."""
         z = scatter_latents(s, p, T)
         ind = masks.indicator(p, T)
-        return nn.linear(self.params, f"{dec}/z_proj", z) + nx.embed(self.params[f"{dec}/indicator"], ind)
+        table = self.params[f"{dec}/indicator"]
+        rows = nx.embed(table, ind) if isinstance(z, Tensor) else table.data[ind]
+        return nn.linear(self.params, f"{dec}/z_proj", z) + rows
 
     def decode(self, s, p: np.ndarray, T: int, mode: str = "joint", lengths=None) -> DecodedFrames:
         """Reconstruct (T, d_frame) features and (T, r) signal from latents.
@@ -355,18 +361,15 @@ class CodecModel:
         """
         p = np.asarray(p, dtype=np.int64)
         window = masks.decoder_stream_mask(p, T)
-        with nx.no_grad():
-            s = nn.input_tensor(self.params, s.data if isinstance(s, Tensor) else s)
-            x_all = self._decoder_input("dec_stream", s, p, T).data
-            cache = nn.StackCache(self.tf)
-            for lo, hi in masks.segment_bounds(p, T):
-                cache.keep(window[lo, cache.positions])
-                rows = np.arange(lo, hi)
-                mask = window[lo:hi][:, np.concatenate([cache.positions, rows])]
-                h = nn.stack_step(self.params, "dec_stream/tf", Tensor(x_all[lo:hi]), rows, cache, self.tf, mask)
-                feats = nn.linear(self.params, "dec_stream/feat", h)
-                sig = nn.linear(self.params, "dec_stream/sig", h)
-                yield lo, hi, np.asarray(feats.data), np.asarray(sig.data)
+        s = np.asarray(s.data if isinstance(s, Tensor) else s, dtype=nn.param_dtype(self.params))
+        x_all = self._decoder_input("dec_stream", s, p, T)
+        cache = nn.StackCache(self.tf)
+        for lo, hi in masks.segment_bounds(p, T):
+            cache.keep(window[lo, cache.positions])
+            rows = np.arange(lo, hi)
+            mask = window[lo:hi][:, np.concatenate([cache.positions, rows])]
+            h = nn.stack_step(self.params, "dec_stream/tf", x_all[lo:hi], rows, cache, self.tf, mask)
+            yield lo, hi, nn.linear(self.params, "dec_stream/feat", h), nn.linear(self.params, "dec_stream/sig", h)
 
     def decode_streaming_full(self, s, p: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
         """Streaming decode collected into full (T, d_frame) and (T, r) arrays."""

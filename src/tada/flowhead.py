@@ -98,10 +98,11 @@ class VectorFieldModel:
         x = nx.concat([y_t, temb, cond], axis=1)
         return self._hidden(nn.linear(self.params, f"{self.prefix}/fc0", x))
 
-    def _hidden(self, h: Tensor) -> Tensor:
-        """The layers after the first, from the first layer's pre-activation."""
+    def _hidden(self, h):
+        """The layers after the first, from the first layer's pre-activation
+        (a Tensor or an ndarray, as :func:`nn.linear` takes)."""
         for i in range(1, self.n_layers):
-            h = nn.linear(self.params, f"{self.prefix}/fc{i}", nx.gelu(h))
+            h = nn.linear(self.params, f"{self.prefix}/fc{i}", nn.gelu(h))
         return h
 
     def _first_layer_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,7 +123,8 @@ class VectorFieldModel:
         return cond @ self._first_layer_blocks()[2] + self.params[f"{self.prefix}/fc0/b"].data
 
     def field_np(self, y: np.ndarray, t: float, cond_rows: np.ndarray) -> np.ndarray:
-        """Untaped field at scalar time t, given :meth:`cond_rows` of the condition.
+        """The field on arrays at scalar time t, given :meth:`cond_rows` of
+        the condition; it records no tape.
 
         ``cond_rows`` holds one row per row of ``y`` (or a single row for all).
         Equals :meth:`field` up to the summation order of the first layer.
@@ -132,8 +134,7 @@ class VectorFieldModel:
             raise ValidationError(f"field_np: {cond_rows.shape[0]} condition rows for {y.shape[0]} points")
         w_y, w_t, _ = self._first_layer_blocks()
         temb = time_embedding(t, self.config.d_time, y.dtype.type)
-        with nx.no_grad():
-            return self._hidden(Tensor(y @ w_y + temb @ w_t + cond_rows)).data
+        return self._hidden(y @ w_y + temb @ w_t + cond_rows)
 
 
 def interpolate(y1, y0, t, sigma_min: float) -> np.ndarray:

@@ -33,7 +33,7 @@ from ..codec import CodecConfig, CodecModel, pack_utterances, reparameterize, tr
 from ..durbits import durations_from_positions
 from ..errors import ValidationError
 from ..pipeline import Prompt, SpeakerHead, prepare_prompt, train_speaker_head
-from .corpus import Manifest, TemplateBank, utterance_arrays
+from .corpus import Manifest, TemplateBank, UttRecord, utterance_arrays
 
 
 @dataclass
@@ -148,11 +148,26 @@ def align_stage(
     return aligner, replace(manifest, records=records), accuracy
 
 
+def _record_arrays(rec: UttRecord, arrays: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The frames and signal of a manifest record's utterance.
+
+    Raises :class:`ValidationError` naming the utterance when the record's
+    ``T`` is not its frame count: its positions were checked against ``T``.
+    """
+    frames, signal = utterance_arrays(arrays, rec.utt_id)
+    if frames.shape[0] != rec.T:
+        raise ValidationError(
+            f"utterance {rec.utt_id}: the manifest says T={rec.T}, the arrays hold {frames.shape[0]} frames"
+        )
+    return frames, signal
+
+
 def codec_corpus(manifest: Manifest, arrays: dict) -> list[dict]:
-    """One float32 training utterance per record, in manifest order."""
+    """One float32 training utterance per record, in manifest order; a
+    record whose ``T`` is not its frame count raises (:func:`_record_arrays`)."""
     corpus = []
     for rec in manifest.records:
-        frames, signal = utterance_arrays(arrays, rec.utt_id)
+        frames, signal = _record_arrays(rec, arrays)
         corpus.append(
             {
                 "speaker": rec.speaker,
@@ -306,7 +321,8 @@ def build_prompts(
 
     Positions come from ``aligner`` if one is given, otherwise from the
     manifest, which may be one that ``align`` wrote. An id the manifest does
-    not hold raises ``ValidationError``.
+    not hold, or whose record's ``T`` is not its frame count, raises
+    ``ValidationError``.
     """
     by_id = {rec.utt_id: rec for rec in manifest.records}
     prompts = []
@@ -315,7 +331,7 @@ def build_prompts(
         if rec is None:
             raise ValidationError(f"unknown prompt utterance id {utt_id}")
         positions = rec.positions if aligner is None else None
-        frames, _ = utterance_arrays(arrays, utt_id)
+        frames, _ = _record_arrays(rec, arrays)
         prompt = prepare_prompt(frames, rec.tokens, aligner, codec, head, positions=positions)
         prompt.speaker = rec.speaker
         prompts.append(prompt)

@@ -6,6 +6,13 @@ names so a whole model round-trips through the checkpoint container
 unchanged. A model computes in the dtype of its parameters: the tensors it
 builds from numpy inputs take that dtype (:func:`input_tensor`), whatever
 the ambient ``nx.precision``.
+
+The layers (:func:`linear`, :func:`ln`, :func:`gelu`, :func:`mlp`,
+:func:`attention`, :func:`block`) take either input. A ``Tensor`` runs the
+engine's taped primitives, as training and :func:`stack` do. An ndarray
+runs the same formulas as array kernels (``nx.kernels``) on the
+parameters' arrays and returns an ndarray, recording nothing, as
+:func:`stack_step` and the rest of inference do.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 from . import configline
 from . import numerics as nx
 from .errors import ValidationError
-from .numerics import Tensor
+from .numerics import Tensor, kernels
 
 
 @dataclass
@@ -52,8 +59,11 @@ def init_linear(params: dict, name: str, rng: np.random.Generator, d_in: int, d_
     params[f"{name}/b"] = nx.zeros((d_out,), requires_grad=True)
 
 
-def linear(params: dict, name: str, x: Tensor) -> Tensor:
-    return nx.linear(x, params[f"{name}/w"], params[f"{name}/b"])
+def linear(params: dict, name: str, x):
+    w, b = params[f"{name}/w"], params[f"{name}/b"]
+    if isinstance(x, Tensor):
+        return nx.linear(x, w, b)
+    return kernels.linear(x, w.data, b.data)
 
 
 def param_dtype(params: dict) -> type:
@@ -71,8 +81,15 @@ def init_ln(params: dict, name: str, d: int) -> None:
     params[f"{name}/b"] = nx.zeros((d,), requires_grad=True)
 
 
-def ln(params: dict, name: str, x: Tensor) -> Tensor:
-    return nx.layer_norm(x, params[f"{name}/g"], params[f"{name}/b"])
+def ln(params: dict, name: str, x):
+    g, b = params[f"{name}/g"], params[f"{name}/b"]
+    if isinstance(x, Tensor):
+        return nx.layer_norm(x, g, b)
+    return kernels.layer_norm(x, g.data, b.data)[0]
+
+
+def gelu(x):
+    return nx.gelu(x) if isinstance(x, Tensor) else kernels.gelu(x)[0]
 
 
 def init_embedding(params: dict, name: str, rng: np.random.Generator, rows: int, d: int, std: float = 0.02) -> None:
@@ -84,12 +101,12 @@ def init_mlp(params: dict, prefix: str, rng: np.random.Generator, dims: list[int
         init_linear(params, f"{prefix}/fc{i}", rng, dims[i], dims[i + 1], std=std)
 
 
-def mlp(params: dict, prefix: str, x: Tensor, n_layers: int) -> Tensor:
+def mlp(params: dict, prefix: str, x, n_layers: int):
     """Stack of linear layers with GELU between them (none after the last)."""
     for i in range(n_layers):
         x = linear(params, f"{prefix}/fc{i}", x)
         if i < n_layers - 1:
-            x = nx.gelu(x)
+            x = gelu(x)
     return x
 
 
@@ -138,41 +155,53 @@ def init_stack(params: dict, prefix: str, rng: np.random.Generator, cfg: Transfo
 def attention(
     params: dict,
     prefix: str,
-    x: Tensor,
+    x,
     mask,
     cfg: TransformerConfig,
     positions: np.ndarray,
     cache: LayerCache | None = None,
-) -> Tensor:
+):
     """Multi-head attention of the rows of ``x`` at ``positions``.
 
     Without ``cache`` the rows attend to each other: ``mask`` is (T, T), or
     a list of per-sequence (L_i, L_i) masks when the rows are a packed run
-    of sequences (see :func:`stack`). With ``cache`` they attend to the
-    cached rows followed by themselves, ``mask`` has one column per such
-    row, and their rotated keys and their values are appended to the cache.
+    of sequences (see :func:`stack`). With ``cache`` (ndarray rows only)
+    they attend to the cached rows followed by themselves, ``mask`` has one
+    column per such row, and their rotated keys and their values are
+    appended to the cache.
     """
-    q = nx.split_heads(linear(params, f"{prefix}/wq", x), cfg.n_heads, positions, cfg.rope_base)
-    k = nx.split_heads(linear(params, f"{prefix}/wk", x), cfg.n_heads, positions, cfg.rope_base)
-    v = nx.split_heads(linear(params, f"{prefix}/wv", x), cfg.n_heads)
+    q = _heads(linear(params, f"{prefix}/wq", x), cfg, positions)
+    k = _heads(linear(params, f"{prefix}/wk", x), cfg, positions)
+    v = _heads(linear(params, f"{prefix}/wv", x), cfg)
     if cache is not None:
         k, v = cache.extend(k, v)
-    return linear(params, f"{prefix}/wo", nx.attention_heads(q, k, v, mask))
+    if isinstance(q, Tensor):
+        heads = nx.attention_heads(q, k, v, mask)
+    else:
+        heads = kernels.attention_heads(q, k, v, mask)[0]
+    return linear(params, f"{prefix}/wo", heads)
+
+
+def _heads(x, cfg: TransformerConfig, positions: np.ndarray | None = None):
+    """(H, T, hd) heads of ``x``, rotated by ``positions`` when given."""
+    if isinstance(x, Tensor):
+        return nx.split_heads(x, cfg.n_heads, positions, cfg.rope_base)
+    return kernels.split_heads(x, cfg.n_heads, positions, cfg.rope_base)[0]
 
 
 def block(
     params: dict,
     prefix: str,
-    x: Tensor,
+    x,
     mask,
     cfg: TransformerConfig,
     positions: np.ndarray,
     cache: LayerCache | None = None,
-) -> Tensor:
-    """One pre-norm transformer layer; ``mask`` as in :func:`attention`."""
+):
+    """One pre-norm transformer layer; ``mask`` and ``cache`` as in :func:`attention`."""
     x = x + attention(params, prefix, ln(params, f"{prefix}/ln1", x), mask, cfg, positions, cache)
     h = linear(params, f"{prefix}/ff1", ln(params, f"{prefix}/ln2", x))
-    return x + linear(params, f"{prefix}/ff2", nx.gelu(h))
+    return x + linear(params, f"{prefix}/ff2", gelu(h))
 
 
 def sequence_positions(lengths) -> np.ndarray:
@@ -234,11 +263,11 @@ class LayerCache:
         self.keys = np.zeros(shape)
         self.values = np.zeros(shape)
 
-    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Append new rows; return all cached keys and values."""
-        self.keys = np.concatenate([self.keys, k.data], axis=1, dtype=k.dtype)
-        self.values = np.concatenate([self.values, v.data], axis=1, dtype=v.dtype)
-        return Tensor(self.keys), Tensor(self.values)
+        self.keys = np.concatenate([self.keys, k], axis=1, dtype=k.dtype)
+        self.values = np.concatenate([self.values, v], axis=1, dtype=v.dtype)
+        return self.keys, self.values
 
     def keep(self, rows: np.ndarray) -> None:
         self.keys = self.keys[:, rows]
@@ -273,15 +302,15 @@ class StackCache:
 def stack_step(
     params: dict,
     prefix: str,
-    x_new: Tensor,
+    x_new: np.ndarray,
     new_positions: np.ndarray,
     cache: StackCache,
     cfg: TransformerConfig,
     mask: np.ndarray,
     streams: np.ndarray | None = None,
-) -> Tensor:
+) -> np.ndarray:
     """The cached twin of :func:`stack`: append ``x_new`` rows to the cache
-    and return their outputs.
+    and return their outputs, on arrays through the kernels.
 
     ``mask`` is (n_new, len(cache) + n_new): row r of it says which cached
     entries, then which new rows, new row r attends to. Excluded entries
@@ -292,13 +321,12 @@ def stack_step(
     if mask.shape != (n_new, len(cache) + n_new):
         raise ValueError(f"mask shape {mask.shape} does not match {n_new} new rows after {len(cache)} cached")
     new_streams = np.zeros(n_new, dtype=np.int64) if streams is None else np.asarray(streams)
-    with nx.no_grad():
-        x = x_new
-        for i, layer in enumerate(cache.layers):
-            x = block(params, f"{prefix}/layer{i}", x, mask, cfg, new_positions, layer)
-        cache.positions = np.concatenate([cache.positions, new_positions])
-        cache.streams = np.concatenate([cache.streams, new_streams])
-        return ln(params, f"{prefix}/ln_out", x)
+    x = x_new
+    for i, layer in enumerate(cache.layers):
+        x = block(params, f"{prefix}/layer{i}", x, mask, cfg, new_positions, layer)
+    cache.positions = np.concatenate([cache.positions, new_positions])
+    cache.streams = np.concatenate([cache.streams, new_streams])
+    return ln(params, f"{prefix}/ln_out", x)
 
 
 def save_params(path, params: dict, config) -> None:

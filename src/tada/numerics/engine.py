@@ -3,7 +3,10 @@
 Tensors wrap row-major numpy arrays. Every differentiable primitive records
 its inputs and a backward closure on the output tensor; ``backward`` on a
 scalar loss traces the graph into a :class:`ComputationTape` and walks it
-once in reverse topological order.
+once in reverse topological order. The forward formulas that inference also
+runs (``linear``, ``gelu``, ``layer_norm``, ``scatter_rows``,
+``split_heads``, ``attention_heads``) live in :mod:`.kernels`; the
+primitives of the same name here call them and add the backward.
 
 Precision is controlled by a context-local default dtype: float64 for tests
 and oracle checks, float32 for training runs. The default picks only the
@@ -30,7 +33,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import ShapeError, ValidationError
+from ..errors import ShapeError
+from . import kernels
 
 _DEFAULT_DTYPE: contextvars.ContextVar[type] = contextvars.ContextVar(
     "tada_default_dtype", default=np.float64
@@ -338,13 +342,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Forward and gradients are bit-identical to :func:`matmul` followed by
     :func:`add`.
     """
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise ShapeError("linear", f"x {x.shape}, w {w.shape}, b {b.shape} do not form x @ w + b")
-    out = x.data @ w.data
-    if out.dtype == b.dtype:
-        out += b.data
-    else:
-        out = out + b.data
+    out = kernels.linear(x.data, w.data, b.data)
 
     def backward(g):
         if b.requires_grad:
@@ -420,26 +418,13 @@ def tanh(a: Tensor) -> Tensor:
     return _make("tanh", out, (a,), backward)
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-
-
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh form)."""
     x = a.data
-    # tanh(c * (x + 0.044715 * x**3)), formed in place; x**3 would go through
-    # libm pow. Every step keeps the operand order of the plain formula.
-    t = x * x
-    t *= x
-    t *= 0.044715
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = t + 1.0
-    out *= 0.5
-    out *= x
+    out, t = kernels.gelu(x)
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
+        dinner = kernels.GELU_C * (1.0 + 3 * 0.044715 * x * x)
         dt = (1.0 - t * t) * dinner
         _accum(a, g * (0.5 * (1.0 + t) + 0.5 * x * dt))
 
@@ -531,12 +516,7 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 def scatter_rows(rows: Tensor, idx: np.ndarray, length: int) -> Tensor:
     """Place ``rows[i]`` at row ``idx[i]`` of a zero (length, d) array."""
     idx = np.asarray(idx, dtype=np.int64)
-    if len(np.unique(idx)) != len(idx):
-        raise ValidationError("scatter_rows: duplicate target positions")
-    if idx.size and (idx.min() < 0 or idx.max() >= length):
-        raise ShapeError("scatter_rows", f"index out of range for length {length}")
-    out = np.zeros((length,) + rows.shape[1:], dtype=rows.dtype)
-    out[idx] = rows.data
+    out = kernels.scatter_rows(rows.data, idx, length)
 
     def backward(g):
         _accum(rows, g[idx])
@@ -564,16 +544,8 @@ def embed(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    out, xhat, inv = kernels.layer_norm(x.data, gain.data, bias.data, eps)
     d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError("layer_norm", f"gain/bias must be ({d},), got {gain.shape} and {bias.shape}")
-    # sum / d is bit-identical to ndarray.mean and skips numpy's slow _mean wrapper.
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
 
     def backward(g):
         _accum(bias, g.reshape(-1, d).sum(axis=0))
@@ -640,77 +612,16 @@ def log_softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Te
     return _make("log_softmax", out, (x,), backward)
 
 
-class _RopeTable:
-    """Rotary cos and sin rows for one ``(d, base, dtype)``.
-
-    Row p is computed for position p, bit-equal to computing it for p
-    alone; the table grows by doubling to cover the largest position asked
-    for. The rows last asked for are kept, because the q and k of every
-    layer of a forward ask for the same positions in turn.
-    """
-
-    def __init__(self, d: int, base: float, dtype):
-        self.freqs = base ** (-np.arange(d // 2, dtype=np.float64) * 2.0 / d)
-        self.dtype = dtype
-        self.cos = self.sin = np.zeros((0, d // 2), dtype=dtype)
-        self.last: tuple = (None, None)
-
-    def rows(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raw = positions.tobytes()
-        if self.last[0] == raw:
-            return self.last[1]
-        if positions.size and positions.min() < 0:
-            raise ShapeError("rope", "positions must be >= 0")
-        need = int(positions.max()) + 1 if positions.size else 0
-        if self.cos.shape[0] < need:
-            ang = np.arange(max(need, 2 * self.cos.shape[0], 64), dtype=np.float64)[:, None] * self.freqs
-            self.cos, self.sin = np.cos(ang).astype(self.dtype), np.sin(ang).astype(self.dtype)
-        hit = (self.cos[positions], self.sin[positions])
-        self.last = (raw, hit)
-        return hit
-
-
-_ROPE_TABLES: dict[tuple, _RopeTable] = {}
-
-
-def _rope_angles(d: int, positions: np.ndarray, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``positions`` of the cos and sin tables for width ``d``."""
-    key = (d, base, dtype)
-    table = _ROPE_TABLES.get(key)
-    if table is None:
-        table = _ROPE_TABLES[key] = _RopeTable(d, base, dtype)
-    return table.rows(np.asarray(positions, dtype=np.int64))
-
-
 def split_heads(x: Tensor, n_heads: int, positions: np.ndarray | None = None, base: float = 10000.0) -> Tensor:
-    """Split (T, H * hd) columns into (H, T, hd) heads.
-
-    With ``positions``, every head is also rotated by rotary positions:
-    each consecutive (even, odd) coordinate pair of row t turns by the
-    angles of ``positions[t]``. The backward pass is the inverse rotation.
-    """
-    if x.ndim != 2 or n_heads < 1 or x.shape[1] % n_heads != 0:
-        raise ShapeError("split_heads", f"cannot split {x.shape} into {n_heads} heads")
+    """Split (T, H * hd) columns into (H, T, hd) heads, rotated by rotary
+    ``positions`` when given (:func:`kernels.split_heads`). The backward
+    pass is the inverse rotation."""
+    out, rot = kernels.split_heads(x.data, n_heads, positions, base)
     T, d = x.shape
-    hd = d // n_heads
-    heads = x.data.reshape(T, n_heads, hd).transpose(1, 0, 2)
-    if positions is None:
-        out = np.ascontiguousarray(heads)
-    else:
-        positions = np.asarray(positions)
-        if hd % 2 != 0 or positions.shape != (T,):
-            raise ShapeError(
-                "split_heads", f"rotary needs an even head width and ({T},) positions, "
-                f"got width {hd} and positions {positions.shape}"
-            )
-        cos, sin = _rope_angles(hd, positions, base, x.dtype)
-        xe, xo = heads[..., 0::2], heads[..., 1::2]
-        out = np.empty((n_heads, T, hd), dtype=x.dtype)
-        out[..., 0::2] = xe * cos - xo * sin
-        out[..., 1::2] = xe * sin + xo * cos
 
     def backward(g):
-        if positions is not None:
+        if rot is not None:
+            cos, sin = rot
             ge, go = g[..., 0::2], g[..., 1::2]
             g = np.empty_like(g)
             g[..., 0::2] = ge * cos + go * sin
@@ -721,50 +632,11 @@ def split_heads(x: Tensor, n_heads: int, positions: np.ndarray | None = None, ba
 
 
 def attention_heads(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
-    """Scaled dot-product attention of all heads at once, heads merged.
-
-    ``q`` is (H, Tq, hd) and ``k`` and ``v`` are (H, Tk, hd). ``mask`` is
-    one (Tq, Tk) mask that applies to every head, or, for a packed run, a
-    list of per-sequence masks: the rows of ``q`` and of ``k`` are then
-    consecutive sequences, and mask i, of shape (Lq_i, Lk_i), is sequence
-    i's own block. Only those blocks are scored, so no (Tq, Tk) array is
-    formed and no row can attend outside its own sequence. One mask is a
-    run of one sequence. Weights are the masked softmax of the scaled
-    scores, so excluded keys and values never reach the output. The result
-    is (Tq, H * hd), head-major along the columns.
-    """
-    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or k.shape != v.shape or q.shape[::2] != k.shape[::2]:
-        raise ShapeError(
-            "attention_heads", f"q {q.shape}, k {k.shape}, v {v.shape} are not (H, T, hd) alike"
-        )
+    """Scaled dot-product attention of all heads at once, heads merged to
+    (Tq, H * hd); ``mask`` as in :func:`kernels.attention_heads`."""
+    out, blocks, weights, kts = kernels.attention_heads(q.data, k.data, v.data, mask)
     H, Tq, hd = q.shape
-    packed = isinstance(mask, list)
-    masks = [np.asarray(m, dtype=bool) for m in mask] if packed else [np.asarray(mask, dtype=bool)]
-    blocks, r0, c0 = [], 0, 0  # (mask, its rows, its keys)
-    for m in masks:
-        r1, c1 = r0 + m.shape[0], c0 + m.shape[-1]
-        blocks.append((m, slice(r0, r1), slice(c0, c1)))
-        r0, c0 = r1, c1
-    if any(m.ndim != 2 for m in masks) or (r0, c0) != (Tq, k.shape[1]):
-        shapes = [m.shape for m in masks] if packed else masks[0].shape
-        raise ShapeError("attention_heads", f"mask shape {shapes} != ({Tq}, {k.shape[1]})")
-    if not all(m.any(axis=-1).all() for m in masks):
-        raise ShapeError("attention_heads", "a normalization slice has no included positions")
     c = 1.0 / math.sqrt(hd)
-    weights, kts, outs = [], [], []
-    for m, r, s in blocks:
-        # Operand layouts follow the per-head matmul/transpose2d chain, so
-        # every product is bit-identical to it.
-        kt = np.ascontiguousarray(k.data[:, s].transpose(0, 2, 1))
-        scores = (q.data[:, r] @ kt) * c
-        mx = np.where(m, scores, -np.inf).max(axis=-1, keepdims=True)
-        e = np.exp(np.where(m, scores - mx, 0.0)) * m
-        w = e / e.sum(axis=-1, keepdims=True)
-        outs.append(w @ v.data[:, s])
-        weights.append(w)
-        kts.append(kt)
-    out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
-    out = out.transpose(1, 0, 2).reshape(Tq, H * hd)
 
     def backward(g):
         g = g.reshape(Tq, H, hd).transpose(1, 0, 2)

@@ -56,12 +56,13 @@ class SpeakerHead:
         self.params = params
         self.n_layers = sum(k.endswith("/w") for k in params)
 
-    def embed_t(self, s: Tensor) -> Tensor:
+    def embed_t(self, s):
+        """Embeddings of latent rows: taped for a Tensor, an ndarray for an ndarray."""
         return nn.mlp(self.params, self.prefix, s, self.n_layers)
 
     def embed(self, s: np.ndarray) -> np.ndarray:
-        with nx.no_grad():
-            return np.asarray(self.embed_t(nn.input_tensor(self.params, np.atleast_2d(s))).data)
+        """Embeddings of one latent or of rows of them, in the parameters' dtype."""
+        return self.embed_t(np.ascontiguousarray(np.atleast_2d(s), dtype=nn.param_dtype(self.params)))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from tada.errors import ShapeError
-from tada.numerics.engine import Tensor, _accum, _make, _rope_angles
+from tada.numerics.engine import Tensor, _accum, _make
+from tada.numerics.kernels import _rope_angles
 
 
 def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:

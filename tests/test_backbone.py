@@ -518,16 +518,16 @@ class TestPacking:
         )
 
     def test_packed_steps_keep_one_rotary_table(self, monkeypatch):
-        from tada.numerics import engine
+        from tada.numerics import kernels
 
-        monkeypatch.setattr(engine, "_ROPE_TABLES", {})
+        monkeypatch.setattr(kernels, "_ROPE_TABLES", {})
         model = tiny_model(seed=61)
         rng = np.random.default_rng(62)
         for seed in range(3):
             batch = [random_item(rng, L=int(L)) for L in rng.integers(1, 9, size=6)]
             train_step(model, batch, None, seed=seed, dropout_rate=0.3)
         hd = TINY.d_model // TINY.n_heads
-        assert list(engine._ROPE_TABLES) == [(hd, model.tf.rope_base, np.dtype(np.float64))]
+        assert list(kernels._ROPE_TABLES) == [(hd, model.tf.rope_base, np.dtype(np.float64))]
 
     def test_base_lm_loss_matches_per_sequence_reference(self):
         model = tiny_model(seed=59)

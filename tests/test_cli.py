@@ -490,6 +490,37 @@ def test_faulty_aligned_manifest_exit_code_2(small_corpus, wrong_kind_files, fau
     assert not (tmp_path / "never.tada").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["codec-train", "--out", "never.tada", "--steps", "1", "--stream-steps", "1"],
+        ["synth", "--lm", "lm.tada", "--codec", "codec.tada", "--prompt", "0", "--text", "1", "--out", "never.tada"],
+    ],
+    ids=["codec-train", "synth"],
+)
+def test_record_t_past_its_frames_exit_code_2(wrong_kind_files, tmp_path, capsys, argv):
+    """A record whose T is 5 past its utterance's frames, its last position
+    2 past them, passes ``Manifest.load``; ``codec-train`` and ``synth``
+    refuse it, naming the utterance, before they write anything."""
+    manifest, arrays = str(tmp_path / "m.txt"), str(tmp_path / "a.tada")
+    assert main(["--seed", "0", "gen-data", "--manifest", manifest, "--arrays", arrays, "--utterances", "8"]) == 0
+    header, first, *rest = Path(manifest).read_text().splitlines()
+    record = Manifest.load(manifest).records[0]
+    frames = record.T
+    positions = np.append(record.positions[:-1], frames + 2)
+    line = re.sub(r"p=\S+", "p=" + ",".join(map(str, positions)), re.sub(r"T=\d+", f"T={frames + 5}", first))
+    faulty = tmp_path / "faulty.txt"
+    faulty.write_text("\n".join([header, line, *rest]) + "\n")
+    assert Manifest.load(faulty).records[0].T == frames + 5
+    paths = {**wrong_kind_files, "never.tada": str(tmp_path / "never.tada")}
+    capsys.readouterr()
+    assert main([*(paths.get(a, a) for a in argv), "--manifest", str(faulty), "--arrays", arrays]) == 2
+    err = capsys.readouterr().err.splitlines()
+    says = f"error: utterance {record.utt_id}: the manifest says T={frames + 5}, the arrays hold {frames} frames"
+    assert err == [says]
+    assert not (tmp_path / "never.tada").exists()
+
+
 def test_readme_cli_lines_parse():
     """Every ``tada ...`` line of README's sh blocks, its ``\\``
     continuations joined and its ``[ ... ]`` options included, parses, and

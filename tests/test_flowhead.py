@@ -243,6 +243,19 @@ class TestEulerSampling:
         with pytest.raises(NumericalAbort, match="Euler step 0"):
             euler_sample(bad, SMALL, N_STEPS, CFG_SCALE, seed=20)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_state_aborts(self):
+        """A finite field whose guided extrapolation overflows leaves a
+        non-finite state, and the sampler aborts at that step."""
+
+        def overflowing(y, t):
+            v = np.zeros_like(y)
+            v[: len(y) // 2] = 1e308  # the positive branch; the negative one stays 0
+            return v
+
+        with pytest.raises(NumericalAbort, match="non-finite state at Euler step 0"):
+            euler_sample(overflowing, SMALL, N_STEPS, 4.0, seed=20)
+
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 0.97])
 def test_split_field_matches_taped_field(t):

@@ -8,7 +8,7 @@ import pytest
 
 from tada import nn
 from tada import numerics as nx
-from tada.errors import ValidationError
+from tada.errors import ShapeError, ValidationError
 from reference_ops import rope, slice_cols, transpose2d
 
 CFG = nn.TransformerConfig(n_layers=2, d_model=24, n_heads=3, d_ff=32)
@@ -162,17 +162,17 @@ def test_cached_steps_with_eviction_match_stack_over_window():
     x = rng.standard_normal((8, CFG.d_model))
     cache = nn.StackCache(CFG)
     mask_a = np.tile(np.arange(0, 5) > 1, (5, 1))
-    out_a = nn.stack_step(params, "tf", nx.tensor(x[:5]), np.arange(0, 5), cache, CFG, mask_a)
+    out_a = nn.stack_step(params, "tf", x[:5], np.arange(0, 5), cache, CFG, mask_a)
     cache.keep(cache.positions > 1)
     assert len(cache) == 3
-    out_b = nn.stack_step(params, "tf", nx.tensor(x[5:]), np.arange(5, 8), cache, CFG, np.ones((3, 6), dtype=bool))
+    out_b = nn.stack_step(params, "tf", x[5:], np.arange(5, 8), cache, CFG, np.ones((3, 6), dtype=bool))
     assert len(cache) == 6
 
     mask = np.ones((6, 6), dtype=bool)
     mask[:3, 3:] = False  # chunk A rows never saw chunk B
     full = nn.stack(params, "tf", nx.tensor(x[2:]), mask, CFG, np.arange(2, 8)).data
-    np.testing.assert_allclose(out_a.data[2:], full[:3], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(out_b.data, full[3:], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out_a[2:], full[:3], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out_b, full[3:], rtol=0, atol=1e-12)
 
 
 def test_cache_holds_rotated_keys():
@@ -180,7 +180,7 @@ def test_cache_holds_rotated_keys():
     params = make_params()
     x = nx.tensor(rng.standard_normal((4, CFG.d_model)))
     cache = nn.StackCache(CFG)
-    nn.stack_step(params, "tf", x, np.arange(10, 14), cache, CFG, np.ones((4, 4), dtype=bool))
+    nn.stack_step(params, "tf", x.data, np.arange(10, 14), cache, CFG, np.ones((4, 4), dtype=bool))
     xin = nn.ln(params, "tf/layer0/ln1", x)
     k = nn.linear(params, "tf/layer0/wk", xin)
     hd = CFG.d_model // CFG.n_heads
@@ -203,7 +203,7 @@ def test_causal_streams_in_one_cache_match_stack_per_stream():
         mask = (np.concatenate([cache.streams, streams]) == streams[:, None]) & (
             np.concatenate([cache.positions, positions]) <= positions[:, None]
         )
-        return nn.stack_step(params, "tf", nx.tensor(x), positions, cache, CFG, mask, streams).data
+        return nn.stack_step(params, "tf", x, positions, cache, CFG, mask, streams)
 
     pre = step(np.concatenate([xs[0][:4], xs[1][:4]]), np.tile(np.arange(4), 2), np.repeat([0, 1], 4))
     outs = [[pre[:4]], [pre[4:]]]
@@ -225,10 +225,20 @@ def test_stack_step_rejects_mask_of_wrong_shape():
     and new row; a wrong one fails before the cache changes."""
     params = make_params()
     cache = nn.StackCache(CFG)
-    nn.stack_step(params, "tf", nx.tensor(np.ones((2, CFG.d_model))), np.arange(2), cache, CFG, nn.causal_mask(2))
+    nn.stack_step(params, "tf", np.ones((2, CFG.d_model)), np.arange(2), cache, CFG, nn.causal_mask(2))
     with pytest.raises(ValueError, match="mask shape"):
-        nn.stack_step(params, "tf", nx.tensor(np.ones((1, CFG.d_model))), np.array([2]), cache, CFG, np.ones((1, 1), bool))
+        nn.stack_step(params, "tf", np.ones((1, CFG.d_model)), np.array([2]), cache, CFG, np.ones((1, 1), bool))
     assert len(cache) == 2 and cache.layers[0].keys.shape[1] == 2
+
+
+def test_stack_step_rejects_mask_row_with_no_included_position():
+    """A new row that may attend to nothing is the attention kernel's
+    ShapeError on the cached path too."""
+    params = make_params()
+    cache = nn.StackCache(CFG)
+    mask = np.array([[True, False], [False, False]])
+    with pytest.raises(ShapeError, match="no included positions"):
+        nn.stack_step(params, "tf", np.ones((2, CFG.d_model)), np.arange(2), cache, CFG, mask)
 
 
 def test_float32_model_computes_in_float32_outside_precision_context():
@@ -236,12 +246,10 @@ def test_float32_model_computes_in_float32_outside_precision_context():
     give float32 keys, values and outputs at the float64 default."""
     with nx.precision("float32"):
         params = make_params()
-    x = nn.input_tensor(params, np.random.default_rng(10).standard_normal((3, CFG.d_model)))
+    x = np.random.default_rng(10).standard_normal((3, CFG.d_model)).astype(np.float32)
     cache = nn.StackCache(CFG)
     out = nn.stack_step(params, "tf", x, np.arange(3), cache, CFG, nn.causal_mask(3))
-    out = nn.stack_step(
-        params, "tf", nn.input_tensor(params, out.data[-1:]), np.array([3]), cache, CFG, np.ones((1, 4), dtype=bool)
-    )
+    out = nn.stack_step(params, "tf", out[-1:], np.array([3]), cache, CFG, np.ones((1, 4), dtype=bool))
     assert x.dtype == out.dtype == np.float32
     assert {layer.keys.dtype for layer in cache.layers} == {layer.values.dtype for layer in cache.layers} == {
         np.dtype(np.float32)

@@ -495,7 +495,7 @@ def test_rope_preserves_pairwise_norms():
 def test_rope_table_rows_equal_direct_angles(dtype):
     """Rows gathered from the grown per-width table equal cos/sin computed
     for the positions alone."""
-    from tada.numerics.engine import _rope_angles
+    from tada.numerics.kernels import _rope_angles
 
     rng = np.random.default_rng(4)
     for d, base in ((8, 10000.0), (16, 500.0)):
@@ -794,3 +794,65 @@ def test_fit_is_the_textbook_minibatch_adam_loop(capsys):
     np.testing.assert_array_equal(w.data, ref.data)
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(": ")[0] for line in lines] == ["toy step 0", "toy step 2", "toy step 4"]
+
+
+def _kernel_pairs(rng, dtype, n):
+    """(case, kernel output, taped forward) for every array kernel, on
+    operands of ``dtype`` with ``n`` query rows."""
+
+    def a(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    def t(x):
+        return nx.tensor(x, dtype=dtype)
+
+    k = nx.kernels
+    x, w, b, g = a(n, 8), a(8, 6), a(6), a(8)
+    positions = rng.integers(0, 50, size=n)
+    q, kk, v = a(2, n, 4), a(2, n + 3, 4), a(2, n + 3, 4)
+    mask = rng.random((n, n + 3)) < 0.5
+    mask[:, 0] = True
+    # a packed run: query rows [1, n - 1] and keys [2, n + 1], one sequence for n == 1
+    lens = zip([1, n - 1], [2, n + 1]) if n > 1 else [(1, n + 3)]
+    packed = [rng.random(shape) < 0.5 for shape in lens]
+    for m in packed:
+        m[:, -1] = True
+    idx = rng.permutation(n + 2)[:n]
+    pairs = [
+        ("linear", k.linear(x, w, b), nx.linear(t(x), t(w), t(b))),
+        ("gelu", k.gelu(x), nx.gelu(t(x))),
+        ("layer_norm", k.layer_norm(x, g, g[::-1]), nx.layer_norm(t(x), t(g), t(g[::-1]))),
+        ("split_heads", k.split_heads(x, 2), nx.split_heads(t(x), 2)),
+        ("split_heads_rotary", k.split_heads(x, 2, positions, 500.0), nx.split_heads(t(x), 2, positions, 500.0)),
+        ("attention_heads", k.attention_heads(q, kk, v, mask), nx.attention_heads(t(q), t(kk), t(v), mask)),
+        ("attention_heads_packed", k.attention_heads(q, kk, v, packed), nx.attention_heads(t(q), t(kk), t(v), packed)),
+        ("scatter_rows", k.scatter_rows(x, idx, n + 2), nx.scatter_rows(t(x), idx, n + 2)),
+    ]
+    return [(case, out[0] if isinstance(out, tuple) else out, ref.data) for case, out, ref in pairs]
+
+
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_equal_taped_forwards_bit_for_bit(dtype, n):
+    """Each array kernel gives its taped primitive's forward to the bit, in
+    the operands' dtype, for one row and for several, under one mask and a
+    packed mask list."""
+    for case, out, ref in _kernel_pairs(np.random.default_rng(14), dtype, n):
+        assert out.dtype == ref.dtype == dtype, case
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes(), case
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_kernel_raises_the_taped_empty_row_error(packed):
+    """A mask row with no included position is the same ShapeError from
+    the kernel as from the taped primitive."""
+    q, kv = np.zeros((2, 3, 4)), np.zeros((2, 5, 4))
+    mask = np.array([[True] * 5, [False] * 5, [True] * 5])
+    if packed:
+        mask = [mask[:2, :2], mask[2:, 2:]]
+    errors = []
+    for attend, wrap in ((nx.kernels.attention_heads, np.asarray), (nx.attention_heads, nx.tensor)):
+        with pytest.raises(ShapeError, match="no included positions") as info:
+            attend(wrap(q), wrap(kv), wrap(kv), mask)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]

@@ -11,6 +11,7 @@ from tada import numerics as nx
 
 from tada.backbone import BackboneConfig, BackboneModel, SequenceBatchItem, build_sequence
 from tada.codec import CodecConfig, CodecModel
+from tada.flowhead import VectorFieldModel
 from tada.durbits import durations_from_positions
 from tada.errors import ValidationError
 from tada.pipeline import (
@@ -37,8 +38,8 @@ BACKBONE = BackboneConfig(
 )
 
 
-@pytest.fixture
-def models():
+def tiny_models():
+    """A small untrained (backbone, codec, speaker head) triple."""
     cfg = BackboneConfig(**{k: getattr(BACKBONE, k) for k in BACKBONE.__dataclass_fields__ if k != "flow"})
     cfg.flow.d_time = 8
     cfg.flow.width = 16
@@ -48,6 +49,11 @@ def models():
     codec = CodecModel(CODEC, np.random.default_rng(1))
     head = SpeakerHead(d_latent=4, dims=(8, 8, 4), rng=np.random.default_rng(2))
     return lm, codec, head
+
+
+@pytest.fixture
+def models():
+    return tiny_models()
 
 
 def row(token_id, slot, speech):
@@ -526,27 +532,74 @@ class TestStreamSynthesize:
 
 
 def test_checkpoint_models_compute_in_float32(tmp_path, models, monkeypatch):
-    """Models loaded from their float32 checkpoints run every engine op of
-    a request in float32 at the float64 default, and a full streaming
-    decode equals the frames stream_synthesize emitted."""
+    """Models loaded from their float32 checkpoints compute a request in
+    float32 at the float64 default: every taped engine op (the prompt's
+    encode), every array kernel, every KV-cache layer, every flow-field
+    output, every backbone output and every decoded segment. A full
+    streaming decode equals the frames stream_synthesize emitted."""
     lm, codec, head = models
     codec.save(tmp_path / "codec.tada")
     save_lm_checkpoint(tmp_path / "lm.tada", lm, head)
     codec = CodecModel.load(tmp_path / "codec.tada")
     lm, head = load_lm_checkpoint(tmp_path / "lm.tada")
-    dtypes = set()
-    real_make = nx.engine._make
+    seen: dict[str, set] = {}
 
-    def make(op, data, parents, backward):
-        dtypes.add(data.dtype)
-        return real_make(op, data, parents, backward)
+    def spy(owner, name, dtypes_of):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(nx.engine, "_make", make)
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.setdefault(name, set()).update(dtypes_of(out, args))
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(nx.engine, "_make", lambda out, args: {args[1].dtype})
+    for kernel in ("linear", "gelu", "layer_norm", "split_heads", "attention_heads", "scatter_rows"):
+        spy(nx.kernels, kernel, lambda out, args: {(out[0] if isinstance(out, tuple) else out).dtype})
+    spy(nn.LayerCache, "extend", lambda out, args: {args[0].keys.dtype, args[0].values.dtype})
+    spy(VectorFieldModel, "field_np", lambda out, args: {out.dtype})
+    spy(BackboneModel, "step", lambda out, args: {a.dtype for o in out for a in (o.cond, o.text_logits)})
+    real_segments = CodecModel.decode_streaming_segments
+
+    def segments(self, *args):
+        for lo, hi, f, g in real_segments(self, *args):
+            seen.setdefault("segments", set()).update({f.dtype, g.dtype})
+            yield lo, hi, f, g
+
+    monkeypatch.setattr(CodecModel, "decode_streaming_segments", segments)
     prompt = make_prompt(codec, head, np.random.default_rng(30))
     params = GenParams(n_fm=2, neg_mode="tfg", candidates=2, seed=3)
     result = generate(lm, codec, head, prompt, np.array([1, 2, 3]), params)
     audio = stream_synthesize(result, codec)
-    assert dtypes == {np.dtype(np.float32)}
+    float32 = {np.dtype(np.float32)}
+    assert seen.keys() == {
+        "_make", "linear", "gelu", "layer_norm", "split_heads", "attention_heads", "scatter_rows",
+        "extend", "field_np", "step", "segments",
+    }
+    assert {name: dtypes for name, dtypes in seen.items() if dtypes != float32} == {}
     assert prompt.latents.dtype == audio.frames.dtype == np.float32
     full, _ = codec.decode_streaming_full(result.latents, audio.positions, audio.T)
     np.testing.assert_array_equal(full, audio.frames)
+
+
+def test_a_request_builds_no_tensor(models, monkeypatch):
+    """generate and stream_synthesize run on arrays through the kernels:
+    with every guidance branch on, they build no Tensor."""
+    lm, codec, head = models
+    prompt = make_prompt(codec, head, np.random.default_rng(31))
+    built = []
+    real_init = nx.Tensor.__init__
+
+    def init(self, data, *args, **kwargs):
+        built.append(np.shape(data))
+        real_init(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(nx.Tensor, "__init__", init)
+    for params, text in (
+        (GenParams(n_fm=2, neg_mode="tfg", candidates=2, seed=4), np.array([1, 2, 3])),
+        (GenParams(n_fm=2, neg_mode="tfg", mode="slm", sfg_scale=0.5, max_tokens=3, seed=5), None),
+    ):
+        result = generate(lm, codec, head, prompt, text, params)
+        stream_synthesize(result, codec)
+    assert built == []

@@ -22,20 +22,20 @@ from . import durbits, flowhead, masks
 from . import numerics as nx
 from .aligner import AlignerModel
 from .backbone import BackboneModel
-from .codec import CodecModel
+from .codec import CodecModel, codec_loss
 from .config import load_config
 from .errors import NumericalAbort, ValidationError
 from .harness import (
     OracleDecoder,
     TemplateBank,
     benchmark,
+    edit_distance,
     evaluate,
     gen_corpus,
     load_corpus,
     recipes,
     run_tts_cases,
     sample_eval_texts,
-    utterance_arrays,
 )
 from .pipeline import GenParams, generate, load_lm_checkpoint, save_lm_checkpoint, stream_synthesize
 
@@ -118,19 +118,42 @@ def cmd_lm_train(args, cfg) -> int:
     return 0
 
 
+def _gen_params(args) -> GenParams:
+    """The sampling settings of the --nfm, --cfg, --neg and --reject flags."""
+    return GenParams(
+        n_fm=args.nfm, cfg_scale=args.cfg, neg_mode=args.neg,
+        candidates=args.reject, seed=args.seed or 0,
+    )
+
+
+def _load_models(args):
+    """The corpus, the LM with its speaker head, the codec and the aligner
+    (``None`` without --aligner) that the flags name."""
+    manifest, arrays = load_corpus(args.manifest, args.arrays)
+    model, head = load_lm_checkpoint(args.lm)
+    codec_model = CodecModel.load(args.codec)
+    aligner = AlignerModel.load(args.aligner) if args.aligner else None
+    return manifest, arrays, model, head, codec_model, aligner
+
+
+def _held_out(args):
+    """The models, prompts from the last --prompts utterances of the
+    manifest, one sampled text per prompt, and the corpus's template bank."""
+    manifest, arrays, model, head, codec_model, aligner = _load_models(args)
+    ids = [rec.utt_id for rec in manifest.records[-args.prompts:]]
+    prompts = recipes.build_prompts(manifest, arrays, ids, codec_model, head, aligner)
+    bank = TemplateBank(manifest.config)
+    texts = sample_eval_texts(bank, len(prompts), seed=(args.seed or 0) + 17)
+    return model, head, codec_model, prompts, texts, bank
+
+
 def cmd_synth(args, cfg) -> int:
     try:
         text = np.array([int(x) for x in args.text.replace(",", " ").split()], dtype=np.int64)
     except (ValueError, OverflowError):
         raise ValidationError(f"--text: expected token ids, got {args.text!r}") from None
-    params = GenParams(
-        n_fm=args.nfm, cfg_scale=args.cfg, neg_mode=args.neg,
-        candidates=args.reject, seed=args.seed or 0,
-    )
-    manifest, arrays = load_corpus(args.manifest, args.arrays)
-    model, head = load_lm_checkpoint(args.lm)
-    codec_model = CodecModel.load(args.codec)
-    aligner = AlignerModel.load(args.aligner) if args.aligner else None
+    params = _gen_params(args)
+    manifest, arrays, model, head, codec_model, aligner = _load_models(args)
     (prompt,) = recipes.build_prompts(manifest, arrays, [args.prompt], codec_model, head, aligner)
     result = generate(model, codec_model, head, prompt, text, params)
     audio = stream_synthesize(result, codec_model)
@@ -158,25 +181,10 @@ def cmd_synth(args, cfg) -> int:
     return 0
 
 
-def _held_out_prompts(args, manifest, arrays, codec_model, head):
-    """Prompts from the last ``--prompts`` utterances of the manifest."""
-    ids = [rec.utt_id for rec in manifest.records[-args.prompts:]]
-    aligner = AlignerModel.load(args.aligner) if args.aligner else None
-    return recipes.build_prompts(manifest, arrays, ids, codec_model, head, aligner)
-
-
 def cmd_eval(args, cfg) -> int:
     _at_least_one(args, "--prompts")
-    params = GenParams(
-        n_fm=args.nfm, cfg_scale=args.cfg, neg_mode=args.neg,
-        candidates=args.reject, seed=args.seed or 0,
-    )
-    manifest, arrays = load_corpus(args.manifest, args.arrays)
-    model, head = load_lm_checkpoint(args.lm)
-    codec_model = CodecModel.load(args.codec)
-    bank = TemplateBank(manifest.config)
-    prompts = _held_out_prompts(args, manifest, arrays, codec_model, head)
-    texts = sample_eval_texts(bank, len(prompts), seed=(args.seed or 0) + 17)
+    params = _gen_params(args)
+    model, head, codec_model, prompts, texts, bank = _held_out(args)
     cases = run_tts_cases(model, codec_model, head, prompts, texts, params)
     report = evaluate(cases, bank)
     print("\n".join(report.to_lines()))
@@ -186,21 +194,17 @@ def cmd_eval(args, cfg) -> int:
 def cmd_bench(args, cfg) -> int:
     _at_least_one(args, "--prompts", "--runs")
     n_fm_list = tuple(_int_list(args.nfm_list, "--nfm-list"))
-    manifest, arrays = load_corpus(args.manifest, args.arrays)
-    model, head = load_lm_checkpoint(args.lm)
-    codec_model = CodecModel.load(args.codec)
-    bank = TemplateBank(manifest.config)
-    prompts = _held_out_prompts(args, manifest, arrays, codec_model, head)
-    texts = sample_eval_texts(bank, len(prompts), seed=(args.seed or 0) + 17)
-    report, per_n = benchmark(
+    model, head, codec_model, prompts, texts, _ = _held_out(args)
+    per_n = benchmark(
         model, codec_model, head, prompts, texts,
         n_fm_list=n_fm_list, runs=args.runs, seed=args.seed or 0,
     )
     for n_fm in n_fm_list:
-        row = per_n[n_fm]
-        line = " ".join(f"{k}={v:.6g}" for k, v in row.items())
+        line = " ".join(f"{k}={v:.6g}" for k, v in per_n[n_fm].items())
         print(f"nfm={n_fm} {line}")
-    print("\n".join(report.to_lines()))
+    flow_times = [per_n[n_fm]["flow_time"] for n_fm in n_fm_list]
+    monotone = all(b > a for a, b in zip(flow_times, flow_times[1:]))
+    print(f"flow_time_monotone={int(monotone)}")
     return 0
 
 
@@ -268,18 +272,14 @@ def cmd_codec_roundtrip(args, cfg) -> int:
     if args.utt not in by_id:
         raise ValidationError(f"unknown utterance id {args.utt}")
     rec = by_id[args.utt]
-    frames, signal = utterance_arrays(arrays, rec.utt_id)
+    frames, signal = recipes._record_arrays(rec, arrays)
     with nx.no_grad():
         s_mu = codec_model.encode(frames, rec.positions)
         dec = codec_model.decode(s_mu, rec.positions, rec.T, mode="joint")
-        from .codec import codec_loss
-
         report = codec_loss(dec, signal, rec.tokens, rec.positions, s_mu, codec_model.config)
     _, sig = dec.numpy()
     bank = TemplateBank(manifest.config)
     hyp, _pos = OracleDecoder(bank).decode(sig)
-    from .harness import edit_distance
-
     ter = edit_distance(hyp.tolist(), rec.tokens.tolist()) / max(rec.tokens.size, 1)
     vals = report.floats()
     line = " ".join(f"{k}={v:.6g}" for k, v in vals.items())
@@ -293,69 +293,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate the synthetic corpus")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--arrays", required=True)
+    # Flags shared by several subcommands, declared once as parent parsers.
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--manifest", required=True)
+    corpus.add_argument("--arrays", required=True)
+    models = argparse.ArgumentParser(add_help=False)
+    models.add_argument("--lm", required=True)
+    models.add_argument("--codec", required=True)
+    models.add_argument("--aligner", default=None)
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--nfm", type=int, default=10)
+    sampling.add_argument("--cfg", type=float, default=1.8)
+    sampling.add_argument("--neg", choices=["zero", "tfg"], default="zero")
+    sampling.add_argument("--reject", type=int, default=1)
+
+    p = sub.add_parser("gen-data", parents=[corpus], help="generate the synthetic corpus")
     p.add_argument("--utterances", type=int, default=2000)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("align", help="train/load the aligner and write the manifest at its positions")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--arrays", required=True)
+    p = sub.add_parser("align", parents=[corpus], help="train/load the aligner and write the manifest at its positions")
     p.add_argument("--model", default=None, help="aligner checkpoint (trains one if omitted)")
     p.add_argument("--save-model", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("codec-train", help="train the variational codec")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--arrays", required=True)
+    p = sub.add_parser("codec-train", parents=[corpus], help="train the variational codec")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_codec_train)
 
-    p = sub.add_parser("lm-train", help="train the multimodal backbone + speaker head")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--arrays", required=True)
+    p = sub.add_parser("lm-train", parents=[corpus], help="train the multimodal backbone + speaker head")
     p.add_argument("--codec", required=True)
     p.add_argument("--base-lm", default=None, help="frozen base LM checkpoint (pretrains one if omitted)")
     p.add_argument("--base-out", default=None, help="write the base LM as a backbone checkpoint")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_lm_train)
 
-    p = sub.add_parser("synth", help="generate speech for a text given a prompt")
-    p.add_argument("--lm", required=True)
-    p.add_argument("--codec", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--arrays", required=True)
-    p.add_argument("--aligner", default=None)
+    p = sub.add_parser("synth", parents=[corpus, models, sampling], help="generate speech for a text given a prompt")
     p.add_argument("--prompt", type=int, required=True, help="prompt utterance id")
     p.add_argument("--text", required=True, help="token ids, e.g. '3,7,9'")
-    p.add_argument("--nfm", type=int, default=10)
-    p.add_argument("--cfg", type=float, default=1.8)
-    p.add_argument("--neg", choices=["zero", "tfg"], default="zero")
-    p.add_argument("--reject", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("eval", help="oracle evaluation over held-out prompts")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--arrays", required=True)
-    p.add_argument("--lm", required=True)
-    p.add_argument("--codec", required=True)
-    p.add_argument("--aligner", default=None)
+    p = sub.add_parser("eval", parents=[corpus, models, sampling], help="oracle evaluation over held-out prompts")
     p.add_argument("--prompts", type=int, default=100)
-    p.add_argument("--nfm", type=int, default=10)
-    p.add_argument("--cfg", type=float, default=1.8)
-    p.add_argument("--neg", choices=["zero", "tfg"], default="zero")
-    p.add_argument("--reject", type=int, default=1)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="latency trends across flow step counts")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--arrays", required=True)
-    p.add_argument("--lm", required=True)
-    p.add_argument("--codec", required=True)
-    p.add_argument("--aligner", default=None)
+    p = sub.add_parser("bench", parents=[corpus, models], help="latency trends across flow step counts")
     p.add_argument("--prompts", type=int, default=4)
     p.add_argument("--nfm-list", default="2,4,10,20")
     p.add_argument("--runs", type=int, default=3)
@@ -375,10 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", default="2,4,10,20")
     p.set_defaults(func=cmd_fm_bench)
 
-    p = sub.add_parser("codec-roundtrip", help="reconstruction metrics for one utterance")
+    p = sub.add_parser("codec-roundtrip", parents=[corpus], help="reconstruction metrics for one utterance")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--arrays", required=True)
     p.add_argument("--utt", type=int, required=True)
     p.set_defaults(func=cmd_codec_roundtrip)
 

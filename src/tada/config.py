@@ -4,7 +4,8 @@ A config file is structured text: one ``key=value`` pair per line, ``#``
 comments allowed. The keys are those of the checkpoint's config line under
 each section (``configline.flat(Defaults())``), e.g. ``codec.lambda_mel=0.5``,
 ``synth.vocab_size=48`` or ``backbone.flow.width=128``; unknown keys are an
-error so typos fail fast.
+error so typos fail fast. The keys in ``FROM_CORPUS`` take only their
+default, because the training stages set them from the corpus.
 """
 
 from __future__ import annotations
@@ -22,6 +23,19 @@ from .harness.corpus import SynthConfig
 from .harness.recipes import TrainBudget
 
 
+# The keys the training stages set from the manifest, or from the codec,
+# whatever the config says; a setting of another value would be dropped.
+FROM_CORPUS = {
+    "aligner.d_in": "the manifest",
+    "aligner.vocab_size": "the manifest",
+    "codec.d_frame": "the manifest",
+    "codec.vocab_size": "the manifest",
+    "codec.samples_per_frame": "the manifest",
+    "backbone.vocab_size": "the manifest",
+    "backbone.d_latent": "the codec",
+}
+
+
 @dataclasses.dataclass
 class Defaults:
     synth: SynthConfig = dataclasses.field(default_factory=SynthConfig)
@@ -37,9 +51,10 @@ def load_config(path: str | None = None, flags: Sequence[tuple[str, str, str]] =
 
     Each section is built once by ``configline.build``, so every
     ``__post_init__`` runs on the final values. A setting that does not
-    parse, fails its section's check, or that the built config does not hold
-    (a key that follows from others, such as ``backbone.flow.d_latent``)
-    raises ``ValidationError`` naming its line or flag.
+    parse, fails its section's check, that the built config does not hold
+    (a key that follows from others, such as ``backbone.flow.d_latent``), or
+    that sets a ``FROM_CORPUS`` key to another value than its default raises
+    ``ValidationError`` naming its line or flag.
     """
     settings = []
     if path is not None:
@@ -63,6 +78,10 @@ def load_config(path: str | None = None, flags: Sequence[tuple[str, str, str]] =
             values[key] = configline.text(configline.convert(defaults[key], raw))
         except ValueError:
             raise ValidationError(f"{where}: cannot parse {key}={raw!r}") from None
+        if key in FROM_CORPUS and values[key] != configline.text(defaults[key]):
+            raise ValidationError(
+                f"{where}: {key}={values[key]} cannot be set; the stages take {key} from {FROM_CORPUS[key]}"
+            )
         given[key] = where
 
     sections = {}

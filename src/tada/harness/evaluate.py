@@ -10,7 +10,7 @@ machine-parseable ``key=value`` pairs, one metric per line.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -45,23 +45,10 @@ class MetricsReport:
     flow_sample_time: float = 0.0
     decode_time: float = 0.0
     steps_per_sec: float = 0.0
-    extra: dict[str, float] = field(default_factory=dict)
 
     def to_lines(self) -> list[str]:
-        items = {
-            "token_error_rate": self.token_error_rate,
-            "speaker_cosine": self.speaker_cosine,
-            "chain_rate": self.chain_rate,
-            "n_utterances": self.n_utterances,
-            "prefill_time": self.prefill_time,
-            "idle_step_time": self.idle_step_time,
-            "llm_step_time": self.llm_step_time,
-            "flow_sample_time": self.flow_sample_time,
-            "decode_time": self.decode_time,
-            "steps_per_sec": self.steps_per_sec,
-        }
-        items.update(self.extra)
-        return [f"{k}={v:.6g}" for k, v in items.items()]
+        """One ``key=value`` line per field, in field order."""
+        return [f"{k}={v:.6g}" for k, v in asdict(self).items()]
 
 
 @dataclass
@@ -70,7 +57,6 @@ class EvalCase:
     target_text: np.ndarray
     result: GenerationResult
     audio_signal: np.ndarray  # (T, r) per-frame signal rows
-    prompt_signal: np.ndarray | None = None
     decode_time: float = 0.0
 
 
@@ -89,12 +75,9 @@ def evaluate(cases: list[EvalCase], bank: TemplateBank) -> MetricsReport:
         total_edit += edit_distance(hyp.tolist(), case.target_text.tolist())
         total_len += case.target_text.size
         est = decoder.speaker_estimate(case.audio_signal)
-        if case.prompt.speaker is not None:
-            ref_dir = bank.speaker_signal_profile(case.prompt.speaker)
-        elif case.prompt_signal is not None:
-            ref_dir = decoder.speaker_estimate(case.prompt_signal)
-        else:
-            raise ValueError("evaluate: need a prompt speaker id or prompt signal")
+        if case.prompt.speaker is None:
+            raise ValueError("evaluate: need the prompt's speaker id")
+        ref_dir = bank.speaker_signal_profile(case.prompt.speaker)
         cosines.append(float(est @ ref_dir / (np.linalg.norm(ref_dir) + 1e-12)))
         chains.append(case.result.chain_rate)
         llm_times.extend(s.llm_time for s in case.result.step_stats)
@@ -153,14 +136,12 @@ def benchmark(
     n_fm_list: tuple[int, ...] = (2, 4, 10, 20),
     runs: int = 3,
     seed: int = 0,
-) -> tuple[MetricsReport, dict[int, dict[str, float]]]:
-    """Wall-clock trends across flow sampling step counts.
-
-    Returns the base report (at the largest N) and per-N timing rows with
-    across-run variance. Flow time must grow monotonically with N.
+) -> dict[int, dict[str, float]]:
+    """Wall-clock trends across flow sampling step counts: for each N, the
+    per-token flow and LLM times (means over ``runs`` runs, with their
+    across-run variance) and the steps per second.
     """
     per_n: dict[int, dict[str, float]] = {}
-    report = MetricsReport()
     for n_fm in n_fm_list:
         flow_means = []
         llm_means = []
@@ -181,13 +162,4 @@ def benchmark(
             "llm_time_var": float(np.var(llm_means)),
             "steps_per_sec": float(np.mean(sps)),
         }
-    ordered = [per_n[n]["flow_time"] for n in n_fm_list]
-    report.extra = {
-        f"flow_time_nfm{n}": per_n[n]["flow_time"] for n in n_fm_list
-    }
-    report.extra.update({f"steps_per_sec_nfm{n}": per_n[n]["steps_per_sec"] for n in n_fm_list})
-    report.extra["flow_time_monotone"] = float(all(b > a for a, b in zip(ordered, ordered[1:])))
-    report.llm_step_time = per_n[n_fm_list[-1]]["llm_time"]
-    report.flow_sample_time = per_n[n_fm_list[-1]]["flow_time"]
-    report.steps_per_sec = per_n[n_fm_list[-1]]["steps_per_sec"]
-    return report, per_n
+    return per_n

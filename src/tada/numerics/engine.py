@@ -355,15 +355,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make("linear", out, (x, w, b), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def backward(g):
-        _accum(a, g * out)
-
-    return _make("exp", out, (a,), backward)
-
-
 def log(a: Tensor) -> Tensor:
     out = np.log(a.data)
 
@@ -398,24 +389,6 @@ def square(a: Tensor) -> Tensor:
         _accum(a, g * (2.0 * a.data))
 
     return _make("square", out, (a,), backward)
-
-
-def absolute(a: Tensor) -> Tensor:
-    out = np.abs(a.data)
-
-    def backward(g):
-        _accum(a, g * np.sign(a.data))
-
-    return _make("abs", out, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def backward(g):
-        _accum(a, g * (1.0 - out * out))
-
-    return _make("tanh", out, (a,), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -752,24 +725,6 @@ def l1_loss(a: Tensor, b: Tensor, weights: np.ndarray | None = None) -> Tensor:
             _accum(b, -s)
 
     return _make("l1_loss", out, (a, b), backward)
-
-
-def l2_loss(a: Tensor, b: Tensor) -> Tensor:
-    """Mean squared difference."""
-    if a.shape != b.shape:
-        raise ShapeError("l2_loss", f"shapes {a.shape} and {b.shape} differ")
-    diff = a.data - b.data
-    out = np.asarray((diff * diff).mean())
-    n = a.size
-
-    def backward(g):
-        s = g * 2.0 * diff / n
-        if a.requires_grad:
-            _accum(a, s)
-        if b.requires_grad:
-            _accum(b, -s)
-
-    return _make("l2_loss", out, (a, b), backward)
 
 
 def custom_op(

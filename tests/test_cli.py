@@ -88,6 +88,8 @@ def test_bad_config_key_exit_code_2(tmp_path, capsys):
         "codec.lambda_mel=abc", "gen.candidates=0", "backbone.k_shift=0", "synth.tokens_max=2,3", "flow.width=128",
         "backbone.bos_id=3", "budget.aligner_batch=0", "budget.backbone_batch=0", "budget.codec_steps=-1",
         "codec.d_latent=0", "aligner.n_graphemes=0", "budget.log_every=-1",
+        "aligner.d_in=5", "aligner.vocab_size=40", "codec.d_frame=8", "codec.vocab_size=9",
+        "codec.samples_per_frame=4", "backbone.vocab_size=9", "backbone.d_latent=4",
     ],
 )
 def test_bad_config_value_exit_code_2(tmp_path, capsys, line):
@@ -110,15 +112,15 @@ def test_config_file_of_every_default_key_loads_the_defaults(tmp_path):
 def test_config_file_sets_flow_head_keys(tmp_path):
     """A flow key loads; one that follows from a backbone key loads when it agrees."""
     cfg_file = tmp_path / "conf.txt"
-    cfg_file.write_text("backbone.flow.width=128\nbackbone.d_latent=4\nbackbone.flow.d_latent=4\n")
+    cfg_file.write_text("backbone.flow.width=128\nbackbone.d_cond=64\nbackbone.flow.d_cond=64\n")
     config = load_config(str(cfg_file))
     assert config.backbone.flow.width == 128
-    assert config.backbone.d_latent == config.backbone.flow.d_latent == 4
+    assert config.backbone.d_cond == config.backbone.flow.d_cond == 64
 
 
 @pytest.mark.parametrize(
     "lines, bad_line",
-    [("backbone.flow.d_latent=4", 1), ("backbone.d_latent=4\nbackbone.flow.d_latent=8", 2),
+    [("backbone.flow.d_latent=4", 1), ("backbone.d_latent=8\nbackbone.flow.d_latent=4", 2),
      ("backbone.flow.bits=4", 1), ("backbone.d_cond=64\nbackbone.flow.d_cond=128", 2)],
     ids=["d_latent", "d_latent_stale", "bits", "d_cond"],
 )
@@ -129,6 +131,22 @@ def test_derived_config_key_that_disagrees_exit_code_2(tmp_path, capsys, lines, 
     assert main(["--config", str(cfg_file), "graycheck", "--b", "4"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: config line {bad_line}: backbone.flow."), err
+
+
+def test_config_key_the_corpus_decides_exit_code_2(small_corpus, tmp_path, capsys):
+    """``align`` takes the aligner's input width and vocabulary from the
+    manifest, so a config line that sets another value is refused, naming
+    the line, before anything is written."""
+    manifest, arrays = small_corpus
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text("aligner.d_in=5\naligner.vocab_size=40\n")
+    out, model = tmp_path / "aligned.txt", tmp_path / "aligner.tada"
+    capsys.readouterr()
+    assert main(["--config", str(cfg_file), "align", "--manifest", manifest, "--arrays", arrays,
+                 "--out", str(out), "--save-model", str(model)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: config line 1: aligner.d_in=5 cannot be set; the stages take aligner.d_in from the manifest"]
+    assert not out.exists() and not model.exists()
 
 
 def test_training_flags_override_config_keys(tmp_path):
@@ -172,8 +190,8 @@ def test_lm_train_four_bit_backbone_drops_wide_gaps(tmp_path, capsys):
 def test_cli_stages_match_train_full_stack(tmp_path, capsys):
     """align, codec-train and lm-train write the models train_full_stack
     trains at the same seed and budget, the aligned manifest holds exactly
-    the positions its align stage extracts, and synth and eval run on the
-    checkpoints."""
+    the positions its align stage extracts, and synth, eval, bench and
+    codec-roundtrip run on the checkpoints."""
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text(
         "backbone.bits=4\nbudget.aligner_steps=2\nbudget.base_lm_steps=2\nbudget.speaker_steps=2\n"
@@ -228,6 +246,15 @@ def test_cli_stages_match_train_full_stack(tmp_path, capsys):
     assert main(["eval", *truth, "--lm", lm, "--codec", codec, "--prompts", "2"]) == 0
     out = capsys.readouterr().out
     assert "n_utterances=2" in out and "prefill_time=" in out
+    bench = ["bench", *truth, "--lm", lm, "--codec", codec, "--prompts", "1", "--nfm-list", "2,4", "--runs", "1"]
+    assert main(bench) == 0
+    *rows, monotone = capsys.readouterr().out.splitlines()  # what bench measured, and nothing else
+    keys = ["nfm", "flow_time", "flow_time_var", "llm_time", "llm_time_var", "steps_per_sec"]
+    assert [[item.split("=")[0] for item in row.split()] for row in rows] == [keys, keys]
+    assert [row.split()[0] for row in rows] == ["nfm=2", "nfm=4"]
+    assert re.fullmatch(r"flow_time_monotone=[01]", monotone)
+    assert main(["codec-roundtrip", "--ckpt", codec, *truth, "--utt", prompt]) == 0
+    assert "oracle_ter=" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")
@@ -495,13 +522,15 @@ def test_faulty_aligned_manifest_exit_code_2(small_corpus, wrong_kind_files, fau
     [
         ["codec-train", "--out", "never.tada", "--steps", "1", "--stream-steps", "1"],
         ["synth", "--lm", "lm.tada", "--codec", "codec.tada", "--prompt", "0", "--text", "1", "--out", "never.tada"],
+        ["codec-roundtrip", "--ckpt", "codec.tada", "--utt", "0"],
     ],
-    ids=["codec-train", "synth"],
+    ids=["codec-train", "synth", "codec-roundtrip"],
 )
 def test_record_t_past_its_frames_exit_code_2(wrong_kind_files, tmp_path, capsys, argv):
     """A record whose T is 5 past its utterance's frames, its last position
-    2 past them, passes ``Manifest.load``; ``codec-train`` and ``synth``
-    refuse it, naming the utterance, before they write anything."""
+    2 past them, passes ``Manifest.load``; ``codec-train``, ``synth`` and
+    ``codec-roundtrip`` refuse it, naming the utterance, before they write
+    anything."""
     manifest, arrays = str(tmp_path / "m.txt"), str(tmp_path / "a.tada")
     assert main(["--seed", "0", "gen-data", "--manifest", manifest, "--arrays", arrays, "--utterances", "8"]) == 0
     header, first, *rest = Path(manifest).read_text().splitlines()
@@ -519,6 +548,51 @@ def test_record_t_past_its_frames_exit_code_2(wrong_kind_files, tmp_path, capsys
     says = f"error: utterance {record.utt_id}: the manifest says T={frames + 5}, the arrays hold {frames} frames"
     assert err == [says]
     assert not (tmp_path / "never.tada").exists()
+
+
+REQUIRED = (True, None, None, None)  # (required, default, type, choices) of a required string flag
+OPTIONAL = (False, None, None, None)
+SAMPLING = {"--nfm": (False, 10, int, None), "--cfg": (False, 1.8, float, None),
+            "--neg": (False, "zero", None, ["zero", "tfg"]), "--reject": (False, 1, int, None)}
+PARSER_TABLE = {
+    "tada": {"--seed": (False, None, int, None), "--config": (False, None, str, None)},
+    "gen-data": {"--manifest": REQUIRED, "--arrays": REQUIRED, "--utterances": (False, 2000, int, None)},
+    "align": {"--manifest": REQUIRED, "--arrays": REQUIRED, "--model": OPTIONAL, "--save-model": OPTIONAL,
+              "--out": REQUIRED},
+    "codec-train": {"--manifest": REQUIRED, "--arrays": REQUIRED, "--out": REQUIRED, "--steps": OPTIONAL,
+                    "--stream-steps": OPTIONAL},
+    "lm-train": {"--manifest": REQUIRED, "--arrays": REQUIRED, "--codec": REQUIRED, "--base-lm": OPTIONAL,
+                 "--base-out": OPTIONAL, "--out": REQUIRED, "--k": OPTIONAL, "--dropout": OPTIONAL,
+                 "--steps": OPTIONAL},
+    "synth": {"--lm": REQUIRED, "--codec": REQUIRED, "--manifest": REQUIRED, "--arrays": REQUIRED,
+              "--aligner": OPTIONAL, "--prompt": (True, None, int, None), "--text": REQUIRED, **SAMPLING,
+              "--out": OPTIONAL},
+    "eval": {"--manifest": REQUIRED, "--arrays": REQUIRED, "--lm": REQUIRED, "--codec": REQUIRED,
+             "--aligner": OPTIONAL, "--prompts": (False, 100, int, None), **SAMPLING},
+    "bench": {"--manifest": REQUIRED, "--arrays": REQUIRED, "--lm": REQUIRED, "--codec": REQUIRED,
+              "--aligner": OPTIONAL, "--prompts": (False, 4, int, None), "--nfm-list": (False, "2,4,10,20", None, None),
+              "--runs": (False, 3, int, None)},
+    "graycheck": {"--b": (False, 8, int, None)},
+    "mask": {"--p": REQUIRED, "--t": (True, None, int, None), "--which": (False, "enc", None, ["enc", "dec"])},
+    "fm-bench": {"--steps": (False, "2,4,10,20", None, None)},
+    "codec-roundtrip": {"--ckpt": REQUIRED, "--manifest": REQUIRED, "--arrays": REQUIRED,
+                        "--utt": (True, None, int, None)},
+}
+
+
+def test_parser_flags_match_the_table():
+    """Every subcommand keeps its flags: option strings, required-ness,
+    default, type and choices, however the parser declares them."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {}
+    for name, p in [("tada", parser), *sub.choices.items()]:
+        got[name] = {
+            a.option_strings[0]: (a.required, a.default, a.type, a.choices)
+            for a in p._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        }
+    assert got == PARSER_TABLE
 
 
 def test_readme_cli_lines_parse():

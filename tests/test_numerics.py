@@ -133,10 +133,6 @@ def _case_linear_b(rng):
     return lambda b: nx.sum_(nx.square(nx.linear(x, w, b))), (2,)
 
 
-def _case_exp(rng):
-    return lambda x: nx.sum_(nx.exp(x)), (3, 3)
-
-
 def _case_log(rng):
     c = nx.tensor(np.full((3, 3), 1.5))
     return lambda x: nx.sum_(nx.log(nx.add(nx.square(x), c))), (3, 3)
@@ -154,10 +150,6 @@ def _case_square(rng):
 def _case_reciprocal(rng):
     c = nx.tensor(np.full((2, 3), 2.0))
     return lambda x: nx.sum_(nx.reciprocal(nx.add(nx.square(x), c))), (2, 3)
-
-
-def _case_tanh(rng):
-    return lambda x: nx.sum_(nx.tanh(x)), (3, 3)
 
 
 def _case_gelu(rng):
@@ -334,16 +326,6 @@ def _case_kl_categorical_p(rng):
 def _case_l1_loss(rng):
     c = _const(rng, (3, 4), offset=3.0)
     return lambda x: nx.l1_loss(x, c), (3, 4)
-
-
-def _case_l2_loss(rng):
-    c = _const(rng, (3, 4))
-    return lambda x: nx.l2_loss(x, c), (3, 4)
-
-
-def _case_abs(rng):
-    c = nx.tensor(np.full((3, 3), 2.0))
-    return lambda x: nx.sum_(nx.absolute(nx.add(x, c))), (3, 3)
 
 
 PRIMITIVE_CASES = {

@@ -33,7 +33,7 @@ with nx.no_grad():
     s_mu = model.encode(frames, rec.positions)
     joint = model.decode(s_mu, rec.positions, rec.T, mode="joint")
     stream_full = model.decode(s_mu, rec.positions, rec.T, mode="streaming")
-feats_seg, _ = model.decode_streaming_full(s_mu, rec.positions, rec.T)
+feats_seg, _ = model.decode_streaming_full(s_mu.data, rec.positions, rec.T)
 
 print(f"tokens: {rec.tokens.tolist()}, {rec.T} frames -> {s_mu.shape[0]} latents of dim {s_mu.shape[1]}")
 err = np.abs(joint.signal.data - signal).mean()

@@ -8,6 +8,8 @@ solved by dynamic programming with suffix-maximum acceleration in O(L*T),
 ties broken toward the earliest feasible position sequence. CTC likelihood
 uses the standard log-domain forward recursion; its gradient is the
 alpha-beta occupancy, exposed to the autodiff engine as a custom primitive.
+One recursion serves both passes: the backward (beta) pass is the forward
+one run on the lattice reversed in time and labels.
 """
 
 from __future__ import annotations
@@ -122,40 +124,27 @@ def _skip_ok(lab: np.ndarray, blank: int) -> np.ndarray:
     return np.flatnonzero((lab[2:] != blank) & (lab[2:] != lab[:-2])) + 2
 
 
-def _ctc_alpha(y: np.ndarray, lab: np.ndarray, blank: int) -> np.ndarray:
+def _ctc_lattice(y: np.ndarray, lab: np.ndarray, blank: int) -> np.ndarray:
+    """The CTC recursion on the lattice of extended labels ``lab``: entry
+    (t, s) sums every path prefix through frame t - 1 that may step to state
+    s at frame t, before the emission at (t, s).
+
+    It is alpha minus the emission. Run on the lattice reversed in time and
+    labels, ``_ctc_lattice(y[::-1], lab[::-1], blank)[::-1, ::-1]`` is beta,
+    the sum over path suffixes after frame t, exactly.
+    """
     T = y.shape[0]
-    S = lab.size
     emit = y[:, lab]
     skip = _skip_ok(lab, blank)
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if S > 1:
-        alpha[0, 1] = emit[0, 1]
+    lattice = np.full((T, lab.size), NEG_INF)
+    lattice[0, :2] = 0.0
     for t in range(1, T):
-        prev = alpha[t - 1]
+        prev = lattice[t - 1] + emit[t - 1]
         cur = prev.copy()
         cur[1:] = np.logaddexp(cur[1:], prev[:-1])
         cur[skip] = np.logaddexp(cur[skip], prev[skip - 2])
-        alpha[t] = cur + emit[t]
-    return alpha
-
-
-def _ctc_beta(y: np.ndarray, lab: np.ndarray, blank: int) -> np.ndarray:
-    T = y.shape[0]
-    S = lab.size
-    emit = y[:, lab]
-    skip = _skip_ok(lab, blank) - 2
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = 0.0
-    if S > 1:
-        beta[T - 1, S - 2] = 0.0
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1] + emit[t + 1]
-        cur = nxt.copy()
-        cur[:-1] = np.logaddexp(cur[:-1], nxt[1:])
-        cur[skip] = np.logaddexp(cur[skip], nxt[skip + 2])
-        beta[t] = cur
-    return beta
+        lattice[t] = cur
+    return lattice
 
 
 def ctc_log_likelihood(log_probs, targets, blank: int | None = None, lengths=None) -> Tensor:
@@ -183,7 +172,7 @@ def ctc_log_likelihood(log_probs, targets, blank: int | None = None, lengths=Non
             f"ctc_log_likelihood: {len(targets)} target sequences and lengths {list(lengths)} "
             f"do not match {y.shape[0]} rows"
         )
-    seqs = []  # (rows, extended labels or None, alpha, log-likelihood)
+    seqs = []  # (rows, extended labels, alpha, log-likelihood)
     for T, end, tg in zip(lengths, np.cumsum(lengths), targets):
         tg = np.asarray(tg, dtype=np.int64)
         if tg.size and (tg.min() < 0 or tg.max() >= width):
@@ -195,24 +184,15 @@ def ctc_log_likelihood(log_probs, targets, blank: int | None = None, lengths=Non
                 f"({required} required emission steps)"
             )
         rows = slice(end - T, end)
-        if tg.size == 0:
-            seqs.append((rows, None, None, float(y[rows, blank].sum())))
-            continue
         lab = _extend_with_blanks(tg, blank)
-        alpha = _ctc_alpha(y[rows], lab, blank)
-        tail = [alpha[T - 1, -1]]
-        if lab.size > 1:
-            tail.append(alpha[T - 1, -2])
-        seqs.append((rows, lab, alpha, float(np.logaddexp.reduce(tail))))
+        alpha = _ctc_lattice(y[rows], lab, blank) + y[rows][:, lab]
+        seqs.append((rows, lab, alpha, float(np.logaddexp.reduce(alpha[T - 1, -2:]))))
     out = np.asarray([ll for *_, ll in seqs], dtype=y.dtype)
 
     def backward(g):
         grad = np.zeros_like(y)
         for (rows, lab, alpha, loglik), gi in zip(seqs, np.broadcast_to(g, out.shape)):
-            if lab is None:
-                grad[rows, blank] = gi
-                continue
-            beta = _ctc_beta(y[rows], lab, blank)
+            beta = _ctc_lattice(y[rows][::-1], lab[::-1], blank)[::-1, ::-1]
             occupancy = np.exp(alpha + beta - loglik)
             block = grad[rows]
             idx = np.broadcast_to(np.arange(occupancy.shape[0])[:, None], occupancy.shape)
@@ -224,10 +204,6 @@ def ctc_log_likelihood(log_probs, targets, blank: int | None = None, lengths=Non
     return nx.custom_op("ctc_log_likelihood", out if packed else out.reshape(()), (y_t,), backward)
 
 
-def ctc_loss(log_probs, targets, blank: int | None = None) -> Tensor:
-    return nx.scale(ctc_log_likelihood(log_probs, targets, blank), -1.0)
-
-
 # ---------------------------------------------------------------------------
 # Viterbi max-sum alignment
 # ---------------------------------------------------------------------------
@@ -237,10 +213,13 @@ def viterbi_align(log_probs: np.ndarray, tokens) -> Alignment:
     """Positions maximizing sum_i y[p_i, w_i] over strictly increasing p.
 
     Suffix dynamic program: e[i][t] is the best score of placing tokens
-    i..L with p_i = t; suffix maxima give O(L*T) and the earliest-argmax
-    bookkeeping yields the lexicographically smallest optimal sequence.
+    i..L with p_i = t. The suffix maxima of each row, a reversed cumulative
+    maximum, give O(L*T). The earliest argmax of a suffix is its first
+    record frame, one whose score equals its own suffix maximum, found by a
+    reversed cumulative minimum; this yields the lexicographically smallest
+    optimal sequence.
     """
-    y = log_probs.data if isinstance(log_probs, Tensor) else np.asarray(log_probs, dtype=np.float64)
+    y = np.asarray(log_probs, dtype=np.float64)
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.size == 0:
         raise ValidationError("viterbi_align: tokens must be non-empty")
@@ -251,25 +230,17 @@ def viterbi_align(log_probs: np.ndarray, tokens) -> Alignment:
 
     # e[i] over frame t (0-based); feasible t in [i, T - (L-1-i) - 1].
     e = np.full((L, T), NEG_INF)
-    best_at = np.zeros((L, T), dtype=np.int64)  # earliest argmax of e[i][t:]
-    best_val = np.full((L, T), NEG_INF)
-
-    def fill_suffix(i: int) -> None:
-        val = NEG_INF
-        arg = T - 1
-        for t in range(T - 1, -1, -1):
-            if e[i, t] >= val:
-                val = e[i, t]
-                arg = t
-            best_val[i, t] = val
-            best_at[i, t] = arg
-
-    e[L - 1, L - 1 :] = y[L - 1 :, tokens[L - 1]]
-    fill_suffix(L - 1)
-    for i in range(L - 2, -1, -1):
+    best_val = np.empty((L, T))  # max of e[i][t:]
+    best_at = np.empty((L, T), dtype=np.int64)  # earliest argmax of e[i][t:]
+    frames = np.arange(T)
+    for i in range(L - 1, -1, -1):
         hi = T - (L - 1 - i)
-        e[i, i:hi] = y[i:hi, tokens[i]] + best_val[i + 1, i + 1 : hi + 1]
-        fill_suffix(i)
+        e[i, i:hi] = y[i:hi, tokens[i]]
+        if i < L - 1:
+            e[i, i:hi] += best_val[i + 1, i + 1 : hi + 1]
+        best_val[i] = np.maximum.accumulate(e[i, ::-1])[::-1]
+        record_frames = np.where(e[i] == best_val[i], frames, T)
+        best_at[i] = np.minimum.accumulate(record_frames[::-1])[::-1]
 
     positions = np.zeros(L, dtype=np.int64)
     prev = -1
@@ -300,20 +271,17 @@ def viterbi_score_bruteforce(log_probs: np.ndarray, tokens) -> tuple[float, tupl
 
 
 MAX_GAP = 150
+MAX_RUN = 3
 
 
-def filter_alignment(
-    p,
-    T: int,
-    max_run_frames: int = 3,
-    max_gap: int = MAX_GAP,
-) -> str | None:
+def filter_alignment(p, T: int) -> str | None:
     """Return a drop reason or None to keep.
 
     Drops "consecutive-run" when successive aligned positions occupy more
-    than ``max_run_frames`` consecutive frames, and "gap" when any position
+    than ``MAX_RUN`` consecutive frames, and "gap" when any position
     difference, the leading offset p_1, or the trailing slack T - p_L
-    exceeds ``max_gap``.
+    exceeds ``MAX_GAP``. Whether the gaps also fit a backbone's duration
+    bits is :func:`tada.durbits.fits_bits`.
     """
     p = np.asarray(p, dtype=np.int64)
     if p.size == 0:
@@ -321,11 +289,11 @@ def filter_alignment(
     run = 1
     for d in np.diff(p).tolist():
         run = run + 1 if d == 1 else 1
-        if run > max_run_frames:
+        if run > MAX_RUN:
             return "consecutive-run"
-    if p[0] > max_gap or (T - p[-1]) > max_gap:
+    if p[0] > MAX_GAP or (T - p[-1]) > MAX_GAP:
         return "gap"
-    if p.size > 1 and int(np.diff(p).max()) > max_gap:
+    if p.size > 1 and int(np.diff(p).max()) > MAX_GAP:
         return "gap"
     return None
 

@@ -36,6 +36,7 @@ from .harness import (
     recipes,
     run_tts_cases,
     sample_eval_texts,
+    save_corpus,
 )
 from .pipeline import GenParams, generate, load_lm_checkpoint, save_lm_checkpoint, stream_synthesize
 
@@ -78,8 +79,7 @@ def _int_list(text: str, flag: str) -> list[int]:
 def cmd_gen_data(args, cfg) -> int:
     _at_least_one(args, "--utterances")
     manifest, arrays = gen_corpus(cfg.synth, args.utterances)
-    manifest.save(args.manifest)
-    nx.save_arrays(args.arrays, arrays)
+    save_corpus(manifest, arrays, args.manifest, args.arrays)
     print(f"wrote {len(manifest.records)} utterances to {args.manifest} / {args.arrays}")
     return 0
 
@@ -141,7 +141,7 @@ def _held_out(args):
     manifest, one sampled text per prompt, and the corpus's template bank."""
     manifest, arrays, model, head, codec_model, aligner = _load_models(args)
     ids = [rec.utt_id for rec in manifest.records[-args.prompts:]]
-    prompts = recipes.build_prompts(manifest, arrays, ids, codec_model, head, aligner)
+    prompts = recipes.build_prompts(manifest, arrays, ids, codec_model, head, model.config.bits, aligner)
     bank = TemplateBank(manifest.config)
     texts = sample_eval_texts(bank, len(prompts), seed=(args.seed or 0) + 17)
     return model, head, codec_model, prompts, texts, bank
@@ -154,7 +154,7 @@ def cmd_synth(args, cfg) -> int:
         raise ValidationError(f"--text: expected token ids, got {args.text!r}") from None
     params = _gen_params(args)
     manifest, arrays, model, head, codec_model, aligner = _load_models(args)
-    (prompt,) = recipes.build_prompts(manifest, arrays, [args.prompt], codec_model, head, aligner)
+    (prompt,) = recipes.build_prompts(manifest, arrays, [args.prompt], codec_model, head, model.config.bits, aligner)
     result = generate(model, codec_model, head, prompt, text, params)
     audio = stream_synthesize(result, codec_model)
     toks = ",".join(map(str, result.text_tokens.tolist()))

@@ -361,7 +361,7 @@ class CodecModel:
         """
         p = np.asarray(p, dtype=np.int64)
         window = masks.decoder_stream_mask(p, T)
-        s = np.asarray(s.data if isinstance(s, Tensor) else s, dtype=nn.param_dtype(self.params))
+        s = np.asarray(s, dtype=nn.param_dtype(self.params))
         x_all = self._decoder_input("dec_stream", s, p, T)
         cache = nn.StackCache(self.tf)
         for lo, hi in masks.segment_bounds(p, T):

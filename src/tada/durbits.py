@@ -85,6 +85,14 @@ def durations_from_positions(p, T: int) -> tuple[np.ndarray, np.ndarray]:
     return gaps[:-1], gaps[1:]
 
 
+def fits_bits(p, T: int, b: int) -> bool:
+    """Whether every gap of :func:`durations_from_positions` is at most
+    ``2**b - 1`` frames, the widest that :func:`gray_encode` takes at ``b``
+    bits: the rule for what ``b`` duration bits hold."""
+    f_before, f_after = durations_from_positions(p, T)
+    return int(max(f_before.max(), f_after.max())) < (1 << b)
+
+
 def positions_from_durations(f_before, f_after) -> tuple[np.ndarray, int]:
     """Rebuild aligned positions and total frame count from gap counts.
 

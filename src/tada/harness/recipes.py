@@ -27,10 +27,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .. import numerics as nx
-from ..aligner import MAX_GAP, AlignerConfig, AlignerModel, alignment_accuracy, filter_alignment, train_aligner
+from ..aligner import AlignerConfig, AlignerModel, alignment_accuracy, filter_alignment, train_aligner
 from ..backbone import BackboneConfig, BackboneModel, SequenceBatchItem, train_backbone, train_base_lm
 from ..codec import CodecConfig, CodecModel, pack_utterances, reparameterize, train_codec
-from ..durbits import durations_from_positions
+from ..durbits import durations_from_positions, fits_bits
 from ..errors import ValidationError
 from ..pipeline import Prompt, SpeakerHead, prepare_prompt, train_speaker_head
 from .corpus import Manifest, TemplateBank, UttRecord, utterance_arrays
@@ -101,13 +101,14 @@ def filter_by_bits(manifest: Manifest, bits: int) -> tuple[Manifest, int]:
     """The manifest with only the records a backbone with ``bits`` duration
     bits can train on, and the number dropped.
 
-    A gap wider than ``2**bits - 1`` frames cannot be Gray-encoded, so the
-    gap limit is ``min(MAX_GAP, 2**bits - 1)``; ``filter_alignment`` applies
-    it with the consecutive-run rule. Raises ``ValidationError`` when no
-    record is left.
+    A record is kept when ``filter_alignment`` keeps it and its gaps fit in
+    ``bits`` bits (``durbits.fits_bits``). Raises ``ValidationError`` when
+    no record is left.
     """
-    max_gap = min(MAX_GAP, (1 << bits) - 1)
-    kept = [rec for rec in manifest.records if filter_alignment(rec.positions, rec.T, max_gap=max_gap) is None]
+    kept = [
+        rec for rec in manifest.records
+        if filter_alignment(rec.positions, rec.T) is None and fits_bits(rec.positions, rec.T, bits)
+    ]
     dropped = len(manifest.records) - len(kept)
     if not kept:
         raise ValidationError(
@@ -315,14 +316,17 @@ def build_prompts(
     utt_ids: list[int],
     codec: CodecModel,
     head: SpeakerHead,
+    bits: int,
     aligner: AlignerModel | None = None,
 ) -> list[Prompt]:
-    """One prompt per utterance id, with its speaker.
+    """One prompt per utterance id, with its speaker, for a backbone with
+    ``bits`` duration bits.
 
     Positions come from ``aligner`` if one is given, otherwise from the
     manifest, which may be one that ``align`` wrote. An id the manifest does
-    not hold, or whose record's ``T`` is not its frame count, raises
-    ``ValidationError``.
+    not hold, a record whose ``T`` is not its frame count, or a prompt whose
+    gaps do not fit in ``bits`` bits (``durbits.fits_bits``) raises
+    ``ValidationError`` naming the utterance.
     """
     by_id = {rec.utt_id: rec for rec in manifest.records}
     prompts = []
@@ -333,6 +337,11 @@ def build_prompts(
         positions = rec.positions if aligner is None else None
         frames, _ = _record_arrays(rec, arrays)
         prompt = prepare_prompt(frames, rec.tokens, aligner, codec, head, positions=positions)
+        if not fits_bits(prompt.positions, prompt.T, bits):
+            raise ValidationError(
+                f"utterance {utt_id}: the prompt's alignment has a gap wider than {bits} duration bits hold "
+                f"({(1 << bits) - 1} frames)"
+            )
         prompt.speaker = rec.speaker
         prompts.append(prompt)
     return prompts

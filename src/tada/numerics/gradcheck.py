@@ -14,31 +14,11 @@ def finite_difference_check(
     point: np.ndarray,
     eps: float = 1e-5,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``fn`` must be scalar-valued and smooth at ``point``. The error per
-    coordinate is |analytic - numeric| / (|numeric| + 1e-8).
-    """
-    point = np.asarray(point, dtype=np.float64)
-    x = Tensor(point.copy(), requires_grad=True)
-    loss = fn(x)
-    loss.backward()
-    analytic = np.zeros_like(point) if x.grad is None else np.asarray(x.grad)
-
-    numeric = np.zeros_like(point)
-    flat = point.reshape(-1)
-    nflat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = fn(Tensor(point.copy())).item()
-        flat[i] = orig - eps
-        lo = fn(Tensor(point.copy())).item()
-        flat[i] = orig
-        nflat[i] = (hi - lo) / (2.0 * eps)
-
-    err = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-8)
-    return float(err.max()) if err.size else 0.0
+    """Max relative error between analytic and central-difference gradients
+    of a scalar ``fn`` at ``point``: :func:`finite_difference_check_params`
+    on one float64 leaf tensor that holds ``point``."""
+    x = Tensor(np.array(point, dtype=np.float64), requires_grad=True)
+    return finite_difference_check_params(lambda: fn(x), [x], eps)
 
 
 def finite_difference_check_params(
@@ -48,8 +28,11 @@ def finite_difference_check_params(
     sample: int | None = None,
     seed: int = 0,
 ) -> float:
-    """Like :func:`finite_difference_check` but perturbs existing parameter
-    tensors in place; ``fn`` closes over them and rebuilds the loss.
+    """Max relative error between analytic and central-difference gradients
+    of the scalar ``fn`` with respect to ``params``, which it perturbs in
+    place; ``fn`` closes over them and rebuilds the loss. ``fn`` must be
+    smooth there. The error per coordinate is
+    |analytic - numeric| / (|numeric| + 1e-8).
 
     ``sample`` limits the check to that many randomly chosen coordinates per
     parameter (all coordinates when None), keeping large models tractable.
@@ -60,7 +43,7 @@ def finite_difference_check_params(
     loss = fn()
     loss.backward()
 
-    worst = 0.0
+    errors = [0.0]
     for p in params:
         analytic = np.zeros_like(p.data) if p.grad is None else np.asarray(p.grad)
         flat = p.data.reshape(-1)
@@ -76,6 +59,5 @@ def finite_difference_check_params(
             lo = fn().item()
             flat[i] = orig
             numeric = (hi - lo) / (2.0 * eps)
-            err = abs(analytic.reshape(-1)[i] - numeric) / (abs(numeric) + 1e-8)
-            worst = max(worst, err)
-    return worst
+            errors.append(abs(analytic.reshape(-1)[i] - numeric) / (abs(numeric) + 1e-8))
+    return float(np.max(errors))  # a NaN error stays NaN, so the check fails

@@ -8,15 +8,13 @@ import pytest
 
 from tada import numerics as nx
 from tada.aligner import (
-    _ctc_alpha,
-    _ctc_beta,
+    _ctc_lattice,
     _extend_with_blanks,
     AlignerConfig,
     AlignerModel,
     aligner_batch_loss,
     alignment_accuracy,
     ctc_log_likelihood,
-    ctc_loss,
     curriculum_subset,
     filter_alignment,
     train_aligner,
@@ -89,19 +87,54 @@ def loop_beta(y, lab, blank):
     return beta
 
 
+def loop_viterbi(y, tokens):
+    """viterbi_align with each row's suffix maxima and earliest argmaxima
+    found one frame at a time, scanning back from the last frame."""
+    T, L = y.shape[0], len(tokens)
+    e = np.full((L, T), -np.inf)
+    best_val = np.full((L, T), -np.inf)
+    best_at = np.zeros((L, T), dtype=np.int64)
+
+    def fill_suffix(i):
+        val, arg = -np.inf, T - 1
+        for t in range(T - 1, -1, -1):
+            if e[i, t] >= val:
+                val, arg = e[i, t], t
+            best_val[i, t], best_at[i, t] = val, arg
+
+    e[L - 1, L - 1 :] = y[L - 1 :, tokens[L - 1]]
+    fill_suffix(L - 1)
+    for i in range(L - 2, -1, -1):
+        hi = T - (L - 1 - i)
+        e[i, i:hi] = y[i:hi, tokens[i]] + best_val[i + 1, i + 1 : hi + 1]
+        fill_suffix(i)
+    positions, prev = [], -1
+    for i in range(L):
+        prev = int(best_at[i, prev + 1])
+        positions.append(prev + 1)
+    return np.array(positions), float(best_val[0, 0])
+
+
 class TestCtcLogLikelihood:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_recursions_match_per_frame_loop_bitwise(self, dtype):
         rng = np.random.default_rng(8)
         for case in range(40):
             V = int(rng.integers(2, 5))
-            L = 1 if case % 4 == 0 else int(rng.integers(1, 8))
+            L = case % 8 // 4 if case % 4 == 0 else int(rng.integers(1, 8))  # 0: the one-blank lattice
             targets = rng.integers(0, 2 if case % 3 == 0 else V, size=L)  # few labels: many repeats
-            T = L + int(np.sum(targets[1:] == targets[:-1])) + int(rng.integers(0, 6))
+            T = max(1, L + int(np.sum(targets[1:] == targets[:-1])) + int(rng.integers(0, 6)))
             y = random_log_probs(rng, T, V).astype(dtype)
             lab = _extend_with_blanks(targets, V)
-            assert np.array_equal(_ctc_alpha(y, lab, V), loop_alpha(y, lab, V))
-            assert np.array_equal(_ctc_beta(y, lab, V), loop_beta(y, lab, V))
+            emit = y[:, lab]
+            assert np.array_equal(_ctc_lattice(y, lab, V) + emit, loop_alpha(y, lab, V))
+            # The forward recursion on the lattice reversed in time and
+            # labels, mirrored back: its alpha is beta plus the emission.
+            rev_y, rev_lab = y[::-1], lab[::-1]
+            rev_lattice = _ctc_lattice(rev_y, rev_lab, V)
+            beta = loop_beta(y, lab, V)
+            assert np.array_equal((rev_lattice + rev_y[:, rev_lab])[::-1, ::-1], beta + emit)
+            assert np.array_equal(rev_lattice[::-1, ::-1], beta)
 
     def test_single_frame_single_target(self):
         rng = np.random.default_rng(0)
@@ -149,7 +182,7 @@ class TestCtcLogLikelihood:
         targets = np.array([0, 2, 0])
 
         def fn(x):
-            return ctc_loss(nx.log_softmax(x), targets)
+            return -ctc_log_likelihood(nx.log_softmax(x), targets)
 
         err = finite_difference_check(fn, rng.standard_normal((6, 4)))
         assert err < 1e-3
@@ -158,7 +191,7 @@ class TestCtcLogLikelihood:
         rng = np.random.default_rng(6)
 
         def fn(x):
-            return ctc_loss(nx.log_softmax(x), [])
+            return -ctc_log_likelihood(nx.log_softmax(x), [])
 
         assert finite_difference_check(fn, rng.standard_normal((3, 3))) < 1e-3
 
@@ -166,7 +199,7 @@ class TestCtcLogLikelihood:
     def test_keeps_float32(self, targets):
         """Float32 scores give a float32 likelihood and gradient."""
         x = nx.tensor(np.random.default_rng(7).standard_normal((6, 4)), requires_grad=True, dtype=np.float32)
-        loss = ctc_loss(nx.log_softmax(x), targets)
+        loss = -ctc_log_likelihood(nx.log_softmax(x), targets)
         loss.backward()
         assert loss.dtype == x.grad.dtype == np.float32
 
@@ -201,6 +234,23 @@ class TestViterbi:
             best_score, best_pos = viterbi_score_bruteforce(y, tokens)
             assert a.score == pytest.approx(best_score, abs=1e-12)
             np.testing.assert_array_equal(a.positions, best_pos)
+
+    def test_matches_per_frame_suffix_loop_on_ties(self):
+        """Positions and score equal the per-frame suffix scan's on long,
+        tie-heavy scores that brute force cannot reach."""
+        rng = np.random.default_rng(9)
+        for case in range(300):
+            T = int(rng.integers(1, 81))
+            L = int(rng.integers(1, min(T, 16) + 1))
+            V = int(rng.integers(1, 4))
+            y = np.round(rng.standard_normal((T, V)) * 2) / 2  # few distinct values: many ties
+            if case % 5 == 0:
+                y[rng.random(y.shape) < 0.3] = -np.inf
+            tokens = rng.integers(0, V, size=L)
+            a = viterbi_align(y, tokens)
+            positions, score = loop_viterbi(y, tokens)
+            np.testing.assert_array_equal(a.positions, positions)
+            assert a.score == score
 
     def test_earliest_tie_stable_under_later_permutation(self):
         # Rows 3 and 4 are identical; swapping them must not change output.
@@ -309,8 +359,8 @@ def reference_batch_loss(model, batch, column_mask=None):
     for frames, tokens in batch:
         logits, inter_logits = model.forward(frames)
         mask = None if column_mask is None else np.broadcast_to(column_mask, logits.shape)
-        main_terms.append(ctc_loss(nx.log_softmax(logits, mask=mask), tokens))
-        inter_terms.append(ctc_loss(nx.log_softmax(inter_logits), np.asarray(tokens) % cfg.n_graphemes))
+        main_terms.append(-ctc_log_likelihood(nx.log_softmax(logits, mask=mask), tokens))
+        inter_terms.append(-ctc_log_likelihood(nx.log_softmax(inter_logits), np.asarray(tokens) % cfg.n_graphemes))
     mean = lambda terms: nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
     return mean(main_terms) + nx.scale(mean(inter_terms), cfg.lambda_inter)
 

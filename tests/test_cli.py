@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tada import configline
+from tada import configline, durbits
 from tada import numerics as nx
-from tada.aligner import AlignerConfig, AlignerModel
+from tada.aligner import AlignerConfig, AlignerModel, filter_alignment
 from tada.backbone import BackboneConfig, BackboneModel
 from tada.cli import build_parser, main
 from tada.codec import CodecConfig, CodecModel
@@ -255,6 +255,33 @@ def test_cli_stages_match_train_full_stack(tmp_path, capsys):
     assert re.fullmatch(r"flow_time_monotone=[01]", monotone)
     assert main(["codec-roundtrip", "--ckpt", codec, *truth, "--utt", prompt]) == 0
     assert "oracle_ter=" in capsys.readouterr().out
+
+
+def test_eval_prompt_wider_than_the_lm_bits_exit_code_2(tmp_path, capsys):
+    """An untrained aligner places a gap wider than a four-bit LM's duration
+    bits hold in the first held-out prompt; eval exits 2 naming the
+    utterance and the bit count before it generates anything."""
+    m, a, aligner, aligned = (str(tmp_path / name) for name in ("m.txt", "a.tada", "aligner.tada", "aligned.txt"))
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text("budget.aligner_steps=0\n")
+    assert main(["--seed", "0", "gen-data", "--manifest", m, "--arrays", a, "--utterances", "24"]) == 0
+    assert main(["--seed", "1", "--config", str(cfg_file), "align", "--manifest", m, "--arrays", a,
+                 "--save-model", aligner, "--out", aligned]) == 0
+    first = Manifest.load(aligned).records[-3]  # the aligner's positions for the first prompt
+    f_before, f_after = durbits.durations_from_positions(first.positions, first.T)
+    assert filter_alignment(first.positions, first.T) is None and max(f_before.max(), f_after.max()) > 15
+    rng = np.random.default_rng(0)
+    codec, lm = str(tmp_path / "codec.tada"), str(tmp_path / "lm.tada")
+    CodecModel(CodecConfig(d_model=16, n_heads=2, d_ff=16, n_layers=1), rng).save(codec)
+    backbone = BackboneModel(BackboneConfig(d_model=16, n_heads=2, n_layers=1, d_ff=16, d_cond=16, bits=4), rng)
+    save_lm_checkpoint(lm, backbone, SpeakerHead(rng=rng))
+    capsys.readouterr()
+    assert main(["eval", "--manifest", m, "--arrays", a, "--lm", lm, "--codec", codec, "--aligner", aligner,
+                 "--prompts", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: utterance {first.utt_id}: ") and "4 duration bits" in err[0], err
 
 
 @pytest.fixture(scope="module")

@@ -360,6 +360,24 @@ def test_trainer_aborts_on_non_finite_loss(name):
         ABORT_CASES[name](corpus)
 
 
+@pytest.mark.parametrize("bits", [3, 4])
+@pytest.mark.parametrize("where", ["leading", "inner", "trailing"])
+def test_filter_by_bits_keeps_gaps_up_to_two_to_the_bits_minus_one(bits, where):
+    """A gap of 2**bits - 1 frames fits in ``bits`` duration bits and is
+    kept; one of 2**bits frames is dropped, wherever it lies."""
+    widest = (1 << bits) - 1
+    keep = UttRecord(utt_id=1, speaker=0, tokens=np.array([0]), positions=np.array([1]), T=1)
+    for gap, dropped in ((widest, 0), (widest + 1, 1)):
+        positions, T = {"leading": ([gap + 1], gap + 1), "inner": ([1, gap + 2], gap + 2),
+                        "trailing": ([1], gap + 1)}[where]
+        rec = UttRecord(utt_id=0, speaker=0, tokens=np.zeros(len(positions), dtype=np.int64),
+                        positions=np.array(positions), T=T)
+        f_before, f_after = durations_from_positions(rec.positions, rec.T)
+        assert max(f_before.max(), f_after.max()) == gap
+        kept, n = recipes.filter_by_bits(Manifest(CFG, [rec, keep]), bits)
+        assert n == dropped and [r.utt_id for r in kept.records] == [0, 1][dropped:]
+
+
 def test_train_full_stack_rejects_when_every_alignment_is_dropped():
     manifest, arrays = gen_corpus(SynthConfig(), 6)
     config = BackboneConfig(vocab_size=manifest.config.vocab_size, bits=1)

@@ -68,6 +68,18 @@ def test_backward_requires_scalar():
         nx.mul(x, x).backward()
 
 
+def test_finite_difference_check_reports_a_nan_gradient():
+    """A NaN analytic gradient gives a NaN error, which fails any tolerance."""
+
+    def fn(x):
+        def backward(g):
+            x.grad = np.full_like(x.data, np.nan)
+
+        return nx.custom_op("nan_grad", np.asarray(x.data.sum()), (x,), backward)
+
+    assert np.isnan(finite_difference_check(fn, np.ones(3)))
+
+
 def test_two_layer_net_matches_finite_differences():
     rng = np.random.default_rng(2)
     w1 = nx.tensor(rng.standard_normal((4, 5)))

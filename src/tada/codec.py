@@ -293,24 +293,34 @@ class CodecModel:
     # positions of all their tokens in the packed frames (see
     # ``pack_utterances``). Each utterance is computed as if alone.
 
-    def frontend(self, frames, lengths=None) -> Tensor:
-        """Per-frame projection plus a kernel-3 local mixer (pre-transformer)."""
-        x = nn.linear(self.params, "enc/in_proj", nn.input_tensor(self.params, frames))
+    def frontend(self, frames, lengths=None):
+        """Per-frame projection plus a kernel-3 local mixer (pre-transformer):
+        taped for a Tensor ``frames``, on arrays of the parameters' dtype for
+        an ndarray."""
+        if not isinstance(frames, Tensor):
+            frames = np.asarray(frames, dtype=nn.param_dtype(self.params))
+        x = nn.linear(self.params, "enc/in_proj", frames)
         return x + nn.local_mix(self.params, "enc/mix", x, lengths)
 
-    def encode_from_hidden(self, hidden: Tensor, p: np.ndarray, lengths=None) -> Tensor:
-        """Masked transformer over prepared frame features; gather latent means."""
+    def encode_from_hidden(self, hidden, p: np.ndarray, lengths=None):
+        """Masked transformer over prepared frame features; gather latent
+        means. Taped for a Tensor ``hidden``, an ndarray for an ndarray."""
         p = np.asarray(p, dtype=np.int64)
         T = hidden.shape[0]
         ind = masks.indicator(p, T)
         lengths = [T] if lengths is None else lengths
         mask = [masks.encoder_mask(q, n) for q, n in zip(_local_positions(p, T, lengths), lengths)]
-        x = hidden + nx.embed(self.params["enc/indicator"], ind)
+        table = self.params["enc/indicator"]
+        taped = isinstance(hidden, Tensor)
+        x = hidden + (nx.embed(table, ind) if taped else table.data[ind])
         h = nn.stack(self.params, "enc/tf", x, mask, self.tf)
-        return nn.linear(self.params, "enc/lat", nx.gather_rows(h, p - 1))
+        return nn.linear(self.params, "enc/lat", nx.gather_rows(h, p - 1) if taped else h[p - 1])
 
     def encode(self, frames, p: np.ndarray, lengths=None) -> Tensor:
-        """Latent means s_mu (L, d_latent) at the aligned positions."""
+        """Latent means s_mu (L, d_latent) at the aligned positions, taped,
+        as training needs them. :meth:`encode_from_hidden` of
+        :meth:`frontend` of an ndarray gives them on arrays."""
+        frames = nn.input_tensor(self.params, frames)
         return self.encode_from_hidden(self.frontend(frames, lengths), p, lengths)
 
     # -- decoders ----------------------------------------------------------

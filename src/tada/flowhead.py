@@ -54,7 +54,8 @@ class VectorFieldModel:
 
     :meth:`field` is the taped reference. :meth:`field_np` is the sampler's
     path: the first layer is split by input block, so the condition's share
-    (:meth:`cond_rows`) is computed once per token, not once per Euler step.
+    (:meth:`cond_rows`) is computed once per token, not once per Euler step,
+    and the time features' share once per weight array and time.
     """
 
     def __init__(
@@ -67,6 +68,7 @@ class VectorFieldModel:
         self.config = config
         self.prefix = prefix
         self.n_layers = len(self.layer_dims(config)) - 1
+        self._time_cache: tuple[np.ndarray | None, dict] = (None, {})
         if params is not None:
             self.params = params
             return
@@ -129,12 +131,33 @@ class VectorFieldModel:
         ``cond_rows`` holds one row per row of ``y`` (or a single row for all).
         Equals :meth:`field` up to the summation order of the first layer.
         """
-        y = np.asarray(y, dtype=nn.param_dtype(self.params))
+        w_y = self._first_layer_blocks()[0]
+        y = np.asarray(y, dtype=w_y.dtype)
         if cond_rows.shape[0] not in (1, y.shape[0]):
             raise ValidationError(f"field_np: {cond_rows.shape[0]} condition rows for {y.shape[0]} points")
-        w_y, w_t, _ = self._first_layer_blocks()
-        temb = time_embedding(t, self.config.d_time, y.dtype.type)
-        return self._hidden(y @ w_y + temb @ w_t + cond_rows)
+        h = y @ w_y
+        h += self._time_rows(t)
+        h += cond_rows
+        return self._hidden(h)
+
+    def _time_rows(self, t: float) -> np.ndarray:
+        """The time features' share of the first pre-activation,
+        ``time_embedding(t) @ W_t``.
+
+        It is cached per ``fc0/w`` array and t; a sampler asks for its
+        ``n_steps`` times over and over. An optimizer step replaces the
+        weight arrays (:class:`~tada.numerics.Adam` never writes into one),
+        so a new array starts a new cache.
+        """
+        w = self.params[f"{self.prefix}/fc0/w"].data
+        if self._time_cache[0] is not w:
+            self._time_cache = (w, {})
+        cache = self._time_cache[1]
+        rows = cache.get(t)
+        if rows is None:
+            w_t = self._first_layer_blocks()[1]
+            rows = cache[t] = time_embedding(t, self.config.d_time, w.dtype.type) @ w_t
+        return rows
 
 
 def interpolate(y1, y0, t, sigma_min: float) -> np.ndarray:
@@ -192,17 +215,20 @@ def flow_loss(
 
 def cfg_combine(v_pos: np.ndarray, v_neg: np.ndarray, scale: float, d_guided: int) -> np.ndarray:
     """Guide the first ``d_guided`` dims: v_neg + scale * (v_pos - v_neg);
-    the remaining dims pass the positive branch through unchanged."""
-    v_pos = np.asarray(v_pos, dtype=np.float64)
-    v_neg = np.asarray(v_neg, dtype=np.float64)
+    the remaining dims pass the positive branch through unchanged.
+
+    Returns a new float64 array; the blend is formed in place in it.
+    """
+    v_pos, v_neg = np.asarray(v_pos), np.asarray(v_neg)
     if v_pos.shape != v_neg.shape:
         raise ValidationError(f"cfg_combine: shapes {v_pos.shape} vs {v_neg.shape}")
-    out = v_pos.copy()
+    out = v_pos.astype(np.float64)
     if scale == 1.0:  # exact conditional sampling, no round-off from the blend
         return out
-    out[..., :d_guided] = v_neg[..., :d_guided] + scale * (
-        v_pos[..., :d_guided] - v_neg[..., :d_guided]
-    )
+    guided, neg = out[..., :d_guided], v_neg[..., :d_guided]
+    guided -= neg
+    guided *= scale
+    guided += neg
     return out
 
 
@@ -220,21 +246,27 @@ def euler_sample(
     With guidance on (``cfg_scale != 1``) each step makes one call on the
     stacked rows ``[y; y]``: the first half is the positive branch, the
     second half the negative one. At ``cfg_scale == 1`` it gets ``y`` alone.
-    Deterministic given (seed, field, config, n_steps, cfg_scale).
+    Both live in one buffer that the steps update in place, so ``field``
+    must not keep the array it is given. Deterministic given (seed, field,
+    config, n_steps, cfg_scale).
     """
     d = config.d_target
     rng = np.random.default_rng(seed)
-    y = rng.standard_normal((n_samples, d))
     guided = cfg_scale != 1.0
+    stacked = np.empty((2 * n_samples if guided else n_samples, d))
+    y = stacked[:n_samples]
+    rng.standard_normal(out=y)
     for k in range(n_steps):
         t = k / n_steps
-        v = field(np.concatenate([y, y]) if guided else y, t)
-        if not np.all(np.isfinite(v)):
+        if guided:
+            stacked[n_samples:] = y
+        v = field(stacked, t)
+        if not np.isfinite(v).all():
             raise NumericalAbort(f"euler_sample: non-finite field at Euler step {k}")
         if guided:
             v = cfg_combine(v[:n_samples], v[n_samples:], cfg_scale, config.d_latent)
-        y = y + v / n_steps
-        if not np.all(np.isfinite(y)):
+        y += v / n_steps
+        if not np.isfinite(y).all():
             raise NumericalAbort(f"euler_sample: non-finite state at Euler step {k}")
     return y
 

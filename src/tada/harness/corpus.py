@@ -96,27 +96,13 @@ class TemplateBank:
         self.speaker_dc = 1.2 * np.cos(angles)
         self.speaker_hi = 1.2 * np.sin(angles)
         self._grid = (np.arange(r) + 0.5) / r
+        self.tones = np.stack([self._tone(b) for b in range(self.speaker_bin + 1)])  # row b: bin b
         # Markov text distribution: each token prefers a few successors.
         trans = np.full((V, V), 0.02)
         for w in range(V):
             successors = rng.choice(V, size=6, replace=False)
             trans[w, successors] += rng.dirichlet(np.ones(6)) * 4.0
         self.transition = trans / trans.sum(axis=1, keepdims=True)
-
-    def frame_template(self, token: int, speaker: int, remaining: int) -> np.ndarray:
-        cfg = self.config
-        out = np.zeros(cfg.d_frame)
-        out[:TOKEN_DIMS] = self.token_vec[token]
-        ramp = remaining / max(cfg.dur_max - 1, 1)
-        out[TOKEN_DIMS : TOKEN_DIMS + MARK_DIMS] = [1.0, ramp, 1.0 if remaining == 0 else 0.0]
-        out[TOKEN_DIMS + MARK_DIMS :] = 0.8 * self.speaker_frame[speaker]
-        return out
-
-    def silence_template(self, speaker: int) -> np.ndarray:
-        cfg = self.config
-        out = np.zeros(cfg.d_frame)
-        out[TOKEN_DIMS + MARK_DIMS :] = 0.4 * self.speaker_frame[speaker]
-        return out
 
     def _tone(self, bin_index: int) -> np.ndarray:
         return np.sin(2.0 * np.pi * bin_index * self._grid)
@@ -244,31 +230,45 @@ def _render_utterance(
     tokens: np.ndarray,
     speaker: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frames, signal, and ground-truth positions for one utterance."""
+    """Frames, signal, and ground-truth positions for one utterance.
+
+    The runs are laid out gap 0, token 0, gap 1, ..., token L-1, gap L.
+    A voiced frame holds its token's vector, the marks [1, remaining-frames
+    ramp, final-frame flag] and the speaker hum, and its signal is
+    :meth:`TemplateBank.signal_template`; a gap frame holds only a fainter
+    hum and :meth:`~TemplateBank.silence_signal`. All rows are built at
+    once from each frame's token and frames-remaining index.
+    """
     cfg = bank.config
     L = tokens.size
     durs = rng.integers(cfg.dur_min, cfg.dur_max + 1, size=L)
     gaps = rng.integers(cfg.gap_min, cfg.gap_max + 1, size=L + 1)
-    T = int(durs.sum() + gaps.sum())
-    r = cfg.samples_per_frame
+    runs = np.zeros(2 * L + 1, dtype=np.int64)
+    runs[0::2], runs[1::2] = gaps, durs
+    ends = np.cumsum(runs)
+    T = int(ends[-1])
+    run_token = np.full(2 * L + 1, -1, dtype=np.int64)
+    run_token[1::2] = tokens
+    frame_token = np.repeat(run_token, runs)
+    remaining = np.repeat(ends - 1, runs) - np.arange(T)
+    voiced = frame_token >= 0
+    tok, rem = frame_token[voiced], remaining[voiced]
+
     frames = np.zeros((T, cfg.d_frame))
-    signal = np.zeros((T, r))
-    positions = np.zeros(L, dtype=np.int64)
-    t = 0
-    for i in range(L + 1):
-        for _ in range(gaps[i]):
-            frames[t] = bank.silence_template(speaker)
-            signal[t] = bank.silence_signal(speaker)
-            t += 1
-        if i == L:
-            break
-        for j in range(durs[i]):
-            rem = durs[i] - 1 - j
-            frames[t] = bank.frame_template(tokens[i], speaker, rem)
-            signal[t] = bank.signal_template(tokens[i], speaker, rem)
-            if rem == 0:
-                positions[i] = t + 1  # 1-based
-            t += 1
+    marks = slice(TOKEN_DIMS, TOKEN_DIMS + MARK_DIMS)
+    frames[voiced, :TOKEN_DIMS] = bank.token_vec[tok]
+    frames[voiced, marks] = np.stack([np.ones(tok.size), rem / max(cfg.dur_max - 1, 1), rem == 0], axis=1)
+    frames[voiced, TOKEN_DIMS + MARK_DIMS :] = 0.8 * bank.speaker_frame[speaker]
+    frames[~voiced, TOKEN_DIMS + MARK_DIMS :] = 0.4 * bank.speaker_frame[speaker]
+
+    signal = np.empty((T, cfg.samples_per_frame))
+    signal[voiced] = (
+        bank.token_amp[tok][:, None] * bank.tones[bank.token_bin[tok]]
+        + bank.rem_amp[rem][:, None] * bank.tones[bank.rem_bin]
+        + bank._speaker_component(speaker)
+    )
+    signal[~voiced] = bank.silence_signal(speaker)
+    positions = ends[1::2].copy()  # 1-based last frame of each token's run
     if cfg.noise > 0:
         frames += rng.normal(0.0, cfg.noise, frames.shape)
         signal += rng.normal(0.0, cfg.noise, signal.shape)

@@ -324,9 +324,10 @@ def build_prompts(
 
     Positions come from ``aligner`` if one is given, otherwise from the
     manifest, which may be one that ``align`` wrote. An id the manifest does
-    not hold, a record whose ``T`` is not its frame count, or a prompt whose
-    gaps do not fit in ``bits`` bits (``durbits.fits_bits``) raises
-    ``ValidationError`` naming the utterance.
+    not hold, a record whose ``T`` is not its frame count, an alignment that
+    ``prepare_prompt`` rejects, or a prompt whose gaps do not fit in
+    ``bits`` bits (``durbits.fits_bits``) raises ``ValidationError`` naming
+    the utterance.
     """
     by_id = {rec.utt_id: rec for rec in manifest.records}
     prompts = []
@@ -336,7 +337,10 @@ def build_prompts(
             raise ValidationError(f"unknown prompt utterance id {utt_id}")
         positions = rec.positions if aligner is None else None
         frames, _ = _record_arrays(rec, arrays)
-        prompt = prepare_prompt(frames, rec.tokens, aligner, codec, head, positions=positions)
+        try:
+            prompt = prepare_prompt(frames, rec.tokens, aligner, codec, head, positions=positions)
+        except ValidationError as exc:
+            raise ValidationError(f"utterance {utt_id}: {exc}") from None
         if not fits_bits(prompt.positions, prompt.T, bits):
             raise ValidationError(
                 f"utterance {utt_id}: the prompt's alignment has a gap wider than {bits} duration bits hold "

@@ -110,9 +110,10 @@ def mlp(params: dict, prefix: str, x, n_layers: int):
     return x
 
 
-def local_mix(params: dict, name: str, x: Tensor, lengths=None) -> Tensor:
+def local_mix(params: dict, name: str, x, lengths=None):
     """Kernel-3 neighbour mixer: GELU of a linear map of each row beside its
-    left and right neighbours.
+    left and right neighbours; taped for a Tensor ``x``, on arrays for an
+    ndarray.
 
     The rows are consecutive sequences of the given ``lengths`` (default:
     one sequence), and each sequence sees zero rows past either of its ends,
@@ -124,9 +125,13 @@ def local_mix(params: dict, name: str, x: Tensor, lengths=None) -> Tensor:
     left, right = np.arange(T) - 1, np.arange(T) + 1
     left[ends - lengths] = T  # row T of ``padded`` is the zero row
     right[ends - 1] = T
-    padded = nx.concat([x, nx.zeros((1, d), dtype=x.dtype)], axis=0)
-    rows = nx.gather_rows(padded, np.stack([left, np.arange(T), right], axis=1).reshape(-1))
-    return nx.gelu(linear(params, name, nx.reshape(rows, (T, 3 * d))))
+    idx = np.stack([left, np.arange(T), right], axis=1).reshape(-1)
+    if isinstance(x, Tensor):
+        padded = nx.concat([x, nx.zeros((1, d), dtype=x.dtype)], axis=0)
+        rows = nx.reshape(nx.gather_rows(padded, idx), (T, 3 * d))
+    else:
+        rows = np.concatenate([x, np.zeros((1, d), dtype=x.dtype)])[idx].reshape(T, 3 * d)
+    return gelu(linear(params, name, rows))
 
 
 def init_block(params: dict, prefix: str, rng: np.random.Generator, cfg: TransformerConfig) -> None:
@@ -168,13 +173,20 @@ def attention(
     of sequences (see :func:`stack`). With ``cache`` (ndarray rows only)
     they attend to the cached rows followed by themselves, ``mask`` has one
     column per such row, and their rotated keys and their values are
-    appended to the cache.
+    appended to the cache. The cached path takes q, k and v from one
+    product with the cache's ``wq|wk|wv`` columns and rotates q and k in
+    one call, as 2H heads.
     """
+    if cache is not None:
+        H, d = cfg.n_heads, cfg.d_model
+        qkv = kernels.linear(x, *cache.qkv_weights(params, prefix))
+        qk = kernels.split_heads(qkv[:, : 2 * d], 2 * H, positions, cfg.rope_base)[0]
+        kt, v = cache.extend(qk[H:], qkv[:, 2 * d :].reshape(-1, H, d // H).transpose(1, 0, 2))
+        heads = kernels.attention_heads(qk[:H], kt, v, mask, keys_transposed=True)[0]
+        return linear(params, f"{prefix}/wo", heads)
     q = _heads(linear(params, f"{prefix}/wq", x), cfg, positions)
     k = _heads(linear(params, f"{prefix}/wk", x), cfg, positions)
     v = _heads(linear(params, f"{prefix}/wv", x), cfg)
-    if cache is not None:
-        k, v = cache.extend(k, v)
     if isinstance(q, Tensor):
         heads = nx.attention_heads(q, k, v, mask)
     else:
@@ -213,12 +225,13 @@ def sequence_positions(lengths) -> np.ndarray:
 def stack(
     params: dict,
     prefix: str,
-    x: Tensor,
+    x,
     mask,
     cfg: TransformerConfig,
     positions: np.ndarray | None = None,
-) -> Tensor:
-    """Run the full transformer stack.
+):
+    """Run the full transformer stack: taped for a Tensor ``x``, on arrays
+    for an ndarray.
 
     ``mask`` is one (T, T) mask over the rows, or, for a packed run, a list
     of per-sequence masks: the rows are then consecutive sequences, mask i
@@ -252,26 +265,71 @@ def full_mask(T: int) -> np.ndarray:
 
 
 class LayerCache:
-    """One layer's cached keys and values, (H, n, hd) each.
+    """One layer's cached keys and values, for ``n`` entries.
 
     Keys are stored after the rotary rotation, so a step rotates only its
-    own new rows. The cache holds the dtype of the rows it is given.
+    own new rows, and transposed, as attention multiplies by them. Both
+    buffers grow in place by doubling their capacity, so appending copies
+    only the new rows, and :meth:`keep` compacts in place. The cache holds
+    the dtype of the rows it is given. It also keeps the layer's ``wq|wk|wv``
+    weights concatenated (:meth:`qkv_weights`), so a cache serves one model.
     """
 
+    FIRST_CAPACITY = 16
+
     def __init__(self, cfg: TransformerConfig):
-        shape = (cfg.n_heads, 0, cfg.d_model // cfg.n_heads)
-        self.keys = np.zeros(shape)
-        self.values = np.zeros(shape)
+        H, hd = cfg.n_heads, cfg.d_model // cfg.n_heads
+        self.n = 0
+        self._kt = np.zeros((H, hd, 0))  # (H, hd, capacity)
+        self._v = np.zeros((H, 0, hd))  # (H, capacity, hd)
+        self._qkv: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def capacity(self) -> int:
+        return self._v.shape[1]
+
+    @property
+    def keys(self) -> np.ndarray:
+        """The cached rotated keys, (H, n, hd), as a view."""
+        return self._kt[:, :, : self.n].transpose(0, 2, 1)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The cached values, (H, n, hd), as a view."""
+        return self._v[:, : self.n]
+
+    def qkv_weights(self, params: dict, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+        """The ``wq|wk|wv`` weight columns and biases of layer ``prefix``,
+        concatenated on the first call."""
+        if self._qkv is None:
+            names = [f"{prefix}/{w}" for w in ("wq", "wk", "wv")]
+            self._qkv = (
+                np.concatenate([params[f"{name}/w"].data for name in names], axis=1),
+                np.concatenate([params[f"{name}/b"].data for name in names]),
+            )
+        return self._qkv
 
     def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append new rows; return all cached keys and values."""
-        self.keys = np.concatenate([self.keys, k], axis=1, dtype=k.dtype)
-        self.values = np.concatenate([self.values, v], axis=1, dtype=v.dtype)
-        return self.keys, self.values
+        """Append new (H, m, hd) rows; return views of all cached keys,
+        transposed to (H, hd, n), and values, (H, n, hd)."""
+        n0, n = self.n, self.n + k.shape[1]
+        if n > self.capacity or self._v.dtype != v.dtype:
+            capacity = max(n, 2 * self.capacity, self.FIRST_CAPACITY)
+            kt = np.empty(self._kt.shape[:2] + (capacity,), dtype=k.dtype)
+            values = np.empty((self._v.shape[0], capacity, self._v.shape[2]), dtype=v.dtype)
+            kt[:, :, :n0] = self._kt[:, :, :n0]
+            values[:, :n0] = self._v[:, :n0]
+            self._kt, self._v = kt, values
+        self._kt[:, :, n0:n] = k.transpose(0, 2, 1)
+        self._v[:, n0:n] = v
+        self.n = n
+        return self._kt[:, :, :n], self._v[:, :n]
 
     def keep(self, rows: np.ndarray) -> None:
-        self.keys = self.keys[:, rows]
-        self.values = self.values[:, rows]
+        kt, v = self._kt[:, :, : self.n][:, :, rows], self._v[:, : self.n][:, rows]
+        self.n = v.shape[1]
+        self._kt[:, :, : self.n] = kt
+        self._v[:, : self.n] = v
 
 
 class StackCache:

@@ -594,11 +594,8 @@ def split_heads(x: Tensor, n_heads: int, positions: np.ndarray | None = None, ba
 
     def backward(g):
         if rot is not None:
-            cos, sin = rot
-            ge, go = g[..., 0::2], g[..., 1::2]
-            g = np.empty_like(g)
-            g[..., 0::2] = ge * cos + go * sin
-            g[..., 1::2] = -ge * sin + go * cos
+            cos2, sin2 = rot
+            g = kernels.rotate_pairs(g, cos2, -sin2)
         _accum(x, g.transpose(1, 0, 2).reshape(T, d))
 
     return _make("split_heads", out, (x,), backward)

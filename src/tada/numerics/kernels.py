@@ -79,18 +79,21 @@ def layer_norm(
 
 
 class _RopeTable:
-    """Rotary cos and sin rows for one ``(d, base, dtype)``.
+    """Rotary tables for one ``(d, base, dtype)``, at full width ``d``.
 
+    Row p of ``cos2`` holds each pair's cosine twice and row p of ``sin2``
+    each pair's sine negated then plain, so a pair (x_e, x_o) turns into
+    ``x * cos2 + swapped(x) * sin2`` = (x_e cos - x_o sin, x_o cos + x_e sin).
     Row p is computed for position p, bit-equal to computing it for p
     alone; the table grows by doubling to cover the largest position asked
-    for. The rows last asked for are kept, because the q and k of every
-    layer of a forward ask for the same positions in turn.
+    for. The rows last asked for are kept, because every layer of a forward
+    asks for the same positions in turn.
     """
 
     def __init__(self, d: int, base: float, dtype):
         self.freqs = base ** (-np.arange(d // 2, dtype=np.float64) * 2.0 / d)
         self.dtype = dtype
-        self.cos = self.sin = np.zeros((0, d // 2), dtype=dtype)
+        self.cos2 = self.sin2 = np.zeros((0, d), dtype=dtype)
         self.last: tuple = (None, None)
 
     def rows(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,24 +103,51 @@ class _RopeTable:
         if positions.size and positions.min() < 0:
             raise ShapeError("rope", "positions must be >= 0")
         need = int(positions.max()) + 1 if positions.size else 0
-        if self.cos.shape[0] < need:
-            ang = np.arange(max(need, 2 * self.cos.shape[0], 64), dtype=np.float64)[:, None] * self.freqs
-            self.cos, self.sin = np.cos(ang).astype(self.dtype), np.sin(ang).astype(self.dtype)
-        hit = (self.cos[positions], self.sin[positions])
+        if self.cos2.shape[0] < need:
+            ang = np.arange(max(need, 2 * self.cos2.shape[0], 64), dtype=np.float64)[:, None] * self.freqs
+            cos, sin = np.cos(ang).astype(self.dtype), np.sin(ang).astype(self.dtype)
+            self.cos2 = np.repeat(cos, 2, axis=1)
+            self.sin2 = np.stack([-sin, sin], axis=2).reshape(cos.shape[0], -1)
+        hit = (self.cos2[positions], self.sin2[positions])
         self.last = (raw, hit)
         return hit
 
 
 _ROPE_TABLES: dict[tuple, _RopeTable] = {}
+_PAIR_SWAPS: dict[int, np.ndarray] = {}
 
 
 def _rope_angles(d: int, positions: np.ndarray, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``positions`` of the cos and sin tables for width ``d``."""
+    """Rows ``positions`` of the full-width ``cos2`` and ``sin2`` tables
+    for width ``d`` (see :class:`_RopeTable`)."""
     key = (d, base, dtype)
     table = _ROPE_TABLES.get(key)
     if table is None:
         table = _ROPE_TABLES[key] = _RopeTable(d, base, dtype)
     return table.rows(np.asarray(positions, dtype=np.int64))
+
+
+def _pair_swap(d: int) -> np.ndarray:
+    """Column order that swaps each (even, odd) pair of a width-``d`` row."""
+    swap = _PAIR_SWAPS.get(d)
+    if swap is None:
+        swap = _PAIR_SWAPS[d] = np.arange(d).reshape(-1, 2)[:, ::-1].reshape(-1)
+    return swap
+
+
+def rotate_pairs(x: np.ndarray, cos2: np.ndarray, sin2: np.ndarray) -> np.ndarray:
+    """``x * cos2 + swapped(x) * sin2`` as a new C-ordered array: the
+    rotary turn of every (even, odd) pair of ``x``'s last axis.
+
+    Bit-equal to the pairwise form ``x_e cos - x_o sin``, ``x_e sin + x_o
+    cos``: a product with the negated sine is the negated product, and the
+    sum adds the same two products. With ``-sin2`` it is the inverse turn.
+    """
+    out = np.multiply(x, cos2, out=np.empty(x.shape, dtype=x.dtype))
+    swapped = x[..., _pair_swap(x.shape[-1])]
+    swapped *= sin2
+    out += swapped
+    return out
 
 
 def split_heads(
@@ -127,8 +157,8 @@ def split_heads(
 
     With ``positions``, every head is also rotated by rotary positions:
     each consecutive (even, odd) coordinate pair of row t turns by the
-    angles of ``positions[t]``. Returns the heads and the ``(cos, sin)``
-    rows of the rotation (None without one).
+    angles of ``positions[t]`` (:func:`rotate_pairs`). Returns the heads and
+    the ``(cos2, sin2)`` rows of the rotation (None without one).
     """
     if x.ndim != 2 or n_heads < 1 or x.shape[1] % n_heads != 0:
         raise ShapeError("split_heads", f"cannot split {x.shape} into {n_heads} heads")
@@ -143,18 +173,16 @@ def split_heads(
             "split_heads", f"rotary needs an even head width and ({T},) positions, "
             f"got width {hd} and positions {positions.shape}"
         )
-    cos, sin = _rope_angles(hd, positions, base, x.dtype)
-    xe, xo = heads[..., 0::2], heads[..., 1::2]
-    out = np.empty((n_heads, T, hd), dtype=x.dtype)
-    out[..., 0::2] = xe * cos - xo * sin
-    out[..., 1::2] = xe * sin + xo * cos
-    return out, (cos, sin)
+    rot = _rope_angles(hd, positions, base, x.dtype)
+    return rotate_pairs(heads, *rot), rot
 
 
-def attention_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask) -> tuple:
+def attention_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, keys_transposed: bool = False) -> tuple:
     """Scaled dot-product attention of all heads at once, heads merged.
 
-    ``q`` is (H, Tq, hd) and ``k`` and ``v`` are (H, Tk, hd). ``mask`` is
+    ``q`` is (H, Tq, hd) and ``k`` and ``v`` are (H, Tk, hd); with
+    ``keys_transposed``, ``k`` is given as (H, hd, Tk) instead, as a
+    key/value cache holds it, and is multiplied by as it is. ``mask`` is
     one (Tq, Tk) mask that applies to every head, or, for a packed run, a
     list of per-sequence masks: the rows of ``q`` and of ``k`` are then
     consecutive sequences, and mask i, of shape (Lq_i, Lk_i), is sequence
@@ -167,9 +195,10 @@ def attention_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask) -> tuple:
     per block its ``(mask, rows, keys)``, its weights and its transposed
     keys.
     """
-    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or k.shape != v.shape or q.shape[::2] != k.shape[::2]:
+    kshape = k.transpose(0, 2, 1).shape if keys_transposed and k.ndim == 3 else k.shape
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or kshape != v.shape or q.shape[::2] != v.shape[::2]:
         raise ShapeError(
-            "attention_heads", f"q {q.shape}, k {k.shape}, v {v.shape} are not (H, T, hd) alike"
+            "attention_heads", f"q {q.shape}, k {kshape}, v {v.shape} are not (H, T, hd) alike"
         )
     H, Tq, hd = q.shape
     packed = isinstance(mask, list)
@@ -179,9 +208,9 @@ def attention_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask) -> tuple:
         r1, c1 = r0 + m.shape[0], c0 + m.shape[-1]
         blocks.append((m, slice(r0, r1), slice(c0, c1)))
         r0, c0 = r1, c1
-    if any(m.ndim != 2 for m in masks) or (r0, c0) != (Tq, k.shape[1]):
+    if any(m.ndim != 2 for m in masks) or (r0, c0) != (Tq, v.shape[1]):
         shapes = [m.shape for m in masks] if packed else masks[0].shape
-        raise ShapeError("attention_heads", f"mask shape {shapes} != ({Tq}, {k.shape[1]})")
+        raise ShapeError("attention_heads", f"mask shape {shapes} != ({Tq}, {v.shape[1]})")
     if not all(m.any(axis=-1).all() for m in masks):
         raise ShapeError("attention_heads", "a normalization slice has no included positions")
     c = 1.0 / math.sqrt(hd)
@@ -189,11 +218,15 @@ def attention_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask) -> tuple:
     for m, r, s in blocks:
         # Operand layouts follow the per-head matmul/transpose2d chain, so
         # every product is bit-identical to it.
-        kt = np.ascontiguousarray(k[:, s].transpose(0, 2, 1))
-        scores = (q[:, r] @ kt) * c
-        mx = np.where(m, scores, -np.inf).max(axis=-1, keepdims=True)
-        e = np.exp(np.where(m, scores - mx, 0.0)) * m
-        w = e / e.sum(axis=-1, keepdims=True)
+        kt = k[:, :, s] if keys_transposed else np.ascontiguousarray(k[:, s].transpose(0, 2, 1))
+        scores = q[:, r] @ kt
+        scores *= c
+        # Masked softmax: excluded scores become -inf, so after the shift
+        # by the row maximum their exp is exactly 0.
+        w = np.where(m, scores, -np.inf)
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
         outs.append(w @ v[:, s])
         weights.append(w)
         kts.append(kt)

@@ -150,8 +150,7 @@ def prepare_prompt(
     reason = filter_alignment(positions, T)
     if reason is not None:
         raise ValidationError(f"prepare_prompt: alignment filtered: {reason}")
-    with nx.no_grad():
-        s_mu = np.asarray(codec_model.encode(frames, positions).data)
+    s_mu = codec_model.encode_from_hidden(codec_model.frontend(frames), positions)
     f_before, f_after = durbits.durations_from_positions(positions, T)
     emb = speaker_head.embed(s_mu).mean(axis=0)
     ref = emb / (np.linalg.norm(emb) + 1e-12)

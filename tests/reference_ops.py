@@ -5,13 +5,18 @@ from rank-2 pieces: the chain that the engine's head-batched
 ``split_heads`` and ``attention_heads`` are checked against. They record
 tape nodes the way engine primitives do. ``encoder_mask`` builds the
 encoder mask row by row, the loop ``masks.encoder_mask`` is checked against.
+``ConcatStackCache`` and ``cached_stack_step`` are the cached transformer
+step written plainly, the reference ``nn.stack_step`` is checked against.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from tada.errors import ShapeError
+from tada.numerics import kernels
 from tada.numerics.engine import Tensor, _accum, _make
 from tada.numerics.kernels import _rope_angles
 
@@ -27,7 +32,8 @@ def rope(x: Tensor, positions: np.ndarray, base: float = 10000.0) -> Tensor:
     positions = np.asarray(positions)
     if positions.shape != (T,):
         raise ShapeError("rope", f"positions must be ({T},), got {positions.shape}")
-    cos, sin = _rope_angles(d, positions, base, x.dtype)
+    cos2, sin2 = _rope_angles(d, positions, base, x.dtype)
+    cos, sin = cos2[:, 0::2], sin2[:, 1::2]  # each pair's angle, once
     xe, xo = x.data[:, 0::2], x.data[:, 1::2]
     out = np.empty_like(x.data)
     out[:, 0::2] = xe * cos - xo * sin
@@ -90,3 +96,61 @@ def encoder_mask(p, T: int) -> np.ndarray:
             mask[q - 1, lo - 1 : hi] = True
         mask[q - 1, q - 1] = True
     return mask
+
+
+class ConcatStackCache:
+    """Per-layer keys and values as (H, n, hd) arrays that every step
+    concatenates onto, with the entries' positions and streams."""
+
+    def __init__(self, cfg):
+        shape = (cfg.n_heads, 0, cfg.d_model // cfg.n_heads)
+        self.keys = [np.zeros(shape) for _ in range(cfg.n_layers)]
+        self.values = [np.zeros(shape) for _ in range(cfg.n_layers)]
+        self.positions = np.zeros(0, dtype=np.int64)
+        self.streams = np.zeros(0, dtype=np.int64)
+
+    def keep(self, rows) -> None:
+        self.keys = [k[:, rows] for k in self.keys]
+        self.values = [v[:, rows] for v in self.values]
+        self.positions, self.streams = self.positions[rows], self.streams[rows]
+
+
+def cached_stack_step(params, prefix, x, positions, cache: ConcatStackCache, cfg, mask, streams):
+    """``nn.stack_step`` from separate q, k and v products, the pairwise
+    rotary form, a cache grown by concatenation and a softmax that masks
+    the scores, shifts them and masks again."""
+    H, hd = cfg.n_heads, cfg.d_model // cfg.n_heads
+    cos2, sin2 = _rope_angles(hd, positions, cfg.rope_base, x.dtype)
+    cos, sin = cos2[:, 0::2], sin2[:, 1::2]
+
+    def lin(name, h):
+        return kernels.linear(h, params[f"{name}/w"].data, params[f"{name}/b"].data)
+
+    def ln(name, h):
+        return kernels.layer_norm(h, params[f"{name}/g"].data, params[f"{name}/b"].data)[0]
+
+    def heads(h):
+        return h.reshape(len(h), H, hd).transpose(1, 0, 2)
+
+    def rotated(h):
+        out = np.empty(h.shape, dtype=h.dtype)
+        he, ho = h[..., 0::2], h[..., 1::2]
+        out[..., 0::2] = he * cos - ho * sin
+        out[..., 1::2] = he * sin + ho * cos
+        return out
+
+    for i in range(cfg.n_layers):
+        p = f"{prefix}/layer{i}"
+        h = ln(f"{p}/ln1", x)
+        q, k, v = rotated(heads(lin(f"{p}/wq", h))), rotated(heads(lin(f"{p}/wk", h))), heads(lin(f"{p}/wv", h))
+        cache.keys[i] = np.concatenate([cache.keys[i], k], axis=1, dtype=k.dtype)
+        cache.values[i] = np.concatenate([cache.values[i], v], axis=1, dtype=v.dtype)
+        scores = (q @ np.ascontiguousarray(cache.keys[i].transpose(0, 2, 1))) * (1.0 / math.sqrt(hd))
+        mx = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(mask, scores - mx, 0.0)) * mask
+        w = e / e.sum(axis=-1, keepdims=True)
+        x = x + lin(f"{p}/wo", (w @ cache.values[i]).transpose(1, 0, 2).reshape(len(x), H * hd))
+        x = x + lin(f"{p}/ff2", kernels.gelu(lin(f"{p}/ff1", ln(f"{p}/ln2", x)))[0])
+    cache.positions = np.concatenate([cache.positions, positions])
+    cache.streams = np.concatenate([cache.streams, streams])
+    return ln(f"{prefix}/ln_out", x)

@@ -257,31 +257,49 @@ def test_cli_stages_match_train_full_stack(tmp_path, capsys):
     assert "oracle_ter=" in capsys.readouterr().out
 
 
-def test_eval_prompt_wider_than_the_lm_bits_exit_code_2(tmp_path, capsys):
-    """An untrained aligner places a gap wider than a four-bit LM's duration
-    bits hold in the first held-out prompt; eval exits 2 naming the
-    utterance and the bit count before it generates anything."""
+def _eval_with_untrained_aligner(tmp_path, capsys, bits):
+    """``eval --prompts 3`` on the 24-utterance seed-0 corpus, its prompts
+    aligned by a zero-step ``--seed 1`` aligner, for an untrained LM with
+    ``bits`` duration bits: the exit code, the standard output and error,
+    and the aligner's records of the three prompts."""
     m, a, aligner, aligned = (str(tmp_path / name) for name in ("m.txt", "a.tada", "aligner.tada", "aligned.txt"))
     cfg_file = tmp_path / "conf.txt"
     cfg_file.write_text("budget.aligner_steps=0\n")
     assert main(["--seed", "0", "gen-data", "--manifest", m, "--arrays", a, "--utterances", "24"]) == 0
     assert main(["--seed", "1", "--config", str(cfg_file), "align", "--manifest", m, "--arrays", a,
                  "--save-model", aligner, "--out", aligned]) == 0
-    first = Manifest.load(aligned).records[-3]  # the aligner's positions for the first prompt
-    f_before, f_after = durbits.durations_from_positions(first.positions, first.T)
-    assert filter_alignment(first.positions, first.T) is None and max(f_before.max(), f_after.max()) > 15
     rng = np.random.default_rng(0)
     codec, lm = str(tmp_path / "codec.tada"), str(tmp_path / "lm.tada")
     CodecModel(CodecConfig(d_model=16, n_heads=2, d_ff=16, n_layers=1), rng).save(codec)
-    backbone = BackboneModel(BackboneConfig(d_model=16, n_heads=2, n_layers=1, d_ff=16, d_cond=16, bits=4), rng)
+    backbone = BackboneModel(BackboneConfig(d_model=16, n_heads=2, n_layers=1, d_ff=16, d_cond=16, bits=bits), rng)
     save_lm_checkpoint(lm, backbone, SpeakerHead(rng=rng))
     capsys.readouterr()
-    assert main(["eval", "--manifest", m, "--arrays", a, "--lm", lm, "--codec", codec, "--aligner", aligner,
-                 "--prompts", "3"]) == 2
+    code = main(["eval", "--manifest", m, "--arrays", a, "--lm", lm, "--codec", codec, "--aligner", aligner,
+                 "--prompts", "3"])
     captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.splitlines()
+    return code, captured.out, captured.err.splitlines(), Manifest.load(aligned).records[-3:]
+
+
+def test_eval_prompt_wider_than_the_lm_bits_exit_code_2(tmp_path, capsys):
+    """An untrained aligner places a gap wider than a four-bit LM's duration
+    bits hold in the first held-out prompt; eval exits 2 naming the
+    utterance and the bit count before it generates anything."""
+    code, out, err, prompts = _eval_with_untrained_aligner(tmp_path, capsys, bits=4)
+    first = prompts[0]  # the aligner's positions for the first prompt
+    f_before, f_after = durbits.durations_from_positions(first.positions, first.T)
+    assert filter_alignment(first.positions, first.T) is None and max(f_before.max(), f_after.max()) > 15
+    assert code == 2 and out == ""
     assert len(err) == 1 and err[0].startswith(f"error: utterance {first.utt_id}: ") and "4 duration bits" in err[0], err
+
+
+def test_eval_prompt_failing_the_alignment_filter_exit_code_2(tmp_path, capsys):
+    """With eight bits the first two prompts fit, and the untrained
+    aligner's third prompt fails prepare_prompt's run filter: eval exits 2
+    with one error line that names that utterance and the filter."""
+    code, out, err, prompts = _eval_with_untrained_aligner(tmp_path, capsys, bits=8)
+    assert [filter_alignment(r.positions, r.T) for r in prompts] == [None, None, "consecutive-run"]
+    assert code == 2 and out == ""
+    assert err == [f"error: utterance {prompts[2].utt_id}: prepare_prompt: alignment filtered: consecutive-run"], err
 
 
 @pytest.fixture(scope="module")

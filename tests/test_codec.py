@@ -37,7 +37,7 @@ class TestEncode:
         rng = np.random.default_rng(1)
         p, T = np.array([2, 5]), 7
         frames = rng.standard_normal((T, TINY.d_frame))
-        hidden = model.frontend(frames).data
+        hidden = model.frontend(frames)
         base = model.encode_from_hidden(nx.tensor(hidden.copy()), p).data
         # token 1 window = [1, 4]; rows 5..7 are outside
         h2 = hidden.copy()
@@ -219,7 +219,7 @@ class TestCodecLoss:
             dec = model.decode(s, p, T, mode="joint")
             return codec_loss(dec, target, tokens, p, s_mu, TINY).total
 
-        hidden = model.frontend(frames).data
+        hidden = model.frontend(frames)
         assert finite_difference_check(fn, hidden) < 1e-3
 
 

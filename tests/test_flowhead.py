@@ -4,6 +4,7 @@ analytic flow oracles."""
 import numpy as np
 import pytest
 
+from tada import nn
 from tada import numerics as nx
 from tada.errors import NumericalAbort, ValidationError
 from tada.flowhead import (
@@ -202,6 +203,33 @@ class TestEulerSampling:
         out = euler_sample(stacked, SMALL, N_STEPS, CFG_SCALE, seed=22, n_samples=R)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, CFG_SCALE])
+    def test_equals_plain_euler_loop_bit_for_bit(self, scale):
+        """The sampler's in-place buffer and blend give the plain loop's
+        states to the bit: a fresh [y; y] per step, the blend
+        v_neg + scale * (v_pos - v_neg) in float64, and y + v / n."""
+        rng = np.random.default_rng(26)
+        with nx.precision("float32"):
+            model = VectorFieldModel(SMALL, rng=rng)
+        R = 3
+        conds = rng.standard_normal((2, SMALL.d_cond))
+        rows = np.repeat(model.cond_rows(conds if scale != 1.0 else conds[:1]), R, axis=0)
+
+        def field(y, t):
+            return model.field_np(y, t, rows)
+
+        y = np.random.default_rng(27).standard_normal((R, SMALL.d_target))
+        d = SMALL.d_latent
+        for k in range(N_STEPS):
+            v = field(np.concatenate([y, y]) if scale != 1.0 else y, k / N_STEPS)
+            if scale != 1.0:
+                pos, neg = v[:R].astype(np.float64), v[R:].astype(np.float64)
+                v = pos.copy()
+                v[:, :d] = neg[:, :d] + scale * (pos[:, :d] - neg[:, :d])
+            y = y + v / N_STEPS
+        out = euler_sample(field, SMALL, N_STEPS, scale, seed=27, n_samples=R)
+        assert out.dtype == np.float64 and out.tobytes() == y.tobytes()
+
     def test_point_mass_field_is_exact_for_euler(self):
         # Straight-line characteristics at constant speed: every Euler step
         # lands back on the exact path, so the terminal error is round-off.
@@ -268,6 +296,36 @@ def test_split_field_matches_taped_field(t):
     # One condition row serves every point, as in the taped field.
     one = model.field(y, t, cond[:1]).data
     np.testing.assert_allclose(model.field_np(y, t, model.cond_rows(cond[:1])), one, rtol=0, atol=1e-12)
+
+
+def test_field_np_follows_the_weights_after_an_adam_step():
+    """field_np caches the time features' share per weight array: a second
+    call at the same t gives the uncached formula's result to the bit, and
+    after an Adam step replaces the weights it equals a fresh model's
+    field on the new weights, not the old one."""
+    rng = np.random.default_rng(25)
+    model = VectorFieldModel(SMALL, rng=rng)
+    y = rng.standard_normal((3, SMALL.d_target))
+    cond = rng.standard_normal((3, SMALL.d_cond))
+    t = 0.25
+
+    def uncached(m):
+        w = m.params["flow/fc0/w"].data
+        d_y, d_t = SMALL.d_target, SMALL.d_time
+        h = y @ w[:d_y] + time_embedding(t, d_t) @ w[d_y : d_y + d_t] + m.cond_rows(cond)
+        for i in range(1, m.n_layers):
+            h = nn.linear(m.params, f"flow/fc{i}", nn.gelu(h))
+        return h
+
+    before = model.field_np(y, t, model.cond_rows(cond))
+    assert model.field_np(y, t, model.cond_rows(cond)).tobytes() == before.tobytes() == uncached(model).tobytes()
+    opt = nx.Adam(model.params, lr=0.05)
+    flow_loss(model, rng.standard_normal((3, SMALL.d_target)), cond, SMALL.sigma_min, seed=0).backward()
+    opt.step()
+    after = model.field_np(y, t, model.cond_rows(cond))
+    fresh = VectorFieldModel(SMALL, params=model.params)
+    assert after.tobytes() == fresh.field_np(y, t, fresh.cond_rows(cond)).tobytes() == uncached(model).tobytes()
+    assert not np.array_equal(after, before)
 
 
 def test_split_field_rejects_misaligned_condition_rows():

@@ -33,6 +33,80 @@ from tada.pipeline import train_speaker_head
 CFG = SynthConfig(vocab_size=8, n_speakers=3, tokens_min=2, tokens_max=5, seed=11)
 
 
+def render_per_frame(bank, rng, tokens, speaker):
+    """The corpus renderer one frame at a time: the reference that
+    ``_render_utterance`` is checked against."""
+    cfg = bank.config
+
+    def frame_template(token, remaining):
+        out = np.zeros(cfg.d_frame)
+        out[:9] = bank.token_vec[token]
+        out[9:12] = [1.0, remaining / max(cfg.dur_max - 1, 1), 1.0 if remaining == 0 else 0.0]
+        out[12:] = 0.8 * bank.speaker_frame[speaker]
+        return out
+
+    def silence_template():
+        out = np.zeros(cfg.d_frame)
+        out[12:] = 0.4 * bank.speaker_frame[speaker]
+        return out
+
+    L = tokens.size
+    durs = rng.integers(cfg.dur_min, cfg.dur_max + 1, size=L)
+    gaps = rng.integers(cfg.gap_min, cfg.gap_max + 1, size=L + 1)
+    T = int(durs.sum() + gaps.sum())
+    frames = np.zeros((T, cfg.d_frame))
+    signal = np.zeros((T, cfg.samples_per_frame))
+    positions = np.zeros(L, dtype=np.int64)
+    t = 0
+    for i in range(L + 1):
+        for _ in range(gaps[i]):
+            frames[t] = silence_template()
+            signal[t] = bank.silence_signal(speaker)
+            t += 1
+        if i == L:
+            break
+        for j in range(durs[i]):
+            rem = durs[i] - 1 - j
+            frames[t] = frame_template(tokens[i], rem)
+            signal[t] = bank.signal_template(tokens[i], speaker, rem)
+            if rem == 0:
+                positions[i] = t + 1  # 1-based
+            t += 1
+    if cfg.noise > 0:
+        frames += rng.normal(0.0, cfg.noise, frames.shape)
+        signal += rng.normal(0.0, cfg.noise, signal.shape)
+    return frames, signal, positions
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SynthConfig(),
+        CFG,
+        SynthConfig(gap_min=0, gap_max=0),
+        SynthConfig(noise=0.0, seed=5),
+        SynthConfig(seed=3, dur_min=2, dur_max=3, gap_min=1, gap_max=5),
+        SynthConfig(seed=9, dur_min=1, dur_max=1),
+    ],
+    ids=["default", "small", "no-gaps", "no-noise", "long-gaps", "one-frame-runs"],
+)
+def test_render_utterance_equals_per_frame_loop(config):
+    """Every array and position of the vectorised renderer equals the
+    per-frame loop's, and both leave the generator in the same state."""
+    bank = TemplateBank(config)
+    draw = np.random.default_rng(config.seed + 100)
+    for _ in range(8):
+        tokens = bank.sample_tokens(draw, int(draw.integers(1, 11)))
+        speaker = int(draw.integers(config.n_speakers))
+        seed = int(draw.integers(1 << 31))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = _render_utterance(bank, rng, tokens, speaker), render_per_frame(bank, ref_rng, tokens, speaker)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+        assert rng.random() == ref_rng.random()
+
+
 class TestGenCorpus:
     def test_deterministic_per_seed(self):
         m1, a1 = gen_corpus(CFG, 10)

@@ -9,7 +9,7 @@ import pytest
 from tada import nn
 from tada import numerics as nx
 from tada.errors import ShapeError, ValidationError
-from reference_ops import rope, slice_cols, transpose2d
+from reference_ops import ConcatStackCache, cached_stack_step, rope, slice_cols, transpose2d
 
 CFG = nn.TransformerConfig(n_layers=2, d_model=24, n_heads=3, d_ff=32)
 
@@ -218,6 +218,97 @@ def test_causal_streams_in_one_cache_match_stack_per_stream():
     np.testing.assert_array_equal(cache.positions, [4, 4, 5, 5])
     np.testing.assert_array_equal(cache.streams, [0, 1, 0, 1])
     assert cache.layers[0].keys.shape[1] == 4
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_stack_step_equals_reference_cached_step_bit_for_bit(dtype):
+    """Two streams through one cache, past the cache's first capacity, with
+    a sliding window that ``keep`` applies between calls (by a boolean mask
+    and by indices): every output, and the cached keys and values, equal
+    the plainly written cached step's to the bit. Its float64 outputs also
+    equal the causal stack over each stream's window to 1e-12."""
+    with nx.precision("float32" if dtype == np.float32 else "float64"):
+        params = make_params(gain=10.0)
+    rng = np.random.default_rng(12)
+    n_steps, window = 24, 7
+    xs = rng.standard_normal((2, n_steps, CFG.d_model)).astype(dtype)
+    cache, ref = nn.StackCache(CFG), ConcatStackCache(CFG)
+    first_capacity = cache.layers[0].capacity
+    outs = []
+
+    def step(x, positions, streams):
+        mask = (
+            (np.concatenate([cache.streams, streams]) == streams[:, None])
+            & (np.concatenate([cache.positions, positions]) <= positions[:, None])
+            & (np.concatenate([cache.positions, positions]) > positions[:, None] - window)
+        )
+        got = nn.stack_step(params, "tf", x, positions, cache, CFG, mask, streams)
+        want = cached_stack_step(params, "tf", x, positions, ref, CFG, mask, streams)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        outs.append(got)
+
+    step(np.concatenate([xs[0, :4], xs[1, :4]]), np.tile(np.arange(4), 2), np.repeat([0, 1], 4))
+    for j in range(4, n_steps):
+        if j % 3 == 0:
+            keep = cache.positions > j - window
+            rows = keep if j % 2 else np.flatnonzero(keep)
+            cache.keep(rows)
+            ref.keep(rows)
+        step(xs[:, j], np.array([j, j]), np.array([0, 1]))
+    assert cache.layers[0].capacity > first_capacity
+    np.testing.assert_array_equal(cache.positions, ref.positions)
+    np.testing.assert_array_equal(cache.streams, ref.streams)
+    for layer, keys, values in zip(cache.layers, ref.keys, ref.values):
+        assert layer.keys.tobytes() == np.ascontiguousarray(keys).tobytes()
+        assert np.ascontiguousarray(layer.values).tobytes() == values.tobytes()
+
+    if dtype == np.float64:
+        stream_outs = [np.concatenate([outs[0][:4]] + [o[:1] for o in outs[1:]])]
+        stream_outs.append(np.concatenate([outs[0][4:]] + [o[1:] for o in outs[1:]]))
+        band = np.arange(n_steps)
+        mask = (band[None, :] <= band[:, None]) & (band[None, :] > band[:, None] - window)
+        for x, out in zip(xs, stream_outs):
+            full = nn.stack(params, "tf", nx.tensor(x), mask, CFG).data
+            np.testing.assert_allclose(out, full, rtol=0, atol=1e-12)
+
+
+def test_cached_layer_runs_one_fused_projection_and_one_rotation(monkeypatch):
+    """Per cached layer a step makes one q/k/v product on the concatenated
+    ``wq|wk|wv`` columns, one rotation of q and k together as 2H heads, one
+    attention call and one cache append; the weights are concatenated once
+    per cache."""
+    params = make_params()
+    calls: dict[str, list] = {}
+
+    def spy(owner, name, record):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(record(*args))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(nx.kernels, "linear", lambda x, w, b: w)
+    spy(nx.kernels, "split_heads", lambda x, n_heads, *rest: n_heads)
+    spy(nx.kernels, "attention_heads", lambda *args, **kwargs: None)
+    spy(nn.LayerCache, "extend", lambda *args: None)
+    cache = nn.StackCache(CFG)
+    x = np.random.default_rng(13).standard_normal((3, CFG.d_model))
+    d, L = CFG.d_model, CFG.n_layers
+    fused = []
+    for x_new, positions, mask in ((x, np.arange(3), nn.causal_mask(3)), (x[:1], np.array([3]), np.ones((1, 4), bool))):
+        calls.clear()
+        nn.stack_step(params, "tf", x_new, positions, cache, CFG, mask)
+        assert [w.shape[1] for w in calls["linear"]] == [3 * d, d, CFG.d_ff, d] * L
+        assert calls["split_heads"] == [2 * CFG.n_heads] * L
+        assert len(calls["attention_heads"]) == len(calls["extend"]) == L
+        fused.append(calls["linear"][::4])
+    for i, (first, second) in enumerate(zip(*fused)):
+        assert second is first  # concatenated once per cache
+        names = [f"tf/layer{i}/{w}/w" for w in ("wq", "wk", "wv")]
+        np.testing.assert_array_equal(first, np.concatenate([params[name].data for name in names], axis=1))
 
 
 def test_stack_step_rejects_mask_of_wrong_shape():

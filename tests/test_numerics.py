@@ -486,9 +486,35 @@ def test_rope_preserves_pairwise_norms():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_four_op_rotation_equals_reference_rope_bit_for_bit(dtype):
+    """split_heads rotates as x * cos2 + swapped(x) * sin2; head by head it
+    equals the pairwise reference rope to the bit, and so does its
+    backward, the inverse turn."""
+    rng = np.random.default_rng(15)
+    H, hd, T = 3, 8, 7
+    x = rng.standard_normal((T, H * hd)).astype(dtype)
+    g = rng.standard_normal((H, T, hd)).astype(dtype)
+    positions = rng.integers(0, 200, size=T)
+    xt, ref_xt = nx.tensor(x, requires_grad=True, dtype=dtype), nx.tensor(x, requires_grad=True, dtype=dtype)
+    out = nx.split_heads(xt, H, positions, 500.0)
+    assert out.data.tobytes() == nx.kernels.split_heads(x, H, positions, 500.0)[0].tobytes()
+    nx.sum_(nx.mul(out, nx.tensor(g, dtype=dtype))).backward()
+    loss = None
+    for h in range(H):
+        ref = rope(slice_cols(ref_xt, h * hd, (h + 1) * hd), positions, 500.0)
+        assert out.data[h].tobytes() == ref.data.tobytes(), h
+        term = nx.sum_(nx.mul(ref, nx.tensor(g[h], dtype=dtype)))
+        loss = term if loss is None else loss + term
+    loss.backward()
+    assert xt.grad.dtype == ref_xt.grad.dtype == dtype
+    np.testing.assert_array_equal(xt.grad, ref_xt.grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_rope_table_rows_equal_direct_angles(dtype):
     """Rows gathered from the grown per-width table equal cos/sin computed
-    for the positions alone."""
+    for the positions alone, laid out at full width: each pair's cosine
+    twice, and its sine negated then plain."""
     from tada.numerics.kernels import _rope_angles
 
     rng = np.random.default_rng(4)
@@ -500,10 +526,13 @@ def test_rope_table_rows_equal_direct_angles(dtype):
         )
         for positions in cases:
             ang = positions.astype(np.float64)[:, None] * freqs[None, :]
-            cos, sin = _rope_angles(d, positions, base, np.dtype(dtype))
-            assert cos.dtype == sin.dtype == dtype
-            np.testing.assert_array_equal(cos, np.cos(ang).astype(dtype))
-            np.testing.assert_array_equal(sin, np.sin(ang).astype(dtype))
+            cos2, sin2 = _rope_angles(d, positions, base, np.dtype(dtype))
+            assert cos2.dtype == sin2.dtype == dtype
+            assert cos2.shape == sin2.shape == (positions.size, d)
+            np.testing.assert_array_equal(cos2[:, 0::2], np.cos(ang).astype(dtype))
+            np.testing.assert_array_equal(cos2[:, 1::2], np.cos(ang).astype(dtype))
+            np.testing.assert_array_equal(sin2[:, 0::2], -np.sin(ang).astype(dtype))
+            np.testing.assert_array_equal(sin2[:, 1::2], np.sin(ang).astype(dtype))
     with pytest.raises(ShapeError):
         _rope_angles(8, np.array([2, -1]), 10000.0, np.dtype(dtype))
 

@@ -533,10 +533,11 @@ class TestStreamSynthesize:
 
 def test_checkpoint_models_compute_in_float32(tmp_path, models, monkeypatch):
     """Models loaded from their float32 checkpoints compute a request in
-    float32 at the float64 default: every taped engine op (the prompt's
-    encode), every array kernel, every KV-cache layer, every flow-field
-    output, every backbone output and every decoded segment. A full
-    streaming decode equals the frames stream_synthesize emitted."""
+    float32 at the float64 default: every array kernel, every KV-cache
+    layer, every flow-field output, every backbone output and every decoded
+    segment, and every taped engine op of the taped encode of the prompt's
+    frames, whose latents the prompt's array encode equals to the bit. A
+    full streaming decode equals the frames stream_synthesize emitted."""
     lm, codec, head = models
     codec.save(tmp_path / "codec.tada")
     save_lm_checkpoint(tmp_path / "lm.tada", lm, head)
@@ -572,6 +573,8 @@ def test_checkpoint_models_compute_in_float32(tmp_path, models, monkeypatch):
     params = GenParams(n_fm=2, neg_mode="tfg", candidates=2, seed=3)
     result = generate(lm, codec, head, prompt, np.array([1, 2, 3]), params)
     audio = stream_synthesize(result, codec)
+    frames = np.random.default_rng(30).standard_normal((prompt.T, CODEC.d_frame))  # make_prompt's draw
+    np.testing.assert_array_equal(codec.encode(frames, prompt.positions).data, prompt.latents)
     float32 = {np.dtype(np.float32)}
     assert seen.keys() == {
         "_make", "linear", "gelu", "layer_norm", "split_heads", "attention_heads", "scatter_rows",
@@ -584,10 +587,9 @@ def test_checkpoint_models_compute_in_float32(tmp_path, models, monkeypatch):
 
 
 def test_a_request_builds_no_tensor(models, monkeypatch):
-    """generate and stream_synthesize run on arrays through the kernels:
-    with every guidance branch on, they build no Tensor."""
+    """prepare_prompt, generate and stream_synthesize run on arrays through
+    the kernels: with every guidance branch on, they build no Tensor."""
     lm, codec, head = models
-    prompt = make_prompt(codec, head, np.random.default_rng(31))
     built = []
     real_init = nx.Tensor.__init__
 
@@ -596,6 +598,7 @@ def test_a_request_builds_no_tensor(models, monkeypatch):
         real_init(self, data, *args, **kwargs)
 
     monkeypatch.setattr(nx.Tensor, "__init__", init)
+    prompt = make_prompt(codec, head, np.random.default_rng(31))
     for params, text in (
         (GenParams(n_fm=2, neg_mode="tfg", candidates=2, seed=4), np.array([1, 2, 3])),
         (GenParams(n_fm=2, neg_mode="tfg", mode="slm", sfg_scale=0.5, max_tokens=3, seed=5), None),

@@ -164,8 +164,8 @@ class BackboneModel:
         """
         ids = np.asarray(ids, dtype=np.int64)
         real, placeholder = self._fusion_weights(ids, has_ac, speech)
-        text = nx.embed(self.params["text_emb"], ids)
-        mode = nx.embed(self.params["mode_emb"], speech.astype(np.int64))
+        text = nx.gather_rows(self.params["text_emb"], ids)
+        mode = nx.gather_rows(self.params["mode_emb"], speech.astype(np.int64))
         ac_proj = nn.linear(self.params, "ac_proj", nn.input_tensor(self.params, acoustic))
         ac_term = nx.mul(ac_proj, nn.input_tensor(self.params, np.broadcast_to(real, ac_proj.shape)))
         ph_term = nx.matmul(nn.input_tensor(self.params, placeholder), self.params["bos_ac"])
@@ -273,9 +273,10 @@ def context_rows(config: BackboneConfig, tokens, slots, steps) -> tuple[np.ndarr
     """``(ids, acoustic, has_ac)`` of the given steps of one fused context.
 
     Step j carries ``tokens[j-1]``, with BOS at step 0 and PAD past the
-    end, and the packed acoustic slot ``slots[j-K-1]`` when that slot
-    exists (a zero row and ``has_ac`` false when it does not). Training
-    sequences and generation lay out their steps by this one rule.
+    end, and the packed acoustic slot ``slots[j-K-1]``, a row of the
+    (n, d_acoustic) array ``slots``, when that slot exists (a zero row and
+    ``has_ac`` false when it does not). Training sequences and generation
+    lay out their steps by this one rule.
     """
     steps = np.asarray(steps)
     text = np.array([config.bos_id, *tokens, config.pad_id])
@@ -283,9 +284,7 @@ def context_rows(config: BackboneConfig, tokens, slots, steps) -> tuple[np.ndarr
     slot = steps - config.k_shift - 1
     has_ac = (slot >= 0) & (slot < len(slots))
     acoustic = np.zeros((steps.size, config.d_acoustic))
-    for row in range(steps.size):
-        if has_ac[row]:
-            acoustic[row] = slots[slot[row]]
+    acoustic[has_ac] = slots[slot[has_ac]]
     return ids, acoustic, has_ac
 
 
@@ -299,12 +298,7 @@ def build_sequence(item: SequenceBatchItem, config: BackboneConfig):
     """
     K = config.k_shift
     L = item.tokens.size
-    packed = np.stack(
-        [
-            durbits.pack(item.latents[i], int(item.f_before[i]), int(item.f_after[i]), config.bits)
-            for i in range(L)
-        ]
-    )
+    packed = durbits.pack(item.latents, item.f_before, item.f_after, config.bits)
     ids, acoustic, has_ac = context_rows(config, item.tokens, packed, np.arange(L + 1 + max(K - 1, 1)))
     return ids, acoustic, has_ac, ids[1:], np.arange(K, K + L), packed
 

@@ -212,26 +212,26 @@ def cmd_graycheck(args, cfg) -> int:
     b = args.b
     if not 1 <= b <= 16:
         raise ValidationError(f"graycheck: --b must be in [1, 16], got {b}")
-    for n in range(1 << b):
-        bits = durbits.gray_encode(n, b)
-        if durbits.gray_decode(bits) != n:
-            print(f"roundtrip FAIL at {n}")
-            return 2
+    n = np.arange(1 << b)
+    codes = durbits.gray_encode(n, b)
+    bad = np.flatnonzero(durbits.gray_decode(codes) != n)
+    if bad.size:
+        print(f"roundtrip FAIL at {bad[0]}")
+        return 2
     print(f"roundtrip: ok for all n < 2^{b}")
-    for n in range((1 << b) - 1):
-        d = int(np.sum(durbits.gray_encode(n, b) != durbits.gray_encode(n + 1, b)))
-        if d != 1:
-            print(f"adjacency FAIL at {n}: {d} bits differ")
-            return 2
+    flips = np.sum(codes[1:] != codes[:-1], axis=1)
+    bad = np.flatnonzero(flips != 1)
+    if bad.size:
+        print(f"adjacency FAIL at {bad[0]}: {flips[bad[0]]} bits differ")
+        return 2
     print("adjacency: consecutive codes differ in exactly 1 bit")
     rng = np.random.default_rng(args.seed or 0)
-    for _ in range(1000):
-        s = rng.standard_normal(8)
-        fb, fa = int(rng.integers(1 << b)), int(rng.integers(1 << b))
-        s2, fb2, fa2 = durbits.unpack(durbits.pack(s, fb, fa, b), 8, b)
-        if fb2 != fb or fa2 != fa or not np.allclose(s, s2):
-            print("pack/unpack FAIL")
-            return 2
+    s = rng.standard_normal((1000, 8))
+    fb, fa = rng.integers(1 << b, size=(2, 1000))
+    s2, fb2, fa2 = durbits.unpack(durbits.pack(s, fb, fa, b), 8, b)
+    if (fb2 != fb).any() or (fa2 != fa).any() or not np.allclose(s, s2):
+        print("pack/unpack FAIL")
+        return 2
     print("pack/unpack: ok on 1000 random triples")
     return 0
 

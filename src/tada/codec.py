@@ -312,7 +312,7 @@ class CodecModel:
         mask = [masks.encoder_mask(q, n) for q, n in zip(_local_positions(p, T, lengths), lengths)]
         table = self.params["enc/indicator"]
         taped = isinstance(hidden, Tensor)
-        x = hidden + (nx.embed(table, ind) if taped else table.data[ind])
+        x = hidden + (nx.gather_rows(table, ind) if taped else table.data[ind])
         h = nn.stack(self.params, "enc/tf", x, mask, self.tf)
         return nn.linear(self.params, "enc/lat", nx.gather_rows(h, p - 1) if taped else h[p - 1])
 
@@ -332,7 +332,7 @@ class CodecModel:
         z = scatter_latents(s, p, T)
         ind = masks.indicator(p, T)
         table = self.params[f"{dec}/indicator"]
-        rows = nx.embed(table, ind) if isinstance(z, Tensor) else table.data[ind]
+        rows = nx.gather_rows(table, ind) if isinstance(z, Tensor) else table.data[ind]
         return nn.linear(self.params, f"{dec}/z_proj", z) + rows
 
     def decode(self, s, p: np.ndarray, T: int, mode: str = "joint", lengths=None) -> DecodedFrames:

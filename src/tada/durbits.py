@@ -16,24 +16,23 @@ from .errors import ValidationError
 DEFAULT_BITS = 8
 
 
-def gray_encode(n: int, b: int = DEFAULT_BITS) -> np.ndarray:
-    """Gray code of ``n`` as ``b`` bits, most significant first."""
-    n = int(n)
-    if not 0 <= n < (1 << b):
-        raise ValidationError(f"gray_encode: {n} out of range for {b} bits")
+def gray_encode(n, b: int = DEFAULT_BITS) -> np.ndarray:
+    """Gray codes of the integers ``n`` as ``b`` bits each, most significant
+    first, on a new last axis."""
+    n = np.asarray(n, dtype=np.int64)
+    bad = n[(n < 0) | (n >= 1 << b)]
+    if bad.size:
+        raise ValidationError(f"gray_encode: {bad.flat[0]} out of range for {b} bits")
     g = n ^ (n >> 1)
-    return np.array([(g >> (b - 1 - i)) & 1 for i in range(b)], dtype=np.int64)
+    return (g[..., None] >> np.arange(b - 1, -1, -1)) & 1
 
 
-def gray_decode(bits) -> int:
-    """Invert :func:`gray_encode` via prefix XOR over MSB-first bits."""
+def gray_decode(bits) -> np.ndarray:
+    """Invert :func:`gray_encode` over the last axis: the binary digits are
+    the prefix XOR of the MSB-first gray bits."""
     bits = np.asarray(bits, dtype=np.int64)
-    n = 0
-    acc = 0
-    for bit in bits.tolist():
-        acc ^= bit
-        n = (n << 1) | acc
-    return n
+    binary = np.bitwise_xor.accumulate(bits, axis=-1)
+    return binary @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
 
 
 def to_analog(bits) -> np.ndarray:
@@ -47,29 +46,24 @@ def quantize(x) -> np.ndarray:
     return (np.asarray(x) > 0).astype(np.int64)
 
 
-def encode_duration(f: int, b: int = DEFAULT_BITS) -> np.ndarray:
-    return to_analog(gray_encode(f, b))
+def pack(s, f_before, f_after, b: int = DEFAULT_BITS) -> np.ndarray:
+    """Compose flow targets [s | analog bits of f_before | of f_after].
+
+    ``s`` is (..., d) and the frame counts are (...): one slot or a row of
+    slots per token, giving (..., d + 2b).
+    """
+    s = np.asarray(s, dtype=np.float64)
+    bits = to_analog(gray_encode(np.stack([f_before, f_after], axis=-1), b))
+    return np.concatenate([s, bits.reshape(*bits.shape[:-2], 2 * b)], axis=-1)
 
 
-def decode_duration(x) -> int:
-    return gray_decode(quantize(x))
-
-
-def pack(s, f_before: int, f_after: int, b: int = DEFAULT_BITS) -> np.ndarray:
-    """Compose the flow target [s | analog bits of f_before | of f_after]."""
-    s = np.asarray(s, dtype=np.float64).reshape(-1)
-    return np.concatenate([s, encode_duration(f_before, b), encode_duration(f_after, b)])
-
-
-def unpack(y, d: int, b: int = DEFAULT_BITS) -> tuple[np.ndarray, int, int]:
-    """Split a flow vector back into (s, f_before, f_after)."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.size != d + 2 * b:
-        raise ValidationError(f"unpack: vector width {y.size} != d + 2b = {d + 2 * b}")
-    s = y[:d]
-    f_before = decode_duration(y[d : d + b])
-    f_after = decode_duration(y[d + b :])
-    return s, f_before, f_after
+def unpack(y, d: int, b: int = DEFAULT_BITS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split flow vectors (..., d + 2b) back into (s, f_before, f_after)."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape[-1] != d + 2 * b:
+        raise ValidationError(f"unpack: vector width {y.shape[-1]} != d + 2b = {d + 2 * b}")
+    f_before, f_after = np.moveaxis(gray_decode(quantize(y[..., d:]).reshape(*y.shape[:-1], 2, b)), -1, 0)
+    return y[..., :d], f_before, f_after
 
 
 def durations_from_positions(p, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -103,10 +97,7 @@ def positions_from_durations(f_before, f_after) -> tuple[np.ndarray, int]:
     f_after = np.asarray(f_after, dtype=np.int64)
     if f_before.shape != f_after.shape or f_before.ndim != 1 or f_before.size == 0:
         raise ValidationError("positions_from_durations: need equal-length non-empty gap arrays")
-    positions = np.empty(f_before.size, dtype=np.int64)
-    positions[0] = f_before[0] + 1
-    for i in range(1, f_before.size):
-        positions[i] = positions[i - 1] + f_before[i] + 1
+    positions = np.cumsum(f_before + 1)
     T = int(positions[-1] + f_after[-1])
     return positions, T
 

@@ -307,7 +307,17 @@ def save_corpus(manifest: Manifest, arrays: dict[str, np.ndarray], manifest_path
 
 
 def load_corpus(manifest_path, arrays_path) -> tuple[Manifest, dict[str, np.ndarray]]:
-    return Manifest.load(manifest_path), load_arrays(arrays_path)
+    """A corpus's manifest and arrays; raises ``ValidationError`` naming the
+    file when the manifest holds no record, or when the arrays lack the
+    frames or signal of an utterance that the manifest lists."""
+    manifest, arrays = Manifest.load(manifest_path), load_arrays(arrays_path)
+    if not manifest.records:
+        raise ValidationError(f"{manifest_path}: no utterance records")
+    for rec in manifest.records:
+        for name in ("frames", "signal"):
+            if f"utt{rec.utt_id:05d}/{name}" not in arrays:
+                raise ValidationError(f"{arrays_path}: no {name} of utterance {rec.utt_id}, listed in {manifest_path}")
+    return manifest, arrays
 
 
 def utterance_arrays(arrays: dict[str, np.ndarray], utt_id: int) -> tuple[np.ndarray, np.ndarray]:

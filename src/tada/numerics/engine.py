@@ -466,7 +466,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Gather / scatter / embedding
+# Gather / scatter
 # ---------------------------------------------------------------------------
 
 
@@ -495,20 +495,6 @@ def scatter_rows(rows: Tensor, idx: np.ndarray, length: int) -> Tensor:
         _accum(rows, g[idx])
 
     return _make("scatter_rows", out, (rows,), backward)
-
-
-def embed(table: Tensor, ids: np.ndarray) -> Tensor:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError("embed", f"id out of range for table with {table.shape[0]} rows")
-    out = table.data[ids]
-
-    def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        _accum(table, gt)
-
-    return _make("embed", out, (table,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,9 @@ class GenParams:
             raise ValidationError(f"GenParams: unknown mode {self.mode!r}")
         if self.candidates < 1:
             raise ValidationError("GenParams: candidates must be >= 1")
+        for name in ("retries", "top_k", "max_tokens"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"GenParams: {name} must be >= 0")
         if self.sfg_scale is not None and self.mode != "slm":
             raise ValidationError("GenParams: sfg_scale blends sampled text logits, so it needs mode 'slm'")
 
@@ -278,16 +281,18 @@ def generate(
     (optionally SFG-blended) logits. Deterministic for a fixed seed.
 
     ``tokens`` holds the prompt tokens, then the target text (TTS) or the
-    text sampled so far (SLM); ``slots`` holds the prompt's packed slots,
-    then each chosen slot in turn. Step j is laid out by
-    :func:`~tada.backbone.context_rows` over them, and samples slot
-    m = j-K+1 when ``Lp < m <= len(tokens)``.
+    text sampled so far (SLM). ``slots`` is one array with a row for every
+    slot the request can have; its first ``n_slots`` rows hold the prompt's
+    packed slots, then each chosen slot in turn. Step j is laid out by
+    :func:`~tada.backbone.context_rows` over ``tokens`` and those rows,
+    and samples slot m = j-K+1 when ``Lp < m <= len(tokens)``.
     """
     cfg = model.config
     K = cfg.k_shift
     rng = np.random.default_rng(params.seed)
     Lp = prompt.tokens.size
     tokens = prompt.tokens.tolist()
+    n_new = params.max_tokens
     if params.mode == "tts":
         if text is None or np.asarray(text).size == 0:
             raise ValidationError("generate: TTS mode needs non-empty text")
@@ -296,10 +301,10 @@ def generate(
         if bad.size:
             raise ValidationError(f"generate: text token ids {bad.tolist()} outside [0, {cfg.vocab_size})")
         tokens += text.tolist()
-    slots = [
-        durbits.pack(prompt.latents[i], int(prompt.f_before[i]), int(prompt.f_after[i]), cfg.bits)
-        for i in range(Lp)
-    ]
+        n_new = text.size
+    slots = np.empty((Lp + n_new, cfg.d_acoustic))
+    slots[:Lp] = durbits.pack(prompt.latents, prompt.f_before, prompt.f_after, cfg.bits)
+    n_slots = Lp
 
     # One cache holds every guidance branch as its own stream: the positive
     # branch is stream 0, then the text-free negative (text padded, slot
@@ -314,7 +319,7 @@ def generate(
 
     def branch_rows(steps, labels):
         """Fused rows of ``steps``, each in the branch its stream label names."""
-        ids, acoustic, has_ac = context_rows(cfg, tokens, slots, steps)
+        ids, acoustic, has_ac = context_rows(cfg, tokens, slots[:n_slots], steps)
         ids[text_free[labels]] = cfg.pad_id
         no_speech = text_only[labels]
         acoustic[no_speech] = 0.0
@@ -348,7 +353,8 @@ def generate(
             stat.flow_time = time.perf_counter() - t0
             stat.llm_time = llm_time
             stats.append(stat)
-            slots.append(chosen)
+            slots[n_slots] = chosen
+            n_slots += 1
             if stat.below_threshold:
                 warnings.append(f"token {m}: best cosine {stat.chosen_cos:.3f} below threshold")
         else:
@@ -371,10 +377,7 @@ def generate(
     else:
         warnings.append("context limit reached")
 
-    gen = [durbits.unpack(slot, cfg.d_latent, cfg.bits) for slot in slots[Lp:]]
-    latents = np.array([s for s, _, _ in gen], dtype=np.float64).reshape(-1, cfg.d_latent)
-    f_before = np.array([fb for _, fb, _ in gen], dtype=np.int64)
-    f_after = np.array([fa for _, _, fa in gen], dtype=np.int64)
+    latents, f_before, f_after = durbits.unpack(slots[Lp:n_slots], cfg.d_latent, cfg.bits)
     return GenerationResult(
         text_tokens=np.asarray(tokens[Lp:], dtype=np.int64),
         latents=latents,

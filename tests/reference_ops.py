@@ -7,6 +7,9 @@ tape nodes the way engine primitives do. ``encoder_mask`` builds the
 encoder mask row by row, the loop ``masks.encoder_mask`` is checked against.
 ``ConcatStackCache`` and ``cached_stack_step`` are the cached transformer
 step written plainly, the reference ``nn.stack_step`` is checked against.
+``gray_encode``, ``gray_decode``, ``positions_from_durations`` and
+``context_rows`` code one integer, one gap or one row at a time, the loops
+``durbits`` and ``backbone.context_rows`` are checked against.
 """
 
 from __future__ import annotations
@@ -154,3 +157,42 @@ def cached_stack_step(params, prefix, x, positions, cache: ConcatStackCache, cfg
     cache.positions = np.concatenate([cache.positions, positions])
     cache.streams = np.concatenate([cache.streams, streams])
     return ln(f"{prefix}/ln_out", x)
+
+
+def gray_encode(n: int, b: int) -> np.ndarray:
+    """Gray code of one integer ``n`` as ``b`` bits, most significant first."""
+    g = n ^ (n >> 1)
+    return np.array([(g >> (b - 1 - i)) & 1 for i in range(b)], dtype=np.int64)
+
+
+def gray_decode(bits) -> int:
+    """Invert :func:`gray_encode` by a running XOR over MSB-first bits."""
+    n = 0
+    acc = 0
+    for bit in np.asarray(bits, dtype=np.int64).tolist():
+        acc ^= bit
+        n = (n << 1) | acc
+    return n
+
+
+def positions_from_durations(f_before, f_after) -> tuple[np.ndarray, int]:
+    """Aligned positions and frame count, one gap at a time."""
+    positions = np.empty(len(f_before), dtype=np.int64)
+    positions[0] = f_before[0] + 1
+    for i in range(1, len(f_before)):
+        positions[i] = positions[i - 1] + f_before[i] + 1
+    return positions, int(positions[-1] + f_after[-1])
+
+
+def context_rows(config, tokens, slots, steps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``backbone.context_rows`` with the acoustic rows copied one by one."""
+    steps = np.asarray(steps)
+    text = np.array([config.bos_id, *tokens, config.pad_id])
+    ids = text[np.minimum(steps, text.size - 1)]
+    slot = steps - config.k_shift - 1
+    has_ac = (slot >= 0) & (slot < len(slots))
+    acoustic = np.zeros((steps.size, config.d_acoustic))
+    for row in range(steps.size):
+        if has_ac[row]:
+            acoustic[row] = slots[slot[row]]
+    return ids, acoustic, has_ac

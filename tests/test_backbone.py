@@ -3,8 +3,9 @@ composition, segment dropout, and speech-free guidance identities."""
 
 import numpy as np
 import pytest
+import reference_ops
 
-from tada import flowhead, nn
+from tada import durbits, flowhead, nn
 from tada import numerics as nx
 from tada.backbone import (
     BackboneConfig,
@@ -12,6 +13,7 @@ from tada.backbone import (
     SequenceBatchItem,
     base_lm_loss,
     build_sequence,
+    context_rows,
     sample_segment_modes,
     sfg_logits,
     train_step,
@@ -293,6 +295,38 @@ class TestKShift:
         n1 = build_sequence(short, TINY)[0].size
         n2 = build_sequence(long_durations, TINY)[0].size
         assert n1 == n2 == 1 + 4 + max(TINY.k_shift - 1, 1)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("n_slots", [0, 1, 5])
+    def test_context_rows_equals_row_loop(self, K, n_slots):
+        """One indexed copy lays out the same rows as copying slot by slot,
+        for steps before, inside and past the slots, in any order."""
+        cfg = BackboneConfig(
+            vocab_size=6, d_model=16, n_heads=2, n_layers=1, d_ff=16, d_cond=8,
+            d_latent=4, bits=3, k_shift=K,
+        )
+        rng = np.random.default_rng(10 * K + n_slots)
+        tokens = rng.integers(0, cfg.vocab_size, size=5).tolist()
+        slots = rng.standard_normal((n_slots, cfg.d_acoustic))
+        for steps in (np.arange(12), rng.integers(0, 12, size=7), np.array([], dtype=np.int64)):
+            got = context_rows(cfg, tokens, slots, steps)
+            want = reference_ops.context_rows(cfg, tokens, slots, steps)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+                assert a.dtype == b.dtype
+
+    def test_build_sequence_packs_the_utterance_in_one_call(self, monkeypatch):
+        calls = []
+        real_pack = durbits.pack
+
+        def pack(*args):
+            calls.append(args)
+            return real_pack(*args)
+
+        monkeypatch.setattr(durbits, "pack", pack)
+        item = random_item(np.random.default_rng(6), L=5)
+        flow_targets = build_sequence(item, TINY)[-1]
+        assert len(calls) == 1 and flow_targets.shape == (5, TINY.d_acoustic)
 
 
 class TestTrainStep:

@@ -595,6 +595,52 @@ def test_record_t_past_its_frames_exit_code_2(wrong_kind_files, tmp_path, capsys
     assert not (tmp_path / "never.tada").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["align", "--out", "never.txt"],
+        ["eval", "--lm", "lm.tada", "--codec", "codec.tada", "--prompts", "1"],
+    ],
+    ids=["align", "eval"],
+)
+def test_header_only_manifest_exit_code_2(small_corpus, wrong_kind_files, tmp_path, capsys, argv):
+    """A manifest with no record passes ``Manifest.load``; every corpus
+    subcommand refuses it, naming the file, before it trains or scores."""
+    manifest, arrays = small_corpus
+    empty = tmp_path / "empty.txt"
+    empty.write_text(Path(manifest).read_text().splitlines()[0] + "\n")
+    paths = {**wrong_kind_files, "never.txt": str(tmp_path / "never.txt")}
+    capsys.readouterr()
+    assert main([*(paths.get(a, a) for a in argv), "--manifest", str(empty), "--arrays", arrays]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"error: {empty}: no utterance records"]
+    assert not (tmp_path / "never.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["codec-train", "--out", "never.tada", "--steps", "1", "--stream-steps", "1"],
+        ["align", "--out", "never.tada"],
+    ],
+    ids=["codec-train", "align"],
+)
+def test_utterance_missing_from_arrays_exit_code_2(small_corpus, tmp_path, capsys, argv):
+    """A six-utterance manifest with the two-utterance corpus's arrays is
+    refused, naming the arrays file and the first utterance they lack."""
+    arrays = small_corpus[1]
+    manifest = str(tmp_path / "m6.txt")
+    assert main(["--seed", "0", "gen-data", "--manifest", manifest, "--arrays", str(tmp_path / "a6.tada"),
+                 "--utterances", "6"]) == 0
+    never = tmp_path / "never.tada"
+    capsys.readouterr()
+    assert main([*(str(never) if a == "never.tada" else a for a in argv), "--manifest", manifest,
+                 "--arrays", arrays]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {arrays}: no frames of utterance 2, listed in {manifest}"]
+    assert not never.exists()
+
+
 REQUIRED = (True, None, None, None)  # (required, default, type, choices) of a required string flag
 OPTIONAL = (False, None, None, None)
 SAMPLING = {"--nfm": (False, 10, int, None), "--cfg": (False, 1.8, float, None),

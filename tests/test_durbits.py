@@ -1,7 +1,9 @@
-"""Gray/analog coding: exhaustive roundtrips, adjacency, packing."""
+"""Gray/analog coding: exhaustive roundtrips, adjacency, packing, and the
+row functions against the one-integer, one-gap references."""
 
 import numpy as np
 import pytest
+import reference_ops
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,3 +116,64 @@ class TestDurations:
         assert durbits.chain_consistency([1, 2, 3], [2, 3, 0]) == 1.0
         assert durbits.chain_consistency([1, 9, 3], [2, 3, 0]) == 0.5
         assert durbits.chain_consistency([4], [1]) == 1.0
+
+
+class TestRowsMatchReference:
+    """The row functions equal the references that code one integer, one
+    slot or one gap at a time, value for value and dtype for dtype."""
+
+    @pytest.mark.parametrize("b", range(1, 11))
+    def test_gray_code_exhaustive(self, b):
+        n = np.arange(1 << b)
+        codes = durbits.gray_encode(n, b)
+        want = np.stack([reference_ops.gray_encode(int(k), b) for k in n])
+        np.testing.assert_array_equal(codes, want)
+        assert codes.dtype == want.dtype
+        decoded = durbits.gray_decode(codes)
+        np.testing.assert_array_equal(decoded, [reference_ops.gray_decode(c) for c in codes])
+        np.testing.assert_array_equal(decoded, n)
+        assert durbits.gray_decode(codes[-1]) == n[-1]  # one code alone
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (9,), (3, 4), (2, 0)])
+    @pytest.mark.parametrize("b", [1, 4, 8])
+    def test_pack_unpack_rows(self, shape, b):
+        rng = np.random.default_rng(b * 100 + sum(shape))
+        d = 3
+        s = rng.standard_normal((*shape, d))
+        f_before, f_after = rng.integers(0, 1 << b, size=(2, *shape))
+
+        def slot(s_, fb, fa):
+            return np.concatenate([
+                s_, durbits.to_analog(reference_ops.gray_encode(int(fb), b)),
+                durbits.to_analog(reference_ops.gray_encode(int(fa), b)),
+            ])
+
+        flat = zip(s.reshape(-1, d), f_before.reshape(-1), f_after.reshape(-1))
+        want = np.array([slot(*t) for t in flat], dtype=np.float64).reshape(*shape, d + 2 * b)
+        y = durbits.pack(s, f_before, f_after, b)
+        np.testing.assert_array_equal(y, want)
+        assert y.dtype == want.dtype
+
+        noisy = y + np.sign(y) * rng.uniform(0.0, 0.9, y.shape) * (np.arange(y.shape[-1]) >= d)
+        s2, fb2, fa2 = durbits.unpack(noisy, d, b)
+        rows = noisy.reshape(-1, d + 2 * b)
+        decode = [reference_ops.gray_decode(durbits.quantize(r)) for r in rows[:, d:].reshape(-1, b)]
+        np.testing.assert_array_equal(np.stack([fb2, fa2], axis=-1).reshape(-1), decode)
+        np.testing.assert_array_equal(s2, s)
+        np.testing.assert_array_equal(fb2, f_before)
+        np.testing.assert_array_equal(fa2, f_after)
+        assert fb2.dtype == fa2.dtype == np.int64
+
+    def test_gray_encode_names_the_first_value_out_of_range(self):
+        with pytest.raises(ValidationError, match="gray_encode: 16 out of range for 4 bits"):
+            durbits.gray_encode(np.array([[3, 16], [-1, 2]]), 4)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_positions_from_durations(self, seed):
+        rng = np.random.default_rng(seed)
+        L = int(rng.integers(1, 20))
+        f_before, f_after = rng.integers(0, 9, size=(2, L))  # chain mismatches included
+        positions, T = durbits.positions_from_durations(f_before, f_after)
+        want, want_T = reference_ops.positions_from_durations(f_before, f_after)
+        np.testing.assert_array_equal(positions, want)
+        assert positions.dtype == want.dtype and T == want_T and type(T) is int

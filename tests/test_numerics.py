@@ -201,11 +201,6 @@ def _case_log_softmax_masked(rng):
     return lambda x: nx.sum_(nx.mul(nx.log_softmax(x, mask=mask), c)), (3, 5)
 
 
-def _case_embed(rng):
-    ids = np.array([0, 2, 2, 1])
-    return lambda x: nx.sum_(nx.square(nx.embed(x, ids))), (3, 4)
-
-
 def _case_rope(rng):
     pos = np.arange(3)
     return lambda x: nx.sum_(nx.square(rope(x, pos))), (3, 6)

@@ -206,6 +206,12 @@ def test_gen_params_validation():
         GenParams(cfg_scale=-1.0)
     with pytest.raises(ValidationError, match="unknown neg_mode 'bogus'"):
         GenParams(neg_mode="bogus")
+    with pytest.raises(ValidationError, match="retries must be >= 0"):
+        GenParams(candidates=2, retries=-1)
+    with pytest.raises(ValidationError, match="top_k must be >= 0"):
+        GenParams(top_k=-1)
+    with pytest.raises(ValidationError, match="max_tokens must be >= 0"):
+        GenParams(mode="slm", max_tokens=-1)
 
 
 def test_gen_params_refuse_sfg_outside_slm_mode():
@@ -424,6 +430,24 @@ class TestGenerate:
             got = np.concatenate(got)
             assert got.shape[0] == n
             np.testing.assert_array_equal(got, want[:n])
+
+    @pytest.mark.parametrize("mode", ["tts", "slm"])
+    def test_slots_pack_and_unpack_once_per_request(self, models, monkeypatch, mode):
+        """The prompt's slots are packed in one call and the generated slots
+        unpacked in one call, however many tokens the request has."""
+        lm, codec, head = models
+        prompt = make_prompt(codec, head, np.random.default_rng(28), L=4)
+        calls = {"pack": 0, "unpack": 0}
+        for name in calls:
+            def spy(*args, real=getattr(durbits, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(durbits, name, spy)
+        text = np.array([1, 0, 3, 2, 4]) if mode == "tts" else None
+        out = generate(lm, codec, head, prompt, text, GenParams(mode=mode, n_fm=2, max_tokens=5, seed=14))
+        assert out.latents.shape[0] == out.text_tokens.size > 1
+        assert calls == {"pack": 1, "unpack": 1}
 
     def test_batched_branches_match_single_row_steps_per_branch(self, models, monkeypatch):
         """Generation with every branch in one call equals generation where

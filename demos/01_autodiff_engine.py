@@ -32,9 +32,13 @@ err = finite_difference_check(
 )
 print(f"max relative error vs central differences: {err:.2e}")
 
-# Masked softmax removes positions from the normalization set entirely:
-scores = nx.tensor([[5.0, 100.0, 1.0]])
+# Masked attention removes keys from the normalization set entirely. One
+# head and one query over three keys that score 5, 100 and 1; with the
+# identity as values, the output row is the attention weights.
+q = nx.tensor([[[np.sqrt(3.0), 0.0, 0.0]]])  # (heads, queries, head width)
+k = nx.tensor([[[5.0, 0.0, 0.0], [100.0, 0.0, 0.0], [1.0, 0.0, 0.0]]])
+v = nx.tensor(np.eye(3)[None])
 mask = np.array([[True, False, True]])
-print(f"\nmasked softmax over [5, 100, 1] excluding position 2: "
-      f"{np.round(nx.softmax_masked(scores, mask).data, 4)}")
+print(f"\nattention weights over scores [5, 100, 1] excluding key 2: "
+      f"{np.round(nx.attention_heads(q, k, v, mask).data[0], 4)}")
 print("the excluded 100 got exactly zero weight, not almost-zero")

@@ -6,10 +6,11 @@ The alignment objective is the max-sum program
 
 solved by dynamic programming with suffix-maximum acceleration in O(L*T),
 ties broken toward the earliest feasible position sequence. CTC likelihood
-uses the standard log-domain forward recursion; its gradient is the
-alpha-beta occupancy, exposed to the autodiff engine as a custom primitive.
-One recursion serves both passes: the backward (beta) pass is the forward
-one run on the lattice reversed in time and labels.
+uses the standard log-domain forward recursion, run on a batch's lattices at
+once; its gradient is the alpha-beta occupancy, exposed to the autodiff
+engine as a custom primitive. One recursion serves both passes: the backward
+(beta) pass is the forward one run on the lattices reversed in time and
+labels.
 """
 
 from __future__ import annotations
@@ -119,31 +120,35 @@ def _extend_with_blanks(targets: np.ndarray, blank: int) -> np.ndarray:
     return ext
 
 
-def _skip_ok(lab: np.ndarray, blank: int) -> np.ndarray:
-    """Indices s >= 2 of the extended labels whose path may skip from s - 2."""
-    return np.flatnonzero((lab[2:] != blank) & (lab[2:] != lab[:-2])) + 2
+def _skips(labels: np.ndarray, blank: int) -> np.ndarray:
+    """Which states s >= 2 of each row of extended labels a path may enter
+    from s - 2, skipping a blank."""
+    skip = np.zeros(labels.shape, dtype=bool)
+    skip[:, 2:] = (labels[:, 2:] != blank) & (labels[:, 2:] != labels[:, :-2])
+    return skip
 
 
-def _ctc_lattice(y: np.ndarray, lab: np.ndarray, blank: int) -> np.ndarray:
-    """The CTC recursion on the lattice of extended labels ``lab``: entry
-    (t, s) sums every path prefix through frame t - 1 that may step to state
-    s at frame t, before the emission at (t, s).
+def _ctc_lattice(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """The CTC recursion on a batch of lattices at once. ``emit`` is (T, B,
+    S): entry (t, b, s) is utterance b's score at frame t for its extended
+    label s, and -inf past its frames or its labels. ``skip`` is (B, S), as
+    :func:`_skips` gives it. Entry (t, b, s) of the result sums every path
+    prefix of utterance b through frame t - 1 that may step to state s at
+    frame t, before the emission at (t, b, s).
 
-    It is alpha minus the emission. Run on the lattice reversed in time and
-    labels, ``_ctc_lattice(y[::-1], lab[::-1], blank)[::-1, ::-1]`` is beta,
-    the sum over path suffixes after frame t, exactly.
+    It is alpha minus the emission. Run on each utterance reversed in time
+    and labels, padded at the end, it is beta mirrored: the sum over path
+    suffixes after frame t, exactly. Each entry is the same sum of the same
+    terms as when an utterance runs alone.
     """
-    T = y.shape[0]
-    emit = y[:, lab]
-    skip = _skip_ok(lab, blank)
-    lattice = np.full((T, lab.size), NEG_INF)
-    lattice[0, :2] = 0.0
-    for t in range(1, T):
+    lattice = np.full(emit.shape, NEG_INF)
+    lattice[0, :, :2] = 0.0
+    for t in range(1, emit.shape[0]):
         prev = lattice[t - 1] + emit[t - 1]
-        cur = prev.copy()
-        cur[1:] = np.logaddexp(cur[1:], prev[:-1])
-        cur[skip] = np.logaddexp(cur[skip], prev[skip - 2])
-        lattice[t] = cur
+        cur = lattice[t]
+        cur[:, 0] = prev[:, 0]
+        np.logaddexp(prev[:, 1:], prev[:, :-1], out=cur[:, 1:])
+        np.logaddexp(cur[:, 2:], prev[:, :-2], out=cur[:, 2:], where=skip[:, 2:])
     return lattice
 
 
@@ -155,8 +160,9 @@ def ctc_log_likelihood(log_probs, targets, blank: int | None = None, lengths=Non
     target lengths raise instead of silently returning -inf. With
     ``lengths``, the rows are consecutive sequences of those lengths,
     ``targets`` holds one target sequence for each, and the result is the
-    vector of their log-likelihoods. The recursions run in float64; the
-    likelihoods and their gradient take the dtype of ``log_probs``.
+    vector of their log-likelihoods. All sequences run as one batch of
+    lattices. The recursions run in float64; the likelihoods and their
+    gradient take the dtype of ``log_probs``.
     """
     y_t = log_probs if isinstance(log_probs, Tensor) else nx.tensor(log_probs)
     y = y_t.data
@@ -172,8 +178,10 @@ def ctc_log_likelihood(log_probs, targets, blank: int | None = None, lengths=Non
             f"ctc_log_likelihood: {len(targets)} target sequences and lengths {list(lengths)} "
             f"do not match {y.shape[0]} rows"
         )
-    seqs = []  # (rows, extended labels, alpha, log-likelihood)
-    for T, end, tg in zip(lengths, np.cumsum(lengths), targets):
+    labs = []
+    for T, tg in zip(lengths, targets):
+        if T < 1:
+            raise ValidationError(f"ctc_log_likelihood: each sequence needs at least one frame, got lengths {list(lengths)}")
         tg = np.asarray(tg, dtype=np.int64)
         if tg.size and (tg.min() < 0 or tg.max() >= width):
             raise ValidationError("ctc_log_likelihood: target id out of range")
@@ -183,21 +191,36 @@ def ctc_log_likelihood(log_probs, targets, blank: int | None = None, lengths=Non
                 f"ctc_log_likelihood: {T} frames cannot emit {tg.size} targets "
                 f"({required} required emission steps)"
             )
-        rows = slice(end - T, end)
-        lab = _extend_with_blanks(tg, blank)
-        alpha = _ctc_lattice(y[rows], lab, blank) + y[rows][:, lab]
-        seqs.append((rows, lab, alpha, float(np.logaddexp.reduce(alpha[T - 1, -2:]))))
-    out = np.asarray([ll for *_, ll in seqs], dtype=y.dtype)
+        labs.append(_extend_with_blanks(tg, blank))
+    lengths = np.asarray(lengths, dtype=np.int64)
+    sizes = np.array([lab.size for lab in labs])
+    batch = np.arange(len(labs))
+    labels = np.full((len(labs), sizes.max()), blank, dtype=np.int64)
+    mirrored = labels.copy()  # each row's labels reversed
+    for i, lab in enumerate(labs):
+        labels[i, : lab.size] = lab
+        mirrored[i, : lab.size] = lab[::-1]
+    # The (frame, utterance, state) entries inside each utterance's lattice,
+    # their rows and columns of ``y``, and the same entries mirrored.
+    valid = (np.arange(lengths.max())[:, None, None] < lengths[:, None]) & (np.arange(sizes.max()) < sizes[:, None])
+    t, b, s = np.nonzero(valid)
+    rows, cols = np.cumsum(lengths)[b] - lengths[b] + t, labels[b, s]
+    mirror = (lengths[b] - 1 - t, b, sizes[b] - 1 - s)
+    emit = np.full(valid.shape, NEG_INF)
+    emit[valid] = y[rows, cols]
+    alpha = _ctc_lattice(emit, _skips(labels, blank)) + emit
+    last = alpha[lengths - 1, batch, sizes - 1]
+    loglik = np.where(sizes > 1, np.logaddexp(alpha[lengths - 1, batch, np.maximum(sizes - 2, 0)], last), last)
+    out = loglik.astype(y.dtype)
 
     def backward(g):
+        emit_r = np.full(valid.shape, NEG_INF)
+        emit_r[mirror] = emit[valid]
+        beta = _ctc_lattice(emit_r, _skips(mirrored, blank))[mirror]
+        occupancy = np.exp(alpha[valid] + beta - loglik[b])
         grad = np.zeros_like(y)
-        for (rows, lab, alpha, loglik), gi in zip(seqs, np.broadcast_to(g, out.shape)):
-            beta = _ctc_lattice(y[rows][::-1], lab[::-1], blank)[::-1, ::-1]
-            occupancy = np.exp(alpha + beta - loglik)
-            block = grad[rows]
-            idx = np.broadcast_to(np.arange(occupancy.shape[0])[:, None], occupancy.shape)
-            np.add.at(block, (idx, np.broadcast_to(lab[None, :], occupancy.shape)), occupancy)
-            block *= gi
+        np.add.at(grad, (rows, cols), occupancy)
+        grad *= np.repeat(np.broadcast_to(g, out.shape), lengths)[:, None]
         if y_t.requires_grad:
             y_t.grad = grad if y_t.grad is None else y_t.grad + grad
 

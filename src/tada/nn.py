@@ -119,18 +119,11 @@ def local_mix(params: dict, name: str, x, lengths=None):
     one sequence), and each sequence sees zero rows past either of its ends,
     so no row mixes with another sequence's.
     """
-    T, d = x.shape
-    lengths = np.array([T] if lengths is None else lengths)
-    ends = np.cumsum(lengths)
-    left, right = np.arange(T) - 1, np.arange(T) + 1
-    left[ends - lengths] = T  # row T of ``padded`` is the zero row
-    right[ends - 1] = T
-    idx = np.stack([left, np.arange(T), right], axis=1).reshape(-1)
+    lengths = [x.shape[0]] if lengths is None else lengths
     if isinstance(x, Tensor):
-        padded = nx.concat([x, nx.zeros((1, d), dtype=x.dtype)], axis=0)
-        rows = nx.reshape(nx.gather_rows(padded, idx), (T, 3 * d))
+        rows = nx.neighbour_rows(x, lengths)
     else:
-        rows = np.concatenate([x, np.zeros((1, d), dtype=x.dtype)])[idx].reshape(T, 3 * d)
+        rows = kernels.neighbour_rows(x, lengths)[0]
     return gelu(linear(params, name, rows))
 
 

@@ -486,6 +486,28 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return _make("gather_rows", out, (a,), backward)
 
 
+def neighbour_rows(x: Tensor, lengths) -> Tensor:
+    """Every row beside its neighbours within its sequence
+    (:func:`kernels.neighbour_rows`).
+
+    Row t's gradient is ``((0 + gR[t-1]) + gC[t]) + gL[t+1]``, where gC,
+    gL and gR are the output gradient's centre, left and right blocks: the
+    order in which a gather of the rows would add them up.
+    """
+    out, same = kernels.neighbour_rows(x.data, lengths)
+    T, d = x.shape
+
+    def backward(g):
+        g = g.reshape(T, 3, d)
+        gx = np.zeros_like(x.data)
+        np.add(gx[1:], g[:-1, 2], out=gx[1:], where=same[:, None])
+        gx += g[:, 1]
+        np.add(gx[:-1], g[1:, 0], out=gx[:-1], where=same[:, None])
+        _accum(x, gx)
+
+    return _make("neighbour_rows", out, (x,), backward)
+
+
 def scatter_rows(rows: Tensor, idx: np.ndarray, length: int) -> Tensor:
     """Place ``rows[i]`` at row ``idx[i]`` of a zero (length, d) array."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -515,31 +537,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _accum(x, inv * (gx - gxhat_sum / d - xhat * gxhat_dot / d))
 
     return _make("layer_norm", out, (x, gain, bias), backward)
-
-
-def softmax_masked(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """Softmax over the positions where ``mask`` is true.
-
-    Excluded positions get exactly zero weight and their input values never
-    enter the computation (they are replaced before the exp), so outputs are
-    bit-identical under arbitrary perturbation of excluded inputs.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != x.shape:
-        raise ShapeError("softmax_masked", f"mask shape {mask.shape} != input shape {x.shape}")
-    if not np.all(mask.any(axis=axis)):
-        raise ShapeError("softmax_masked", "a normalization slice has no included positions")
-    safe = np.where(mask, x.data, -np.inf)
-    m = safe.max(axis=axis, keepdims=True)
-    shifted = np.where(mask, x.data - m, 0.0)
-    e = np.exp(shifted) * mask
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        _accum(x, out * (g - dot))
-
-    return _make("softmax_masked", out, (x,), backward)
 
 
 def log_softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:

@@ -42,6 +42,30 @@ def scatter_rows(rows: np.ndarray, idx: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
+def neighbour_rows(x: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Every row of ``x`` beside its neighbours: row t of the (T, 3 * d)
+    output is ``[x[t - 1], x[t], x[t + 1]]``.
+
+    The rows are consecutive sequences of the given ``lengths``, and a
+    neighbour past either end of its row's sequence is a zero row. Also
+    returns the (T - 1,) mask that is true where rows t and t + 1 belong to
+    one sequence.
+    """
+    T, d = x.shape
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or np.any(lengths < 0) or lengths.sum() != T:
+        raise ShapeError("neighbour_rows", f"lengths {lengths.tolist()} do not split {T} rows")
+    boundary = np.zeros(T + 1, dtype=bool)
+    boundary[0] = True
+    boundary[np.cumsum(lengths)] = True
+    same = ~boundary[1:T]
+    out = np.zeros((T, 3, d), dtype=x.dtype)
+    out[:, 1] = x
+    np.copyto(out[1:, 0], x[:-1], where=same[:, None])
+    np.copyto(out[:-1, 2], x[1:], where=same[:, None])
+    return out.reshape(T, 3 * d), same
+
+
 GELU_C = math.sqrt(2.0 / math.pi)
 
 
@@ -114,7 +138,6 @@ class _RopeTable:
 
 
 _ROPE_TABLES: dict[tuple, _RopeTable] = {}
-_PAIR_SWAPS: dict[int, np.ndarray] = {}
 
 
 def _rope_angles(d: int, positions: np.ndarray, base: float, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -127,14 +150,6 @@ def _rope_angles(d: int, positions: np.ndarray, base: float, dtype) -> tuple[np.
     return table.rows(np.asarray(positions, dtype=np.int64))
 
 
-def _pair_swap(d: int) -> np.ndarray:
-    """Column order that swaps each (even, odd) pair of a width-``d`` row."""
-    swap = _PAIR_SWAPS.get(d)
-    if swap is None:
-        swap = _PAIR_SWAPS[d] = np.arange(d).reshape(-1, 2)[:, ::-1].reshape(-1)
-    return swap
-
-
 def rotate_pairs(x: np.ndarray, cos2: np.ndarray, sin2: np.ndarray) -> np.ndarray:
     """``x * cos2 + swapped(x) * sin2`` as a new C-ordered array: the
     rotary turn of every (even, odd) pair of ``x``'s last axis.
@@ -144,7 +159,11 @@ def rotate_pairs(x: np.ndarray, cos2: np.ndarray, sin2: np.ndarray) -> np.ndarra
     sum adds the same two products. With ``-sin2`` it is the inverse turn.
     """
     out = np.multiply(x, cos2, out=np.empty(x.shape, dtype=x.dtype))
-    swapped = x[..., _pair_swap(x.shape[-1])]
+    # Two strided copies swap the pairs; a fancy-indexed gather costs twice
+    # as much, most of all on a transposed view.
+    swapped = np.empty(x.shape, dtype=x.dtype)
+    swapped[..., 0::2] = x[..., 1::2]
+    swapped[..., 1::2] = x[..., 0::2]
     swapped *= sin2
     out += swapped
     return out

@@ -10,6 +10,14 @@ step written plainly, the reference ``nn.stack_step`` is checked against.
 ``gray_encode``, ``gray_decode``, ``positions_from_durations`` and
 ``context_rows`` code one integer, one gap or one row at a time, the loops
 ``durbits`` and ``backbone.context_rows`` are checked against.
+``softmax_masked`` is the masked softmax as a primitive of its own, which
+the per-head reference attention uses.
+``ctc_log_likelihood`` runs one CTC lattice per utterance, the reference
+for the batched lattice of ``aligner.ctc_log_likelihood``;
+``rotate_pairs`` swaps pairs by a fancy-indexed gather, and
+``neighbour_rows`` is a concat, a row gather and a reshape whose gradient
+``np.add.at`` sums, the forms the kernels and primitives of the same names
+are checked against.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ import math
 
 import numpy as np
 
-from tada.errors import ShapeError
+from tada import numerics as nx
+from tada.aligner import NEG_INF, _extend_with_blanks, ctc_required_frames
+from tada.errors import InfeasibleError, ShapeError, ValidationError
 from tada.numerics import kernels
 from tada.numerics.engine import Tensor, _accum, _make
 from tada.numerics.kernels import _rope_angles
@@ -196,3 +206,110 @@ def context_rows(config, tokens, slots, steps) -> tuple[np.ndarray, np.ndarray, 
         if has_ac[row]:
             acoustic[row] = slots[slot[row]]
     return ids, acoustic, has_ac
+
+
+def softmax_masked(x: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
+    """Softmax over the positions where ``mask`` is true.
+
+    Excluded positions get exactly zero weight and their input values never
+    enter the computation (they are replaced before the exp), so outputs are
+    bit-identical under arbitrary perturbation of excluded inputs.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != x.shape:
+        raise ShapeError("softmax_masked", f"mask shape {mask.shape} != input shape {x.shape}")
+    if not np.all(mask.any(axis=axis)):
+        raise ShapeError("softmax_masked", "a normalization slice has no included positions")
+    safe = np.where(mask, x.data, -np.inf)
+    m = safe.max(axis=axis, keepdims=True)
+    shifted = np.where(mask, x.data - m, 0.0)
+    e = np.exp(shifted) * mask
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        dot = (g * out).sum(axis=axis, keepdims=True)
+        _accum(x, out * (g - dot))
+
+    return _make("softmax_masked", out, (x,), backward)
+
+
+def _ctc_lattice(y: np.ndarray, lab: np.ndarray, blank: int) -> np.ndarray:
+    """The CTC recursion on one utterance's lattice: entry (t, s) sums every
+    path prefix through frame t - 1 that may step to state s at frame t.
+    ``_ctc_lattice(y[::-1], lab[::-1], blank)[::-1, ::-1]`` is beta."""
+    T = y.shape[0]
+    emit = y[:, lab]
+    skip = np.flatnonzero((lab[2:] != blank) & (lab[2:] != lab[:-2])) + 2
+    lattice = np.full((T, lab.size), NEG_INF)
+    lattice[0, :2] = 0.0
+    for t in range(1, T):
+        prev = lattice[t - 1] + emit[t - 1]
+        cur = prev.copy()
+        cur[1:] = np.logaddexp(cur[1:], prev[:-1])
+        cur[skip] = np.logaddexp(cur[skip], prev[skip - 2])
+        lattice[t] = cur
+    return lattice
+
+
+def ctc_log_likelihood(log_probs, targets, blank: int | None = None, lengths=None) -> Tensor:
+    """``aligner.ctc_log_likelihood`` with one lattice per utterance, and
+    the occupancy added up utterance by utterance."""
+    y_t = log_probs if isinstance(log_probs, Tensor) else nx.tensor(log_probs)
+    y = y_t.data
+    width = y.shape[1]
+    blank = width - 1 if blank is None else blank
+    packed = lengths is not None
+    if not packed:
+        lengths, targets = [y.shape[0]], [targets]
+    if len(targets) != len(lengths) or sum(lengths) != y.shape[0]:
+        raise ValidationError("ctc_log_likelihood: targets and lengths do not match the rows")
+    seqs = []  # (rows, extended labels, alpha, log-likelihood)
+    for T, end, tg in zip(lengths, np.cumsum(lengths), targets):
+        tg = np.asarray(tg, dtype=np.int64)
+        if T < ctc_required_frames(tg):
+            raise InfeasibleError(f"ctc_log_likelihood: {T} frames cannot emit {tg.size} targets")
+        rows = slice(end - T, end)
+        lab = _extend_with_blanks(tg, blank)
+        alpha = _ctc_lattice(y[rows], lab, blank) + y[rows][:, lab]
+        seqs.append((rows, lab, alpha, float(np.logaddexp.reduce(alpha[T - 1, -2:]))))
+    out = np.asarray([ll for *_, ll in seqs], dtype=y.dtype)
+
+    def backward(g):
+        grad = np.zeros_like(y)
+        for (rows, lab, alpha, loglik), gi in zip(seqs, np.broadcast_to(g, out.shape)):
+            beta = _ctc_lattice(y[rows][::-1], lab[::-1], blank)[::-1, ::-1]
+            occupancy = np.exp(alpha + beta - loglik)
+            block = grad[rows]
+            idx = np.broadcast_to(np.arange(occupancy.shape[0])[:, None], occupancy.shape)
+            np.add.at(block, (idx, np.broadcast_to(lab[None, :], occupancy.shape)), occupancy)
+            block *= gi
+        _accum(y_t, grad)
+
+    return _make("ctc_log_likelihood", out if packed else out.reshape(()), (y_t,), backward)
+
+
+def rotate_pairs(x: np.ndarray, cos2: np.ndarray, sin2: np.ndarray) -> np.ndarray:
+    """``kernels.rotate_pairs`` with the pairs swapped by a fancy-indexed
+    gather."""
+    swap = np.arange(x.shape[-1]).reshape(-1, 2)[:, ::-1].reshape(-1)
+    out = np.multiply(x, cos2, out=np.empty(x.shape, dtype=x.dtype))
+    swapped = x[..., swap]
+    swapped *= sin2
+    out += swapped
+    return out
+
+
+def neighbour_rows(x: Tensor, lengths) -> Tensor:
+    """``nx.neighbour_rows`` as a zero row concatenated below ``x``, a
+    gather of each row's left, own and right rows (the zero row past a
+    sequence's ends) and a reshape; the gather's backward sums with
+    ``np.add.at``."""
+    T, d = x.shape
+    lengths = np.asarray(lengths)
+    ends = np.cumsum(lengths)
+    left, right = np.arange(T) - 1, np.arange(T) + 1
+    left[ends - lengths] = T
+    right[ends - 1] = T
+    idx = np.stack([left, np.arange(T), right], axis=1).reshape(-1)
+    padded = nx.concat([x, nx.zeros((1, d), dtype=x.dtype)], axis=0)
+    return nx.reshape(nx.gather_rows(padded, idx), (T, 3 * d))

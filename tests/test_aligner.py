@@ -10,11 +10,13 @@ from tada import numerics as nx
 from tada.aligner import (
     _ctc_lattice,
     _extend_with_blanks,
+    _skips,
     AlignerConfig,
     AlignerModel,
     aligner_batch_loss,
     alignment_accuracy,
     ctc_log_likelihood,
+    ctc_required_frames,
     curriculum_subset,
     filter_alignment,
     train_aligner,
@@ -23,6 +25,7 @@ from tada.aligner import (
 )
 from tada.errors import InfeasibleError, ValidationError
 from tada.numerics import finite_difference_check
+import reference_ops
 
 
 def random_log_probs(rng, T, V):
@@ -127,11 +130,15 @@ class TestCtcLogLikelihood:
             y = random_log_probs(rng, T, V).astype(dtype)
             lab = _extend_with_blanks(targets, V)
             emit = y[:, lab]
-            assert np.array_equal(_ctc_lattice(y, lab, V) + emit, loop_alpha(y, lab, V))
+
+            def lattice(y, lab):  # a batch of one
+                return _ctc_lattice(y[:, None, lab].astype(np.float64), _skips(lab[None], V))[:, 0]
+
+            assert np.array_equal(lattice(y, lab) + emit, loop_alpha(y, lab, V))
             # The forward recursion on the lattice reversed in time and
             # labels, mirrored back: its alpha is beta plus the emission.
             rev_y, rev_lab = y[::-1], lab[::-1]
-            rev_lattice = _ctc_lattice(rev_y, rev_lab, V)
+            rev_lattice = lattice(rev_y, rev_lab)
             beta = loop_beta(y, lab, V)
             assert np.array_equal((rev_lattice + rev_y[:, rev_lab])[::-1, ::-1], beta + emit)
             assert np.array_equal(rev_lattice[::-1, ::-1], beta)
@@ -202,6 +209,62 @@ class TestCtcLogLikelihood:
         loss = -ctc_log_likelihood(nx.log_softmax(x), targets)
         loss.backward()
         assert loss.dtype == x.grad.dtype == np.float32
+
+
+def ctc_batch_cases(rng, V):
+    """(targets, frames) per utterance: repeated tokens, a one-token target,
+    an utterance at exactly its required frames, an empty target and
+    ragged lengths."""
+    repeats = np.array([1, 1, 0, 1, 1])
+    exact = rng.integers(0, V, size=4)
+    return [
+        (repeats, int(rng.integers(7, 12))),
+        (np.array([int(rng.integers(0, V))]), int(rng.integers(1, 4))),
+        (exact, ctc_required_frames(exact)),
+        (np.array([], dtype=np.int64), int(rng.integers(1, 5))),
+        (rng.integers(0, V, size=int(rng.integers(2, 7))), 14),
+    ]
+
+
+class TestBatchedCtc:
+    """The batched lattice against one lattice per utterance
+    (``reference_ops.ctc_log_likelihood``), to the bit."""
+
+    @staticmethod
+    def run(ctc, y, mask, weights, targets, lengths=None):
+        x = nx.tensor(y, requires_grad=True, dtype=y.dtype)
+        ll = ctc(nx.log_softmax(x, mask=mask), targets, lengths=lengths)
+        nx.sum_(nx.mul(ll, nx.tensor(weights, dtype=y.dtype))).backward()
+        return ll.data, x.grad
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_packed_equals_per_utterance_lattices(self, dtype):
+        for seed in range(6):
+            rng = np.random.default_rng(100 + seed)
+            V = 4
+            cases = ctc_batch_cases(rng, V)
+            rng.shuffle(cases)
+            targets, lengths = [tg for tg, _ in cases], [n for _, n in cases]
+            y = (rng.standard_normal((sum(lengths), V + 1)) * 3.0).astype(dtype)
+            # Curriculum style: an unused column is excluded (LOG_EXCLUDED).
+            mask = None if seed % 2 else np.broadcast_to(np.arange(V + 1) != 3, y.shape)
+            weights = rng.uniform(0.5, 2.0, len(cases))
+            got = self.run(ctc_log_likelihood, y, mask, weights, targets, lengths)
+            want = self.run(reference_ops.ctc_log_likelihood, y, mask, weights, targets, lengths)
+            assert got[0].dtype == got[1].dtype == dtype
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_unpacked_call_equals_its_lattice(self, dtype):
+        rng = np.random.default_rng(7)
+        for tg, n in ctc_batch_cases(rng, 4):
+            y = (rng.standard_normal((n, 5)) * 3.0).astype(dtype)
+            got = self.run(ctc_log_likelihood, y, None, 1.5, tg)
+            want = self.run(reference_ops.ctc_log_likelihood, y, None, 1.5, tg)
+            assert got[0].shape == ()
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestViterbi:
@@ -454,6 +517,11 @@ class TestPackedBatch:
             ctc_log_likelihood(y, [[1], [2]], lengths=[2, 3])
         with pytest.raises(InfeasibleError):
             ctc_log_likelihood(y, [[1, 1], [2]], lengths=[2, 4])
+        # A 0-frame sequence with an empty target needs 0 emission steps but
+        # has no last frame to read its likelihood from.
+        for lengths in ([0, 6], [6, 0], [3, 0, 3], [7, -1]):
+            with pytest.raises(ValidationError, match="at least one frame"):
+                ctc_log_likelihood(y, [[] for _ in lengths], lengths=lengths)
 
 
 def test_model_checkpoint_roundtrip(tmp_path):

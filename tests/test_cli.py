@@ -1,13 +1,17 @@
 """CLI surface: subcommands, file outputs, and exit codes."""
 
 import argparse
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tada
 from tada import configline, durbits
 from tada import numerics as nx
 from tada.aligner import AlignerConfig, AlignerModel, filter_alignment
@@ -185,6 +189,27 @@ def test_lm_train_four_bit_backbone_drops_wide_gaps(tmp_path, capsys):
     assert main([*conf, "lm-train", "--manifest", aligned, *arrays, "--codec", codec,
                  "--out", lm, "--steps", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == out.splitlines()[0]
+
+
+def test_align_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """The CLI pins the BLAS pools to one thread before numpy loads, so
+    align writes the same checkpoint and manifest whatever thread count the
+    environment asks for. On a 48-utterance corpus, products split over
+    two threads round differently, so without the pin the bytes differ."""
+    (tmp_path / "conf.txt").write_text("budget.aligner_steps=2\n")
+
+    def run(threads, *argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(tada.__file__).parent.parent)}
+        env.update({var: str(threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        subprocess.run([sys.executable, "-m", "tada.cli", *argv], cwd=tmp_path, env=env, check=True,
+                       capture_output=True)
+
+    run(1, "--seed", "0", "gen-data", "--manifest", "m.txt", "--arrays", "a.tada", "--utterances", "48")
+    for threads in (1, 2):
+        run(threads, "--seed", "1", "--config", "conf.txt", "align", "--manifest", "m.txt", "--arrays", "a.tada",
+            "--save-model", f"aligner{threads}.tada", "--out", f"aligned{threads}.txt")
+    for name in ("aligner{}.tada", "aligned{}.txt"):
+        assert (tmp_path / name.format(1)).read_bytes() == (tmp_path / name.format(2)).read_bytes()
 
 
 def test_cli_stages_match_train_full_stack(tmp_path, capsys):

@@ -9,7 +9,9 @@ import pytest
 from tada import nn
 from tada import numerics as nx
 from tada.errors import ShapeError, ValidationError
-from reference_ops import ConcatStackCache, cached_stack_step, rope, slice_cols, transpose2d
+from tada.numerics import finite_difference_check
+import reference_ops
+from reference_ops import ConcatStackCache, cached_stack_step, rope, slice_cols, softmax_masked, transpose2d
 
 CFG = nn.TransformerConfig(n_layers=2, d_model=24, n_heads=3, d_ff=32)
 
@@ -34,7 +36,7 @@ def per_head_attention(params, prefix, x, mask, cfg, positions):
         qh = rope(slice_cols(q, lo, hi), positions, cfg.rope_base)
         kh = rope(slice_cols(k, lo, hi), positions, cfg.rope_base)
         scores = nx.scale(nx.matmul(qh, transpose2d(kh)), 1.0 / math.sqrt(hd))
-        outs.append(nx.matmul(nx.softmax_masked(scores, mask), slice_cols(v, lo, hi)))
+        outs.append(nx.matmul(softmax_masked(scores, mask), slice_cols(v, lo, hi)))
     return nn.linear(params, f"{prefix}/wo", nx.concat(outs, axis=1))
 
 
@@ -147,6 +149,54 @@ def test_local_mix_sees_zero_rows_at_each_sequence_end():
         np.testing.assert_array_equal(nn.local_mix(params, "mix", nx.tensor(rows)).data, want)
         np.testing.assert_allclose(packed[start : start + n], want, rtol=0, atol=1e-12)
         start += n
+
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_local_mix_gradients_equal_the_gather_chain_bit_for_bit(dtype, monkeypatch):
+    """The one-node neighbour gather gives local_mix the output and every
+    gradient of the concat, gather_rows and reshape chain, whose gather
+    sums gradients with np.add.at, to the bit."""
+    rng = np.random.default_rng(24)
+    lengths = [1, 2, 5]
+    with nx.precision(dtype):
+        params = {}
+        nn.init_linear(params, "mix", rng, 3 * CFG.d_model, CFG.d_model, std=0.5)
+    x0 = rng.standard_normal((sum(lengths), CFG.d_model))
+    c = rng.standard_normal((sum(lengths), CFG.d_model))
+    runs = []
+    for rows in (nx.neighbour_rows, reference_ops.neighbour_rows):
+        monkeypatch.setattr(nx, "neighbour_rows", rows)
+        for p in params.values():
+            p.zero_grad()
+        x = nx.tensor(x0, requires_grad=True, dtype=dtype)
+        out = nn.local_mix(params, "mix", x, lengths)
+        nx.sum_(nx.mul(out, nx.tensor(c, dtype=dtype))).backward()
+        runs.append((out.data, x.grad, {k: p.grad for k, p in params.items()}))
+    (out, gx, grads), (ref_out, ref_gx, ref_grads) = runs
+    assert gx.dtype == np.dtype(dtype)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(gx, ref_gx)
+    for k in grads:
+        np.testing.assert_array_equal(grads[k], ref_grads[k])
+
+
+@pytest.mark.parametrize("lengths", [[1, 2], [3, 2], [5, -1]])
+def test_local_mix_lengths_that_do_not_split_the_rows_raise(lengths):
+    params = {}
+    nn.init_linear(params, "mix", np.random.default_rng(26), 3 * 4, 4)
+    with pytest.raises(ShapeError, match="do not split 4 rows"):
+        nn.local_mix(params, "mix", np.zeros((4, 4)), lengths)
+
+
+def test_local_mix_gradient_matches_finite_differences():
+    rng = np.random.default_rng(25)
+    params = {}
+    nn.init_linear(params, "mix", rng, 3 * 4, 4, std=0.5)
+    err = finite_difference_check(
+        lambda x: nx.sum_(nx.square(nn.local_mix(params, "mix", x, [1, 2, 5]))), rng.standard_normal((8, 4))
+    )
+    assert err < 1e-6
 
 
 def test_cached_steps_with_eviction_match_stack_over_window():

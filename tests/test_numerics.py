@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from tada import numerics as nx
 from tada.errors import ShapeError, ValidationError
 from tada.numerics import Tensor, finite_difference_check
-from reference_ops import rope, slice_cols, transpose2d
+import reference_ops
+from reference_ops import rope, slice_cols, softmax_masked, transpose2d
 
 
 def test_matmul_identity():
@@ -21,12 +22,12 @@ def test_matmul_identity():
 
 
 def test_softmax_symmetric_pair():
-    out = nx.softmax_masked(nx.tensor([[0.0, 0.0]]), np.array([[True, True]]))
+    out = softmax_masked(nx.tensor([[0.0, 0.0]]), np.array([[True, True]]))
     np.testing.assert_allclose(out.data, [[0.5, 0.5]])
 
 
 def test_masked_softmax_exclusion_semantics():
-    out = nx.softmax_masked(nx.tensor([[5.0, 100.0]]), np.array([[True, False]]))
+    out = softmax_masked(nx.tensor([[5.0, 100.0]]), np.array([[True, False]]))
     np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
 
 
@@ -35,10 +36,10 @@ def test_masked_softmax_bit_identical_under_excluded_perturbation():
     x = rng.standard_normal((4, 6))
     mask = rng.random((4, 6)) < 0.6
     mask[:, 0] = True  # keep every row non-empty
-    base = nx.softmax_masked(nx.tensor(x.copy()), mask).data
+    base = softmax_masked(nx.tensor(x.copy()), mask).data
     x2 = x.copy()
     x2[~mask] = rng.standard_normal((~mask).sum()) * 1e6
-    pert = nx.softmax_masked(nx.tensor(x2), mask).data
+    pert = softmax_masked(nx.tensor(x2), mask).data
     np.testing.assert_array_equal(base, pert)
     # · and the effect persists through a downstream matmul bit-for-bit
     v = rng.standard_normal((6, 3))
@@ -47,7 +48,7 @@ def test_masked_softmax_bit_identical_under_excluded_perturbation():
 
 def test_masked_softmax_empty_row_raises():
     with pytest.raises(ShapeError):
-        nx.softmax_masked(nx.tensor([[1.0, 2.0]]), np.array([[False, False]]))
+        softmax_masked(nx.tensor([[1.0, 2.0]]), np.array([[False, False]]))
 
 
 def test_backward_sum_gives_ones():
@@ -187,7 +188,7 @@ def _case_layer_norm(rng):
 
 def _case_softmax_masked(rng):
     mask = np.tril(np.ones((4, 4), bool))
-    return lambda x: nx.sum_(nx.square(nx.softmax_masked(x, mask))), (4, 4)
+    return lambda x: nx.sum_(nx.square(softmax_masked(x, mask))), (4, 4)
 
 
 def _case_log_softmax(rng):
@@ -290,6 +291,11 @@ def _case_l1_loss_weighted(rng):
 def _case_gather_rows(rng):
     idx = np.array([2, 0, 2])
     return lambda x: nx.sum_(nx.square(nx.gather_rows(x, idx))), (4, 3)
+
+
+def _case_neighbour_rows(rng):
+    c = _const(rng, (8, 9))
+    return lambda x: nx.sum_(nx.mul(nx.neighbour_rows(x, [1, 2, 5]), c)), (8, 3)
 
 
 def _case_scatter_rows(rng):
@@ -503,6 +509,25 @@ def test_four_op_rotation_equals_reference_rope_bit_for_bit(dtype):
     loss.backward()
     assert xt.grad.dtype == ref_xt.grad.dtype == dtype
     np.testing.assert_array_equal(xt.grad, ref_xt.grad)
+
+
+@pytest.mark.parametrize("inverse", [False, True], ids=["turn", "inverse"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_rotate_pairs_equals_fancy_index_swap_bit_for_bit(dtype, inverse):
+    """The strided-slice pair swap gives the fancy-indexed gather's turn to
+    the bit, on contiguous rows and on the transposed (H, T, hd) view that
+    split_heads rotates, for the turn and for its inverse (-sin2)."""
+    rng = np.random.default_rng(16)
+    H, T, hd = 4, 37, 16
+    cos2, sin2 = nx.kernels._rope_angles(hd, rng.integers(0, 300, size=T), 10000.0, dtype)
+    if inverse:
+        sin2 = -sin2
+    flat = rng.standard_normal((T, H * hd)).astype(dtype)
+    view = flat.reshape(T, H, hd).transpose(1, 0, 2)
+    for x in (view, np.ascontiguousarray(view), flat[:, :hd]):
+        got, want = nx.kernels.rotate_pairs(x, cos2, sin2), reference_ops.rotate_pairs(x, cos2, sin2)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -836,6 +861,7 @@ def _kernel_pairs(rng, dtype, n):
     for m in packed:
         m[:, -1] = True
     idx = rng.permutation(n + 2)[:n]
+    lens_x = [n] if n == 1 else [1, n - 2, 1]
     pairs = [
         ("linear", k.linear(x, w, b), nx.linear(t(x), t(w), t(b))),
         ("gelu", k.gelu(x), nx.gelu(t(x))),
@@ -845,6 +871,7 @@ def _kernel_pairs(rng, dtype, n):
         ("attention_heads", k.attention_heads(q, kk, v, mask), nx.attention_heads(t(q), t(kk), t(v), mask)),
         ("attention_heads_packed", k.attention_heads(q, kk, v, packed), nx.attention_heads(t(q), t(kk), t(v), packed)),
         ("scatter_rows", k.scatter_rows(x, idx, n + 2), nx.scatter_rows(t(x), idx, n + 2)),
+        ("neighbour_rows", k.neighbour_rows(x, lens_x), nx.neighbour_rows(t(x), lens_x)),
     ]
     return [(case, out[0] if isinstance(out, tuple) else out, ref.data) for case, out, ref in pairs]
 

@@ -83,11 +83,9 @@ class LatentCorpus:
 
 
 def aligner_pairs(manifest: Manifest, arrays: dict) -> list[tuple[np.ndarray, np.ndarray]]:
-    out = []
-    for rec in manifest.records:
-        frames, _ = utterance_arrays(arrays, rec.utt_id)
-        out.append((frames, rec.tokens))
-    return out
+    """(frames, tokens) of every record; a record whose ``T`` is not its
+    frame count raises (:func:`_record_arrays`)."""
+    return [(_record_arrays(rec, arrays)[0], rec.tokens) for rec in manifest.records]
 
 
 def extract_alignments(model: AlignerModel, manifest: Manifest, arrays: dict) -> dict[int, np.ndarray]:

@@ -8,11 +8,13 @@ builds from numpy inputs take that dtype (:func:`input_tensor`), whatever
 the ambient ``nx.precision``.
 
 The layers (:func:`linear`, :func:`ln`, :func:`gelu`, :func:`mlp`,
-:func:`attention`, :func:`block`) take either input. A ``Tensor`` runs the
-engine's taped primitives, as training and :func:`stack` do. An ndarray
-runs the same formulas as array kernels (``nx.kernels``) on the
-parameters' arrays and returns an ndarray, recording nothing, as
-:func:`stack_step` and the rest of inference do.
+:func:`attention`, :func:`block`, :func:`stack`) take either input. A
+``Tensor`` runs the engine's taped primitives, as training does. An
+ndarray runs the same formulas as array kernels (``nx.kernels``) on the
+parameters' arrays and returns an ndarray, recording nothing, as the rest
+of inference does. Attention on arrays is always a cached pass: an ndarray
+:func:`stack` runs on a fresh :class:`StackCache`, and :func:`stack_step`
+on the cache its caller keeps.
 """
 
 from __future__ import annotations
@@ -159,39 +161,28 @@ def attention(
     positions: np.ndarray,
     cache: LayerCache | None = None,
 ):
-    """Multi-head attention of the rows of ``x`` at ``positions``.
+    """Multi-head attention of the rows of ``x`` at ``positions``: taped
+    for a Tensor ``x``, cached (on ``cache``) for an ndarray.
 
-    Without ``cache`` the rows attend to each other: ``mask`` is (T, T), or
-    a list of per-sequence (L_i, L_i) masks when the rows are a packed run
-    of sequences (see :func:`stack`). With ``cache`` (ndarray rows only)
-    they attend to the cached rows followed by themselves, ``mask`` has one
-    column per such row, and their rotated keys and their values are
-    appended to the cache. The cached path takes q, k and v from one
-    product with the cache's ``wq|wk|wv`` columns and rotates q and k in
-    one call, as 2H heads.
+    Taped, the rows attend to each other: ``mask`` is (T, T), or a list of
+    per-sequence (L_i, L_i) masks when the rows are a packed run of
+    sequences (see :func:`stack`). Cached, their rotated keys and their
+    values are appended to ``cache``, and they attend to the cached rows
+    followed by themselves: ``mask`` has one column per such row, or, on
+    an empty cache, is a packed run's list of masks. The cached path takes
+    q, k and v from one product with the cache's ``wq|wk|wv`` columns and
+    rotates q and k in one call, as 2H heads.
     """
-    if cache is not None:
-        H, d = cfg.n_heads, cfg.d_model
-        qkv = kernels.linear(x, *cache.qkv_weights(params, prefix))
-        qk = kernels.split_heads(qkv[:, : 2 * d], 2 * H, positions, cfg.rope_base)[0]
-        kt, v = cache.extend(qk[H:], qkv[:, 2 * d :].reshape(-1, H, d // H).transpose(1, 0, 2))
-        heads = kernels.attention_heads(qk[:H], kt, v, mask, keys_transposed=True)[0]
-        return linear(params, f"{prefix}/wo", heads)
-    q = _heads(linear(params, f"{prefix}/wq", x), cfg, positions)
-    k = _heads(linear(params, f"{prefix}/wk", x), cfg, positions)
-    v = _heads(linear(params, f"{prefix}/wv", x), cfg)
-    if isinstance(q, Tensor):
-        heads = nx.attention_heads(q, k, v, mask)
-    else:
-        heads = kernels.attention_heads(q, k, v, mask)[0]
-    return linear(params, f"{prefix}/wo", heads)
-
-
-def _heads(x, cfg: TransformerConfig, positions: np.ndarray | None = None):
-    """(H, T, hd) heads of ``x``, rotated by ``positions`` when given."""
+    H, d = cfg.n_heads, cfg.d_model
     if isinstance(x, Tensor):
-        return nx.split_heads(x, cfg.n_heads, positions, cfg.rope_base)
-    return kernels.split_heads(x, cfg.n_heads, positions, cfg.rope_base)[0]
+        q = nx.split_heads(linear(params, f"{prefix}/wq", x), H, positions, cfg.rope_base)
+        k = nx.split_heads(linear(params, f"{prefix}/wk", x), H, positions, cfg.rope_base)
+        v = nx.split_heads(linear(params, f"{prefix}/wv", x), H)
+        return linear(params, f"{prefix}/wo", nx.attention_heads(q, k, v, mask))
+    qkv = kernels.linear(x, *cache.qkv_weights(params, prefix))
+    qk = kernels.split_heads(qkv[:, : 2 * d], 2 * H, positions, cfg.rope_base)[0]
+    kt, v = cache.extend(qk[H:], qkv[:, 2 * d :].reshape(-1, H, d // H).transpose(1, 0, 2))
+    return linear(params, f"{prefix}/wo", kernels.attention_heads(qk[:H], kt, v, mask)[0])
 
 
 def block(
@@ -223,8 +214,9 @@ def stack(
     cfg: TransformerConfig,
     positions: np.ndarray | None = None,
 ):
-    """Run the full transformer stack: taped for a Tensor ``x``, on arrays
-    for an ndarray.
+    """Run the full transformer stack: taped for a Tensor ``x``; for an
+    ndarray, a cached pass (:func:`stack_step`'s code) on a fresh
+    :class:`StackCache`.
 
     ``mask`` is one (T, T) mask over the rows, or, for a packed run, a list
     of per-sequence masks: the rows are then consecutive sequences, mask i
@@ -239,8 +231,9 @@ def stack(
         raise ValueError(f"mask shape {shapes} does not match sequence length {T}")
     if positions is None:
         positions = sequence_positions(lengths)
-    for i in range(cfg.n_layers):
-        x = block(params, f"{prefix}/layer{i}", x, mask, cfg, positions)
+    layers = [None] * cfg.n_layers if isinstance(x, Tensor) else StackCache(cfg).layers
+    for i, layer in enumerate(layers):
+        x = block(params, f"{prefix}/layer{i}", x, mask, cfg, positions, layer)
     return ln(params, f"{prefix}/ln_out", x)
 
 
@@ -360,8 +353,8 @@ def stack_step(
     mask: np.ndarray,
     streams: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The cached twin of :func:`stack`: append ``x_new`` rows to the cache
-    and return their outputs, on arrays through the kernels.
+    """The array :func:`stack` on a cache the caller keeps: append ``x_new``
+    rows to the cache and return their outputs, on arrays through the kernels.
 
     ``mask`` is (n_new, len(cache) + n_new): row r of it says which cached
     entries, then which new rows, new row r attends to. Excluded entries

@@ -586,8 +586,11 @@ def split_heads(x: Tensor, n_heads: int, positions: np.ndarray | None = None, ba
 
 def attention_heads(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
     """Scaled dot-product attention of all heads at once, heads merged to
-    (Tq, H * hd); ``mask`` as in :func:`kernels.attention_heads`."""
-    out, blocks, weights, kts = kernels.attention_heads(q.data, k.data, v.data, mask)
+    (Tq, H * hd); ``k`` is (H, Tk, hd), and ``mask`` is as in
+    :func:`kernels.attention_heads`. The keys are transposed once, to the
+    kernel's layout, and the backward pass multiplies by the same array."""
+    kt = np.ascontiguousarray(k.data.transpose(0, 2, 1)) if k.ndim == 3 else k.data  # else a ShapeError below
+    out, blocks, weights = kernels.attention_heads(q.data, kt, v.data, mask)
     H, Tq, hd = q.shape
     c = 1.0 / math.sqrt(hd)
 
@@ -596,14 +599,14 @@ def attention_heads(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
         gq = np.empty_like(q.data) if q.requires_grad else None
         gk = np.empty_like(k.data) if k.requires_grad else None
         gv = np.empty_like(v.data) if v.requires_grad else None
-        for (_, r, s), w, kt in zip(blocks, weights, kts):
+        for (r, s), w in zip(blocks, weights):
             gb = g[:, r]
             if gv is not None:
                 gv[:, s] = w.transpose(0, 2, 1) @ gb
             gw = gb @ v.data[:, s].transpose(0, 2, 1)
             gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * c
             if gq is not None:
-                gq[:, r] = gs @ kt.transpose(0, 2, 1)
+                gq[:, r] = gs @ kt[:, :, s].transpose(0, 2, 1)
             if gk is not None:
                 gk[:, s] = (q.data[:, r].transpose(0, 2, 1) @ gs).transpose(0, 2, 1)
         for t, grad in ((v, gv), (q, gq), (k, gk)):

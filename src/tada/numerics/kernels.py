@@ -6,8 +6,9 @@ raising the engine's :class:`ShapeError`. The taped primitive of the same
 name in :mod:`.engine` computes its forward by calling the kernel, so every
 formula exists once; inference calls the kernels directly and builds no
 tensor and no tape. A kernel whose backward needs intermediates returns
-them after the output. Constants are Python floats, so float32 operands
-give float32 results.
+them after the output. Attention takes its keys in one layout, (H, hd, Tk),
+as a key/value cache stores them. Constants are Python floats, so float32
+operands give float32 results.
 """
 
 from __future__ import annotations
@@ -196,36 +197,34 @@ def split_heads(
     return rotate_pairs(heads, *rot), rot
 
 
-def attention_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, keys_transposed: bool = False) -> tuple:
+def attention_heads(q: np.ndarray, kt: np.ndarray, v: np.ndarray, mask) -> tuple:
     """Scaled dot-product attention of all heads at once, heads merged.
 
-    ``q`` is (H, Tq, hd) and ``k`` and ``v`` are (H, Tk, hd); with
-    ``keys_transposed``, ``k`` is given as (H, hd, Tk) instead, as a
-    key/value cache holds it, and is multiplied by as it is. ``mask`` is
-    one (Tq, Tk) mask that applies to every head, or, for a packed run, a
-    list of per-sequence masks: the rows of ``q`` and of ``k`` are then
-    consecutive sequences, and mask i, of shape (Lq_i, Lk_i), is sequence
-    i's own block. Only those blocks are scored, so no (Tq, Tk) array is
-    formed and no row can attend outside its own sequence. One mask is a
-    run of one sequence. Weights are the masked softmax of the scaled
-    scores, so excluded keys and values never reach the output.
+    ``q`` is (H, Tq, hd), ``v`` is (H, Tk, hd), and the keys ``kt`` are
+    (H, hd, Tk), transposed as a key/value cache holds them, so each block
+    multiplies by a view of them. ``mask`` is one (Tq, Tk) mask that applies
+    to every head, or, for a packed run, a list of per-sequence masks: the
+    rows of ``q`` and the keys are then consecutive sequences, and mask i,
+    of shape (Lq_i, Lk_i), is sequence i's own block. Only those blocks are
+    scored, so no (Tq, Tk) array is formed and no row can attend outside
+    its own sequence. One mask is a run of one sequence. Weights are the
+    masked softmax of the scaled scores, so excluded keys and values never
+    reach the output.
 
-    Returns the (Tq, H * hd) output, head-major along the columns, then
-    per block its ``(mask, rows, keys)``, its weights and its transposed
-    keys.
+    Returns the (Tq, H * hd) output, head-major along the columns, then per
+    block its ``(rows, keys)`` slices and its weights.
     """
-    kshape = k.transpose(0, 2, 1).shape if keys_transposed and k.ndim == 3 else k.shape
-    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or kshape != v.shape or q.shape[::2] != v.shape[::2]:
+    if q.ndim != 3 or v.ndim != 3 or kt.shape != (v.shape[0], v.shape[2], v.shape[1]) or q.shape[::2] != v.shape[::2]:
         raise ShapeError(
-            "attention_heads", f"q {q.shape}, k {kshape}, v {v.shape} are not (H, T, hd) alike"
+            "attention_heads", f"q {q.shape}, keys {kt.shape}, v {v.shape} are not (H, Tq, hd), (H, hd, Tk), (H, Tk, hd)"
         )
     H, Tq, hd = q.shape
     packed = isinstance(mask, list)
     masks = [np.asarray(m, dtype=bool) for m in mask] if packed else [np.asarray(mask, dtype=bool)]
-    blocks, r0, c0 = [], 0, 0  # (mask, its rows, its keys)
+    blocks, r0, c0 = [], 0, 0  # (its rows, its keys)
     for m in masks:
         r1, c1 = r0 + m.shape[0], c0 + m.shape[-1]
-        blocks.append((m, slice(r0, r1), slice(c0, c1)))
+        blocks.append((slice(r0, r1), slice(c0, c1)))
         r0, c0 = r1, c1
     if any(m.ndim != 2 for m in masks) or (r0, c0) != (Tq, v.shape[1]):
         shapes = [m.shape for m in masks] if packed else masks[0].shape
@@ -233,12 +232,11 @@ def attention_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, keys_tran
     if not all(m.any(axis=-1).all() for m in masks):
         raise ShapeError("attention_heads", "a normalization slice has no included positions")
     c = 1.0 / math.sqrt(hd)
-    weights, kts, outs = [], [], []
-    for m, r, s in blocks:
+    weights, outs = [], []
+    for m, (r, s) in zip(masks, blocks):
         # Operand layouts follow the per-head matmul/transpose2d chain, so
         # every product is bit-identical to it.
-        kt = k[:, :, s] if keys_transposed else np.ascontiguousarray(k[:, s].transpose(0, 2, 1))
-        scores = q[:, r] @ kt
+        scores = q[:, r] @ kt[:, :, s]
         scores *= c
         # Masked softmax: excluded scores become -inf, so after the shift
         # by the row maximum their exp is exactly 0.
@@ -248,6 +246,5 @@ def attention_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, keys_tran
         w /= w.sum(axis=-1, keepdims=True)
         outs.append(w @ v[:, s])
         weights.append(w)
-        kts.append(kt)
     out = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
-    return out.transpose(1, 0, 2).reshape(Tq, H * hd), blocks, weights, kts
+    return out.transpose(1, 0, 2).reshape(Tq, H * hd), blocks, weights

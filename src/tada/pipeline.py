@@ -56,13 +56,12 @@ class SpeakerHead:
         self.params = params
         self.n_layers = sum(k.endswith("/w") for k in params)
 
-    def embed_t(self, s):
-        """Embeddings of latent rows: taped for a Tensor, an ndarray for an ndarray."""
+    def embed(self, s):
+        """Embeddings of latent rows: taped for a Tensor; for an ndarray of
+        one latent or of rows of them, an ndarray in the parameters' dtype."""
+        if not isinstance(s, Tensor):
+            s = np.ascontiguousarray(np.atleast_2d(s), dtype=nn.param_dtype(self.params))
         return nn.mlp(self.params, self.prefix, s, self.n_layers)
-
-    def embed(self, s: np.ndarray) -> np.ndarray:
-        """Embeddings of one latent or of rows of them, in the parameters' dtype."""
-        return self.embed_t(np.ascontiguousarray(np.atleast_2d(s), dtype=nn.param_dtype(self.params)))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -92,7 +91,7 @@ def train_speaker_head(
     tnorm = targets / (np.linalg.norm(targets, axis=1, keepdims=True) + 1e-12)
 
     def loss(step: int, idx: np.ndarray) -> tuple[Tensor, dict]:
-        e = head.embed_t(nn.input_tensor(head.params, latents[idx]))
+        e = head.embed(nn.input_tensor(head.params, latents[idx]))
         dots = nx.sum_(nx.mul(e, nn.input_tensor(head.params, tnorm[idx])), axis=1)
         norms = nx.sqrt(nx.sum_(nx.square(e), axis=1) + 1e-12)
         cos = nx.mul(dots, nx.reciprocal(norms))

@@ -593,14 +593,15 @@ def test_faulty_aligned_manifest_exit_code_2(small_corpus, wrong_kind_files, fau
         ["codec-train", "--out", "never.tada", "--steps", "1", "--stream-steps", "1"],
         ["synth", "--lm", "lm.tada", "--codec", "codec.tada", "--prompt", "0", "--text", "1", "--out", "never.tada"],
         ["codec-roundtrip", "--ckpt", "codec.tada", "--utt", "0"],
+        ["align", "--out", "never.txt"],
     ],
-    ids=["codec-train", "synth", "codec-roundtrip"],
+    ids=["codec-train", "synth", "codec-roundtrip", "align"],
 )
 def test_record_t_past_its_frames_exit_code_2(wrong_kind_files, tmp_path, capsys, argv):
     """A record whose T is 5 past its utterance's frames, its last position
-    2 past them, passes ``Manifest.load``; ``codec-train``, ``synth`` and
-    ``codec-roundtrip`` refuse it, naming the utterance, before they write
-    anything."""
+    2 past them, passes ``Manifest.load``; ``codec-train``, ``synth``,
+    ``codec-roundtrip`` and ``align`` refuse it, naming the utterance,
+    before they train or write anything."""
     manifest, arrays = str(tmp_path / "m.txt"), str(tmp_path / "a.tada")
     assert main(["--seed", "0", "gen-data", "--manifest", manifest, "--arrays", arrays, "--utterances", "8"]) == 0
     header, first, *rest = Path(manifest).read_text().splitlines()
@@ -611,13 +612,13 @@ def test_record_t_past_its_frames_exit_code_2(wrong_kind_files, tmp_path, capsys
     faulty = tmp_path / "faulty.txt"
     faulty.write_text("\n".join([header, line, *rest]) + "\n")
     assert Manifest.load(faulty).records[0].T == frames + 5
-    paths = {**wrong_kind_files, "never.tada": str(tmp_path / "never.tada")}
+    paths = {**wrong_kind_files, **{name: str(tmp_path / name) for name in ("never.tada", "never.txt")}}
     capsys.readouterr()
     assert main([*(paths.get(a, a) for a in argv), "--manifest", str(faulty), "--arrays", arrays]) == 2
     err = capsys.readouterr().err.splitlines()
     says = f"error: utterance {record.utt_id}: the manifest says T={frames + 5}, the arrays hold {frames} frames"
     assert err == [says]
-    assert not (tmp_path / "never.tada").exists()
+    assert not (tmp_path / "never.tada").exists() and not (tmp_path / "never.txt").exists()
 
 
 @pytest.mark.parametrize(

@@ -131,6 +131,24 @@ def test_packed_stack_equals_each_sequence_alone():
         nn.stack(params, "tf", nx.tensor(x), masks[:2], CFG)
 
 
+@pytest.mark.parametrize("packed", [False, True], ids=["one_mask", "packed"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_array_stack_equals_taped_stack_bit_for_bit(dtype, packed):
+    """An ndarray ``nn.stack`` is a cached pass on a fresh cache; it equals
+    the taped stack to the bit, under one mask and over a packed run of
+    lengths [4, 1, 6]."""
+    with nx.precision("float32" if dtype == np.float32 else "float64"):
+        params = make_params(gain=10.0)
+    rng = np.random.default_rng(23)
+    lengths = [4, 1, 6]
+    x = rng.standard_normal((sum(lengths), CFG.d_model)).astype(dtype)
+    mask = _ragged_masks(rng, lengths) if packed else _ragged_masks(rng, [sum(lengths)])[0]
+    got = nn.stack(params, "tf", x, mask, CFG)
+    want = nn.stack(params, "tf", nx.tensor(x, dtype=dtype), mask, CFG).data
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
 def test_local_mix_sees_zero_rows_at_each_sequence_end():
     """Packed, each sequence mixes only its own rows; alone, a row's
     neighbours past either end are zero rows."""
@@ -323,12 +341,10 @@ def test_stack_step_equals_reference_cached_step_bit_for_bit(dtype):
             np.testing.assert_allclose(out, full, rtol=0, atol=1e-12)
 
 
-def test_cached_layer_runs_one_fused_projection_and_one_rotation(monkeypatch):
-    """Per cached layer a step makes one q/k/v product on the concatenated
-    ``wq|wk|wv`` columns, one rotation of q and k together as 2H heads, one
-    attention call and one cache append; the weights are concatenated once
-    per cache."""
-    params = make_params()
+def spy_cached_layers(monkeypatch) -> dict[str, list]:
+    """Record, per call, the weights of every ``kernels.linear``, the head
+    count of every ``kernels.split_heads``, and every attention call, cache
+    append and Tensor built."""
     calls: dict[str, list] = {}
 
     def spy(owner, name, record):
@@ -342,8 +358,19 @@ def test_cached_layer_runs_one_fused_projection_and_one_rotation(monkeypatch):
 
     spy(nx.kernels, "linear", lambda x, w, b: w)
     spy(nx.kernels, "split_heads", lambda x, n_heads, *rest: n_heads)
-    spy(nx.kernels, "attention_heads", lambda *args, **kwargs: None)
+    spy(nx.kernels, "attention_heads", lambda *args: None)
     spy(nn.LayerCache, "extend", lambda *args: None)
+    spy(nx.Tensor, "__init__", lambda *args: None)
+    return calls
+
+
+def test_cached_layer_runs_one_fused_projection_and_one_rotation(monkeypatch):
+    """Per cached layer a step makes one q/k/v product on the concatenated
+    ``wq|wk|wv`` columns, one rotation of q and k together as 2H heads, one
+    attention call and one cache append; the weights are concatenated once
+    per cache."""
+    params = make_params()
+    calls = spy_cached_layers(monkeypatch)
     cache = nn.StackCache(CFG)
     x = np.random.default_rng(13).standard_normal((3, CFG.d_model))
     d, L = CFG.d_model, CFG.n_layers
@@ -359,6 +386,24 @@ def test_cached_layer_runs_one_fused_projection_and_one_rotation(monkeypatch):
         assert second is first  # concatenated once per cache
         names = [f"tf/layer{i}/{w}/w" for w in ("wq", "wk", "wv")]
         np.testing.assert_array_equal(first, np.concatenate([params[name].data for name in names], axis=1))
+
+
+def test_array_stack_runs_one_fused_projection_and_one_rotation_per_layer(monkeypatch):
+    """An ndarray ``nn.stack`` runs the cached layer: per layer one q/k/v
+    product on the ``wq|wk|wv`` columns, one rotation of q and k as 2H
+    heads, one attention call and one cache append, under one mask and
+    over a packed run. It builds no Tensor."""
+    params = make_params()
+    calls = spy_cached_layers(monkeypatch)
+    x = np.random.default_rng(14).standard_normal((11, CFG.d_model))
+    d, L = CFG.d_model, CFG.n_layers
+    for mask in (nn.causal_mask(11), [nn.causal_mask(4), nn.full_mask(1), nn.causal_mask(6)]):
+        calls.clear()
+        nn.stack(params, "tf", x, mask, CFG)
+        assert [w.shape[1] for w in calls["linear"]] == [3 * d, d, CFG.d_ff, d] * L
+        assert calls["split_heads"] == [2 * CFG.n_heads] * L
+        assert len(calls["attention_heads"]) == len(calls["extend"]) == L
+        assert "__init__" not in calls
 
 
 def test_stack_step_rejects_mask_of_wrong_shape():

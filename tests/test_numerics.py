@@ -1,5 +1,6 @@
 """Engine primitives: forward semantics, gradients, tape, checkpoint format."""
 
+import re
 import struct
 
 import numpy as np
@@ -853,6 +854,7 @@ def _kernel_pairs(rng, dtype, n):
     x, w, b, g = a(n, 8), a(8, 6), a(6), a(8)
     positions = rng.integers(0, 50, size=n)
     q, kk, v = a(2, n, 4), a(2, n + 3, 4), a(2, n + 3, 4)
+    kt = np.ascontiguousarray(kk.transpose(0, 2, 1))  # the keys as a cache holds them, (H, hd, Tk)
     mask = rng.random((n, n + 3)) < 0.5
     mask[:, 0] = True
     # a packed run: query rows [1, n - 1] and keys [2, n + 1], one sequence for n == 1
@@ -868,8 +870,8 @@ def _kernel_pairs(rng, dtype, n):
         ("layer_norm", k.layer_norm(x, g, g[::-1]), nx.layer_norm(t(x), t(g), t(g[::-1]))),
         ("split_heads", k.split_heads(x, 2), nx.split_heads(t(x), 2)),
         ("split_heads_rotary", k.split_heads(x, 2, positions, 500.0), nx.split_heads(t(x), 2, positions, 500.0)),
-        ("attention_heads", k.attention_heads(q, kk, v, mask), nx.attention_heads(t(q), t(kk), t(v), mask)),
-        ("attention_heads_packed", k.attention_heads(q, kk, v, packed), nx.attention_heads(t(q), t(kk), t(v), packed)),
+        ("attention_heads", k.attention_heads(q, kt, v, mask), nx.attention_heads(t(q), t(kk), t(v), mask)),
+        ("attention_heads_packed", k.attention_heads(q, kt, v, packed), nx.attention_heads(t(q), t(kk), t(v), packed)),
         ("scatter_rows", k.scatter_rows(x, idx, n + 2), nx.scatter_rows(t(x), idx, n + 2)),
         ("neighbour_rows", k.neighbour_rows(x, lens_x), nx.neighbour_rows(t(x), lens_x)),
     ]
@@ -896,8 +898,18 @@ def test_kernel_raises_the_taped_empty_row_error(packed):
     if packed:
         mask = [mask[:2, :2], mask[2:, 2:]]
     errors = []
-    for attend, wrap in ((nx.kernels.attention_heads, np.asarray), (nx.attention_heads, nx.tensor)):
+    kernel = (nx.kernels.attention_heads, np.asarray, kv.transpose(0, 2, 1))
+    for attend, wrap, keys in (kernel, (nx.attention_heads, nx.tensor, kv)):
         with pytest.raises(ShapeError, match="no included positions") as info:
-            attend(wrap(q), wrap(kv), wrap(kv), mask)
+            attend(wrap(q), wrap(keys), wrap(kv), mask)
         errors.append(str(info.value))
     assert errors[0] == errors[1]
+
+
+def test_kernel_refuses_keys_in_the_row_layout():
+    """The kernel takes keys as (H, hd, Tk), as a key/value cache holds
+    them; keys given as (H, Tk, hd), Tk != hd, are a ShapeError that names
+    their shape."""
+    q, kv = np.zeros((2, 3, 4)), np.zeros((2, 5, 4))
+    with pytest.raises(ShapeError, match=re.escape("keys (2, 5, 4)")):
+        nx.kernels.attention_heads(q, kv, kv, np.ones((3, 5), dtype=bool))

@@ -179,6 +179,25 @@ class TestPreparePrompt:
                 positions=np.array([5, 6, 7, 8]),
             )
 
+    def test_latents_equal_the_taped_encode_bit_for_bit(self, tmp_path, models):
+        """The prompt encodes on arrays, its transformer stack a cached pass
+        on a fresh cache. On a float32 checkpoint its latents equal the
+        taped ``CodecModel.encode`` under ``no_grad`` to the bit, for a
+        prompt longer than a cache's first capacity."""
+        _, codec, head = models
+        codec.save(tmp_path / "codec.tada")
+        codec = CodecModel.load(tmp_path / "codec.tada")
+        rng = np.random.default_rng(10)
+        L = 8
+        positions = np.arange(1, L + 1) * 4 - 1
+        frames = rng.standard_normal((4 * L, CODEC.d_frame))
+        assert frames.shape[0] > nn.LayerCache.FIRST_CAPACITY
+        prompt = prepare_prompt(frames, rng.integers(0, 5, size=L), None, codec, head, positions=positions)
+        with nx.no_grad():
+            taped = codec.encode(frames, positions).data
+        assert prompt.latents.dtype == taped.dtype == np.float32
+        assert prompt.latents.tobytes() == taped.tobytes()
+
     def test_durations_follow_chain(self, models):
         _, codec, head = models
         prompt = make_prompt(codec, head, np.random.default_rng(9))

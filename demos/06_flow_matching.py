@@ -40,7 +40,7 @@ print(f"final flow loss: {loss.item():.4f}")
 for c in (0, 1):
     cond = np.zeros((1, 4))
     cond[:, c] = 1.0
-    rows = model.cond_rows(cond)  # projected once, reused by every Euler step
+    rows = np.repeat(model.cond_rows(cond), 8, axis=0)  # projected once, reused by every Euler step
     y = euler_sample(lambda y, t: model.field_np(y, t, rows), cfg, N_FM, 1.0, seed=42, n_samples=8)
     decoded = [unpack(row, cfg.d_latent, cfg.bits)[1:] for row in y]
     s_mean = np.round(y[:, : cfg.d_latent].mean(axis=0), 2)

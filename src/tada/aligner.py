@@ -49,22 +49,6 @@ class Alignment:
             raise ValidationError("alignment positions must be strictly increasing")
 
 
-@dataclass
-class CurriculumVocab:
-    """Active vocabulary subset for the CTC loss at a given step."""
-
-    active: set[int]
-    cap: int | None
-    vocab_size: int
-    blank: int
-
-    def column_mask(self) -> np.ndarray:
-        mask = np.zeros(self.vocab_size + 1, dtype=bool)
-        mask[sorted(i for i in self.active if i != self.blank)] = True
-        mask[self.blank] = True
-        return mask
-
-
 DEFAULT_SCHEDULE: dict[int, int | None] = {0: 64, 5000: 256, 20000: None}
 
 
@@ -74,9 +58,10 @@ def curriculum_subset(
     batch_targets,
     vocab_size: int,
     schedule: dict[int, int | None] | None = None,
-) -> CurriculumVocab:
-    """Most-frequent observed indices up to the schedule cap, plus the
-    current batch targets and blank.
+) -> np.ndarray:
+    """The ``(vocab_size + 1,)`` boolean column mask of the CTC loss at a
+    step: the most-frequent observed indices up to the schedule cap, plus
+    the current batch targets and blank (the last column).
 
     ``observed`` is a per-index occurrence count; the cap for a step is the
     entry of the latest schedule threshold not exceeding it, with ``None``
@@ -85,22 +70,21 @@ def curriculum_subset(
     if step < 0:
         raise ValidationError(f"curriculum step must be >= 0, got {step}")
     schedule = DEFAULT_SCHEDULE if schedule is None else schedule
-    blank = vocab_size
     cap = None
     for threshold in sorted(schedule):
         if step >= threshold:
             cap = schedule[threshold]
+    mask = np.zeros(vocab_size + 1, dtype=bool)
     if cap is None:
-        active = set(range(vocab_size))
+        mask[:vocab_size] = True
     else:
         observed = np.asarray(observed)
         seen = np.flatnonzero(observed > 0)
         # Sort by descending count, index ascending on ties, keep the top cap.
-        order = seen[np.lexsort((seen, -observed[seen]))]
-        active = set(order[:cap].tolist())
-    active.update(int(t) for t in np.asarray(batch_targets).ravel().tolist())
-    active.add(blank)
-    return CurriculumVocab(active=active, cap=cap, vocab_size=vocab_size, blank=blank)
+        mask[seen[np.lexsort((seen, -observed[seen]))][:cap]] = True
+    mask[np.asarray(batch_targets, dtype=np.int64).ravel()] = True
+    mask[vocab_size] = True
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +136,10 @@ def _ctc_lattice(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
     return lattice
 
 
-def ctc_log_likelihood(log_probs, targets, blank: int | None = None, lengths=None) -> Tensor:
+def ctc_log_likelihood(log_probs, targets, lengths=None) -> Tensor:
     """Log of the summed probability over all valid CTC paths.
 
-    ``log_probs`` is (T, V+1) with the last column the blank by default;
+    ``log_probs`` is (T, V+1) with the last column the blank;
     differentiable with the alpha-beta occupancy as gradient. Infeasible
     target lengths raise instead of silently returning -inf. With
     ``lengths``, the rows are consecutive sequences of those lengths,
@@ -169,7 +153,7 @@ def ctc_log_likelihood(log_probs, targets, blank: int | None = None, lengths=Non
     if y.ndim != 2 or y.shape[0] < 1:
         raise ValidationError(f"ctc_log_likelihood: logits must be (T, V+1), got {y.shape}")
     width = y.shape[1]
-    blank = width - 1 if blank is None else blank
+    blank = width - 1
     packed = lengths is not None
     if not packed:
         lengths, targets = [y.shape[0]], [targets]
@@ -461,8 +445,7 @@ def train_aligner(
         column_mask = None
         if config.use_curriculum:
             batch_targets = np.concatenate([tokens for _, tokens in batch])
-            vocab = curriculum_subset(step, observed, batch_targets, config.vocab_size)
-            column_mask = vocab.column_mask()
+            column_mask = curriculum_subset(step, observed, batch_targets, config.vocab_size)
             np.add.at(observed, batch_targets, 1)
         return aligner_batch_loss(model, batch, column_mask)
 

@@ -48,6 +48,10 @@ class BackboneConfig:
     def __post_init__(self):
         if self.k_shift < 1:
             raise ValidationError("BackboneConfig: k_shift must be >= 1")
+        if not 0.0 <= self.dropout_rate <= 1.0:
+            raise ValidationError(f"BackboneConfig: dropout_rate must be in [0, 1], got {self.dropout_rate}")
+        if self.dropout_mean_len < 1:
+            raise ValidationError(f"BackboneConfig: dropout_mean_len must be >= 1, got {self.dropout_mean_len}")
         self.flow = replace(self.flow, d_latent=self.d_latent, bits=self.bits, d_cond=self.d_cond)
 
     @property
@@ -65,12 +69,6 @@ class BackboneConfig:
     @property
     def d_acoustic(self) -> int:
         return self.d_latent + 2 * self.bits
-
-
-@dataclass
-class BackboneOutput:
-    text_logits: np.ndarray
-    cond: np.ndarray
 
 
 @dataclass
@@ -212,8 +210,9 @@ class BackboneModel:
     def new_cache(self) -> nn.StackCache:
         return nn.StackCache(self.tf)
 
-    def step(self, ids, acoustic, has_ac, speech, cache: nn.StackCache, streams=None) -> list[BackboneOutput]:
-        """Append fused rows to the cache in one call; return their outputs.
+    def step(self, ids, acoustic, has_ac, speech, cache: nn.StackCache, streams=None) -> tuple[np.ndarray, np.ndarray]:
+        """Append fused rows to the cache in one call; return their
+        ``(text_logits, cond)``.
 
         The rows are those of :meth:`forward_tensors`, one per step.
         ``streams`` gives each step's stream (default: all stream 0). The
@@ -240,8 +239,7 @@ class BackboneModel:
         )
         x = self._fuse_rows(ids, acoustic, has_ac, speech)
         h = nn.stack_step(self.params, "tf", x, positions, cache, self.tf, mask, streams)
-        logits, cond = nn.linear(self.params, "lm_head", h), nn.linear(self.params, "cond_head", h)
-        return [BackboneOutput(text_logits=lg, cond=c) for lg, c in zip(logits, cond)]
+        return nn.linear(self.params, "lm_head", h), nn.linear(self.params, "cond_head", h)
 
     def save(self, path) -> None:
         nn.save_params(path, self.params, self.config)

@@ -57,6 +57,10 @@ CONFIG_FLAGS = {
     "lm-train": {"--k": "backbone.k_shift", "--dropout": "backbone.dropout_rate", "--steps": "budget.backbone_steps"},
 }
 
+# ``mask`` prints a T x T grid; past this width it is unreadable, and the
+# mask itself takes T^2 bytes.
+MASK_MAX_FRAMES = 1000
+
 
 def _at_least_one(args, *flags: str) -> None:
     """Refuse an integer flag below 1, before any file is read."""
@@ -246,6 +250,8 @@ def cmd_graycheck(args, cfg) -> int:
 
 
 def cmd_mask(args, cfg) -> int:
+    if args.t > MASK_MAX_FRAMES:
+        raise ValidationError(f"mask: --t must be <= {MASK_MAX_FRAMES}, got {args.t}")
     p = np.array(_int_list(args.p, "--p"), dtype=np.int64)
     if args.which == "enc":
         m = masks.encoder_mask(p, args.t)

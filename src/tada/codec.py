@@ -49,6 +49,8 @@ class CodecConfig:
     def __post_init__(self):
         if self.d_latent < 1:
             raise ValidationError(f"CodecConfig: d_latent must be >= 1, got {self.d_latent}")
+        if any(w < 4 for w in self.spectral_windows):  # the hop is window // 4
+            raise ValidationError(f"CodecConfig: spectral_windows must all be >= 4, got {self.spectral_windows}")
 
 
 @dataclass

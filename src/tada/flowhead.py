@@ -89,14 +89,15 @@ class VectorFieldModel:
         return cls(config, params=params, prefix=prefix)
 
     def field(self, y_t, t, cond) -> Tensor:
-        """Vector field at a batch of points; all inputs row-aligned."""
+        """Vector field at a batch of points: ``cond`` holds one row per row
+        of ``y_t``, and ``t`` one time per row or one for all."""
         y_t = nn.input_tensor(self.params, y_t)
         cond = nn.input_tensor(self.params, cond)
         n = y_t.shape[0]
+        if cond.shape[0] != n:
+            raise ValidationError(f"field: {cond.shape[0]} condition rows for {n} points")
         t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), (n,))
         temb = nx.tensor(time_embedding(t, self.config.d_time, y_t.dtype.type))
-        if cond.shape[0] == 1 and n > 1:
-            cond = nx.concat([cond] * n, axis=0)
         x = nx.concat([y_t, temb, cond], axis=1)
         return self._hidden(nn.linear(self.params, f"{self.prefix}/fc0", x))
 
@@ -128,12 +129,12 @@ class VectorFieldModel:
         """The field on arrays at scalar time t, given :meth:`cond_rows` of
         the condition; it records no tape.
 
-        ``cond_rows`` holds one row per row of ``y`` (or a single row for all).
-        Equals :meth:`field` up to the summation order of the first layer.
+        ``cond_rows`` holds one row per row of ``y``. Equals :meth:`field`
+        up to the summation order of the first layer.
         """
         w_y = self._first_layer_blocks()[0]
         y = np.asarray(y, dtype=w_y.dtype)
-        if cond_rows.shape[0] not in (1, y.shape[0]):
+        if cond_rows.shape[0] != y.shape[0]:
             raise ValidationError(f"field_np: {cond_rows.shape[0]} condition rows for {y.shape[0]} points")
         h = y @ w_y
         h += self._time_rows(t)

@@ -217,11 +217,11 @@ def ones(shape, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype or default_dtype()), requires_grad)
 
 
-def randn(shape, rng: np.random.Generator, std: float = 1.0, requires_grad: bool = False, dtype=None) -> Tensor:
+def randn(shape, rng: np.random.Generator, std: float = 1.0, requires_grad: bool = False) -> Tensor:
     if _SHAPES_ONLY.get():
-        return Tensor(np.broadcast_to(np.zeros((), dtype=dtype or default_dtype()), shape), requires_grad)
+        return Tensor(np.broadcast_to(np.zeros((), dtype=default_dtype()), shape), requires_grad)
     arr = rng.standard_normal(shape) * std
-    return Tensor(arr.astype(dtype or default_dtype()), requires_grad)
+    return Tensor(arr.astype(default_dtype()), requires_grad)
 
 
 def _coerce(x, dtype) -> Tensor:
@@ -415,29 +415,25 @@ def maximum_const(a: Tensor, floor: float) -> Tensor:
     return _make("maximum_const", out, (a,), backward)
 
 
-def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_(a: Tensor, axis: int | None = None) -> Tensor:
+    out = a.data.sum(axis=axis)
     out = np.asarray(out)
 
     def backward(g):
         gg = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             gg = np.expand_dims(gg, axis)
         _accum(a, np.broadcast_to(gg, a.shape).copy())
 
     return _make("sum", out, (a,), backward)
 
 
-def mean_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+def mean_(a: Tensor) -> Tensor:
+    out = a.data.mean()
     out = np.asarray(out)
 
     def backward(g):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.shape) / n)
+        _accum(a, np.broadcast_to(np.asarray(g), a.shape) / a.size)
 
     return _make("mean", out, (a,), backward)
 
@@ -539,8 +535,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _make("layer_norm", out, (x, gain, bias), backward)
 
 
-def log_softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
-    """Log-softmax; with a mask, normalization runs over included entries only.
+def log_softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Log-softmax over the last axis; with a mask, normalization runs over
+    included entries only.
 
     Excluded outputs are set to the finite constant ``LOG_EXCLUDED`` and carry
     no gradient.
@@ -551,19 +548,19 @@ def log_softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Te
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != x.shape:
             raise ShapeError("log_softmax", f"mask shape {mask.shape} != input shape {x.shape}")
-        if not np.all(mask.any(axis=axis)):
+        if not np.all(mask.any(axis=-1)):
             raise ShapeError("log_softmax", "a normalization slice has no included positions")
     safe = np.where(mask, x.data, -np.inf)
-    m = safe.max(axis=axis, keepdims=True)
+    m = safe.max(axis=-1, keepdims=True)
     shifted = np.where(mask, x.data - m, 0.0)
     e = np.exp(shifted) * mask
-    lse = np.log(e.sum(axis=axis, keepdims=True)) + m
+    lse = np.log(e.sum(axis=-1, keepdims=True)) + m
     out = np.where(mask, x.data - lse, LOG_EXCLUDED)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         g = g * mask
-        _accum(x, g - p * g.sum(axis=axis, keepdims=True))
+        _accum(x, g - p * g.sum(axis=-1, keepdims=True))
 
     return _make("log_softmax", out, (x,), backward)
 

@@ -12,17 +12,11 @@ from .engine import Tensor
 
 
 class Adam:
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    """Adam with betas (0.9, 0.999) and eps 1e-8."""
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -38,7 +32,7 @@ class Adam:
         written into, so an array a caller handed in is left as it was.
         """
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for k, p in self.params.items():
             if p.grad is None:
@@ -49,7 +43,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
-            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
 def fit(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import durbits, flowhead, nn
+from . import durbits, flowhead, masks, nn
 from . import numerics as nx
 from .aligner import AlignerModel, filter_alignment
 from .backbone import BackboneConfig, BackboneModel, context_rows, sfg_logits
@@ -339,15 +339,15 @@ def generate(
     text_open = params.mode == "slm"
     for j in range(Lp, cfg.max_context):
         t0 = time.perf_counter()
-        outs = model.step(*branch_rows([j] * streams.size, streams), cache, streams)
+        logits, cond = model.step(*branch_rows([j] * streams.size, streams), cache, streams)
         llm_time = time.perf_counter() - t0
 
         m = j - K + 1  # the slot this step predicts, 1-based
         if Lp < m <= len(tokens):
-            c_neg = outs[1].cond if tfg else np.zeros(cfg.d_cond)
+            c_neg = cond[1] if tfg else np.zeros(cfg.d_cond)
             t0 = time.perf_counter()
             chosen, stat = _sample_slot(
-                model, speaker_head, outs[0].cond, c_neg, prompt.ref_embedding, params, rng, m
+                model, speaker_head, cond[0], c_neg, prompt.ref_embedding, params, rng, m
             )
             stat.flow_time = time.perf_counter() - t0
             stat.llm_time = llm_time
@@ -360,10 +360,10 @@ def generate(
             idle_step_time += llm_time
 
         if text_open:
-            logits = outs[0].text_logits
+            text_logits = logits[0]
             if sfg:
-                logits = sfg_logits(outs[-1].text_logits, logits, params.sfg_scale)
-            token = _sample_token(logits, rng, params.temperature, params.top_k)
+                text_logits = sfg_logits(logits[-1], text_logits, params.sfg_scale)
+            token = _sample_token(text_logits, rng, params.temperature, params.top_k)
             if token == cfg.pad_id or len(tokens) - Lp >= params.max_tokens:
                 text_open = False
             else:
@@ -480,20 +480,13 @@ class StreamedAudio:
 
 
 def stream_synthesize(result: GenerationResult, codec_model: CodecModel) -> StreamedAudio:
-    """Decode a generation segment-by-segment with the streamable decoder.
-
-    Emits each token's frames as soon as its segment closes; the KV cache
-    never holds more than two segments.
+    """Decode a generation with the streamable decoder,
+    :meth:`CodecModel.decode_streaming_full`; ``segments`` are the frame
+    ranges it decodes one at a time, ``masks.segment_bounds``.
     """
     positions, T = result.positions
     if positions.size == 0:
         raise ValidationError("stream_synthesize: empty generation")
-    dtype = nn.param_dtype(codec_model.params)
-    frames = np.zeros((T, codec_model.config.d_frame), dtype=dtype)
-    signal = np.zeros((T, codec_model.config.samples_per_frame), dtype=dtype)
-    segments = []
-    for lo, hi, f, g in codec_model.decode_streaming_segments(result.latents, positions, T):
-        frames[lo:hi] = f
-        signal[lo:hi] = g
-        segments.append((lo, hi))
+    frames, signal = codec_model.decode_streaming_full(result.latents, positions, T)
+    segments = masks.segment_bounds(positions, T)
     return StreamedAudio(frames=frames, signal=signal, segments=segments, positions=positions, T=T)

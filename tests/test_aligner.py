@@ -334,32 +334,31 @@ class TestViterbi:
 
 class TestCurriculum:
     def test_initial_batch_targets_and_blank(self):
-        vocab = curriculum_subset(0, np.zeros(32), [3, 7], 32)
-        assert vocab.active == {3, 7, 32}
+        mask = curriculum_subset(0, np.zeros(32), [3, 7], 32)
+        assert set(np.flatnonzero(mask)) == {3, 7, 32}
 
     def test_cap_keeps_most_frequent_plus_batch(self):
         observed = np.zeros(32)
         observed[:12] = np.arange(12, 0, -1)  # indices 0..11 observed, 0 most frequent
-        vocab = curriculum_subset(10, observed, [20], 32, schedule={0: 8})
-        assert set(range(8)) <= vocab.active
-        assert 20 in vocab.active and 32 in vocab.active
-        assert len(vocab.active - {20, 32}) == 8
+        active = set(np.flatnonzero(curriculum_subset(10, observed, [20], 32, schedule={0: 8})))
+        assert set(range(8)) <= active
+        assert 20 in active and 32 in active
+        assert len(active - {20, 32}) == 8
 
     def test_beyond_final_threshold_full_vocab(self):
-        vocab = curriculum_subset(25000, np.zeros(32), [], 32)
-        assert vocab.active >= set(range(32))
+        mask = curriculum_subset(25000, np.zeros(32), [], 32)
+        assert set(np.flatnonzero(mask)) >= set(range(32))
 
     def test_monotone_nondecreasing_caps(self):
         observed = np.ones(300)
         sizes = []
         for step in (0, 5000, 20000):
-            vocab = curriculum_subset(step, observed, [], 300)
-            sizes.append(len(vocab.active))
+            mask = curriculum_subset(step, observed, [], 300)
+            sizes.append(len(set(np.flatnonzero(mask))))
         assert sizes == sorted(sizes)
 
     def test_column_mask_includes_blank(self):
-        vocab = curriculum_subset(0, np.zeros(8), [1], 8)
-        mask = vocab.column_mask()
+        mask = curriculum_subset(0, np.zeros(8), [1], 8)
         assert mask[8] and mask[1] and not mask[5]
 
 
@@ -407,8 +406,7 @@ class TestTraining:
 
     def test_curriculum_never_scores_inactive(self):
         rng = np.random.default_rng(11)
-        vocab = curriculum_subset(0, np.zeros(8), [1, 2], 8)
-        mask = vocab.column_mask()
+        mask = curriculum_subset(0, np.zeros(8), [1, 2], 8)
         logits = nx.tensor(rng.standard_normal((5, 9)))
         logp = nx.log_softmax(logits, mask=np.broadcast_to(mask, (5, 9)))
         inactive = np.flatnonzero(~mask)
@@ -452,8 +450,7 @@ class TestPackedBatch:
         mask = None
         if curriculum:
             targets = np.concatenate([t for _, t in batch])
-            vocab = curriculum_subset(0, np.zeros(PACK_CFG.vocab_size), targets, PACK_CFG.vocab_size, {0: 1})
-            mask = vocab.column_mask()
+            mask = curriculum_subset(0, np.zeros(PACK_CFG.vocab_size), targets, PACK_CFG.vocab_size, {0: 1})
             assert not mask.all()
         loss, grads = loss_and_grads(model, lambda: aligner_batch_loss(model, batch, mask)[0])
         ref_loss, ref_grads = loss_and_grads(model, lambda: reference_batch_loss(model, batch, mask))

@@ -72,9 +72,14 @@ def forward(model, steps):
     return logits.data, cond.data
 
 
-def stacked(outputs):
-    """(text logits, condition) arrays of a list of step outputs."""
-    return np.array([o.text_logits for o in outputs]), np.array([o.cond for o in outputs])
+def joined(outputs):
+    """(text logits, condition) arrays of a list of step outputs, rows in order."""
+    return tuple(np.concatenate(parts) for parts in zip(*outputs))
+
+
+def rows_of(output, sl):
+    """The rows ``sl`` of a step output."""
+    return tuple(x[sl] for x in output)
 
 
 class TestFuse:
@@ -154,9 +159,9 @@ class TestForward:
         full = forward(model, steps)
         cache = model.new_cache()
         for j, s in enumerate(steps):
-            out = model.step(*rows([s]), cache)[0]
-            np.testing.assert_allclose(out.text_logits, full[0][j], atol=1e-9)
-            np.testing.assert_allclose(out.cond, full[1][j], atol=1e-9)
+            logits, cond = model.step(*rows([s]), cache)
+            np.testing.assert_allclose(logits[0], full[0][j], atol=1e-9)
+            np.testing.assert_allclose(cond[0], full[1][j], atol=1e-9)
 
     def test_context_overflow(self):
         model = tiny_model()
@@ -185,11 +190,11 @@ class TestStep:
         steps = random_steps(np.random.default_rng(30), 7)
         full = forward(model, steps)
         single_cache = model.new_cache()
-        single = [model.step(*rows([s]), single_cache)[0] for s in steps]
+        single = [model.step(*rows([s]), single_cache) for s in steps]
         chunk_cache = model.new_cache()
-        chunk = model.step(*rows(steps[:5]), chunk_cache) + model.step(*rows(steps[5:]), chunk_cache)
-        assert_outputs_close(stacked(single), full)
-        assert_outputs_close(stacked(chunk), full)
+        chunk = [model.step(*rows(steps[:5]), chunk_cache), model.step(*rows(steps[5:]), chunk_cache)]
+        assert_outputs_close(joined(single), full)
+        assert_outputs_close(joined(chunk), full)
 
     def test_streams_together_match_each_stream_alone(self):
         model = tiny_model()
@@ -199,17 +204,18 @@ class TestStep:
         alone = []
         for seq in (a, b):
             cache = model.new_cache()
-            alone.append(model.step(*rows(seq[:4]), cache) + [model.step(*rows([s]), cache)[0] for s in seq[4:]])
+            parts = [model.step(*rows(seq[:4]), cache)] + [model.step(*rows([s]), cache) for s in seq[4:]]
+            alone.append(joined(parts))
         cache = model.new_cache()
         # Prefill interleaved, then one two-row call per step.
         pre = model.step(*rows([s for pair in zip(a[:4], b[:4]) for s in pair]), cache, [0, 1] * 4)
-        together = [pre[0::2], pre[1::2]]
+        together = [[rows_of(pre, slice(0, None, 2))], [rows_of(pre, slice(1, None, 2))]]
         for sa, sb in zip(a[4:], b[4:]):
-            out_a, out_b = model.step(*rows([sa, sb]), cache, [0, 1])
-            together[0].append(out_a)
-            together[1].append(out_b)
-        assert_outputs_close(stacked(together[0]), stacked(alone[0]))
-        assert_outputs_close(stacked(together[1]), stacked(alone[1]))
+            out = model.step(*rows([sa, sb]), cache, [0, 1])
+            together[0].append(rows_of(out, slice(0, 1)))
+            together[1].append(rows_of(out, slice(1, 2)))
+        assert_outputs_close(joined(together[0]), alone[0])
+        assert_outputs_close(joined(together[1]), alone[1])
 
     def test_other_stream_cannot_reach_outputs(self):
         model = tiny_model()
@@ -223,12 +229,12 @@ class TestStep:
         runs = []
         for other in (b, b_perturbed):
             cache = model.new_cache()
-            out = model.step(*rows([*a[:3], *other[:3]]), cache, [0, 0, 0, 1, 1, 1])[:3]
-            out += [model.step(*rows([sa, sb]), cache, [0, 1])[0] for sa, sb in zip(a[3:], other[3:])]
-            runs.append(out)
+            out = [rows_of(model.step(*rows([*a[:3], *other[:3]]), cache, [0, 0, 0, 1, 1, 1]), slice(0, 3))]
+            for sa, sb in zip(a[3:], other[3:]):
+                out.append(rows_of(model.step(*rows([sa, sb]), cache, [0, 1]), slice(0, 1)))
+            runs.append(joined(out))
         for x, y in zip(*runs):
-            np.testing.assert_array_equal(x.text_logits, y.text_logits)
-            np.testing.assert_array_equal(x.cond, y.cond)
+            np.testing.assert_array_equal(x, y)
 
     def test_context_limit_is_per_stream(self):
         model = tiny_model()

@@ -41,6 +41,15 @@ def test_mask_invalid_positions_exit_code_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t", ["1001", "100000"])
+def test_mask_wider_than_the_limit_exit_code_2(capsys, t):
+    """A grid wider than 1,000 frames is refused, naming the flag, before
+    the T x T mask is built."""
+    assert main(["mask", "--p", "2", "--t", t, "--which", "enc"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--t" in err[0], err
+
+
 def test_fm_bench(capsys):
     assert main(["fm-bench", "--steps", "2,4"]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("steps=")]
@@ -376,6 +385,36 @@ def test_negative_steps_exit_code_2(small_corpus, tmp_path, capsys, argv, field)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0], err
     assert not Path(never).exists()
+
+
+@pytest.mark.parametrize(
+    "argv, line, key",
+    [
+        (["lm-train"], "backbone.dropout_rate=1.5", "dropout_rate"),
+        (["lm-train", "--dropout", "-0.5"], "", "dropout_rate"),
+        (["lm-train"], "backbone.dropout_mean_len=0", "dropout_mean_len"),
+        (["codec-train"], "codec.spectral_windows=0", "spectral_windows"),
+        (["codec-train"], "codec.spectral_windows=32,3", "spectral_windows"),
+    ],
+    ids=["dropout-above-one", "dropout-flag-negative", "dropout-mean-len", "spectral-window-zero",
+         "spectral-window-no-hop"],
+)
+def test_setting_training_cannot_run_on_exit_code_2(small_corpus, wrong_kind_files, tmp_path, capsys, argv, line,
+                                                   key):
+    """A dropout rate outside [0, 1], a dropout segment mean below one step
+    and a spectral window below 4 samples (hop window // 4 = 0) are refused,
+    naming the key, before anything trains or is written."""
+    manifest, arrays = small_corpus
+    cfg_file = tmp_path / "conf.txt"
+    cfg_file.write_text(line + "\nbudget.speaker_steps=1\n")
+    out = tmp_path / "out.tada"
+    extra = ["--codec", wrong_kind_files["codec.tada"]] if argv[0] == "lm-train" else ["--stream-steps", "1"]
+    capsys.readouterr()
+    assert main(["--config", str(cfg_file), *argv, "--manifest", manifest, "--arrays", arrays, "--out", str(out),
+                 "--steps", "1", *extra]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"{key} must" in err[0], err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -152,7 +152,7 @@ class TestEulerSampling:
         model = VectorFieldModel(SMALL, rng=rng)
         cond = rng.standard_normal((1, SMALL.d_cond))
 
-        rows = model.cond_rows(cond)
+        rows = np.repeat(model.cond_rows(cond), 4, axis=0)  # two samples, both branches
 
         def fp(y, t):
             return model.field_np(y, t, rows)
@@ -166,9 +166,8 @@ class TestEulerSampling:
     def test_scale_one_ignores_negative_branch(self):
         rng = np.random.default_rng(16)
         model = VectorFieldModel(SMALL, rng=rng)
-        cond = rng.standard_normal((1, SMALL.d_cond))
-        rows = model.cond_rows(cond)
         n = 3
+        rows = np.repeat(model.cond_rows(rng.standard_normal((1, SMALL.d_cond))), n, axis=0)
 
         def fp(y, t):
             return model.field_np(y, t, rows)
@@ -293,9 +292,10 @@ def test_split_field_matches_taped_field(t):
     cond = rng.standard_normal((5, SMALL.d_cond))
     ref = model.field(y, t, cond).data
     np.testing.assert_allclose(model.field_np(y, t, model.cond_rows(cond)), ref, rtol=0, atol=1e-12)
-    # One condition row serves every point, as in the taped field.
-    one = model.field(y, t, cond[:1]).data
-    np.testing.assert_allclose(model.field_np(y, t, model.cond_rows(cond[:1])), one, rtol=0, atol=1e-12)
+    # One condition repeated for every point, as the sampler passes it.
+    one = np.repeat(cond[:1], 5, axis=0)
+    ref_one = model.field(y, t, one).data
+    np.testing.assert_allclose(model.field_np(y, t, model.cond_rows(one)), ref_one, rtol=0, atol=1e-12)
 
 
 def test_field_np_follows_the_weights_after_an_adam_step():
@@ -334,6 +334,8 @@ def test_split_field_rejects_misaligned_condition_rows():
     rows = model.cond_rows(rng.standard_normal((4, SMALL.d_cond)))
     with pytest.raises(ValidationError):
         model.field_np(rng.standard_normal((2, SMALL.d_target)), 0.5, rows)
+    with pytest.raises(ValidationError, match="1 condition rows for 2 points"):
+        model.field(rng.standard_normal((2, SMALL.d_target)), 0.5, rng.standard_normal((1, SMALL.d_cond)))
     with pytest.raises(ValidationError):
         model.cond_rows(np.zeros((2, SMALL.d_cond + 1)))
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tada import durbits, nn, pipeline
+from tada import durbits, masks, nn, pipeline
 from tada import numerics as nx
 
 from tada.backbone import BackboneConfig, BackboneModel, SequenceBatchItem, build_sequence
@@ -481,13 +481,14 @@ class TestGenerate:
 
         def step(ids, acoustic, has_ac, speech, cache, streams=None):
             streams = [0] * len(ids) if streams is None else streams
-            return [
+            outs = [
                 real_step(
                     *(a[r : r + 1] for a in (ids, acoustic, has_ac, speech)),
                     caches.setdefault((id(cache), int(s)), lm.new_cache()),
-                )[0]
+                )
                 for r, s in enumerate(streams)
             ]
+            return tuple(np.concatenate(x) for x in zip(*outs))
 
         monkeypatch.setattr(lm, "step", step)
         alone = generate(lm, codec, head, prompt, None, params)
@@ -534,6 +535,18 @@ class TestStreamSynthesize:
         p, T = result.positions
         full = codec.decode(result.latents, p, T, mode="streaming")
         np.testing.assert_allclose(audio.frames, full.features.data, atol=1e-9)
+
+    def test_equals_decode_streaming_full_and_segment_bounds(self, models):
+        """The streamed frames and signal are decode_streaming_full's, and
+        the segments are the bounds the streaming decoder walks."""
+        _, codec, _ = models
+        result = self._result(np.random.default_rng(22), 6)
+        audio = stream_synthesize(result, codec)
+        p, T = result.positions
+        frames, signal = codec.decode_streaming_full(result.latents, p, T)
+        assert np.array_equal(audio.frames, frames) and np.array_equal(audio.signal, signal)
+        assert np.array_equal(audio.segments, masks.segment_bounds(p, T))
+        assert np.array_equal(audio.positions, p) and audio.T == T
 
     def test_peak_cache_bound(self, models, monkeypatch):
         """After segment i's decoder step the cache holds at most
@@ -603,7 +616,7 @@ def test_checkpoint_models_compute_in_float32(tmp_path, models, monkeypatch):
         spy(nx.kernels, kernel, lambda out, args: {(out[0] if isinstance(out, tuple) else out).dtype})
     spy(nn.LayerCache, "extend", lambda out, args: {args[0].keys.dtype, args[0].values.dtype})
     spy(VectorFieldModel, "field_np", lambda out, args: {out.dtype})
-    spy(BackboneModel, "step", lambda out, args: {a.dtype for o in out for a in (o.cond, o.text_logits)})
+    spy(BackboneModel, "step", lambda out, args: {a.dtype for a in out})
     real_segments = CodecModel.decode_streaming_segments
 
     def segments(self, *args):

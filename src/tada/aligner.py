@@ -139,21 +139,20 @@ def _ctc_lattice(emit: np.ndarray, skip: np.ndarray) -> np.ndarray:
 def ctc_log_likelihood(log_probs, targets, lengths=None) -> Tensor:
     """Log of the summed probability over all valid CTC paths.
 
-    ``log_probs`` is (T, V+1) with the last column the blank;
-    differentiable with the alpha-beta occupancy as gradient. Infeasible
-    target lengths raise instead of silently returning -inf. With
-    ``lengths``, the rows are consecutive sequences of those lengths,
-    ``targets`` holds one target sequence for each, and the result is the
-    vector of their log-likelihoods. All sequences run as one batch of
-    lattices. The recursions run in float64; the likelihoods and their
+    ``log_probs`` is (T, V+1) with the last column the blank, and target
+    ids lie in [0, V); differentiable with the alpha-beta occupancy as
+    gradient. Infeasible target lengths raise instead of silently returning
+    -inf. With ``lengths``, the rows are consecutive sequences of those
+    lengths, ``targets`` holds one target sequence for each, and the result
+    is the vector of their log-likelihoods. All sequences run as one batch
+    of lattices. The recursions run in float64; the likelihoods and their
     gradient take the dtype of ``log_probs``.
     """
     y_t = log_probs if isinstance(log_probs, Tensor) else nx.tensor(log_probs)
     y = y_t.data
     if y.ndim != 2 or y.shape[0] < 1:
         raise ValidationError(f"ctc_log_likelihood: logits must be (T, V+1), got {y.shape}")
-    width = y.shape[1]
-    blank = width - 1
+    blank = y.shape[1] - 1
     packed = lengths is not None
     if not packed:
         lengths, targets = [y.shape[0]], [targets]
@@ -167,8 +166,8 @@ def ctc_log_likelihood(log_probs, targets, lengths=None) -> Tensor:
         if T < 1:
             raise ValidationError(f"ctc_log_likelihood: each sequence needs at least one frame, got lengths {list(lengths)}")
         tg = np.asarray(tg, dtype=np.int64)
-        if tg.size and (tg.min() < 0 or tg.max() >= width):
-            raise ValidationError("ctc_log_likelihood: target id out of range")
+        if tg.size and (tg.min() < 0 or tg.max() >= blank):
+            raise ValidationError(f"ctc_log_likelihood: target id out of range: ids must lie in [0, {blank})")
         required = ctc_required_frames(tg)
         if T < required:
             raise InfeasibleError(

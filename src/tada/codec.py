@@ -4,7 +4,8 @@ The encoder is a masked transformer whose exclusion windows guarantee that
 token i's latent mean depends only on transformer-input frames inside
 [p_{i-1}+1, p_{i+1}-1]. Two architecturally identical decoders differ only
 in their mask: the joint decoder attends globally, the streamable decoder
-under the two-segment window so it can run with an evictable KV cache.
+under the two-segment window, so a segment's frames need only its own
+token's latent and the one before.
 
 Loss = lambda_mel * multi-scale log-magnitude spectral L1
      + lambda_sem * frame-wise token/blank cross-entropy
@@ -362,29 +363,30 @@ class CodecModel:
         )
 
     def decode_streaming_segments(self, s, p: np.ndarray, T: int):
-        """Segment-by-segment streaming decode with a two-segment KV cache.
+        """Streaming decode, yielded segment by segment.
 
         Yields (start, end, features, signal) with 1-based half-open frame
-        ranges (start, end]; concatenated outputs equal the full streaming
-        pass up to floating-point round-off. Each step runs under the rows
-        of the full pass's mask, ``masks.decoder_stream_mask``, and first
-        drops the cached entries outside its first row's window, which no
-        later row sees either.
+        ranges (start, end], the bounds of ``masks.segment_bounds``. The
+        rows of segment (p_{i-1}, p_i] attend exactly the rows
+        (p_{i-2}, p_i] (``masks.stream_windows``), so frames up to p_{i-1}
+        never read a latent after token i - 1. One :func:`nn.stack_windows`
+        pass decodes every segment: each layer's row-wise work runs once
+        over all frames, and attention per segment on its window's keys.
+        Outputs equal the full streaming pass up to floating-point round-off.
         """
         p = np.asarray(p, dtype=np.int64)
-        window = masks.decoder_stream_mask(p, T)
+        windows = masks.stream_windows(p, T)
         s = np.asarray(s, dtype=nn.param_dtype(self.params))
-        x_all = self._decoder_input("dec_stream", s, p, T)
-        cache = nn.StackCache(self.tf)
-        for lo, hi in masks.segment_bounds(p, T):
-            cache.keep(window[lo, cache.positions])
-            rows = np.arange(lo, hi)
-            mask = window[lo:hi][:, np.concatenate([cache.positions, rows])]
-            h = nn.stack_step(self.params, "dec_stream/tf", x_all[lo:hi], rows, cache, self.tf, mask)
-            yield lo, hi, nn.linear(self.params, "dec_stream/feat", h), nn.linear(self.params, "dec_stream/sig", h)
+        x = self._decoder_input("dec_stream", s, p, T)
+        h = nn.stack_windows(self.params, "dec_stream/tf", x, windows, self.tf)
+        feats = nn.linear(self.params, "dec_stream/feat", h)
+        sig = nn.linear(self.params, "dec_stream/sig", h)
+        for _, lo, hi in windows:
+            yield lo, hi, feats[lo:hi], sig[lo:hi]
 
     def decode_streaming_full(self, s, p: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
-        """Streaming decode collected into full (T, d_frame) and (T, r) arrays."""
+        """Streaming decode as full (T, d_frame) features and (T, r) signal:
+        :meth:`decode_streaming_segments`' segments, collected."""
         dtype = nn.param_dtype(self.params)
         feats = np.zeros((T, self.config.d_frame), dtype=dtype)
         sig = np.zeros((T, self.config.samples_per_frame), dtype=dtype)

@@ -89,6 +89,15 @@ def segment_bounds(p, T: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def stream_windows(p, T: int) -> list[tuple[int, int, int]]:
+    """The streaming decoder's windows as 0-based ``(start, lo, hi)``, one
+    per segment of :func:`segment_bounds`: rows lo..hi-1 attend rows
+    start..hi-1, the previous segment's and their own, exactly as in
+    :func:`decoder_stream_mask`."""
+    bounds = segment_bounds(p, T)
+    return [(start, lo, hi) for start, (lo, hi) in zip([0] + [lo for lo, _ in bounds], bounds)]
+
+
 def render_mask(mask: np.ndarray, p) -> str:
     """ASCII grid of a mask with asterisks marking assigned rows/columns."""
     T = mask.shape[0]

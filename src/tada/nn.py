@@ -13,8 +13,9 @@ The layers (:func:`linear`, :func:`ln`, :func:`gelu`, :func:`mlp`,
 ndarray runs the same formulas as array kernels (``nx.kernels``) on the
 parameters' arrays and returns an ndarray, recording nothing, as the rest
 of inference does. Attention on arrays is always a cached pass: an ndarray
-:func:`stack` runs on a fresh :class:`StackCache`, and :func:`stack_step`
-on the cache its caller keeps.
+:func:`stack` runs on a fresh :class:`StackCache`, :func:`stack_step` on
+the cache its caller keeps, and :func:`stack_windows` on a
+:class:`WindowCache` per layer.
 """
 
 from __future__ import annotations
@@ -169,7 +170,9 @@ def attention(
     sequences (see :func:`stack`). Cached, their rotated keys and their
     values are appended to ``cache``, and they attend to the cached rows
     followed by themselves: ``mask`` has one column per such row, or, on
-    an empty cache, is a packed run's list of masks. The cached path takes
+    an empty cache, is a packed run's list of masks. A :class:`WindowCache`
+    returns instead each block's window of the rows, and ``mask`` holds one
+    (rows, window) mask per block. The cached path takes
     q, k and v from one product with the cache's ``wq|wk|wv`` columns and
     rotates q and k in one call, as 2H heads.
     """
@@ -250,15 +253,28 @@ def full_mask(T: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _room_for(buf: np.ndarray, n0: int, n: int, axis: int, dtype) -> np.ndarray:
+    """``buf`` if its ``axis`` holds ``n`` entries of ``dtype``; else a new
+    buffer of at least double the capacity, holding its first ``n0``."""
+    if n <= buf.shape[axis] and buf.dtype == dtype:
+        return buf
+    shape = list(buf.shape)
+    shape[axis] = max(n, 2 * buf.shape[axis], LayerCache.FIRST_CAPACITY)
+    grown = np.empty(shape, dtype=dtype)
+    kept = (slice(None),) * axis + (slice(0, n0),)
+    grown[kept] = buf[kept]
+    return grown
+
+
 class LayerCache:
     """One layer's cached keys and values, for ``n`` entries.
 
     Keys are stored after the rotary rotation, so a step rotates only its
     own new rows, and transposed, as attention multiplies by them. Both
     buffers grow in place by doubling their capacity, so appending copies
-    only the new rows, and :meth:`keep` compacts in place. The cache holds
-    the dtype of the rows it is given. It also keeps the layer's ``wq|wk|wv``
-    weights concatenated (:meth:`qkv_weights`), so a cache serves one model.
+    only the new rows. The cache holds the dtype of the rows it is given.
+    It also keeps the layer's ``wq|wk|wv`` weights concatenated
+    (:meth:`qkv_weights`), so a cache serves one model.
     """
 
     FIRST_CAPACITY = 16
@@ -299,48 +315,66 @@ class LayerCache:
         """Append new (H, m, hd) rows; return views of all cached keys,
         transposed to (H, hd, n), and values, (H, n, hd)."""
         n0, n = self.n, self.n + k.shape[1]
-        if n > self.capacity or self._v.dtype != v.dtype:
-            capacity = max(n, 2 * self.capacity, self.FIRST_CAPACITY)
-            kt = np.empty(self._kt.shape[:2] + (capacity,), dtype=k.dtype)
-            values = np.empty((self._v.shape[0], capacity, self._v.shape[2]), dtype=v.dtype)
-            kt[:, :, :n0] = self._kt[:, :, :n0]
-            values[:, :n0] = self._v[:, :n0]
-            self._kt, self._v = kt, values
+        self._kt = _room_for(self._kt, n0, n, 2, k.dtype)
+        self._v = _room_for(self._v, n0, n, 1, v.dtype)
         self._kt[:, :, n0:n] = k.transpose(0, 2, 1)
         self._v[:, n0:n] = v
         self.n = n
         return self._kt[:, :, :n], self._v[:, :n]
 
-    def keep(self, rows: np.ndarray) -> None:
-        kt, v = self._kt[:, :, : self.n][:, :, rows], self._v[:, : self.n][:, rows]
-        self.n = v.shape[1]
-        self._kt[:, :, : self.n] = kt
-        self._v[:, : self.n] = v
+
+class WindowCache(LayerCache):
+    """One layer's keys and values for a single pass in which each block of
+    rows attends a window of the pass's own rows.
+
+    :meth:`extend` takes the keys and values of every row at once and
+    returns, block after block, those of the rows in each block's window:
+    the packed keys of :func:`kernels.attention_heads`, with one mask per
+    block. Keys come back transposed, (H, hd, n), C-ordered as a
+    :class:`LayerCache` holds them. Nothing is kept between calls.
+    """
+
+    def __init__(self, cfg: TransformerConfig, window_rows: np.ndarray):
+        super().__init__(cfg)
+        self.window_rows = window_rows
+
+    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.take(k.transpose(0, 2, 1), self.window_rows, axis=2), v[:, self.window_rows]
 
 
 class StackCache:
     """Per-layer key/value caches for incremental decoding.
 
     Entries carry their absolute positions and a stream label, so a caller
-    can build each step's mask from them: one cache can hold several
-    independent sequences, or a window that drops its oldest entries.
+    can build each step's mask from them, and one cache can hold several
+    independent sequences. Both labels grow in place by doubling, as the
+    keys do; ``positions`` and ``streams`` are views of the cached entries'.
     """
 
     def __init__(self, cfg: TransformerConfig):
         self.cfg = cfg
         self.layers = [LayerCache(cfg) for _ in range(cfg.n_layers)]
-        self.positions = np.zeros((0,), dtype=np.int64)
-        self.streams = np.zeros((0,), dtype=np.int64)
+        self.n = 0
+        self._labels = np.zeros((2, 0), dtype=np.int64)  # positions, streams
 
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep only the entries that ``rows`` (a boolean mask or indices) selects."""
-        for layer in self.layers:
-            layer.keep(rows)
-        self.positions = self.positions[rows]
-        self.streams = self.streams[rows]
+    @property
+    def positions(self) -> np.ndarray:
+        return self._labels[0, : self.n]
+
+    @property
+    def streams(self) -> np.ndarray:
+        return self._labels[1, : self.n]
+
+    def append(self, positions: np.ndarray, streams: np.ndarray) -> None:
+        """Label the newest entries with their ``positions`` and ``streams``."""
+        n0, n = self.n, self.n + positions.size
+        self._labels = _room_for(self._labels, n0, n, 1, np.int64)
+        self._labels[0, n0:n] = positions
+        self._labels[1, n0:n] = streams
+        self.n = n
 
     def __len__(self) -> int:
-        return int(self.positions.size)
+        return self.n
 
 
 def stack_step(
@@ -368,8 +402,25 @@ def stack_step(
     x = x_new
     for i, layer in enumerate(cache.layers):
         x = block(params, f"{prefix}/layer{i}", x, mask, cfg, new_positions, layer)
-    cache.positions = np.concatenate([cache.positions, new_positions])
-    cache.streams = np.concatenate([cache.streams, new_streams])
+    cache.append(new_positions, new_streams)
+    return ln(params, f"{prefix}/ln_out", x)
+
+
+def stack_windows(params: dict, prefix: str, x: np.ndarray, windows, cfg: TransformerConfig) -> np.ndarray:
+    """The array :func:`stack` in which each block of rows attends every
+    row of its own window, and no other.
+
+    ``windows`` holds 0-based ``(start, lo, hi)``, in row order: rows
+    ``lo..hi-1`` attend rows ``start..hi-1``. The blocks tile the rows, and
+    row t sits at position t. Each layer runs its row-wise work (norms,
+    projections, rotation, feed-forward) once over all rows; only attention
+    runs per block, on the keys a :class:`WindowCache` gathers.
+    """
+    window_rows = np.concatenate([np.arange(start, hi) for start, _, hi in windows])
+    mask = [np.ones((hi - lo, hi - start), dtype=bool) for start, lo, hi in windows]
+    positions = np.arange(x.shape[0])
+    for i in range(cfg.n_layers):
+        x = block(params, f"{prefix}/layer{i}", x, mask, cfg, positions, WindowCache(cfg, window_rows))
     return ln(params, f"{prefix}/ln_out", x)
 
 

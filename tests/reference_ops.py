@@ -7,6 +7,9 @@ tape nodes the way engine primitives do. ``encoder_mask`` builds the
 encoder mask row by row, the loop ``masks.encoder_mask`` is checked against.
 ``ConcatStackCache`` and ``cached_stack_step`` are the cached transformer
 step written plainly, the reference ``nn.stack_step`` is checked against.
+``stream_decode_walk`` decodes one segment after another, each on a cache
+of the previous segment's entries: the walk that the codec's one-pass
+streaming decode is checked against.
 ``gray_encode``, ``gray_decode``, ``positions_from_durations`` and
 ``context_rows`` code one integer, one gap or one row at a time, the loops
 ``durbits`` and ``backbone.context_rows`` are checked against.
@@ -26,6 +29,7 @@ import math
 
 import numpy as np
 
+from tada import masks, nn
 from tada import numerics as nx
 from tada.aligner import NEG_INF, _extend_with_blanks, ctc_required_frames
 from tada.errors import InfeasibleError, ShapeError, ValidationError
@@ -122,11 +126,6 @@ class ConcatStackCache:
         self.positions = np.zeros(0, dtype=np.int64)
         self.streams = np.zeros(0, dtype=np.int64)
 
-    def keep(self, rows) -> None:
-        self.keys = [k[:, rows] for k in self.keys]
-        self.values = [v[:, rows] for v in self.values]
-        self.positions, self.streams = self.positions[rows], self.streams[rows]
-
 
 def cached_stack_step(params, prefix, x, positions, cache: ConcatStackCache, cfg, mask, streams):
     """``nn.stack_step`` from separate q, k and v products, the pairwise
@@ -167,6 +166,31 @@ def cached_stack_step(params, prefix, x, positions, cache: ConcatStackCache, cfg
     cache.positions = np.concatenate([cache.positions, positions])
     cache.streams = np.concatenate([cache.streams, streams])
     return ln(f"{prefix}/ln_out", x)
+
+
+def stream_decode_walk(codec, s, p, T: int):
+    """``CodecModel.decode_streaming_segments`` as a walk over the segments.
+
+    Each segment runs every layer on its own rows, on a cache that holds
+    that layer's rotated keys and values of the previous segment followed
+    by its own: the entries the streaming window lets it see, and no
+    others. Yields (start, end, features, signal) like the method.
+    """
+    params, cfg = codec.params, codec.tf
+    p = np.asarray(p, dtype=np.int64)
+    x_all = codec._decoder_input("dec_stream", np.asarray(s, dtype=nn.param_dtype(params)), p, T)
+    previous = [None] * cfg.n_layers  # per layer, the previous segment's keys and values
+    for lo, hi in masks.segment_bounds(p, T):
+        x = x_all[lo:hi]
+        for i in range(cfg.n_layers):
+            cache = nn.LayerCache(cfg)
+            if previous[i] is not None:
+                cache.extend(*previous[i])
+            mask = np.ones((hi - lo, cache.n + hi - lo), dtype=bool)
+            x = nn.block(params, f"dec_stream/tf/layer{i}", x, mask, cfg, np.arange(lo, hi), cache)
+            previous[i] = cache.keys[:, lo - hi :], cache.values[:, lo - hi :]
+        h = nn.ln(params, "dec_stream/tf/ln_out", x)
+        yield lo, hi, nn.linear(params, "dec_stream/feat", h), nn.linear(params, "dec_stream/sig", h)
 
 
 def gray_encode(n: int, b: int) -> np.ndarray:

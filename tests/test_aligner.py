@@ -184,6 +184,18 @@ class TestCtcLogLikelihood:
         with pytest.raises(InfeasibleError):
             ctc_log_likelihood(y, [1, 1])  # repeat needs 3 frames
 
+    @pytest.mark.parametrize("target", [2, 3, -1])
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_target_outside_the_labels_raises(self, target, packed):
+        """Ids run 0..V-1: the blank (column V) and anything past it or
+        below 0 is not a target, alone or in a packed batch."""
+        y = np.log(np.full((4, 3), 1 / 3))
+        with pytest.raises(ValidationError, match="target id out of range"):
+            if packed:
+                ctc_log_likelihood(np.concatenate([y, y]), [[0], [target]], lengths=[4, 4])
+            else:
+                ctc_log_likelihood(y, [target])
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         targets = np.array([0, 2, 0])

@@ -19,6 +19,7 @@ from tada.codec import (
 )
 from tada.errors import ValidationError
 from tada.numerics import finite_difference_check
+import reference_ops
 
 TINY = CodecConfig(
     d_frame=6, d_latent=4, d_model=16, n_heads=2, d_ff=16, n_layers=2,
@@ -149,6 +150,82 @@ class TestDecode:
             full = m32.decode(s, p, 12, mode="streaming")
             feats, _ = m32.decode_streaming_full(s, p, 12)
             np.testing.assert_allclose(feats, full.features.data, atol=1e-6)
+
+    # Where a segment has one frame, the walk ran that frame's products as a
+    # one-row BLAS gemv and the pass runs them inside a many-row gemm, which
+    # rounds differently; the gap stays at float32 round-off.
+    ONE_FRAME_RTOL = 16 * np.finfo(np.float32).eps
+
+    @staticmethod
+    def scaled_model(dtype):
+        """A model whose weights are drawn at std 0.5, so attention is peaked."""
+        with nx.precision(dtype):
+            m = CodecModel(TINY, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for p in m.params.values():
+            p.data = (0.5 * rng.standard_normal(p.shape)).astype(p.data.dtype)
+        return m
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "p, T",
+        [([2, 4, 7, 9], 9), ([3, 5, 9], 12), ([4], 6), ([2, 3, 6, 8], 10), ([1, 4, 6], 7), ([3, 6], 7)],
+        ids=["no_tail", "tail", "one_token", "one_frame", "one_frame_first", "one_frame_tail"],
+    )
+    def test_streaming_pass_equals_segment_walk(self, dtype, p, T):
+        """The one-pass streaming decode yields the walk's segments, and
+        their features and signal equal the walk's to the bit when every
+        segment has at least two frames, and to float32 round-off when one
+        has a single frame."""
+        model = self.scaled_model(dtype)
+        p = np.array(p)
+        s = np.random.default_rng(2).standard_normal((p.size, TINY.d_latent))
+        got = list(model.decode_streaming_segments(s, p, T))
+        want = list(reference_ops.stream_decode_walk(model, s, p, T))
+        assert [(lo, hi) for lo, hi, *_ in got] == [(lo, hi) for lo, hi, *_ in want]
+        one_frame = min(hi - lo for lo, hi, *_ in want) == 1
+        for *_, f, g in got:
+            assert f.dtype == g.dtype == np.dtype(dtype)
+        for k in (2, 3):
+            a, b = np.concatenate([seg[k] for seg in got]), np.concatenate([seg[k] for seg in want])
+            if one_frame:
+                assert np.abs(a - b).max() <= self.ONE_FRAME_RTOL * np.abs(b).max()
+            else:
+                assert np.array_equal(a, b)
+
+    def test_streaming_frames_before_a_changed_latent_stay_bit_identical(self):
+        """Changing the latents of tokens k+1..L leaves every frame up to
+        p_k bit-identical, and changes the frames of segment k+1: no
+        segment attends past its own token's frame."""
+        model = self.scaled_model("float64")
+        rng = np.random.default_rng(3)
+        p, T = np.array([2, 3, 6, 8, 11, 12]), 14
+        s = rng.standard_normal((p.size, TINY.d_latent))
+        feats, sig = model.decode_streaming_full(s, p, T)
+        for k in range(p.size):
+            changed = s.copy()
+            changed[k:] = rng.standard_normal(changed[k:].shape)
+            f2, g2 = model.decode_streaming_full(changed, p, T)
+            before = 0 if k == 0 else p[k - 1]
+            assert np.array_equal(f2[:before], feats[:before]) and np.array_equal(g2[:before], sig[:before])
+            assert not np.array_equal(g2[before : p[k]], sig[before : p[k]])
+
+    @pytest.mark.parametrize("p", [[12], [3, 7, 10], [1, 2, 3, 5, 6, 8, 9, 11]])
+    def test_streaming_decode_calls_do_not_grow_with_segments(self, model, monkeypatch, p):
+        """A streaming decode makes 4 ``kernels.linear`` calls per layer plus
+        the latent projection and the two heads, and one attention call per
+        layer, whatever the segment count."""
+        calls = {"linear": 0, "attention_heads": 0}
+        for name in calls:
+            real = getattr(nx.kernels, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(nx.kernels, name, spy)
+        model.decode_streaming_full(np.zeros((len(p), TINY.d_latent)), np.array(p), 13)
+        assert calls == {"linear": 4 * TINY.n_layers + 3, "attention_heads": TINY.n_layers}
 
 
 class TestCodecLoss:

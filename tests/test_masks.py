@@ -101,6 +101,13 @@ class TestExhaustiveProperties:
                     else:
                         expect = set(range(pad[i - 1] + 1, pad[i + 1] + 1))
                     assert cols(dec, q) == expect, (p, T, q)
+                # the streaming windows are the segments' row blocks of dec
+                windows = masks.stream_windows(p, T)
+                assert [(lo, hi) for _, lo, hi in windows] == masks.segment_bounds(p, T), (p, T)
+                rebuilt = np.zeros_like(dec)
+                for start, lo, hi in windows:
+                    rebuilt[lo:hi, start:hi] = True
+                np.testing.assert_array_equal(rebuilt, dec, err_msg=f"{p} {T}")
                 # masks are pure functions of (p, T)
                 np.testing.assert_array_equal(enc, masks.encoder_mask(p, T))
                 np.testing.assert_array_equal(dec, masks.decoder_stream_mask(p, T))
@@ -163,6 +170,8 @@ class TestLocality:
 def test_segment_bounds():
     assert masks.segment_bounds([2, 5], 6) == [(0, 2), (2, 5), (5, 6)]
     assert masks.segment_bounds([3], 3) == [(0, 3)]
+    assert masks.stream_windows([2, 5], 6) == [(0, 0, 2), (0, 2, 5), (2, 5, 6)]
+    assert masks.stream_windows([3], 3) == [(0, 0, 3)]
 
 
 def test_render_mask_marks_assigned():

@@ -217,30 +217,24 @@ def test_local_mix_gradient_matches_finite_differences():
     assert err < 1e-6
 
 
-def test_cached_steps_with_eviction_match_stack_over_window():
-    """Chunks through one cache, evicting as the codec's streaming decode does.
-
-    Chunk A (positions 0..4) attends only to positions > 1; after keeping
-    only positions > 1, chunk B (5..7) attends to the cached rows 2..4 plus
-    itself. The stack over rows 2..7 under the same block mask must give
-    both chunks' outputs.
-    """
+@pytest.mark.parametrize(
+    "windows",
+    [[(0, 0, 3), (0, 3, 5), (3, 5, 8)], [(0, 0, 2), (0, 2, 3), (2, 3, 4), (3, 4, 8)]],
+    ids=["wide_blocks", "one_row_blocks"],
+)
+def test_stack_windows_match_stack_under_the_window_mask(windows):
+    """Each block of rows attends every row of its window and no other: the
+    outputs equal the taped stack under the (T, T) mask of those windows,
+    one-row blocks included."""
     rng = np.random.default_rng(7)
     params = make_params(gain=10.0)
     x = rng.standard_normal((8, CFG.d_model))
-    cache = nn.StackCache(CFG)
-    mask_a = np.tile(np.arange(0, 5) > 1, (5, 1))
-    out_a = nn.stack_step(params, "tf", x[:5], np.arange(0, 5), cache, CFG, mask_a)
-    cache.keep(cache.positions > 1)
-    assert len(cache) == 3
-    out_b = nn.stack_step(params, "tf", x[5:], np.arange(5, 8), cache, CFG, np.ones((3, 6), dtype=bool))
-    assert len(cache) == 6
-
-    mask = np.ones((6, 6), dtype=bool)
-    mask[:3, 3:] = False  # chunk A rows never saw chunk B
-    full = nn.stack(params, "tf", nx.tensor(x[2:]), mask, CFG, np.arange(2, 8)).data
-    np.testing.assert_allclose(out_a[2:], full[:3], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(out_b, full[3:], rtol=0, atol=1e-12)
+    mask = np.zeros((8, 8), dtype=bool)
+    for start, lo, hi in windows:
+        mask[lo:hi, start:hi] = True
+    out = nn.stack_windows(params, "tf", x, windows, CFG)
+    full = nn.stack(params, "tf", nx.tensor(x), mask, CFG).data
+    np.testing.assert_allclose(out, full, rtol=0, atol=1e-12)
 
 
 def test_cache_holds_rotated_keys():
@@ -260,7 +254,8 @@ def test_cache_holds_rotated_keys():
 def test_causal_streams_in_one_cache_match_stack_per_stream():
     """Two streams share one cache: a causal prefill chunk of both, then one
     row of each per call. Each stream's outputs equal the causal stack over
-    that stream alone, and ``keep`` keeps the stream labels aligned."""
+    that stream alone, and the cache labels each entry with its position
+    and stream, in call order."""
     rng = np.random.default_rng(9)
     params = make_params(gain=10.0)
     xs = [rng.standard_normal((6, CFG.d_model)) for _ in range(2)]
@@ -282,17 +277,16 @@ def test_causal_streams_in_one_cache_match_stack_per_stream():
     for x, out in zip(xs, outs):
         full = nn.stack(params, "tf", nx.tensor(x), nn.causal_mask(6), CFG).data
         np.testing.assert_allclose(np.concatenate(out), full, rtol=0, atol=1e-12)
-    cache.keep(cache.positions > 3)
-    np.testing.assert_array_equal(cache.positions, [4, 4, 5, 5])
-    np.testing.assert_array_equal(cache.streams, [0, 1, 0, 1])
-    assert cache.layers[0].keys.shape[1] == 4
+    np.testing.assert_array_equal(cache.positions, [0, 1, 2, 3, 0, 1, 2, 3, 4, 4, 5, 5])
+    np.testing.assert_array_equal(cache.streams, [0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1])
+    assert len(cache) == cache.layers[0].keys.shape[1] == 12
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_stack_step_equals_reference_cached_step_bit_for_bit(dtype):
-    """Two streams through one cache, past the cache's first capacity, with
-    a sliding window that ``keep`` applies between calls (by a boolean mask
-    and by indices): every output, and the cached keys and values, equal
+    """Two streams through one cache, past the first capacity of its keys,
+    values and labels, under a sliding-window mask: every output, the
+    cached keys and values, and the entries' positions and streams equal
     the plainly written cached step's to the bit. Its float64 outputs also
     equal the causal stack over each stream's window to 1e-12."""
     with nx.precision("float32" if dtype == np.float32 else "float64"):
@@ -318,13 +312,8 @@ def test_stack_step_equals_reference_cached_step_bit_for_bit(dtype):
 
     step(np.concatenate([xs[0, :4], xs[1, :4]]), np.tile(np.arange(4), 2), np.repeat([0, 1], 4))
     for j in range(4, n_steps):
-        if j % 3 == 0:
-            keep = cache.positions > j - window
-            rows = keep if j % 2 else np.flatnonzero(keep)
-            cache.keep(rows)
-            ref.keep(rows)
         step(xs[:, j], np.array([j, j]), np.array([0, 1]))
-    assert cache.layers[0].capacity > first_capacity
+    assert cache.layers[0].capacity > first_capacity and len(cache) > nn.LayerCache.FIRST_CAPACITY
     np.testing.assert_array_equal(cache.positions, ref.positions)
     np.testing.assert_array_equal(cache.streams, ref.streams)
     for layer, keys, values in zip(cache.layers, ref.keys, ref.values):

@@ -549,29 +549,30 @@ class TestStreamSynthesize:
         assert np.array_equal(audio.positions, p) and audio.T == T
 
     def test_peak_cache_bound(self, models, monkeypatch):
-        """After segment i's decoder step the cache holds at most
-        p_i - p_{i-2} entries (p_0 = p_{-1} = 0), and after the trailing
-        segment at most T - p_{L-1}."""
+        """In every decoder layer, segment i's attention block holds at most
+        p_i - p_{i-2} keys (p_0 = p_{-1} = 0), and the trailing segment's at
+        most T - p_{L-1}."""
         _, codec, _ = models
         rng = np.random.default_rng(21)
         result = self._result(rng, 6)
-        sizes = []
-        real_stack_step = nn.stack_step
+        keys = []
+        real_attention = nx.kernels.attention_heads
 
-        def stack_step(params, prefix, x_new, new_positions, cache, *args, **kwargs):
-            out = real_stack_step(params, prefix, x_new, new_positions, cache, *args, **kwargs)
-            sizes.append(len(cache))
-            return out
+        def attention_heads(q, kt, v, mask):
+            keys.append([m.shape[1] for m in mask])
+            return real_attention(q, kt, v, mask)
 
-        monkeypatch.setattr(nn, "stack_step", stack_step)
+        monkeypatch.setattr(nx.kernels, "attention_heads", attention_heads)
         audio = stream_synthesize(result, codec)
         p, T = result.positions
         ext = np.concatenate([[0, 0], p])  # ext[i + 1] = p_i
         bounds = [int(ext[i + 1] - ext[i - 1]) for i in range(1, p.size + 1)]
         if T > p[-1]:
             bounds.append(int(T - ext[p.size]))
-        assert len(sizes) == len(audio.segments) == len(bounds)
-        assert all(size <= bound for size, bound in zip(sizes, bounds)), (sizes, bounds)
+        assert len(keys) == CODEC.n_layers
+        for sizes in keys:
+            assert len(sizes) == len(audio.segments) == len(bounds)
+            assert all(size <= bound for size, bound in zip(sizes, bounds)), (sizes, bounds)
 
     def test_chain_mismatch_uses_later_sample(self, models):
         _, codec, _ = models

@@ -20,7 +20,7 @@ budget = TrainBudget(
     aligner_steps=400, codec_steps=700, codec_stream_steps=500,
     base_lm_steps=300, backbone_steps=900, speaker_steps=400, seed=0,
 )
-print("training the full stack (several minutes at this budget)...")
+print("training the full stack (about a minute on two cores at this budget)...")
 stack = train_full_stack(manifest, arrays, budget)
 print(f"aligner accuracy within +-1 frame: {stack.align_accuracy:.1%}")
 

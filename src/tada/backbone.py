@@ -46,6 +46,9 @@ class BackboneConfig:
     flow: flowhead.FlowConfig = field(default_factory=flowhead.FlowConfig)
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "d_cond", "d_latent", "bits", "max_context"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"BackboneConfig: {name} must be >= 1, got {getattr(self, name)}")
         if self.k_shift < 1:
             raise ValidationError("BackboneConfig: k_shift must be >= 1")
         if not 0.0 <= self.dropout_rate <= 1.0:
@@ -207,38 +210,29 @@ class BackboneModel:
 
     # -- incremental decoding --------------------------------------------------
 
-    def new_cache(self) -> nn.StackCache:
-        return nn.StackCache(self.tf)
+    def new_cache(self, streams: int = 1) -> nn.StackCache:
+        return nn.StackCache(self.tf, streams)
 
-    def step(self, ids, acoustic, has_ac, speech, cache: nn.StackCache, streams=None) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, ids, acoustic, has_ac, speech, cache: nn.StackCache) -> tuple[np.ndarray, np.ndarray]:
         """Append fused rows to the cache in one call; return their
         ``(text_logits, cond)``.
 
-        The rows are those of :meth:`forward_tensors`, one per step.
-        ``streams`` gives each step's stream (default: all stream 0). The
-        steps of one stream take that stream's next positions in call order
-        and attend causally to each other and to that stream's cached steps
-        only, so each stream sees exactly the context it would see alone.
+        The rows are those of :meth:`forward_tensors`, one per step: L
+        steps of each of the cache's streams, stream after stream, and the
+        outputs in the same order. A stream's steps take its next L
+        positions and attend causally to each other and to that stream's
+        cached steps only, so each stream sees exactly the context it would
+        see alone.
         """
-        n = len(ids)
-        if n < 1:
-            raise ValidationError("step: need at least one step")
-        streams = np.zeros(n, dtype=np.int64) if streams is None else np.asarray(streams, dtype=np.int64)
-        if streams.shape != (n,):
-            raise ValidationError(f"step: {streams.size} stream labels for {n} steps")
-        positions = np.empty(n, dtype=np.int64)
-        for s in np.unique(streams):
-            rows = np.flatnonzero(streams == s)
-            positions[rows] = np.count_nonzero(cache.streams == s) + np.arange(rows.size)
-            if positions[rows[-1]] >= self.config.max_context:
-                raise ValidationError(
-                    f"step: stream {s} context length {positions[rows[-1]]} exceeds maximum"
-                )
-        mask = (np.concatenate([cache.streams, streams]) == streams[:, None]) & (
-            np.concatenate([cache.positions, positions]) <= positions[:, None]
-        )
+        n, S = len(ids), cache.streams
+        if n < 1 or n % S:
+            raise ValidationError(f"step: {n} steps do not split into {S} streams of at least one step")
+        if len(cache) + n // S > self.config.max_context:
+            raise ValidationError(
+                f"step: context length {len(cache) + n // S} exceeds maximum {self.config.max_context}"
+            )
         x = self._fuse_rows(ids, acoustic, has_ac, speech)
-        h = nn.stack_step(self.params, "tf", x, positions, cache, self.tf, mask, streams)
+        h = nn.stack_step(self.params, "tf", x, cache, self.tf)
         return nn.linear(self.params, "lm_head", h), nn.linear(self.params, "cond_head", h)
 
     def save(self, path) -> None:

@@ -31,6 +31,15 @@ class FlowConfig:
     n_hidden: int = 3
     sigma_min: float = 1e-5
 
+    def __post_init__(self):
+        for name in ("d_latent", "bits", "d_cond", "width"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"FlowConfig: {name} must be >= 1, got {getattr(self, name)}")
+        if self.d_time < 2 or self.d_time % 2:
+            raise ValidationError(f"FlowConfig: d_time must be even and >= 2, got {self.d_time}")
+        if self.n_hidden < 0:
+            raise ValidationError(f"FlowConfig: n_hidden must be >= 0, got {self.n_hidden}")
+
     @property
     def d_target(self) -> int:
         return self.d_latent + 2 * self.bits

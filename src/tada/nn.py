@@ -14,8 +14,8 @@ ndarray runs the same formulas as array kernels (``nx.kernels``) on the
 parameters' arrays and returns an ndarray, recording nothing, as the rest
 of inference does. Attention on arrays is always a cached pass: an ndarray
 :func:`stack` runs on a fresh :class:`StackCache`, :func:`stack_step` on
-the cache its caller keeps, and :func:`stack_windows` on a
-:class:`WindowCache` per layer.
+the cache its caller keeps, which may hold several streams that step in
+lockstep, and :func:`stack_windows` on a :class:`WindowCache` per layer.
 """
 
 from __future__ import annotations
@@ -167,13 +167,16 @@ def attention(
 
     Taped, the rows attend to each other: ``mask`` is (T, T), or a list of
     per-sequence (L_i, L_i) masks when the rows are a packed run of
-    sequences (see :func:`stack`). Cached, their rotated keys and their
-    values are appended to ``cache``, and they attend to the cached rows
-    followed by themselves: ``mask`` has one column per such row, or, on
-    an empty cache, is a packed run's list of masks. A :class:`WindowCache`
-    returns instead each block's window of the rows, and ``mask`` holds one
-    (rows, window) mask per block. The cached path takes
-    q, k and v from one product with the cache's ``wq|wk|wv`` columns and
+    sequences (see :func:`stack`). Cached, the rows are L rows of each of
+    the cache's S streams, stream after stream; their rotated keys and
+    their values are appended to ``cache``, and each stream's rows attend
+    to that stream's cached rows followed by its own new rows. ``mask``,
+    shared by every stream, has one column per such row, is None when they
+    attend all of them, or, on an empty cache, is a packed run's list of
+    masks. A :class:`WindowCache` returns instead each block's window of
+    the rows, and ``mask`` holds one block per window, as
+    :func:`kernels.attention_heads` takes it. The cached path takes q, k
+    and v from one product with the cache's ``wq|wk|wv`` columns and
     rotates q and k in one call, as 2H heads.
     """
     H, d = cfg.n_heads, cfg.d_model
@@ -182,10 +185,30 @@ def attention(
         k = nx.split_heads(linear(params, f"{prefix}/wk", x), H, positions, cfg.rope_base)
         v = nx.split_heads(linear(params, f"{prefix}/wv", x), H)
         return linear(params, f"{prefix}/wo", nx.attention_heads(q, k, v, mask))
+    S = cache.streams
     qkv = kernels.linear(x, *cache.qkv_weights(params, prefix))
     qk = kernels.split_heads(qkv[:, : 2 * d], 2 * H, positions, cfg.rope_base)[0]
-    kt, v = cache.extend(qk[H:], qkv[:, 2 * d :].reshape(-1, H, d // H).transpose(1, 0, 2))
-    return linear(params, f"{prefix}/wo", kernels.attention_heads(qk[:H], kt, v, mask)[0])
+    v = qkv[:, 2 * d :].reshape(-1, H, d // H).transpose(1, 0, 2)
+    kt, v = cache.extend(_stream_heads(qk[H:], S), _stream_heads(v, S))
+    out = kernels.attention_heads(_stream_heads(qk[:H], S), kt, v, mask)[0]
+    return linear(params, f"{prefix}/wo", _stream_rows(out, S))
+
+
+def _stream_heads(heads: np.ndarray, streams: int) -> np.ndarray:
+    """(H, S * L, hd) heads of S streams' rows, stream after stream, as
+    (S * H, L, hd): stream s's heads at ``s * H .. s * H + H - 1``."""
+    if streams == 1:
+        return heads
+    H, _, hd = heads.shape
+    return heads.reshape(H, streams, -1, hd).swapaxes(0, 1).reshape(streams * H, -1, hd)
+
+
+def _stream_rows(out: np.ndarray, streams: int) -> np.ndarray:
+    """The (L, S * d) output of S * H heads as (S * L, d) rows, stream after stream."""
+    if streams == 1:
+        return out
+    L = out.shape[0]
+    return out.reshape(L, streams, -1).swapaxes(0, 1).reshape(streams * L, -1)
 
 
 def block(
@@ -267,23 +290,28 @@ def _room_for(buf: np.ndarray, n0: int, n: int, axis: int, dtype) -> np.ndarray:
 
 
 class LayerCache:
-    """One layer's cached keys and values, for ``n`` entries.
+    """One layer's cached keys and values: ``n`` entries of each of
+    ``streams`` sequences.
 
-    Keys are stored after the rotary rotation, so a step rotates only its
-    own new rows, and transposed, as attention multiplies by them. Both
-    buffers grow in place by doubling their capacity, so appending copies
-    only the new rows. The cache holds the dtype of the rows it is given.
-    It also keeps the layer's ``wq|wk|wv`` weights concatenated
-    (:meth:`qkv_weights`), so a cache serves one model.
+    The streams are a batch axis of the heads: stream s's heads are rows
+    ``s * H .. s * H + H - 1`` of each buffer, so one attention call
+    serves every stream and a stream's rows meet its own keys only. Keys
+    are stored after the rotary rotation, so a step rotates only its own
+    new rows, and transposed, as attention multiplies by them. Both buffers
+    grow in place by doubling their capacity, so appending copies only the
+    new rows. The cache holds the dtype of the rows it is given. It also
+    keeps the layer's ``wq|wk|wv`` weights concatenated (:meth:`qkv_weights`),
+    so a cache serves one model.
     """
 
     FIRST_CAPACITY = 16
 
-    def __init__(self, cfg: TransformerConfig):
+    def __init__(self, cfg: TransformerConfig, streams: int = 1):
         H, hd = cfg.n_heads, cfg.d_model // cfg.n_heads
+        self.streams = streams
         self.n = 0
-        self._kt = np.zeros((H, hd, 0))  # (H, hd, capacity)
-        self._v = np.zeros((H, 0, hd))  # (H, capacity, hd)
+        self._kt = np.zeros((streams * H, hd, 0))  # (S * H, hd, capacity)
+        self._v = np.zeros((streams * H, 0, hd))  # (S * H, capacity, hd)
         self._qkv: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -292,12 +320,12 @@ class LayerCache:
 
     @property
     def keys(self) -> np.ndarray:
-        """The cached rotated keys, (H, n, hd), as a view."""
+        """The cached rotated keys, (S * H, n, hd), as a view."""
         return self._kt[:, :, : self.n].transpose(0, 2, 1)
 
     @property
     def values(self) -> np.ndarray:
-        """The cached values, (H, n, hd), as a view."""
+        """The cached values, (S * H, n, hd), as a view."""
         return self._v[:, : self.n]
 
     def qkv_weights(self, params: dict, prefix: str) -> tuple[np.ndarray, np.ndarray]:
@@ -312,8 +340,8 @@ class LayerCache:
         return self._qkv
 
     def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append new (H, m, hd) rows; return views of all cached keys,
-        transposed to (H, hd, n), and values, (H, n, hd)."""
+        """Append new (S * H, m, hd) rows; return views of all cached keys,
+        transposed to (S * H, hd, n), and values, (S * H, n, hd)."""
         n0, n = self.n, self.n + k.shape[1]
         self._kt = _room_for(self._kt, n0, n, 2, k.dtype)
         self._v = _room_for(self._v, n0, n, 1, v.dtype)
@@ -329,8 +357,8 @@ class WindowCache(LayerCache):
 
     :meth:`extend` takes the keys and values of every row at once and
     returns, block after block, those of the rows in each block's window:
-    the packed keys of :func:`kernels.attention_heads`, with one mask per
-    block. Keys come back transposed, (H, hd, n), C-ordered as a
+    the packed keys of :func:`kernels.attention_heads`, with one block per
+    window. Keys come back transposed, (H, hd, n), C-ordered as a
     :class:`LayerCache` holds them. Nothing is kept between calls.
     """
 
@@ -343,66 +371,50 @@ class WindowCache(LayerCache):
 
 
 class StackCache:
-    """Per-layer key/value caches for incremental decoding.
+    """Per-layer key/value caches for incremental decoding of ``streams``
+    sequences that step in lockstep.
 
-    Entries carry their absolute positions and a stream label, so a caller
-    can build each step's mask from them, and one cache can hold several
-    independent sequences. Both labels grow in place by doubling, as the
-    keys do; ``positions`` and ``streams`` are views of the cached entries'.
+    Each layer holds the streams as a batch axis of its heads
+    (:class:`LayerCache`), so a step of every stream is one call per layer,
+    and a stream attends over its own entries only. Every stream holds
+    ``len(cache)`` entries, at positions ``0 .. len(cache) - 1``.
     """
 
-    def __init__(self, cfg: TransformerConfig):
+    def __init__(self, cfg: TransformerConfig, streams: int = 1):
+        if streams < 1:
+            raise ValidationError(f"StackCache: streams must be >= 1, got {streams}")
         self.cfg = cfg
-        self.layers = [LayerCache(cfg) for _ in range(cfg.n_layers)]
+        self.streams = streams
+        self.layers = [LayerCache(cfg, streams) for _ in range(cfg.n_layers)]
         self.n = 0
-        self._labels = np.zeros((2, 0), dtype=np.int64)  # positions, streams
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._labels[0, : self.n]
-
-    @property
-    def streams(self) -> np.ndarray:
-        return self._labels[1, : self.n]
-
-    def append(self, positions: np.ndarray, streams: np.ndarray) -> None:
-        """Label the newest entries with their ``positions`` and ``streams``."""
-        n0, n = self.n, self.n + positions.size
-        self._labels = _room_for(self._labels, n0, n, 1, np.int64)
-        self._labels[0, n0:n] = positions
-        self._labels[1, n0:n] = streams
-        self.n = n
 
     def __len__(self) -> int:
         return self.n
 
 
-def stack_step(
-    params: dict,
-    prefix: str,
-    x_new: np.ndarray,
-    new_positions: np.ndarray,
-    cache: StackCache,
-    cfg: TransformerConfig,
-    mask: np.ndarray,
-    streams: np.ndarray | None = None,
-) -> np.ndarray:
-    """The array :func:`stack` on a cache the caller keeps: append ``x_new``
-    rows to the cache and return their outputs, on arrays through the kernels.
+def stack_step(params: dict, prefix: str, x_new: np.ndarray, cache: StackCache, cfg: TransformerConfig) -> np.ndarray:
+    """The array :func:`stack` on a cache the caller keeps: append L new
+    rows of each of the cache's S streams and return their outputs, on
+    arrays through the kernels.
 
-    ``mask`` is (n_new, len(cache) + n_new): row r of it says which cached
-    entries, then which new rows, new row r attends to. Excluded entries
-    never enter the softmax. The new rows' positions and ``streams`` labels
-    (default: all stream 0) are appended to the cache.
+    ``x_new`` is (S * L, d): the streams' rows, stream after stream. A
+    stream's new rows sit at positions ``len(cache) + 0 .. L - 1`` and
+    attend causally to each other and to every cached entry of their own
+    stream. A one-row step attends with no mask, as its row sees every
+    entry; a longer one takes one (L, len(cache) + L) causal mask, shared
+    by every head and stream.
     """
-    n_new = new_positions.size
-    if mask.shape != (n_new, len(cache) + n_new):
-        raise ValueError(f"mask shape {mask.shape} does not match {n_new} new rows after {len(cache)} cached")
-    new_streams = np.zeros(n_new, dtype=np.int64) if streams is None else np.asarray(streams)
+    S, n = cache.streams, len(cache)
+    L, extra = divmod(x_new.shape[0], S)
+    if extra or L < 1:
+        raise ValueError(f"{x_new.shape[0]} new rows do not split into {S} streams")
+    new = np.arange(n, n + L)
+    mask = None if L == 1 else np.arange(n + L) <= new[:, None]
+    positions = np.tile(new, S)
     x = x_new
     for i, layer in enumerate(cache.layers):
-        x = block(params, f"{prefix}/layer{i}", x, mask, cfg, new_positions, layer)
-    cache.append(new_positions, new_streams)
+        x = block(params, f"{prefix}/layer{i}", x, mask, cfg, positions, layer)
+    cache.n = n + L
     return ln(params, f"{prefix}/ln_out", x)
 
 
@@ -414,13 +426,14 @@ def stack_windows(params: dict, prefix: str, x: np.ndarray, windows, cfg: Transf
     ``lo..hi-1`` attend rows ``start..hi-1``. The blocks tile the rows, and
     row t sits at position t. Each layer runs its row-wise work (norms,
     projections, rotation, feed-forward) once over all rows; only attention
-    runs per block, on the keys a :class:`WindowCache` gathers.
+    runs per block, on the keys a :class:`WindowCache` gathers, each block
+    passed as its all-true shape, so no mask is built or applied.
     """
     window_rows = np.concatenate([np.arange(start, hi) for start, _, hi in windows])
-    mask = [np.ones((hi - lo, hi - start), dtype=bool) for start, lo, hi in windows]
+    blocks = [(hi - lo, hi - start) for start, lo, hi in windows]
     positions = np.arange(x.shape[0])
     for i in range(cfg.n_layers):
-        x = block(params, f"{prefix}/layer{i}", x, mask, cfg, positions, WindowCache(cfg, window_rows))
+        x = block(params, f"{prefix}/layer{i}", x, blocks, cfg, positions, WindowCache(cfg, window_rows))
     return ln(params, f"{prefix}/ln_out", x)
 
 

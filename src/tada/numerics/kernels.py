@@ -94,13 +94,16 @@ def layer_norm(
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm", f"gain/bias must be ({d},), got {gain.shape} and {bias.shape}")
-    # sum / d is bit-identical to ndarray.mean and skips numpy's slow _mean wrapper.
-    mu = x.sum(axis=-1, keepdims=True) / d
+    # The plain formula, bit for bit: np.add.reduce / d is ndarray.mean
+    # without its wrappers, and the bias is added in place. The (rows, 1)
+    # steps stay out of place: on a row or two an in-place ufunc costs more.
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
     xhat = xc * inv
-    return xhat * gain + bias, xhat, inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
 
 
 class _RopeTable:
@@ -197,19 +200,23 @@ def split_heads(
     return rotate_pairs(heads, *rot), rot
 
 
-def attention_heads(q: np.ndarray, kt: np.ndarray, v: np.ndarray, mask) -> tuple:
+def attention_heads(q: np.ndarray, kt: np.ndarray, v: np.ndarray, mask=None) -> tuple:
     """Scaled dot-product attention of all heads at once, heads merged.
 
     ``q`` is (H, Tq, hd), ``v`` is (H, Tk, hd), and the keys ``kt`` are
     (H, hd, Tk), transposed as a key/value cache holds them, so each block
-    multiplies by a view of them. ``mask`` is one (Tq, Tk) mask that applies
-    to every head, or, for a packed run, a list of per-sequence masks: the
-    rows of ``q`` and the keys are then consecutive sequences, and mask i,
-    of shape (Lq_i, Lk_i), is sequence i's own block. Only those blocks are
-    scored, so no (Tq, Tk) array is formed and no row can attend outside
-    its own sequence. One mask is a run of one sequence. Weights are the
-    masked softmax of the scaled scores, so excluded keys and values never
-    reach the output.
+    multiplies by a view of them. The leading axis is any batch of heads:
+    a cache of S streams passes its S * H heads. ``mask`` is one (Tq, Tk)
+    mask that applies to every head, None when every row attends every
+    key, or, for a packed run, a list of per-sequence blocks: the rows of
+    ``q`` and the keys are then consecutive sequences, and block i is
+    sequence i's own (Lq_i, Lk_i) mask, or that shape as a tuple when every
+    row of the block attends every key of it. Only those blocks are scored,
+    so no (Tq, Tk) array is formed and no row can attend outside its own
+    sequence. One mask is a run of one sequence. Weights are the masked
+    softmax of the scaled scores, so excluded keys and values never reach
+    the output; an all-true block (None or a shape) is neither checked nor
+    applied, as applying it changes no bit.
 
     Returns the (Tq, H * hd) output, head-major along the columns, then per
     block its ``(rows, keys)`` slices and its weights.
@@ -219,28 +226,33 @@ def attention_heads(q: np.ndarray, kt: np.ndarray, v: np.ndarray, mask) -> tuple
             "attention_heads", f"q {q.shape}, keys {kt.shape}, v {v.shape} are not (H, Tq, hd), (H, hd, Tk), (H, Tk, hd)"
         )
     H, Tq, hd = q.shape
+    Tk = v.shape[1]
     packed = isinstance(mask, list)
-    masks = [np.asarray(m, dtype=bool) for m in mask] if packed else [np.asarray(mask, dtype=bool)]
+    if mask is None:
+        masks = [(Tq, Tk)]
+    else:
+        masks = [m if isinstance(m, tuple) else np.asarray(m, dtype=bool) for m in (mask if packed else [mask])]
+    shapes = [m if isinstance(m, tuple) else m.shape for m in masks]
     blocks, r0, c0 = [], 0, 0  # (its rows, its keys)
-    for m in masks:
-        r1, c1 = r0 + m.shape[0], c0 + m.shape[-1]
+    for shape in shapes:
+        r1, c1 = r0 + shape[0], c0 + shape[-1]
         blocks.append((slice(r0, r1), slice(c0, c1)))
         r0, c0 = r1, c1
-    if any(m.ndim != 2 for m in masks) or (r0, c0) != (Tq, v.shape[1]):
-        shapes = [m.shape for m in masks] if packed else masks[0].shape
-        raise ShapeError("attention_heads", f"mask shape {shapes} != ({Tq}, {v.shape[1]})")
-    if not all(m.any(axis=-1).all() for m in masks):
+    if any(len(shape) != 2 for shape in shapes) or (r0, c0) != (Tq, Tk):
+        raise ShapeError("attention_heads", f"mask shape {shapes if packed else shapes[0]} != ({Tq}, {Tk})")
+    if not all(m[0] == 0 or m[1] > 0 if isinstance(m, tuple) else m.any(axis=-1).all() for m in masks):
         raise ShapeError("attention_heads", "a normalization slice has no included positions")
     c = 1.0 / math.sqrt(hd)
     weights, outs = [], []
     for m, (r, s) in zip(masks, blocks):
         # Operand layouts follow the per-head matmul/transpose2d chain, so
         # every product is bit-identical to it.
-        scores = q[:, r] @ kt[:, :, s]
-        scores *= c
-        # Masked softmax: excluded scores become -inf, so after the shift
-        # by the row maximum their exp is exactly 0.
-        w = np.where(m, scores, -np.inf)
+        w = q[:, r] @ kt[:, :, s]
+        w *= c
+        if not isinstance(m, tuple):
+            # Masked softmax: excluded scores become -inf, so after the
+            # shift by the row maximum their exp is exactly 0.
+            w = np.where(m, w, -np.inf)
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)

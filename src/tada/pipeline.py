@@ -4,11 +4,13 @@ segment-streaming synthesis.
 
 Generation prefills the prompt in one backbone call, then walks the fused
 single-stream context step by step; every guidance branch is a stream of
-one KV cache, so each step is one backbone call. At the step carrying text
-token i the flow head samples the packed (latent, duration-bit) vector of
-token i-K+1; candidates are ranked by speaker-embedding cosine against the
-prompt reference, and the sampled durations chain back into positions for
-the streaming decoder (on a chain mismatch the later sample f_before wins).
+one KV cache, a batch axis that steps in lockstep, so each step is one
+backbone call. At the step carrying text token i the flow head samples the
+packed (latent, duration-bit) vector of token i-K+1; candidates are ranked
+by speaker-embedding cosine against the prompt reference (a single
+candidate is scored after the loop, with every other token's), and the
+sampled durations chain back into positions for the streaming decoder (on
+a chain mismatch the later sample f_before wins).
 """
 
 from __future__ import annotations
@@ -64,13 +66,14 @@ class SpeakerHead:
         return nn.mlp(self.params, self.prefix, s, self.n_layers)
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
+def cosines(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """The float64 cosine of each row of ``rows`` with ``reference``; 0 for
+    a zero vector."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    reference = np.asarray(reference, dtype=np.float64).reshape(-1)
+    norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(reference)
+    dots = rows @ reference
+    return np.divide(dots, norms, out=np.zeros_like(dots), where=norms != 0.0)
 
 
 def train_speaker_head(
@@ -181,9 +184,9 @@ def rejection_select(
     embeddings = np.atleast_2d(embeddings)
     if embeddings.shape[0] < 1:
         raise ValidationError("rejection_select: need at least one candidate")
-    cosines = np.array([cosine(e, reference) for e in embeddings])
-    best = int(np.argmax(cosines))
-    return best, float(cosines[best]), bool(cosines[best] < theta)
+    cos = cosines(embeddings, reference)
+    best = int(np.argmax(cos))
+    return best, float(cos[best]), bool(cos[best] < theta)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +235,7 @@ class StepStat:
     below_threshold: bool
     rounds: int
     llm_time: float = 0.0  # the one backbone call that steps every guidance branch
-    flow_time: float = 0.0
+    flow_time: float = 0.0  # flow sampling and speaker scoring (see generate)
 
 
 @dataclass
@@ -285,6 +288,12 @@ def generate(
     packed slots, then each chosen slot in turn. Step j is laid out by
     :func:`~tada.backbone.context_rows` over ``tokens`` and those rows,
     and samples slot m = j-K+1 when ``Lp < m <= len(tokens)``.
+
+    With R > 1 candidates each round is scored as it is drawn, as the
+    retries depend on it. One candidate has no retry, so after the loop one
+    ``SpeakerHead.embed`` call scores every chosen latent, fills each
+    token's ``chosen_cos`` and ``below_threshold``, and adds an equal share
+    of its time to each token's ``flow_time``.
     """
     cfg = model.config
     K = cfg.k_shift
@@ -309,10 +318,10 @@ def generate(
     # branch is stream 0, then the text-free negative (text padded, slot
     # kept), then the text-only SFG branch (text kept, no slot), each
     # present only when its guidance is on.
-    cache = model.new_cache()
     tfg = params.neg_mode == "tfg"
     sfg = params.sfg_scale is not None
     streams = np.arange(1 + tfg + sfg)
+    cache = model.new_cache(streams.size)
     text_free = tfg & (streams == 1)
     text_only = sfg & (streams == streams[-1])
 
@@ -325,21 +334,21 @@ def generate(
         return ids, acoustic, has_ac & ~no_speech, ~no_speech
 
     # Prefill: steps 0 .. Lp-1 predict no acoustic slot and are followed by
-    # a prompt token, so one causal call takes them all and nothing reads
-    # their outputs.
+    # a prompt token, so one causal call takes them all, stream after
+    # stream, and nothing reads their outputs.
     n_prefill = min(Lp, cfg.max_context)
-    labels = np.tile(streams, n_prefill)
-    prefill = branch_rows(np.repeat(np.arange(n_prefill), streams.size), labels)
+    labels = np.repeat(streams, n_prefill)
+    prefill = branch_rows(np.tile(np.arange(n_prefill), streams.size), labels)
     t0 = time.perf_counter()
-    model.step(*prefill, cache, labels)
+    model.step(*prefill, cache)
     prefill_time = time.perf_counter() - t0
     idle_step_time = 0.0
     stats: list[StepStat] = []
-    warnings: list[str] = []
     text_open = params.mode == "slm"
+    context_full = False
     for j in range(Lp, cfg.max_context):
         t0 = time.perf_counter()
-        logits, cond = model.step(*branch_rows([j] * streams.size, streams), cache, streams)
+        logits, cond = model.step(*branch_rows([j] * streams.size, streams), cache)
         llm_time = time.perf_counter() - t0
 
         m = j - K + 1  # the slot this step predicts, 1-based
@@ -354,8 +363,6 @@ def generate(
             stats.append(stat)
             slots[n_slots] = chosen
             n_slots += 1
-            if stat.below_threshold:
-                warnings.append(f"token {m}: best cosine {stat.chosen_cos:.3f} below threshold")
         else:
             idle_step_time += llm_time
 
@@ -374,9 +381,23 @@ def generate(
         if not text_open and j >= len(tokens) + K - 1:
             break
     else:
-        warnings.append("context limit reached")
+        context_full = True
 
     latents, f_before, f_after = durbits.unpack(slots[Lp:n_slots], cfg.d_latent, cfg.bits)
+    if params.candidates == 1 and stats:
+        t0 = time.perf_counter()
+        cos = cosines(speaker_head.embed(latents), prompt.ref_embedding)
+        share = (time.perf_counter() - t0) / len(stats)
+        for stat, c in zip(stats, cos.tolist()):
+            stat.chosen_cos, stat.below_threshold = c, c < params.theta
+            stat.flow_time += share
+    warnings = [
+        f"token {stat.token_index}: best cosine {stat.chosen_cos:.3f} below threshold"
+        for stat in stats
+        if stat.below_threshold
+    ]
+    if context_full:
+        warnings.append("context limit reached")
     return GenerationResult(
         text_tokens=np.asarray(tokens[Lp:], dtype=np.int64),
         latents=latents,
@@ -400,7 +421,9 @@ def _sample_slot(
     rng: np.random.Generator,
     token_index: int,
 ) -> tuple[np.ndarray, StepStat]:
-    """Draw R flow candidates (plus retry rounds) and pick by speaker cosine."""
+    """Draw R flow candidates (plus retry rounds) and pick by speaker cosine;
+    one candidate is returned unscored, ``chosen_cos`` nan, for ``generate``
+    to score after its loop."""
     R = params.candidates
     d = model.config.d_latent
 
@@ -415,15 +438,17 @@ def _sample_slot(
 
     best_y, best_cos, best_flag = None, -np.inf, True
     rounds = 0
-    max_rounds = 1 + (params.retries if R > 1 else 0)
+    max_rounds = 1 + params.retries  # one candidate returns after its first round
     pool = 0
     while rounds < max_rounds:
         seed = int(rng.integers(1 << 31))
         y = flowhead.euler_sample(field, model.flow.config, params.n_fm, params.cfg_scale, seed, n_samples=R)
-        emb = speaker_head.embed(y[:, :d])
-        idx, cos_val, below = rejection_select(emb, reference, params.theta)
         pool += R
         rounds += 1
+        if R == 1:
+            return y[0], StepStat(token_index, pool, np.nan, False, rounds)
+        emb = speaker_head.embed(y[:, :d])
+        idx, cos_val, below = rejection_select(emb, reference, params.theta)
         if cos_val > best_cos:
             best_y, best_cos, best_flag = y[idx], cos_val, below
         if not below:

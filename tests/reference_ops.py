@@ -5,8 +5,10 @@ from rank-2 pieces: the chain that the engine's head-batched
 ``split_heads`` and ``attention_heads`` are checked against. They record
 tape nodes the way engine primitives do. ``encoder_mask`` builds the
 encoder mask row by row, the loop ``masks.encoder_mask`` is checked against.
-``ConcatStackCache`` and ``cached_stack_step`` are the cached transformer
-step written plainly, the reference ``nn.stack_step`` is checked against.
+``ConcatStackCache`` and ``cached_stack_step`` are the one-stream cached
+transformer step written plainly, the reference ``nn.stack_step`` is
+checked against. ``layer_norm`` is the plain formula the in-place kernel
+of that name is checked against.
 ``stream_decode_walk`` decodes one segment after another, each on a cache
 of the previous segment's entries: the walk that the codec's one-pass
 streaming decode is checked against.
@@ -116,22 +118,24 @@ def encoder_mask(p, T: int) -> np.ndarray:
 
 
 class ConcatStackCache:
-    """Per-layer keys and values as (H, n, hd) arrays that every step
-    concatenates onto, with the entries' positions and streams."""
+    """One stream's per-layer keys and values as (H, n, hd) arrays that
+    every step concatenates onto."""
 
     def __init__(self, cfg):
         shape = (cfg.n_heads, 0, cfg.d_model // cfg.n_heads)
         self.keys = [np.zeros(shape) for _ in range(cfg.n_layers)]
         self.values = [np.zeros(shape) for _ in range(cfg.n_layers)]
-        self.positions = np.zeros(0, dtype=np.int64)
-        self.streams = np.zeros(0, dtype=np.int64)
 
 
-def cached_stack_step(params, prefix, x, positions, cache: ConcatStackCache, cfg, mask, streams):
-    """``nn.stack_step`` from separate q, k and v products, the pairwise
-    rotary form, a cache grown by concatenation and a softmax that masks
-    the scores, shifts them and masks again."""
+def cached_stack_step(params, prefix, x, cache: ConcatStackCache, cfg):
+    """``nn.stack_step`` on one stream, from separate q, k and v products,
+    the pairwise rotary form, a cache grown by concatenation, a causal mask
+    over the cached entries and the new rows, and a softmax that masks the
+    scores, shifts them and masks again."""
     H, hd = cfg.n_heads, cfg.d_model // cfg.n_heads
+    n = cache.keys[0].shape[1]
+    positions = np.arange(n, n + len(x))
+    mask = np.arange(n + len(x)) <= positions[:, None]
     cos2, sin2 = _rope_angles(hd, positions, cfg.rope_base, x.dtype)
     cos, sin = cos2[:, 0::2], sin2[:, 1::2]
 
@@ -163,9 +167,15 @@ def cached_stack_step(params, prefix, x, positions, cache: ConcatStackCache, cfg
         w = e / e.sum(axis=-1, keepdims=True)
         x = x + lin(f"{p}/wo", (w @ cache.values[i]).transpose(1, 0, 2).reshape(len(x), H * hd))
         x = x + lin(f"{p}/ff2", kernels.gelu(lin(f"{p}/ff1", ln(f"{p}/ln2", x)))[0])
-    cache.positions = np.concatenate([cache.positions, positions])
-    cache.streams = np.concatenate([cache.streams, streams])
     return ln(f"{prefix}/ln_out", x)
+
+
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+    """Layer norm over the last axis as the plain formula."""
+    mu = x.sum(axis=-1, keepdims=True) / x.shape[-1]
+    xc = x - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / x.shape[-1]
+    return xc * (1.0 / np.sqrt(var + eps)) * gain + bias
 
 
 def stream_decode_walk(codec, s, p, T: int):

@@ -197,6 +197,9 @@ class TestStep:
         assert_outputs_close(joined(chunk), full)
 
     def test_streams_together_match_each_stream_alone(self):
+        """Two streams of one cache step in lockstep, stream after stream: a
+        prefill of four steps each, then one step of each per call. Each
+        stream's outputs equal that stream stepped alone."""
         model = tiny_model()
         rng = np.random.default_rng(31)
         a = random_steps(rng, 6)
@@ -206,14 +209,14 @@ class TestStep:
             cache = model.new_cache()
             parts = [model.step(*rows(seq[:4]), cache)] + [model.step(*rows([s]), cache) for s in seq[4:]]
             alone.append(joined(parts))
-        cache = model.new_cache()
-        # Prefill interleaved, then one two-row call per step.
-        pre = model.step(*rows([s for pair in zip(a[:4], b[:4]) for s in pair]), cache, [0, 1] * 4)
-        together = [[rows_of(pre, slice(0, None, 2))], [rows_of(pre, slice(1, None, 2))]]
+        cache = model.new_cache(2)
+        pre = model.step(*rows([*a[:4], *b[:4]]), cache)
+        together = [[rows_of(pre, slice(0, 4))], [rows_of(pre, slice(4, 8))]]
         for sa, sb in zip(a[4:], b[4:]):
-            out = model.step(*rows([sa, sb]), cache, [0, 1])
+            out = model.step(*rows([sa, sb]), cache)
             together[0].append(rows_of(out, slice(0, 1)))
             together[1].append(rows_of(out, slice(1, 2)))
+        assert len(cache) == 6
         assert_outputs_close(joined(together[0]), alone[0])
         assert_outputs_close(joined(together[1]), alone[1])
 
@@ -228,22 +231,27 @@ class TestStep:
         ]
         runs = []
         for other in (b, b_perturbed):
-            cache = model.new_cache()
-            out = [rows_of(model.step(*rows([*a[:3], *other[:3]]), cache, [0, 0, 0, 1, 1, 1]), slice(0, 3))]
+            cache = model.new_cache(2)
+            out = [rows_of(model.step(*rows([*a[:3], *other[:3]]), cache), slice(0, 3))]
             for sa, sb in zip(a[3:], other[3:]):
-                out.append(rows_of(model.step(*rows([sa, sb]), cache, [0, 1]), slice(0, 1)))
+                out.append(rows_of(model.step(*rows([sa, sb]), cache), slice(0, 1)))
             runs.append(joined(out))
         for x, y in zip(*runs):
             np.testing.assert_array_equal(x, y)
 
-    def test_context_limit_is_per_stream(self):
+    def test_context_limit_counts_the_steps_of_each_stream(self):
+        """Streams step in lockstep, so each holds len(cache) steps: a cache
+        of two streams takes max_context steps of each, and a step past
+        that fails without touching the cache."""
         model = tiny_model()
         n = TINY.max_context
-        cache = model.new_cache()
-        model.step(*rows([(1, None, False)] * n), cache)
-        model.step(*rows([(1, None, False)]), cache, [1])  # stream 1 is still empty
+        cache = model.new_cache(2)
+        model.step(*rows([(1, None, False)] * (2 * n - 2)), cache)
+        model.step(*rows([(1, None, False)] * 2), cache)
+        assert len(cache) == n
         with pytest.raises(ValidationError, match="exceeds maximum"):
-            model.step(*rows([(1, None, False)]), cache, [0])
+            model.step(*rows([(1, None, False)] * 2), cache)
+        assert len(cache) == cache.layers[0].keys.shape[1] == n
 
     def test_bad_rows(self):
         model = tiny_model()
@@ -253,8 +261,8 @@ class TestStep:
             model.step(*bad, model.new_cache())
         with pytest.raises(ValidationError, match="outside"):
             model.forward_tensors(*bad)
-        with pytest.raises(ValidationError):
-            model.step(*rows([ok, ok]), model.new_cache(), [0])
+        with pytest.raises(ValidationError, match="do not split into 2 streams"):
+            model.step(*rows([ok, ok, ok]), model.new_cache(2))
 
 
 class TestKShift:

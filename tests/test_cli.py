@@ -114,6 +114,19 @@ def test_bad_config_value_exit_code_2(tmp_path, capsys, line):
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+def test_bad_backbone_width_exits_2_before_lm_train_reads_anything(tmp_path):
+    """A negative backbone width is the config line's error, exit 2 with one
+    ``error:`` line and no traceback, before lm-train opens its inputs."""
+    (tmp_path / "conf.txt").write_text("backbone.d_ff=-1\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(tada.__file__).parent.parent)}
+    argv = ["--config", "conf.txt", "lm-train", "--manifest", "m.txt", "--arrays", "a.tada", "--codec", "c.tada",
+            "--out", "lm.tada"]
+    done = subprocess.run([sys.executable, "-m", "tada.cli", *argv], cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == ["error: config line 1: BackboneConfig: d_ff must be >= 1, got -1"]
+
+
 def test_config_file_of_every_default_key_loads_the_defaults(tmp_path):
     """The --config keys are the checkpoint line's keys under each section."""
     cfg_file = tmp_path / "conf.txt"

@@ -74,6 +74,35 @@ def test_nested_flow_keys_are_checked():
         configline.from_line(BackboneConfig, line.replace("k_shift=3", "k_shift=0"), "here")
 
 
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize(
+    "key, says",
+    [
+        *((key, f"BackboneConfig: {key} must be >= 1")
+          for key in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "d_cond", "d_latent", "bits", "max_context")),
+        ("flow.width", "FlowConfig: width must be >= 1"),
+        ("flow.d_time", "FlowConfig: d_time must be even and >= 2"),
+    ],
+)
+def test_backbone_size_below_one_rejected(key, says, value):
+    """A width, layer count, bit count or context below 1 is refused where
+    the line is read, not later by numpy or a shift."""
+    line = re.sub(rf"(^| ){re.escape(key)}=\S+", rf"\g<1>{key}={value}", configline.to_line(BACKBONE))
+    assert f"{key}={value}" in line.split()
+    with pytest.raises(ValidationError, match=f"^here: BackboneConfig: {says}, got {value}$"):
+        configline.from_line(BackboneConfig, line, "here")
+
+
+@pytest.mark.parametrize("key, value", [("flow.d_time", 7), ("flow.n_hidden", -1)])
+def test_flow_head_shape_settings_rejected(key, value):
+    """The time features are sine and cosine pairs, so their width is even;
+    a negative hidden-layer count is refused, not read as none."""
+    line = configline.to_line(BACKBONE).replace(f"{key}={configline.text(getattr(BACKBONE.flow, key[5:]))}", f"{key}={value}")
+    assert f"{key}={value}" in line.split()
+    with pytest.raises(ValidationError, match=f"FlowConfig: {key[5:]} must be .*, got {value}$"):
+        configline.from_line(BackboneConfig, line, "here")
+
+
 def test_flow_sampling_settings_rejected():
     """Backbone lines written while FlowConfig held the sampling settings do not load."""
     line = configline.to_line(BACKBONE) + " flow.n_steps=10 flow.cfg_scale=1.8 flow.neg_mode=zero"

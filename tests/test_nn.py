@@ -238,96 +238,73 @@ def test_stack_windows_match_stack_under_the_window_mask(windows):
 
 
 def test_cache_holds_rotated_keys():
+    """After a prefill of ten rows, a four-row step caches its keys rotated
+    to positions 10 .. 13."""
     rng = np.random.default_rng(8)
     params = make_params()
     x = nx.tensor(rng.standard_normal((4, CFG.d_model)))
     cache = nn.StackCache(CFG)
-    nn.stack_step(params, "tf", x.data, np.arange(10, 14), cache, CFG, np.ones((4, 4), dtype=bool))
+    nn.stack_step(params, "tf", rng.standard_normal((10, CFG.d_model)), cache, CFG)
+    nn.stack_step(params, "tf", x.data, cache, CFG)
     xin = nn.ln(params, "tf/layer0/ln1", x)
     k = nn.linear(params, "tf/layer0/wk", xin)
     hd = CFG.d_model // CFG.n_heads
     for h in range(CFG.n_heads):
         want = rope(slice_cols(k, h * hd, (h + 1) * hd), np.arange(10, 14), CFG.rope_base).data
-        np.testing.assert_array_equal(cache.layers[0].keys[h], want)
+        np.testing.assert_array_equal(cache.layers[0].keys[h, 10:], want)
 
 
 def test_causal_streams_in_one_cache_match_stack_per_stream():
-    """Two streams share one cache: a causal prefill chunk of both, then one
-    row of each per call. Each stream's outputs equal the causal stack over
-    that stream alone, and the cache labels each entry with its position
-    and stream, in call order."""
+    """Two streams share one cache and step in lockstep: a causal prefill
+    chunk of both, stream after stream, then one row of each per call.
+    Each stream's outputs equal the causal stack over that stream alone,
+    and each layer holds the streams' heads one after the other."""
     rng = np.random.default_rng(9)
     params = make_params(gain=10.0)
     xs = [rng.standard_normal((6, CFG.d_model)) for _ in range(2)]
-    cache = nn.StackCache(CFG)
-
-    def step(x, positions, streams):
-        # same stream and position <= own, over the cached entries then the new rows
-        mask = (np.concatenate([cache.streams, streams]) == streams[:, None]) & (
-            np.concatenate([cache.positions, positions]) <= positions[:, None]
-        )
-        return nn.stack_step(params, "tf", x, positions, cache, CFG, mask, streams)
-
-    pre = step(np.concatenate([xs[0][:4], xs[1][:4]]), np.tile(np.arange(4), 2), np.repeat([0, 1], 4))
+    cache = nn.StackCache(CFG, streams=2)
+    pre = nn.stack_step(params, "tf", np.concatenate([xs[0][:4], xs[1][:4]]), cache, CFG)
     outs = [[pre[:4]], [pre[4:]]]
     for j in (4, 5):
-        o = step(np.stack([xs[0][j], xs[1][j]]), np.array([j, j]), np.array([0, 1]))
+        o = nn.stack_step(params, "tf", np.stack([xs[0][j], xs[1][j]]), cache, CFG)
         outs[0].append(o[:1])
         outs[1].append(o[1:])
     for x, out in zip(xs, outs):
         full = nn.stack(params, "tf", nx.tensor(x), nn.causal_mask(6), CFG).data
         np.testing.assert_allclose(np.concatenate(out), full, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(cache.positions, [0, 1, 2, 3, 0, 1, 2, 3, 4, 4, 5, 5])
-    np.testing.assert_array_equal(cache.streams, [0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1])
-    assert len(cache) == cache.layers[0].keys.shape[1] == 12
+    assert len(cache) == 6
+    assert cache.layers[0].keys.shape == cache.layers[0].values.shape == (2 * CFG.n_heads, 6, CFG.d_model // CFG.n_heads)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_stack_step_equals_reference_cached_step_bit_for_bit(dtype):
-    """Two streams through one cache, past the first capacity of its keys,
-    values and labels, under a sliding-window mask: every output, the
-    cached keys and values, and the entries' positions and streams equal
+    """One stream through one cache, past the first capacity of its keys
+    and values: a four-row prefill, single rows, a three-row chunk, then
+    single rows again. Every output and the cached keys and values equal
     the plainly written cached step's to the bit. Its float64 outputs also
-    equal the causal stack over each stream's window to 1e-12."""
+    equal the causal stack to 1e-12."""
     with nx.precision("float32" if dtype == np.float32 else "float64"):
         params = make_params(gain=10.0)
     rng = np.random.default_rng(12)
-    n_steps, window = 24, 7
-    xs = rng.standard_normal((2, n_steps, CFG.d_model)).astype(dtype)
+    n_steps = 24
+    xs = rng.standard_normal((n_steps, CFG.d_model)).astype(dtype)
     cache, ref = nn.StackCache(CFG), ConcatStackCache(CFG)
     first_capacity = cache.layers[0].capacity
     outs = []
-
-    def step(x, positions, streams):
-        mask = (
-            (np.concatenate([cache.streams, streams]) == streams[:, None])
-            & (np.concatenate([cache.positions, positions]) <= positions[:, None])
-            & (np.concatenate([cache.positions, positions]) > positions[:, None] - window)
-        )
-        got = nn.stack_step(params, "tf", x, positions, cache, CFG, mask, streams)
-        want = cached_stack_step(params, "tf", x, positions, ref, CFG, mask, streams)
+    for lo, hi in [(0, 4), *((j, j + 1) for j in range(4, 10)), (10, 13), *((j, j + 1) for j in range(13, n_steps))]:
+        got = nn.stack_step(params, "tf", xs[lo:hi], cache, CFG)
+        want = cached_stack_step(params, "tf", xs[lo:hi], ref, CFG)
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
         outs.append(got)
-
-    step(np.concatenate([xs[0, :4], xs[1, :4]]), np.tile(np.arange(4), 2), np.repeat([0, 1], 4))
-    for j in range(4, n_steps):
-        step(xs[:, j], np.array([j, j]), np.array([0, 1]))
-    assert cache.layers[0].capacity > first_capacity and len(cache) > nn.LayerCache.FIRST_CAPACITY
-    np.testing.assert_array_equal(cache.positions, ref.positions)
-    np.testing.assert_array_equal(cache.streams, ref.streams)
+    assert cache.layers[0].capacity > first_capacity and len(cache) == n_steps > nn.LayerCache.FIRST_CAPACITY
     for layer, keys, values in zip(cache.layers, ref.keys, ref.values):
         assert layer.keys.tobytes() == np.ascontiguousarray(keys).tobytes()
         assert np.ascontiguousarray(layer.values).tobytes() == values.tobytes()
 
     if dtype == np.float64:
-        stream_outs = [np.concatenate([outs[0][:4]] + [o[:1] for o in outs[1:]])]
-        stream_outs.append(np.concatenate([outs[0][4:]] + [o[1:] for o in outs[1:]]))
-        band = np.arange(n_steps)
-        mask = (band[None, :] <= band[:, None]) & (band[None, :] > band[:, None] - window)
-        for x, out in zip(xs, stream_outs):
-            full = nn.stack(params, "tf", nx.tensor(x), mask, CFG).data
-            np.testing.assert_allclose(out, full, rtol=0, atol=1e-12)
+        full = nn.stack(params, "tf", nx.tensor(xs), nn.causal_mask(n_steps), CFG).data
+        np.testing.assert_allclose(np.concatenate(outs), full, rtol=0, atol=1e-12)
 
 
 def spy_cached_layers(monkeypatch) -> dict[str, list]:
@@ -364,9 +341,9 @@ def test_cached_layer_runs_one_fused_projection_and_one_rotation(monkeypatch):
     x = np.random.default_rng(13).standard_normal((3, CFG.d_model))
     d, L = CFG.d_model, CFG.n_layers
     fused = []
-    for x_new, positions, mask in ((x, np.arange(3), nn.causal_mask(3)), (x[:1], np.array([3]), np.ones((1, 4), bool))):
+    for x_new in (x, x[:1]):
         calls.clear()
-        nn.stack_step(params, "tf", x_new, positions, cache, CFG, mask)
+        nn.stack_step(params, "tf", x_new, cache, CFG)
         assert [w.shape[1] for w in calls["linear"]] == [3 * d, d, CFG.d_ff, d] * L
         assert calls["split_heads"] == [2 * CFG.n_heads] * L
         assert len(calls["attention_heads"]) == len(calls["extend"]) == L
@@ -395,25 +372,44 @@ def test_array_stack_runs_one_fused_projection_and_one_rotation_per_layer(monkey
         assert "__init__" not in calls
 
 
-def test_stack_step_rejects_mask_of_wrong_shape():
-    """The mask needs one row per new row and one column per cached entry
-    and new row; a wrong one fails before the cache changes."""
+def test_stack_step_rejects_rows_not_split_by_streams():
+    """A step takes the same number of new rows for every stream; rows that
+    do not split into the cache's streams fail before the cache changes."""
     params = make_params()
-    cache = nn.StackCache(CFG)
-    nn.stack_step(params, "tf", np.ones((2, CFG.d_model)), np.arange(2), cache, CFG, nn.causal_mask(2))
-    with pytest.raises(ValueError, match="mask shape"):
-        nn.stack_step(params, "tf", np.ones((1, CFG.d_model)), np.array([2]), cache, CFG, np.ones((1, 1), bool))
+    cache = nn.StackCache(CFG, streams=2)
+    nn.stack_step(params, "tf", np.ones((4, CFG.d_model)), cache, CFG)
+    for n_rows in (3, 0):
+        with pytest.raises(ValueError, match="do not split into 2 streams"):
+            nn.stack_step(params, "tf", np.ones((n_rows, CFG.d_model)), cache, CFG)
     assert len(cache) == 2 and cache.layers[0].keys.shape[1] == 2
 
 
-def test_stack_step_rejects_mask_row_with_no_included_position():
-    """A new row that may attend to nothing is the attention kernel's
-    ShapeError on the cached path too."""
+def test_one_row_steps_attend_with_no_mask(monkeypatch):
+    """A step of one row per stream passes no mask to the attention kernel,
+    as its row attends every entry; a longer step passes one causal mask
+    over the cached entries and the new rows, shared by every stream."""
     params = make_params()
-    cache = nn.StackCache(CFG)
-    mask = np.array([[True, False], [False, False]])
-    with pytest.raises(ShapeError, match="no included positions"):
-        nn.stack_step(params, "tf", np.ones((2, CFG.d_model)), np.arange(2), cache, CFG, mask)
+    seen = []
+    real = nx.kernels.attention_heads
+
+    def attention_heads(q, kt, v, mask=None):
+        seen.append((q.shape[0], mask))
+        return real(q, kt, v, mask)
+
+    monkeypatch.setattr(nx.kernels, "attention_heads", attention_heads)
+    cache = nn.StackCache(CFG, streams=3)
+    x = np.random.default_rng(15).standard_normal((6, CFG.d_model))
+    for rows in (x, x[:3], x[:3], x):  # 2, 1, 1 and 2 rows per stream
+        seen.clear()
+        nn.stack_step(params, "tf", rows, cache, CFG)
+        assert [heads for heads, _ in seen] == [3 * CFG.n_heads] * CFG.n_layers
+        if len(rows) == 3:
+            assert all(mask is None for _, mask in seen)
+        else:
+            n = len(cache) - 2
+            want = np.arange(n + 2) <= np.arange(n, n + 2)[:, None]
+            for _, mask in seen:
+                np.testing.assert_array_equal(mask, want)
 
 
 def test_float32_model_computes_in_float32_outside_precision_context():
@@ -423,8 +419,8 @@ def test_float32_model_computes_in_float32_outside_precision_context():
         params = make_params()
     x = np.random.default_rng(10).standard_normal((3, CFG.d_model)).astype(np.float32)
     cache = nn.StackCache(CFG)
-    out = nn.stack_step(params, "tf", x, np.arange(3), cache, CFG, nn.causal_mask(3))
-    out = nn.stack_step(params, "tf", out[-1:], np.array([3]), cache, CFG, np.ones((1, 4), dtype=bool))
+    out = nn.stack_step(params, "tf", x, cache, CFG)
+    out = nn.stack_step(params, "tf", out[-1:], cache, CFG)
     assert x.dtype == out.dtype == np.float32
     assert {layer.keys.dtype for layer in cache.layers} == {layer.values.dtype for layer in cache.layers} == {
         np.dtype(np.float32)

@@ -475,6 +475,21 @@ def test_layer_norm_bit_identical_to_mean_formula(dtype, shape):
     np.testing.assert_array_equal(bt.grad, ref_dbias)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 2, 278])
+def test_layer_norm_kernel_equals_plain_formula(dtype, rows):
+    """The kernel's in-place steps give the plain formula's bits, for one
+    row, two rows and many."""
+    rng = np.random.default_rng(6)
+    x = (rng.standard_normal((rows, 128)) * 3.0 + 1.5).astype(dtype)
+    gain = rng.uniform(0.5, 1.5, 128).astype(dtype)
+    bias = rng.uniform(-0.2, 0.2, 128).astype(dtype)
+    out, xhat, inv = nx.kernels.layer_norm(x, gain, bias)
+    assert out.dtype == xhat.dtype == inv.dtype == dtype
+    np.testing.assert_array_equal(out, reference_ops.layer_norm(x, gain, bias))
+    np.testing.assert_array_equal(out, xhat * gain + bias)
+
+
 def test_rope_preserves_pairwise_norms():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 8))
@@ -904,6 +919,33 @@ def test_kernel_raises_the_taped_empty_row_error(packed):
             attend(wrap(q), wrap(keys), wrap(kv), mask)
         errors.append(str(info.value))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_all_true_blocks_given_by_shape_equal_their_masks_bit_for_bit(dtype):
+    """No mask, and a packed block given by its (rows, keys) shape, attend
+    as an all-true mask of that shape does, to the bit, weights included;
+    a shape whose rows have no key, or that does not tile the operands, is
+    the ShapeError the mask would give."""
+    rng = np.random.default_rng(15)
+    q, kv = rng.standard_normal((2, 5, 4)).astype(dtype), rng.standard_normal((2, 7, 4)).astype(dtype)
+    kt = np.ascontiguousarray(kv.transpose(0, 2, 1))
+    attend = nx.kernels.attention_heads
+    band = np.tri(3, 4, 1, dtype=bool)
+    cases = [
+        (attend(q, kt, kv), attend(q, kt, kv, np.ones((5, 7), dtype=bool))),
+        (attend(q, kt, kv, [(2, 3), (3, 4)]), attend(q, kt, kv, [np.ones((2, 3), bool), np.ones((3, 4), bool)])),
+        (attend(q, kt, kv, [(2, 3), band]), attend(q, kt, kv, [np.ones((2, 3), bool), band])),
+    ]
+    for got, want in cases:
+        assert got[0].dtype == dtype and got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1] and all(a.tobytes() == b.tobytes() for a, b in zip(got[2], want[2]))
+    with pytest.raises(ShapeError, match="no included positions"):
+        attend(q, kt, kv, [(2, 0), (3, 7)])
+    with pytest.raises(ShapeError, match="no included positions"):
+        attend(q, kt[:, :, :0], kv[:, :0])
+    with pytest.raises(ShapeError, match=re.escape("mask shape [(2, 3), (3, 5)] != (5, 7)")):
+        attend(q, kt, kv, [(2, 3), (3, 5)])
 
 
 def test_kernel_refuses_keys_in_the_row_layout():

@@ -18,7 +18,7 @@ from tada.pipeline import (
     GenerationResult,
     GenParams,
     SpeakerHead,
-    cosine,
+    cosines,
     generate,
     load_lm_checkpoint,
     prepare_prompt,
@@ -78,7 +78,7 @@ class TestRejectionSelect:
         cands = np.array([[0.9, 0.44], [0.5, 0.87]])
         idx, cos_val, below = rejection_select(cands, ref, theta=0.7)
         assert idx == 0 and not below
-        assert cos_val == pytest.approx(cosine(cands[0], ref))
+        assert cos_val == pytest.approx(cosines(cands[0], ref)[0])
 
     def test_tie_breaks_to_lower_index(self):
         ref = np.array([1.0, 0.0])
@@ -98,7 +98,7 @@ class TestRejectionSelect:
         for _ in range(50):
             cands = rng.standard_normal((5, 6))
             idx, cos_val, _ = rejection_select(cands, ref, theta=0.7)
-            all_cos = [cosine(c, ref) for c in cands]
+            all_cos = cosines(cands, ref)
             assert cos_val == pytest.approx(max(all_cos))
             assert idx == int(np.argmax(all_cos))
 
@@ -130,8 +130,8 @@ class TestSpeakerHead:
         tgt = targets_per_class[cls]
         head = train_speaker_head(lat, tgt, d_latent=4, dims=(8, 8, 6), steps=300, seed=0)
         emb = head.embed(lat)
-        cosines = [cosine(e, t) for e, t in zip(emb, tgt)]
-        assert np.mean(cosines) > 0.8
+        cos = [cosines(e, t)[0] for e, t in zip(emb, tgt)]
+        assert np.mean(cos) > 0.8
 
     def test_roundtrip_through_lm_checkpoint(self, tmp_path, models):
         lm, codec, head = models
@@ -376,32 +376,33 @@ class TestGenerate:
 
     @pytest.mark.parametrize("k_shift", [1, 2, 3])
     def test_one_prefill_call_then_one_call_per_step(self, models, monkeypatch, k_shift):
-        """One prefill call, then one call per step: a step per sampled
-        token plus K, whether PAD (K=1 here) or max_tokens closes the text.
-        In every row group, stream 1 (text-free negative) is PAD with stream
-        0's slot, and stream 2 (SFG) is stream 0's text with no slot."""
+        """One prefill call, then one call per step, on one cache of three
+        streams: a step per sampled token plus K, whether PAD (K=1 here) or
+        max_tokens closes the text. The rows of every call are the streams'
+        rows, stream after stream: stream 1 (text-free negative) is PAD
+        with stream 0's slot, and stream 2 (SFG) is stream 0's text with no
+        slot."""
         lm, codec, head = models
         lm.config.k_shift = k_shift
         prompt = make_prompt(codec, head, np.random.default_rng(24))
         calls = []
         real_step = lm.step
 
-        def step(ids, acoustic, has_ac, speech, cache, streams=None):
-            calls.append(((ids, acoustic, has_ac, speech), list(streams)))
-            return real_step(ids, acoustic, has_ac, speech, cache, streams)
+        def step(ids, acoustic, has_ac, speech, cache):
+            calls.append(((ids, acoustic, has_ac, speech), cache))
+            return real_step(ids, acoustic, has_ac, speech, cache)
 
         monkeypatch.setattr(lm, "step", step)
         params = GenParams(mode="slm", n_fm=2, max_tokens=4, neg_mode="tfg", sfg_scale=0.5, seed=11)
         out = generate(lm, codec, head, prompt, None, params)
         assert 0 < out.text_tokens.size
         Lp = prompt.tokens.size
-        assert (len(calls[0][0][0]), calls[0][1]) == (3 * Lp, [0, 1, 2] * Lp)
-        assert [(len(rows[0]), streams) for rows, streams in calls[1:]] == [(3, [0, 1, 2])] * (
-            out.text_tokens.size + k_shift
-        )
+        assert len({id(cache) for _, cache in calls}) == 1 and calls[0][1].streams == 3
+        assert [len(rows[0]) for rows, _ in calls] == [3 * Lp] + [3] * (out.text_tokens.size + k_shift)
         pad = lm.config.pad_id
-        pos, neg, text_only = (slice(b, None, 3) for b in range(3))
         for (ids, acoustic, has_ac, speech), _ in calls:
+            L = len(ids) // 3
+            pos, neg, text_only = (slice(b * L, (b + 1) * L) for b in range(3))
             assert (ids[neg] == pad).all() and speech[neg].all()
             np.testing.assert_array_equal(acoustic[neg], acoustic[pos])
             np.testing.assert_array_equal(has_ac[neg], has_ac[pos])
@@ -429,10 +430,10 @@ class TestGenerate:
         calls = []
         real_step = lm.step
 
-        def step(ids, acoustic, has_ac, speech, cache, streams=None):
-            zero = np.asarray(streams) == 0
+        def step(ids, acoustic, has_ac, speech, cache):
+            zero = slice(0, len(ids) // cache.streams)
             calls.append((ids[zero], acoustic[zero], has_ac[zero]))
-            return real_step(ids, acoustic, has_ac, speech, cache, streams)
+            return real_step(ids, acoustic, has_ac, speech, cache)
 
         monkeypatch.setattr(lm, "step", step)
         out = generate(lm, codec, head, prompt, text, GenParams(n_fm=2, neg_mode="tfg", seed=12))
@@ -479,14 +480,14 @@ class TestGenerate:
         caches = {}
         real_step = lm.step
 
-        def step(ids, acoustic, has_ac, speech, cache, streams=None):
-            streams = [0] * len(ids) if streams is None else streams
+        def step(ids, acoustic, has_ac, speech, cache):
+            L = len(ids) // cache.streams  # rows per stream, stream after stream
             outs = [
                 real_step(
                     *(a[r : r + 1] for a in (ids, acoustic, has_ac, speech)),
-                    caches.setdefault((id(cache), int(s)), lm.new_cache()),
+                    caches.setdefault((id(cache), r // L), lm.new_cache()),
                 )
-                for r, s in enumerate(streams)
+                for r in range(len(ids))
             ]
             return tuple(np.concatenate(x) for x in zip(*outs))
 
@@ -497,6 +498,86 @@ class TestGenerate:
         np.testing.assert_array_equal(batched.f_before, alone.f_before)
         np.testing.assert_array_equal(batched.f_after, alone.f_after)
         np.testing.assert_allclose(batched.latents, alone.latents, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("guidance", [{}, {"neg_mode": "tfg", "sfg_scale": 0.5}])
+    def test_steps_after_the_prefill_attend_with_no_mask(self, models, monkeypatch, guidance):
+        """Only the prefill passes attention masks; each later step's row
+        per stream attends every cached entry of its stream, with no mask,
+        with one stream or with every guidance branch on."""
+        lm, codec, head = models
+        prompt = make_prompt(codec, head, np.random.default_rng(24))
+        masks_by_call = []
+        real_step, real_attention = lm.step, nx.kernels.attention_heads
+
+        def step(*args):
+            masks_by_call.append([])
+            return real_step(*args)
+
+        def attention_heads(q, kt, v, mask=None):
+            masks_by_call[-1].append(mask)
+            return real_attention(q, kt, v, mask)
+
+        monkeypatch.setattr(lm, "step", step)
+        monkeypatch.setattr(nx.kernels, "attention_heads", attention_heads)
+        params = GenParams(mode="slm", n_fm=2, max_tokens=4, seed=11, **guidance)
+        out = generate(lm, codec, head, prompt, None, params)
+        assert len(masks_by_call) == 1 + out.text_tokens.size + lm.config.k_shift
+        assert all(mask is not None for mask in masks_by_call[0])
+        assert [len(call) for call in masks_by_call] == [lm.config.n_layers] * len(masks_by_call)
+        assert all(mask is None for call in masks_by_call[1:] for mask in call)
+
+    def test_one_candidate_is_scored_in_one_call_after_the_loop(self, models, monkeypatch):
+        """With one candidate, SpeakerHead.embed runs once per request, not
+        once per token, and every token's chosen_cos is its latent's cosine
+        with the prompt reference, below_threshold compares it with theta,
+        and the warnings name the tokens below theta in order. With two
+        candidates each round is embedded as it is drawn."""
+        lm, codec, head = models
+        prompt = make_prompt(codec, head, np.random.default_rng(32))
+        calls = []
+        real_embed = head.embed
+
+        def embed(s):
+            calls.append(np.shape(s))
+            return real_embed(s)
+
+        monkeypatch.setattr(head, "embed", embed)
+        text = np.array([1, 2, 3, 4, 0, 2])
+        out = generate(lm, codec, head, prompt, text, GenParams(n_fm=2, seed=8))
+        assert calls == [(text.size, BACKBONE.d_latent)]
+        cos = [cosines(real_embed(s), prompt.ref_embedding)[0] for s in out.latents]
+        np.testing.assert_allclose([s.chosen_cos for s in out.step_stats], cos, rtol=0, atol=1e-9)
+        theta = float(np.median(cos))
+        calls.clear()
+        out = generate(lm, codec, head, prompt, text, GenParams(n_fm=2, seed=8, theta=theta))
+        below = [s.chosen_cos < theta for s in out.step_stats]
+        assert len(calls) == 1 and 0 < sum(below) < text.size
+        assert [s.below_threshold for s in out.step_stats] == below
+        assert out.warnings == [
+            f"token {s.token_index}: best cosine {s.chosen_cos:.3f} below threshold" for s in out.step_stats if s.below_threshold
+        ]
+        calls.clear()
+        out = generate(lm, codec, head, prompt, text, GenParams(n_fm=2, seed=8, candidates=2))
+        assert calls == [(2, BACKBONE.d_latent)] * sum(s.rounds for s in out.step_stats)
+
+    def test_one_candidate_scoring_time_is_shared_by_its_tokens(self, models, monkeypatch):
+        """The one scoring call after the loop is timed, and each token's
+        flow_time takes an equal share of it: a fake clock that advances
+        only while embedding, one second per latent, gives each token one
+        second."""
+        lm, codec, head = models
+        prompt = make_prompt(codec, head, np.random.default_rng(33))
+        clock = [0.0]
+        real_embed = head.embed
+
+        def embed(s):
+            clock[0] += float(len(s))
+            return real_embed(s)
+
+        monkeypatch.setattr(head, "embed", embed)
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        out = generate(lm, codec, head, prompt, np.array([1, 2, 3, 4]), GenParams(n_fm=2, seed=9))
+        assert [s.flow_time for s in out.step_stats] == [1.0] * 4
 
     def test_prompt_beyond_context_limit_warns(self, models):
         lm, codec, head = models
@@ -559,7 +640,8 @@ class TestStreamSynthesize:
         real_attention = nx.kernels.attention_heads
 
         def attention_heads(q, kt, v, mask):
-            keys.append([m.shape[1] for m in mask])
+            assert all(isinstance(m, tuple) for m in mask)  # all-true blocks, passed as shapes
+            keys.append([m[1] for m in mask])
             return real_attention(q, kt, v, mask)
 
         monkeypatch.setattr(nx.kernels, "attention_heads", attention_heads)

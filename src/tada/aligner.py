@@ -21,6 +21,7 @@ import numpy as np
 
 from . import nn
 from . import numerics as nx
+from .configline import check, ranged
 from .errors import InfeasibleError, ValidationError
 from .numerics import Tensor
 
@@ -311,18 +312,17 @@ def filter_alignment(p, T: int) -> str | None:
 
 @dataclass
 class AlignerConfig:
-    d_in: int = 16
-    d_model: int = 64
-    n_heads: int = 4
-    d_ff: int = 128
-    vocab_size: int = 32
-    n_graphemes: int = 8
-    lambda_inter: float = 0.3
+    d_in: int = ranged(16, 1)
+    d_model: int = ranged(64, 1)
+    n_heads: int = ranged(4, 1)
+    d_ff: int = ranged(128, 1)
+    vocab_size: int = ranged(32, 1)
+    n_graphemes: int = ranged(8, 1)
+    lambda_inter: float = ranged(0.3, 0)
     use_curriculum: bool = True
 
     def __post_init__(self):
-        if self.n_graphemes < 1:
-            raise ValidationError(f"AlignerConfig: n_graphemes must be >= 1, got {self.n_graphemes}")
+        check(self)
 
 
 class AlignerModel:

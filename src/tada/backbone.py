@@ -22,39 +22,32 @@ import numpy as np
 
 from . import durbits, flowhead, nn
 from . import numerics as nx
+from .configline import check, ranged
 from .errors import ValidationError
 from .numerics import Tensor
 
 
 @dataclass
 class BackboneConfig:
-    vocab_size: int = 32
-    d_model: int = 128
-    n_heads: int = 4
-    n_layers: int = 4
-    d_ff: int = 256
-    d_cond: int = 128
-    d_latent: int = 8
-    bits: int = 8
-    k_shift: int = 2
-    max_context: int = 512
-    lambda_flow: float = 1.0
-    lambda_ce: float = 0.05
-    lambda_kd: float = 0.05
-    dropout_rate: float = 0.3
-    dropout_mean_len: int = 8
+    vocab_size: int = ranged(32, 1)
+    d_model: int = ranged(128, 1)
+    n_heads: int = ranged(4, 1)
+    n_layers: int = ranged(4, 1)
+    d_ff: int = ranged(256, 1)
+    d_cond: int = ranged(128, 1)
+    d_latent: int = ranged(8, 1)
+    bits: int = ranged(8, 1)
+    k_shift: int = ranged(2, 1)
+    max_context: int = ranged(512, 1)
+    lambda_flow: float = ranged(1.0, 0)
+    lambda_ce: float = ranged(0.05, 0)
+    lambda_kd: float = ranged(0.05, 0)
+    dropout_rate: float = ranged(0.3, 0, 1)
+    dropout_mean_len: int = ranged(8, 1)
     flow: flowhead.FlowConfig = field(default_factory=flowhead.FlowConfig)
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "d_cond", "d_latent", "bits", "max_context"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"BackboneConfig: {name} must be >= 1, got {getattr(self, name)}")
-        if self.k_shift < 1:
-            raise ValidationError("BackboneConfig: k_shift must be >= 1")
-        if not 0.0 <= self.dropout_rate <= 1.0:
-            raise ValidationError(f"BackboneConfig: dropout_rate must be in [0, 1], got {self.dropout_rate}")
-        if self.dropout_mean_len < 1:
-            raise ValidationError(f"BackboneConfig: dropout_mean_len must be >= 1, got {self.dropout_mean_len}")
+        check(self)
         self.flow = replace(self.flow, d_latent=self.d_latent, bits=self.bits, d_cond=self.d_cond)
 
     @property

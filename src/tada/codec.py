@@ -23,35 +23,33 @@ import numpy as np
 
 from . import masks, nn
 from . import numerics as nx
+from .configline import check, ranged
 from .errors import ValidationError
 from .numerics import Tensor
 
 
 @dataclass
 class CodecConfig:
-    d_frame: int = 16
-    d_latent: int = 8
-    d_model: int = 64
-    n_heads: int = 4
-    d_ff: int = 128
-    n_layers: int = 2
-    samples_per_frame: int = 16
-    vocab_size: int = 32
-    sigma0: float = 0.5
-    k_sigma: float = 1.0
-    kl_floor: float = 0.5
-    latent_dropout: float = 0.1
-    lambda_mel: float = 1.0
-    lambda_sem: float = 0.5
-    lambda_kl: float = 0.02
-    noise_warmup_frac: float = 0.25  # fraction of steps trained on plain means
-    spectral_windows: tuple[int, ...] = (32, 64, 128)
+    d_frame: int = ranged(16, 1)
+    d_latent: int = ranged(8, 1)
+    d_model: int = ranged(64, 1)
+    n_heads: int = ranged(4, 1)
+    d_ff: int = ranged(128, 1)
+    n_layers: int = ranged(2, 1)
+    samples_per_frame: int = ranged(16, 1)
+    vocab_size: int = ranged(32, 1)
+    sigma0: float = ranged(0.5, 0)
+    k_sigma: float = ranged(1.0, 1)
+    kl_floor: float = ranged(0.5, 0)
+    latent_dropout: float = ranged(0.1, 0, 1, below=True)
+    lambda_mel: float = ranged(1.0, 0)
+    lambda_sem: float = ranged(0.5, 0)
+    lambda_kl: float = ranged(0.02, 0)
+    noise_warmup_frac: float = ranged(0.25, 0, 1)  # fraction of steps trained on plain means
+    spectral_windows: tuple[int, ...] = ranged((32, 64, 128), 4)  # the hop is window // 4
 
     def __post_init__(self):
-        if self.d_latent < 1:
-            raise ValidationError(f"CodecConfig: d_latent must be >= 1, got {self.d_latent}")
-        if any(w < 4 for w in self.spectral_windows):  # the hop is window // 4
-            raise ValidationError(f"CodecConfig: spectral_windows must all be >= 4, got {self.spectral_windows}")
+        check(self)
 
 
 @dataclass
@@ -100,8 +98,6 @@ def reparameterize(
     rows are consecutive utterances' latents and ``seed`` holds one seed
     per utterance: each draws exactly what it would draw alone.
     """
-    if k_sigma < 1.0:
-        raise ValidationError(f"reparameterize: k_sigma must be >= 1, got {k_sigma}")
     mu = s_mu if isinstance(s_mu, Tensor) else nx.tensor(s_mu)
 
     def draw(rng, shape):
@@ -115,8 +111,6 @@ def latent_dropout(s: Tensor, rate: float, seed, lengths=None) -> Tensor:
     """Zero each latent coordinate with probability ``rate``; survivors are
     scaled by 1/(1-rate) so the expectation is preserved. Training only.
     ``seed`` and ``lengths`` as in :func:`reparameterize`."""
-    if not 0.0 <= rate < 1.0:
-        raise ValidationError(f"latent_dropout: rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return s
     keep = _per_sequence(lambda rng, shape: (rng.random(shape) >= rate) / (1.0 - rate), s.shape, seed, lengths)

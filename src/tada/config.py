@@ -2,10 +2,10 @@
 
 A config file is structured text: one ``key=value`` pair per line, ``#``
 comments allowed. The keys are those of the checkpoint's config line under
-each section (``configline.flat(Defaults())``), e.g. ``codec.lambda_mel=0.5``,
-``synth.vocab_size=48`` or ``backbone.flow.width=128``; unknown keys are an
-error so typos fail fast. The keys in ``FROM_CORPUS`` take only their
-default, because the training stages set them from the corpus.
+each section (``configline.flat(Defaults())``), e.g. ``codec.lambda_mel=0.5``.
+An unknown key (a typo), or a value outside its field's declared range
+(``configline.ranged``) or not finite, is an error naming its line or flag.
+The keys in ``FROM_CORPUS`` take only their default: the stages set them.
 """
 
 from __future__ import annotations
@@ -51,14 +51,14 @@ def load_config(path: str | None = None, flags: Sequence[tuple[str, str, str]] =
 
     Each section is built once by ``configline.build``, so every
     ``__post_init__`` runs on the final values. A setting that does not
-    parse, fails its section's check, that the built config does not hold
-    (a key that follows from others, such as ``backbone.flow.d_latent``), or
-    that sets a ``FROM_CORPUS`` key to another value than its default raises
-    ``ValidationError`` naming its line or flag.
+    parse, is outside its field's range, fails its section's check, that the
+    built config does not hold (a key that follows from others, such as
+    ``backbone.flow.d_latent``), or that sets a ``FROM_CORPUS`` key to another
+    value than its default raises ``ValidationError`` naming its line or flag.
     """
     settings = []
     if path is not None:
-        lines = Path(path).read_text().splitlines()
+        lines = configline.utf8(Path(path).read_bytes(), path).splitlines()
         settings = [(f"config line {n}", line.split("#", 1)[0].strip()) for n, line in enumerate(lines, start=1)]
     settings += [(flag, f"{key}={value}") for flag, key, value in flags]
 

@@ -10,6 +10,10 @@ repeated key and a value that fails to parse or fails the dataclass's
 every value exactly. The ``--config`` loader (``config.load_config``) uses
 the same keys, parser and builder.
 
+Each field declares its range where it is defined (``ranged``). Every
+config's ``__post_init__`` calls ``check``, then tests only the rules that
+tie fields together; a line, a flag and a constructor meet the same ranges.
+
 In a model checkpoint the line is the ``config`` array: its UTF-8 byte values
 as float32, which holds each of them exactly.
 """
@@ -17,12 +21,34 @@ as float32, which holds each of them exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from .errors import ValidationError
 
 ARRAY_NAME = "config"
+
+
+def ranged(default, lo, hi=math.inf, below=False):
+    """A dataclass field whose value, or each entry of a tuple value, lies in
+    [lo, hi], or in [lo, hi) with ``below``."""
+    return dataclasses.field(default=default, metadata={"range": (lo, hi, below)})
+
+
+def check(config) -> None:
+    """Raise :class:`ValidationError` for a non-finite float field of
+    ``config`` and for a value outside its field's ``ranged`` range."""
+    name = type(config).__name__
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{name}: {f.name} must be finite, got {value}")
+        lo, hi, below = f.metadata.get("range", (None, None, None))
+        entries = value if isinstance(value, tuple) else (value,)
+        if lo is not None and not all(lo <= v < hi if below else lo <= v <= hi for v in entries):
+            domain = f">= {lo}" if hi == math.inf else str(lo) if lo == hi else f"in [{lo}, {hi}{')' if below else ']'}"
+            raise ValidationError(f"{name}: {f.name} must {'all ' if isinstance(value, tuple) else ''}be {domain}, got {value}")
 
 
 def convert(current, raw: str):
@@ -104,6 +130,14 @@ def from_line(cls, line: str, where):
     return config
 
 
+def utf8(data: bytes, where) -> str:
+    """``data`` decoded as UTF-8; :class:`ValidationError` naming ``where`` if it is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{where}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def to_array(config) -> np.ndarray:
     return np.frombuffer(to_line(config).encode("utf-8"), dtype=np.uint8).astype(np.float32)
 
@@ -118,8 +152,4 @@ def from_array(cls, array: np.ndarray | None, where):
     codes = np.asarray(array)
     if codes.ndim != 1 or not np.all((codes >= 0) & (codes <= 255) & (codes % 1 == 0)):
         raise ValidationError(f"{where}: {ARRAY_NAME!r} array does not hold byte values")
-    try:
-        line = codes.astype(np.uint8).tobytes().decode("utf-8")
-    except UnicodeDecodeError:
-        raise ValidationError(f"{where}: {ARRAY_NAME!r} array is not UTF-8") from None
-    return from_line(cls, line, where)
+    return from_line(cls, utf8(codes.astype(np.uint8).tobytes(), f"{where}: {ARRAY_NAME!r} array"), where)

@@ -17,28 +17,25 @@ import numpy as np
 
 from . import nn
 from . import numerics as nx
+from .configline import check, ranged
 from .errors import NumericalAbort, ValidationError
 from .numerics import Tensor
 
 
 @dataclass
 class FlowConfig:
-    d_latent: int = 8
-    bits: int = 8
-    d_cond: int = 128
-    d_time: int = 32
-    width: int = 256
-    n_hidden: int = 3
-    sigma_min: float = 1e-5
+    d_latent: int = ranged(8, 1)
+    bits: int = ranged(8, 1)
+    d_cond: int = ranged(128, 1)
+    d_time: int = ranged(32, 2)
+    width: int = ranged(256, 1)
+    n_hidden: int = ranged(3, 0)
+    sigma_min: float = ranged(1e-5, 0, 1, below=True)
 
     def __post_init__(self):
-        for name in ("d_latent", "bits", "d_cond", "width"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"FlowConfig: {name} must be >= 1, got {getattr(self, name)}")
-        if self.d_time < 2 or self.d_time % 2:
-            raise ValidationError(f"FlowConfig: d_time must be even and >= 2, got {self.d_time}")
-        if self.n_hidden < 0:
-            raise ValidationError(f"FlowConfig: n_hidden must be >= 0, got {self.n_hidden}")
+        check(self)
+        if self.d_time % 2:  # sine and cosine pairs
+            raise ValidationError(f"FlowConfig: d_time must be even, got {self.d_time}")
 
     @property
     def d_target(self) -> int:

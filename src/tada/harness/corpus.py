@@ -44,26 +44,25 @@ HEADER = "#synthconfig "
 
 @dataclass
 class SynthConfig:
-    vocab_size: int = 32
-    n_speakers: int = 4
-    d_frame: int = 16
-    samples_per_frame: int = 16
-    dur_min: int = 1
-    dur_max: int = 6
-    gap_min: int = 0
-    gap_max: int = 3
-    tokens_min: int = 3
-    tokens_max: int = 10
-    noise: float = 0.05
-    seed: int = 0
+    vocab_size: int = configline.ranged(32, 1)
+    n_speakers: int = configline.ranged(4, 1)
+    d_frame: int = configline.ranged(16, TOKEN_DIMS + MARK_DIMS + SPK_DIMS, TOKEN_DIMS + MARK_DIMS + SPK_DIMS)
+    samples_per_frame: int = configline.ranged(16, 1)
+    dur_min: int = configline.ranged(1, 1)
+    dur_max: int = configline.ranged(6, 1)
+    gap_min: int = configline.ranged(0, 0)
+    gap_max: int = configline.ranged(3, 0)
+    tokens_min: int = configline.ranged(3, 1)
+    tokens_max: int = configline.ranged(10, 1)
+    noise: float = configline.ranged(0.05, 0)
+    seed: int = configline.ranged(0, 0)
 
     def __post_init__(self):
-        if min(self.vocab_size, self.n_speakers, self.d_frame, self.samples_per_frame) < 1:
-            raise ValidationError("SynthConfig: all extents must be >= 1")
-        if self.d_frame != TOKEN_DIMS + MARK_DIMS + SPK_DIMS:
-            raise ValidationError(f"SynthConfig: d_frame must be {TOKEN_DIMS + MARK_DIMS + SPK_DIMS}")
-        if self.dur_min < 1 or self.dur_max < self.dur_min or self.gap_min < 0 or self.gap_max < self.gap_min:
+        configline.check(self)
+        if self.dur_max < self.dur_min or self.gap_max < self.gap_min:
             raise ValidationError("SynthConfig: invalid duration law")
+        if self.tokens_max < self.tokens_min:
+            raise ValidationError(f"SynthConfig: tokens_max {self.tokens_max} is below tokens_min {self.tokens_min}")
 
 
 class TemplateBank:
@@ -211,7 +210,7 @@ class Manifest:
 
     @classmethod
     def load(cls, path) -> "Manifest":
-        lines = Path(path).read_text().splitlines()
+        lines = configline.utf8(Path(path).read_bytes(), path).splitlines()
         if not lines or not lines[0].startswith(HEADER):
             raise ValidationError(f"{path}: missing #synthconfig header")
         config = configline.from_line(SynthConfig, lines[0][len(HEADER) :], f"{path} line 1")

@@ -22,7 +22,7 @@ model loaded from its checkpoint compute the same values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .. import numerics as nx
 from ..aligner import AlignerConfig, AlignerModel, alignment_accuracy, filter_alignment, train_aligner
 from ..backbone import BackboneConfig, BackboneModel, SequenceBatchItem, train_backbone, train_base_lm
 from ..codec import CodecConfig, CodecModel, pack_utterances, reparameterize, train_codec
+from ..configline import check, ranged
 from ..durbits import durations_from_positions, fits_bits
 from ..errors import ValidationError
 from ..pipeline import Prompt, SpeakerHead, prepare_prompt, train_speaker_head
@@ -38,26 +39,21 @@ from .corpus import Manifest, TemplateBank, UttRecord, utterance_arrays
 
 @dataclass
 class TrainBudget:
-    aligner_steps: int = 1200
-    aligner_batch: int = 12
-    codec_steps: int = 1800
-    codec_stream_steps: int = 1200
-    codec_batch: int = 8
-    base_lm_steps: int = 800
-    backbone_steps: int = 2500
-    backbone_batch: int = 8
-    speaker_steps: int = 800
-    seed: int = 0
-    threads: int = 1  # unread: extraction runs on one thread; the benchmark still passes it
-    log_every: int = 0
+    aligner_steps: int = ranged(1200, 0)
+    aligner_batch: int = ranged(12, 1)
+    codec_steps: int = ranged(1800, 0)
+    codec_stream_steps: int = ranged(1200, 0)
+    codec_batch: int = ranged(8, 1)
+    base_lm_steps: int = ranged(800, 0)
+    backbone_steps: int = ranged(2500, 0)
+    backbone_batch: int = ranged(8, 1)
+    speaker_steps: int = ranged(800, 0)
+    seed: int = ranged(0, 0)
+    threads: int = ranged(1, 1)  # unread: extraction runs on one thread; the benchmark still passes it
+    log_every: int = ranged(0, 0)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if (f.name.endswith("_steps") or f.name == "log_every") and value < 0:
-                raise ValidationError(f"TrainBudget: {f.name} must be >= 0, got {value}")
-            if f.name.endswith("_batch") and value < 1:
-                raise ValidationError(f"TrainBudget: {f.name} must be >= 1, got {value}")
+        check(self)
 
 
 @dataclass

@@ -32,24 +32,19 @@ from .numerics import Tensor, kernels
 
 @dataclass
 class TransformerConfig:
-    n_layers: int = 2
-    d_model: int = 64
-    n_heads: int = 4
-    d_ff: int = 256
+    n_layers: int = configline.ranged(2, 1)
+    d_model: int = configline.ranged(64, 1)
+    n_heads: int = configline.ranged(4, 1)
+    d_ff: int = configline.ranged(256, 1)
     rope_base: float = 10000.0
 
     def __post_init__(self):
-        if self.n_heads < 1:
-            raise ValidationError(f"TransformerConfig: n_heads must be >= 1, got {self.n_heads}")
-        if self.d_model % self.n_heads != 0:
-            raise ValidationError(
-                f"TransformerConfig: d_model {self.d_model} must divide evenly into {self.n_heads} heads"
-            )
-        head_dim = self.d_model // self.n_heads
-        if head_dim < 2 or head_dim % 2 != 0:
-            raise ValidationError(
-                f"TransformerConfig: head dimension {head_dim} must be even and positive for rotary pairs"
-            )
+        configline.check(self)
+        head_dim, rest = divmod(self.d_model, self.n_heads)
+        if rest:
+            raise ValidationError(f"TransformerConfig: d_model {self.d_model} must divide evenly into {self.n_heads} heads")
+        if head_dim % 2:
+            raise ValidationError(f"TransformerConfig: head dimension {head_dim} must be even for rotary pairs")
 
 
 # ---------------------------------------------------------------------------

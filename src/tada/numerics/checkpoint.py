@@ -13,6 +13,7 @@ Layout (all integers little-endian unsigned 64-bit):
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -41,11 +42,11 @@ def save_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_exact(f, n: int, path) -> bytes:
-    """Read exactly ``n`` bytes or raise :class:`ValidationError` naming ``path``."""
-    data = f.read(n)
-    if len(data) != n:
-        raise ValidationError(f"{path}: truncated file: wanted {n} bytes, got {len(data)}")
-    return data
+    """Read exactly ``n`` bytes or raise :class:`ValidationError` naming
+    ``path``; a length past the end of the file is refused before reading."""
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise ValidationError(f"{path}: truncated file: wanted {n} bytes at byte {f.tell()}")
+    return f.read(n)
 
 
 def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
@@ -66,7 +67,9 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
                 raise ValidationError(f"{path}: array name is not utf-8: {exc}") from None
             (rank,) = struct.unpack("<Q", read_exact(f, 8, path))
             shape = struct.unpack(f"<{rank}Q", read_exact(f, 8 * rank, path)) if rank else ()
-            n = math.prod(shape)
-            data = np.frombuffer(read_exact(f, 4 * n, path), dtype="<f4").reshape(shape)
-            out[name] = np.array(data)  # own the memory
+            payload = read_exact(f, 4 * math.prod(shape), path)
+            try:  # an empty array's other extents can still be too large to hold
+                out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()  # own the memory
+            except ValueError:
+                raise ValidationError(f"{path}: array {name!r} cannot have shape {shape}") from None
         return out

@@ -25,6 +25,7 @@ from . import numerics as nx
 from .aligner import AlignerModel, filter_alignment
 from .backbone import BackboneConfig, BackboneModel, context_rows, sfg_logits
 from .codec import CodecModel
+from .configline import check, ranged
 from .errors import ValidationError
 from .numerics import Tensor
 
@@ -196,33 +197,25 @@ def rejection_select(
 
 @dataclass
 class GenParams:
-    n_fm: int = 10  # Euler steps per flow sample
-    cfg_scale: float = 1.8
+    n_fm: int = ranged(10, 1)  # Euler steps per flow sample
+    cfg_scale: float = ranged(1.8, 0)
     neg_mode: str = "zero"  # "zero" | "tfg"
-    candidates: int = 1  # R
+    candidates: int = ranged(1, 1)  # R
     sfg_scale: float | None = None  # blend text-only logits; SLM mode only
     mode: str = "tts"  # "tts" | "slm"
     temperature: float = 1.0
-    top_k: int = 0
-    max_tokens: int = 24
+    top_k: int = ranged(0, 0)
+    max_tokens: int = ranged(24, 0)
     theta: float = 0.7
-    retries: int = 2
-    seed: int = 0
+    retries: int = ranged(2, 0)
+    seed: int = ranged(0, 0)
 
     def __post_init__(self):
-        if self.n_fm < 1:
-            raise ValidationError("GenParams: n_fm must be >= 1")
-        if self.cfg_scale < 0:
-            raise ValidationError("GenParams: cfg_scale must be >= 0")
+        check(self)
         if self.neg_mode not in ("zero", "tfg"):
             raise ValidationError(f"GenParams: unknown neg_mode {self.neg_mode!r}")
         if self.mode not in ("tts", "slm"):
             raise ValidationError(f"GenParams: unknown mode {self.mode!r}")
-        if self.candidates < 1:
-            raise ValidationError("GenParams: candidates must be >= 1")
-        for name in ("retries", "top_k", "max_tokens"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"GenParams: {name} must be >= 0")
         if self.sfg_scale is not None and self.mode != "slm":
             raise ValidationError("GenParams: sfg_scale blends sampled text logits, so it needs mode 'slm'")
 

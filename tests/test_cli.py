@@ -4,6 +4,7 @@ import argparse
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -358,6 +359,63 @@ def small_corpus(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
+    "command, line",
+    [
+        ("gen-data", "synth.tokens_min=0"), ("gen-data", "synth.tokens_max=0"), ("gen-data", "synth.seed=-1"),
+        ("align", "aligner.d_ff=-1"), ("codec-train", "codec.d_ff=-1"), ("codec-train", "codec.sigma0=-1"),
+        ("codec-train", "codec.noise_warmup_frac=nan"),
+    ],
+)
+def test_config_value_outside_its_range_exits_2_before_its_stage_runs(small_corpus, tmp_path, command, line):
+    """Each setting once ended the stage it feeds in a traceback; it is the
+    config line's error, exit 2 with one ``error:`` line, and nothing is written."""
+    manifest, arrays = small_corpus
+    (tmp_path / "conf.txt").write_text(f"{line}\nbudget.aligner_steps=1\n")
+    inputs = ["--manifest", "m.txt", "--arrays", "a.tada"] if command == "gen-data" else [
+        "--manifest", manifest, "--arrays", arrays]
+    extra = {"gen-data": ["--utterances", "2"], "align": ["--out", "out.txt"],
+             "codec-train": ["--out", "out.tada", "--steps", "1", "--stream-steps", "1"]}[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(tada.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-m", "tada.cli", "--config", "conf.txt", command, *inputs, *extra],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and "Traceback" not in done.stderr, done.stderr
+    err = done.stderr.splitlines()
+    field = line.split("=")[0].rsplit(".", 1)[1]
+    assert len(err) == 1 and err[0].startswith("error: config line 1: ") and f" {field} must be" in err[0], err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conf.txt"]
+
+
+def _extent_past_the_end(raw: bytes) -> bytes:
+    """An arrays file whose first array's first extent is 2**62."""
+    (name_len,) = struct.unpack_from("<Q", raw, 21)
+    out = bytearray(raw)
+    struct.pack_into("<Q", out, 37 + name_len, 2**62)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("which", ["config", "manifest", "arrays"])
+def test_unreadable_input_file_exit_code_2(small_corpus, tmp_path, capsys, which):
+    """A --config file or manifest that is not UTF-8, and an arrays file with
+    an extent past its end, exit 2 with one ``error:`` line naming the file."""
+    paths = dict(zip(("manifest", "arrays"), small_corpus))
+    bad = tmp_path / f"bad.{which}"
+    if which == "config":
+        bad.write_bytes(b"synth.seed=1  # caf\xe9\n")
+    elif which == "manifest":
+        bad.write_bytes(Path(paths["manifest"]).read_bytes() + b"\xff\n")
+    else:
+        bad.write_bytes(_extent_past_the_end(Path(paths["arrays"]).read_bytes()))
+    paths[which] = str(bad)
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert main(["--config", paths.get("config", os.devnull), "align", "--manifest", paths["manifest"],
+                 "--arrays", paths["arrays"], "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["codec-roundtrip", "--manifest", "MISSING", "--arrays", "A", "--ckpt", "NEVER", "--utt", "0"],
@@ -527,7 +585,7 @@ def test_synth_bad_setting_exit_code_2(small_corpus, wrong_kind_files, capsys, f
 @pytest.mark.parametrize(
     "line, says",
     [("codec.d_model=60", "head dimension 15 must be even"), ("codec.n_heads=0", "n_heads must be >= 1"),
-     ("codec.d_model=0", "head dimension 0 must be even and positive")],
+     ("codec.d_model=0", "CodecConfig: d_model must be >= 1, got 0")],
     ids=["odd-head", "no-heads", "no-width"],
 )
 def test_codec_train_bad_transformer_shape_exit_code_2(small_corpus, tmp_path, capsys, line, says):

@@ -70,8 +70,9 @@ class TestReparameterize:
         np.testing.assert_array_equal(out.data, mu)
 
     def test_k_sigma_below_one_rejected(self):
-        with pytest.raises(ValidationError):
-            reparameterize(np.zeros((2, 2)), k_sigma=0.5, seed=0)
+        """The config holds the range; reparameterize only ever gets its value."""
+        with pytest.raises(ValidationError, match="^CodecConfig: k_sigma must be >= 1, got 0.5$"):
+            CodecConfig(k_sigma=0.5)
 
     def test_deterministic_per_seed(self):
         mu = np.zeros((4, 4))
@@ -307,8 +308,9 @@ class TestLatentDropout:
         np.testing.assert_array_equal(out.data, s.data)
 
     def test_rate_one_rejected(self):
-        with pytest.raises(ValidationError):
-            latent_dropout(nx.tensor(np.zeros((2, 2))), 1.0, seed=0)
+        """The config holds the range; latent_dropout only ever gets its value."""
+        with pytest.raises(ValidationError, match=r"^CodecConfig: latent_dropout must be in \[0, 1\), got 1.0$"):
+            CodecConfig(latent_dropout=1.0)
 
     def test_monte_carlo_zero_fraction(self):
         s = nx.tensor(np.ones((250, 400)))

@@ -11,9 +11,11 @@ from tada import numerics as nx
 from tada.aligner import AlignerConfig, AlignerModel
 from tada.backbone import BackboneConfig, BackboneModel
 from tada.codec import CodecConfig, CodecModel
+from tada.config import FROM_CORPUS, Defaults, load_config
 from tada.errors import ValidationError
 from tada.flowhead import FlowConfig
 from tada.harness import Manifest, SynthConfig
+from tada.pipeline import GenParams
 
 ALIGNER = AlignerConfig(
     d_in=4, d_model=16, n_heads=2, d_ff=24, vocab_size=5, n_graphemes=3, lambda_inter=0.1, use_curriculum=False
@@ -54,7 +56,7 @@ def test_manifest_config_roundtrip(tmp_path):
         (lambda line: line + " bogus=1", "unknown key 'bogus'"),
         (lambda line: line.replace("seed=11", ""), "missing key 'seed'"),
         (lambda line: line.replace("noise=0.07", "noise=abc"), "cannot parse noise"),
-        (lambda line: line.replace("dur_min=1", "dur_min=0"), "invalid duration law"),
+        (lambda line: line.replace("dur_min=1", "dur_min=6"), "invalid duration law"),
         (lambda line: line + " seed=3", "seed=3"),
         (lambda line: line + " seed", "'seed'"),
     ],
@@ -81,7 +83,7 @@ def test_nested_flow_keys_are_checked():
         *((key, f"BackboneConfig: {key} must be >= 1")
           for key in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff", "d_cond", "d_latent", "bits", "max_context")),
         ("flow.width", "FlowConfig: width must be >= 1"),
-        ("flow.d_time", "FlowConfig: d_time must be even and >= 2"),
+        ("flow.d_time", "FlowConfig: d_time must be >= 2"),
     ],
 )
 def test_backbone_size_below_one_rejected(key, says, value):
@@ -91,6 +93,45 @@ def test_backbone_size_below_one_rejected(key, says, value):
     assert f"{key}={value}" in line.split()
     with pytest.raises(ValidationError, match=f"^here: BackboneConfig: {says}, got {value}$"):
         configline.from_line(BackboneConfig, line, "here")
+
+
+# The keys whose range holds 0; no key's range holds -1, nan or inf.
+ZERO_IS_LEGITIMATE = {
+    "synth": ("gap_min", "gap_max", "noise", "seed"),
+    "aligner": ("lambda_inter", "use_curriculum"),
+    "codec": ("sigma0", "kl_floor", "latent_dropout", "lambda_mel", "lambda_sem", "lambda_kl", "noise_warmup_frac"),
+    "backbone": ("lambda_flow", "lambda_ce", "lambda_kd", "dropout_rate", "flow.n_hidden", "flow.sigma_min"),
+    "budget": ("aligner_steps", "codec_steps", "codec_stream_steps", "base_lm_steps", "backbone_steps",
+               "speaker_steps", "seed", "log_every"),
+}
+
+
+def test_every_config_key_refuses_values_outside_its_range():
+    """Every --config key set to 0, -1, nan and inf: only the legitimate zeros load."""
+    accepted = set()
+    for key, _ in configline.flat(Defaults()):
+        for value in ("0", "-1", "nan", "inf") if key not in FROM_CORPUS else ():
+            try:
+                load_config(None, [("--flag", key, value)])
+            except ValidationError:
+                continue
+            accepted.add(f"{key}={value}")
+    assert accepted == {f"{section}.{key}=0" for section, keys in ZERO_IS_LEGITIMATE.items() for key in keys}
+
+
+@pytest.mark.parametrize(
+    "make, says",
+    [
+        (lambda: CodecConfig(noise_warmup_frac=float("nan")), "CodecConfig: noise_warmup_frac must be finite, got nan"),
+        (lambda: GenParams(temperature=float("inf")), "GenParams: temperature must be finite, got inf"),
+        (lambda: SynthConfig(d_frame=8), "SynthConfig: d_frame must be 16, got 8"),
+        (lambda: SynthConfig(tokens_min=4, tokens_max=3), "SynthConfig: tokens_max 3 is below tokens_min 4"),
+    ],
+    ids=["non-finite", "unranged-non-finite", "exact", "tokens-order"],
+)
+def test_range_error_names_class_field_range_and_value(make, says):
+    with pytest.raises(ValidationError, match=f"^{re.escape(says)}$"):
+        make()
 
 
 @pytest.mark.parametrize("key, value", [("flow.d_time", 7), ("flow.n_hidden", -1)])

@@ -776,6 +776,28 @@ def test_truncated_checkpoint_raises_validation_error(tmp_path_factory, data):
         nx.load_arrays(path)
 
 
+@pytest.mark.parametrize(
+    "arrays, offset, value, says",
+    [
+        ({"ab": np.zeros((2, 3))}, 21, 2**63, "truncated file"),  # name_len
+        ({"ab": np.zeros((2, 3))}, 31, 2**61, "truncated file"),  # rank
+        ({"ab": np.zeros((2, 3))}, 39, 2**62, "truncated file"),  # first extent
+        ({"ab": np.zeros((0, 3))}, 47, 2**62, "cannot have shape"),  # an empty array's second extent
+    ],
+    ids=["name_len", "rank", "extent", "empty-extent"],
+)
+def test_length_field_past_the_end_rejected(tmp_path, arrays, offset, value, says):
+    """A length field is checked against the bytes left before anything is
+    read or allocated; none is read as a size."""
+    path = tmp_path / "ck.tada"
+    nx.save_arrays(path, arrays)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<Q", raw, offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValidationError, match=f"ck.tada: .*{says}"):
+        nx.load_arrays(path)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_adam_matches_textbook_formula(dtype):
     """Five steps equal the textbook update bit for bit; a parameter

@@ -288,11 +288,18 @@ def build_sequence(item: SequenceBatchItem, config: BackboneConfig):
     return ids, acoustic, has_ac, ids[1:], np.arange(K, K + L), packed
 
 
-def _text_only_logits(model: BackboneModel, ids: np.ndarray, lengths: list[int]) -> Tensor:
+def _text_only_logits(model: BackboneModel, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
     """Text logits of packed sequences with every step text-only."""
     n = ids.size
     no = np.zeros(n, dtype=bool)
     return model.forward_tensors(ids, np.zeros((n, model.config.d_acoustic)), no, no, lengths)[0]
+
+
+def _next_token_ce(logits: Tensor, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
+    """Mean over packed sequences of each one's mean cross-entropy of step
+    j's logits against step j+1's id, as one weighted term."""
+    rows = np.delete(np.arange(ids.size), np.cumsum(lengths) - 1)
+    return nx.cross_entropy(nx.gather_rows(logits, rows), ids[rows + 1], nn.sequence_weights(lengths - 1))
 
 
 def train_step(
@@ -300,7 +307,6 @@ def train_step(
     batch: list[SequenceBatchItem],
     base_lm: "BackboneModel | None",
     seed: int,
-    dropout_rate: float | None = None,
     apply_grads: bool = True,
 ) -> TrainLossReport:
     """One supervised pass over a batch; gradients accumulate on the params.
@@ -308,66 +314,47 @@ def train_step(
     flow: velocity regression on (flow target, condition) pairs at speech
     steps; ce: next-token cross-entropy over the text stream; kd: KL from
     the frozen base LM's logits to the model's at text-only steps. Each is
-    a mean over the items of the item's own mean.
+    the mean over the items that have such steps of the item's own mean,
+    built as one weighted term over the batch's rows
+    (:func:`nn.sequence_weights`); a term no item has is zero.
 
     The batch is packed, in order, into one forward (and one base-LM
-    forward when a step is text-only); each item's terms are gathered from
-    its own rows. Random draws go per item in batch order: the modes, then
-    the flow seed when a flow step is kept.
+    forward when a step is text-only). Random draws go per item in batch
+    order: the modes, then the flow seed when a flow step is kept.
     """
     cfg = model.config
-    rate = cfg.dropout_rate if dropout_rate is None else dropout_rate
     rng = np.random.default_rng(seed)
     seqs, speeches, flow_seeds = [], [], []
     for item in batch:
         ids, _, _, _, flow_idx, _ = seq = build_sequence(item, cfg)
-        speech = sample_segment_modes(ids.size, rate, cfg.dropout_mean_len, rng)
+        speech = sample_segment_modes(ids.size, cfg.dropout_rate, cfg.dropout_mean_len, rng)
         seqs.append(seq)
         speeches.append(speech)
-        flow_seeds.append(int(rng.integers(1 << 31)) if speech[flow_idx].any() else None)
-    flow_terms: list[Tensor] = []
-    ce_terms: list[Tensor] = []
-    kd_terms: list[Tensor] = []
-    ids, acoustic, has_ac = (np.concatenate([seq[k] for seq in seqs]) for k in range(3))
+        if speech[flow_idx].any():
+            flow_seeds.append(int(rng.integers(1 << 31)))
+    ids, acoustic, has_ac, flow_targets = (np.concatenate([seq[k] for seq in seqs]) for k in (0, 1, 2, 5))
     speech = np.concatenate(speeches)
-    lengths = [seq[0].size for seq in seqs]
+    lengths = np.array([seq[0].size for seq in seqs])
+    item_of = np.repeat(np.arange(lengths.size), lengths)  # the item of each row
     logits, cond = model.forward_tensors(ids, acoustic, has_ac, speech, lengths)
-    base_logits = None
-    if base_lm is not None and not speech.all():
+    ce = _next_token_ce(logits, ids, lengths)
+    flow = kd = nx.zeros((), dtype=nn.param_dtype(model.params))
+    flow_rows = np.concatenate([seq[4] + start for seq, start in zip(seqs, np.cumsum(lengths) - lengths)])
+    keep = speech[flow_rows]
+    if keep.any():
+        flow = flowhead.flow_loss(
+            model.flow, flow_targets[keep], nx.gather_rows(cond, flow_rows[keep]), cfg.flow.sigma_min,
+            seed=flow_seeds, lengths=np.unique(item_of[flow_rows[keep]], return_counts=True)[1],
+        )
+    text_only = np.flatnonzero(~speech)
+    if base_lm is not None and text_only.size:
         with nx.no_grad():
             base_logits = _text_only_logits(base_lm, ids, lengths)
-    for (_, _, _, ce_targets, flow_idx, flow_targets), modes, flow_seed, start in zip(
-        seqs, speeches, flow_seeds, np.cumsum(lengths) - lengths
-    ):
-        ce_terms.append(nx.cross_entropy(nx.gather_rows(logits, start + np.arange(ce_targets.size)), ce_targets))
-        keep = modes[flow_idx]
-        if keep.any():
-            flow_terms.append(
-                flowhead.flow_loss(
-                    model.flow,
-                    flow_targets[keep],
-                    nx.gather_rows(cond, start + flow_idx[keep]),
-                    cfg.flow.sigma_min,
-                    seed=flow_seed,
-                )
-            )
-        text_only = start + np.flatnonzero(~modes)
-        if base_logits is not None and text_only.size:
-            kd_terms.append(
-                nx.kl_categorical(
-                    nn.input_tensor(model.params, base_logits.data[text_only]),
-                    nx.gather_rows(logits, text_only),
-                )
-            )
-
-    def _mean(terms: list[Tensor]) -> Tensor:
-        if not terms:
-            return nx.zeros((), dtype=nn.param_dtype(model.params))
-        return nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
-
-    flow = _mean(flow_terms)
-    ce = _mean(ce_terms)
-    kd = _mean(kd_terms)
+        kd = nx.kl_categorical(
+            nn.input_tensor(model.params, base_logits.data[text_only]),
+            nx.gather_rows(logits, text_only),
+            nn.sequence_weights(np.unique(item_of[text_only], return_counts=True)[1]),
+        )
     total = nx.scale(flow, cfg.lambda_flow) + nx.scale(ce, cfg.lambda_ce) + nx.scale(kd, cfg.lambda_kd)
     if apply_grads:
         total.backward()
@@ -402,19 +389,16 @@ def base_lm_loss(model: BackboneModel, token_seqs: list[np.ndarray]) -> Tensor:
     """Mean over the sequences of each one's mean next-token cross-entropy,
     text-only, on ``[BOS, tokens, PAD]``.
 
-    The sequences are packed, in order, into one forward.
+    The sequences are packed, in order, into one forward, and the loss is
+    one weighted cross-entropy over their rows (:func:`nn.sequence_weights`).
     """
     if not token_seqs:
         raise ValidationError("base_lm_loss: need at least one sequence")
     cfg = model.config
     seqs = [np.concatenate([[cfg.bos_id], np.asarray(w, dtype=np.int64), [cfg.pad_id]]) for w in token_seqs]
-    lengths = [ids.size for ids in seqs]
-    logits = _text_only_logits(model, np.concatenate(seqs), lengths)
-    terms = [
-        nx.cross_entropy(nx.gather_rows(logits, start + np.arange(ids.size - 1)), ids[1:])
-        for ids, start in zip(seqs, np.cumsum(lengths) - lengths)
-    ]
-    return nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
+    lengths = np.array([ids.size for ids in seqs])
+    ids = np.concatenate(seqs)
+    return _next_token_ce(_text_only_logits(model, ids, lengths), ids, lengths)
 
 
 def train_base_lm(

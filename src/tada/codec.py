@@ -17,6 +17,7 @@ not implemented.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,37 +134,19 @@ def scatter_latents(s, p: np.ndarray, T: int):
 # ---------------------------------------------------------------------------
 
 
-_DFT_CACHE: dict[tuple[int, str], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+@functools.lru_cache(maxsize=None)
+def _dft_basis(window: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    n = np.arange(window)
+    k = np.arange(window // 2 + 1)
+    ang = 2.0 * np.pi * np.outer(n, k) / window
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * (n + 0.5) / window)
+    return np.cos(ang).astype(dtype), -np.sin(ang).astype(dtype), hann.astype(dtype)
 
 
-def _dft_basis(window: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    key = (window, np.dtype(dtype).name)
-    if key not in _DFT_CACHE:
-        n = np.arange(window)
-        k = np.arange(window // 2 + 1)
-        ang = 2.0 * np.pi * np.outer(n, k) / window
-        hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * (n + 0.5) / window)
-        _DFT_CACHE[key] = (
-            np.cos(ang).astype(dtype),
-            -np.sin(ang).astype(dtype),
-            hann.astype(dtype),
-        )
-    return _DFT_CACHE[key]
-
-
-_FRAME_IDX_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=1024)
 def _frame_indices(n: int, window: int, hop: int) -> np.ndarray:
-    key = (n, window)
-    idx = _FRAME_IDX_CACHE.get(key)
-    if idx is None:
-        n_frames = 1 + (n - window) // hop
-        idx = (np.arange(n_frames)[:, None] * hop + np.arange(window)[None, :]).reshape(-1)
-        if len(_FRAME_IDX_CACHE) > 1024:
-            _FRAME_IDX_CACHE.clear()
-        _FRAME_IDX_CACHE[key] = idx
-    return idx
+    n_frames = 1 + (n - window) // hop
+    return (np.arange(n_frames)[:, None] * hop + np.arange(window)[None, :]).reshape(-1)
 
 
 def log_magnitude_spectrogram(signal: Tensor, window: int, lengths=None) -> Tensor | None:
@@ -189,15 +172,6 @@ def log_magnitude_spectrogram(signal: Tensor, window: int, lengths=None) -> Tens
     im = nx.matmul(windowed, nx.tensor(sin_b, dtype=signal.dtype.type))
     power = nx.square(re) + nx.square(im)
     return nx.log(nx.sqrt(power + 1e-10) + 1e-5)
-
-
-def _sequence_weights(counts) -> np.ndarray | None:
-    """Row weights that make a weighted sum the mean over sequences of each
-    one's mean over its ``counts`` rows; None (the plain mean) for one."""
-    counts = np.asarray(counts)
-    if counts.size == 1:
-        return None
-    return np.repeat(1.0 / (counts.size * counts), counts)
 
 
 def multiscale_spectral_l1(pred: Tensor, target: Tensor, windows=(32, 64, 128), lengths=None) -> Tensor:
@@ -431,14 +405,10 @@ def codec_loss(
     )
     frame_targets = np.full(T, config.vocab_size, dtype=np.int64)  # blank
     frame_targets[p - 1] = tokens
-    sem = nx.cross_entropy(pred.sem_logits, frame_targets, _sequence_weights(frames))
+    sem = nx.cross_entropy(pred.sem_logits, frame_targets, nn.sequence_weights(frames))
     per_token = nx.scale(nx.sum_(nx.square(s_mu), axis=1), 1.0 / config.d_latent)
     clamped = nx.maximum_const(per_token, config.kl_floor)
-    weights = _sequence_weights(np.diff(np.searchsorted(p, np.cumsum(frames), side="right"), prepend=0))
-    if weights is None:
-        kl = nx.mean_(clamped)
-    else:
-        kl = nx.sum_(nx.mul(clamped, nx.tensor(weights, dtype=clamped.dtype.type)))
+    kl = nn.sequence_mean(clamped, np.diff(np.searchsorted(p, np.cumsum(frames), side="right"), prepend=0))
     total = (
         nx.scale(mel, config.lambda_mel)
         + nx.scale(sem, config.lambda_sem)

@@ -10,6 +10,7 @@ guidance extrapolates only the first ``d_latent`` dimensions; the trailing
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -42,16 +43,16 @@ class FlowConfig:
         return self.d_latent + 2 * self.bits
 
 
-_TIME_FREQS: dict[int, np.ndarray] = {}  # d_time -> (1, d_time // 2) frequencies
+@functools.lru_cache(maxsize=None)
+def _time_freqs(d_time: int) -> np.ndarray:
+    """The (1, d_time // 2) frequencies of :func:`time_embedding`."""
+    return np.exp(np.linspace(0.0, np.log(1000.0), d_time // 2))[None, :]
 
 
 def time_embedding(t: np.ndarray, d_time: int, dtype=np.float64) -> np.ndarray:
     """Sinusoidal features of t in [0, 1]; constant w.r.t. the graph."""
     t = np.asarray(t, dtype=np.float64).reshape(-1, 1)
-    freqs = _TIME_FREQS.get(d_time)
-    if freqs is None:
-        freqs = _TIME_FREQS[d_time] = np.exp(np.linspace(0.0, np.log(1000.0), d_time // 2))[None, :]
-    ang = t * freqs
+    ang = t * _time_freqs(d_time)
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1).astype(dtype)
 
 
@@ -103,7 +104,7 @@ class VectorFieldModel:
         if cond.shape[0] != n:
             raise ValidationError(f"field: {cond.shape[0]} condition rows for {n} points")
         t = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1), (n,))
-        temb = nx.tensor(time_embedding(t, self.config.d_time, y_t.dtype.type))
+        temb = nn.input_tensor(self.params, time_embedding(t, self.config.d_time, y_t.dtype.type))
         x = nx.concat([y_t, temb, cond], axis=1)
         return self._hidden(nn.linear(self.params, f"{self.prefix}/fc0", x))
 
@@ -197,27 +198,36 @@ def flow_loss(
     targets: np.ndarray,
     cond: Tensor | np.ndarray,
     sigma_min: float,
-    seed: int,
+    seed: int | list[int],
+    lengths=None,
 ) -> Tensor:
     """Mean over rows of || v(y_t, t | c) - (y1 - (1 - sigma_min) y0) ||^2.
 
     t ~ U(0,1) per row, y0 ~ N(0, I) per element, both derived from
     (seed, target row), so the loss is deterministic per seed and invariant
-    under permutation of the batch.
+    under permutation of the batch. With ``lengths``, the rows are
+    consecutive sequences' rows and ``seed`` holds one seed per sequence:
+    each row draws what it would draw in its sequence alone, and the loss
+    is the mean over the sequences of each one's mean, one weighted term
+    (:func:`nn.sequence_mean`).
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 2:
         raise ValidationError(f"flow_loss: targets must be (n, d), got {targets.shape}")
     n = targets.shape[0]
+    lengths = [n] if lengths is None else lengths
+    seeds = np.repeat([seed] if np.ndim(seed) == 0 else seed, lengths)
+    if seeds.size != n:
+        raise ValidationError(f"flow_loss: lengths {list(lengths)} do not cover the {n} rows")
     t = np.empty(n)
     y0 = np.empty_like(targets)
     for i in range(n):
-        t[i], y0[i] = _row_noise(targets[i], seed)
+        t[i], y0[i] = _row_noise(targets[i], int(seeds[i]))
     y_t = interpolate(targets, y0, t, sigma_min)
     velocity = targets - (1.0 - sigma_min) * y0
     v = model.field(y_t, t, cond)
     diff = v - nx.tensor(velocity, dtype=v.dtype.type)
-    return nx.mean_(nx.sum_(nx.square(diff), axis=1))
+    return nn.sequence_mean(nx.sum_(nx.square(diff), axis=1), lengths)
 
 
 def cfg_combine(v_pos: np.ndarray, v_neg: np.ndarray, scale: float, d_guided: int) -> np.ndarray:

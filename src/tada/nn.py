@@ -227,6 +227,25 @@ def sequence_positions(lengths) -> np.ndarray:
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
+def sequence_weights(counts) -> np.ndarray | None:
+    """Row weights that make a weighted sum the mean over sequences of each
+    one's mean over its ``counts`` rows; None (the plain mean) for one."""
+    counts = np.asarray(counts)
+    if counts.size == 1:
+        return None
+    return np.repeat(1.0 / (counts.size * counts), counts)
+
+
+def sequence_mean(rows: Tensor, counts) -> Tensor:
+    """The mean over sequences of each one's own mean, where the rank-1
+    ``rows`` are consecutive sequences of ``counts`` entries: one weighted
+    sum by :func:`sequence_weights` (a plain mean for one sequence)."""
+    weights = sequence_weights(counts)
+    if weights is None:
+        return nx.mean_(rows)
+    return nx.sum_(nx.mul(rows, nx.tensor(weights, dtype=rows.dtype.type)))
+
+
 def stack(
     params: dict,
     prefix: str,

@@ -651,13 +651,19 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, weights: np.ndarray | Non
     return _make("cross_entropy", out, (logits,), backward)
 
 
-def kl_categorical(p_logits: Tensor, q_logits: Tensor) -> Tensor:
-    """Mean over rows of KL(softmax(p) || softmax(q))."""
+def kl_categorical(p_logits: Tensor, q_logits: Tensor, weights: np.ndarray | None = None) -> Tensor:
+    """Mean over rows of KL(softmax(p) || softmax(q)).
+
+    With ``weights`` (one per row), the weighted sum of the rows'
+    divergences instead of their mean.
+    """
     if p_logits.shape != q_logits.shape or p_logits.ndim != 2:
         raise ShapeError(
             "kl_categorical", f"shapes {p_logits.shape} and {q_logits.shape} must match, rank 2"
         )
     n = p_logits.shape[0]
+    if weights is not None and np.shape(weights) != (n,):
+        raise ShapeError("kl_categorical", f"weights {np.shape(weights)} vs {n} rows")
 
     def _logsm(a):
         m = a.max(axis=1, keepdims=True)
@@ -668,13 +674,20 @@ def kl_categorical(p_logits: Tensor, q_logits: Tensor) -> Tensor:
     logq = _logsm(q_logits.data)
     p = np.exp(logp)
     rows = (p * (logp - logq)).sum(axis=1)
-    out = np.asarray(rows.mean())
+    if weights is None:
+        out = np.asarray(rows.mean())
+    else:
+        weights = np.asarray(weights, dtype=p_logits.dtype)
+        out = np.asarray((rows * weights).sum())
 
     def backward(g):
+        w = None if weights is None else (g * weights)[:, None]
         if q_logits.requires_grad:
-            _accum(q_logits, g * (np.exp(logq) - p) / n)
+            dq = np.exp(logq) - p
+            _accum(q_logits, g * dq / n if w is None else dq * w)
         if p_logits.requires_grad:
-            _accum(p_logits, g * p * ((logp - logq) - rows[:, None]) / n)
+            dp = (logp - logq) - rows[:, None]
+            _accum(p_logits, g * p * dp / n if w is None else p * dp * w)
 
     return _make("kl_categorical", out, (p_logits, q_logits), backward)
 

@@ -23,6 +23,10 @@ for the batched lattice of ``aligner.ctc_log_likelihood``;
 ``neighbour_rows`` is a concat, a row gather and a reshape whose gradient
 ``np.add.at`` sums, the forms the kernels and primitives of the same names
 are checked against.
+``reference_train_step`` and ``reference_base_lm_loss`` run one forward
+and build one term per item, then average the items' terms: the losses
+that ``backbone.train_step`` and ``backbone.base_lm_loss`` build as one
+weighted term over packed rows are checked against them.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ import math
 
 import numpy as np
 
-from tada import masks, nn
+from tada import flowhead, masks, nn
 from tada import numerics as nx
 from tada.aligner import NEG_INF, _extend_with_blanks, ctc_required_frames
+from tada.backbone import build_sequence, sample_segment_modes
 from tada.errors import InfeasibleError, ShapeError, ValidationError
 from tada.numerics import kernels
 from tada.numerics.engine import Tensor, _accum, _make
@@ -347,3 +352,45 @@ def neighbour_rows(x: Tensor, lengths) -> Tensor:
     idx = np.stack([left, np.arange(T), right], axis=1).reshape(-1)
     padded = nx.concat([x, nx.zeros((1, d), dtype=x.dtype)], axis=0)
     return nx.reshape(nx.gather_rows(padded, idx), (T, 3 * d))
+
+
+def _mean_of_terms(terms: list[Tensor]) -> Tensor:
+    return nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
+
+
+def reference_train_step(model, batch, base_lm, seed, dropout_rate):
+    """Per-sequence train_step: one forward per item, draws in item order."""
+    cfg = model.config
+    rng = np.random.default_rng(seed)
+    flow_terms, ce_terms, kd_terms = [], [], []
+    for item in batch:
+        ids, acoustic, has_ac, ce_targets, flow_idx, flow_targets = build_sequence(item, cfg)
+        n = ids.size
+        speech = sample_segment_modes(n, dropout_rate, cfg.dropout_mean_len, rng)
+        logits, cond = model.forward_tensors(ids, acoustic, has_ac, speech)
+        ce_terms.append(nx.cross_entropy(nx.gather_rows(logits, np.arange(n - 1)), ce_targets))
+        keep = speech[flow_idx]
+        if keep.any():
+            flow_terms.append(flowhead.flow_loss(
+                model.flow, flow_targets[keep], nx.gather_rows(cond, flow_idx[keep]),
+                cfg.flow.sigma_min, seed=int(rng.integers(1 << 31)),
+            ))
+        text_only = np.flatnonzero(~speech)
+        if base_lm is not None and text_only.size:
+            with nx.no_grad():
+                base, _ = base_lm.forward_tensors(ids, np.zeros_like(acoustic), np.zeros(n, bool), np.zeros(n, bool))
+            kd_terms.append(nx.kl_categorical(nx.tensor(base.data[text_only]), nx.gather_rows(logits, text_only)))
+    return (nx.scale(_mean_of_terms(flow_terms), cfg.lambda_flow) + nx.scale(_mean_of_terms(ce_terms), cfg.lambda_ce)
+            + nx.scale(_mean_of_terms(kd_terms), cfg.lambda_kd))
+
+
+def reference_base_lm_loss(model, token_seqs):
+    """Per-sequence base_lm_loss: one forward and one cross-entropy per sequence."""
+    cfg = model.config
+    terms = []
+    for w in token_seqs:
+        ids = np.concatenate([[cfg.bos_id], w, [cfg.pad_id]])
+        n = ids.size
+        logits, _ = model.forward_tensors(ids, np.zeros((n, cfg.d_acoustic)), np.zeros(n, bool), np.zeros(n, bool))
+        terms.append(nx.cross_entropy(nx.gather_rows(logits, np.arange(n - 1)), ids[1:]))
+    return _mean_of_terms(terms)

@@ -27,8 +27,9 @@ TINY = BackboneConfig(
 )
 
 
-def tiny_model(seed=0):
-    cfg = BackboneConfig(**{k: getattr(TINY, k) for k in TINY.__dataclass_fields__ if k != "flow"})
+def tiny_model(seed=0, dropout_rate=TINY.dropout_rate):
+    fields = {k: getattr(TINY, k) for k in TINY.__dataclass_fields__ if k != "flow"}
+    cfg = BackboneConfig(**{**fields, "dropout_rate": dropout_rate})
     cfg.flow.d_time = 8
     cfg.flow.width = 16
     cfg.flow.n_hidden = 2
@@ -360,32 +361,29 @@ class TestTrainStep:
         assert cfg.lambda_kd == pytest.approx(0.05)
 
     def test_kd_zero_when_model_is_base_and_text_only(self):
-        model = tiny_model()
+        model = tiny_model(dropout_rate=1.0)
         rng = np.random.default_rng(8)
-        report = train_step(
-            model, [random_item(rng)], base_lm=model, seed=9, dropout_rate=1.0,
-            apply_grads=False,
-        )
+        report = train_step(model, [random_item(rng)], base_lm=model, seed=9, apply_grads=False)
         assert float(report.kd.data) == pytest.approx(0.0, abs=1e-9)
         assert float(report.flow.data) == 0.0  # no speech steps remain
 
     def test_dropout_rate_zero_matches_all_speech_bitwise(self):
-        model = tiny_model()
+        model = tiny_model(dropout_rate=0.0)
         rng = np.random.default_rng(10)
         item = random_item(rng)
-        a = train_step(model, [item], None, seed=11, dropout_rate=0.0, apply_grads=False)
-        b = train_step(model, [item], None, seed=11, dropout_rate=0.0, apply_grads=False)
+        a = train_step(model, [item], None, seed=11, apply_grads=False)
+        b = train_step(model, [item], None, seed=11, apply_grads=False)
         assert float(a.total.data) == float(b.total.data)
         modes = sample_segment_modes(10, 0.0, 8, np.random.default_rng(0))
         assert modes.all()
 
     def test_gradient_matches_finite_differences(self):
-        model = tiny_model(seed=12)
+        model = tiny_model(seed=12, dropout_rate=0.0)
         rng = np.random.default_rng(13)
         item = random_item(rng, L=3)
 
         def fn():
-            return train_step(model, [item], None, seed=14, dropout_rate=0.0, apply_grads=False).total
+            return train_step(model, [item], None, seed=14, apply_grads=False).total
 
         names = ["text_emb", "ac_proj/w", "tf/layer0/wq/w", "lm_head/w", "cond_head/w", "flow/fc0/w", "bos_ac"]
         params = [model.params[n] for n in names]
@@ -393,45 +391,6 @@ class TestTrainStep:
         # 1e-5 central differences sit in round-off territory
         err = finite_difference_check_params(fn, params, sample=3, seed=1, eps=1e-4)
         assert err < 1e-3
-
-
-def reference_train_step(model, batch, base_lm, seed, dropout_rate):
-    """Per-sequence train_step: one forward per item, draws in item order."""
-    cfg = model.config
-    rng = np.random.default_rng(seed)
-    flow_terms, ce_terms, kd_terms = [], [], []
-    for item in batch:
-        ids, acoustic, has_ac, ce_targets, flow_idx, flow_targets = build_sequence(item, cfg)
-        n = ids.size
-        speech = sample_segment_modes(n, dropout_rate, cfg.dropout_mean_len, rng)
-        logits, cond = model.forward_tensors(ids, acoustic, has_ac, speech)
-        ce_terms.append(nx.cross_entropy(nx.gather_rows(logits, np.arange(n - 1)), ce_targets))
-        keep = speech[flow_idx]
-        if keep.any():
-            flow_terms.append(flowhead.flow_loss(
-                model.flow, flow_targets[keep], nx.gather_rows(cond, flow_idx[keep]),
-                cfg.flow.sigma_min, seed=int(rng.integers(1 << 31)),
-            ))
-        text_only = np.flatnonzero(~speech)
-        if base_lm is not None and text_only.size:
-            with nx.no_grad():
-                base, _ = base_lm.forward_tensors(ids, np.zeros_like(acoustic), np.zeros(n, bool), np.zeros(n, bool))
-            kd_terms.append(nx.kl_categorical(nx.tensor(base.data[text_only]), nx.gather_rows(logits, text_only)))
-    mean = lambda terms: nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
-    total = (nx.scale(mean(flow_terms), cfg.lambda_flow) + nx.scale(mean(ce_terms), cfg.lambda_ce)
-             + nx.scale(mean(kd_terms), cfg.lambda_kd))
-    return total
-
-
-def reference_base_lm_loss(model, token_seqs):
-    cfg = model.config
-    terms = []
-    for w in token_seqs:
-        ids = np.concatenate([[cfg.bos_id], w, [cfg.pad_id]])
-        n = ids.size
-        logits, _ = model.forward_tensors(ids, np.zeros((n, cfg.d_acoustic)), np.zeros(n, bool), np.zeros(n, bool))
-        terms.append(nx.cross_entropy(nx.gather_rows(logits, np.arange(n - 1)), ids[1:]))
-    return nx.scale(sum(terms[1:], terms[0]), 1.0 / len(terms))
 
 
 def loss_and_grads(model, fn):
@@ -528,22 +487,22 @@ class TestPacking:
             model.forward_tensors(ids, zeros, flags, flags, [2, long])
 
     def test_train_step_matches_per_sequence_reference(self):
-        model = tiny_model(seed=51)
+        model = tiny_model(seed=51, dropout_rate=0.5)
         base = tiny_model(seed=52)
         rng = np.random.default_rng(53)
         batch = [random_item(rng, L=L) for L in (2, 6, 4, 1, 5)]
-        report = train_step(model, batch, base, seed=54, dropout_rate=0.5, apply_grads=False)
+        report = train_step(model, batch, base, seed=54, apply_grads=False)
         assert float(report.kd.data) > 0 and float(report.flow.data) > 0  # text-only and speech steps
         assert_matches_reference(
             model,
-            lambda: train_step(model, batch, base, seed=54, dropout_rate=0.5, apply_grads=False).total,
-            lambda: reference_train_step(model, batch, base, seed=54, dropout_rate=0.5),
+            lambda: train_step(model, batch, base, seed=54, apply_grads=False).total,
+            lambda: reference_ops.reference_train_step(model, batch, base, seed=54, dropout_rate=0.5),
         )
 
     def test_wide_batch_is_one_forward(self, monkeypatch):
         """A batch with more rows than ``max_context`` still packs into one
         forward, since only each sequence must fit."""
-        model = tiny_model(seed=55)
+        model = tiny_model(seed=55, dropout_rate=0.3)
         base = tiny_model(seed=56)
         rng = np.random.default_rng(57)
         batch = [random_item(rng, L=int(L)) for L in rng.integers(1, 9, size=14)]
@@ -558,22 +517,22 @@ class TestPacking:
             return forward(self, ids, *rest)
 
         monkeypatch.setattr(BackboneModel, "forward_tensors", spy)
-        packed = lambda: train_step(model, batch, base, seed=58, dropout_rate=0.3, apply_grads=False).total
+        packed = lambda: train_step(model, batch, base, seed=58, apply_grads=False).total
         packed()
         assert runs == [rows]
         assert_matches_reference(
-            model, packed, lambda: reference_train_step(model, batch, base, seed=58, dropout_rate=0.3)
+            model, packed, lambda: reference_ops.reference_train_step(model, batch, base, seed=58, dropout_rate=0.3)
         )
 
     def test_packed_steps_keep_one_rotary_table(self, monkeypatch):
         from tada.numerics import kernels
 
         monkeypatch.setattr(kernels, "_ROPE_TABLES", {})
-        model = tiny_model(seed=61)
+        model = tiny_model(seed=61, dropout_rate=0.3)
         rng = np.random.default_rng(62)
         for seed in range(3):
             batch = [random_item(rng, L=int(L)) for L in rng.integers(1, 9, size=6)]
-            train_step(model, batch, None, seed=seed, dropout_rate=0.3)
+            train_step(model, batch, None, seed=seed)
         hd = TINY.d_model // TINY.n_heads
         assert list(kernels._ROPE_TABLES) == [(hd, model.tf.rope_base, np.dtype(np.float64))]
 
@@ -583,10 +542,67 @@ class TestPacking:
         seqs = [rng.integers(0, TINY.vocab_size, size=int(L)) for L in rng.integers(1, 11, size=16)]
         assert sum(s.size + 2 for s in seqs) > TINY.max_context
         assert_matches_reference(
-            model, lambda: base_lm_loss(model, seqs), lambda: reference_base_lm_loss(model, seqs)
+            model, lambda: base_lm_loss(model, seqs), lambda: reference_ops.reference_base_lm_loss(model, seqs)
         )
         with pytest.raises(ValidationError, match="at least one"):
             base_lm_loss(model, [])
+
+
+    def test_each_loss_is_one_term(self, monkeypatch):
+        """train_step builds one flow_loss, one cross_entropy and one
+        kl_categorical for a whole batch; base_lm_loss one cross_entropy."""
+        calls = []
+        for module, name in ((flowhead, "flow_loss"), (nx, "cross_entropy"), (nx, "kl_categorical")):
+            def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        model = tiny_model(seed=63, dropout_rate=0.5)
+        rng = np.random.default_rng(64)
+        batch = [random_item(rng, L=L) for L in (2, 6, 4, 1, 5)]
+        report = train_step(model, batch, tiny_model(seed=65), seed=66, apply_grads=False)
+        assert all(v > 0 for v in report.floats().values())
+        assert sorted(calls) == ["cross_entropy", "flow_loss", "kl_categorical"]
+        calls.clear()
+        base_lm_loss(model, [item.tokens for item in batch])
+        assert calls == ["cross_entropy"]
+
+    def test_one_item_is_the_reference_to_the_bit(self):
+        """With one item or sequence, the weighted terms are the reference's
+        own terms: loss and every gradient are equal, not just close."""
+        for seed in (0, 2, 3, 7):  # seeds whose modes keep flow and text-only steps
+            model = tiny_model(seed=67 + seed, dropout_rate=0.5)
+            base = tiny_model(seed=71)
+            item = random_item(np.random.default_rng(seed), L=7)
+            report = train_step(model, [item], base, seed=seed, apply_grads=False)
+            assert float(report.flow.data) > 0 and float(report.kd.data) > 0
+            cases = [
+                (lambda: train_step(model, [item], base, seed=seed, apply_grads=False).total,
+                 lambda: reference_ops.reference_train_step(model, [item], base, seed, dropout_rate=0.5)),
+                (lambda: base_lm_loss(model, [item.tokens]),
+                 lambda: reference_ops.reference_base_lm_loss(model, [item.tokens])),
+            ]
+            for packed, reference in cases:
+                loss, grads = loss_and_grads(model, packed)
+                ref_loss, ref_grads = loss_and_grads(model, reference)
+                assert loss == ref_loss
+                for k, ref in ref_grads.items():
+                    assert (grads[k] is None) if ref is None else np.array_equal(grads[k], ref), k
+
+    def test_float32_terms_and_gradients(self):
+        with nx.precision("float32"):
+            model = tiny_model(seed=72, dropout_rate=0.5)
+            base = tiny_model(seed=73)
+        rng = np.random.default_rng(74)
+        batch = [random_item(rng, L=L) for L in (3, 5, 2, 6)]
+        report = train_step(model, batch, base, seed=75, apply_grads=False)
+        assert all(v > 0 for v in report.floats().values())
+        tape = report.total.backward()
+        assert {n.data.dtype for n in tape.nodes} == {np.dtype(np.float32)}
+        assert {p.grad.dtype for p in model.params.values() if p.grad is not None} == {np.dtype(np.float32)}
+        lm = base_lm_loss(model, [item.tokens for item in batch])
+        assert lm.dtype == np.float32
 
 
 class TestSegmentModes:

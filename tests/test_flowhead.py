@@ -109,14 +109,34 @@ class TestFlowLoss:
         model = VectorFieldModel(SMALL, rng=rng)
         targets = rng.standard_normal((3, SMALL.d_target))
         cond = rng.standard_normal((3, SMALL.d_cond))
+        for kwargs in ({"seed": 9}, {"seed": [9, 10], "lengths": [1, 2]}):
 
-        def fn():
-            return flow_loss(model, targets, cond, 1e-5, seed=9)
+            def fn():
+                return flow_loss(model, targets, cond, 1e-5, **kwargs)
 
-        err = finite_difference_check_params(
-            fn, list(model.params.values()), sample=4, seed=0
-        )
-        assert err < 1e-3
+            err = finite_difference_check_params(
+                fn, list(model.params.values()), sample=4, seed=0
+            )
+            assert err < 1e-3, kwargs
+
+    def test_lengths_give_the_mean_of_each_sequence(self):
+        """Each sequence draws its rows' noise from its own seed, as alone."""
+        rng = np.random.default_rng(28)
+        model = VectorFieldModel(SMALL, rng=rng)
+        lengths, seeds = [2, 5, 1], [3, 4, 5]
+        targets = rng.standard_normal((8, SMALL.d_target))
+        cond = rng.standard_normal((8, SMALL.d_cond))
+        packed = float(flow_loss(model, targets, cond, 1e-5, seeds, lengths).data)
+        ends = np.cumsum(lengths)
+        alone = [
+            float(flow_loss(model, targets[e - n : e], cond[e - n : e], 1e-5, sd).data)
+            for n, e, sd in zip(lengths, ends, seeds)
+        ]
+        assert packed == pytest.approx(np.mean(alone), rel=1e-12)
+        one = flow_loss(model, targets, cond, 1e-5, [3], [8]).data
+        assert one.tobytes() == flow_loss(model, targets, cond, 1e-5, 3).data.tobytes()
+        with pytest.raises(ValidationError, match="cover"):
+            flow_loss(model, targets, cond, 1e-5, seeds[:2], lengths[:2])
 
 
 class TestCfgCombine:

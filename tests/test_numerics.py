@@ -337,6 +337,18 @@ def _case_kl_categorical_p(rng):
     return lambda x: nx.kl_categorical(x, c), (3, 4)
 
 
+def _case_kl_categorical_q_weighted(rng):
+    c = _const(rng, (3, 4))
+    weights = np.array([0.5, 0.25, 0.125])
+    return lambda x: nx.kl_categorical(c, x, weights), (3, 4)
+
+
+def _case_kl_categorical_p_weighted(rng):
+    c = _const(rng, (3, 4))
+    weights = np.array([0.5, 0.25, 0.125])
+    return lambda x: nx.kl_categorical(x, c, weights), (3, 4)
+
+
 def _case_l1_loss(rng):
     c = _const(rng, (3, 4), offset=3.0)
     return lambda x: nx.l1_loss(x, c), (3, 4)
